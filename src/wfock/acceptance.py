@@ -41,7 +41,6 @@ from .linalg import operator_norm, residual, rng_complex
 from .weights import (
     AdmissibleSequence,
     admissible_from_kernel_coeffs,
-    compute_R,
     scalar_r2,
     weight_system_from,
 )
@@ -86,6 +85,17 @@ def _dirichlet_x(graph: GraphCorrespondence, levels: int) -> AdmissibleSequence:
     return AdmissibleSequence.from_scalar(graph, xs, levels=levels)
 
 
+def _random_point(ind: InducedSpace, x: AdmissibleSequence, rng: np.random.Generator,
+                  radius: float) -> DiscPoint:
+    """A disc point of norm ``radius`` with one random entry per edge (multiplicities one)."""
+    zmat = np.zeros((ind.rep.h_dim, ind.level_dim(1)), dtype=complex)
+    for e in range(ind.graph.n_edges):
+        esl = slice(ind.block_offsets[1][e], ind.block_offsets[1][e + 1])
+        zmat[ind.rep.block(ind.graph.range_(e)), esl] = rng_complex(rng, 1, 1)
+    zmat *= radius / operator_norm(zmat)
+    return DiscPoint(ind, x, zmat)
+
+
 def criterion_1_weight_identities(seed: int) -> dict:
     """Z^{(k)*} Z^{(k)} = R_k^{-2} and the first-part recursion for R_k^2."""
     rng = np.random.default_rng(seed)
@@ -94,7 +104,6 @@ def criterion_1_weight_identities(seed: int) -> dict:
     worst = 0.0
     cases = []
     n_scalar = 12
-    scalar_seqs = {"hardy": [1.0], "dirichlet": None}
     seqs = [("hardy", AdmissibleSequence.from_scalar(FREE1, [1.0], levels=n_scalar)),
             ("dirichlet", _dirichlet_x(FREE1, n_scalar))]
     for i in range(5):
@@ -105,7 +114,7 @@ def criterion_1_weight_identities(seed: int) -> dict:
         seqs.append((f"random_graph_{i}", _random_graph_x(graph, 4, rng)))
     for name, x in seqs:
         g = x.graph
-        R = compute_R(x)
+        R = x.R
         ws = weight_system_from(x)
         case_worst = 0.0
         for k in range(1, x.levels + 1):
@@ -180,9 +189,8 @@ def criterion_3_fock_exactness(seed: int) -> dict:
         case_worst = max(case_worst, residual(lhs, rhs))
         rep = Representation(mults)
         for k in range(0, n):
-            rep_ok = rep if graph.n_vertices == len(mults) else None
-            report = handysums_check(space, k, rng=rng, rep=rep_ok)
-            case_worst = max(case_worst, max(report.values()) if report else 0.0)
+            report = handysums_check(space, k, rng=rng, rep=rep)
+            case_worst = max(case_worst, max(report.values()))
         case_worst = max(case_worst, sums_to_projection_check(space, x, ws))
         details.append({"graph": f"{graph.n_vertices}v{graph.n_edges}e", "kind": kind,
                         "worst": _f(case_worst)})
@@ -301,14 +309,8 @@ def criterion_7_kernels(seed: int) -> dict:
     graph = CYCLE2
     xg = _dirichlet_x(graph, n_g)
     ind_g = InducedSpace(graph, Representation((1, 1)), n_g)
-    zmat = np.zeros((2, ind_g.level_dim(1)), dtype=complex)
     rng2 = np.random.default_rng(seed + 1)
-    for e in range(graph.n_edges):
-        v = graph.range_(e)
-        esl = slice(ind_g.block_offsets[1][e], ind_g.block_offsets[1][e + 1])
-        zmat[ind_g.rep.block(v), esl] = rng_complex(rng2, 1, 1)
-    zmat *= 0.5 / operator_norm(zmat)
-    zg = DiscPoint(ind_g, xg, zmat)
+    zg = _random_point(ind_g, xg, rng2, 0.5)
     a_rand = np.diag(rng_complex(rng2, 2))
     outg = phi_map(zg, a_rand)
     worst_margin = max(worst_margin, outg.neumann_residual - outg.tail - outg.level_tail)
@@ -337,7 +339,6 @@ def criterion_8_interpolation(seed: int) -> dict:
     n = 40
     ind = InducedSpace(FREE1, Representation((1,)), n)
     x = AdmissibleSequence.from_scalar(FREE1, [1.0], levels=n)
-    ws = weight_system_from(x)
 
     # (a) verdict sweep against the pseudo-hyperbolic criterion
     z1, z2 = 0.4, -0.2
@@ -393,16 +394,7 @@ def criterion_8_interpolation(seed: int) -> dict:
     y_mat = sum(c * g for c, g in zip(rng_complex(rng, len(gens)), gens))
     y_mat = y_mat @ gens[2] + 0.2 * np.eye(ind_g.dim)
     y_mat /= operator_norm(y_mat) * 1.3
-    pts = []
-    for sd in (5, 9):
-        rngp = np.random.default_rng(seed + sd)
-        zmat = np.zeros((2, ind_g.level_dim(1)), dtype=complex)
-        for e in range(graph.n_edges):
-            v = graph.range_(e)
-            esl = slice(ind_g.block_offsets[1][e], ind_g.block_offsets[1][e + 1])
-            zmat[ind_g.rep.block(v), esl] = rng_complex(rngp, 1, 1)
-        zmat *= 0.01 / operator_norm(zmat)
-        pts.append(DiscPoint(ind_g, xg, zmat))
+    pts = [_random_point(ind_g, xg, np.random.default_rng(seed + sd), 0.01) for sd in (5, 9)]
     prob_g = PickProblem(pts, [np.eye(2, dtype=complex)] * 2,
                          [hat_eval(z, wsg, y_mat) for z in pts])
     rep_fwd_g = pick_map_cp_test(prob_g)
@@ -423,10 +415,9 @@ def criterion_8_interpolation(seed: int) -> dict:
     from .weights import WeightSystem
 
     prob_d = _scalar_problem(ind, xd, [0.3, -0.25], [0.4, 0.1])
-    r_seq = compute_R(xd)
-    choi_plain = pick_map_cp_test(prob_d, r_seq=r_seq).choi
+    choi_plain = pick_map_cp_test(prob_d).choi
     choi_canon = pick_map_cp_test(prob_d, ws=wsd).choi
-    flipped = WeightSystem(FREE1, n, [wsd.Z[0]] + [-z for z in wsd.Z[1:]], R=r_seq)
+    flipped = WeightSystem(FREE1, n, [wsd.Z[0]] + [-z for z in wsd.Z[1:]], R=xd.R)
     choi_flip = pick_map_cp_test(prob_d, ws=flipped).choi
     weight_gap = max(residual(choi_canon, choi_plain), residual(choi_flip, choi_plain))
     details["weight_independence_gap"] = _f(weight_gap)

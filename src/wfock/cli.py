@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -32,9 +33,17 @@ from .interpolation import (
 from .liftcheck import alphabeta_validator, compression_instance
 from .lifting import commutant_lift
 from .linalg import residual, rng_complex
-from .weights import admissible_from_kernel_coeffs, compute_R, scalar_r2
+from .weights import admissible_from_kernel_coeffs, scalar_r2
 
 COMMANDS = ("validate", "weights", "fock", "kernel", "pick", "solve", "lift", "selftest")
+
+
+def _check_eps(value) -> float:
+    """The one rule for a solve tolerance, from ``--eps`` or the input: finite and > 0."""
+    eps = float(value) if isinstance(value, (int, float)) else math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite positive number, got {value!r}")
+    return eps
 
 
 @dataclass
@@ -51,8 +60,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(self.eps)
 
 
 class MathRejection(Exception):
@@ -63,7 +71,10 @@ def _load(config: RunConfig) -> dict:
     if config.input_path is None:
         return {}
     with open(config.input_path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"top-level JSON value must be an object, got {type(obj).__name__}")
+    return obj
 
 
 def _cmd_validate(config: RunConfig, obj: dict) -> dict:
@@ -78,7 +89,7 @@ def _cmd_validate(config: RunConfig, obj: dict) -> dict:
         return report
     graph = jsonio.decode_graph(obj["graph"])
     x = jsonio.decode_x(obj["X"], graph, config.N)  # validation happens on build
-    compute_R(x)
+    x.R  # a non-PSD R_k^2 rejects X
     return {"admissible": True, "reason": "admissible",
             "levels": config.N,
             "flags": {"faithful_left_action": graph.faithful_left_action,
@@ -86,9 +97,7 @@ def _cmd_validate(config: RunConfig, obj: dict) -> dict:
 
 
 def _cmd_weights(config: RunConfig, obj: dict) -> dict:
-    graph = jsonio.decode_graph(obj["graph"])
-    x = jsonio.decode_x(obj["X"], graph, config.N)
-    ws = jsonio.decode_weights(obj.get("Z"), x)
+    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
     res = ws.validate()
     out = {
         "residuals": {k: {"value": v, "tol": 1e-10} for k, v in res.items()},
@@ -97,7 +106,6 @@ def _cmd_weights(config: RunConfig, obj: dict) -> dict:
         "Z": jsonio.encode_weights(ws),
     }
     if "sigma" in obj:
-        rep = jsonio.decode_rep(obj["sigma"], graph)
         structure = DualStructure(InducedSpace(graph, rep, config.N), ws)
         data = dual_weights(structure, x)
         out["dual"] = {
@@ -112,10 +120,7 @@ def _cmd_weights(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_fock(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
-    graph = jsonio.decode_graph(obj["graph"])
-    x = jsonio.decode_x(obj["X"], graph, config.N)
-    ws = jsonio.decode_weights(obj.get("Z"), x)
-    rep = jsonio.decode_rep(obj.get("sigma", [1] * graph.n_vertices), graph)
+    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
     space = TruncatedFock(graph, config.N)
     handy = {}
     for k in range(0, config.N + 1):
@@ -142,30 +147,26 @@ def _cmd_fock(config: RunConfig, obj: dict) -> dict:
 
 
 def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
-    graph = jsonio.decode_graph(obj["graph"])
-    rep = jsonio.decode_rep(obj.get("sigma", [1] * graph.n_vertices), graph)
-    x = jsonio.decode_x(obj["X"], graph, config.N)
-    ws = jsonio.decode_weights(obj.get("Z"), x)
+    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
     ind = InducedSpace(graph, rep, config.N)
-    points = [jsonio.decode_point(p, ind, x) for p in obj["points"]]
-    r_seq = compute_R(x)
+    points = jsonio.decode_points(obj["points"], ind, x)
     eye = np.eye(rep.h_dim, dtype=complex)
     table = {}
     for i, w in enumerate(points):
         for j, z in enumerate(points):
-            value, tail, cres = szego_kernel(w, z, eye, ws, r_seq=r_seq)
+            value, tail, cres = szego_kernel(w, z, eye, ws)
             table[f"{i},{j}"] = {"value": jsonio.encode_matrix(value), "tail": tail,
                                  "cauchy_residual": {"value": cres, "tol": 1e-9}}
     neumann = {}
     for i, z in enumerate(points):
-        out = phi_map(z, eye, r_seq=r_seq)
+        out = phi_map(z, eye)
         neumann[str(i)] = {"residual": out.neumann_residual, "tail": out.tail,
                            "phi_norm": z.phi_norm}
     return {"kernel": table, "neumann": neumann}
 
 
 def _cmd_pick(config: RunConfig, obj: dict) -> dict:
-    _, _, ws, problem = jsonio.decode_pick_problem(obj, config.N)
+    _, problem = jsonio.decode_pick_problem(obj, config.N)
     report = pick_map_cp_test(problem)
     out = {
         "verdict": "completely-positive" if report.is_cp else "not-completely-positive",
@@ -180,8 +181,8 @@ def _cmd_pick(config: RunConfig, obj: dict) -> dict:
 
 
 def _cmd_solve(config: RunConfig, obj: dict) -> dict:
-    _, _, ws, problem = jsonio.decode_pick_problem(obj, config.N)
-    eps = float(obj.get("eps", config.eps))
+    eps = _check_eps(obj.get("eps", config.eps))
+    ws, problem = jsonio.decode_pick_problem(obj, config.N)
     try:
         result = np_solve(problem, ws, eps=eps)
     except PickInfeasibleError as exc:
@@ -208,10 +209,7 @@ def _cmd_solve(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
-    graph = jsonio.decode_graph(obj["graph"])
-    rep = jsonio.decode_rep(obj.get("sigma", [1] * graph.n_vertices), graph)
-    x = jsonio.decode_x(obj["X"], graph, config.N)
-    ws = jsonio.decode_weights(obj.get("Z"), x)
+    graph, rep, _, ws = jsonio.decode_setting(obj, config.N)
     ind = InducedSpace(graph, rep, config.N)
     model = primal_lift_model(ind, ws)
     dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
@@ -265,7 +263,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     started = time.time()
     try:
         obj = _load(config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         return 1, {"schema": 1, "command": config.command, "error": f"input: {exc}"}
     try:
         body = _DISPATCH[config.command](config, obj)
@@ -278,7 +276,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                    "error": f"{type(exc).__name__}: {exc}"}
     print(f"{config.command}: {time.time() - started:.2f}s", file=sys.stderr)
     report = {"schema": 1, "command": config.command, "seed": config.seed, "N": config.N}
-    report.update(body if isinstance(body, dict) else {"result": body})
+    report.update(body)
     return code, report
 
 

@@ -33,8 +33,9 @@ import numpy as np
 from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, path_basis
 from .induced import CommutantAlgebra, InducedSpace, Representation
-from .linalg import as_complex, nullspace, operator_norm, pinv, psd_sqrt, residual
-from .weights import WeightSystem
+from .lifting import LiftModel
+from .linalg import as_complex, nullspace, operator_norm, pinv, residual
+from .weights import WeightSystem, _first_part_sums
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +58,6 @@ class DualCorrespondence:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def gram(self, i: int, j: int) -> np.ndarray:
-        return self.basis[i].conj().T @ self.basis[j]
-
-
-def dual_left_level(ind: InducedSpace, a: np.ndarray, k: int) -> np.ndarray:
-    """(I_k (x) A) restricted to level k of the induced space."""
-    a = as_complex(a)
-    basis = path_basis(ind.graph, k)
-    out = np.zeros((ind.level_dim(k), ind.level_dim(k)), dtype=complex)
-    for p in range(basis.size):
-        sl = slice(ind.block_offsets[k][p], ind.block_offsets[k][p + 1])
-        v = basis.sources[p]
-        out[sl, sl] = a[ind.rep.block(v), ind.rep.block(v)]
-    return out
 
 
 def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> DualCorrespondence:
@@ -109,17 +95,16 @@ def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> DualCo
 class InteriorTensor:
     """F (x) H realized as the column space of the PSD root of the big Gram."""
 
-    n_family: int
     h_dim: int
     rank: int
-    coord_map: np.ndarray  # rank x (n_family * h_dim)
+    coord_map: np.ndarray  # rank x (family size * h_dim)
 
     def coords(self, weights: np.ndarray) -> np.ndarray:
         """Coordinates of sum_l f_l (x) h_l from stacked (l, h) weights."""
         return self.coord_map @ as_complex(weights).reshape(-1)
 
 
-def interior_tensor(gram_blocks, h_dim: int, tol: float = 1e-10) -> InteriorTensor:
+def interior_tensor(gram_blocks, h_dim: int) -> InteriorTensor:
     """Build F (x) H from a family with B(H)-valued Gram blocks.
 
     Null directions of the Gram are quotiented away, so the embedding
@@ -132,14 +117,28 @@ def interior_tensor(gram_blocks, h_dim: int, tol: float = 1e-10) -> InteriorTens
             big[i * h_dim:(i + 1) * h_dim, j * h_dim:(j + 1) * h_dim] = as_complex(gram_blocks[i][j])
     big = 0.5 * (big + big.conj().T)
     if big.size == 0:
-        return InteriorTensor(n, h_dim, 0, np.zeros((0, n * h_dim), dtype=complex))
+        return InteriorTensor(h_dim, 0, np.zeros((0, n * h_dim), dtype=complex))
     w, v = np.linalg.eigh(big)
     scale = max(1.0, float(abs(w).max()))
-    if w.min() < -tol * scale:
+    if w.min() < -1e-10 * scale:
         raise ValueError(f"Gram is indefinite: min eigenvalue {w.min():.3e}")
-    keep = w > tol * scale
+    keep = w > 1e-10 * scale
     coord = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
-    return InteriorTensor(n, h_dim, int(keep.sum()), coord)
+    return InteriorTensor(h_dim, int(keep.sum()), coord)
+
+
+def _right_nested(ind: InducedSpace, factors: list[np.ndarray], tail: np.ndarray,
+                  level: int) -> np.ndarray:
+    """f_1 (x) ... (x) f_m (x) tail as a map H -> level m + ``level``.
+
+    The f_i are level-one intertwiners and ``tail`` maps H to ``level``; the
+    first factor is inserted outermost and ``tail`` applies to H first.
+    """
+    acc = tail
+    for f in reversed(factors):
+        acc = ind.suffix_insert(f, 1, level) @ acc
+        level += 1
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +235,8 @@ class DualStructure:
         elif k == 1:
             mat = self.alpha_matrix(edges[0], row)
         else:
-            rest = self.intertwiner(edges[1:], 0)
-            mat = self.ind.suffix_insert(self.alpha_matrix(edges[0], row), 1, k - 1) @ rest
+            mat = _right_nested(self.ind, [self.alpha_matrix(edges[0], row)],
+                                self.intertwiner(edges[1:], 0), k - 1)
         self._intertwiners[key] = mat
         return mat
 
@@ -274,10 +273,6 @@ class DualStructure:
 
     # -- transported dual operators on the primal induced space ---------------
 
-    def rho_phi(self, a: np.ndarray) -> np.ndarray:
-        """rho(phi'(A)) = ⊕_k I_k (x) A."""
-        return self.ind.dual_left(a)
-
     def rho_creation(self, t_mat: np.ndarray, k: int) -> np.ndarray:
         """rho of the weighted creation by the dual element with intertwiner t."""
         ind = self.ind
@@ -293,7 +288,8 @@ class DualStructure:
         """Transported dual algebra generators: left actions plus creations."""
         out = []
         for v, i, j in self.rep.commutant_basis():
-            out.append((f"phi'({v},{i},{j})", self.rho_phi(self.rep.commutant_unit(v, i, j))))
+            out.append((f"phi'({v},{i},{j})",
+                        self.ind.dual_left(self.rep.commutant_unit(v, i, j))))
         for t in self.tuples(1):
             out.append((f"W'({t.edges[0]},{t.row})",
                         self.rho_creation(self.alpha_matrix(t.edges[0], t.row), 1)))
@@ -310,14 +306,19 @@ class DualStructure:
 # ---------------------------------------------------------------------------
 
 
-def primal_lift_model(ind: InducedSpace, ws: WeightSystem):
+def _lift_model(ind: InducedSpace, generators: list[np.ndarray],
+                basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]) -> LiftModel:
+    return LiftModel(dim=ind.dim, h_dim=ind.rep.h_dim, levels=ind.levels,
+                     prefix_dims=[ind.prefix_dim(n) for n in range(ind.levels + 1)],
+                     generators=generators, vacuum=ind.vacuum_inserter(), basis_ops=basis_ops)
+
+
+def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     """Lifting data for the graph side: K = F(E) (x)_sigma H.
 
     Per level k and basis path p the bundle pairs the insertion of p with the
     image of the weighted creation at (Z^{(k)})^{-1} applied to p.
     """
-    from .lifting import LiftModel
-
     space = TruncatedFock(ind.graph, ind.levels)
     basis_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
     for k in range(ind.levels + 1):
@@ -328,26 +329,16 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem):
             w = weighted_creation(space, ws, CorrElement(k, zinv[:, p]))
             level.append((ins, ind.fock_tensor_identity(w)))
         basis_ops.append(level)
-    return LiftModel(
-        dim=ind.dim,
-        h_dim=ind.rep.h_dim,
-        levels=ind.levels,
-        prefix_dims=[ind.prefix_dim(n) for n in range(ind.levels + 1)],
-        generators=[m for _, m in primal_generators(ind, ws)],
-        vacuum=ind.vacuum_inserter(),
-        basis_ops=basis_ops,
-    )
+    return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis_ops)
 
 
-def dual_lift_model(structure: DualStructure):
+def dual_lift_model(structure: DualStructure) -> LiftModel:
     """Lifting data for the transported dual side, on the same space K.
 
     The algebra here is the transported dual algebra; inserters come from the
     structured tuple intertwiners, and the weighted creations carry the
     inverse dual weight product, which transports to (Z^{(k)})^{-1} (x) I.
     """
-    from .lifting import LiftModel
-
     ind, ws = structure.ind, structure.ws
     basis_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
     for k in range(ind.levels + 1):
@@ -361,15 +352,7 @@ def dual_lift_model(structure: DualStructure):
                 ins = ind.level_embed(k) @ t_mat
                 level.append((ins, structure.rho_creation(zinv_ind @ t_mat, k)))
         basis_ops.append(level)
-    return LiftModel(
-        dim=ind.dim,
-        h_dim=ind.rep.h_dim,
-        levels=ind.levels,
-        prefix_dims=[ind.prefix_dim(n) for n in range(ind.levels + 1)],
-        generators=[m for _, m in structure.dual_generators()],
-        vacuum=ind.vacuum_inserter(),
-        basis_ops=basis_ops,
-    )
+    return _lift_model(ind, [m for _, m in structure.dual_generators()], basis_ops)
 
 
 def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
@@ -413,9 +396,7 @@ class DualCalculus:
         self.s = structure
 
     def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
-        """I'_a (x) B' for B' on the last k - a dual legs."""
-        if a == 0:
-            return as_complex(m)
+        """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
         s = self.s
         tuples = s.tuples(k)
         idx_suf = s.tuple_index(k - a)
@@ -430,9 +411,7 @@ class DualCalculus:
         return out
 
     def embed_prefix(self, m: np.ndarray, b: int, k: int) -> np.ndarray:
-        """B' (x) I'_b for B' on the first k - b dual legs."""
-        if b == 0:
-            return as_complex(m)
+        """B' (x) I'_b for B' on the first k - b dual legs (b >= 1)."""
         s = self.s
         a = k - b
         if a == 0:
@@ -457,7 +436,7 @@ class DualCalculus:
     def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
         """The dual left action phi'_k(A) in the Theta frame."""
         th = self.s.theta(k)
-        return th @ dual_left_level(self.s.ind, a_mat, k) @ th.conj().T
+        return th @ self.s.ind.dual_left_level(a_mat, k) @ th.conj().T
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
@@ -481,12 +460,11 @@ class DualCalculus:
 
 @dataclass
 class DualWeightData:
-    """Transported weights: C_k on the primal side, X'_k, Z'_k, R'_k dual-side."""
+    """Transported weights: C_k on the primal side, X'_k and Z'_k dual-side."""
 
     C: list[np.ndarray]
     X_prime: list[np.ndarray]
     Z_prime: list[np.ndarray]
-    R_prime: list[np.ndarray]
     residuals: dict[str, float]
 
 
@@ -496,7 +474,7 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
     X'_k and Z'_k are the unique dual module operators with
     U_k^* (X_k (x) I) U_k = X'_k (x) I and U_k^* (C_k (x) I) U_k = Z'_k (x) I;
     in the Theta frame the extraction is conjugation.  The verification is
-    genuinely dual-sided: R'_k is rebuilt from X' by the composition
+    genuinely dual-sided: R'^2_k is rebuilt from X' by the composition
     recursion, Z'^{(k)} from the Z'_j by dual products, and then the weight
     law Z'^{(k)*} Z'^{(k)} = R'^{-2}_k and the quotient law
     U_k^* (Z_k (x) I) U_k = Z'^{(k)} (Z'^{(k-1)} (x) I'_1)^{-1} are checked.
@@ -524,18 +502,7 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
             res["commutant"] = max(res["commutant"],
                                    residual(Xp[k] @ phi, phi @ Xp[k]),
                                    residual(Zp[k] @ phi, phi @ Zp[k]))
-    r2p: list[np.ndarray] = [np.eye(s.rep.h_dim, dtype=complex)]
-    Rp: list[np.ndarray] = [np.eye(s.rep.h_dim, dtype=complex)]
-    for k in range(1, levels + 1):
-        n_k = len(s.tuples(k))
-        acc = np.zeros((n_k, n_k), dtype=complex)
-        for j in range(1, k + 1):
-            if k - j == 0:
-                acc += Xp[j]
-            else:
-                acc += calc.tensor(Xp[j], j, r2p[k - j], k - j)
-        r2p.append(acc)
-        Rp.append(psd_sqrt(acc))
+    r2p = _first_part_sums(Xp, calc.tensor)
     zprod = calc.z_products(Zp)
     for k in range(1, levels + 1):
         if len(s.tuples(k)) == 0:
@@ -546,7 +513,7 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
         lhs = th @ ind.level_tensor_identity(ws.Z[k], k) @ th.conj().T
         cpk = zprod[k] @ np.linalg.inv(calc.embed_prefix(zprod[k - 1], 1, k))
         res["quotient_law"] = max(res["quotient_law"], residual(lhs, cpk))
-    return DualWeightData(C, Xp, Zp, Rp, res)
+    return DualWeightData(C, Xp, Zp, res)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +527,7 @@ def _abstract_gram(dual: DualCorrespondence, ind: InducedSpace,
     c = dual.basis[s_tuple[0]].conj().T @ t_mats[0]
     if len(s_tuple) == 1:
         return c
-    modified = [dual_left_level(ind, c, 1) @ t_mats[1]] + list(t_mats[2:])
+    modified = [ind.dual_left_level(c, 1) @ t_mats[1]] + list(t_mats[2:])
     return _abstract_gram(dual, ind, s_tuple[1:], modified)
 
 
@@ -598,16 +565,14 @@ def u_k_unitary(graph: GraphCorrespondence, rep: Representation, k: int,
             "the intertwiner basis is inconsistent (is the correspondence full?)")
     cols = np.zeros((d_target, len(tuples) * h), dtype=complex)
     for l, t_t in enumerate(tuples):
-        mat = dual.basis[t_t[-1]]
-        for pos in range(k - 2, -1, -1):
-            mat = ind.suffix_insert(dual.basis[t_t[pos]], 1, k - 1 - pos) @ mat
-        cols[:, l * h:(l + 1) * h] = mat
+        cols[:, l * h:(l + 1) * h] = _right_nested(
+            ind, [dual.basis[i] for i in t_t[:-1]], dual.basis[t_t[-1]], 1)
     return cols @ pinv(interior.coord_map), interior
 
 
 def u_k_unitarity_residual(graph: GraphCorrespondence, rep: Representation, k: int) -> float:
     try:
-        u, interior = u_k_unitary(graph, rep, k)
+        u, _ = u_k_unitary(graph, rep, k)
     except RuntimeError:
         return float("inf")
     d_target = InducedSpace(graph, rep, max(k, 1)).level_dim(k)
@@ -658,11 +623,11 @@ def commutation_check_section5(ind: InducedSpace, ws: WeightSystem,
     return report
 
 
-def _commutant_dim(gens: list[np.ndarray], tol: float = 1e-9) -> int:
+def _commutant_dim(gens: list[np.ndarray]) -> int:
     d = gens[0].shape[0]
     eye = np.eye(d)
     rows = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
-    return nullspace(np.vstack(rows), tol).shape[1]
+    return nullspace(np.vstack(rows), 1e-9).shape[1]
 
 
 def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> dict[str, float]:
@@ -737,16 +702,10 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
     if any(m != 1 for m in ind.rep.multiplicities):
         raise ValueError("double-dual transport is implemented for multiplicities one")
     s1 = DualStructure(ind, ws)
-    calc1 = DualCalculus(s1)
-    z_first = calc1.z_matrices()
     rev = ind.graph.reversed()
-    ws_rev = WeightSystem(rev, ind.levels, z_first)
-    rev_ind = InducedSpace(rev, ind.rep, ind.levels)
-    s2 = DualStructure(rev_ind, ws_rev)
-    z_second = [np.eye(ind.rep.h_dim, dtype=complex)]
-    for k in range(1, ind.levels + 1):
-        th2 = s2.theta(k)
-        z_second.append(th2 @ rev_ind.level_tensor_identity(ws_rev.c_quotient(k), k) @ th2.conj().T)
+    ws_rev = WeightSystem(rev, ind.levels, DualCalculus(s1).z_matrices())
+    s2 = DualStructure(InducedSpace(rev, ind.rep, ind.levels), ws_rev)
+    z_second = DualCalculus(s2).z_matrices()
     omega_full = s2.theta_full() @ s1.theta_full()
     return omega_full, s1, s2, ws_rev, z_second
 
@@ -780,7 +739,7 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
         xi = CorrElement.basis_vector(g, 1, e)
         w_mat = ind.fock_tensor_identity(weighted_creation(space, ws, xi))
         lhs = omega_full @ w_mat @ omega_full.conj().T
-        omega_xi = s1.theta(1) @ _insertion_map(ind, xi)
+        omega_xi = s1.theta(1) @ ind.insertion_map(xi)
         coeffs = _tuple_coefficients(s2, omega_xi)
         rhs = ind.fock_tensor_identity(weighted_creation(space, ws2, CorrElement(1, coeffs)))
         out["creation"] = max(out["creation"], residual(lhs, rhs))
@@ -795,24 +754,12 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
         basis = path_basis(g, k)
         for p in range(basis.size):
             edges = basis.paths[p]
-            omegas = [s1.theta(1) @ _insertion_map(ind, CorrElement.basis_vector(g, 1, f))
+            omegas = [s1.theta(1) @ ind.insertion_map(CorrElement.basis_vector(g, 1, f))
                       for f in edges]
-            lam = omegas[-1]
-            for pos in range(k - 2, -1, -1):
-                lam = s2.ind.suffix_insert(omegas[pos], 1, k - 1 - pos) @ lam
-            l_xi = _insertion_map(ind, CorrElement.basis_vector(g, k, p))
+            lam = _right_nested(s2.ind, omegas[:-1], omegas[-1], 1)
+            l_xi = ind.insertion_map(CorrElement.basis_vector(g, k, p))
             out["insertion"] = max(out["insertion"],
                                    residual(s1.theta(k).conj().T @ lam, l_xi))
-    return out
-
-
-def _insertion_map(ind: InducedSpace, xi: CorrElement) -> np.ndarray:
-    """L_xi: H -> level k of the induced space."""
-    out = np.zeros((ind.level_dim(xi.level), ind.rep.h_dim), dtype=complex)
-    for col in range(ind.rep.h_dim):
-        h = np.zeros(ind.rep.h_dim)
-        h[col] = 1.0
-        out[:, col] = ind.simple_tensor(xi, h, embed=False)
     return out
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CorrElement, GraphCorrespondence, insertion_matrix, left_action, path_basis
-from .linalg import as_complex, operator_norm, psd_sqrt, residual, rng_complex
+from .graphs import CorrElement, GraphCorrespondence, _random_module_map, insertion_matrix, \
+    left_action, path_basis
+from .linalg import as_complex, operator_norm, psd_sqrt, residual
 from .weights import AdmissibleSequence, WeightSystem
 
 
@@ -46,12 +47,6 @@ class TruncatedFock:
     def level_slice(self, k: int) -> slice:
         off = self.offsets
         return slice(off[k], off[k + 1])
-
-    def hat(self, xi: CorrElement) -> np.ndarray:
-        """The Fock vector xi^ supported at level(xi)."""
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.level_slice(xi.level)] = xi.coeffs
-        return v
 
     def level_isometry(self, k: int) -> np.ndarray:
         """v_k: E^{(x)k} -> Fock, so Q_k = v_k v_k^*."""
@@ -185,11 +180,7 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
         return report
 
     # (1) with S: E^{(x)k} -> E^{(x)k} a random source-preserving module map
-    s = rng_complex(rng, d, d)
-    for i in range(d):
-        for j in range(d):
-            if basis.sources[i] != basis.sources[j]:
-                s[i, j] = 0.0
+    s = _random_module_map(g, k, rng)
     acc = np.zeros((d, d), dtype=complex)
     for idx in range(d):
         sxi = s[:, idx]

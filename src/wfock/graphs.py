@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_complex
+from .linalg import as_complex, rng_complex
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,15 @@ def left_action(graph: GraphCorrespondence, a, k: int) -> np.ndarray:
     return np.diag(a[list(basis.ranges)]) if basis.size else np.zeros((0, 0), dtype=complex)
 
 
-def right_action(graph: GraphCorrespondence, xi: CorrElement, a) -> CorrElement:
-    """xi . a: scales coefficients by a at the path source."""
-    a = as_complex(a).reshape(-1)
-    basis = path_basis(graph, xi.level)
-    return CorrElement(xi.level, xi.coeffs * a[list(basis.sources)])
+def _random_module_map(graph: GraphCorrespondence, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A random module map on E^{(x)k}: Gaussian entries between paths of equal source."""
+    basis = path_basis(graph, k)
+    m = rng_complex(rng, basis.size, basis.size)
+    for i in range(basis.size):
+        for j in range(basis.size):
+            if basis.sources[i] != basis.sources[j]:
+                m[i, j] = 0.0
+    return m
 
 
 def insertion_matrix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> np.ndarray:

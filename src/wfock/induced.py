@@ -8,7 +8,9 @@ the decomposition is the identity permutation in these coordinates.
 
 Operators of the form Y (x) I_H for a module map Y are assembled blockwise:
 entry Y[p,q] contributes Y[p,q] * I on the (p,q) block, which is well-typed
-because module maps preserve path sources.
+because module maps preserve path sources.  ``InducedSpace`` is the one home
+of that assembly, of the insertions L_xi: H -> level k, and of the dual left
+action I_k (x) A.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ class InducedSpace:
         return slice(base, base + self.block_sizes[k][p])
 
     def prefix_dim(self, n: int) -> int:
-        """Dimension of K_n = levels 0..n (clipped to the truncation)."""
-        return self.level_offsets[min(n, self.levels) + 1]
+        """Dimension of K_n = levels 0..n."""
+        return self.level_offsets[n + 1]
 
     def level_embed(self, k: int) -> np.ndarray:
         out = np.zeros((self.dim, self.level_dim(k)), dtype=complex)
@@ -199,16 +201,23 @@ class InducedSpace:
                     self.level_tensor_identity(blk, i, j)
         return out
 
+    def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
+        """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
+        basis = path_basis(self.graph, k)
+        out = np.zeros((self.level_dim(k), self.level_dim(k)), dtype=complex)
+        for p in range(basis.size):
+            sl = slice(self.block_offsets[k][p], self.block_offsets[k][p + 1])
+            v = basis.sources[p]
+            out[sl, sl] = a[self.rep.block(v), self.rep.block(v)]
+        return out
+
     def dual_left(self, a: np.ndarray) -> np.ndarray:
-        """⊕_k I_k (x) A for A in sigma(M)': at path p the s(p) block of A."""
+        """⊕_k I_k (x) A on the whole truncated induced space."""
         a = as_complex(a)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for k in range(self.levels + 1):
-            basis = path_basis(self.graph, k)
-            for p in range(basis.size):
-                sl = self.block_slice(k, p)
-                v = basis.sources[p]
-                out[sl, sl] = a[self.rep.block(v), self.rep.block(v)]
+            sl = self.level_slice(k)
+            out[sl, sl] = self.dual_left_level(a, k)
         return out
 
     def sigma_level(self, a, k: int) -> np.ndarray:
@@ -223,22 +232,23 @@ class InducedSpace:
 
     # -- vectors ------------------------------------------------------------
 
-    def simple_tensor(self, xi: CorrElement, h: np.ndarray, embed: bool = True) -> np.ndarray:
-        """Coordinates of xi (x) h (level vector, or full Fock vector)."""
-        h = as_complex(h).reshape(-1)
+    def insertion_map(self, xi: CorrElement) -> np.ndarray:
+        """L_xi: H -> level k of the induced space, h |-> xi (x) h."""
         k = xi.level
         basis = path_basis(self.graph, k)
-        vec = np.zeros(self.level_dim(k), dtype=complex)
+        out = np.zeros((self.level_dim(k), self.h_dim), dtype=complex)
         for p in range(basis.size):
             if xi.coeffs[p] == 0:
                 continue
             v = basis.sources[p]
             sl = slice(self.block_offsets[k][p], self.block_offsets[k][p + 1])
-            vec[sl] = xi.coeffs[p] * h[self.rep.block(v)]
-        if not embed:
-            return vec
+            out[sl, self.rep.block(v)] = xi.coeffs[p] * np.eye(self.block_sizes[k][p])
+        return out
+
+    def simple_tensor(self, xi: CorrElement, h: np.ndarray) -> np.ndarray:
+        """Coordinates of xi (x) h in the whole truncated induced space."""
         out = np.zeros(self.dim, dtype=complex)
-        out[self.level_slice(k)] = vec
+        out[self.level_slice(xi.level)] = self.insertion_map(xi) @ as_complex(h).reshape(-1)
         return out
 
     def basis_inserter(self, k: int, p: int) -> np.ndarray:
@@ -263,12 +273,12 @@ class InducedSpace:
         requires r(q) = s(p).
         """
         t = as_complex(t)
+        if j == 0:
+            return t
         rows = path_basis(self.graph, j + k)
         out = np.zeros((self.level_dim(j + k), self.level_dim(j)), dtype=complex)
         if rows.size == 0:
             return out
-        if j == 0:
-            return t.copy() if t.shape == (self.level_dim(k), self.h_dim) else t
         pre_index = path_basis(self.graph, j).index_map()
         suf = path_basis(self.graph, k)
         suf_index = suf.index_map()
@@ -296,14 +306,10 @@ class InducedSpace:
             return out
         row_index = rows.index_map()
         for w, wpath in enumerate(cols.paths):
-            if j - 1 == 0:
-                p = cols.ranges[w] if j == 1 else row_index[wpath[:-1]]
-            else:
-                p = row_index[wpath[:-1]]
+            p = cols.ranges[w] if j == 1 else row_index[wpath[:-1]]
             e = wpath[-1]
             re = self.graph.range_(e)
-            rsl = (slice(self.block_offsets[0][p], self.block_offsets[0][p + 1]) if j - 1 == 0
-                   else slice(self.block_offsets[j - 1][p], self.block_offsets[j - 1][p + 1]))
+            rsl = slice(self.block_offsets[j - 1][p], self.block_offsets[j - 1][p + 1])
             csl = slice(self.block_offsets[j][w], self.block_offsets[j][w + 1])
             eblk = slice(self.block_offsets[1][e], self.block_offsets[1][e + 1])
             out[rsl, csl] = z[self.rep.block(re), eblk]
@@ -327,8 +333,9 @@ def gamma_conjugation_residual(graph: GraphCorrespondence, rep: Representation,
                                y: np.ndarray, k: int) -> float:
     """Residual of gamma_k (Y (x) I) gamma_k^* = [sigma<xi, Y eta>] at level k.
 
-    The left side is assembled by acting on simple tensors, the right side
-    from the matrix entries of Y; both land in the same block coordinates.
+    The left side is assembled by acting on simple tensors Y eta (x) h, the
+    right side from the matrix entries of Y; both land in the same block
+    coordinates.
     """
     ind = InducedSpace(graph, rep, k)
     basis = path_basis(graph, k)
@@ -337,11 +344,7 @@ def gamma_conjugation_residual(graph: GraphCorrespondence, rep: Representation,
     for q in range(basis.size):
         eta = CorrElement.basis_vector(graph, k, q)
         y_eta = CorrElement(k, as_complex(y) @ eta.coeffs)
-        v = basis.sources[q]
-        for col in range(rep.multiplicities[v]):
-            h = np.zeros(rep.h_dim)
-            h[rep.offsets[v] + col] = 1.0
-            vec = ind.simple_tensor(y_eta, h, embed=False)
-            lhs[:, ind.block_offsets[k][q] + col] = vec
+        cols = slice(ind.block_offsets[k][q], ind.block_offsets[k][q + 1])
+        lhs[:, cols] = ind.insertion_map(y_eta)[:, rep.block(basis.sources[q])]
     rhs = ind.level_tensor_identity(as_complex(y), k)
     return residual(lhs, rhs)

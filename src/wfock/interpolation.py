@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DualStructure, dual_lift_model, dual_left_level
+from .duality import DualStructure, dual_lift_model
 from .fock import TruncatedFock, phi_inf, weighted_creation
-from .graphs import CorrElement, path_basis
-from .induced import InducedSpace
-from .lifting import two_space_lift
+from .graphs import CorrElement
+from .induced import CommutantAlgebra, InducedSpace
+from .lifting import _coinvariance_residual, two_space_lift
 from .linalg import as_complex, operator_norm, orth_columns, pinv, residual, rng_complex
-from .weights import AdmissibleSequence, WeightSystem, compute_R
+from .weights import AdmissibleSequence, WeightSystem
 
 
 class PickInfeasibleError(ValueError):
@@ -48,7 +48,6 @@ class DiscPoint:
     ind: InducedSpace
     x_seq: AdmissibleSequence
     mat: np.ndarray
-    strict: bool = True
     powers: list[np.ndarray] = field(init=False)
     phi_norm: float = field(init=False)
 
@@ -69,17 +68,16 @@ class DiscPoint:
         for k in range(1, ind.levels + 1):
             self.powers.append(self.powers[-1] @ ind.lower_by_point(self.mat, k))
         self.phi_norm = operator_norm(self.phi_value(np.eye(ind.rep.h_dim)))
-        if self.strict and self.phi_norm > 1.0 - BOUNDARY_MARGIN:
+        if self.phi_norm > 1.0 - BOUNDARY_MARGIN:
             raise ValueError(
                 f"point lies outside the open disc (power sum norm {self.phi_norm:.6f})")
 
     @classmethod
-    def scalar(cls, ind: InducedSpace, x_seq: AdmissibleSequence, z: complex,
-               strict: bool = True) -> "DiscPoint":
+    def scalar(cls, ind: InducedSpace, x_seq: AdmissibleSequence, z: complex) -> "DiscPoint":
         """The one-vertex one-loop shortcut: z is a complex number."""
         if ind.graph.n_vertices != 1 or ind.graph.n_edges != 1 or ind.rep.h_dim != 1:
             raise ValueError("scalar points need the one-loop graph with multiplicity one")
-        return cls(ind, x_seq, np.array([[z]], dtype=complex), strict)
+        return cls(ind, x_seq, np.array([[z]], dtype=complex))
 
     def power_residual(self) -> float:
         """Check z^{(k+l)} = z^{(k)} (I_k (x) z^{(l)}) on the cached powers."""
@@ -97,7 +95,7 @@ class DiscPoint:
             if ind.level_dim(k) == 0:
                 continue
             xk = ind.level_tensor_identity(as_complex(self.x_seq.X[k]), k)
-            out += self.powers[k] @ xk @ dual_left_level(ind, a, k) @ self.powers[k].conj().T
+            out += self.powers[k] @ xk @ ind.dual_left_level(a, k) @ self.powers[k].conj().T
         return out
 
 
@@ -109,8 +107,7 @@ class PhiMapResult:
     neumann_residual: float
 
 
-def phi_map(z: DiscPoint, a: np.ndarray, r_seq: list[np.ndarray] | None = None,
-            neumann_terms: int | None = None) -> PhiMapResult:
+def phi_map(z: DiscPoint, a: np.ndarray) -> PhiMapResult:
     """Evaluate Phi_z(A) with its tail budgets and the Neumann cross-check.
 
     The Neumann identity sum_j Phi_z^j(A) = sum_k z^{(k)} (R_k^2 (x) A) z^{(k)*}
@@ -122,34 +119,25 @@ def phi_map(z: DiscPoint, a: np.ndarray, r_seq: list[np.ndarray] | None = None,
     a = as_complex(a)
     value = z.phi_value(a)
     phi = z.phi_norm
-    n = z.ind.levels
-    terms = neumann_terms if neumann_terms is not None else n
-    geom_tail = phi ** (terms + 1) / (1.0 - phi)
-    neumann = a.copy()
-    acc = a.copy()
-    for _ in range(terms):
-        acc = z.phi_value(acc)
-        neumann = neumann + acc
-    r_seq = r_seq if r_seq is not None else compute_R(z.x_seq)
-    level = _level_series(z, z, a, r_seq)
+    geom_tail = phi ** (z.ind.levels + 1) / (1.0 - phi)
+    neumann = _neumann_partial_sum(z, a)
+    level = kernel_value(z, z, a)
     return PhiMapResult(value=value, tail=geom_tail * operator_norm(a),
-                        level_tail=kernel_tail_bound(z, r_seq) * operator_norm(a),
+                        level_tail=kernel_tail_bound(z) * operator_norm(a),
                         neumann_residual=residual(neumann, level))
 
 
-def _level_series(w: DiscPoint, z: DiscPoint, a: np.ndarray,
-                  r_seq: list[np.ndarray]) -> np.ndarray:
-    ind = w.ind
-    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-    for k in range(ind.levels + 1):
-        if ind.level_dim(k) == 0:
-            continue
-        r2 = ind.level_tensor_identity(r_seq[k] @ r_seq[k], k)
-        out += w.powers[k] @ r2 @ dual_left_level(ind, a, k) @ z.powers[k].conj().T
-    return out
+def _neumann_partial_sum(z: DiscPoint, a: np.ndarray) -> np.ndarray:
+    """sum_{j=0}^{N} Phi_z^j(A), the Neumann series cut at the truncation level."""
+    neumann = a.copy()
+    acc = a.copy()
+    for _ in range(z.ind.levels):
+        acc = z.phi_value(acc)
+        neumann = neumann + acc
+    return neumann
 
 
-def kernel_tail_bound(z: DiscPoint, r_seq: list[np.ndarray]) -> float:
+def kernel_tail_bound(z: DiscPoint) -> float:
     """Computable bound on the mass of the kernel series beyond the truncation.
 
     The level partial sum is the level-restricted part of the Neumann partial
@@ -159,12 +147,7 @@ def kernel_tail_bound(z: DiscPoint, r_seq: list[np.ndarray]) -> float:
     n = z.ind.levels
     phi = z.phi_norm
     eye = np.eye(z.ind.rep.h_dim)
-    neumann = eye.copy()
-    acc = eye.copy()
-    for _ in range(n):
-        acc = z.phi_value(acc)
-        neumann = neumann + acc
-    gap = residual(neumann, _level_series(z, z, eye, r_seq))
+    gap = residual(_neumann_partial_sum(z, eye), kernel_value(z, z, eye))
     return gap + phi ** (n + 1) / (1.0 - phi)
 
 
@@ -192,38 +175,43 @@ class CauchyKernel:
         ind = self.point.ind
         return self.column.conj().T @ ind.dual_left(as_complex(a)) @ other.column
 
-    def levelwise_residual(self, other: "CauchyKernel", a: np.ndarray,
-                           r_seq: list[np.ndarray]) -> float:
+    def levelwise_residual(self, other: "CauchyKernel", a: np.ndarray) -> float:
         """Both routes to <c_w(k), A . c_z(k)> = w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
         ind = self.point.ind
+        r = self.point.x_seq.R
         worst = 0.0
         a = as_complex(a)
         for k in range(ind.levels + 1):
             if ind.level_dim(k) == 0:
                 continue
-            lhs = self.levels[k].conj().T @ dual_left_level(ind, a, k) @ other.levels[k]
-            r2 = ind.level_tensor_identity(r_seq[k] @ r_seq[k], k)
-            rhs = self.point.powers[k] @ r2 @ dual_left_level(ind, a, k) \
+            lhs = self.levels[k].conj().T @ ind.dual_left_level(a, k) @ other.levels[k]
+            r2 = ind.level_tensor_identity(r[k] @ r[k], k)
+            rhs = self.point.powers[k] @ r2 @ ind.dual_left_level(a, k) \
                 @ other.point.powers[k].conj().T
             worst = max(worst, residual(lhs, rhs))
         return worst
 
 
-def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray,
-                 r_seq: list[np.ndarray]) -> np.ndarray:
+def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     """The truncated Szego-type kernel K(w, z)(A) = sum w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
-    return _level_series(w, z, a, r_seq)
+    ind = w.ind
+    r = w.x_seq.R
+    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    for k in range(ind.levels + 1):
+        if ind.level_dim(k) == 0:
+            continue
+        r2 = ind.level_tensor_identity(r[k] @ r[k], k)
+        out += w.powers[k] @ r2 @ ind.dual_left_level(a, k) @ z.powers[k].conj().T
+    return out
 
 
-def szego_kernel(w: DiscPoint, z: DiscPoint, a: np.ndarray, ws: WeightSystem,
-                 r_seq: list[np.ndarray] | None = None):
+def szego_kernel(w: DiscPoint, z: DiscPoint, a: np.ndarray, ws: WeightSystem):
     """Kernel value plus tail bound, cross-checked against the Cauchy pairing.
 
     Returns (value, tail, cauchy_residual).
     """
-    r_seq = r_seq if r_seq is not None else compute_R(w.x_seq)
-    value = kernel_value(w, z, a, r_seq)
-    tail = 0.5 * (kernel_tail_bound(w, r_seq) + kernel_tail_bound(z, r_seq)) * operator_norm(a)
+    value = kernel_value(w, z, a)
+    tail = 0.5 * (kernel_tail_bound(w) + kernel_tail_bound(z)) * operator_norm(a)
     cw, cz = CauchyKernel(w, ws), CauchyKernel(z, ws)
     return value, tail, residual(value, cw.pairing(cz, a))
 
@@ -231,19 +219,6 @@ def szego_kernel(w: DiscPoint, z: DiscPoint, a: np.ndarray, ws: WeightSystem,
 # ---------------------------------------------------------------------------
 # point evaluation of the truncated algebra
 # ---------------------------------------------------------------------------
-
-
-def insertion_map(ind: InducedSpace, xi: CorrElement) -> np.ndarray:
-    """L_xi: H -> level k of the induced space."""
-    out = np.zeros((ind.level_dim(xi.level), ind.rep.h_dim), dtype=complex)
-    basis = path_basis(ind.graph, xi.level)
-    for p in range(basis.size):
-        if xi.coeffs[p] == 0:
-            continue
-        v = basis.sources[p]
-        sl = slice(ind.block_offsets[xi.level][p], ind.block_offsets[xi.level][p + 1])
-        out[sl, ind.rep.block(v)] = xi.coeffs[p] * np.eye(ind.block_sizes[xi.level][p])
-    return out
 
 
 def representation_eval(z: DiscPoint, word) -> np.ndarray:
@@ -262,21 +237,16 @@ def representation_eval(z: DiscPoint, word) -> np.ndarray:
             out = out @ ind.rep.sigma(payload)
         elif kind == "xi":
             xi: CorrElement = payload
-            out = out @ (z.powers[xi.level] @ insertion_map(ind, xi))
+            out = out @ (z.powers[xi.level] @ ind.insertion_map(xi))
         else:
             raise ValueError(f"unknown word factor {kind!r}")
     return out
 
 
-def vacuum_column(ind: InducedSpace) -> np.ndarray:
-    """L_I: H -> K inserting at level zero."""
-    return ind.vacuum_inserter()
-
-
 def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarray:
     """Evaluation through the kernel column: L_z^* (Y (x) I) L_I."""
     c = CauchyKernel(z, ws)
-    return c.column.conj().T @ op_matrix @ vacuum_column(z.ind)
+    return c.column.conj().T @ op_matrix @ z.ind.vacuum_inserter()
 
 
 def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
@@ -301,15 +271,10 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     s = DualStructure(ind, ws)
     c = CauchyKernel(z, ws)
     lhs = s.rho_creation(xi_mat, 1).conj().T @ ind.dual_left(as_complex(d_mat)) @ c.column
-    coeff = xi_mat.conj().T @ dual_left_level(ind, as_complex(d_mat), 1) @ point_adjoint(z)
+    coeff = xi_mat.conj().T @ ind.dual_left_level(as_complex(d_mat), 1) @ z.mat.conj().T
     rhs = ind.dual_left(coeff) @ c.column
     top = ind.level_slice(ind.levels).start
     return residual(lhs[:top, :], rhs[:top, :])
-
-
-def point_adjoint(z: DiscPoint) -> np.ndarray:
-    """z^*: the adjoint intertwiner, an element of the dual correspondence."""
-    return z.mat.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +321,21 @@ class CPReport:
     kernel_tails: list[float]
 
 
-def pick_map_cp_test(problem: PickProblem, r_seq: list[np.ndarray] | None = None,
-                     ws: WeightSystem | None = None, tol: float = 1e-9) -> CPReport:
+def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CPReport:
     """Assemble the Choi matrix of the Pick map and test positivity.
 
     The domain splits over vertices into full matrix algebras, so the Choi
     matrix is the direct sum over vertices of the unit-by-unit images; the
-    map is completely positive iff every block is PSD.  When a weight system
-    is supplied the kernels are evaluated through the Cauchy columns; the
-    default is the weight-free power series, and the two agree up to roundoff
-    because the kernel does not depend on the weights.
+    map is completely positive iff every block is PSD, up to a relative 1e-9
+    of the Choi norm.  When a weight system is supplied the kernels are
+    evaluated through the Cauchy columns; the default is the weight-free
+    power series, and the two agree up to roundoff because the kernel does
+    not depend on the weights.
     """
     ind = problem.ind
-    x_seq = problem.points[0].x_seq
-    r_seq = r_seq if r_seq is not None else compute_R(x_seq)
     npts = len(problem.points)
     h = ind.rep.h_dim
-    s_dim, t_dim = problem.s * h, problem.t * h
+    s_dim = problem.s * h
     w_dim = npts * s_dim
 
     cauchy = [CauchyKernel(z, ws) for z in problem.points] if ws is not None else None
@@ -380,7 +343,7 @@ def pick_map_cp_test(problem: PickProblem, r_seq: list[np.ndarray] | None = None
     def kernel(i: int, j: int, unit: np.ndarray) -> np.ndarray:
         if cauchy is not None:
             return cauchy[i].pairing(cauchy[j], unit)
-        return kernel_value(problem.points[i], problem.points[j], unit, r_seq)
+        return kernel_value(problem.points[i], problem.points[j], unit)
 
     blocks = []
     for v in range(ind.graph.n_vertices):
@@ -406,11 +369,11 @@ def pick_map_cp_test(problem: PickProblem, r_seq: list[np.ndarray] | None = None
         choi[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
         pos += b.shape[0]
     choi = 0.5 * (choi + choi.conj().T)
-    eigs = np.linalg.eigvalsh(choi) if choi.size else np.zeros(1)
-    norm = float(abs(eigs).max()) if eigs.size else 0.0
-    min_eig = float(eigs.min()) if eigs.size else 0.0
-    tails = [kernel_tail_bound(z, r_seq) for z in problem.points]
-    return CPReport(is_cp=bool(min_eig >= -tol * max(1.0, norm)),
+    eigs = np.linalg.eigvalsh(choi)
+    norm = float(abs(eigs).max())
+    min_eig = float(eigs.min())
+    tails = [kernel_tail_bound(z) for z in problem.points]
+    return CPReport(is_cp=bool(min_eig >= -1e-9 * max(1.0, norm)),
                     min_eigenvalue=min_eig, choi_norm=norm, choi=choi, kernel_tails=tails)
 
 
@@ -421,8 +384,6 @@ def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
     Negative values witness failure of the kernel-domination condition; the
     sign agrees with the Choi verdict up to roundoff.
     """
-    ind = problem.ind
-    h = ind.rep.h_dim
     cols_b, cols_f = _span_generators(problem, ws)
     worst = np.inf
     n_b = cols_b.shape[1]
@@ -444,8 +405,7 @@ def _span_generators(problem: PickProblem, ws: WeightSystem):
     on the relevant copy stack.
     """
     ind = problem.ind
-    h = ind.rep.h_dim
-    units = [ind.rep.commutant_unit(v, i, j) for v, i, j in ind.rep.commutant_basis()]
+    units = CommutantAlgebra(ind.rep).units()
     cols_b, cols_f = [], []
     for i, z in enumerate(problem.points):
         c = CauchyKernel(z, ws)
@@ -477,8 +437,7 @@ class SolveResult:
     trace: dict
 
 
-def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
-             cp_tol: float = 1e-9, hyp_tol: float = 1e-9) -> SolveResult:
+def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> SolveResult:
     """Construct an interpolant by two-space lifting on the dual side.
 
     Builds the kernel spans J_B and J_F, the exchange map R on them, lifts
@@ -487,8 +446,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
     reports the kernel tail budget so callers can judge the truncation.
     """
     ind = problem.ind
-    r_seq = compute_R(problem.points[0].x_seq)
-    cp = pick_map_cp_test(problem, r_seq=r_seq, tol=cp_tol)
+    cp = pick_map_cp_test(problem)
     if not cp.is_cp:
         raise PickInfeasibleError(
             f"Pick map is not completely positive (min eigenvalue {cp.min_eigenvalue:.3e})")
@@ -526,14 +484,11 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
     amp_t = base_model.amplify(problem.t)
     defect = 0.0
     for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
-        p = frame @ frame.conj().T
-        comp = np.eye(amp.dim) - p
-        defect = max(defect,
-                     max(operator_norm(comp @ g.conj().T @ p) for g in amp.generators))
+        defect = max(defect, _coinvariance_residual(frame @ frame.conj().T, amp.generators))
     for g_s, g_t in zip(amp_s.generators, amp_t.generators):
         defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
                                       (q_b.conj().T @ g_s @ q_b) @ g12))
-    hyp_budget = max(hyp_tol, 2.0 * defect)
+    hyp_budget = max(1e-9, 2.0 * defect)
     if defect > 1e-3:
         raise ValueError(
             f"kernel spans violate the lifting hypotheses by {defect:.2e}; the "
@@ -542,7 +497,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
     g_tilde, trace = two_space_lift(model_sum, emb1, emb2, q_f, q_b, g12,
                                     hypothesis_tol=hyp_budget)
 
-    vac = vacuum_column(ind)
+    vac = ind.vacuum_inserter()
     evaluations = []
     residuals_out = []
     for i, z in enumerate(problem.points):

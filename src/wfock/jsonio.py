@@ -2,10 +2,14 @@
 
 Complex numbers are [re, im] pairs, matrices are row-major nested lists, and
 all files are plain JSON so fixtures diff cleanly.  Decoding raises ValueError
-with the violated field named; the CLI maps that to an input error.
+with the violated field named; the CLI maps that to an input error.  Every
+number is checked to be finite as it is parsed, so NaN and infinities never
+reach a factorization.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,11 +26,32 @@ def encode_complex(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _finite(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"not a finite number: {v!r}")
+    return float(v)
+
+
+def _named(field: str, decode, *args):
+    """``decode(*args)`` with a malformed-input error reported against ``field``."""
+    try:
+        return decode(*args)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _items(field: str, decode, value, *args) -> list:
+    """``decode(item, *args)`` for each item of the list ``value``, errors named per item."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list, got {type(value).__name__}")
+    return [_named(f"{field}[{i}]", decode, item, *args) for i, item in enumerate(value)]
+
+
 def decode_complex(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(_finite(v))
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_finite(v[0]), _finite(v[1]))
     raise ValueError(f"not a complex value: {v!r}")
 
 
@@ -64,23 +89,22 @@ def decode_rep(obj, graph: GraphCorrespondence) -> Representation:
     return rep
 
 
-def decode_x(obj, graph: GraphCorrespondence, levels: int,
-             certificate: float | None = None) -> AdmissibleSequence:
+def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence:
     if not isinstance(obj, dict):
         raise ValueError("X: expected an object with 'scalar' or 'matrices'")
     if "scalar" in obj:
-        return AdmissibleSequence.from_scalar(graph, [float(v) for v in obj["scalar"]],
-                                              levels=levels, radius_certificate=certificate)
+        xs = _items("X.scalar", _finite, obj["scalar"])
+        return AdmissibleSequence.from_scalar(graph, xs, levels=levels)
     if "matrices" in obj:
         mats = [np.zeros((graph.n_vertices,) * 2, dtype=complex)]
         for k in range(1, levels + 1):
             key = str(k)
             d = path_basis(graph, k).size
             if key in obj["matrices"]:
-                mats.append(decode_matrix(obj["matrices"][key]))
+                mats.append(_named(f"X.matrices.{key}", decode_matrix, obj["matrices"][key]))
             else:
                 mats.append(np.zeros((d, d), dtype=complex))
-        return AdmissibleSequence(graph, levels, mats, radius_certificate=certificate)
+        return AdmissibleSequence(graph, levels, mats)
     raise ValueError("X: expected 'scalar' or 'matrices'")
 
 
@@ -94,7 +118,7 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
     if isinstance(obj, dict) and "matrices" in obj:
         zs = [np.eye(x.graph.n_vertices, dtype=complex)]
         for k in range(1, x.levels + 1):
-            zs.append(decode_matrix(obj["matrices"][str(k)]))
+            zs.append(_named(f"Z.matrices.{k}", decode_matrix, obj["matrices"][str(k)]))
         return weight_system_from(x, Z=zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")
 
@@ -111,23 +135,34 @@ def decode_point(obj, ind: InducedSpace, x: AdmissibleSequence) -> DiscPoint:
     raise ValueError("point: expected {'scalar': z} or {'matrix': rows}")
 
 
-def decode_pick_problem(obj, levels: int):
-    """Parse a full interpolation problem; returns (ind, x, ws, problem)."""
+def decode_points(items, ind: InducedSpace, x: AdmissibleSequence) -> list[DiscPoint]:
+    return _items("points", decode_point, items, ind, x)
+
+
+def decode_setting(obj, levels: int):
+    """(graph, rep, x, ws) of an input; sigma defaults to multiplicity one per vertex."""
     graph = decode_graph(obj["graph"])
     rep = decode_rep(obj.get("sigma", [1] * graph.n_vertices), graph)
     x = decode_x(obj["X"], graph, levels)
-    ws = decode_weights(obj.get("Z"), x)
+    return graph, rep, x, decode_weights(obj.get("Z"), x)
+
+
+def decode_pick_problem(obj, levels: int):
+    """Parse a full interpolation problem; returns (ws, problem).
+
+    The targets F and B are parsed first, so a malformed entry is named
+    before any factorization runs on the rest of the input.
+    """
+    f_list = _items("F", decode_matrix, obj["F"])
+    b_list = _items("B", decode_matrix, obj["B"]) if "B" in obj else None
+    s = _named("s", int, obj.get("s", 1))
+    t = _named("t", int, obj.get("t", 1))
+    graph, rep, x, ws = decode_setting(obj, levels)
     ind = InducedSpace(graph, rep, levels)
-    points = [decode_point(p, ind, x) for p in obj["points"]]
-    s = int(obj.get("s", 1))
-    t = int(obj.get("t", 1))
-    h = rep.h_dim
-    if "B" in obj:
-        b_list = [decode_matrix(b) for b in obj["B"]]
-    else:
-        b_list = [np.eye(s * h, dtype=complex) for _ in points]
-    f_list = [decode_matrix(f) for f in obj["F"]]
-    return ind, x, ws, PickProblem(points, b_list, f_list, s=s, t=t)
+    points = decode_points(obj["points"], ind, x)
+    if b_list is None:
+        b_list = [np.eye(s * rep.h_dim, dtype=complex) for _ in points]
+    return ws, PickProblem(points, b_list, f_list, s=s, t=t)
 
 
 def encode_fock_operator(op: FockOperator) -> dict:

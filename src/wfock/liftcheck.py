@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import TruncatedFock, weighted_creation
-from .graphs import CorrElement, GraphCorrespondence, path_basis
+from .fock import TruncatedFock, phi_inf, weighted_creation
+from .graphs import CorrElement, _random_module_map, path_basis
 from .induced import InducedSpace
 from .lifting import LiftModel, LiftState
-from .linalg import operator_norm, orth_columns, residual, rng_complex
+from .linalg import _project_out, operator_norm, orth_columns, residual, rng_complex
 from .weights import WeightSystem
 
 
-def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarray],
-                   tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
+def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarray]) -> np.ndarray:
     """Smallest subspace containing the seeds, closed under the adjoints.
 
     Closes under (Y (x) I)^* for every model generator and under each extra
@@ -37,14 +36,12 @@ def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarr
     ops = [g.conj().T / max(operator_norm(g), 1e-30)
            for g in list(model.generators) + list(extra_ops)]
     frame = orth_columns(seeds, 1e-12)
-    for _ in range(max_iter or 4 * (model.dim + 1)):
+    for _ in range(4 * (model.dim + 1)):
         escaped = []
         for op in ops:
-            res = op @ frame
-            for _ in range(2):
-                res = res - frame @ (frame.conj().T @ res)
+            res = _project_out(frame, op @ frame)
             norm = operator_norm(res)
-            if norm > tol:
+            if norm > 1e-13:
                 escaped.append(res / norm)
         if not escaped:
             return frame
@@ -60,13 +57,12 @@ def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarr
 
 
 def random_commutant_element(dual_generators: list[np.ndarray],
-                             rng: np.random.Generator, words: int = 4,
-                             max_len: int = 3) -> np.ndarray:
-    """A random polynomial in the commutant generators."""
+                             rng: np.random.Generator) -> np.ndarray:
+    """A random polynomial in the commutant generators: four words of length 1 to 3."""
     dim = dual_generators[0].shape[0]
     out = np.zeros((dim, dim), dtype=complex)
-    for _ in range(words):
-        length = int(rng.integers(1, max_len + 1))
+    for _ in range(4):
+        length = int(rng.integers(1, 4))
         term = np.eye(dim, dtype=complex)
         for _ in range(length):
             term = term @ dual_generators[int(rng.integers(0, len(dual_generators)))]
@@ -75,8 +71,7 @@ def random_commutant_element(dual_generators: list[np.ndarray],
 
 
 def compression_instance(model: LiftModel, dual_generators: list[np.ndarray],
-                         rng: np.random.Generator, n_seeds: int = 1,
-                         seed_level: int | None = None):
+                         rng: np.random.Generator):
     """A random co-invariant subspace and a commuting compression on it.
 
     Returns (frame, g_on_j, theta): the subspace frame, the compression of a
@@ -84,31 +79,21 @@ def compression_instance(model: LiftModel, dual_generators: list[np.ndarray],
     compression commutes with every compressed algebra element because the
     subspace is also invariant under theta^*.
 
-    Seeds live below the top truncation level (all the closing operators are
-    level non-increasing), so the subspace is proper unless asked otherwise.
+    The one random seed vector lives below the top truncation level (all the
+    closing operators are level non-increasing), so the subspace is usually
+    proper.
     """
     theta = random_commutant_element(dual_generators, rng)
     theta = theta / max(operator_norm(theta), 1e-30)
-    lvl = seed_level if seed_level is not None else max(model.levels - 1, 0)
-    d = model.prefix_dims[lvl]
-    seeds = np.zeros((model.dim, n_seeds), dtype=complex)
-    seeds[:d, :] = rng_complex(rng, d, n_seeds)
+    d = model.prefix_dims[max(model.levels - 1, 0)]
+    seeds = np.zeros((model.dim, 1), dtype=complex)
+    seeds[:d, :] = rng_complex(rng, d, 1)
     frame = krylov_closure(model, seeds, [theta])
     g_on_j = frame.conj().T @ theta @ frame
     nrm = operator_norm(g_on_j)
     if nrm > 0:
         g_on_j = g_on_j / nrm * min(1.0, nrm)  # keep scale tame, not unit
     return frame, g_on_j, theta
-
-
-def _random_module_map(graph: GraphCorrespondence, k: int, rng) -> np.ndarray:
-    basis = path_basis(graph, k)
-    m = rng_complex(rng, basis.size, basis.size)
-    for i in range(basis.size):
-        for j in range(basis.size):
-            if basis.sources[i] != basis.sources[j]:
-                m[i, j] = 0.0
-    return m
 
 
 def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
@@ -156,7 +141,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
         out["beta_absorbs"] = residual(beta(w_xi) @ alpha(y_word), beta(w_xi @ y_word))
         # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
         a = rng_complex(rng, graph.n_vertices)
-        phi_a = _phi_tensor(ind, space, a)
+        phi_a = ind.fock_tensor_identity(phi_inf(space, a))
         basis_k = path_basis(graph, k)
         a_conj_xi = CorrElement(k, np.conj(a)[list(basis_k.ranges)] * xi.coeffs)
         out["beta_left_module"] = residual(
@@ -164,7 +149,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             beta(w_tensor(a_conj_xi)).conj().T)
         # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
         worst = 0.0
-        for idx, (ins, wc) in enumerate(model.basis_ops[k]):
+        for ins, wc in model.basis_ops[k]:
             worst = max(worst, residual(alpha(wc) @ g_vec, g_mat @ ins))
         out["alpha_vacuum"] = worst
         # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
@@ -192,8 +177,3 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
 
     return validator
 
-
-def _phi_tensor(ind: InducedSpace, space: TruncatedFock, a) -> np.ndarray:
-    from .fock import phi_inf
-
-    return ind.fock_tensor_identity(phi_inf(space, a))

@@ -28,17 +28,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_complex, operator_norm, orth_columns, pinv, residual
+from .linalg import RANK_TOL, _project_out, as_complex, operator_norm, orth_columns, pinv, \
+    residual
 
 
 @dataclass
 class ParrottProblem:
-    """The three known blocks of a 2x2 completion [[R, T], [S, ?]]."""
+    """The three known blocks of a 2x2 completion [[R, T], [S, ?]].
+
+    ``mu`` is the larger of the norms of the known column and row, the least
+    norm any completion can have.
+    """
 
     R: np.ndarray
     S: np.ndarray
     T: np.ndarray
-    mu: float | None = None
+    mu: float = field(init=False)
 
     def __post_init__(self):
         self.R = as_complex(self.R)
@@ -46,9 +51,8 @@ class ParrottProblem:
         self.T = as_complex(self.T)
         if self.R.shape[1] != self.S.shape[1] or self.R.shape[0] != self.T.shape[0]:
             raise ValueError("Parrott blocks are not conformal")
-        if self.mu is None:
-            self.mu = max(operator_norm(np.vstack([self.R, self.S])),
-                          operator_norm(np.hstack([self.R, self.T])))
+        self.mu = max(operator_norm(np.vstack([self.R, self.S])),
+                      operator_norm(np.hstack([self.R, self.T])))
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
         top = np.hstack([self.R, self.T])
@@ -71,7 +75,7 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
     gram = mu * mu * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
     if gram.size:
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        if eigs.size and eigs.min() < 1e-12 * mu * mu:
+        if eigs.min() < 1e-12 * mu * mu:
             mu_eff = mu * (1.0 + 1e-12)
             gram = mu_eff * mu_eff * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
     return -p.S @ pinv(gram) @ p.R.conj().T @ p.T
@@ -99,10 +103,7 @@ class LiftModel:
     prefix_indices: list[np.ndarray] | None = None
 
     def prefix_idx(self, n: int) -> np.ndarray:
-        """Coordinate indices of K_n; empty for n < 0."""
-        if n < 0:
-            return np.zeros(0, dtype=int)
-        n = min(n, self.levels)
+        """Coordinate indices of K_n."""
         if self.prefix_indices is None:
             return np.arange(self.prefix_dims[n])
         return self.prefix_indices[n]
@@ -151,9 +152,13 @@ class CoinvariantSubspace:
             raise ValueError("frame columns are not orthonormal")
 
     def coinvariance_residual(self) -> float:
-        p = self.frame @ self.frame.conj().T
-        comp = np.eye(self.model.dim) - p
-        return max(operator_norm(comp @ g.conj().T @ p) for g in self.model.generators)
+        return _coinvariance_residual(self.frame @ self.frame.conj().T, self.model.generators)
+
+
+def _coinvariance_residual(p: np.ndarray, generators: list[np.ndarray]) -> float:
+    """max_g ||(I - P) g^* P|| for the orthogonal projection P onto J."""
+    comp = np.eye(p.shape[0]) - p
+    return max(operator_norm(comp @ g.conj().T @ p) for g in generators)
 
 
 @dataclass
@@ -182,17 +187,12 @@ class LiftState:
         return self.dim_j >= self.model.dim
 
 
-RANK_TOL = 1e-10
-
-
 def _escape_level(state: LiftState) -> int:
     """Least n with K_n not contained in the current J (rank test)."""
     model = state.model
     q = state.frame
     for n in range(model.levels + 1):
-        res = model.prefix_columns(n)
-        for _ in range(2):
-            res = res - q @ (q.conj().T @ res)
+        res = _project_out(q, model.prefix_columns(n))
         if res.size and operator_norm(res) > RANK_TOL:
             return n
     raise RuntimeError("no level escapes J although J is proper")
@@ -204,13 +204,8 @@ def _condition_residuals(state: LiftState) -> dict:
     q = state.frame
     p = q @ q.conj().T
     comp = np.eye(model.dim) - p
-    out = {}
-    n = state.n_list[-1]
-    if n >= 0:
-        out["contains_prefix"] = operator_norm(comp[:, model.prefix_idx(n)])
-    else:
-        out["contains_prefix"] = 0.0
-    out["coinvariant"] = max(operator_norm(comp @ g.conj().T @ p) for g in model.generators)
+    out = {"contains_prefix": operator_norm(comp[:, model.prefix_idx(state.n_list[-1])])}
+    out["coinvariant"] = _coinvariance_residual(p, model.generators)
     out["intertwining"] = max(
         residual(q.conj().T @ g @ q @ state.g_mat, state.g_mat @ g)
         for g in model.generators)
@@ -232,13 +227,9 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     q_m = state.frame
     d_m = q_m.shape[1]
     n_new = _escape_level(state)
-    if state.n_list and n_new <= state.n_list[-1]:
+    if n_new <= state.n_list[-1]:
         raise RuntimeError("escape level did not increase; numerical failure")
-    res = model.prefix_columns(n_new)
-    # two projection passes against the running frame stop orthogonality drift
-    for _ in range(2):
-        res = res - q_m @ (q_m.conj().T @ res)
-    q_new = orth_columns(res, RANK_TOL)
+    q_new = orth_columns(_project_out(q_m, model.prefix_columns(n_new)), RANK_TOL)
     q_new = q_new - q_m @ (q_m.conj().T @ q_new)
     q_new = orth_columns(q_new, 0.5)
     if q_new.shape[1] == 0:
@@ -371,7 +362,7 @@ def _conclusions(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
 
 def two_space_lift(model_sum: LiftModel, emb1: np.ndarray, emb2: np.ndarray,
                    j1_frame: np.ndarray, j2_frame: np.ndarray, g12: np.ndarray,
-                   hypothesis_tol: float = 1e-9, step_validator=None):
+                   hypothesis_tol: float = 1e-9):
     """Two-representation lifting by the Putnam trick.
 
     ``emb1``/``emb2`` are the isometries of the two induced spaces into the
@@ -387,9 +378,7 @@ def two_space_lift(model_sum: LiftModel, emb1: np.ndarray, emb2: np.ndarray,
     j_frame = np.hstack([col1, col2])
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
-    g_tilde0, trace = commutant_lift(model_sum, j_frame, g0,
-                                     hypothesis_tol=hypothesis_tol,
-                                     step_validator=step_validator)
+    g_tilde0, trace = commutant_lift(model_sum, j_frame, g0, hypothesis_tol=hypothesis_tol)
     g_tilde = emb2.conj().T @ g_tilde0 @ emb1
     gens1 = [emb1.conj().T @ g @ emb1 for g in model_sum.generators]
     gens2 = [emb2.conj().T @ g @ emb2 for g in model_sum.generators]

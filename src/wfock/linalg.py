@@ -27,13 +27,6 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def herm_eigs(a: np.ndarray) -> np.ndarray:
-    a = as_complex(a)
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-
-
 def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """Hermitian square root, clipping eigenvalues in [-floor, 0] to 0.
 
@@ -65,8 +58,6 @@ def orth_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > tol * max(1.0, s[0])))
     return u[:, :rank]
 
@@ -76,12 +67,22 @@ def nullspace(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     a = as_complex(a)
     if a.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    if a.shape[0] == 0 or a.size == 0:
+    if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
     return vh[rank:].conj().T
+
+
+def _project_out(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a`` minus its projection onto the orthonormal columns of ``q``.
+
+    The projection is subtracted twice: a single pass leaves roundoff drift
+    along ``q`` that the rank tests downstream would read as new directions.
+    """
+    for _ in range(2):
+        a = a - q @ (q.conj().T @ a)
+    return a
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:

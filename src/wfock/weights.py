@@ -16,17 +16,20 @@ A weight system Z is any sequence of invertible operators in the commutant of
 the left action with Z_0 = I and Z^{(k)*} Z^{(k)} = R_k^{-2}, where Z^{(k)} is
 the telescoping product of the weights.  The canonical choice is
 Z_k = R_k^{-1} (I_1 (x) R_{k-1}), for which Z^{(k)} collapses to R_k^{-1}.
+
+X determines R, so R is computed once per admissible sequence, on first use
+of ``AdmissibleSequence.R``, and everything downstream reads it from there.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .graphs import (
-    CorrElement,
     GraphCorrespondence,
     embed_prefix,
     embed_suffix,
@@ -66,15 +69,14 @@ def compositions(k: int, j: int) -> CompositionSet:
 class AdmissibleSequence:
     """The data X = {X_k}_{k<=N} with the admissibility constraints.
 
-    ``radius_certificate`` is a user-supplied bound asserting the growth
-    condition limsup ||X_k||^{1/k} < inf; it cannot be checked from finitely
-    many terms and is recorded, not verified.
+    The growth condition limsup ||X_k||^{1/k} < inf cannot be checked from
+    finitely many terms and is not part of the data.  ``R`` holds R_0 .. R_N,
+    computed on first use; computing it rejects X whose R_k^2 is not PSD.
     """
 
     graph: GraphCorrespondence
     levels: int
     X: list[np.ndarray] = field(default_factory=list)
-    radius_certificate: float | None = None
 
     def __post_init__(self):
         self.X = [as_complex(x) for x in self.X]
@@ -82,9 +84,13 @@ class AdmissibleSequence:
             raise ValueError("need X_0 .. X_N")
         self.validate()
 
+    @cached_property
+    def R(self) -> list[np.ndarray]:
+        return compute_R(self)
+
     @classmethod
-    def from_scalar(cls, graph: GraphCorrespondence, xs, levels: int | None = None,
-                    radius_certificate: float | None = None) -> "AdmissibleSequence":
+    def from_scalar(cls, graph: GraphCorrespondence, xs,
+                    levels: int | None = None) -> "AdmissibleSequence":
         """Lift a scalar sequence (x_1, x_2, ...) to X_k = x_k * I per level."""
         xs = [float(x) for x in xs]
         n = levels if levels is not None else len(xs)
@@ -93,11 +99,11 @@ class AdmissibleSequence:
             d = path_basis(graph, k).size
             xk = xs[k - 1] if k - 1 < len(xs) else 0.0
             mats.append(xk * np.eye(d, dtype=complex))
-        return cls(graph, n, mats, radius_certificate)
+        return cls(graph, n, mats)
 
-    def validate(self, tol: float = ATOL):
+    def validate(self):
         g = self.graph
-        if operator_norm(self.X[0]) > tol:
+        if operator_norm(self.X[0]) > ATOL:
             raise ValueError("X_0 must vanish")
         for k, xk in enumerate(self.X):
             d = path_basis(g, k).size
@@ -105,21 +111,26 @@ class AdmissibleSequence:
                 raise ValueError(f"X_{k} has shape {xk.shape}, expected {(d, d)}")
             if d == 0:
                 continue
-            if residual(xk, xk.conj().T) > tol:
+            if residual(xk, xk.conj().T) > ATOL:
                 raise ValueError(f"X_{k} is not Hermitian")
             eigs = np.linalg.eigvalsh(0.5 * (xk + xk.conj().T))
-            if eigs.size and eigs.min() < -tol:
+            if eigs.size and eigs.min() < -ATOL:
                 raise ValueError(f"X_{k} has eigenvalue {eigs.min():.2e} below the PSD floor")
-            for v in range(g.n_vertices):
-                a = np.zeros(g.n_vertices)
-                a[v] = 1.0
-                phi = left_action(g, a, k)
-                if residual(xk @ phi, phi @ xk) > tol:
-                    raise ValueError(f"X_{k} does not commute with the left action")
+            if _left_commutator(g, xk, k) > ATOL:
+                raise ValueError(f"X_{k} does not commute with the left action")
         if path_basis(g, 1).size:
             s = np.linalg.svd(self.X[1], compute_uv=False)
             if s.size == 0 or s.min() <= 1e-10:
                 raise ValueError("X_1 must be invertible")
+
+
+def _left_commutator(graph: GraphCorrespondence, m: np.ndarray, k: int) -> float:
+    """max over the vertex units a of ||m phi_k(a) - phi_k(a) m||."""
+    worst = 0.0
+    for a in np.eye(graph.n_vertices):
+        phi = left_action(graph, a, k)
+        worst = max(worst, residual(m @ phi, phi @ m))
+    return worst
 
 
 def composition_r2(x: AdmissibleSequence, k: int) -> np.ndarray:
@@ -138,33 +149,38 @@ def composition_r2(x: AdmissibleSequence, k: int) -> np.ndarray:
     return total
 
 
-def compute_R(x: AdmissibleSequence, k: int | None = None) -> list[np.ndarray]:
-    """The positive invertible square roots R_0 .. R_k (R_0 = I on M).
+def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
+    """The positive invertible square roots R_0 .. R_N (R_0 = I on M).
 
     Evaluated through R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2; the square root is
     Hermitian-eigendecomposition based with a small negative-eigenvalue clip.
-    A sum that fails PSD beyond tolerance marks X invalid.
+    A sum that fails PSD beyond tolerance marks X invalid.  Read R through
+    ``AdmissibleSequence.R``, which calls this once per sequence.
     """
-    g = x.graph
-    n = x.levels if k is None else k
-    r2 = [np.eye(g.n_vertices, dtype=complex)]
-    rs = [np.eye(g.n_vertices, dtype=complex)]
-    for i in range(1, n + 1):
-        d = path_basis(g, i).size
-        acc = np.zeros((d, d), dtype=complex)
-        for j in range(1, i + 1):
-            if path_basis(g, j).size == 0:
-                continue
-            if i - j == 0:
-                acc += x.X[j]
-            else:
-                acc += embed_prefix(g, x.X[j], j, i) @ embed_suffix(g, r2[i - j], i - j, i)
-        r2.append(acc)
+    r2 = _first_part_sums(x.X, partial(tensor_pair, x.graph))
+    rs = [r2[0]]
+    for i in range(1, x.levels + 1):
         try:
-            rs.append(psd_sqrt(acc))
+            rs.append(psd_sqrt(r2[i]))
         except ValueError as exc:
             raise ValueError(f"R_{i}^2 is not PSD; X is not admissible: {exc}") from exc
     return rs
+
+
+def _first_part_sums(xs: list[np.ndarray], tensor) -> list[np.ndarray]:
+    """R_0^2 = I and R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2 for k >= 1.
+
+    ``tensor(A, a, B, b)`` is A (x) B for A at level a and B at level b; empty
+    levels are skipped.  The graph side (X_k) and the dual side (X'_k) share it.
+    """
+    r2 = [np.eye(xs[0].shape[0], dtype=complex)]
+    for k in range(1, len(xs)):
+        acc = np.zeros(xs[k].shape, dtype=complex)
+        for j in range(1, k + 1):
+            if xs[j].size:
+                acc += xs[j] if j == k else tensor(xs[j], j, r2[k - j], k - j)
+        r2.append(acc)
+    return r2
 
 
 @dataclass
@@ -235,7 +251,7 @@ class WeightSystem:
         inner = embed_prefix(self.graph, self.z_prod_inv(i - k), i - k, i)
         return self.z_prod(i) @ inner
 
-    def validate(self, tol: float = ATOL) -> dict[str, float]:
+    def validate(self) -> dict[str, float]:
         """Residuals of the defining laws against the attached R sequence."""
         if self.R is None:
             raise ValueError("no R sequence attached")
@@ -250,11 +266,7 @@ class WeightSystem:
             eye = np.eye(d)
             out["weight_law"] = max(out["weight_law"], residual(zp.conj().T @ zp, np.linalg.inv(r2)))
             out["projection_law"] = max(out["projection_law"], residual(zp @ r2 @ zp.conj().T, eye))
-            for v in range(g.n_vertices):
-                a = np.zeros(g.n_vertices)
-                a[v] = 1.0
-                phi = left_action(g, a, k)
-                out["commutant"] = max(out["commutant"], residual(self.Z[k] @ phi, phi @ self.Z[k]))
+            out["commutant"] = max(out["commutant"], _left_commutator(g, self.Z[k], k))
             if k >= 1 and path_basis(g, k).size:
                 lhs = self.z_prod_inv(k) @ self.Z[k]
                 rhs = embed_suffix(g, self.z_prod_inv(k - 1), k - 1, k)
@@ -281,7 +293,7 @@ def canonical_weights(graph: GraphCorrespondence, R: list[np.ndarray]) -> Weight
 
 def weight_system_from(x: AdmissibleSequence, Z: list[np.ndarray] | None = None) -> WeightSystem:
     """Canonical weights for X, or validate a user-supplied Z against X."""
-    R = compute_R(x)
+    R = x.R
     if Z is None:
         return canonical_weights(x.graph, R)
     ws = WeightSystem(x.graph, x.levels, Z, R=R)
@@ -292,13 +304,7 @@ def weight_system_from(x: AdmissibleSequence, Z: list[np.ndarray] | None = None)
     return ws
 
 
-def scale_root_element(x: AdmissibleSequence, k: int, idx: int) -> CorrElement:
-    """X_k^{1/2} applied to the idx-th basis path, as a correspondence element."""
-    root = psd_sqrt(x.X[k])
-    return CorrElement(k, root[:, idx])
-
-
-def admissible_from_kernel_coeffs(a, tol: float = 1e-12) -> tuple[list[float], bool, str]:
+def admissible_from_kernel_coeffs(a) -> tuple[list[float], bool, str]:
     """Invert kernel coefficients a_k = R_k^2 into the scalar sequence x.
 
     Solves sum_k a_k t^k = 1 / (1 - sum_{k>=1} x_k t^k) by power-series
@@ -308,7 +314,9 @@ def admissible_from_kernel_coeffs(a, tol: float = 1e-12) -> tuple[list[float], b
     fails at x_2 = -1).
     """
     a = [float(v) for v in a]
-    if not a or abs(a[0] - 1.0) > tol:
+    if not all(np.isfinite(a)):
+        raise ValueError("kernel coefficients must be finite")
+    if not a or abs(a[0] - 1.0) > 1e-12:
         raise ValueError("kernel coefficients must start at a_0 = 1")
     if any(v <= 0 for v in a):
         raise ValueError("kernel coefficients must be positive")
@@ -319,7 +327,7 @@ def admissible_from_kernel_coeffs(a, tol: float = 1e-12) -> tuple[list[float], b
     if xs and xs[0] <= 0:
         return xs, False, "x_1 <= 0"
     for k, xk in enumerate(xs, start=1):
-        if xk < -tol:
+        if xk < -1e-12:
             return xs, False, f"x_{k} = {xk:.6g} < 0"
     return xs, True, "admissible"
 

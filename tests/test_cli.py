@@ -144,3 +144,42 @@ def test_bad_command_rejected():
         RunConfig("plot")
     with pytest.raises(ValueError):
         RunConfig("solve", N=0)
+
+
+TWO_POINT = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+             "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
+             "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]}
+
+
+@pytest.mark.parametrize("command, obj, field", [
+    ("solve", [1, 2], "object"),
+    ("weights", [1, 2], "object"),
+    ("solve", dict(TWO_POINT, points=3), "points"),
+])
+def test_wrong_input_type_is_named(tmp_path, command, obj, field):
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))
+    assert code == 1
+    assert field in report["error"]
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0])
+def test_solve_input_eps_checked(tmp_path, eps):
+    obj = dict(TWO_POINT, eps=eps)
+    code, report = run(RunConfig("solve", input_path=write(tmp_path, "e.json", obj), N=20))
+    assert code == 1
+    assert "eps must be" in report["error"]
+    with pytest.raises(ValueError, match="eps must be"):
+        RunConfig("solve", eps=eps)
+
+
+@pytest.mark.parametrize("command, obj, field", [
+    ("solve", dict(TWO_POINT, X={"scalar": [float("nan")]}), "X.scalar"),
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [float("inf")]}}, "X.scalar"),
+    ("solve", dict(TWO_POINT, F=[[[[float("nan"), 0.0]]], [[[0.1, 0.0]]]]), "F[0]"),
+    ("solve", dict(TWO_POINT, points=[{"scalar": [0.4, float("-inf")]}]), "points[0]"),
+    ("validate", {"kernel_coeffs": [1.0, float("nan"), 0.3]}, "kernel coefficients"),
+])
+def test_non_finite_number_is_named(tmp_path, command, obj, field):
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "n.json", obj), N=4))
+    assert code == 1
+    assert field in report["error"] and "finite" in report["error"]

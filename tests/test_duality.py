@@ -133,8 +133,8 @@ def test_rho_phi_isometric_on_commutant():
     from wfock.linalg import operator_norm, rng_complex
 
     a = CommutantAlgebra(rep).project(rng_complex(rng, rep.h_dim, rep.h_dim))
-    assert abs(operator_norm(s.rho_phi(a)) - operator_norm(a)) < 1e-12
-    assert residual(s.rho_phi(a.conj().T), s.rho_phi(a).conj().T) < 1e-14
+    assert abs(operator_norm(s.ind.dual_left(a)) - operator_norm(a)) < 1e-12
+    assert residual(s.ind.dual_left(a.conj().T), s.ind.dual_left(a).conj().T) < 1e-14
 
 
 def test_commutation_section5():

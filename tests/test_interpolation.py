@@ -22,7 +22,7 @@ from wfock.interpolation import (
     word_matrix,
 )
 from wfock.linalg import operator_norm, residual, rng_complex
-from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, compute_R, weight_system_from
+from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
 FREE1 = GraphCorrespondence.free(1)
 CYCLE2 = GraphCorrespondence.cycle(2)
@@ -102,8 +102,7 @@ def test_phi_map_scalar_geometric():
     assert np.isclose(out.value[0, 0], 0.25)
     # Neumann sum = 1/(1 - 0.25) = 4/3 within the combined tails
     assert out.neumann_residual <= out.tail + out.level_tail + 1e-12
-    r_seq = compute_R(x)
-    level = kernel_value(z, z, np.eye(1), r_seq)
+    level = kernel_value(z, z, np.eye(1))
     assert abs(level[0, 0] - 4.0 / 3.0) <= out.tail + 1e-12
 
 
@@ -172,9 +171,8 @@ def test_kernel_hermiticity():
     from wfock.induced import CommutantAlgebra
 
     a = CommutantAlgebra(ind.rep).project(a)
-    r_seq = compute_R(x)
-    lhs = kernel_value(w, z, a, r_seq).conj().T
-    rhs = kernel_value(z, w, a.conj().T, r_seq)
+    lhs = kernel_value(w, z, a).conj().T
+    rhs = kernel_value(z, w, a.conj().T)
     assert residual(lhs, rhs) < 1e-10
 
 
@@ -184,7 +182,7 @@ def test_cauchy_levelwise_identity():
     z = graph_point(ind, x, 0.45, seed=8)
     cw, cz = CauchyKernel(w, ws), CauchyKernel(z, ws)
     a = np.diag([1.5, -0.5]).astype(complex)
-    assert cw.levelwise_residual(cz, a, compute_R(x)) < 1e-9
+    assert cw.levelwise_residual(cz, a) < 1e-9
 
 
 def test_iota_w_star():
@@ -311,14 +309,13 @@ def test_cp_quadratic_form_agrees():
 def test_cp_weight_independence():
     ind, x, ws = scalar_setup("dirichlet", 30)
     prob = scalar_problem(ind, x, [0.3, -0.2], [0.4, 0.1])
-    r_seq = compute_R(x)
-    report_plain = pick_map_cp_test(prob, r_seq=r_seq)
+    report_plain = pick_map_cp_test(prob)
     report_canonical = pick_map_cp_test(prob, ws=ws)
     # a second valid weight sequence for the same data: flip the sign of Z_k
     zs = [ws.Z[0]] + [-z for z in ws.Z[1:]]
     from wfock.weights import WeightSystem
 
-    ws2 = WeightSystem(FREE1, ind.levels, zs, R=r_seq)
+    ws2 = WeightSystem(FREE1, ind.levels, zs, R=x.R)
     assert max(ws2.validate().values()) < 1e-10
     report_flipped = pick_map_cp_test(prob, ws=ws2)
     assert residual(report_canonical.choi, report_plain.choi) < 1e-9

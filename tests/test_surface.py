@@ -1,0 +1,55 @@
+"""The package's public surface, and a guard against dead code.
+
+``wfock.__all__`` must be an explicit list of names, and every public
+top-level function or class in ``src/wfock`` must be referenced by name
+somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its own
+definition.
+"""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import wfock
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wfock"
+SEARCH_DIRS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+
+
+def test_all_is_an_explicit_list_of_objects():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assigns = [node for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert len(assigns) == 1
+    names = ast.literal_eval(assigns[0].value)  # fails unless written out as a literal
+    assert names == wfock.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(wfock, name), name
+        assert not isinstance(getattr(wfock, name), types.ModuleType), name
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, node
+
+
+def test_every_public_definition_is_referenced():
+    sources = {path: path.read_text().splitlines()
+               for folder in SEARCH_DIRS for path in folder.rglob("*.py")}
+    unreferenced = []
+    for path, node in _public_definitions():
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        pattern = re.compile(rf"\b{re.escape(node.name)}\b")
+        for other, lines in sources.items():
+            if other == path:
+                lines = lines[:first - 1] + lines[node.end_lineno:]
+            if any(pattern.search(line) for line in lines):
+                break
+        else:
+            unreferenced.append(f"{path.name}:{node.name}")
+    assert not unreferenced, unreferenced
