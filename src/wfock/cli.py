@@ -214,7 +214,7 @@ def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     model = primal_lift_model(ind, ws)
     dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
     validator = alphabeta_validator(ind, ws, seed=config.seed)
-    instances = int(obj.get("instances", 3))
+    instances = jsonio.decode_count(obj, "instances", 3)
     runs = []
     for trial in range(instances):
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)

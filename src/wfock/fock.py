@@ -12,6 +12,7 @@ approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,11 @@ class TruncatedFock:
     graph: GraphCorrespondence
     levels: int
 
-    @property
+    @cached_property
     def level_dims(self) -> tuple[int, ...]:
         return tuple(path_basis(self.graph, k).size for k in range(self.levels + 1))
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         dims = self.level_dims
         out = [0]
@@ -81,13 +82,25 @@ class FockOperator:
             self._check_band()
 
     def _check_band(self):
+        """Off-band blocks must have norm <= 1e-13 max(1, ||M||).
+
+        Exactly zero blocks pass without a factorization, and the whole-matrix
+        scale is computed only once a nonzero off-band block needs it.
+        """
+        if not np.isfinite(self.matrix).all():
+            raise ValueError(f"degree-{self.degree} operator has non-finite entries")
         sp = self.space
+        tol = None
         for j in range(sp.levels + 1):
             for i in range(sp.levels + 1):
                 if i - j == self.degree:
                     continue
                 block = self.matrix[sp.level_slice(i), sp.level_slice(j)]
-                if block.size and operator_norm(block) > 1e-13 * max(1.0, operator_norm(self.matrix)):
+                if not block.any():
+                    continue
+                if tol is None:
+                    tol = 1e-13 * max(1.0, operator_norm(self.matrix))
+                if operator_norm(block) > tol:
                     raise ValueError(f"degree-{self.degree} operator has mass at block ({i},{j})")
 
     def block(self, i: int, j: int) -> np.ndarray:

@@ -16,6 +16,7 @@ action I_k (x) A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class Representation:
     def h_dim(self) -> int:
         return sum(self.multiplicities)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out = [0]
         for m in self.multiplicities:
@@ -173,7 +174,9 @@ class InducedSpace:
         out = np.zeros((self.level_dim(k_out), self.level_dim(k_in)), dtype=complex)
         if y.size == 0:
             return out
-        scale = max(1.0, operator_norm(y))
+        if not np.isfinite(y).all():
+            raise ValueError("module map has non-finite entries")
+        scale = None  # max(1, ||Y||), needed only to judge a cross-source entry
         for p in range(rows.size):
             rsl = slice(self.block_offsets[k_out][p], self.block_offsets[k_out][p + 1])
             for q in range(cols.size):
@@ -181,6 +184,8 @@ class InducedSpace:
                 if abs(val) == 0.0:
                     continue
                 if rows.sources[p] != cols.sources[q]:
+                    if scale is None:
+                        scale = max(1.0, operator_norm(y))
                     if abs(val) > 1e-12 * scale:
                         raise ValueError("matrix is not a module map: sources differ")
                     continue
@@ -195,7 +200,7 @@ class InducedSpace:
         for i in range(self.levels + 1):
             for j in range(self.levels + 1):
                 blk = mat[self.fock.level_slice(i), self.fock.level_slice(j)]
-                if blk.size == 0 or operator_norm(blk) == 0.0:
+                if not blk.any():
                     continue
                 out[self.level_slice(i), self.level_slice(j)] = \
                     self.level_tensor_identity(blk, i, j)

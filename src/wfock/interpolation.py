@@ -43,13 +43,20 @@ BOUNDARY_MARGIN = 1e-6
 
 @dataclass
 class DiscPoint:
-    """An intertwiner inside the weighted disc, with cached tensorial powers."""
+    """An intertwiner inside the weighted disc, with cached tensorial powers.
+
+    ``weighted_powers[k]`` is z^{(k)} (X_k (x) I) for each nonempty level
+    k >= 1, built once per point; ``tail_bound`` holds ``kernel_tail_bound``
+    once it has been computed.
+    """
 
     ind: InducedSpace
     x_seq: AdmissibleSequence
     mat: np.ndarray
     powers: list[np.ndarray] = field(init=False)
+    weighted_powers: dict[int, np.ndarray] = field(init=False)
     phi_norm: float = field(init=False)
+    tail_bound: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.mat = as_complex(self.mat)
@@ -67,6 +74,9 @@ class DiscPoint:
         self.powers = [np.eye(ind.rep.h_dim, dtype=complex)]
         for k in range(1, ind.levels + 1):
             self.powers.append(self.powers[-1] @ ind.lower_by_point(self.mat, k))
+        self.weighted_powers = {
+            k: self.powers[k] @ ind.level_tensor_identity(as_complex(self.x_seq.X[k]), k)
+            for k in range(1, ind.levels + 1) if ind.level_dim(k)}
         self.phi_norm = operator_norm(self.phi_value(np.eye(ind.rep.h_dim)))
         if self.phi_norm > 1.0 - BOUNDARY_MARGIN:
             raise ValueError(
@@ -91,11 +101,8 @@ class DiscPoint:
         """Phi_z(A) = sum_{k>=1} z^{(k)} (X_k (x) A) z^{(k)*}, exact for the data."""
         ind = self.ind
         out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-        for k in range(1, ind.levels + 1):
-            if ind.level_dim(k) == 0:
-                continue
-            xk = ind.level_tensor_identity(as_complex(self.x_seq.X[k]), k)
-            out += self.powers[k] @ xk @ ind.dual_left_level(a, k) @ self.powers[k].conj().T
+        for k, zx in self.weighted_powers.items():
+            out += zx @ ind.dual_left_level(a, k) @ self.powers[k].conj().T
         return out
 
 
@@ -142,13 +149,15 @@ def kernel_tail_bound(z: DiscPoint) -> float:
 
     The level partial sum is the level-restricted part of the Neumann partial
     sum, so the missing completely positive mass at the identity is the gap
-    between the two partial sums plus the geometric remainder.
+    between the two partial sums plus the geometric remainder.  The bound is
+    computed once per point and kept in ``z.tail_bound``.
     """
-    n = z.ind.levels
-    phi = z.phi_norm
-    eye = np.eye(z.ind.rep.h_dim)
-    gap = residual(_neumann_partial_sum(z, eye), kernel_value(z, z, eye))
-    return gap + phi ** (n + 1) / (1.0 - phi)
+    if z.tail_bound is None:
+        phi = z.phi_norm
+        eye = np.eye(z.ind.rep.h_dim)
+        gap = residual(_neumann_partial_sum(z, eye), kernel_value(z, z, eye))
+        z.tail_bound = gap + phi ** (z.ind.levels + 1) / (1.0 - phi)
+    return z.tail_bound
 
 
 @dataclass

@@ -32,6 +32,13 @@ def _finite(v) -> float:
     return float(v)
 
 
+def _count(v) -> int:
+    """A JSON integer, taken as it is: floats, strings and booleans are rejected."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"not an integer: {v!r}")
+    return v
+
+
 def _named(field: str, decode, *args):
     """``decode(*args)`` with a malformed-input error reported against ``field``."""
     try:
@@ -70,20 +77,27 @@ def encode_graph(g: GraphCorrespondence) -> dict:
     return {"vertices": g.n_vertices, "edges": [list(e) for e in g.edges]}
 
 
+def decode_count(obj: dict, key: str, default: int) -> int:
+    """The integer field ``key`` of ``obj``; a non-integral value is named, never truncated."""
+    return _named(key, _count, obj.get(key, default))
+
+
+def _edge(e) -> tuple[int, int]:
+    if not isinstance(e, list) or len(e) != 2:
+        raise ValueError(f"expected a [source, range] pair, got {e!r}")
+    return _count(e[0]), _count(e[1])
+
+
 def decode_graph(obj) -> GraphCorrespondence:
-    try:
-        return GraphCorrespondence(int(obj["vertices"]),
-                                   tuple((int(s), int(r)) for s, r in obj["edges"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"graph: expected vertices/edges, got {obj!r}") from exc
+    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
+        raise ValueError(f"graph: expected vertices/edges, got {obj!r}")
+    return GraphCorrespondence(_named("graph.vertices", _count, obj["vertices"]),
+                               tuple(_items("graph.edges", _edge, obj["edges"])))
 
 
 def decode_rep(obj, graph: GraphCorrespondence) -> Representation:
     mults = obj.get("multiplicities", obj) if isinstance(obj, dict) else obj
-    try:
-        rep = Representation(tuple(int(m) for m in mults))
-    except TypeError as exc:
-        raise ValueError("sigma: expected a multiplicity list") from exc
+    rep = Representation(tuple(_items("sigma", _count, mults)))
     if rep.n_vertices != graph.n_vertices:
         raise ValueError("sigma: multiplicity count differs from the vertex count")
     return rep
@@ -155,8 +169,8 @@ def decode_pick_problem(obj, levels: int):
     """
     f_list = _items("F", decode_matrix, obj["F"])
     b_list = _items("B", decode_matrix, obj["B"]) if "B" in obj else None
-    s = _named("s", int, obj.get("s", 1))
-    t = _named("t", int, obj.get("t", 1))
+    s = decode_count(obj, "s", 1)
+    t = decode_count(obj, "t", 1)
     graph, rep, x, ws = decode_setting(obj, levels)
     ind = InducedSpace(graph, rep, levels)
     points = decode_points(obj["points"], ind, x)

@@ -183,3 +183,26 @@ def test_non_finite_number_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "n.json", obj), N=4))
     assert code == 1
     assert field in report["error"] and "finite" in report["error"]
+
+
+LIFT = {"graph": CYCLE, "X": {"scalar": [1.0]}, "sigma": [1, 1], "instances": 1}
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True], ids=["float", "string", "true"])
+@pytest.mark.parametrize("command, base, path, field", [
+    ("fock", LIFT, ("sigma", 0), "sigma[0]"),
+    ("fock", LIFT, ("graph", "vertices"), "graph.vertices"),
+    ("fock", LIFT, ("graph", "edges", 0, 1), "graph.edges[0]"),
+    ("solve", TWO_POINT, ("s",), "s"),
+    ("solve", TWO_POINT, ("t",), "t"),
+    ("lift", LIFT, ("instances",), "instances"),
+], ids=["sigma", "vertices", "edges", "s", "t", "instances"])
+def test_non_integral_count_is_named(tmp_path, bad, command, base, path, field):
+    obj = json.loads(json.dumps(base))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "c.json", obj), N=3))
+    assert code == 1
+    assert f"{field}: not an integer" in report["error"]

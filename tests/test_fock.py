@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfock.fock import (
     FockOperator,
@@ -177,3 +178,64 @@ def test_diagonal_reassembly():
     assert residual(acc, m) < 1e-14
     total = sum(space.level_projection(k) for k in range(4))
     assert np.allclose(total, np.eye(space.dim))
+
+
+def test_cached_offsets_keep_equality_and_hash():
+    a, b = TruncatedFock(CYCLE2, 3), TruncatedFock(CYCLE2, 3)
+    assert a.offsets == (0, 2, 4, 6, 8) and a.level_dims == (2, 2, 2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != TruncatedFock(CYCLE2, 2)
+
+
+def _old_band_rule(space, matrix, degree) -> bool:
+    """The band test before exact zeros were skipped: an SVD per off-band block."""
+    for j in range(space.levels + 1):
+        for i in range(space.levels + 1):
+            if i - j == degree:
+                continue
+            block = matrix[space.level_slice(i), space.level_slice(j)]
+            if block.size and operator_norm(block) > 1e-13 * max(1.0, operator_norm(matrix)):
+                return True
+    return False
+
+
+GRAPHS = st.sampled_from([GraphCorrespondence.cycle(2), GraphCorrespondence.cycle(3),
+                          FREE1, FREE2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRAPHS, st.integers(1, 4), st.data())
+def test_band_check_matches_the_per_block_svd_rule(graph, n, data):
+    space = TruncatedFock(graph, n)
+    degree = data.draw(st.integers(-n, n), label="degree")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), label="scale")
+    m = np.zeros((space.dim, space.dim), dtype=complex)
+    for j in range(n + 1):
+        if 0 <= j + degree <= n:
+            rs, cs = space.level_slice(j + degree), space.level_slice(j)
+            m[rs, cs] = scale * rng_complex(rng, rs.stop - rs.start, cs.stop - cs.start)
+    off_band = [(i, j) for i in range(n + 1) for j in range(n + 1) if i - j != degree]
+    i, j = data.draw(st.sampled_from(off_band), label="block")
+    factor = data.draw(st.floats(0.5, 2.0), label="factor")
+    bump = rng_complex(rng, space.level_dims[i], space.level_dims[j])
+    bump *= factor * 1e-13 * max(1.0, operator_norm(m)) / operator_norm(bump)
+    m[space.level_slice(i), space.level_slice(j)] += bump
+    expected = _old_band_rule(space, m, degree)
+    if factor < 0.99 or factor > 1.01:
+        assert expected == (factor > 1.0)
+    if expected:
+        with pytest.raises(ValueError, match="has mass at block"):
+            FockOperator(space, m, degree)
+    else:
+        FockOperator(space, m, degree)
+
+
+def test_band_check_rejects_non_finite_entries():
+    space = TruncatedFock(CYCLE2, 2)
+    for bad in (np.nan, np.inf):
+        m = np.eye(space.dim, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FockOperator(space, m, 0)

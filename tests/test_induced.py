@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wfock.fock import TruncatedFock, creation, phi_inf
+import wfock.fock
+import wfock.induced
+
+from wfock.fock import TruncatedFock, creation, phi_inf, weighted_creation
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
 from wfock.induced import (
     CommutantAlgebra,
@@ -10,7 +14,8 @@ from wfock.induced import (
     gamma_conjugation_residual,
     gamma_decomposition,
 )
-from wfock.linalg import residual, rng_complex
+from wfock.linalg import operator_norm, residual, rng_complex
+from wfock.weights import AdmissibleSequence, weight_system_from
 
 CYCLE2 = GraphCorrespondence.cycle(2)
 FREE2 = GraphCorrespondence.free(2)
@@ -123,3 +128,75 @@ def test_vacuum_and_basis_inserters():
     ins = ind.basis_inserter(1, 0)
     # edge 0 runs 0 -> 1, so the inserter ranges over the source block (vertex 0)
     assert np.allclose(ins.conj().T @ ins, rep.sigma([1.0, 0.0]))
+
+
+def test_cached_offsets_keep_equality_and_hash():
+    a, b = Representation((2, 1)), Representation((2, 1))
+    assert a.offsets == (0, 2, 3)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a.block(1) == slice(2, 3)
+
+
+def _old_module_map_rule(ind, y, k_out, k_in) -> bool:
+    """The cross-source test with the scale max(1, ||Y||) taken before the scan."""
+    rows, cols = path_basis(ind.graph, k_out), path_basis(ind.graph, k_in)
+    scale = max(1.0, operator_norm(y))
+    return any(rows.sources[p] != cols.sources[q] and abs(y[p, q]) > 1e-12 * scale
+               for p in range(rows.size) for q in range(cols.size) if abs(y[p, q]) != 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GraphCorrespondence.cycle(2), GraphCorrespondence.cycle(3)]),
+       st.integers(1, 4), st.data())
+def test_module_map_check_matches_the_eager_scale_rule(graph, n, data):
+    mults = tuple(data.draw(st.integers(1, 2), label="m") for _ in range(graph.n_vertices))
+    ind = InducedSpace(graph, Representation(mults), n)
+    k_out = data.draw(st.integers(0, n), label="k_out")
+    k_in = data.draw(st.integers(0, n), label="k_in")
+    rows, cols = path_basis(graph, k_out), path_basis(graph, k_in)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]), label="scale")
+    same = np.equal.outer(rows.sources, cols.sources)
+    y = scale * rng_complex(rng, rows.size, cols.size) * same
+    cross = np.argwhere(~same)
+    p, q = cross[data.draw(st.integers(0, len(cross) - 1), label="entry")]
+    factor = data.draw(st.floats(0.5, 2.0), label="factor")
+    y[p, q] = factor * 1e-12 * max(1.0, operator_norm(y)) * np.exp(1j * rng.uniform(0, 6.3))
+    expected = _old_module_map_rule(ind, y, k_out, k_in)
+    if factor < 0.99 or factor > 1.01:
+        assert expected == (factor > 1.0)
+    if expected:
+        with pytest.raises(ValueError, match="not a module map"):
+            ind.level_tensor_identity(y, k_out, k_in)
+    else:
+        out = ind.level_tensor_identity(y, k_out, k_in)
+        assert out.shape == (ind.level_dim(k_out), ind.level_dim(k_in))
+
+
+def test_module_map_check_rejects_non_finite_entries():
+    ind = InducedSpace(CYCLE2, Representation((1, 1)), 2)
+    for bad in (np.nan, np.inf):
+        y = np.eye(2, dtype=complex)
+        y[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ind.level_tensor_identity(y, 1)
+
+
+def test_graded_assembly_runs_no_svd(monkeypatch):
+    n = 4
+    space = TruncatedFock(FREE2, n)
+    ws = weight_system_from(AdmissibleSequence.from_scalar(FREE2, [0.5, 1 / 12], levels=n))
+    ind = InducedSpace(FREE2, Representation((2,)), n)
+    xi = CorrElement(2, rng_complex(np.random.default_rng(4), path_basis(FREE2, 2).size))
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return operator_norm(a)
+
+    monkeypatch.setattr(wfock.fock, "operator_norm", counting)
+    monkeypatch.setattr(wfock.induced, "operator_norm", counting)
+    big = ind.fock_tensor_identity(weighted_creation(space, ws, xi))
+    assert calls == []
+    assert big.shape == (ind.dim, ind.dim) and big.any()

@@ -12,6 +12,7 @@ from wfock.interpolation import (
     PickProblem,
     hat_eval,
     iota_w_star_check,
+    kernel_tail_bound,
     kernel_value,
     np_solve,
     phi_map,
@@ -128,6 +129,42 @@ def test_neumann_identity_graph():
     a[ind.rep.block(0), ind.rep.block(0)] = np.eye(2)
     out = phi_map(z, a)
     assert out.neumann_residual <= out.tail + out.level_tail + 1e-9
+
+
+def test_phi_value_matches_the_inline_formula_bit_for_bit():
+    ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
+    z = graph_point(ind, x, 0.5, seed=2)
+    rng = np.random.default_rng(6)
+    a = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    for v in range(ind.graph.n_vertices):
+        blk = ind.rep.block(v)
+        a[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    for arg in (np.eye(ind.rep.h_dim), a):
+        old = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+        for k in range(1, ind.levels + 1):
+            xk = ind.level_tensor_identity(x.X[k], k)
+            old += z.powers[k] @ xk @ ind.dual_left_level(arg, k) @ z.powers[k].conj().T
+        assert np.array_equal(z.phi_value(arg), old)
+
+
+def test_kernel_tail_bound_is_computed_once_per_point(monkeypatch):
+    ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
+    z = graph_point(ind, x, 0.5, seed=2)
+    eye = np.eye(ind.rep.h_dim)
+    neumann, acc = eye.copy(), eye.copy()
+    for _ in range(ind.levels):
+        acc = z.phi_value(acc)
+        neumann = neumann + acc
+    expected = residual(neumann, kernel_value(z, z, eye)) \
+        + z.phi_norm ** (ind.levels + 1) / (1.0 - z.phi_norm)
+    calls = []
+    phi_value = DiscPoint.phi_value
+    monkeypatch.setattr(DiscPoint, "phi_value", lambda self, a: calls.append(1) or phi_value(self, a))
+    assert kernel_tail_bound(z) == expected
+    first = len(calls)
+    assert first == ind.levels
+    assert kernel_tail_bound(z) == expected
+    assert len(calls) == first
 
 
 # -- kernels ---------------------------------------------------------------------
