@@ -23,7 +23,7 @@ from .duality import (
 )
 from .fock import TruncatedFock, handysums_check, phi_inf, sums_to_projection_check, \
     tensor_element, weighted_creation
-from .graphs import CorrElement, GraphCorrespondence, path_basis
+from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import InducedSpace, Representation
 from .interpolation import (
     DiscPoint,
@@ -67,11 +67,11 @@ def _random_graph_x(graph: GraphCorrespondence, levels: int,
     for k in range(1, levels + 1):
         basis = path_basis(graph, k)
         d = basis.size
-        b = rng_complex(rng, d, d)
-        for i in range(d):
-            for j in range(d):
-                if basis.sources[i] != basis.sources[j] or basis.ranges[i] != basis.ranges[j]:
-                    b[i, j] = 0.0
+        paths = np.arange(d)
+        # one key per (source, range) pair: b keeps entries between paths of equal ends
+        ends = (np.array(basis.sources, dtype=np.intp) * graph.n_vertices
+                + np.array(basis.ranges, dtype=np.intp))
+        b = _masked_gather(rng_complex(rng, d, d), paths, paths, ends, ends)
         m = 0.2 * (0.5 ** k) * (b @ b.conj().T)
         if k == 1:
             m = m + 0.5 * np.eye(d)

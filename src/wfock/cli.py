@@ -210,11 +210,11 @@ def _cmd_solve(config: RunConfig, obj: dict) -> dict:
 def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
     graph, rep, _, ws = jsonio.decode_setting(obj, config.N)
+    instances = jsonio.decode_count(obj, "instances", 3)
     ind = InducedSpace(graph, rep, config.N)
     model = primal_lift_model(ind, ws)
     dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
     validator = alphabeta_validator(ind, ws, seed=config.seed)
-    instances = jsonio.decode_count(obj, "instances", 3)
     runs = []
     for trial in range(instances):
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncatedFock, phi_inf, weighted_creation
-from .graphs import CorrElement, GraphCorrespondence, path_basis
+from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import CommutantAlgebra, InducedSpace, Representation
 from .lifting import LiftModel
 from .linalg import as_complex, nullspace, operator_norm, pinv, residual
@@ -174,6 +174,7 @@ class DualStructure:
         self._tuples: dict[int, list[DualBasisElement]] = {}
         self._intertwiners: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self._chain_cache: dict[tuple[int, int], tuple] = {}
+        self._splits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- bases ----------------------------------------------------------------
 
@@ -219,6 +220,17 @@ class DualStructure:
 
     def tuple_index(self, k: int) -> dict[tuple[tuple[int, ...], int], int]:
         return {(t.edges, t.row): n for n, t in enumerate(self.tuples(k))}
+
+    def _split(self, k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per level-k tuple: the index of its first a legs with its row in
+        ``tuples(a)``, and of its remaining legs with row 0 in ``tuples(k - a)``
+        (a >= 1)."""
+        if (k, a) not in self._splits:
+            pre, suf = self.tuple_index(a), self.tuple_index(k - a)
+            ts = self.tuples(k)
+            self._splits[k, a] = (np.array([pre[t.edges[:a], t.row] for t in ts], dtype=np.intp),
+                                  np.array([suf[t.edges[a:], 0] for t in ts], dtype=np.intp))
+        return self._splits[k, a]
 
     def intertwiner(self, edges: tuple[int, ...], row: int) -> np.ndarray:
         """The identification image of a basis tuple: a map H -> level k.
@@ -310,7 +322,7 @@ def _lift_model(ind: InducedSpace, generators: list[np.ndarray],
                 basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]) -> LiftModel:
     return LiftModel(dim=ind.dim, h_dim=ind.rep.h_dim, levels=ind.levels,
                      prefix_dims=[ind.prefix_dim(n) for n in range(ind.levels + 1)],
-                     generators=generators, vacuum=ind.vacuum_inserter(), basis_ops=basis_ops)
+                     generators=generators, vacuum=ind.level_embed(0), basis_ops=basis_ops)
 
 
 def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
@@ -323,9 +335,10 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     basis_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
     for k in range(ind.levels + 1):
         zinv = ws.z_prod_inv(k)
+        emb = ind.level_embed(k)
         level = []
         for p in range(path_basis(ind.graph, k).size):
-            ins = ind.basis_inserter(k, p)
+            ins = emb @ ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p))
             w = weighted_creation(space, ws, CorrElement(k, zinv[:, p]))
             level.append((ins, ind.fock_tensor_identity(w)))
         basis_ops.append(level)
@@ -344,7 +357,7 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
     for k in range(ind.levels + 1):
         level = []
         if k == 0:
-            level.append((ind.vacuum_inserter(), np.eye(ind.dim, dtype=complex)))
+            level.append((ind.level_embed(0), np.eye(ind.dim, dtype=complex)))
         else:
             zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
             for t in structure.tuples(k):
@@ -365,17 +378,12 @@ def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
         raise ValueError("spaces must share the graph and truncation")
     rep_sum = ind1.rep.direct_sum(ind2.rep)
     ind_sum = InducedSpace(ind1.graph, rep_sum, ind1.levels)
-    emb1 = np.zeros((ind_sum.dim, ind1.dim), dtype=complex)
-    emb2 = np.zeros((ind_sum.dim, ind2.dim), dtype=complex)
-    for k in range(ind1.levels + 1):
-        basis = path_basis(ind1.graph, k)
-        for p in range(basis.size):
-            m1 = ind1.block_sizes[k][p]
-            tgt = ind_sum.block_slice(k, p)
-            emb1[tgt.start:tgt.start + m1, ind1.block_slice(k, p)] = np.eye(m1)
-            m2 = ind2.block_sizes[k][p]
-            emb2[tgt.start + m1:tgt.stop, ind2.block_slice(k, p)] = np.eye(m2)
-    return ind_sum, emb1, emb2
+    # H_sum = ⊕_v C^{m1_v} ⊕ C^{m2_v}: a coordinate lies in K_1 when its H index is in the first part
+    first = np.concatenate([np.arange(a + b) < a for a, b in
+                            zip(ind1.rep.multiplicities, ind2.rep.multiplicities)])
+    first = first[ind_sum.coordinates[1]]
+    eye = np.eye(ind_sum.dim, dtype=complex)
+    return ind_sum, eye[:, first], eye[:, ~first]
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +405,16 @@ class DualCalculus:
 
     def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
         """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
-        s = self.s
-        tuples = s.tuples(k)
-        idx_suf = s.tuple_index(k - a)
-        out = np.zeros((len(tuples), len(tuples)), dtype=complex)
-        m = as_complex(m)
-        for r, t in enumerate(tuples):
-            sr = idx_suf[(t.edges[a:], 0)]
-            for c, u in enumerate(tuples):
-                if u.edges[:a] != t.edges[:a] or u.row != t.row:
-                    continue
-                out[r, c] = m[sr, idx_suf[(u.edges[a:], 0)]]
-        return out
+        pre, suf = self.s._split(k, a)
+        return _masked_gather(m, suf, suf, pre, pre)
 
     def embed_prefix(self, m: np.ndarray, b: int, k: int) -> np.ndarray:
         """B' (x) I'_b for B' on the first k - b dual legs (b >= 1)."""
-        s = self.s
-        a = k - b
-        if a == 0:
+        if b == k:
             # a level-0 factor is an element of sigma(M)'; it acts as phi'
             return self.phi_prime(as_complex(m), k)
-        tuples = s.tuples(k)
-        idx_pre = s.tuple_index(a)
-        out = np.zeros((len(tuples), len(tuples)), dtype=complex)
-        m = as_complex(m)
-        for r, t in enumerate(tuples):
-            pr = idx_pre[(t.edges[:a], t.row)]
-            for c, u in enumerate(tuples):
-                if u.edges[a:] != t.edges[a:]:
-                    continue
-                out[r, c] = m[pr, idx_pre[(u.edges[:a], u.row)]]
-        return out
+        pre, suf = self.s._split(k, k - b)
+        return _masked_gather(m, pre, pre, suf, suf)
 
     def tensor(self, m_a: np.ndarray, a: int, m_b: np.ndarray, b: int) -> np.ndarray:
         """A' (x) B' on level a + b of the dual powers."""

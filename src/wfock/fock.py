@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import CorrElement, GraphCorrespondence, _random_module_map, insertion_matrix, \
-    left_action, path_basis
+from .graphs import CorrElement, GraphCorrespondence, _masked_gather, _random_module_map, \
+    insertion_matrix, left_action, path_basis
 from .linalg import as_complex, operator_norm, psd_sqrt, residual
 from .weights import AdmissibleSequence, WeightSystem
 
@@ -44,6 +44,17 @@ class TruncatedFock:
     @property
     def dim(self) -> int:
         return self.offsets[-1]
+
+    @cached_property
+    def level_of(self) -> np.ndarray:
+        """The level of each coordinate."""
+        return np.repeat(np.arange(self.levels + 1), self.level_dims)
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """The source vertex of the path at each coordinate."""
+        return np.array([v for k in range(self.levels + 1)
+                         for v in path_basis(self.graph, k).sources], dtype=np.intp)
 
     def level_slice(self, k: int) -> slice:
         off = self.offsets
@@ -84,24 +95,20 @@ class FockOperator:
     def _check_band(self):
         """Off-band blocks must have norm <= 1e-13 max(1, ||M||).
 
-        Exactly zero blocks pass without a factorization, and the whole-matrix
-        scale is computed only once a nonzero off-band block needs it.
+        One mask finds the nonzero off-band entries, and only the blocks that
+        hold one are judged; the whole-matrix scale is computed once, when the
+        first of them needs it.
         """
         if not np.isfinite(self.matrix).all():
             raise ValueError(f"degree-{self.degree} operator has non-finite entries")
-        sp = self.space
+        lvl = self.space.level_of
+        rows, cols = np.nonzero((self.matrix != 0) & np.not_equal.outer(lvl, lvl + self.degree))
         tol = None
-        for j in range(sp.levels + 1):
-            for i in range(sp.levels + 1):
-                if i - j == self.degree:
-                    continue
-                block = self.matrix[sp.level_slice(i), sp.level_slice(j)]
-                if not block.any():
-                    continue
-                if tol is None:
-                    tol = 1e-13 * max(1.0, operator_norm(self.matrix))
-                if operator_norm(block) > tol:
-                    raise ValueError(f"degree-{self.degree} operator has mass at block ({i},{j})")
+        for j, i in sorted(set(zip(lvl[cols].tolist(), lvl[rows].tolist()))):
+            if tol is None:
+                tol = 1e-13 * max(1.0, operator_norm(self.matrix))
+            if operator_norm(self.block(i, j)) > tol:
+                raise ValueError(f"degree-{self.degree} operator has mass at block ({i},{j})")
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.matrix[self.space.level_slice(i), self.space.level_slice(j)]
@@ -194,15 +201,15 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
 
     # (1) with S: E^{(x)k} -> E^{(x)k} a random source-preserving module map
     s = _random_module_map(g, k, rng)
+    paths = np.arange(d)
     acc = np.zeros((d, d), dtype=complex)
-    for idx in range(d):
-        sxi = s[:, idx]
-        theta = np.zeros((d, d), dtype=complex)
-        for p in range(d):
-            for q in range(d):
-                if basis.sources[p] == basis.sources[q]:
-                    theta[p, q] = sxi[p] * np.conj(sxi[q])
-        acc += theta
+    for i in range(d):
+        # theta_{S xi}[p, q] = S[p, i] conj(S[q, i]), from real products: a vectorized
+        # complex product may fuse multiply-adds and round differently
+        re, im = s[:, i].real, s[:, i].imag
+        theta = np.multiply.outer(re, re) + np.multiply.outer(im, im) \
+            + 1j * (np.multiply.outer(im, re) - np.multiply.outer(re, im))
+        acc += _masked_gather(theta, paths, paths, basis.sources, basis.sources)
     report["theta_sum"] = residual(acc, s @ s.conj().T)
 
     # (3) sum T T^* against the tail projection
@@ -219,9 +226,10 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
         from .induced import InducedSpace  # local import to avoid a cycle
 
         ind = InducedSpace(g, rep, space.levels)
+        emb = ind.level_embed(k)
         acc3 = np.zeros((ind.dim, ind.dim), dtype=complex)
         for idx in range(d):
-            ins = ind.basis_inserter(k, idx)
+            ins = emb @ ind.insertion_map(CorrElement.basis_vector(g, k, idx))
             acc3 += ins @ ins.conj().T
         qk = ind.fock_tensor_identity(space.level_projection(k))
         report["induced_projection_sum"] = residual(acc3, qk)

@@ -14,7 +14,7 @@ package is taken relative to these orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -90,6 +90,7 @@ class PathBasis:
     paths: tuple[tuple[int, ...], ...]
     sources: tuple[int, ...]
     ranges: tuple[int, ...]
+    graph: GraphCorrespondence | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -99,6 +100,16 @@ class PathBasis:
         if self.level == 0:
             return {v: i for i, v in enumerate(self.sources)}
         return {p: i for i, p in enumerate(self.paths)}
+
+    def split(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix and suffix index of each path, cut after its first j edges.
+
+        The prefix indexes ``path_basis(graph, j)``, the suffix
+        ``path_basis(graph, level - j)``.  An empty prefix is the vertex unit
+        at the range r(p), an empty suffix the one at the source s(p), so
+        every cut 0 <= j <= level is a pair of index arrays.
+        """
+        return _split(self.graph, self.level, j)
 
 
 @lru_cache(maxsize=None)
@@ -113,28 +124,61 @@ def path_basis(graph: GraphCorrespondence, k: int) -> PathBasis:
         raise ValueError("level must be nonnegative")
     if k == 0:
         verts = tuple(range(graph.n_vertices))
-        return PathBasis(0, tuple(() for _ in verts), verts, verts)
-    if k == 1:
-        paths = tuple((e,) for e in range(graph.n_edges))
-        return PathBasis(
+        basis = PathBasis(0, tuple(() for _ in verts), verts, verts)
+    elif k == 1:
+        basis = PathBasis(
             1,
-            paths,
+            tuple((e,) for e in range(graph.n_edges)),
             tuple(graph.source(e) for e in range(graph.n_edges)),
             tuple(graph.range_(e) for e in range(graph.n_edges)),
         )
-    prev = path_basis(graph, k - 1)
-    paths = []
-    sources = []
-    ranges = []
-    for e in range(graph.n_edges):
-        se, re = graph.edges[e]
-        for i, p in enumerate(prev.paths):
-            # e may be prepended when its source matches the range of the tail
-            if prev.ranges[i] == se:
-                paths.append((e,) + p)
-                sources.append(prev.sources[i])
-                ranges.append(re)
-    return PathBasis(k, tuple(paths), tuple(sources), tuple(ranges))
+    else:
+        prev = path_basis(graph, k - 1)
+        paths = []
+        sources = []
+        ranges = []
+        for e in range(graph.n_edges):
+            se, re = graph.edges[e]
+            for i, p in enumerate(prev.paths):
+                # e may be prepended when its source matches the range of the tail
+                if prev.ranges[i] == se:
+                    paths.append((e,) + p)
+                    sources.append(prev.sources[i])
+                    ranges.append(re)
+        basis = PathBasis(k, tuple(paths), tuple(sources), tuple(ranges))
+    object.__setattr__(basis, "graph", graph)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _split(graph: GraphCorrespondence, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 <= j <= k:
+        raise ValueError("split point out of range")
+    basis = path_basis(graph, k)
+
+    def indices(level, parts, units):
+        if level == 0:
+            out = np.array(units, dtype=np.intp)
+        else:
+            index = path_basis(graph, level).index_map()
+            out = np.array([index[p] for p in parts], dtype=np.intp)
+        out.flags.writeable = False  # shared by every caller through the cache
+        return out
+
+    return (indices(j, [p[:j] for p in basis.paths], basis.ranges),
+            indices(k - j, [p[j:] for p in basis.paths], basis.sources))
+
+
+def _masked_gather(m, rows, cols, row_keys, col_keys) -> np.ndarray:
+    """out[r, c] = m[rows[r], cols[c]] if row_keys[r] == col_keys[c], else 0.
+
+    Every operator with an identity leg is this gather: ``rows``/``cols``
+    index the leg that carries ``m``, the keys index the identity leg, whose
+    coordinates must agree.
+    """
+    out = as_complex(m)[np.asarray(rows)[:, None], cols]
+    out[np.asarray(row_keys)[:, None] != col_keys] = 0.0
+    return out
 
 
 def levels_nonzero(graph: GraphCorrespondence, up_to: int) -> list[int]:
@@ -175,11 +219,9 @@ def inner_product(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement)
     """
     if xi.level != eta.level:
         raise ValueError("inner product requires elements of the same level")
-    basis = path_basis(graph, xi.level)
     out = np.zeros(graph.n_vertices, dtype=complex)
-    prod = np.conj(xi.coeffs) * eta.coeffs
-    for i, v in enumerate(basis.sources):
-        out[v] += prod[i]
+    np.add.at(out, np.array(path_basis(graph, xi.level).sources, dtype=np.intp),
+              np.conj(xi.coeffs) * eta.coeffs)
     return out
 
 
@@ -195,62 +237,34 @@ def left_action(graph: GraphCorrespondence, a, k: int) -> np.ndarray:
 def _random_module_map(graph: GraphCorrespondence, k: int, rng: np.random.Generator) -> np.ndarray:
     """A random module map on E^{(x)k}: Gaussian entries between paths of equal source."""
     basis = path_basis(graph, k)
-    m = rng_complex(rng, basis.size, basis.size)
-    for i in range(basis.size):
-        for j in range(basis.size):
-            if basis.sources[i] != basis.sources[j]:
-                m[i, j] = 0.0
-    return m
+    idx = np.arange(basis.size)
+    return _masked_gather(rng_complex(rng, basis.size, basis.size), idx, idx,
+                          basis.sources, basis.sources)
 
 
 def insertion_matrix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> np.ndarray:
     """T_xi^{(j)}: E^{(x)j} -> E^{(x)(j+k)}, eta |-> xi (x) eta.
 
-    For k = 0 this is left multiplication phi_j(xi).  Incomposable levels give
-    correctly shaped zero matrices rather than errors.
+    Path w of level j + k gets xi at its first k edges times eta at the rest;
+    for k = 0 this is left multiplication phi_j(xi), for j = 0 the suffix is
+    the source vertex.  Incomposable levels give correctly shaped zero
+    matrices rather than errors.
     """
-    k = xi.level
-    if k == 0:
-        return left_action(graph, xi.coeffs, j)
-    src = path_basis(graph, j)
-    dst = path_basis(graph, j + k)
-    mat = np.zeros((dst.size, src.size), dtype=complex)
-    if dst.size == 0 or src.size == 0:
-        return mat
-    if j == 0:
-        # suffix is a vertex unit: match against the path source
-        for w, path in enumerate(dst.paths):
-            mat[w, dst.sources[w]] = xi.coeffs[path_basis(graph, k).index_map()[path]]
-        return mat
-    pre_index = path_basis(graph, k).index_map()
-    suf_index = src.index_map()
-    for w, path in enumerate(dst.paths):
-        mat[w, suf_index[path[k:]]] = xi.coeffs[pre_index[path[:k]]]
-    return mat
+    pre, suf = path_basis(graph, j + xi.level).split(xi.level)
+    n_in = path_basis(graph, j).size
+    return _masked_gather(xi.coeffs[:, None], pre, np.zeros(n_in, dtype=np.intp),
+                          suf, np.arange(n_in))
 
 
 def embed_prefix(graph: GraphCorrespondence, a_mat: np.ndarray, a: int, k: int) -> np.ndarray:
-    """(A (x) I_{k-a}) on E^{(x)k} for A acting on the first a edges."""
+    """(A (x) I_{k-a}) on E^{(x)k} for A acting on the first a edges.
+
+    For a = 0 the module map A on M acts through the path range.
+    """
     if a == k:
         return as_complex(a_mat)
-    basis = path_basis(graph, k)
-    pre_index = path_basis(graph, a).index_map()
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    a_mat = as_complex(a_mat)
-    if basis.size == 0:
-        return out
-    if a == 0:
-        # module maps on M = level 0 are left multiplications: act by range
-        for i in range(basis.size):
-            out[i, i] = a_mat[basis.ranges[i], basis.ranges[i]]
-        return out
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(basis.paths):
-        groups.setdefault(p[a:], []).append(i)
-    for suffix, idxs in groups.items():
-        rows = [pre_index[basis.paths[i][:a]] for i in idxs]
-        out[np.ix_(idxs, idxs)] = a_mat[np.ix_(rows, rows)]
-    return out
+    pre, suf = path_basis(graph, k).split(a)
+    return _masked_gather(a_mat, pre, pre, suf, suf)
 
 
 def embed_suffix(graph: GraphCorrespondence, b_mat: np.ndarray, b: int, k: int) -> np.ndarray:
@@ -261,23 +275,8 @@ def embed_suffix(graph: GraphCorrespondence, b_mat: np.ndarray, b: int, k: int) 
     """
     if b == k:
         return as_complex(b_mat)
-    basis = path_basis(graph, k)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    b_mat = as_complex(b_mat)
-    if basis.size == 0:
-        return out
-    if b == 0:
-        for i in range(basis.size):
-            out[i, i] = b_mat[basis.sources[i], basis.sources[i]]
-        return out
-    suf_index = path_basis(graph, b).index_map()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(basis.paths):
-        groups.setdefault(p[: k - b], []).append(i)
-    for prefix, idxs in groups.items():
-        cols = [suf_index[basis.paths[i][k - b:]] for i in idxs]
-        out[np.ix_(idxs, idxs)] = b_mat[np.ix_(cols, cols)]
-    return out
+    pre, suf = path_basis(graph, k).split(k - b)
+    return _masked_gather(b_mat, suf, suf, pre, pre)
 
 
 def tensor_pair(graph: GraphCorrespondence, a_mat: np.ndarray, a: int, b_mat: np.ndarray, b: int) -> np.ndarray:
@@ -297,18 +296,8 @@ def factor_prefix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> list[t
     k = xi.level
     if not (1 <= j <= k):
         raise ValueError("prefix length out of range")
-    basis = path_basis(graph, k)
-    pre = path_basis(graph, j)
-    suf = path_basis(graph, k - j)
-    pre_index = pre.index_map()
-    out: dict[int, np.ndarray] = {}
-    for i, p in enumerate(basis.paths):
-        if xi.coeffs[i] == 0:
-            continue
-        pi = pre_index[p[:j]]
-        vec = out.setdefault(pi, np.zeros(suf.size, dtype=complex))
-        if k - j == 0:
-            vec[basis.sources[i]] += xi.coeffs[i]
-        else:
-            vec[suf.index_map()[p[j:]]] += xi.coeffs[i]
-    return [(pi, CorrElement(k - j, vec)) for pi, vec in sorted(out.items())]
+    pre, suf = path_basis(graph, k).split(j)
+    nz = xi.coeffs != 0
+    table = np.zeros((path_basis(graph, j).size, path_basis(graph, k - j).size), dtype=complex)
+    table[pre[nz], suf[nz]] = xi.coeffs[nz]
+    return [(int(p), CorrElement(k - j, table[p])) for p in np.unique(pre[nz])]

@@ -6,9 +6,11 @@ level decomposes as ⊕_p sigma<p,p>(H) = ⊕_p C^{m_{s(p)}}, and that direct su
 is the coordinate system used for every operator here: the unitary gamma_k of
 the decomposition is the identity permutation in these coordinates.
 
-Operators of the form Y (x) I_H for a module map Y are assembled blockwise:
-entry Y[p,q] contributes Y[p,q] * I on the (p,q) block, which is well-typed
-because module maps preserve path sources.  ``InducedSpace`` is the one home
+Every coordinate of a level carries a path index and an H index.  Operators
+with an identity leg are gathers over these index arrays: Y (x) I_H for a
+module map Y takes Y[p, q] where the H indices agree (well-typed because
+module maps preserve path sources), and I_j (x) T takes T between the path
+suffixes where the length-j prefixes agree.  ``InducedSpace`` is the one home
 of that assembly, of the insertions L_xi: H -> level k, and of the dual left
 action I_k (x) A.
 """
@@ -21,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock import FockOperator, TruncatedFock
-from .graphs import CorrElement, GraphCorrespondence, path_basis
+from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .linalg import as_complex, operator_norm, residual
 
 
@@ -115,6 +117,18 @@ class CommutantAlgebra:
         return out
 
 
+def _check_module_map(y: np.ndarray, row_sources, col_sources) -> None:
+    """Entries of Y between paths of different sources must be <= 1e-12 max(1, ||Y||).
+
+    The norm is taken only when such an entry is nonzero.
+    """
+    if not np.isfinite(y).all():
+        raise ValueError("module map has non-finite entries")
+    cross = np.abs(y[np.not_equal.outer(row_sources, col_sources)])
+    if cross.any() and (cross > 1e-12 * max(1.0, operator_norm(y))).any():
+        raise ValueError("matrix is not a module map: sources differ")
+
+
 class InducedSpace:
     """Coordinates and operator assembly on ⊕_{k<=N} E^{(x)k} (x)_sigma H."""
 
@@ -125,21 +139,19 @@ class InducedSpace:
         self.rep = rep
         self.levels = levels
         self.fock = TruncatedFock(graph, levels)
-        m = rep.multiplicities
+        m = np.array(rep.multiplicities)
         self.block_sizes: list[list[int]] = []
         self.block_offsets: list[list[int]] = []
         self.level_offsets: list[int] = [0]
         for k in range(levels + 1):
-            basis = path_basis(graph, k)
-            sizes = [m[s] for s in basis.sources]
-            offs = [0]
-            for s in sizes:
-                offs.append(offs[-1] + s)
-            self.block_sizes.append(sizes)
-            self.block_offsets.append(offs)
-            self.level_offsets.append(self.level_offsets[-1] + offs[-1])
+            sizes = m[np.array(path_basis(graph, k).sources, dtype=np.intp)]
+            offs = np.concatenate([[0], np.cumsum(sizes)])
+            self.block_sizes.append(sizes.tolist())
+            self.block_offsets.append(offs.tolist())
+            self.level_offsets.append(self.level_offsets[-1] + int(offs[-1]))
         self.dim = self.level_offsets[-1]
         self.h_dim = rep.h_dim
+        self._cuts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -149,18 +161,42 @@ class InducedSpace:
     def level_dim(self, k: int) -> int:
         return self.level_offsets[k + 1] - self.level_offsets[k]
 
-    def block_slice(self, k: int, p: int) -> slice:
-        base = self.level_offsets[k] + self.block_offsets[k][p]
-        return slice(base, base + self.block_sizes[k][p])
-
     def prefix_dim(self, n: int) -> int:
         """Dimension of K_n = levels 0..n."""
         return self.level_offsets[n + 1]
 
     def level_embed(self, k: int) -> np.ndarray:
+        """The isometry of level k into the whole space; for k = 0 the vacuum insertion L_{1^}."""
         out = np.zeros((self.dim, self.level_dim(k)), dtype=complex)
         out[self.level_slice(k), :] = np.eye(self.level_dim(k))
         return out
+
+    def _cut(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per coordinate of level k: the prefix index of its path cut after j
+        edges, and the level-(k-j) coordinate of its suffix at the same H
+        component.  Cut at j = k the second array holds H indices (level 0 is
+        H), cut at j = 0 the first holds the path range."""
+        if (k, j) not in self._cuts:
+            offs = self.block_offsets[k]
+            path = np.repeat(np.arange(len(offs) - 1), self.block_sizes[k])
+            local = np.arange(offs[-1]) - np.array(offs, dtype=np.intp)[path]
+            pre, suf = path_basis(self.graph, k).split(j)
+            self._cuts[k, j] = (pre[path],
+                                np.array(self.block_offsets[k - j], dtype=np.intp)[suf[path]] + local)
+        return self._cuts[k, j]
+
+    @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per coordinate of the whole space: its Fock coordinate and its H index."""
+        cuts = [self._cut(k, k) for k in range(self.levels + 1)]
+        return (np.concatenate([off + pre for off, (pre, _) in zip(self.fock.offsets, cuts)]),
+                np.concatenate([h for _, h in cuts]))
+
+    def _left_identity(self, t: np.ndarray, j: int, k_out: int, k_in: int) -> np.ndarray:
+        """I_j (x) T: level j + k_in -> level j + k_out, for T: level k_in -> level k_out."""
+        pre_out, rows = self._cut(j + k_out, j)
+        pre_in, cols = self._cut(j + k_in, j)
+        return _masked_gather(t, rows, cols, pre_out, pre_in)
 
     # -- operator assembly ---------------------------------------------------
 
@@ -169,105 +205,57 @@ class InducedSpace:
         if k_in is None:
             k_in = k_out
         y = as_complex(y)
-        rows = path_basis(self.graph, k_out)
-        cols = path_basis(self.graph, k_in)
-        out = np.zeros((self.level_dim(k_out), self.level_dim(k_in)), dtype=complex)
-        if y.size == 0:
-            return out
-        if not np.isfinite(y).all():
-            raise ValueError("module map has non-finite entries")
-        scale = None  # max(1, ||Y||), needed only to judge a cross-source entry
-        for p in range(rows.size):
-            rsl = slice(self.block_offsets[k_out][p], self.block_offsets[k_out][p + 1])
-            for q in range(cols.size):
-                val = y[p, q]
-                if abs(val) == 0.0:
-                    continue
-                if rows.sources[p] != cols.sources[q]:
-                    if scale is None:
-                        scale = max(1.0, operator_norm(y))
-                    if abs(val) > 1e-12 * scale:
-                        raise ValueError("matrix is not a module map: sources differ")
-                    continue
-                csl = slice(self.block_offsets[k_in][q], self.block_offsets[k_in][q + 1])
-                out[rsl, csl] = val * np.eye(self.block_sizes[k_out][p])
-        return out
+        _check_module_map(y, path_basis(self.graph, k_out).sources,
+                          path_basis(self.graph, k_in).sources)
+        (p_out, h_out), (p_in, h_in) = self._cut(k_out, k_out), self._cut(k_in, k_in)
+        return _masked_gather(y, p_out, p_in, h_out, h_in)
 
     def fock_tensor_identity(self, y) -> np.ndarray:
-        """(Y (x) I_H) on the whole truncated induced space."""
+        """(Y (x) I_H) on the whole truncated induced space.
+
+        One gather over all levels.  The module-map rule of
+        ``level_tensor_identity`` judges, in block order, each level block of
+        Y that holds a non-finite or a cross-source nonzero entry.
+        """
         mat = y.matrix if isinstance(y, FockOperator) else as_complex(y)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.levels + 1):
-            for j in range(self.levels + 1):
-                blk = mat[self.fock.level_slice(i), self.fock.level_slice(j)]
-                if not blk.any():
-                    continue
-                out[self.level_slice(i), self.level_slice(j)] = \
-                    self.level_tensor_identity(blk, i, j)
-        return out
+        fock = self.fock
+        src, lvl = fock.sources, fock.level_of
+        rows, cols = np.nonzero(~np.isfinite(mat) | ((mat != 0) & np.not_equal.outer(src, src)))
+        for i, j in sorted(set(zip(lvl[rows].tolist(), lvl[cols].tolist()))):
+            rs, cs = fock.level_slice(i), fock.level_slice(j)
+            _check_module_map(mat[rs, cs], src[rs], src[cs])
+        f, h = self.coordinates
+        return _masked_gather(mat, f, f, h, h)
 
     def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
         """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
-        basis = path_basis(self.graph, k)
-        out = np.zeros((self.level_dim(k), self.level_dim(k)), dtype=complex)
-        for p in range(basis.size):
-            sl = slice(self.block_offsets[k][p], self.block_offsets[k][p + 1])
-            v = basis.sources[p]
-            out[sl, sl] = a[self.rep.block(v), self.rep.block(v)]
-        return out
+        return self._left_identity(a, k, 0, 0)
 
     def dual_left(self, a: np.ndarray) -> np.ndarray:
         """⊕_k I_k (x) A on the whole truncated induced space."""
-        a = as_complex(a)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(self.levels + 1):
-            sl = self.level_slice(k)
-            out[sl, sl] = self.dual_left_level(a, k)
-        return out
+        f, h = self.coordinates
+        return _masked_gather(a, h, h, f, f)
 
     def sigma_level(self, a, k: int) -> np.ndarray:
         """The induced action of a in M on level k: a(r(p)) per block."""
-        a = as_complex(a).reshape(-1)
-        basis = path_basis(self.graph, k)
-        out = np.zeros((self.level_dim(k), self.level_dim(k)), dtype=complex)
-        for p in range(basis.size):
-            sl = slice(self.block_offsets[k][p], self.block_offsets[k][p + 1])
-            out[sl, sl] = a[basis.ranges[p]] * np.eye(self.block_sizes[k][p])
-        return out
+        return np.diag(as_complex(a).reshape(-1)[self._cut(k, 0)[0]])
 
     # -- vectors ------------------------------------------------------------
 
     def insertion_map(self, xi: CorrElement) -> np.ndarray:
-        """L_xi: H -> level k of the induced space, h |-> xi (x) h."""
-        k = xi.level
-        basis = path_basis(self.graph, k)
-        out = np.zeros((self.level_dim(k), self.h_dim), dtype=complex)
-        for p in range(basis.size):
-            if xi.coeffs[p] == 0:
-                continue
-            v = basis.sources[p]
-            sl = slice(self.block_offsets[k][p], self.block_offsets[k][p + 1])
-            out[sl, self.rep.block(v)] = xi.coeffs[p] * np.eye(self.block_sizes[k][p])
-        return out
+        """L_xi: H -> level k of the induced space, h |-> xi (x) h.
+
+        ``level_embed(k) @ insertion_map(xi)`` lands in the whole space; at a
+        basis path that is the basis insertion L_{p^}.
+        """
+        path, h = self._cut(xi.level, xi.level)
+        return _masked_gather(xi.coeffs[:, None], path, np.zeros(self.h_dim, dtype=np.intp),
+                              h, np.arange(self.h_dim))
 
     def simple_tensor(self, xi: CorrElement, h: np.ndarray) -> np.ndarray:
         """Coordinates of xi (x) h in the whole truncated induced space."""
         out = np.zeros(self.dim, dtype=complex)
         out[self.level_slice(xi.level)] = self.insertion_map(xi) @ as_complex(h).reshape(-1)
-        return out
-
-    def basis_inserter(self, k: int, p: int) -> np.ndarray:
-        """L_{p^}: H -> K, h |-> p^ (x) h (supported on the source block)."""
-        basis = path_basis(self.graph, k)
-        out = np.zeros((self.dim, self.h_dim), dtype=complex)
-        v = basis.sources[p]
-        out[self.block_slice(k, p), self.rep.block(v)] = np.eye(self.block_sizes[k][p])
-        return out
-
-    def vacuum_inserter(self) -> np.ndarray:
-        """L_{1^}: H -> K; level 0 of the induced space is a copy of H."""
-        out = np.zeros((self.dim, self.h_dim), dtype=complex)
-        out[self.level_slice(0), :] = np.eye(self.h_dim)
         return out
 
     def suffix_insert(self, t: np.ndarray, k: int, j: int) -> np.ndarray:
@@ -277,25 +265,7 @@ class InducedSpace:
         (level j) to path p + q (level j+k) is the (q, r(q)) block of T, which
         requires r(q) = s(p).
         """
-        t = as_complex(t)
-        if j == 0:
-            return t
-        rows = path_basis(self.graph, j + k)
-        out = np.zeros((self.level_dim(j + k), self.level_dim(j)), dtype=complex)
-        if rows.size == 0:
-            return out
-        pre_index = path_basis(self.graph, j).index_map()
-        suf = path_basis(self.graph, k)
-        suf_index = suf.index_map()
-        for w, wpath in enumerate(rows.paths):
-            p = pre_index[wpath[:j]]
-            q = suf_index[wpath[j:]]
-            v = suf.ranges[q]
-            rsl = slice(self.block_offsets[j + k][w], self.block_offsets[j + k][w + 1])
-            csl = slice(self.block_offsets[j][p], self.block_offsets[j][p + 1])
-            qsl = slice(self.block_offsets[k][q], self.block_offsets[k][q + 1])
-            out[rsl, csl] = t[qsl, self.rep.block(v)]
-        return out
+        return self._left_identity(t, j, k, 0)
 
     def lower_by_point(self, z: np.ndarray, j: int) -> np.ndarray:
         """(I_{j-1} (x) z): level j -> level j-1 for an intertwiner z^*-dual.
@@ -303,22 +273,7 @@ class InducedSpace:
         Here z maps the level-1 induced space to H (a disc-point matrix); the
         result peels the last edge of each path through z.
         """
-        z = as_complex(z)
-        rows = path_basis(self.graph, j - 1)
-        cols = path_basis(self.graph, j)
-        out = np.zeros((self.level_dim(j - 1), self.level_dim(j)), dtype=complex)
-        if rows.size == 0 or cols.size == 0:
-            return out
-        row_index = rows.index_map()
-        for w, wpath in enumerate(cols.paths):
-            p = cols.ranges[w] if j == 1 else row_index[wpath[:-1]]
-            e = wpath[-1]
-            re = self.graph.range_(e)
-            rsl = slice(self.block_offsets[j - 1][p], self.block_offsets[j - 1][p + 1])
-            csl = slice(self.block_offsets[j][w], self.block_offsets[j][w + 1])
-            eblk = slice(self.block_offsets[1][e], self.block_offsets[1][e + 1])
-            out[rsl, csl] = z[self.rep.block(re), eblk]
-        return out
+        return self._left_identity(z, j - 1, 0, 1)
 
 
 def gamma_decomposition(graph: GraphCorrespondence, rep: Representation, k: int):
@@ -328,9 +283,8 @@ def gamma_decomposition(graph: GraphCorrespondence, rep: Representation, k: int)
     index map lists (path index, source vertex, offset, block size).
     """
     ind = InducedSpace(graph, rep, k)
-    basis = path_basis(graph, k)
-    blocks = [(p, basis.sources[p], ind.block_offsets[k][p], ind.block_sizes[k][p])
-              for p in range(basis.size)]
+    blocks = list(zip(range(ind.fock.level_dims[k]), path_basis(graph, k).sources,
+                      ind.block_offsets[k], ind.block_sizes[k]))
     return np.eye(ind.level_dim(k), dtype=complex), blocks
 
 

@@ -255,7 +255,7 @@ def representation_eval(z: DiscPoint, word) -> np.ndarray:
 def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarray:
     """Evaluation through the kernel column: L_z^* (Y (x) I) L_I."""
     c = CauchyKernel(z, ws)
-    return c.column.conj().T @ op_matrix @ z.ind.vacuum_inserter()
+    return c.column.conj().T @ op_matrix @ z.ind.level_embed(0)
 
 
 def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
@@ -506,7 +506,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     g_tilde, trace = two_space_lift(model_sum, emb1, emb2, q_f, q_b, g12,
                                     hypothesis_tol=hyp_budget)
 
-    vac = ind.vacuum_inserter()
+    vac = ind.level_embed(0)
     evaluations = []
     residuals_out = []
     for i, z in enumerate(problem.points):

@@ -78,8 +78,11 @@ def encode_graph(g: GraphCorrespondence) -> dict:
 
 
 def decode_count(obj: dict, key: str, default: int) -> int:
-    """The integer field ``key`` of ``obj``; a non-integral value is named, never truncated."""
-    return _named(key, _count, obj.get(key, default))
+    """The integer field ``key`` of ``obj``, at least 1; a bad value is named, never truncated."""
+    n = _named(key, _count, obj.get(key, default))
+    if n < 1:
+        raise ValueError(f"{key}: must be at least 1, got {n}")
+    return n
 
 
 def _edge(e) -> tuple[int, int]:

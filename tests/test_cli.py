@@ -206,3 +206,16 @@ def test_non_integral_count_is_named(tmp_path, bad, command, base, path, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "c.json", obj), N=3))
     assert code == 1
     assert f"{field}: not an integer" in report["error"]
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("command, base, key", [
+    ("solve", TWO_POINT, "s"),
+    ("solve", TWO_POINT, "t"),
+    ("lift", LIFT, "instances"),
+], ids=["s", "t", "instances"])
+def test_count_below_one_is_named(tmp_path, bad, command, base, key):
+    obj = dict(base, **{key: bad})
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "c.json", obj), N=3))
+    assert code == 1
+    assert f"{key}: must be at least 1, got {bad}" in report["error"]

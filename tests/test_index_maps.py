@@ -1,0 +1,520 @@
+"""Identity legs as index maps, checked against per-path reference loops.
+
+Each assembly built by the single masked gather is compared, entry for entry
+(``np.array_equal``), with a test-local copy of the per-path loop it replaced,
+on random small graphs; the last tests check tensor and creation identities
+on the same graphs.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from graph_strategies import multiplicities, small_graphs
+from wfock.acceptance import _random_graph_x
+from wfock.duality import DualCalculus, DualStructure, direct_sum_embedding
+from wfock.fock import FockOperator, TruncatedFock, tensor_element, weighted_creation
+from wfock.graphs import (
+    CorrElement,
+    _random_module_map,
+    embed_prefix,
+    embed_suffix,
+    factor_prefix,
+    inner_product,
+    insertion_matrix,
+    left_action,
+    path_basis,
+    tensor_pair,
+)
+from wfock.induced import InducedSpace, Representation
+from wfock.linalg import operator_norm, residual, rng_complex
+from wfock.weights import AdmissibleSequence, weight_system_from
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _rng(data):
+    return np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+
+def _module_map(rng, graph, k, keep_ranges=False):
+    """Random entries between paths of equal source (and equal range if asked)."""
+    basis = path_basis(graph, k)
+    m = rng_complex(rng, basis.size, basis.size)
+    src = np.array(basis.sources)
+    keep = np.equal.outer(src, src)
+    if keep_ranges:
+        rng_ = np.array(basis.ranges)
+        keep &= np.equal.outer(rng_, rng_)
+    return np.where(keep, m, 0)
+
+
+# -- reference copies of the per-path loops -------------------------------------
+
+
+def ref_inner_product(graph, xi, eta):
+    basis = path_basis(graph, xi.level)
+    out = np.zeros(graph.n_vertices, dtype=complex)
+    prod = np.conj(xi.coeffs) * eta.coeffs
+    for i, v in enumerate(basis.sources):
+        out[v] += prod[i]
+    return out
+
+
+def ref_random_module_map(graph, k, rng):
+    basis = path_basis(graph, k)
+    m = rng_complex(rng, basis.size, basis.size)
+    for i in range(basis.size):
+        for j in range(basis.size):
+            if basis.sources[i] != basis.sources[j]:
+                m[i, j] = 0.0
+    return m
+
+
+def ref_insertion_matrix(graph, xi, j):
+    k = xi.level
+    if k == 0:
+        return left_action(graph, xi.coeffs, j)
+    src = path_basis(graph, j)
+    dst = path_basis(graph, j + k)
+    mat = np.zeros((dst.size, src.size), dtype=complex)
+    if dst.size == 0 or src.size == 0:
+        return mat
+    if j == 0:
+        for w, path in enumerate(dst.paths):
+            mat[w, dst.sources[w]] = xi.coeffs[path_basis(graph, k).index_map()[path]]
+        return mat
+    pre_index = path_basis(graph, k).index_map()
+    suf_index = src.index_map()
+    for w, path in enumerate(dst.paths):
+        mat[w, suf_index[path[k:]]] = xi.coeffs[pre_index[path[:k]]]
+    return mat
+
+
+def ref_embed_prefix(graph, a_mat, a, k):
+    if a == k:
+        return a_mat
+    basis = path_basis(graph, k)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    if basis.size == 0:
+        return out
+    if a == 0:
+        for i in range(basis.size):
+            out[i, i] = a_mat[basis.ranges[i], basis.ranges[i]]
+        return out
+    pre_index = path_basis(graph, a).index_map()
+    groups = {}
+    for i, p in enumerate(basis.paths):
+        groups.setdefault(p[a:], []).append(i)
+    for idxs in groups.values():
+        rows = [pre_index[basis.paths[i][:a]] for i in idxs]
+        out[np.ix_(idxs, idxs)] = a_mat[np.ix_(rows, rows)]
+    return out
+
+
+def ref_embed_suffix(graph, b_mat, b, k):
+    if b == k:
+        return b_mat
+    basis = path_basis(graph, k)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    if basis.size == 0:
+        return out
+    if b == 0:
+        for i in range(basis.size):
+            out[i, i] = b_mat[basis.sources[i], basis.sources[i]]
+        return out
+    suf_index = path_basis(graph, b).index_map()
+    groups = {}
+    for i, p in enumerate(basis.paths):
+        groups.setdefault(p[: k - b], []).append(i)
+    for idxs in groups.values():
+        cols = [suf_index[basis.paths[i][k - b:]] for i in idxs]
+        out[np.ix_(idxs, idxs)] = b_mat[np.ix_(cols, cols)]
+    return out
+
+
+def ref_factor_prefix(graph, xi, j):
+    k = xi.level
+    basis = path_basis(graph, k)
+    suf = path_basis(graph, k - j)
+    pre_index = path_basis(graph, j).index_map()
+    out = {}
+    for i, p in enumerate(basis.paths):
+        if xi.coeffs[i] == 0:
+            continue
+        vec = out.setdefault(pre_index[p[:j]], np.zeros(suf.size, dtype=complex))
+        if k - j == 0:
+            vec[basis.sources[i]] += xi.coeffs[i]
+        else:
+            vec[suf.index_map()[p[j:]]] += xi.coeffs[i]
+    return sorted(out.items())
+
+
+def _block(ind, k, p):
+    return slice(ind.block_offsets[k][p], ind.block_offsets[k][p + 1])
+
+
+def ref_level_tensor_identity(ind, y, k_out, k_in):
+    rows, cols = path_basis(ind.graph, k_out), path_basis(ind.graph, k_in)
+    out = np.zeros((ind.level_dim(k_out), ind.level_dim(k_in)), dtype=complex)
+    if y.size == 0:
+        return out
+    if not np.isfinite(y).all():
+        raise ValueError("module map has non-finite entries")
+    scale = None
+    for p in range(rows.size):
+        for q in range(cols.size):
+            if abs(y[p, q]) == 0.0:
+                continue
+            if rows.sources[p] != cols.sources[q]:
+                if scale is None:
+                    scale = max(1.0, operator_norm(y))
+                if abs(y[p, q]) > 1e-12 * scale:
+                    raise ValueError("matrix is not a module map: sources differ")
+                continue
+            out[_block(ind, k_out, p), _block(ind, k_in, q)] = \
+                y[p, q] * np.eye(ind.block_sizes[k_out][p])
+    return out
+
+
+def ref_fock_tensor_identity(ind, mat):
+    out = np.zeros((ind.dim, ind.dim), dtype=complex)
+    for i in range(ind.levels + 1):
+        for j in range(ind.levels + 1):
+            blk = mat[ind.fock.level_slice(i), ind.fock.level_slice(j)]
+            if blk.any():
+                out[ind.level_slice(i), ind.level_slice(j)] = \
+                    ref_level_tensor_identity(ind, blk, i, j)
+    return out
+
+
+def ref_check_band(space, matrix, degree):
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"degree-{degree} operator has non-finite entries")
+    tol = None
+    for j in range(space.levels + 1):
+        for i in range(space.levels + 1):
+            if i - j == degree:
+                continue
+            block = matrix[space.level_slice(i), space.level_slice(j)]
+            if not block.any():
+                continue
+            if tol is None:
+                tol = 1e-13 * max(1.0, operator_norm(matrix))
+            if operator_norm(block) > tol:
+                raise ValueError(f"degree-{degree} operator has mass at block ({i},{j})")
+
+
+def ref_dual_left_level(ind, a, k):
+    basis = path_basis(ind.graph, k)
+    out = np.zeros((ind.level_dim(k), ind.level_dim(k)), dtype=complex)
+    for p in range(basis.size):
+        v = basis.sources[p]
+        out[_block(ind, k, p), _block(ind, k, p)] = a[ind.rep.block(v), ind.rep.block(v)]
+    return out
+
+
+def ref_dual_left(ind, a):
+    out = np.zeros((ind.dim, ind.dim), dtype=complex)
+    for k in range(ind.levels + 1):
+        out[ind.level_slice(k), ind.level_slice(k)] = ref_dual_left_level(ind, a, k)
+    return out
+
+
+def ref_sigma_level(ind, a, k):
+    basis = path_basis(ind.graph, k)
+    out = np.zeros((ind.level_dim(k), ind.level_dim(k)), dtype=complex)
+    for p in range(basis.size):
+        out[_block(ind, k, p), _block(ind, k, p)] = \
+            a[basis.ranges[p]] * np.eye(ind.block_sizes[k][p])
+    return out
+
+
+def ref_insertion_map(ind, xi):
+    k = xi.level
+    basis = path_basis(ind.graph, k)
+    out = np.zeros((ind.level_dim(k), ind.h_dim), dtype=complex)
+    for p in range(basis.size):
+        if xi.coeffs[p] != 0:
+            out[_block(ind, k, p), ind.rep.block(basis.sources[p])] = \
+                xi.coeffs[p] * np.eye(ind.block_sizes[k][p])
+    return out
+
+
+def ref_basis_inserter(ind, k, p):
+    out = np.zeros((ind.dim, ind.h_dim), dtype=complex)
+    base = ind.level_offsets[k] + ind.block_offsets[k][p]
+    v = path_basis(ind.graph, k).sources[p]
+    out[base:base + ind.block_sizes[k][p], ind.rep.block(v)] = np.eye(ind.block_sizes[k][p])
+    return out
+
+
+def ref_suffix_insert(ind, t, k, j):
+    if j == 0:
+        return t
+    rows = path_basis(ind.graph, j + k)
+    out = np.zeros((ind.level_dim(j + k), ind.level_dim(j)), dtype=complex)
+    pre_index = path_basis(ind.graph, j).index_map()
+    suf = path_basis(ind.graph, k)
+    suf_index = suf.index_map()
+    for w, wpath in enumerate(rows.paths):
+        p, q = pre_index[wpath[:j]], suf_index[wpath[j:]]
+        out[_block(ind, j + k, w), _block(ind, j, p)] = \
+            t[_block(ind, k, q), ind.rep.block(suf.ranges[q])]
+    return out
+
+
+def ref_lower_by_point(ind, z, j):
+    rows, cols = path_basis(ind.graph, j - 1), path_basis(ind.graph, j)
+    out = np.zeros((ind.level_dim(j - 1), ind.level_dim(j)), dtype=complex)
+    row_index = rows.index_map()
+    for w, wpath in enumerate(cols.paths):
+        p = cols.ranges[w] if j == 1 else row_index[wpath[:-1]]
+        e = wpath[-1]
+        out[_block(ind, j - 1, p), _block(ind, j, w)] = \
+            z[ind.rep.block(ind.graph.range_(e)), _block(ind, 1, e)]
+    return out
+
+
+def ref_dual_embed_suffix(s, m, a, k):
+    tuples, idx_suf = s.tuples(k), s.tuple_index(k - a)
+    out = np.zeros((len(tuples), len(tuples)), dtype=complex)
+    for r, t in enumerate(tuples):
+        for c, u in enumerate(tuples):
+            if u.edges[:a] == t.edges[:a] and u.row == t.row:
+                out[r, c] = m[idx_suf[(t.edges[a:], 0)], idx_suf[(u.edges[a:], 0)]]
+    return out
+
+
+def ref_dual_embed_prefix(s, m, b, k):
+    a = k - b
+    tuples, idx_pre = s.tuples(k), s.tuple_index(a)
+    out = np.zeros((len(tuples), len(tuples)), dtype=complex)
+    for r, t in enumerate(tuples):
+        for c, u in enumerate(tuples):
+            if u.edges[a:] == t.edges[a:]:
+                out[r, c] = m[idx_pre[(t.edges[:a], t.row)], idx_pre[(u.edges[:a], u.row)]]
+    return out
+
+
+def ref_direct_sum_embedding(ind1, ind2, ind_sum):
+    emb1 = np.zeros((ind_sum.dim, ind1.dim), dtype=complex)
+    emb2 = np.zeros((ind_sum.dim, ind2.dim), dtype=complex)
+    for k in range(ind1.levels + 1):
+        for p in range(path_basis(ind1.graph, k).size):
+            m1, m2 = ind1.block_sizes[k][p], ind2.block_sizes[k][p]
+            start = ind_sum.level_offsets[k] + ind_sum.block_offsets[k][p]
+            c1 = ind1.level_offsets[k] + ind1.block_offsets[k][p]
+            c2 = ind2.level_offsets[k] + ind2.block_offsets[k][p]
+            emb1[start:start + m1, c1:c1 + m1] = np.eye(m1)
+            emb2[start + m1:start + m1 + m2, c2:c2 + m2] = np.eye(m2)
+    return emb1, emb2
+
+
+# -- the gathers against the loops ----------------------------------------------
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(0, 4), st.data())
+def test_graph_assemblies_match_the_loops(graph, k, data):
+    rng = _rng(data)
+    d = path_basis(graph, k).size
+    xi, eta = CorrElement(k, rng_complex(rng, d)), CorrElement(k, rng_complex(rng, d))
+    xi.coeffs[rng.random(d) < 0.3] = 0.0
+    assert np.array_equal(inner_product(graph, xi, eta), ref_inner_product(graph, xi, eta))
+    seed = int(rng.integers(2 ** 32))
+    assert np.array_equal(_random_module_map(graph, k, np.random.default_rng(seed)),
+                          ref_random_module_map(graph, k, np.random.default_rng(seed)))
+    for j in range(4 - k):
+        assert np.array_equal(insertion_matrix(graph, xi, j), ref_insertion_matrix(graph, xi, j))
+    m = _module_map(rng, graph, k)
+    for n in range(k, 5):
+        for emb, ref in ((embed_prefix, ref_embed_prefix), (embed_suffix, ref_embed_suffix)):
+            assert np.array_equal(emb(graph, m, k, n), ref(graph, m, k, n))
+    for j in range(1, k + 1):
+        got = factor_prefix(graph, xi, j)
+        want = ref_factor_prefix(graph, xi, j)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert all(np.array_equal(e.coeffs, v) for (_, e), (_, v) in zip(got, want))
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_induced_assemblies_match_the_loops(graph, n, data):
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    h = rep.h_dim
+    a_mat = np.zeros((h, h), dtype=complex)
+    for v in range(graph.n_vertices):
+        blk = rep.block(v)
+        a_mat[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    assert np.array_equal(ind.dual_left(a_mat), ref_dual_left(ind, a_mat))
+    fock = TruncatedFock(graph, n)
+    big = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            y = _module_map_between(rng, graph, i, j)
+            big[fock.level_slice(i), fock.level_slice(j)] = y
+            assert np.array_equal(ind.level_tensor_identity(y, i, j),
+                                  ref_level_tensor_identity(ind, y, i, j))
+    assert np.array_equal(ind.fock_tensor_identity(big), ref_fock_tensor_identity(ind, big))
+    a = rng_complex(rng, graph.n_vertices)
+    vertex_of_h = np.repeat(np.arange(graph.n_vertices), rep.multiplicities)
+    z = np.zeros((h, ind.level_dim(1)), dtype=complex)
+    for e in range(graph.n_edges):
+        rows, cols = rep.block(graph.range_(e)), _block(ind, 1, e)
+        z[rows, cols] = rng_complex(rng, rows.stop - rows.start, cols.stop - cols.start)
+    for k in range(n + 1):
+        d = path_basis(graph, k).size
+        assert np.array_equal(ind.dual_left_level(a_mat, k), ref_dual_left_level(ind, a_mat, k))
+        assert np.array_equal(ind.sigma_level(a, k), ref_sigma_level(ind, a, k))
+        xi = CorrElement(k, rng_complex(rng, d))
+        xi.coeffs[rng.random(d) < 0.3] = 0.0
+        assert np.array_equal(ind.insertion_map(xi), ref_insertion_map(ind, xi))
+        for p in range(d):
+            ins = ind.level_embed(k) @ ind.insertion_map(CorrElement.basis_vector(graph, k, p))
+            assert np.array_equal(ins, ref_basis_inserter(ind, k, p))
+        if k >= 1:
+            assert np.array_equal(ind.lower_by_point(z, k), ref_lower_by_point(ind, z, k))
+        # an intertwiner H -> level k: block v of H lands on paths with range v
+        ranges = np.repeat(np.array(path_basis(graph, k).ranges, dtype=int), ind.block_sizes[k])
+        t = np.where(np.equal.outer(ranges, vertex_of_h), rng_complex(rng, ind.level_dim(k), h), 0)
+        for j in range(n + 1 - k if k else 0):  # the loop had no level-0 suffix
+            assert np.array_equal(ind.suffix_insert(t, k, j), ref_suffix_insert(ind, t, k, j))
+    vacuum = ind.level_embed(0) @ ind.insertion_map(CorrElement(0, np.ones(graph.n_vertices)))
+    assert np.array_equal(vacuum, np.eye(ind.dim, h))
+
+
+def _module_map_between(rng, graph, i, j):
+    """Random entries between level-j and level-i paths of equal source."""
+    rows, cols = path_basis(graph, i), path_basis(graph, j)
+    keep = np.equal.outer(np.array(rows.sources, dtype=int), np.array(cols.sources, dtype=int))
+    return np.where(keep, rng_complex(rng, rows.size, cols.size), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.integers(1, 3), st.data())
+def test_dual_assemblies_match_the_loops(graph, n, data):
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    rep2 = Representation(tuple(data.draw(multiplicities(graph), label="sigma2")))
+    ind = InducedSpace(graph, rep, n)
+    ws = weight_system_from(AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n))
+    s = DualStructure(ind, ws)
+    calc = DualCalculus(s)
+    rng = _rng(data)
+    for k in range(2, n + 1):
+        for a in range(1, k):
+            m = rng_complex(rng, len(s.tuples(k - a)), len(s.tuples(k - a)))
+            assert np.array_equal(calc.embed_suffix(m, a, k), ref_dual_embed_suffix(s, m, a, k))
+            m = rng_complex(rng, len(s.tuples(a)), len(s.tuples(a)))
+            assert np.array_equal(calc.embed_prefix(m, k - a, k),
+                                  ref_dual_embed_prefix(s, m, k - a, k))
+    ind2 = InducedSpace(graph, rep2, n)
+    ind_sum, emb1, emb2 = direct_sum_embedding(ind, ind2)
+    ref1, ref2 = ref_direct_sum_embedding(ind, ind2, ind_sum)
+    assert np.array_equal(emb1, ref1) and np.array_equal(emb2, ref2)
+
+
+def _outcome(build):
+    """The built array, or the message of the ValueError raised instead."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    return a == b if isinstance(a, str) or isinstance(b, str) else np.array_equal(a, b)
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_graded_checks_judge_like_the_block_loops(graph, n, data):
+    """Several off-band or cross-source bumps at 0.5-2x their thresholds, and
+    sometimes a non-finite entry: the same verdict and message as the loops."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    fock = ind.fock
+    rng = _rng(data)
+    degree = data.draw(st.integers(-n, n), label="degree")
+    band = np.zeros((fock.dim, fock.dim), dtype=complex)
+    mod = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            mod[fock.level_slice(i), fock.level_slice(j)] = _module_map_between(rng, graph, i, j)
+            if i - j == degree:
+                band[fock.level_slice(i), fock.level_slice(j)] = \
+                    rng_complex(rng, fock.level_dims[i], fock.level_dims[j])
+    src = fock.sources
+    cross = np.argwhere(np.not_equal.outer(src, src))
+    off_band = np.argwhere(np.not_equal.outer(fock.level_of, fock.level_of + degree))
+    for _ in range(data.draw(st.integers(0, 3), label="bumps")):
+        factor = data.draw(st.floats(0.5, 2.0), label="factor")
+        if len(off_band):
+            r, c = off_band[data.draw(st.integers(0, len(off_band) - 1), label="band entry")]
+            band[r, c] = factor * 1e-13 * max(1.0, operator_norm(band))
+        if len(cross):
+            r, c = cross[data.draw(st.integers(0, len(cross) - 1), label="cross entry")]
+            blk = mod[fock.level_slice(fock.level_of[r]), fock.level_slice(fock.level_of[c])]
+            mod[r, c] = factor * 1e-12 * max(1.0, operator_norm(blk))
+    if data.draw(st.booleans(), label="non-finite"):
+        r, c = rng.integers(fock.dim, size=2)
+        band[r, c] = mod[r, c] = np.nan
+    assert _same(_outcome(lambda: FockOperator(fock, band, degree).matrix),
+                 _outcome(lambda: ref_check_band(fock, band, degree) or band))
+    assert _same(_outcome(lambda: ind.fock_tensor_identity(mod)),
+                 _outcome(lambda: ref_fock_tensor_identity(ind, mod)))
+
+
+@SETTINGS
+@given(small_graphs(), st.data())
+def test_random_graph_x_mask_matches_the_loop(graph, data):
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    x = _random_graph_x(graph, 3, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for k in range(1, 4):
+        basis = path_basis(graph, k)
+        b = rng_complex(rng, basis.size, basis.size)
+        for i in range(basis.size):
+            for j in range(basis.size):
+                if basis.sources[i] != basis.sources[j] or basis.ranges[i] != basis.ranges[j]:
+                    b[i, j] = 0.0
+        m = 0.2 * (0.5 ** k) * (b @ b.conj().T)
+        if k == 1:
+            m = m + 0.5 * np.eye(basis.size)
+        assert np.array_equal(x.X[k], m)
+
+
+# -- invariants on the same graphs ----------------------------------------------
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_prefix_and_suffix_legs_commute_to_the_tensor(graph, a, b, data):
+    rng = _rng(data)
+    ma = _module_map(rng, graph, a, keep_ranges=True)
+    mb = _module_map(rng, graph, b, keep_ranges=True)
+    k = a + b
+    full = tensor_pair(graph, ma, a, mb, b)
+    assert residual(full, embed_prefix(graph, ma, a, k) @ embed_suffix(graph, mb, b, k)) == 0.0
+    assert residual(full, embed_suffix(graph, mb, b, k) @ embed_prefix(graph, ma, a, k)) < 1e-12
+    xi = CorrElement(a, rng_complex(rng, path_basis(graph, a).size))
+    eta = CorrElement(b, rng_complex(rng, path_basis(graph, b).size))
+    lhs = full @ tensor_element(graph, xi, eta).coeffs
+    rhs = tensor_element(graph, CorrElement(a, ma @ xi.coeffs), CorrElement(b, mb @ eta.coeffs))
+    assert np.allclose(lhs, rhs.coeffs, atol=1e-12)
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_weighted_creation_is_multiplicative(graph, a, b, data):
+    n = 4
+    rng = _rng(data)
+    xs = [data.draw(st.floats(0.2, 1.5), label="x1"), data.draw(st.floats(0.0, 0.3), label="x2")]
+    ws = weight_system_from(AdmissibleSequence.from_scalar(graph, xs, levels=n))
+    space = TruncatedFock(graph, n)
+    xi = CorrElement(a, rng_complex(rng, path_basis(graph, a).size))
+    eta = CorrElement(b, rng_complex(rng, path_basis(graph, b).size))
+    lhs = weighted_creation(space, ws, xi).matrix @ weighted_creation(space, ws, eta).matrix
+    rhs = weighted_creation(space, ws, tensor_element(graph, xi, eta)).matrix
+    assert residual(lhs, rhs) < 1e-10 * max(1.0, np.abs(lhs).max())

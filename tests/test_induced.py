@@ -123,9 +123,9 @@ def test_gamma_single_loop_trivial():
 def test_vacuum_and_basis_inserters():
     rep = Representation((2, 1))
     ind = InducedSpace(CYCLE2, rep, 2)
-    vac = ind.vacuum_inserter()
+    vac = ind.insertion_map(CorrElement(0, np.ones(2)))
     assert np.allclose(vac.conj().T @ vac, np.eye(rep.h_dim))
-    ins = ind.basis_inserter(1, 0)
+    ins = ind.insertion_map(CorrElement.basis_vector(CYCLE2, 1, 0))
     # edge 0 runs 0 -> 1, so the inserter ranges over the source block (vertex 0)
     assert np.allclose(ins.conj().T @ ins, rep.sigma([1.0, 0.0]))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wfock.lifting
 from wfock.duality import DualStructure, direct_sum_embedding, dual_lift_model, primal_lift_model
 from wfock.graphs import GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
@@ -14,7 +15,7 @@ from wfock.lifting import (
     parrott_complete,
     two_space_lift,
 )
-from wfock.linalg import operator_norm, residual, rng_complex
+from wfock.linalg import operator_norm, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
 FREE2 = GraphCorrespondence.free(2)
@@ -69,6 +70,26 @@ def test_parrott_boundary_case():
     t = rng_complex(rng, 2, 2) * 0.1
     p = ParrottProblem(r, s, t)
     u = parrott_complete(p)
+    assert operator_norm(p.assemble(u)) <= p.mu * (1 + 1e-8)
+
+
+def test_parrott_damping_branch_at_the_boundary(monkeypatch):
+    # ||[R; S]|| = mu = ||R|| = 1, so mu^2 I - R^* R = diag(0, 0.91) is singular
+    p = ParrottProblem(np.diag([1.0, 0.3]), np.array([[0.0, 0.5], [0.0, 0.0]]),
+                       np.array([[0.0], [0.2]]))
+    assert np.isclose(p.mu, 1.0, rtol=0, atol=1e-15)
+    grams = []
+
+    def recording_pinv(a):
+        grams.append(a)
+        return pinv(a)
+
+    monkeypatch.setattr(wfock.lifting, "pinv", recording_pinv)
+    u = parrott_complete(p)
+    mu_eff = p.mu * (1.0 + 1e-12)
+    assert len(grams) == 1
+    assert np.array_equal(grams[0], mu_eff * mu_eff * np.eye(2) - p.R.conj().T @ p.R)
+    assert np.linalg.eigvalsh(grams[0]).min() > 0.0
     assert operator_norm(p.assemble(u)) <= p.mu * (1 + 1e-8)
 
 
