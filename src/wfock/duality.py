@@ -17,10 +17,13 @@ the double-commutant checks and the interpolation solver consume.
 Concretely we fix a product-structured orthonormal basis of each dual tensor
 power: the level-1 elements alpha_{e,i} place the matrix unit E_{i,0} at edge
 e, and longer elements chain edges by s(e_{j+1}) = r(e_j) with the row index
-carried by the first factor only.  Every basis element has a rank-one inner
-product, so the decomposition unitary Theta_k of the dual induced space has
-one row per basis element, and dual module operators become plain matrices
-indexed by basis tuples.
+carried by the first factor only.  The chains are exactly the paths of the
+reversed graph.  Every basis element is a matrix unit: tuple (f_1, ..., f_k; i)
+sends one H coordinate to local index i of the primal path (f_k, ..., f_1).
+So the decomposition unitary Theta_k of the dual induced space is a
+permutation of the level-k induced coordinates, stored as the coordinate of
+each tuple, and conjugating by it is a gather.  Dual module operators are
+plain matrices indexed by basis tuples.
 """
 
 from __future__ import annotations
@@ -170,53 +173,44 @@ class DualStructure:
         self.ws = ws
         self.graph = ind.graph
         self.rep = ind.rep
-        self._theta: dict[int, np.ndarray] = {}
-        self._tuples: dict[int, list[DualBasisElement]] = {}
-        self._intertwiners: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-        self._chain_cache: dict[tuple[int, int], tuple] = {}
+        self._levels: dict[int, tuple[list[DualBasisElement], np.ndarray]] = {}
         self._splits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- bases ----------------------------------------------------------------
 
     def alpha_matrix(self, e: int, i: int) -> np.ndarray:
         """alpha_{e,i}: the matrix unit E_{i,0} placed at edge e."""
-        ind = self.ind
-        out = np.zeros((ind.level_dim(1), self.rep.h_dim), dtype=complex)
-        out[ind.block_offsets[1][e] + i, self.rep.offsets[self.graph.range_(e)]] = 1.0
-        return out
+        return self.intertwiner((e,), i)
 
-    def _chains(self, start: int, length: int):
-        """Edge chains (f_1..f_len) with s(f_1) = start and s(f_{j+1}) = r(f_j)."""
-        key = (start, length)
-        if key in self._chain_cache:
-            return self._chain_cache[key]
-        if length == 0:
-            out = (((), start),)
-        else:
-            acc = []
-            for f in range(self.graph.n_edges):
-                if self.graph.source(f) != start:
-                    continue
-                for chain, vtx in self._chains(self.graph.range_(f), length - 1):
-                    acc.append(((f,) + chain, vtx))
-            out = tuple(acc)
-        self._chain_cache[key] = out
-        return out
+    def _level(self, k: int) -> tuple[list[DualBasisElement], np.ndarray]:
+        """The level-k tuples and the induced coordinate of each.
+
+        The chains are the reversed graph's paths in lex order, grouped by
+        first edge and then by row; tuple (f_1, ..., f_k; i) sits at local
+        index i of the primal path (f_k, ..., f_1).
+        """
+        if k not in self._levels:
+            if k == 0:
+                self._levels[0] = ([DualBasisElement((), 0, -1)], np.arange(self.rep.h_dim))
+            else:
+                chains = path_basis(self.graph.reversed(), k)
+                index = path_basis(self.graph, k).index_map()
+                offs = self.ind.block_offsets[k]
+                tuples, coords = [], []
+                for e, group in itertools.groupby(zip(chains.paths, chains.sources),
+                                                  key=lambda pv: pv[0][0]):
+                    group = list(group)
+                    for i in range(self.rep.multiplicities[self.graph.source(e)]):
+                        for edges, vtx in group:
+                            tuples.append(DualBasisElement(edges, i, vtx))
+                            coords.append(offs[index[edges[::-1]]] + i)
+                self._levels[k] = (tuples, np.array(coords, dtype=np.intp))
+            self._levels[k][1].flags.writeable = False
+        return self._levels[k]
 
     def tuples(self, k: int) -> list[DualBasisElement]:
-        """The level-k basis, lex ordered in the edge chain, then the row."""
-        if k in self._tuples:
-            return self._tuples[k]
-        if k == 0:
-            out = [DualBasisElement((), 0, -1)]
-        else:
-            out = []
-            for e in range(self.graph.n_edges):
-                for i in range(self.rep.multiplicities[self.graph.source(e)]):
-                    out.extend(DualBasisElement((e,) + chain, i, vtx)
-                               for chain, vtx in self._chains(self.graph.range_(e), k - 1))
-        self._tuples[k] = out
-        return out
+        """The level-k basis, lex ordered in the first edge, then the row, then the rest."""
+        return self._level(k)[0]
 
     def tuple_index(self, k: int) -> dict[tuple[tuple[int, ...], int], int]:
         return {(t.edges, t.row): n for n, t in enumerate(self.tuples(k))}
@@ -235,53 +229,30 @@ class DualStructure:
     def intertwiner(self, edges: tuple[int, ...], row: int) -> np.ndarray:
         """The identification image of a basis tuple: a map H -> level k.
 
-        Product formula: the first factor is inserted outermost, the last
-        applies to H first.
+        It sends the first H coordinate of the vertex r(f_k) to local index
+        ``row`` of the path (f_k, ..., f_1) and everything else to zero.
         """
-        key = (edges, row)
-        if key in self._intertwiners:
-            return self._intertwiners[key]
         k = len(edges)
         if k == 0:
-            mat = np.eye(self.rep.h_dim, dtype=complex)
-        elif k == 1:
-            mat = self.alpha_matrix(edges[0], row)
-        else:
-            mat = _right_nested(self.ind, [self.alpha_matrix(edges[0], row)],
-                                self.intertwiner(edges[1:], 0), k - 1)
-        self._intertwiners[key] = mat
-        return mat
+            return np.eye(self.rep.h_dim, dtype=complex)
+        p = path_basis(self.graph, k).index_map()[tuple(edges[::-1])]
+        out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
+        out[self.ind.block_offsets[k][p] + row, self.rep.offsets[self.graph.range_(edges[-1])]] = 1.0
+        return out
 
     def theta(self, k: int) -> np.ndarray:
-        """Unitary from level k of the induced space onto the dual-basis frame.
+        """Theta_k as the level-k induced coordinate of each dual basis tuple.
 
-        Row t is the adjoint of the single nonvanishing column of the t-th
-        intertwiner; rows are orthonormal and complete exactly because the
-        tuples form an orthonormal module basis.
+        Theta_k is the permutation matrix ``np.eye(level_dim(k))[theta(k)]``:
+        row t is the adjoint of the single nonvanishing column of the t-th
+        intertwiner.  At level 0 it is the identity of H.
         """
-        if k in self._theta:
-            return self._theta[k]
-        if k == 0:
-            self._theta[0] = np.eye(self.rep.h_dim, dtype=complex)
-            return self._theta[0]
-        tuples = self.tuples(k)
-        out = np.zeros((len(tuples), self.ind.level_dim(k)), dtype=complex)
-        for n, t in enumerate(tuples):
-            col = self.rep.offsets[t.vertex]
-            out[n, :] = self.intertwiner(t.edges, t.row)[:, col].conj()
-        self._theta[k] = out
-        return out
+        return self._level(k)[1]
 
     def theta_full(self) -> np.ndarray:
-        """Block diagonal of the Theta_k over all truncation levels."""
-        blocks = [self.theta(k) for k in range(self.ind.levels + 1)]
-        dim = sum(b.shape[0] for b in blocks)
-        out = np.zeros((dim, self.ind.dim), dtype=complex)
-        r = 0
-        for k, b in enumerate(blocks):
-            out[r:r + b.shape[0], self.ind.level_slice(k)] = b
-            r += b.shape[0]
-        return out
+        """The whole-space coordinate of each dual basis element, level by level."""
+        return np.concatenate([self.ind.level_offsets[k] + self.theta(k)
+                               for k in range(self.ind.levels + 1)])
 
     # -- transported dual operators on the primal induced space ---------------
 
@@ -309,8 +280,16 @@ class DualStructure:
 
     def pi_sigma(self, y) -> np.ndarray:
         """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
-        th = self.theta_full()
-        return th @ self.ind.fock_tensor_identity(y) @ th.conj().T
+        return _in_frame(self.ind.fock_tensor_identity(y), self.theta_full())
+
+
+def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Theta M Theta^* for the permutation frame Theta with the given coordinates.
+
+    The gather alone can leave a zero entry of M as -0.0 where the product of
+    0/1 matrices gave +0.0; adding 0.0 turns it back, so reports keep their bytes.
+    """
+    return m[np.ix_(coords, coords)] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +299,8 @@ class DualStructure:
 
 def _lift_model(ind: InducedSpace, generators: list[np.ndarray],
                 basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]) -> LiftModel:
-    return LiftModel(dim=ind.dim, h_dim=ind.rep.h_dim, levels=ind.levels,
-                     prefix_dims=[ind.prefix_dim(n) for n in range(ind.levels + 1)],
+    level = np.repeat(np.arange(ind.levels + 1), np.diff(ind.level_offsets))
+    return LiftModel(dim=ind.dim, h_dim=ind.rep.h_dim, levels=ind.levels, level=level,
                      generators=generators, vacuum=ind.level_embed(0), basis_ops=basis_ops)
 
 
@@ -371,8 +350,10 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
 def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
     """Identify K_1 ⊕ K_2 with the induced space of sigma_1 ⊕ sigma_2.
 
-    Returns (ind_sum, emb1, emb2): the summed-representation space and the
-    isometries matching each (level, path) block into the widened blocks.
+    Returns (ind_sum, idx1, idx2): the summed-representation space and, for
+    each summand, the sum-space coordinate of each of its coordinates; a
+    (level, path) block of K_1 lands at the head of the widened block, one of
+    K_2 at its tail.
     """
     if ind1.graph != ind2.graph or ind1.levels != ind2.levels:
         raise ValueError("spaces must share the graph and truncation")
@@ -382,8 +363,7 @@ def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
     first = np.concatenate([np.arange(a + b) < a for a, b in
                             zip(ind1.rep.multiplicities, ind2.rep.multiplicities)])
     first = first[ind_sum.coordinates[1]]
-    eye = np.eye(ind_sum.dim, dtype=complex)
-    return ind_sum, eye[:, first], eye[:, ~first]
+    return ind_sum, np.flatnonzero(first), np.flatnonzero(~first)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +402,14 @@ class DualCalculus:
 
     def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
         """The dual left action phi'_k(A) in the Theta frame."""
-        th = self.s.theta(k)
-        return th @ self.s.ind.dual_left_level(a_mat, k) @ th.conj().T
+        return _in_frame(self.s.ind.dual_left_level(a_mat, k), self.s.theta(k))
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
         s = self.s
         out = [np.eye(s.rep.h_dim, dtype=complex)]
         for k in range(1, s.ind.levels + 1):
-            th = s.theta(k)
-            out.append(th @ s.ind.level_tensor_identity(s.ws.c_quotient(k), k) @ th.conj().T)
+            out.append(_in_frame(s.ind.level_tensor_identity(s.ws.c_quotient(k), k), s.theta(k)))
         return out
 
     def z_products(self, zp: list[np.ndarray]) -> list[np.ndarray]:
@@ -460,7 +438,7 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
 
     X'_k and Z'_k are the unique dual module operators with
     U_k^* (X_k (x) I) U_k = X'_k (x) I and U_k^* (C_k (x) I) U_k = Z'_k (x) I;
-    in the Theta frame the extraction is conjugation.  The verification is
+    in the Theta frame the extraction is a gather.  The verification is
     genuinely dual-sided: R'^2_k is rebuilt from X' by the composition
     recursion, Z'^{(k)} from the Z'_j by dual products, and then the weight
     law Z'^{(k)*} Z'^{(k)} = R'^{-2}_k and the quotient law
@@ -471,19 +449,15 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
     calc = DualCalculus(s)
     levels = ind.levels
     for k in range(1, levels + 1):
-        th = s.theta(k)
-        gap = max(residual(th @ th.conj().T, np.eye(th.shape[0])),
-                  residual(th.conj().T @ th, np.eye(ind.level_dim(k))))
-        if gap > 1e-9:
-            raise ValueError(f"dual basis frame at level {k} is not unitary "
-                             f"(residual {gap:.2e}); representation or basis invalid")
+        if not np.array_equal(np.sort(s.theta(k)), np.arange(ind.level_dim(k))):
+            raise ValueError(f"dual basis frame at level {k} is not unitary (its coordinates "
+                             "are not a permutation of the level); representation or basis invalid")
     C = [ws.c_quotient(k) for k in range(levels + 1)]
     Zp = calc.z_matrices()
     Xp: list[np.ndarray] = [np.zeros((s.rep.h_dim, s.rep.h_dim), dtype=complex)]
     res = {"commutant": 0.0, "weight_law": 0.0, "quotient_law": 0.0}
     for k in range(1, levels + 1):
-        th = s.theta(k)
-        Xp.append(th @ ind.level_tensor_identity(as_complex(x_seq.X[k]), k) @ th.conj().T)
+        Xp.append(_in_frame(ind.level_tensor_identity(as_complex(x_seq.X[k]), k), s.theta(k)))
         for v, i, j in s.rep.commutant_basis():
             phi = calc.phi_prime(s.rep.commutant_unit(v, i, j), k)
             res["commutant"] = max(res["commutant"],
@@ -496,8 +470,7 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
             continue
         res["weight_law"] = max(res["weight_law"],
                                 residual(zprod[k].conj().T @ zprod[k], np.linalg.inv(r2p[k])))
-        th = s.theta(k)
-        lhs = th @ ind.level_tensor_identity(ws.Z[k], k) @ th.conj().T
+        lhs = _in_frame(ind.level_tensor_identity(ws.Z[k], k), s.theta(k))
         cpk = zprod[k] @ np.linalg.inv(calc.embed_prefix(zprod[k - 1], 1, k))
         res["quotient_law"] = max(res["quotient_law"], residual(lhs, cpk))
     return DualWeightData(C, Xp, Zp, res)
@@ -681,8 +654,9 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
     space of the reversed graph, and dual basis tuples coincide index-by-index
     with reversed-graph paths, so the second dualization reuses the whole
     structured machinery on the reversed graph.  Returns
-    (omega_full, s1, s2, ws_rev, z_second): the induced matrix of omega, the
-    two dual structures, the first-dual weights as a reversed-graph weight
+    (omega, s1, s2, ws_rev, z_second): omega as a permutation of the induced
+    coordinates (its matrix is ``np.eye(ind.dim)[omega]``), the two dual
+    structures, the first-dual weights as a reversed-graph weight
     system, and the extracted double-dual weight matrices (indexed by primal
     path bases, which the double-dual tuple bases reproduce).
     """
@@ -693,8 +667,7 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
     ws_rev = WeightSystem(rev, ind.levels, DualCalculus(s1).z_matrices())
     s2 = DualStructure(InducedSpace(rev, ind.rep, ind.levels), ws_rev)
     z_second = DualCalculus(s2).z_matrices()
-    omega_full = s2.theta_full() @ s1.theta_full()
-    return omega_full, s1, s2, ws_rev, z_second
+    return s1.theta_full()[s2.theta_full()], s1, s2, ws_rev, z_second
 
 
 def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]:
@@ -710,24 +683,23 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
       * the identification composed with the second-level product formula
         reproduces the plain insertion of each basis path.
     """
-    omega_full, s1, s2, ws_rev, z_second = omega_transport(ind, ws)
+    omega, s1, s2, ws_rev, z_second = omega_transport(ind, ws)
     g = ind.graph
     space = TruncatedFock(g, ind.levels)
     ws2 = WeightSystem(g, ind.levels, z_second)
     out = {"weights": 0.0, "creation": 0.0, "left_action": 0.0, "insertion": 0.0}
     for k in range(1, ind.levels + 1):
-        omega_k = s2.theta(k) @ s1.theta(k)
-        x2 = s2.theta(k) @ (s1.theta(k) @ as_complex(x_seq.X[k]) @ s1.theta(k).conj().T) \
-            @ s2.theta(k).conj().T
+        x_k = as_complex(x_seq.X[k])
+        omega_k = s1.theta(k)[s2.theta(k)]
+        x2 = _in_frame(_in_frame(x_k, s1.theta(k)), s2.theta(k))
         out["weights"] = max(out["weights"],
-                             residual(omega_k @ ws.Z[k] @ omega_k.conj().T, z_second[k]),
-                             residual(omega_k @ as_complex(x_seq.X[k]) @ omega_k.conj().T, x2))
+                             residual(_in_frame(ws.Z[k], omega_k), z_second[k]),
+                             residual(_in_frame(x_k, omega_k), x2))
     for e in range(g.n_edges):
         xi = CorrElement.basis_vector(g, 1, e)
         w_mat = ind.fock_tensor_identity(weighted_creation(space, ws, xi))
-        lhs = omega_full @ w_mat @ omega_full.conj().T
-        omega_xi = s1.theta(1) @ ind.insertion_map(xi)
-        coeffs = _tuple_coefficients(s2, omega_xi)
+        lhs = _in_frame(w_mat, omega)
+        coeffs = _tuple_coefficients(s2, ind.insertion_map(xi)[s1.theta(1)])
         rhs = ind.fock_tensor_identity(weighted_creation(space, ws2, CorrElement(1, coeffs)))
         out["creation"] = max(out["creation"], residual(lhs, rhs))
     for v in range(g.n_vertices):
@@ -735,25 +707,25 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
         a[v] = 1.0
         mat = ind.fock_tensor_identity(phi_inf(space, a))
         out["left_action"] = max(out["left_action"],
-                                 residual(omega_full @ mat @ omega_full.conj().T, mat))
+                                 residual(_in_frame(mat, omega), mat))
     # insertion identity: U_k Lambda^iota(omega_k xi) = L_xi for basis paths
     for k in range(1, min(ind.levels, 3) + 1):
         basis = path_basis(g, k)
         for p in range(basis.size):
             edges = basis.paths[p]
-            omegas = [s1.theta(1) @ ind.insertion_map(CorrElement.basis_vector(g, 1, f))
+            omegas = [ind.insertion_map(CorrElement.basis_vector(g, 1, f))[s1.theta(1)]
                       for f in edges]
             lam = _right_nested(s2.ind, omegas[:-1], omegas[-1], 1)
+            back = np.zeros_like(lam)  # Theta_k^* lam
+            back[s1.theta(k)] = lam
             l_xi = ind.insertion_map(CorrElement.basis_vector(g, k, p))
-            out["insertion"] = max(out["insertion"],
-                                   residual(s1.theta(k).conj().T @ lam, l_xi))
+            out["insertion"] = max(out["insertion"], residual(back, l_xi))
     return out
 
 
 def _tuple_coefficients(s2: DualStructure, mat: np.ndarray) -> np.ndarray:
-    """Coefficients of a level-1 double-dual element over the tuple basis."""
-    tuples = s2.tuples(1)
-    out = np.zeros(len(tuples), dtype=complex)
-    for n, t in enumerate(tuples):
-        out[n] = (s2.intertwiner(t.edges, t.row).conj() * mat).sum()
-    return out
+    """Coefficients of a level-1 double-dual element over the tuple basis.
+
+    Each tuple's intertwiner is a single 1, so its coefficient is one entry of ``mat``.
+    """
+    return mat[s2.theta(1), [s2.rep.offsets[t.vertex] for t in s2.tuples(1)]]

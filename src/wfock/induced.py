@@ -120,11 +120,14 @@ class CommutantAlgebra:
 def _check_module_map(y: np.ndarray, row_sources, col_sources) -> None:
     """Entries of Y between paths of different sources must be <= 1e-12 max(1, ||Y||).
 
-    The norm is taken only when such an entry is nonzero.
+    The norm is taken only when such an entry is nonzero.  Moduli come from
+    np.hypot, which rounds as the scalar abs does; the vectorised complex
+    np.abs can land one ulp higher and flip an entry sitting on the bound.
     """
     if not np.isfinite(y).all():
         raise ValueError("module map has non-finite entries")
-    cross = np.abs(y[np.not_equal.outer(row_sources, col_sources)])
+    cross = y[np.not_equal.outer(row_sources, col_sources)]
+    cross = np.hypot(cross.real, cross.imag)
     if cross.any() and (cross > 1e-12 * max(1.0, operator_norm(y))).any():
         raise ValueError("matrix is not a module map: sources differ")
 
@@ -160,10 +163,6 @@ class InducedSpace:
 
     def level_dim(self, k: int) -> int:
         return self.level_offsets[k + 1] - self.level_offsets[k]
-
-    def prefix_dim(self, n: int) -> int:
-        """Dimension of K_n = levels 0..n."""
-        return self.level_offsets[n + 1]
 
     def level_embed(self, k: int) -> np.ndarray:
         """The isometry of level k into the whole space; for k = 0 the vacuum insertion L_{1^}."""

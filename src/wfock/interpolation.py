@@ -477,11 +477,8 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     structure = DualStructure(ind, ws)
     base_model = dual_lift_model(structure)
     model_sum = base_model.amplify(problem.t + problem.s)
-    dim_k = base_model.dim
-    emb1 = np.zeros((model_sum.dim, problem.t * dim_k), dtype=complex)
-    emb1[: problem.t * dim_k, :] = np.eye(problem.t * dim_k)
-    emb2 = np.zeros((model_sum.dim, problem.s * dim_k), dtype=complex)
-    emb2[problem.t * dim_k:, :] = np.eye(problem.s * dim_k)
+    split = problem.t * base_model.dim  # the t copies come first, then the s copies
+    idx1, idx2 = np.arange(split), np.arange(split, model_sum.dim)
 
     # The truncated kernel spans satisfy the lifting hypotheses only up to
     # tail effects amplified by the span conditioning, which is intrinsic to
@@ -503,7 +500,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
             f"kernel spans violate the lifting hypotheses by {defect:.2e}; the "
             "truncation cannot support this instance, raise N or move the points inward")
 
-    g_tilde, trace = two_space_lift(model_sum, emb1, emb2, q_f, q_b, g12,
+    g_tilde, trace = two_space_lift(model_sum, idx1, idx2, q_f, q_b, g12,
                                     hypothesis_tol=hyp_budget)
 
     vac = ind.level_embed(0)

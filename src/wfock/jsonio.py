@@ -106,6 +106,13 @@ def decode_rep(obj, graph: GraphCorrespondence) -> Representation:
     return rep
 
 
+def _by_level(field: str, obj) -> dict:
+    """The object ``field`` that maps level numbers "1", "2", ... to matrices."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field}: expected an object keyed by level, got {type(obj).__name__}")
+    return obj
+
+
 def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence:
     if not isinstance(obj, dict):
         raise ValueError("X: expected an object with 'scalar' or 'matrices'")
@@ -113,12 +120,13 @@ def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence
         xs = _items("X.scalar", _finite, obj["scalar"])
         return AdmissibleSequence.from_scalar(graph, xs, levels=levels)
     if "matrices" in obj:
+        given = _by_level("X.matrices", obj["matrices"])
         mats = [np.zeros((graph.n_vertices,) * 2, dtype=complex)]
         for k in range(1, levels + 1):
             key = str(k)
             d = path_basis(graph, k).size
-            if key in obj["matrices"]:
-                mats.append(_named(f"X.matrices.{key}", decode_matrix, obj["matrices"][key]))
+            if key in given:
+                mats.append(_named(f"X.matrices.{key}", decode_matrix, given[key]))
             else:
                 mats.append(np.zeros((d, d), dtype=complex))
         return AdmissibleSequence(graph, levels, mats)
@@ -133,9 +141,12 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
     if obj is None or obj == "canonical":
         return weight_system_from(x)
     if isinstance(obj, dict) and "matrices" in obj:
+        given = _by_level("Z.matrices", obj["matrices"])
         zs = [np.eye(x.graph.n_vertices, dtype=complex)]
         for k in range(1, x.levels + 1):
-            zs.append(_named(f"Z.matrices.{k}", decode_matrix, obj["matrices"][str(k)]))
+            if str(k) not in given:
+                raise ValueError(f"Z.matrices.{k}: missing; every level 1..{x.levels} needs a matrix")
+            zs.append(_named(f"Z.matrices.{k}", decode_matrix, given[str(k)]))
         return weight_system_from(x, Z=zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")
 

@@ -85,9 +85,9 @@ def compression_instance(model: LiftModel, dual_generators: list[np.ndarray],
     """
     theta = random_commutant_element(dual_generators, rng)
     theta = theta / max(operator_norm(theta), 1e-30)
-    d = model.prefix_dims[max(model.levels - 1, 0)]
+    below_top = model.prefix_idx(max(model.levels - 1, 0))
     seeds = np.zeros((model.dim, 1), dtype=complex)
-    seeds[:d, :] = rng_complex(rng, d, 1)
+    seeds[below_top, :] = rng_complex(rng, below_top.size, 1)
     frame = krylov_closure(model, seeds, [theta])
     g_on_j = frame.conj().T @ theta @ frame
     nrm = operator_norm(g_on_j)

@@ -85,9 +85,8 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
 class LiftModel:
     """Everything the lifting loop needs about one induced Fock space.
 
-    ``prefix_dims[n]`` is the dimension of K_n (levels 0..n) and
-    ``prefix_indices`` its coordinate set (contiguous when None, which is the
-    base layout; amplified copies interleave).  ``basis_ops[k]`` pairs, for
+    ``level[c]`` is the truncation level of coordinate c, so K_n (levels
+    0..n) is the coordinate set ``level <= n``.  ``basis_ops[k]`` pairs, for
     each orthonormal basis element of the level-k power, the insertion
     L_{xi^}: H -> K with the image of the weighted creation at the inverse
     weight product applied to xi.
@@ -96,17 +95,14 @@ class LiftModel:
     dim: int
     h_dim: int
     levels: int
-    prefix_dims: list[int]
+    level: np.ndarray
     generators: list[np.ndarray]
     vacuum: np.ndarray
     basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]
-    prefix_indices: list[np.ndarray] | None = None
 
     def prefix_idx(self, n: int) -> np.ndarray:
         """Coordinate indices of K_n."""
-        if self.prefix_indices is None:
-            return np.arange(self.prefix_dims[n])
-        return self.prefix_indices[n]
+        return np.flatnonzero(self.level <= n)
 
     def amplify(self, copies: int) -> "LiftModel":
         """The same model on ``copies`` direct summands (copy-major layout).
@@ -118,18 +114,15 @@ class LiftModel:
         if copies == 1:
             return self
         eye = np.eye(copies)
-        indices = [np.concatenate([self.prefix_idx(n) + r * self.dim for r in range(copies)])
-                   for n in range(self.levels + 1)]
         return LiftModel(
             dim=self.dim * copies,
             h_dim=self.h_dim * copies,
             levels=self.levels,
-            prefix_dims=[d * copies for d in self.prefix_dims],
+            level=np.tile(self.level, copies),
             generators=[np.kron(eye, g) for g in self.generators],
             vacuum=np.kron(eye, self.vacuum),
             basis_ops=[[(np.kron(eye, ins), np.kron(eye, wc)) for ins, wc in level]
                        for level in self.basis_ops],
-            prefix_indices=indices,
         )
 
     def prefix_columns(self, n: int) -> np.ndarray:
@@ -247,7 +240,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
             col = beta @ g_vec
             gram += col @ col.conj().T
     k0_idx = model.prefix_idx(0)
-    rest_idx = np.setdiff1d(np.arange(model.dim), k0_idx)
+    rest_idx = np.flatnonzero(model.level > 0)
 
     r_blk = state.g_mat[:, rest_idx]
     t_blk = state.g_mat[:, k0_idx]
@@ -272,12 +265,10 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         s_blk = f_clamp * s_blk
     problem = ParrottProblem(r_blk, s_blk, t_blk)
     u_blk = parrott_complete(problem)
-    g_m1 = np.zeros((q_m1.shape[1], model.dim), dtype=complex)
-    new_rows = np.arange(d_m, q_m1.shape[1])
-    g_m1[np.ix_(np.arange(d_m), k0_idx)] = t_blk
-    g_m1[np.ix_(np.arange(d_m), rest_idx)] = r_blk
-    g_m1[np.ix_(new_rows, k0_idx)] = u_blk
-    g_m1[np.ix_(new_rows, rest_idx)] = s_blk
+    new_rows = np.zeros((q_new.shape[1], model.dim), dtype=complex)
+    new_rows[:, k0_idx] = u_blk
+    new_rows[:, rest_idx] = s_blk
+    g_m1 = np.vstack([state.g_mat, new_rows])
 
     new_state = LiftState(model, q_m1, g_m1, state.n_list + [n_new], list(state.ledger))
     entry = _condition_residuals(new_state)
@@ -360,28 +351,27 @@ def _conclusions(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     }
 
 
-def two_space_lift(model_sum: LiftModel, emb1: np.ndarray, emb2: np.ndarray,
+def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
                    j1_frame: np.ndarray, j2_frame: np.ndarray, g12: np.ndarray,
                    hypothesis_tol: float = 1e-9):
     """Two-representation lifting by the Putnam trick.
 
-    ``emb1``/``emb2`` are the isometries of the two induced spaces into the
-    direct-sum space; ``g12`` maps J_1 coordinates to J_2 coordinates.  The
-    operator [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
-    lower-left corner extracted; the returned trace carries the corollary's
-    conclusion residuals.
+    ``idx1``/``idx2`` are the coordinates of the two induced spaces inside
+    the direct-sum space, in their own coordinate order; ``g12`` maps J_1
+    coordinates to J_2 coordinates.  The operator [[0, 0], [G, 0]] on
+    J_1 ⊕ J_2 is lifted on the sum space and the lower-left corner extracted;
+    the returned trace carries the corollary's conclusion residuals.
     """
-    emb1, emb2 = as_complex(emb1), as_complex(emb2)
-    col1 = emb1 @ j1_frame
-    col2 = emb2 @ j2_frame
-    d1, d2 = col1.shape[1], col2.shape[1]
-    j_frame = np.hstack([col1, col2])
+    d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
+    j_frame = np.zeros((model_sum.dim, d1 + d2), dtype=complex)
+    j_frame[idx1, :d1] = j1_frame
+    j_frame[idx2, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
     g_tilde0, trace = commutant_lift(model_sum, j_frame, g0, hypothesis_tol=hypothesis_tol)
-    g_tilde = emb2.conj().T @ g_tilde0 @ emb1
-    gens1 = [emb1.conj().T @ g @ emb1 for g in model_sum.generators]
-    gens2 = [emb2.conj().T @ g @ emb2 for g in model_sum.generators]
+    g_tilde = g_tilde0[np.ix_(idx2, idx1)]
+    gens1 = [g[np.ix_(idx1, idx1)] for g in model_sum.generators]
+    gens2 = [g[np.ix_(idx2, idx2)] for g in model_sum.generators]
     p1 = j1_frame @ j1_frame.conj().T
     trace["corollary"] = {
         "adjoint_invariance": operator_norm(

@@ -6,8 +6,6 @@ deterministic under a fixed seed.
 
 import json
 
-import pytest
-
 from wfock import acceptance
 
 SEED = 20240801

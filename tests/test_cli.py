@@ -151,10 +151,17 @@ TWO_POINT = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]}
              "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]}
 
 
+FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
 @pytest.mark.parametrize("command, obj, field", [
     ("solve", [1, 2], "object"),
     ("weights", [1, 2], "object"),
     ("solve", dict(TWO_POINT, points=3), "points"),
+    ("weights", {"graph": GRAPH2, "X": {"matrices": 5}}, "X.matrices"),
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": 5}}, "Z.matrices"),
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": FREE2_Z1}}},
+     "Z.matrices.2"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))

@@ -13,8 +13,7 @@ from wfock.duality import (
     u_k_unitarity_residual,
     u_k_unitary,
 )
-from wfock.fock import TruncatedFock, phi_inf
-from wfock.graphs import GraphCorrespondence, path_basis
+from wfock.graphs import GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
 from wfock.linalg import operator_norm, residual
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
@@ -87,12 +86,23 @@ def test_theta_unitary():
         ws = weight_system_from(szego_x(graph, n))
         s = DualStructure(InducedSpace(graph, rep, n), ws)
         for k in range(n + 1):
-            th = s.theta(k)
             d = s.ind.level_dim(k)
+            th = np.eye(d)[s.theta(k)]
             if k > 0:
                 assert th.shape == (len(s.tuples(k)), d)
             assert residual(th @ th.conj().T, np.eye(th.shape[0])) < 1e-12
             assert residual(th.conj().T @ th, np.eye(d)) < 1e-12
+
+
+def test_dual_weights_rejects_a_frame_that_is_not_a_permutation():
+    graph, rep, n = CYCLE2, Representation((2, 1)), 3
+    x = szego_x(graph, n)
+    s = DualStructure(InducedSpace(graph, rep, n), weight_system_from(x))
+    theta = s.theta
+    # level 2 repeats its first coordinate in place of its last
+    s.theta = lambda k: np.r_[theta(k)[:1], theta(k)[:-1]] if k == 2 else theta(k)
+    with pytest.raises(ValueError, match="frame at level 2 is not unitary"):
+        dual_weights(s, x)
 
 
 def test_u_k_unitarity():

@@ -1,17 +1,27 @@
-"""Identity legs as index maps, checked against per-path reference loops.
+"""Identity legs and dual frames as index maps, checked against reference loops.
 
 Each assembly built by the single masked gather is compared, entry for entry
 (``np.array_equal``), with a test-local copy of the per-path loop it replaced,
-on random small graphs; the last tests check tensor and creation identities
-on the same graphs.
+on random small graphs.  The dual frames Theta_k, now coordinate
+permutations, are compared the same way with the recursive intertwiner
+products and the dense conjugations they replaced.  The last tests check
+tensor and creation identities on the same graphs.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
 from wfock.acceptance import _random_graph_x
-from wfock.duality import DualCalculus, DualStructure, direct_sum_embedding
+from wfock.duality import (
+    DualBasisElement,
+    DualCalculus,
+    DualStructure,
+    _lift_model,
+    direct_sum_embedding,
+    dual_weights,
+    omega_transport,
+)
 from wfock.fock import FockOperator, TruncatedFock, tensor_element, weighted_creation
 from wfock.graphs import (
     CorrElement,
@@ -310,6 +320,60 @@ def ref_direct_sum_embedding(ind1, ind2, ind_sum):
     return emb1, emb2
 
 
+def ref_chains(graph, start, length):
+    """Edge chains (f_1..f_len) with s(f_1) = start and s(f_{j+1}) = r(f_j)."""
+    if length == 0:
+        return [((), start)]
+    return [((f,) + chain, vtx) for f in range(graph.n_edges) if graph.source(f) == start
+            for chain, vtx in ref_chains(graph, graph.range_(f), length - 1)]
+
+
+def ref_tuples(s, k):
+    if k == 0:
+        return [DualBasisElement((), 0, -1)]
+    g = s.graph
+    return [DualBasisElement((e,) + chain, i, vtx) for e in range(g.n_edges)
+            for i in range(s.rep.multiplicities[g.source(e)])
+            for chain, vtx in ref_chains(g, g.range_(e), k - 1)]
+
+
+def ref_intertwiner(s, edges, row):
+    """The product formula: the first factor inserted outermost."""
+    k = len(edges)
+    if k == 0:
+        return np.eye(s.rep.h_dim, dtype=complex)
+    e = edges[0]
+    alpha = np.zeros((s.ind.level_dim(1), s.rep.h_dim), dtype=complex)
+    alpha[s.ind.block_offsets[1][e] + row, s.rep.offsets[s.graph.range_(e)]] = 1.0
+    if k == 1:
+        return alpha
+    return s.ind.suffix_insert(alpha, 1, k - 1) @ ref_intertwiner(s, edges[1:], 0)
+
+
+def ref_theta(s, k):
+    if k == 0:
+        return np.eye(s.rep.h_dim, dtype=complex)
+    tuples = ref_tuples(s, k)
+    out = np.zeros((len(tuples), s.ind.level_dim(k)), dtype=complex)
+    for n, t in enumerate(tuples):
+        out[n, :] = ref_intertwiner(s, t.edges, t.row)[:, s.rep.offsets[t.vertex]].conj()
+    return out
+
+
+def ref_theta_full(s):
+    blocks = [ref_theta(s, k) for k in range(s.ind.levels + 1)]
+    out = np.zeros((sum(b.shape[0] for b in blocks), s.ind.dim), dtype=complex)
+    r = 0
+    for k, b in enumerate(blocks):
+        out[r:r + b.shape[0], s.ind.level_slice(k)] = b
+        r += b.shape[0]
+    return out
+
+
+def ref_conjugate(th, m):
+    return th @ m @ th.conj().T
+
+
 # -- the gathers against the loops ----------------------------------------------
 
 
@@ -344,10 +408,7 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
     h = rep.h_dim
-    a_mat = np.zeros((h, h), dtype=complex)
-    for v in range(graph.n_vertices):
-        blk = rep.block(v)
-        a_mat[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    a_mat = _commutant_element(rng, rep)
     assert np.array_equal(ind.dual_left(a_mat), ref_dual_left(ind, a_mat))
     fock = TruncatedFock(graph, n)
     big = np.zeros((fock.dim, fock.dim), dtype=complex)
@@ -410,9 +471,79 @@ def test_dual_assemblies_match_the_loops(graph, n, data):
             assert np.array_equal(calc.embed_prefix(m, k - a, k),
                                   ref_dual_embed_prefix(s, m, k - a, k))
     ind2 = InducedSpace(graph, rep2, n)
-    ind_sum, emb1, emb2 = direct_sum_embedding(ind, ind2)
+    ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind2)
+    emb1, emb2 = np.eye(ind_sum.dim)[:, idx1], np.eye(ind_sum.dim)[:, idx2]
     ref1, ref2 = ref_direct_sum_embedding(ind, ind2, ind_sum)
     assert np.array_equal(emb1, ref1) and np.array_equal(emb2, ref2)
+
+
+def _commutant_element(rng, rep):
+    a = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
+    for v in range(rep.n_vertices):
+        blk = rep.block(v)
+        a[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    return a
+
+
+def _fock_module_map(rng, fock):
+    big = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for i in range(fock.levels + 1):
+        for j in range(fock.levels + 1):
+            big[fock.level_slice(i), fock.level_slice(j)] = \
+                _module_map_between(rng, fock.graph, i, j)
+    return big
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.integers(1, 3), st.data())
+def test_dual_frames_match_the_dense_products(graph, n, data):
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    x = _random_graph_x(graph, n, rng)
+    s = DualStructure(ind, weight_system_from(x))
+    calc = DualCalculus(s)
+    a = _commutant_element(rng, rep)
+    for k in range(n + 1):
+        assert s.tuples(k) == ref_tuples(s, k)
+        for t in s.tuples(k):
+            assert np.array_equal(s.intertwiner(t.edges, t.row), ref_intertwiner(s, t.edges, t.row))
+        th = ref_theta(s, k)
+        assert np.array_equal(np.eye(ind.level_dim(k))[s.theta(k)], th)
+        assert np.array_equal(calc.phi_prime(a, k), ref_conjugate(th, ind.dual_left_level(a, k)))
+    dw = dual_weights(s, x)
+    for k in range(1, n + 1):
+        th = ref_theta(s, k)
+        z_k = ind.level_tensor_identity(s.ws.c_quotient(k), k)
+        assert np.array_equal(dw.Z_prime[k], ref_conjugate(th, z_k))
+        assert np.array_equal(dw.X_prime[k],
+                              ref_conjugate(th, ind.level_tensor_identity(x.X[k], k)))
+    y = _fock_module_map(rng, ind.fock)
+    assert np.array_equal(s.pi_sigma(y),
+                          ref_conjugate(ref_theta_full(s), ind.fock_tensor_identity(y)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.integers(1, 3))
+def test_omega_matches_the_dense_frame_product(graph, n):
+    assume(graph.faithful_left_action)  # the second dual needs the reversed graph full
+    ind = InducedSpace(graph, Representation((1,) * graph.n_vertices), n)
+    ws = weight_system_from(AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n))
+    omega, s1, s2, _, _ = omega_transport(ind, ws)
+    assert np.array_equal(np.eye(ind.dim)[omega], ref_theta_full(s2) @ ref_theta_full(s1))
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_amplified_prefix_sets_match_the_concatenation(graph, n, data):
+    ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph)))), n)
+    model = _lift_model(ind, [], [])
+    for copies in (1, 2, 3):
+        amp = model.amplify(copies)
+        for m in range(n + 1):
+            ref = np.concatenate([np.arange(ind.level_offsets[m + 1]) + r * ind.dim
+                                  for r in range(copies)])
+            assert np.array_equal(amp.prefix_idx(m), ref)
 
 
 def _outcome(build):

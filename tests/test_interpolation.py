@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wfock.duality import DualStructure
-from wfock.fock import TruncatedFock
-from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
+from wfock.graphs import CorrElement, GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import (
     CauchyKernel,

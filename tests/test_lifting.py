@@ -222,10 +222,10 @@ def test_two_space_lift_self_case_matches():
     model = primal_lift_model(ind, ws)
     dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
     frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
-    ind_sum, emb1, emb2 = direct_sum_embedding(ind, ind)
+    ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind)
     ws_sum = ws
     model_sum = primal_lift_model(ind_sum, ws_sum)
-    g_tilde2, trace2 = two_space_lift(model_sum, emb1, emb2, frame, frame, g_on_j)
+    g_tilde2, trace2 = two_space_lift(model_sum, idx1, idx2, frame, frame, g_on_j)
     assert max(trace2["corollary"].values()) < 1e-8
     g_tilde1, _ = commutant_lift(model, frame, g_on_j)
     assert abs(operator_norm(g_tilde2) - operator_norm(g_tilde1)) < 1e-8
@@ -233,11 +233,11 @@ def test_two_space_lift_self_case_matches():
 
 def test_two_space_lift_zero():
     ind, ws = make_setup(FREE2, (1,), 2)
-    ind_sum, emb1, emb2 = direct_sum_embedding(ind, ind)
+    ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind)
     model_sum = primal_lift_model(ind_sum, ws)
     j = primal_lift_model(ind, ws).prefix_columns(0)
     g = np.zeros((j.shape[1], j.shape[1]))
-    g_tilde, trace = two_space_lift(model_sum, emb1, emb2, j, j, g)
+    g_tilde, trace = two_space_lift(model_sum, idx1, idx2, j, j, g)
     assert operator_norm(g_tilde) == 0.0
 
 

@@ -3,7 +3,8 @@
 ``wfock.__all__`` must be an explicit list of names, and every public
 top-level function or class in ``src/wfock`` must be referenced by name
 somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-definition.
+definition.  No module in ``src/wfock`` or ``tests/`` imports a name it
+never reads.
 """
 
 import ast
@@ -53,3 +54,27 @@ def test_every_public_definition_is_referenced():
         else:
             unreferenced.append(f"{path.name}:{node.name}")
     assert not unreferenced, unreferenced
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    unused = [f"{path.relative_to(ROOT)}:{name}"
+              for folder in (PACKAGE, ROOT / "tests") for path in sorted(folder.glob("*.py"))
+              for name in _unused_imports(path)]
+    assert not unused, unused

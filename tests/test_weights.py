@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfock.graphs import GraphCorrespondence, left_action, path_basis
+from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.linalg import residual
 from wfock.weights import (
     AdmissibleSequence,
