@@ -87,8 +87,8 @@ def _cmd_validate(config: RunConfig, obj: dict) -> dict:
         if not ok:
             raise MathRejection(json.dumps(report, sort_keys=True))
         return report
-    graph = jsonio.decode_graph(obj["graph"])
-    x = jsonio.decode_x(obj["X"], graph, config.N)  # validation happens on build
+    graph = jsonio.decode_graph(jsonio.required(obj, "graph"))
+    x = jsonio.decode_x(jsonio.required(obj, "X"), graph, config.N)  # validation happens on build
     x.R  # a non-PSD R_k^2 rejects X
     return {"admissible": True, "reason": "admissible",
             "levels": config.N,
@@ -149,7 +149,7 @@ def _cmd_fock(config: RunConfig, obj: dict) -> dict:
 def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
     graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
     ind = InducedSpace(graph, rep, config.N)
-    points = jsonio.decode_points(obj["points"], ind, x)
+    points = jsonio.decode_points(jsonio.required(obj, "points"), ind, x)
     eye = np.eye(rep.h_dim, dtype=complex)
     table = {}
     for i, w in enumerate(points):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedFock, phi_inf, weighted_creation
+from .fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import CommutantAlgebra, InducedSpace, Representation
 from .lifting import LiftModel
@@ -278,7 +278,7 @@ class DualStructure:
                         self.rho_creation(self.alpha_matrix(t.edges[0], t.row), 1)))
         return out
 
-    def pi_sigma(self, y) -> np.ndarray:
+    def pi_sigma(self, y: FockOperator) -> np.ndarray:
         """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
         return _in_frame(self.ind.fock_tensor_identity(y), self.theta_full())
 
@@ -600,7 +600,8 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
     rng = np.random.default_rng(seed)
     s = DualStructure(ind, ws)
     space = TruncatedFock(ind.graph, ind.levels)
-    out = {"identity": residual(s.pi_sigma(np.eye(ind.fock.dim)), np.eye(ind.dim))}
+    out = {"identity": residual(s.pi_sigma(phi_inf(space, np.ones(ind.graph.n_vertices))),
+                                np.eye(ind.dim))}
 
     a = rng.standard_normal(ind.graph.n_vertices)
     img = s.pi_sigma(phi_inf(space, a))
@@ -616,16 +617,22 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
                 pos += 1
     out["left_action_formula"] = residual(img, expected)
 
+    def w_image(e) -> np.ndarray:
+        xi = CorrElement.basis_vector(ind.graph, 1, int(e))
+        return ind.fock_tensor_identity(weighted_creation(space, ws, xi))
+
+    # the words mix degrees, so they are products of induced images, and pi of
+    # an image is the theta_full gather
+    theta = s.theta_full()
+    phi_a = ind.fock_tensor_identity(phi_inf(space, a))
     words = []
     for _ in range(3):
         e1, e2 = rng.integers(0, ind.graph.n_edges, size=2)
-        w1 = weighted_creation(space, ws, CorrElement.basis_vector(ind.graph, 1, int(e1)))
-        w2 = weighted_creation(space, ws, CorrElement.basis_vector(ind.graph, 1, int(e2)))
-        words.append(w1.matrix @ w2.matrix + 0.3 * phi_inf(space, a).matrix)
-    out["isometry"] = max(abs(operator_norm(s.pi_sigma(w)) -
-                              operator_norm(ind.fock_tensor_identity(w))) for w in words)
+        words.append(w_image(e1) @ w_image(e2) + 0.3 * phi_a)
+    out["isometry"] = max(abs(operator_norm(_in_frame(w, theta)) - operator_norm(w))
+                          for w in words)
     out["multiplicativity"] = max(
-        residual(s.pi_sigma(w1 @ w2), s.pi_sigma(w1) @ s.pi_sigma(w2))
+        residual(_in_frame(w1 @ w2, theta), _in_frame(w1, theta) @ _in_frame(w2, theta))
         for w1, w2 in zip(words, words[1:]))
 
     band = 0.0

@@ -1,12 +1,13 @@
 """The truncated Fock space and its graded operators.
 
 The Fock space of E is the direct sum of the tensor powers; we keep levels
-0..N and represent operators as dense square matrices over the stacked path
-bases.  Compressing to levels <= N is exactly multiplicative for operators of
-nonnegative degree (a product of raising operators cannot pass through levels
-above N and return), so every algebraic identity among weighted creation
-operators and left actions holds exactly on the truncation, not just
-approximately.
+0..N and store an operator as its blocks between levels, so an operator of
+degree k holds only the blocks from level j to level j + k.  The dense square
+matrix over the stacked path bases is built only on request.  Compressing to
+levels <= N is exactly multiplicative for operators of nonnegative degree (a
+product of raising operators cannot pass through levels above N and return),
+so every algebraic identity among weighted creation operators and left
+actions holds exactly on the truncation, not just approximately.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, _random_module_map, \
     insertion_matrix, left_action, path_basis
-from .linalg import as_complex, operator_norm, psd_sqrt, residual
+from .linalg import as_complex, psd_sqrt, residual
 from .weights import AdmissibleSequence, WeightSystem
 
 
@@ -45,17 +46,6 @@ class TruncatedFock:
     def dim(self) -> int:
         return self.offsets[-1]
 
-    @cached_property
-    def level_of(self) -> np.ndarray:
-        """The level of each coordinate."""
-        return np.repeat(np.arange(self.levels + 1), self.level_dims)
-
-    @cached_property
-    def sources(self) -> np.ndarray:
-        """The source vertex of the path at each coordinate."""
-        return np.array([v for k in range(self.levels + 1)
-                         for v in path_basis(self.graph, k).sources], dtype=np.intp)
-
     def level_slice(self, k: int) -> slice:
         off = self.offsets
         return slice(off[k], off[k + 1])
@@ -72,105 +62,87 @@ class TruncatedFock:
         return vk @ vk.conj().T
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """A square matrix on the truncated Fock space with degree metadata.
+    """An operator on the truncated Fock space, stored as its level blocks.
 
-    ``degree`` d means level j maps into level j + d; None means mixed.  On
-    construction, entries outside the declared graded band must vanish.
+    ``blocks[(i, j)]`` maps level j into level i; absent blocks are zero, so
+    the operator holds no mass outside the blocks it was built with.  On
+    construction every block must have the shape of its levels and finite
+    entries.  The blocks are kept in (i, j) order.
     """
 
     space: TruncatedFock
-    matrix: np.ndarray
-    degree: int | None = None
+    blocks: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
-        self.matrix = as_complex(self.matrix)
-        n = self.space.dim
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"operator shape {self.matrix.shape} != {(n, n)}")
-        if self.degree is not None:
-            self._check_band()
+        dims, blocks = self.space.level_dims, {}
+        for (i, j), blk in sorted(self.blocks.items()):
+            blk = as_complex(blk)
+            if not (0 <= i < len(dims) and 0 <= j < len(dims)):
+                raise ValueError(f"block ({i},{j}) is outside levels 0..{self.space.levels}")
+            if blk.shape != (dims[i], dims[j]):
+                raise ValueError(f"block ({i},{j}) has shape {blk.shape}, "
+                                 f"expected {(dims[i], dims[j])}")
+            if not np.isfinite(blk).all():
+                raise ValueError(f"block ({i},{j}) has non-finite entries")
+            blocks[i, j] = blk
+        object.__setattr__(self, "blocks", blocks)
 
-    def _check_band(self):
-        """Off-band blocks must have norm <= 1e-13 max(1, ||M||).
+    @cached_property
+    def degree(self) -> int | None:
+        """The common i - j of the blocks: level j maps into level j + degree; None if mixed."""
+        degrees = {i - j for i, j in self.blocks}
+        return degrees.pop() if len(degrees) == 1 else None
 
-        One mask finds the nonzero off-band entries, and only the blocks that
-        hold one are judged; the whole-matrix scale is computed once, when the
-        first of them needs it.
-        """
-        if not np.isfinite(self.matrix).all():
-            raise ValueError(f"degree-{self.degree} operator has non-finite entries")
-        lvl = self.space.level_of
-        rows, cols = np.nonzero((self.matrix != 0) & np.not_equal.outer(lvl, lvl + self.degree))
-        tol = None
-        for j, i in sorted(set(zip(lvl[cols].tolist(), lvl[rows].tolist()))):
-            if tol is None:
-                tol = 1e-13 * max(1.0, operator_norm(self.matrix))
-            if operator_norm(self.block(i, j)) > tol:
-                raise ValueError(f"degree-{self.degree} operator has mass at block ({i},{j})")
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.matrix[self.space.level_slice(i), self.space.level_slice(j)]
-
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        deg = None
-        if self.degree is not None and other.degree is not None:
-            deg = self.degree + other.degree
-            if deg > self.space.levels:
-                deg = None  # product vanishes or is mixed-zero; keep unlabeled
-        return FockOperator(self.space, self.matrix @ other.matrix, deg)
-
-    def adjoint(self) -> "FockOperator":
-        deg = None if self.degree is None else -self.degree
-        return FockOperator(self.space, self.matrix.conj().T, deg)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense square matrix over the stacked path bases (read-only)."""
+        sp = self.space
+        out = np.zeros((sp.dim, sp.dim), dtype=complex)
+        for (i, j), blk in self.blocks.items():
+            out[sp.level_slice(i), sp.level_slice(j)] = blk
+        out.flags.writeable = False
+        return out
 
 
 def phi_inf(space: TruncatedFock, a) -> FockOperator:
     """phi_inf(a) = diag[phi_0(a), phi_1(a), ...]; equals W_a at level 0."""
     g = space.graph
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.levels + 1):
-        sl = space.level_slice(k)
-        m[sl, sl] = left_action(g, a, k)
-    return FockOperator(space, m, 0)
+    return FockOperator(space, {(k, k): left_action(g, a, k) for k in range(space.levels + 1)})
 
 
 def creation(space: TruncatedFock, xi: CorrElement) -> FockOperator:
-    """T_xi: the k-subdiagonal matrix of insertion operators xi (x) -."""
+    """T_xi: the k-subdiagonal blocks of insertion operators xi (x) -."""
     k = xi.level
     if k > space.levels:
         raise ValueError("creation level exceeds truncation")
     if k == 0:
         return phi_inf(space, xi.coeffs)
     g = space.graph
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(space.levels + 1 - k):
-        m[space.level_slice(j + k), space.level_slice(j)] = insertion_matrix(g, xi, j)
-    return FockOperator(space, m, k)
+    return FockOperator(space, {(j + k, j): insertion_matrix(g, xi, j)
+                                for j in range(space.levels + 1 - k)})
 
 
 def weight_diagonal(space: TruncatedFock, Z: WeightSystem, k: int) -> FockOperator:
     """D_k = diag[0, ..., 0, Z^{(k)}, Z^{(k+1,1)}, Z^{(k+2,2)}, ...]."""
     if k > space.levels:
         raise ValueError("weight level exceeds truncation")
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(k, space.levels + 1):
-        sl = space.level_slice(i)
-        m[sl, sl] = Z.z_between(i, i - k)
-    return FockOperator(space, m, 0)
+    return FockOperator(space, {(i, i): Z.z_between(i, i - k)
+                                for i in range(k, space.levels + 1)})
 
 
 def weighted_creation(space: TruncatedFock, Z: WeightSystem, xi: CorrElement) -> FockOperator:
-    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}."""
+    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}.
+
+    Adding 0.0 turns a -0.0 of the block product into +0.0, which is what the
+    product of the whole matrices D_k and T_xi holds there; reports keep their bytes.
+    """
     t = creation(space, xi)
     if xi.level == 0:
         return t
-    d = weight_diagonal(space, Z, xi.level)
-    return FockOperator(space, d.matrix @ t.matrix, xi.level)
+    return FockOperator(space, {(i, j): Z.z_between(i, j) @ blk + 0.0
+                                for (i, j), blk in t.blocks.items()})
 
 
 def tensor_element(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement) -> CorrElement:
@@ -231,7 +203,7 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
         for idx in range(d):
             ins = emb @ ind.insertion_map(CorrElement.basis_vector(g, k, idx))
             acc3 += ins @ ins.conj().T
-        qk = ind.fock_tensor_identity(space.level_projection(k))
+        qk = ind.fock_tensor_identity(FockOperator(space, {(k, k): np.eye(d)}))
         report["induced_projection_sum"] = residual(acc3, qk)
     return report
 

@@ -209,22 +209,16 @@ class InducedSpace:
         (p_out, h_out), (p_in, h_in) = self._cut(k_out, k_out), self._cut(k_in, k_in)
         return _masked_gather(y, p_out, p_in, h_out, h_in)
 
-    def fock_tensor_identity(self, y) -> np.ndarray:
-        """(Y (x) I_H) on the whole truncated induced space.
+    def fock_tensor_identity(self, op: FockOperator) -> np.ndarray:
+        """(Y (x) I_H) on the whole truncated induced space, gathered block by block.
 
-        One gather over all levels.  The module-map rule of
-        ``level_tensor_identity`` judges, in block order, each level block of
-        Y that holds a non-finite or a cross-source nonzero entry.
+        Each level block of Y is judged by the module-map rule of
+        ``level_tensor_identity``, in (i, j) order.
         """
-        mat = y.matrix if isinstance(y, FockOperator) else as_complex(y)
-        fock = self.fock
-        src, lvl = fock.sources, fock.level_of
-        rows, cols = np.nonzero(~np.isfinite(mat) | ((mat != 0) & np.not_equal.outer(src, src)))
-        for i, j in sorted(set(zip(lvl[rows].tolist(), lvl[cols].tolist()))):
-            rs, cs = fock.level_slice(i), fock.level_slice(j)
-            _check_module_map(mat[rs, cs], src[rs], src[cs])
-        f, h = self.coordinates
-        return _masked_gather(mat, f, f, h, h)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (i, j), blk in op.blocks.items():
+            out[self.level_slice(i), self.level_slice(j)] = self.level_tensor_identity(blk, i, j)
+        return out
 
     def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
         """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""

@@ -47,6 +47,13 @@ def _named(field: str, decode, *args):
         raise ValueError(f"{field}: {exc}") from exc
 
 
+def required(obj: dict, key: str):
+    """The field ``key`` of an input object; a missing one is named."""
+    if key not in obj:
+        raise ValueError(f"{key}: missing")
+    return obj[key]
+
+
 def _items(field: str, decode, value, *args) -> list:
     """``decode(item, *args)`` for each item of the list ``value``, errors named per item."""
     if not isinstance(value, list):
@@ -146,7 +153,11 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
         for k in range(1, x.levels + 1):
             if str(k) not in given:
                 raise ValueError(f"Z.matrices.{k}: missing; every level 1..{x.levels} needs a matrix")
-            zs.append(_named(f"Z.matrices.{k}", decode_matrix, given[str(k)]))
+            z = _named(f"Z.matrices.{k}", decode_matrix, given[str(k)])
+            d = path_basis(x.graph, k).size
+            if z.shape != (d, d) and (d or z.size):  # an empty list stands for a 0x0 level
+                raise ValueError(f"Z.matrices.{k}: has shape {z.shape}, expected {(d, d)}")
+            zs.append(z)
         return weight_system_from(x, Z=zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")
 
@@ -169,9 +180,9 @@ def decode_points(items, ind: InducedSpace, x: AdmissibleSequence) -> list[DiscP
 
 def decode_setting(obj, levels: int):
     """(graph, rep, x, ws) of an input; sigma defaults to multiplicity one per vertex."""
-    graph = decode_graph(obj["graph"])
+    graph = decode_graph(required(obj, "graph"))
     rep = decode_rep(obj.get("sigma", [1] * graph.n_vertices), graph)
-    x = decode_x(obj["X"], graph, levels)
+    x = decode_x(required(obj, "X"), graph, levels)
     return graph, rep, x, decode_weights(obj.get("Z"), x)
 
 
@@ -181,29 +192,23 @@ def decode_pick_problem(obj, levels: int):
     The targets F and B are parsed first, so a malformed entry is named
     before any factorization runs on the rest of the input.
     """
-    f_list = _items("F", decode_matrix, obj["F"])
+    f_list = _items("F", decode_matrix, required(obj, "F"))
     b_list = _items("B", decode_matrix, obj["B"]) if "B" in obj else None
     s = decode_count(obj, "s", 1)
     t = decode_count(obj, "t", 1)
     graph, rep, x, ws = decode_setting(obj, levels)
     ind = InducedSpace(graph, rep, levels)
-    points = decode_points(obj["points"], ind, x)
+    points = decode_points(required(obj, "points"), ind, x)
     if b_list is None:
         b_list = [np.eye(s * rep.h_dim, dtype=complex) for _ in points]
     return ws, PickProblem(points, b_list, f_list, s=s, t=t)
 
 
 def encode_fock_operator(op: FockOperator) -> dict:
-    """Operator dump: shape, degree, and the nonzero graded blocks."""
-    blocks = {}
-    sp = op.space
-    for i in range(sp.levels + 1):
-        for j in range(sp.levels + 1):
-            blk = op.block(i, j)
-            if blk.size and np.abs(blk).max() > 0:
-                blocks[f"{i},{j}"] = encode_matrix(blk)
-    return {"shape": [op.matrix.shape[0], op.matrix.shape[1]],
-            "degree": op.degree, "blocks": blocks}
+    """Operator dump: shape, degree, and the nonzero graded blocks in (i, j) order."""
+    blocks = {f"{i},{j}": encode_matrix(blk) for (i, j), blk in op.blocks.items()
+              if blk.size and np.abs(blk).max() > 0}
+    return {"shape": [op.space.dim, op.space.dim], "degree": op.degree, "blocks": blocks}
 
 
 def encode_basis(graph: GraphCorrespondence, k: int) -> list:

@@ -162,6 +162,12 @@ FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": 5}}, "Z.matrices"),
     ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": FREE2_Z1}}},
      "Z.matrices.2"),
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": [[[1.0, 0.0]]]}}},
+     "Z.matrices.1: has shape (1, 1), expected (2, 2)"),
+    ("weights", {"X": {"scalar": [1.0]}}, "graph: missing"),
+    ("validate", {"graph": GRAPH2}, "X: missing"),
+    ("solve", {k: v for k, v in TWO_POINT.items() if k != "F"}, "F: missing"),
+    ("pick", {k: v for k, v in TWO_POINT.items() if k != "points"}, "points: missing"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))

@@ -22,7 +22,8 @@ from wfock.duality import (
     dual_weights,
     omega_transport,
 )
-from wfock.fock import FockOperator, TruncatedFock, tensor_element, weighted_creation
+from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, tensor_element, \
+    weight_diagonal, weighted_creation
 from wfock.graphs import (
     CorrElement,
     _random_module_map,
@@ -195,6 +196,27 @@ def ref_fock_tensor_identity(ind, mat):
                 out[ind.level_slice(i), ind.level_slice(j)] = \
                     ref_level_tensor_identity(ind, blk, i, j)
     return out
+
+
+def ref_weighted_creation(space, ws, xi):
+    """W_xi as the product of the whole matrices D_k and T_xi, as before the blocks."""
+    k, g = xi.level, space.graph
+    t = np.zeros((space.dim, space.dim), dtype=complex)
+    for j in range(space.levels + 1 - k):
+        t[space.level_slice(j + k), space.level_slice(j)] = \
+            left_action(g, xi.coeffs, j) if k == 0 else insertion_matrix(g, xi, j)
+    if k == 0:
+        return t
+    d = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(k, space.levels + 1):
+        d[space.level_slice(i), space.level_slice(i)] = ws.z_between(i, i - k)
+    return d @ t
+
+
+def _split_levels(fock, mat):
+    """The dense Fock matrix ``mat`` as a FockOperator with every level block."""
+    return FockOperator(fock, {(i, j): mat[fock.level_slice(i), fock.level_slice(j)]
+                               for i in range(fock.levels + 1) for j in range(fock.levels + 1)})
 
 
 def ref_check_band(space, matrix, degree):
@@ -410,15 +432,14 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
     h = rep.h_dim
     a_mat = _commutant_element(rng, rep)
     assert np.array_equal(ind.dual_left(a_mat), ref_dual_left(ind, a_mat))
-    fock = TruncatedFock(graph, n)
-    big = np.zeros((fock.dim, fock.dim), dtype=complex)
+    blocks = {}
     for i in range(n + 1):
         for j in range(n + 1):
-            y = _module_map_between(rng, graph, i, j)
-            big[fock.level_slice(i), fock.level_slice(j)] = y
+            y = blocks[i, j] = _module_map_between(rng, graph, i, j)
             assert np.array_equal(ind.level_tensor_identity(y, i, j),
                                   ref_level_tensor_identity(ind, y, i, j))
-    assert np.array_equal(ind.fock_tensor_identity(big), ref_fock_tensor_identity(ind, big))
+    big = FockOperator(TruncatedFock(graph, n), blocks)
+    assert np.array_equal(ind.fock_tensor_identity(big), ref_fock_tensor_identity(ind, big.matrix))
     a = rng_complex(rng, graph.n_vertices)
     vertex_of_h = np.repeat(np.arange(graph.n_vertices), rep.multiplicities)
     z = np.zeros((h, ind.level_dim(1)), dtype=complex)
@@ -486,12 +507,8 @@ def _commutant_element(rng, rep):
 
 
 def _fock_module_map(rng, fock):
-    big = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for i in range(fock.levels + 1):
-        for j in range(fock.levels + 1):
-            big[fock.level_slice(i), fock.level_slice(j)] = \
-                _module_map_between(rng, fock.graph, i, j)
-    return big
+    return FockOperator(fock, {(i, j): _module_map_between(rng, fock.graph, i, j)
+                               for i in range(fock.levels + 1) for j in range(fock.levels + 1)})
 
 
 @settings(max_examples=20, deadline=None)
@@ -561,40 +578,76 @@ def _same(a, b):
 @SETTINGS
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_graded_checks_judge_like_the_block_loops(graph, n, data):
-    """Several off-band or cross-source bumps at 0.5-2x their thresholds, and
-    sometimes a non-finite entry: the same verdict and message as the loops."""
+    """Several cross-source bumps at 0.5-2x their thresholds: the same verdict
+    and message as the block loop.  A non-finite entry is rejected when the
+    blocks are built, with its level pair named."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     fock = ind.fock
     rng = _rng(data)
-    degree = data.draw(st.integers(-n, n), label="degree")
-    band = np.zeros((fock.dim, fock.dim), dtype=complex)
     mod = np.zeros((fock.dim, fock.dim), dtype=complex)
     for i in range(n + 1):
         for j in range(n + 1):
             mod[fock.level_slice(i), fock.level_slice(j)] = _module_map_between(rng, graph, i, j)
-            if i - j == degree:
-                band[fock.level_slice(i), fock.level_slice(j)] = \
-                    rng_complex(rng, fock.level_dims[i], fock.level_dims[j])
-    src = fock.sources
+    src = np.array([v for k in range(n + 1) for v in path_basis(graph, k).sources])
+    lvl = np.repeat(np.arange(n + 1), fock.level_dims)
     cross = np.argwhere(np.not_equal.outer(src, src))
-    off_band = np.argwhere(np.not_equal.outer(fock.level_of, fock.level_of + degree))
     for _ in range(data.draw(st.integers(0, 3), label="bumps")):
         factor = data.draw(st.floats(0.5, 2.0), label="factor")
-        if len(off_band):
-            r, c = off_band[data.draw(st.integers(0, len(off_band) - 1), label="band entry")]
-            band[r, c] = factor * 1e-13 * max(1.0, operator_norm(band))
         if len(cross):
             r, c = cross[data.draw(st.integers(0, len(cross) - 1), label="cross entry")]
-            blk = mod[fock.level_slice(fock.level_of[r]), fock.level_slice(fock.level_of[c])]
+            blk = mod[fock.level_slice(lvl[r]), fock.level_slice(lvl[c])]
             mod[r, c] = factor * 1e-12 * max(1.0, operator_norm(blk))
+    got = _outcome(lambda: ind.fock_tensor_identity(_split_levels(fock, mod)))
+    assert _same(got, _outcome(lambda: ref_fock_tensor_identity(ind, mod)))
     if data.draw(st.booleans(), label="non-finite"):
         r, c = rng.integers(fock.dim, size=2)
-        band[r, c] = mod[r, c] = np.nan
-    assert _same(_outcome(lambda: FockOperator(fock, band, degree).matrix),
-                 _outcome(lambda: ref_check_band(fock, band, degree) or band))
-    assert _same(_outcome(lambda: ind.fock_tensor_identity(mod)),
-                 _outcome(lambda: ref_fock_tensor_identity(ind, mod)))
+        mod[r, c] = np.nan
+        assert isinstance(_outcome(lambda: ref_fock_tensor_identity(ind, mod)), str)
+        assert _outcome(lambda: _split_levels(fock, mod)) == \
+            f"block ({lvl[r]},{lvl[c]}) has non-finite entries"
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_graded_operators_match_the_dense_construction(graph, n, data):
+    """The block constructors against the whole-matrix ones they replaced: the
+    weighted creation against the product D_k T_xi, every operator inside its
+    degree band, and its induced image against the gather of the dense matrix.
+
+    With scalar X the weights are multiples of the identity and the products
+    agree at every entry.  With matrix X the block product and the product of
+    the whole matrices run different BLAS kernels and may differ in the last bit.
+    """
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    space = ind.fock
+    rng = _rng(data)
+    scalar = data.draw(st.booleans(), label="scalar X")
+    if scalar:
+        xs = [data.draw(st.floats(0.2, 1.5), label="x1"),
+              data.draw(st.floats(0.0, 0.3), label="x2")]
+        x = AdmissibleSequence.from_scalar(graph, xs, levels=n)
+    else:
+        x = _random_graph_x(graph, n, rng)
+    ws = weight_system_from(x)
+    k = data.draw(st.integers(0, n), label="level")
+    xi = CorrElement(k, rng_complex(rng, path_basis(graph, k).size))
+    xi.coeffs[rng.random(xi.coeffs.size) < 0.3] = 0.0
+    w = weighted_creation(space, ws, xi)
+    assert w.degree == k
+    ref = ref_weighted_creation(space, ws, xi)
+    if scalar:
+        assert np.array_equal(w.matrix, ref)
+    else:
+        scale = max(1.0, np.abs(ref).max(initial=0.0))
+        assert np.abs(w.matrix - ref).max(initial=0.0) <= 1e-15 * scale
+    ops = [w, creation(space, xi), weight_diagonal(space, ws, k),
+           phi_inf(space, rng_complex(rng, graph.n_vertices))]
+    for op in ops:
+        ref_check_band(space, op.matrix, op.degree)
+        assert np.array_equal(ind.fock_tensor_identity(op),
+                              ref_fock_tensor_identity(ind, op.matrix))
 
 
 @SETTINGS

@@ -1,0 +1,95 @@
+"""SHA-256 digests of a fixed set of CLI reports, to show a change keeps report bytes.
+
+Usage (from any directory):
+
+    python3 tools/report_digests.py [OUTPUT]
+
+Each report is made in-process through ``wfock.cli.main`` with ``--output``
+to a file in a temporary directory, with ``OPENBLAS_NUM_THREADS=1``; wfock is
+imported from ``src/`` of the checkout this script sits in.  One
+``sha256  name`` line is printed per report (and written to OUTPUT if given).
+Every command is expected to exit 0; the exit code is 1 if any does not.  Run
+the script in two checkouts and diff the output: equal lines mean
+byte-identical reports.
+
+The set: ``selftest --seed 0``; the README's validate, solve (N=40) and lift
+(N=4) inputs, and that lift at N=8; and ``fock``, ``weights`` and ``lift`` at
+N=4 on the 2-cycle with sigma (2, 1), free(2) with sigma (1) and the 3-cycle
+with sigma (1, 1, 1).
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # fixed before numpy loads
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from wfock.cli import main  # noqa: E402
+
+X_DIRICHLET = {"scalar": [0.5, 0.08333333333333333]}
+INPUTS = {
+    "coeffs": {"kernel_coeffs": [1.0, 0.5, 0.3333333333333333, 0.25, 0.2]},
+    "problem": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
+                "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]},
+    "lift": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [1, 1],
+             "X": X_DIRICHLET, "instances": 3},
+    "cycle2": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [2, 1],
+               "X": X_DIRICHLET, "instances": 2},
+    "free2": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+              "X": X_DIRICHLET, "instances": 2},
+    "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
+               "X": X_DIRICHLET, "instances": 2},
+}
+# (name, input key or None, arguments)
+RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
+        ("readme-validate", "coeffs", ["validate"]),
+        ("readme-solve-N40", "problem", ["solve", "--N", "40"]),
+        ("readme-lift-N4", "lift", ["lift", "--N", "4", "--seed", "7"]),
+        ("readme-lift-N8", "lift", ["lift", "--N", "8", "--seed", "7"])]
+RUNS += [(f"{command}-{graph}-N4", graph, [command, "--N", "4"])
+         for graph in ("cycle2", "free2", "cycle3") for command in ("fock", "weights", "lift")]
+
+
+def digests(workdir: Path) -> tuple[list[str], list[str]]:
+    """The ``sha256  name`` lines, and one message per nonzero exit code."""
+    lines, errors = [], []
+    for name, key, args in RUNS:
+        argv = ["--command", *args, "--output", str(workdir / f"{name}.report.json")]
+        if key is not None:
+            path = workdir / f"{key}.json"
+            path.write_text(json.dumps(INPUTS[key]))
+            argv += ["--input", str(path)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            errors.append(f"{name}: exit code {code}, expected 0")
+        digest = hashlib.sha256((workdir / f"{name}.report.json").read_bytes()).hexdigest()
+        lines.append(f"{digest}  {name}")
+    return lines, errors
+
+
+def run(output: str | None) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        lines, errors = digests(Path(tmp))
+    text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
+    if output:
+        Path(output).write_text(text)
+    for err in errors:
+        print(err, file=sys.stderr)
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit("usage: report_digests.py [OUTPUT]")
+    sys.exit(run(sys.argv[1] if len(sys.argv) == 2 else None))
