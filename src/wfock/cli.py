@@ -79,9 +79,10 @@ def _load(config: RunConfig) -> dict:
 
 def _cmd_validate(config: RunConfig, obj: dict) -> dict:
     if "kernel_coeffs" in obj:
-        xs, ok, reason = admissible_from_kernel_coeffs(obj["kernel_coeffs"])
-        back = scalar_r2(xs, len(obj["kernel_coeffs"]) - 1)
-        roundtrip = max(abs(u - v) for u, v in zip(back, obj["kernel_coeffs"]))
+        coeffs = jsonio.decode_kernel_coeffs(obj["kernel_coeffs"])
+        xs, ok, reason = admissible_from_kernel_coeffs(coeffs)
+        back = scalar_r2(xs, len(coeffs) - 1)
+        roundtrip = max(abs(u - v) for u, v in zip(back, coeffs))
         report = {"admissible": ok, "reason": reason, "x": xs,
                   "roundtrip_residual": {"value": roundtrip, "tol": 1e-10}}
         if not ok:

@@ -256,15 +256,14 @@ class DualStructure:
 
     # -- transported dual operators on the primal induced space ---------------
 
-    def rho_creation(self, t_mat: np.ndarray, k: int) -> np.ndarray:
-        """rho of the weighted creation by the dual element with intertwiner t."""
+    def rho_creation(self, t_mat: np.ndarray, k: int) -> dict[tuple[int, int], np.ndarray]:
+        """Level blocks of rho of the weighted creation by the dual element with intertwiner t."""
         ind = self.ind
-        out = np.zeros((ind.dim, ind.dim), dtype=complex)
+        out = {}
         for j in range(ind.levels + 1 - k):
-            if ind.level_dim(j + k) == 0 or ind.level_dim(j) == 0:
-                continue
-            cw = ind.level_tensor_identity(self.ws.c_between(j + k, k), j + k)
-            out[ind.level_slice(j + k), ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
+            if ind.level_dim(j + k) and ind.level_dim(j):
+                cw = ind.level_tensor_identity(self.ws.c_between(j + k, k), j + k)
+                out[j + k, j] = cw @ ind.suffix_insert(t_mat, k, j)
         return out
 
     def dual_generators(self) -> list[tuple[str, np.ndarray]]:
@@ -274,8 +273,8 @@ class DualStructure:
             out.append((f"phi'({v},{i},{j})",
                         self.ind.dual_left(self.rep.commutant_unit(v, i, j))))
         for t in self.tuples(1):
-            out.append((f"W'({t.edges[0]},{t.row})",
-                        self.rho_creation(self.alpha_matrix(t.edges[0], t.row), 1)))
+            creation = self.rho_creation(self.alpha_matrix(t.edges[0], t.row), 1)
+            out.append((f"W'({t.edges[0]},{t.row})", self.ind.assemble(creation, 0)))
         return out
 
     def pi_sigma(self, y: FockOperator) -> np.ndarray:
@@ -297,31 +296,40 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lift_model(ind: InducedSpace, generators: list[np.ndarray],
-                basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]) -> LiftModel:
+def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftModel:
+    """The lift model whose level-k basis elements are ``basis(k)``: pairs of the
+    insertion H -> level k (zeros and ones) and the level blocks of the weighted
+    creation (at level 0 diagonal blocks in level order, kept as one diagonal)."""
+    insertions, creations = [], []
+    for k in range(ind.levels + 1):
+        insertions.append([])
+        creations.append([])
+        for ins, blocks in basis(k):
+            rows, cols = np.nonzero(ins)
+            insertions[k].append((ind.level_offsets[k] + rows, cols))
+            creations[k].append(ind.assemble(blocks, k) if k else
+                                np.concatenate([np.diagonal(b) for b in blocks.values()]))
     level = np.repeat(np.arange(ind.levels + 1), np.diff(ind.level_offsets))
-    return LiftModel(dim=ind.dim, h_dim=ind.rep.h_dim, levels=ind.levels, level=level,
-                     generators=generators, vacuum=ind.level_embed(0), basis_ops=basis_ops)
+    return LiftModel(dim=ind.dim, levels=ind.levels, level=level, copies=1,
+                     generators=generators, insertions=insertions, creations=creations)
 
 
 def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     """Lifting data for the graph side: K = F(E) (x)_sigma H.
 
     Per level k and basis path p the bundle pairs the insertion of p with the
-    image of the weighted creation at (Z^{(k)})^{-1} applied to p.
+    weighted creation at (Z^{(k)})^{-1} applied to p.
     """
     space = TruncatedFock(ind.graph, ind.levels)
-    basis_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    for k in range(ind.levels + 1):
+
+    def basis(k):
         zinv = ws.z_prod_inv(k)
-        emb = ind.level_embed(k)
-        level = []
         for p in range(path_basis(ind.graph, k).size):
-            ins = emb @ ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p))
             w = weighted_creation(space, ws, CorrElement(k, zinv[:, p]))
-            level.append((ins, ind.fock_tensor_identity(w)))
-        basis_ops.append(level)
-    return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis_ops)
+            yield (ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p)),
+                   {ij: ind.level_tensor_identity(blk, *ij) for ij, blk in w.blocks.items()})
+
+    return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis)
 
 
 def dual_lift_model(structure: DualStructure) -> LiftModel:
@@ -332,19 +340,14 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
     inverse dual weight product, which transports to (Z^{(k)})^{-1} (x) I.
     """
     ind, ws = structure.ind, structure.ws
-    basis_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    for k in range(ind.levels + 1):
-        level = []
-        if k == 0:
-            level.append((ind.level_embed(0), np.eye(ind.dim, dtype=complex)))
-        else:
-            zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
-            for t in structure.tuples(k):
-                t_mat = structure.intertwiner(t.edges, t.row)
-                ins = ind.level_embed(k) @ t_mat
-                level.append((ins, structure.rho_creation(zinv_ind @ t_mat, k)))
-        basis_ops.append(level)
-    return _lift_model(ind, [m for _, m in structure.dual_generators()], basis_ops)
+
+    def basis(k):
+        zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
+        for t in structure.tuples(k):
+            t_mat = structure.intertwiner(t.edges, t.row)
+            yield t_mat, structure.rho_creation(zinv_ind @ t_mat, k)
+
+    return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
 
 
 def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
@@ -605,16 +608,9 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
 
     a = rng.standard_normal(ind.graph.n_vertices)
     img = s.pi_sigma(phi_inf(space, a))
-    expected = np.zeros_like(img)
-    pos = 0
-    for k in range(ind.levels + 1):
-        for t in s.tuples(k):
-            if k == 0:
-                expected[pos:pos + ind.rep.h_dim, pos:pos + ind.rep.h_dim] = ind.rep.sigma(a)
-                pos += ind.rep.h_dim
-            else:
-                expected[pos, pos] = a[t.vertex]
-                pos += 1
+    # diagonal in the dual frame: sigma(a) on level 0, a at the vertex of each tuple above
+    vertices = [t.vertex for k in range(1, ind.levels + 1) for t in s.tuples(k)]
+    expected = np.diag(np.concatenate([np.diag(ind.rep.sigma(a)), a[vertices]]))
     out["left_action_formula"] = residual(img, expected)
 
     def w_image(e) -> np.ndarray:
@@ -635,16 +631,14 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
         residual(_in_frame(w1 @ w2, theta), _in_frame(w1, theta) @ _in_frame(w2, theta))
         for w1, w2 in zip(words, words[1:]))
 
-    band = 0.0
-    dims = [len(s.tuples(k)) if k else ind.rep.h_dim for k in range(ind.levels + 1)]
-    offs = np.concatenate([[0], np.cumsum(dims)])
+    band = 0.0  # the dual frame permutes each level, so its level blocks are the induced ones
     for e in range(ind.graph.n_edges):
         img = s.pi_sigma(weighted_creation(space, ws, CorrElement.basis_vector(ind.graph, 1, e)))
         for i in range(ind.levels + 1):
             for j in range(ind.levels + 1):
                 if i - j == 1:
                     continue
-                band = max(band, operator_norm(img[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]))
+                band = max(band, operator_norm(img[ind.level_slice(i), ind.level_slice(j)]))
     out["creation_band"] = band
     return out
 

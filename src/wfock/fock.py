@@ -50,17 +50,6 @@ class TruncatedFock:
         off = self.offsets
         return slice(off[k], off[k + 1])
 
-    def level_isometry(self, k: int) -> np.ndarray:
-        """v_k: E^{(x)k} -> Fock, so Q_k = v_k v_k^*."""
-        d = path_basis(self.graph, k).size
-        out = np.zeros((self.dim, d), dtype=complex)
-        out[self.level_slice(k), :] = np.eye(d)
-        return out
-
-    def level_projection(self, k: int) -> np.ndarray:
-        vk = self.level_isometry(k)
-        return vk @ vk.conj().T
-
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
@@ -189,22 +178,18 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
     for idx in range(d):
         t = creation(space, CorrElement.basis_vector(g, k, idx)).matrix
         acc2 += t @ t.conj().T
-    tail = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(k, space.levels + 1):
-        tail += space.level_projection(i)
+    tail = np.diag((np.arange(space.dim) >= space.offsets[k]).astype(complex))
     report["projection_sum"] = residual(acc2, tail)
 
     if rep is not None:
         from .induced import InducedSpace  # local import to avoid a cycle
 
         ind = InducedSpace(g, rep, space.levels)
-        emb = ind.level_embed(k)
-        acc3 = np.zeros((ind.dim, ind.dim), dtype=complex)
+        acc3 = np.zeros((ind.level_dim(k), ind.level_dim(k)), dtype=complex)
         for idx in range(d):
-            ins = emb @ ind.insertion_map(CorrElement.basis_vector(g, k, idx))
+            ins = ind.insertion_map(CorrElement.basis_vector(g, k, idx))
             acc3 += ins @ ins.conj().T
-        qk = ind.fock_tensor_identity(FockOperator(space, {(k, k): np.eye(d)}))
-        report["induced_projection_sum"] = residual(acc3, qk)
+        report["induced_projection_sum"] = residual(acc3, ind.level_tensor_identity(np.eye(d), k))
     return report
 
 

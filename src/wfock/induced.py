@@ -164,12 +164,6 @@ class InducedSpace:
     def level_dim(self, k: int) -> int:
         return self.level_offsets[k + 1] - self.level_offsets[k]
 
-    def level_embed(self, k: int) -> np.ndarray:
-        """The isometry of level k into the whole space; for k = 0 the vacuum insertion L_{1^}."""
-        out = np.zeros((self.dim, self.level_dim(k)), dtype=complex)
-        out[self.level_slice(k), :] = np.eye(self.level_dim(k))
-        return out
-
     def _cut(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Per coordinate of level k: the prefix index of its path cut after j
         edges, and the level-(k-j) coordinate of its suffix at the same H
@@ -215,9 +209,18 @@ class InducedSpace:
         Each level block of Y is judged by the module-map rule of
         ``level_tensor_identity``, in (i, j) order.
         """
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), blk in op.blocks.items():
-            out[self.level_slice(i), self.level_slice(j)] = self.level_tensor_identity(blk, i, j)
+        return self.assemble({(i, j): self.level_tensor_identity(blk, i, j)
+                              for (i, j), blk in op.blocks.items()}, 0)
+
+    def assemble(self, blocks: dict[tuple[int, int], np.ndarray], k: int) -> np.ndarray:
+        """The operator with level blocks ``blocks[(i, j)]`` (level j to level i)
+        as a matrix K_{<=N-k} -> K_{>=k}: for k = 0 the whole space, for an
+        operator of degree k its one band block."""
+        top = self.level_offsets[k]
+        out = np.zeros((self.dim - top, self.level_offsets[self.levels + 1 - k]), dtype=complex)
+        for (i, j), blk in blocks.items():
+            out[self.level_offsets[i] - top:self.level_offsets[i + 1] - top,
+                self.level_slice(j)] = blk
         return out
 
     def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
@@ -236,20 +239,10 @@ class InducedSpace:
     # -- vectors ------------------------------------------------------------
 
     def insertion_map(self, xi: CorrElement) -> np.ndarray:
-        """L_xi: H -> level k of the induced space, h |-> xi (x) h.
-
-        ``level_embed(k) @ insertion_map(xi)`` lands in the whole space; at a
-        basis path that is the basis insertion L_{p^}.
-        """
+        """L_xi: H -> level k of the induced space, h |-> xi (x) h."""
         path, h = self._cut(xi.level, xi.level)
         return _masked_gather(xi.coeffs[:, None], path, np.zeros(self.h_dim, dtype=np.intp),
                               h, np.arange(self.h_dim))
-
-    def simple_tensor(self, xi: CorrElement, h: np.ndarray) -> np.ndarray:
-        """Coordinates of xi (x) h in the whole truncated induced space."""
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.level_slice(xi.level)] = self.insertion_map(xi) @ as_complex(h).reshape(-1)
-        return out
 
     def suffix_insert(self, t: np.ndarray, k: int, j: int) -> np.ndarray:
         """I_j (x) T for an intertwiner T: H -> level k; lands in level j+k.

@@ -171,13 +171,9 @@ class CauchyKernel:
 
     def __post_init__(self):
         ind = self.point.ind
-        self.levels = []
-        self.column = np.zeros((ind.dim, ind.rep.h_dim), dtype=complex)
-        for k in range(ind.levels + 1):
-            zinv = self.ws.z_prod_inv(k)
-            blk = ind.level_tensor_identity(zinv.conj().T, k) @ self.point.powers[k].conj().T
-            self.levels.append(blk)
-            self.column[ind.level_slice(k), :] = blk
+        self.levels = [ind.level_tensor_identity(self.ws.z_prod_inv(k).conj().T, k)
+                       @ self.point.powers[k].conj().T for k in range(ind.levels + 1)]
+        self.column = np.vstack(self.levels)
 
     def pairing(self, other: "CauchyKernel", a: np.ndarray) -> np.ndarray:
         """<c_w, A . c_z> computed from the stored columns."""
@@ -255,7 +251,7 @@ def representation_eval(z: DiscPoint, word) -> np.ndarray:
 def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarray:
     """Evaluation through the kernel column: L_z^* (Y (x) I) L_I."""
     c = CauchyKernel(z, ws)
-    return c.column.conj().T @ op_matrix @ z.ind.level_embed(0)
+    return (c.column.conj().T @ op_matrix)[:, z.ind.level_slice(0)] + 0.0
 
 
 def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
@@ -279,7 +275,8 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     ind = z.ind
     s = DualStructure(ind, ws)
     c = CauchyKernel(z, ws)
-    lhs = s.rho_creation(xi_mat, 1).conj().T @ ind.dual_left(as_complex(d_mat)) @ c.column
+    lhs = ind.assemble(s.rho_creation(xi_mat, 1), 0).conj().T @ ind.dual_left(as_complex(d_mat)) \
+        @ c.column
     coeff = xi_mat.conj().T @ ind.dual_left_level(as_complex(d_mat), 1) @ z.mat.conj().T
     rhs = ind.dual_left(coeff) @ c.column
     top = ind.level_slice(ind.levels).start
@@ -503,14 +500,12 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     g_tilde, trace = two_space_lift(model_sum, idx1, idx2, q_f, q_b, g12,
                                     hypothesis_tol=hyp_budget)
 
-    vac = ind.level_embed(0)
     evaluations = []
     residuals_out = []
     for i, z in enumerate(problem.points):
         c = CauchyKernel(z, ws)
         left = np.kron(np.eye(problem.s), c.column)
-        right = np.kron(np.eye(problem.t), vac)
-        y_hat = left.conj().T @ g_tilde @ right
+        y_hat = amp_t.vacuum(left.conj().T @ g_tilde)
         evaluations.append(y_hat)
         residuals_out.append(operator_norm(problem.B[i] @ y_hat - problem.F[i]))
     lift_err = max(trace["corollary"]["adjoint_invariance"],

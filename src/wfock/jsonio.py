@@ -61,6 +61,10 @@ def _items(field: str, decode, value, *args) -> list:
     return [_named(f"{field}[{i}]", decode, item, *args) for i, item in enumerate(value)]
 
 
+def decode_kernel_coeffs(value) -> list[float]:
+    return _items("kernel_coeffs", _finite, value)
+
+
 def decode_complex(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(_finite(v))

@@ -114,7 +114,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
         model = state.model
         q_m, q_m1 = state.frame, new_state.frame
         g_mat = state.g_mat
-        g_vec = g_mat @ model.vacuum
+        g_vec = model.vacuum(g_mat)
 
         def alpha(mat):
             return q_m.conj().T @ mat @ q_m
@@ -149,8 +149,8 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             beta(w_tensor(a_conj_xi)).conj().T)
         # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
         worst = 0.0
-        for ins, wc in model.basis_ops[k]:
-            worst = max(worst, residual(alpha(wc) @ g_vec, g_mat @ ins))
+        for alpha_w, ins in model.compressions(k, q_m, q_m):
+            worst = max(worst, residual(alpha_w @ g_vec, model.inserted(g_mat, ins)))
         out["alpha_vacuum"] = worst
         # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
         xi_a = CorrElement(k, xi.coeffs * a[list(basis_k.sources)])

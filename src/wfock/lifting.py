@@ -15,9 +15,9 @@ thresholded pseudoinverse rather than as a weak limit, which keeps the run
 deterministic; optimality is verified per instance.
 
 Everything operates on a ``LiftModel``: a bundle of the induced space
-dimensions, the generator images Y (x) I, the vacuum insertion, and, per
-level, the basis insertions together with the weighted creations at the
-inverse weight product.  Both the graph side and the transported dual side
+dimensions, the generator images Y (x) I, and, per level, the basis
+insertions as coordinate maps with the band blocks of the weighted creations
+at the inverse weight product.  Both the graph side and the transported dual side
 produce such bundles, so one loop serves the lifting theorem and, through the
 Putnam trick, its two-space corollary.
 """
@@ -86,19 +86,20 @@ class LiftModel:
     """Everything the lifting loop needs about one induced Fock space.
 
     ``level[c]`` is the truncation level of coordinate c, so K_n (levels
-    0..n) is the coordinate set ``level <= n``.  ``basis_ops[k]`` pairs, for
-    each orthonormal basis element of the level-k power, the insertion
-    L_{xi^}: H -> K with the image of the weighted creation at the inverse
-    weight product applied to xi.
-    """
+    0..n) is the coordinate set ``level <= n``.  Per orthonormal basis element
+    xi of the level-k power, ``insertions[k]`` holds L_{xi^}: H -> K as (rows,
+    cols), K coordinate rows[i] receiving H index cols[i], and ``creations[k]``
+    the weighted creation W at the inverse weight product applied to xi: its
+    one band block K_{<=N-k} -> K_{>=k}, at k = 0 its diagonal.  The ``copies``
+    direct summands (copy-major layout) share the creations."""
 
     dim: int
-    h_dim: int
     levels: int
     level: np.ndarray
+    copies: int
     generators: list[np.ndarray]
-    vacuum: np.ndarray
-    basis_ops: list[list[tuple[np.ndarray, np.ndarray]]]
+    insertions: list[list[tuple[np.ndarray, np.ndarray]]]
+    creations: list[list[np.ndarray]]
 
     def prefix_idx(self, n: int) -> np.ndarray:
         """Coordinate indices of K_n."""
@@ -113,17 +114,41 @@ class LiftModel:
         """
         if copies == 1:
             return self
-        eye = np.eye(copies)
+        eye, shift, h = np.eye(copies), np.arange(copies)[:, None], self.prefix_idx(0).size
         return LiftModel(
             dim=self.dim * copies,
-            h_dim=self.h_dim * copies,
             levels=self.levels,
             level=np.tile(self.level, copies),
+            copies=self.copies * copies,
             generators=[np.kron(eye, g) for g in self.generators],
-            vacuum=np.kron(eye, self.vacuum),
-            basis_ops=[[(np.kron(eye, ins), np.kron(eye, wc)) for ins, wc in level]
-                       for level in self.basis_ops],
+            insertions=[[((rows + self.dim * shift).ravel(), (cols + h * shift).ravel())
+                         for rows, cols in level] for level in self.insertions],
+            creations=self.creations,
         )
+
+    def vacuum(self, m: np.ndarray) -> np.ndarray:
+        """M L_{1^}, the K_0 columns of M; adding 0.0 turns a gathered -0.0 into
+        the +0.0 of the product with the vacuum insertion, so reports keep their bytes."""
+        return m[:, self.prefix_idx(0)] + 0.0
+
+    def inserted(self, m: np.ndarray, ins: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """M L_{xi^} for the insertion (rows, cols) of a basis element."""
+        out = np.zeros((m.shape[0], self.prefix_idx(0).size), dtype=complex)
+        out[:, ins[1]] = m[:, ins[0]]
+        return out
+
+    def compressions(self, k: int, q_out: np.ndarray, q_in: np.ndarray):
+        """Per level-k basis element: q_out^* W q_in for its weighted creation W,
+        and its insertion (rows, cols).  Only the band block enters q_out^* W, but
+        that is kept at full width, so the product with q_in runs over the same
+        coordinates as the dense product did and gives the same bits."""
+        base = self.dim // self.copies
+        for blk, ins in zip(self.creations[k], self.insertions[k]):
+            left = np.zeros((q_out.shape[1], self.dim), dtype=complex)
+            for s in range(0, self.dim, base):
+                rows = q_out[s + base - blk.shape[0]:s + base].conj().T
+                left[:, s:s + blk.shape[-1]] = rows @ blk if k else rows * blk
+            yield left @ q_in, ins
 
     def prefix_columns(self, n: int) -> np.ndarray:
         idx = self.prefix_idx(n)
@@ -229,14 +254,13 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         raise RuntimeError("escaping level added no new directions")
     q_m1 = np.hstack([q_m, q_new])
 
-    g_vec = state.g_mat @ model.vacuum  # g = G_m L_{1^}: H -> J_m
+    g_vec = model.vacuum(state.g_mat)  # g = G_m L_{1^}: H -> J_m
     f_mat = np.zeros((model.dim, q_m1.shape[1]), dtype=complex)
     gram = np.zeros((q_m1.shape[1], q_m1.shape[1]), dtype=complex)
     for k in range(1, model.levels + 1):
-        for ins, wc in model.basis_ops[k]:
-            beta = q_m1.conj().T @ wc @ q_m  # beta(W_{Z^{(k)-1} xi})
+        for beta, (rows, cols) in model.compressions(k, q_m1, q_m):  # beta(W_{Z^{(k)-1} xi})
             row = g_vec.conj().T @ beta.conj().T  # h x d_{m+1}
-            f_mat += ins @ row
+            f_mat[rows] += row[cols]
             col = beta @ g_vec
             gram += col @ col.conj().T
     k0_idx = model.prefix_idx(0)
@@ -293,13 +317,12 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
 def gm_star_expansion_residual(state: LiftState) -> float:
     """Residual of the adjoint expansion of G_m over the basis insertions."""
     model = state.model
-    g_vec = state.g_mat @ model.vacuum
+    g_vec = model.vacuum(state.g_mat)
     acc = np.zeros((model.dim, state.dim_j), dtype=complex)
     q = state.frame
     for k in range(model.levels + 1):
-        for ins, wc in model.basis_ops[k]:
-            alpha = q.conj().T @ wc @ q
-            acc += ins @ (g_vec.conj().T @ alpha.conj().T)
+        for alpha, (rows, cols) in model.compressions(k, q, q):
+            acc[rows] += (g_vec.conj().T @ alpha.conj().T)[cols]
     return residual(acc, state.g_mat.conj().T)
 
 

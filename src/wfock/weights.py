@@ -200,6 +200,7 @@ class WeightSystem:
             raise ValueError("Z_0 must be the identity on M")
         self._zprod: dict[int, np.ndarray] = {}
         self._zprod_inv: dict[int, np.ndarray] = {}
+        self._zbetween: dict[tuple[int, int], np.ndarray] = {}
 
     def z_prod(self, k: int) -> np.ndarray:
         """Z^{(k)} = Z_k (I_1 (x) Z_{k-1}) ... (I_{k-1} (x) Z_1)."""
@@ -229,8 +230,10 @@ class WeightSystem:
             return np.eye(d, dtype=complex)
         if j == 0:
             return self.z_prod(k)
-        inner = embed_suffix(self.graph, self.z_prod(j), j, k)
-        return self.z_prod(k) @ np.linalg.inv(inner)
+        if (k, j) not in self._zbetween:
+            inner = np.linalg.inv(embed_suffix(self.graph, self.z_prod(j), j, k))
+            self._zbetween[k, j] = self.z_prod(k) @ inner
+        return self._zbetween[k, j]
 
     def c_quotient(self, k: int) -> np.ndarray:
         """C_k = Z^{(k)} (Z^{(k-1)} (x) I_1)^{-1}; the prefix-sided quotient."""

@@ -168,6 +168,10 @@ FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("validate", {"graph": GRAPH2}, "X: missing"),
     ("solve", {k: v for k, v in TWO_POINT.items() if k != "F"}, "F: missing"),
     ("pick", {k: v for k, v in TWO_POINT.items() if k != "points"}, "points: missing"),
+    ("validate", {"kernel_coeffs": 5}, "kernel_coeffs: expected a list"),
+    ("validate", {"kernel_coeffs": [1.0, None]}, "kernel_coeffs[1]"),
+    ("validate", {"kernel_coeffs": ["1.0", "0.5"]}, "kernel_coeffs[0]"),
+    ("validate", {"kernel_coeffs": [True, 0.5]}, "kernel_coeffs[0]"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))
@@ -190,7 +194,7 @@ def test_solve_input_eps_checked(tmp_path, eps):
     ("weights", {"graph": GRAPH2, "X": {"scalar": [float("inf")]}}, "X.scalar"),
     ("solve", dict(TWO_POINT, F=[[[[float("nan"), 0.0]]], [[[0.1, 0.0]]]]), "F[0]"),
     ("solve", dict(TWO_POINT, points=[{"scalar": [0.4, float("-inf")]}]), "points[0]"),
-    ("validate", {"kernel_coeffs": [1.0, float("nan"), 0.3]}, "kernel coefficients"),
+    ("validate", {"kernel_coeffs": [1.0, float("nan"), 0.3]}, "kernel_coeffs[1]"),
 ])
 def test_non_finite_number_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "n.json", obj), N=4))

@@ -162,11 +162,18 @@ def test_diagonal_reassembly():
     assert op.degree == 0
     acc = np.zeros_like(m)
     for k in range(4):
-        vk = space.level_isometry(k)
+        vk = _level_isometry(space, k)
         acc += vk @ op.blocks[k, k] @ vk.conj().T
     assert residual(acc, m) < 1e-14
-    total = sum(space.level_projection(k) for k in range(4))
+    total = sum(_level_isometry(space, k) @ _level_isometry(space, k).conj().T for k in range(4))
     assert np.allclose(total, np.eye(space.dim))
+
+
+def _level_isometry(space, k):
+    """v_k: E^{(x)k} -> Fock, so Q_k = v_k v_k^*."""
+    out = np.zeros((space.dim, space.level_dims[k]), dtype=complex)
+    out[space.level_slice(k), :] = np.eye(space.level_dims[k])
+    return out
 
 
 def test_cached_offsets_keep_equality_and_hash():

@@ -4,7 +4,9 @@ Each assembly built by the single masked gather is compared, entry for entry
 (``np.array_equal``), with a test-local copy of the per-path loop it replaced,
 on random small graphs.  The dual frames Theta_k, now coordinate
 permutations, are compared the same way with the recursive intertwiner
-products and the dense conjugations they replaced.  The last tests check
+products and the dense conjugations they replaced, and the lift models'
+coordinate insertions and band blocks with the dense whole-space basis
+operators and the kron amplification they replaced.  The last tests check
 tensor and creation identities on the same graphs.
 """
 
@@ -19,8 +21,10 @@ from wfock.duality import (
     DualStructure,
     _lift_model,
     direct_sum_embedding,
+    dual_lift_model,
     dual_weights,
     omega_transport,
+    primal_lift_model,
 )
 from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, tensor_element, \
     weight_diagonal, weighted_creation
@@ -396,6 +400,75 @@ def ref_conjugate(th, m):
     return th @ m @ th.conj().T
 
 
+def ref_level_embed(ind, k):
+    out = np.zeros((ind.dim, ind.level_dim(k)), dtype=complex)
+    out[ind.level_slice(k), :] = np.eye(ind.level_dim(k))
+    return out
+
+
+def ref_rho_creation(s, t_mat, k):
+    ind = s.ind
+    out = np.zeros((ind.dim, ind.dim), dtype=complex)
+    for j in range(ind.levels + 1 - k):
+        if ind.level_dim(j + k) == 0 or ind.level_dim(j) == 0:
+            continue
+        cw = ind.level_tensor_identity(s.ws.c_between(j + k, k), j + k)
+        out[ind.level_slice(j + k), ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
+    return out
+
+
+def ref_primal_basis_ops(ind, ws):
+    """Per level, (insertion L_{p^}, weighted creation at Z^{(k)-1} p) as whole-space matrices."""
+    space = TruncatedFock(ind.graph, ind.levels)
+    out = []
+    for k in range(ind.levels + 1):
+        zinv, emb = ws.z_prod_inv(k), ref_level_embed(ind, k)
+        out.append([(emb @ ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p)),
+                     ref_fock_tensor_identity(
+                         ind, weighted_creation(space, ws, CorrElement(k, zinv[:, p])).matrix))
+                    for p in range(path_basis(ind.graph, k).size)])
+    return out
+
+
+def ref_dual_basis_ops(s):
+    ind, ws = s.ind, s.ws
+    out = [[(ref_level_embed(ind, 0), np.eye(ind.dim, dtype=complex))]]
+    for k in range(1, ind.levels + 1):
+        zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
+        level = []
+        for t in s.tuples(k):
+            t_mat = s.intertwiner(t.edges, t.row)
+            level.append((ref_level_embed(ind, k) @ t_mat,
+                          ref_rho_creation(s, zinv_ind @ t_mat, k)))
+        out.append(level)
+    return out
+
+
+def ref_amplify(basis_ops, copies):
+    eye = np.eye(copies)
+    return [[(np.kron(eye, ins), np.kron(eye, wc)) for ins, wc in level] for level in basis_ops]
+
+
+def _dense_insertion(model, ins):
+    rows, cols = ins
+    out = np.zeros((model.dim, model.prefix_idx(0).size), dtype=complex)
+    out[rows, cols] = 1.0
+    return out
+
+
+def _dense_creation(model, k, blk):
+    """A stored creation as a whole-space matrix: the band block (the diagonal
+    at level 0) on every copy."""
+    base = model.dim // model.copies
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for s in range(0, model.dim, base):
+        if k == 0:
+            out[s:s + base, s:s + base] = np.diag(blk)
+        else:
+            out[s + base - blk.shape[0]:s + base, s:s + blk.shape[1]] = blk
+    return out
+
+
 # -- the gathers against the loops ----------------------------------------------
 
 
@@ -430,6 +503,8 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
     h = rep.h_dim
+    model = primal_lift_model(ind, weight_system_from(
+        AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n)))
     a_mat = _commutant_element(rng, rep)
     assert np.array_equal(ind.dual_left(a_mat), ref_dual_left(ind, a_mat))
     blocks = {}
@@ -454,8 +529,8 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
         xi.coeffs[rng.random(d) < 0.3] = 0.0
         assert np.array_equal(ind.insertion_map(xi), ref_insertion_map(ind, xi))
         for p in range(d):
-            ins = ind.level_embed(k) @ ind.insertion_map(CorrElement.basis_vector(graph, k, p))
-            assert np.array_equal(ins, ref_basis_inserter(ind, k, p))
+            assert np.array_equal(_dense_insertion(model, model.insertions[k][p]),
+                                  ref_basis_inserter(ind, k, p))
         if k >= 1:
             assert np.array_equal(ind.lower_by_point(z, k), ref_lower_by_point(ind, z, k))
         # an intertwiner H -> level k: block v of H lands on paths with range v
@@ -463,8 +538,9 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
         t = np.where(np.equal.outer(ranges, vertex_of_h), rng_complex(rng, ind.level_dim(k), h), 0)
         for j in range(n + 1 - k if k else 0):  # the loop had no level-0 suffix
             assert np.array_equal(ind.suffix_insert(t, k, j), ref_suffix_insert(ind, t, k, j))
-    vacuum = ind.level_embed(0) @ ind.insertion_map(CorrElement(0, np.ones(graph.n_vertices)))
-    assert np.array_equal(vacuum, np.eye(ind.dim, h))
+    vacuum = ind.insertion_map(CorrElement(0, np.ones(graph.n_vertices)))
+    assert np.array_equal(model.vacuum(np.eye(ind.dim)), ref_level_embed(ind, 0) @ vacuum)
+    assert np.array_equal(model.vacuum(np.eye(ind.dim)), np.eye(ind.dim, h))
 
 
 def _module_map_between(rng, graph, i, j):
@@ -554,13 +630,43 @@ def test_omega_matches_the_dense_frame_product(graph, n):
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_amplified_prefix_sets_match_the_concatenation(graph, n, data):
     ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph)))), n)
-    model = _lift_model(ind, [], [])
+    model = _lift_model(ind, [], lambda k: [])
     for copies in (1, 2, 3):
         amp = model.amplify(copies)
         for m in range(n + 1):
             ref = np.concatenate([np.arange(ind.level_offsets[m + 1]) + r * ind.dim
                                   for r in range(copies)])
             assert np.array_equal(amp.prefix_idx(m), ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.integers(1, 3), st.sampled_from([1, 2, 3]), st.data())
+def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
+    """Coordinate insertions and band blocks, densified, against the whole-space
+    basis operators and the kron amplification they replaced; the compressions
+    q^* W q and the vacuum gather against the dense products."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    s = DualStructure(ind, ws)
+    for model, ref in ((primal_lift_model(ind, ws), ref_primal_basis_ops(ind, ws)),
+                       (dual_lift_model(s), ref_dual_basis_ops(s))):
+        amp, ref = model.amplify(copies), ref_amplify(ref, copies)
+        assert amp.copies == copies and amp.creations is model.creations
+        assert [len(level) for level in amp.insertions] == [len(level) for level in ref]
+        q_out = np.linalg.qr(rng_complex(rng, amp.dim, 3))[0]
+        q_in = np.linalg.qr(rng_complex(rng, amp.dim, 2))[0]
+        g = rng_complex(rng, 2, amp.dim)
+        for k in range(n + 1):
+            terms = list(amp.compressions(k, q_out, q_in))
+            for blk, (beta, ins), (ref_ins, ref_wc) in zip(amp.creations[k], terms, ref[k]):
+                assert np.array_equal(_dense_insertion(amp, ins), ref_ins)
+                assert np.array_equal(_dense_creation(amp, k, blk), ref_wc)
+                want = q_out.conj().T @ ref_wc @ q_in
+                assert np.abs(beta - want).max() <= 1e-13 * max(1.0, np.abs(ref_wc).max())
+                assert np.array_equal(amp.inserted(g, ins), g @ ref_ins)
+        assert np.array_equal(amp.vacuum(g), g @ np.kron(np.eye(copies), ref_level_embed(ind, 0)))
 
 
 def _outcome(build):

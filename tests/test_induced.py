@@ -87,7 +87,7 @@ def test_simple_tensor_balancing():
     h = rng_complex(rng, rep.h_dim)
     a = np.array([0.5, -2.0])
     xa = CorrElement(2, xi.coeffs * a[list(basis.sources)])
-    assert np.allclose(ind.simple_tensor(xa, h), ind.simple_tensor(xi, rep.sigma(a) @ h))
+    assert np.allclose(ind.insertion_map(xa) @ h, ind.insertion_map(xi) @ (rep.sigma(a) @ h))
 
 
 def test_gamma_identity_unitary():

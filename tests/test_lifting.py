@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,18 @@ def test_lift_step_rejects_full_space():
 
     with pytest.raises(ValueError):
         lift_step(state)
+
+
+def test_amplified_dual_model_stays_small():
+    # band blocks shared by the copies, not a dense whole-space operator per
+    # basis element kron'ed per copy (that held about 160 MB here)
+    ind, ws = make_setup(FREE2, (1,), 6)
+    structure = DualStructure(ind, ws)
+    tracemalloc.start()
+    try:
+        model = dual_lift_model(structure).amplify(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.dim == 254
+    assert peak < 16e6, peak

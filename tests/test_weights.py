@@ -1,11 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfock.duality import primal_lift_model
 from wfock.graphs import GraphCorrespondence, path_basis
+from wfock.induced import InducedSpace, Representation
 from wfock.linalg import residual
 from wfock.weights import (
     AdmissibleSequence,
+    WeightSystem,
     admissible_from_kernel_coeffs,
     canonical_weights,
     compositions,
@@ -181,3 +186,27 @@ def test_admissibility_validation_rejects():
     bad = [np.zeros((1, 1)), np.eye(1), -np.eye(1)]
     with pytest.raises(ValueError):
         AdmissibleSequence(FREE1, 2, bad)  # X_2 negative
+
+
+def test_z_between_inverts_each_pair_once(monkeypatch):
+    """Z^{(k,j)} is memoized: a whole primal lift model inverts each (k, j) at most once."""
+    ws = weight_system_from(scalar_sequence([0.5, 1 / 12], 4, FREE2))
+    counts, current = Counter(), []
+    inv, z_between = np.linalg.inv, WeightSystem.z_between
+
+    def counting_inv(a):
+        if current:
+            counts[current[-1]] += 1
+        return inv(a)
+
+    def tracked(self, k, j):
+        current.append((k, j))
+        try:
+            return z_between(self, k, j)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(WeightSystem, "z_between", tracked)
+    primal_lift_model(InducedSpace(FREE2, Representation((1,)), 4), ws)
+    assert counts and max(counts.values()) == 1, counts

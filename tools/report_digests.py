@@ -15,7 +15,9 @@ byte-identical reports.
 The set: ``selftest --seed 0``; the README's validate, solve (N=40) and lift
 (N=4) inputs, and that lift at N=8; and ``fock``, ``weights`` and ``lift`` at
 N=4 on the 2-cycle with sigma (2, 1), free(2) with sigma (1) and the 3-cycle
-with sigma (1, 1, 1).
+with sigma (1, 1, 1); and two solves that lift on the amplified dual side of a
+space other than the one-loop one: free(2) with sigma (1) at N=5, and the
+2-cycle with sigma (2, 1) and matrix points at N=8.
 """
 
 import os
@@ -46,6 +48,21 @@ INPUTS = {
                "X": X_DIRICHLET, "instances": 2},
     "free2": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
               "X": X_DIRICHLET, "instances": 2},
+    "solve-free2": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+                    "X": X_DIRICHLET,
+                    "points": [{"matrix": [[[0.1, 0.05], [-0.08, 0.0]]]},
+                               {"matrix": [[[-0.05, 0.0], [0.02, 0.1]]]}],
+                    "F": [[[[0.3, 0.1]]], [[[0.3, 0.1]]]]},
+    "solve-cycle2": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [2, 1],
+                     "X": {"scalar": [1.0]},
+                     "points": [{"matrix": [[[0, 0], [0, 0], [0.1, 0.02]],
+                                            [[0, 0], [0, 0], [-0.05, 0]],
+                                            [[0.08, 0], [0.03, -0.04], [0, 0]]]},
+                                {"matrix": [[[0, 0], [0, 0], [-0.06, 0]],
+                                            [[0, 0], [0, 0], [0.04, 0.05]],
+                                            [[0.02, 0.1], [-0.07, 0], [0, 0]]]}],
+                     "F": [[[[0.2, 0], [0, 0], [0, 0]], [[0, 0], [0.2, 0], [0, 0]],
+                            [[0, 0], [0, 0], [0.2, 0]]]] * 2},
     "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
                "X": X_DIRICHLET, "instances": 2},
 }
@@ -57,6 +74,8 @@ RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
         ("readme-lift-N8", "lift", ["lift", "--N", "8", "--seed", "7"])]
 RUNS += [(f"{command}-{graph}-N4", graph, [command, "--N", "4"])
          for graph in ("cycle2", "free2", "cycle3") for command in ("fock", "weights", "lift")]
+RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
+         ("solve-cycle2-N8", "solve-cycle2", ["solve", "--N", "8"])]
 
 
 def digests(workdir: Path) -> tuple[list[str], list[str]]:
