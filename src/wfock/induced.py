@@ -117,8 +117,9 @@ class CommutantAlgebra:
         return out
 
 
-def _check_module_map(y: np.ndarray, row_sources, col_sources) -> None:
-    """Entries of Y between paths of different sources must be <= 1e-12 max(1, ||Y||).
+def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
+    """Entries of Y between paths of different sources (the True entries of
+    ``cross_sources``) must be <= 1e-12 max(1, ||Y||).
 
     The norm is taken only when such an entry is nonzero.  Moduli come from
     np.hypot, which rounds as the scalar abs does; the vectorised complex
@@ -126,7 +127,7 @@ def _check_module_map(y: np.ndarray, row_sources, col_sources) -> None:
     """
     if not np.isfinite(y).all():
         raise ValueError("module map has non-finite entries")
-    cross = y[np.not_equal.outer(row_sources, col_sources)]
+    cross = y[cross_sources]
     cross = np.hypot(cross.real, cross.imag)
     if cross.any() and (cross > 1e-12 * max(1.0, operator_norm(y))).any():
         raise ValueError("matrix is not a module map: sources differ")
@@ -155,6 +156,7 @@ class InducedSpace:
         self.dim = self.level_offsets[-1]
         self.h_dim = rep.h_dim
         self._cuts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._cross: dict[tuple[int, int], np.ndarray] = {}
 
     # -- indexing -----------------------------------------------------------
 
@@ -178,6 +180,13 @@ class InducedSpace:
                                 np.array(self.block_offsets[k - j], dtype=np.intp)[suf[path]] + local)
         return self._cuts[k, j]
 
+    def _cross_sources(self, k_out: int, k_in: int) -> np.ndarray:
+        """Mask of the (level-k_out path, level-k_in path) pairs with different sources."""
+        if (k_out, k_in) not in self._cross:
+            self._cross[k_out, k_in] = np.not_equal.outer(path_basis(self.graph, k_out).sources,
+                                                          path_basis(self.graph, k_in).sources)
+        return self._cross[k_out, k_in]
+
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Per coordinate of the whole space: its Fock coordinate and its H index."""
@@ -198,8 +207,7 @@ class InducedSpace:
         if k_in is None:
             k_in = k_out
         y = as_complex(y)
-        _check_module_map(y, path_basis(self.graph, k_out).sources,
-                          path_basis(self.graph, k_in).sources)
+        _check_module_map(y, self._cross_sources(k_out, k_in))
         (p_out, h_out), (p_in, h_in) = self._cut(k_out, k_out), self._cut(k_in, k_in)
         return _masked_gather(y, p_out, p_in, h_out, h_in)
 

@@ -29,7 +29,7 @@ from .duality import DualStructure, dual_lift_model
 from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement
 from .induced import CommutantAlgebra, InducedSpace
-from .lifting import _coinvariance_residual, two_space_lift
+from .lifting import _frame_coinvariance, two_space_lift
 from .linalg import as_complex, operator_norm, orth_columns, pinv, residual, rng_complex
 from .weights import AdmissibleSequence, WeightSystem
 
@@ -487,7 +487,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     amp_t = base_model.amplify(problem.t)
     defect = 0.0
     for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
-        defect = max(defect, _coinvariance_residual(frame @ frame.conj().T, amp.generators))
+        defect = max(defect, _frame_coinvariance(frame, amp.generators))
     for g_s, g_t in zip(amp_s.generators, amp_t.generators):
         defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
                                       (q_b.conj().T @ g_s @ q_b) @ g12))

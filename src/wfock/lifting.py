@@ -36,14 +36,16 @@ from .linalg import RANK_TOL, _project_out, as_complex, operator_norm, orth_colu
 class ParrottProblem:
     """The three known blocks of a 2x2 completion [[R, T], [S, ?]].
 
-    ``mu`` is the larger of the norms of the known column and row, the least
-    norm any completion can have.
+    ``row_norm`` = ||[R, T]|| and ``col_norm`` = ||[R; S]|| are the norms of
+    the known row and column; ``mu``, the larger of the two, is the least norm
+    any completion can have.
     """
 
     R: np.ndarray
     S: np.ndarray
     T: np.ndarray
-    mu: float = field(init=False)
+    row_norm: float = field(init=False)
+    col_norm: float = field(init=False)
 
     def __post_init__(self):
         self.R = as_complex(self.R)
@@ -51,8 +53,38 @@ class ParrottProblem:
         self.T = as_complex(self.T)
         if self.R.shape[1] != self.S.shape[1] or self.R.shape[0] != self.T.shape[0]:
             raise ValueError("Parrott blocks are not conformal")
-        self.mu = max(operator_norm(np.vstack([self.R, self.S])),
-                      operator_norm(np.hstack([self.R, self.T])))
+        self.col_norm = operator_norm(np.vstack([self.R, self.S]))
+        self.row_norm = operator_norm(np.hstack([self.R, self.T]))
+
+    @property
+    def mu(self) -> float:
+        return max(self.col_norm, self.row_norm)
+
+    def clamp_column(self, target: float) -> float:
+        """Scale S by the c found by a 60-step bisection of [0, 1] for
+        ||[R; cS]|| <= target, and return c.
+
+        The norm is memoized by c: once the interval has shrunk to adjacent
+        floats the midpoints repeat an end point.  The end point kept is one
+        of the midpoints, or 0, so ``col_norm`` becomes its memoized norm.
+        """
+        norms: dict[float, float] = {}
+
+        def col_norm_at(c: float) -> float:
+            if c not in norms:
+                norms[c] = operator_norm(np.vstack([self.R, c * self.S]))
+            return norms[c]
+
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if col_norm_at(mid) <= target:
+                lo = mid
+            else:
+                hi = mid
+        self.col_norm = col_norm_at(lo)
+        self.S = lo * self.S
+        return lo
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
         top = np.hstack([self.R, self.T])
@@ -142,12 +174,15 @@ class LiftModel:
         and its insertion (rows, cols).  Only the band block enters q_out^* W, but
         that is kept at full width, so the product with q_in runs over the same
         coordinates as the dense product did and gives the same bits."""
+        if not self.creations[k]:
+            return
         base = self.dim // self.copies
+        band_rows, band_cols = self.creations[k][0].shape[0], self.creations[k][0].shape[-1]
+        rows = [q_out[s + base - band_rows:s + base].conj().T for s in range(0, self.dim, base)]
+        left = np.zeros((q_out.shape[1], self.dim), dtype=complex)
         for blk, ins in zip(self.creations[k], self.insertions[k]):
-            left = np.zeros((q_out.shape[1], self.dim), dtype=complex)
-            for s in range(0, self.dim, base):
-                rows = q_out[s + base - blk.shape[0]:s + base].conj().T
-                left[:, s:s + blk.shape[-1]] = rows @ blk if k else rows * blk
+            for s, rows_s in zip(range(0, self.dim, base), rows):
+                left[:, s:s + band_cols] = rows_s @ blk if k else rows_s * blk
             yield left @ q_in, ins
 
     def prefix_columns(self, n: int) -> np.ndarray:
@@ -170,12 +205,17 @@ class CoinvariantSubspace:
             raise ValueError("frame columns are not orthonormal")
 
     def coinvariance_residual(self) -> float:
-        return _coinvariance_residual(self.frame @ self.frame.conj().T, self.model.generators)
+        return _frame_coinvariance(self.frame, self.model.generators)
 
 
-def _coinvariance_residual(p: np.ndarray, generators: list[np.ndarray]) -> float:
-    """max_g ||(I - P) g^* P|| for the orthogonal projection P onto J."""
-    comp = np.eye(p.shape[0]) - p
+def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> float:
+    """The co-invariance residual of the span of an orthonormal frame."""
+    p = frame @ frame.conj().T
+    return _coinvariance_residual(p, np.eye(p.shape[0]) - p, generators)
+
+
+def _coinvariance_residual(p: np.ndarray, comp: np.ndarray, generators: list[np.ndarray]) -> float:
+    """max_g ||comp g^* P|| for the orthogonal projection P onto J and comp = I - P."""
     return max(operator_norm(comp @ g.conj().T @ p) for g in generators)
 
 
@@ -205,14 +245,19 @@ class LiftState:
         return self.dim_j >= self.model.dim
 
 
-def _escape_level(state: LiftState) -> int:
-    """Least n with K_n not contained in the current J (rank test)."""
+def _escape_level(state: LiftState) -> tuple[int, np.ndarray]:
+    """Least n with K_n not contained in the current J (rank test), and an
+    orthonormal frame of the part of K_n orthogonal to J.
+
+    The scan starts above n_m: K_{n_m} lies in J by construction, which each
+    step's ``contains_prefix`` residual certifies.
+    """
     model = state.model
     q = state.frame
-    for n in range(model.levels + 1):
+    for n in range(state.n_list[-1] + 1, model.levels + 1):
         res = _project_out(q, model.prefix_columns(n))
         if res.size and operator_norm(res) > RANK_TOL:
-            return n
+            return n, orth_columns(res, RANK_TOL)
     raise RuntimeError("no level escapes J although J is proper")
 
 
@@ -223,7 +268,7 @@ def _condition_residuals(state: LiftState) -> dict:
     p = q @ q.conj().T
     comp = np.eye(model.dim) - p
     out = {"contains_prefix": operator_norm(comp[:, model.prefix_idx(state.n_list[-1])])}
-    out["coinvariant"] = _coinvariance_residual(p, model.generators)
+    out["coinvariant"] = _coinvariance_residual(p, comp, model.generators)
     out["intertwining"] = max(
         residual(q.conj().T @ g @ q @ state.g_mat, state.g_mat @ g)
         for g in model.generators)
@@ -244,10 +289,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         raise ValueError("subspace is already the whole induced space")
     q_m = state.frame
     d_m = q_m.shape[1]
-    n_new = _escape_level(state)
-    if n_new <= state.n_list[-1]:
-        raise RuntimeError("escape level did not increase; numerical failure")
-    q_new = orth_columns(_project_out(q_m, model.prefix_columns(n_new)), RANK_TOL)
+    n_new, q_new = _escape_level(state)
     q_new = q_new - q_m @ (q_m.conj().T @ q_new)
     q_new = orth_columns(q_new, 0.5)
     if q_new.shape[1] == 0:
@@ -273,29 +315,22 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     # On the truncation the contraction bound on F can be violated by the
     # chopped kernel tails; scaling the new rows back restores the exact
     # situation of the untruncated construction without touching the G_m rows.
-    mu_row = operator_norm(np.hstack([r_blk, t_blk]))
-    f_clamp = 1.0
-    col_norm = operator_norm(np.vstack([r_blk, s_blk]))
-    target = mu_row * (1.0 + 1e-11)
-    if mu_row > 0.0 and col_norm > target:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if operator_norm(np.vstack([r_blk, mid * s_blk])) <= target:
-                lo = mid
-            else:
-                hi = mid
-        f_clamp = lo
-        s_blk = f_clamp * s_blk
     problem = ParrottProblem(r_blk, s_blk, t_blk)
+    f_clamp = 1.0
+    target = problem.row_norm * (1.0 + 1e-11)
+    if problem.row_norm > 0.0 and problem.col_norm > target:
+        f_clamp = problem.clamp_column(target)
     u_blk = parrott_complete(problem)
     new_rows = np.zeros((q_new.shape[1], model.dim), dtype=complex)
     new_rows[:, k0_idx] = u_blk
-    new_rows[:, rest_idx] = s_blk
+    new_rows[:, rest_idx] = problem.S
     g_m1 = np.vstack([state.g_mat, new_rows])
 
     new_state = LiftState(model, q_m1, g_m1, state.n_list + [n_new], list(state.ledger))
     entry = _condition_residuals(new_state)
+    if entry["contains_prefix"] > RANK_TOL:
+        raise RuntimeError(f"lift step {new_state.m}: K_{n_new} is not contained in J "
+                           f"(residual {entry['contains_prefix']:.2e}); numerical failure")
     entry.update({
         "m": new_state.m,
         "n_m": n_new,
@@ -326,14 +361,10 @@ def gm_star_expansion_residual(state: LiftState) -> float:
     return residual(acc, state.g_mat.conj().T)
 
 
-def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
-                   hypothesis_tol: float = 1e-9, step_validator=None):
-    """Lift a commuting operator on a co-invariant subspace to all of K.
-
-    Returns (g_tilde, trace) with the four conclusions residual-checked in
-    trace["conclusions"]: co-invariance of the adjoint, compression back to
-    the input, commutation with every generator image, and norm equality.
-    """
+def _lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
+          hypothesis_tol: float, step_validator) -> tuple[np.ndarray, dict]:
+    """The hypothesis checks and the induction loop of ``commutant_lift``,
+    without its conclusions."""
     j_frame = as_complex(j_frame)
     g_on_j = as_complex(g_on_j)
     sub = CoinvariantSubspace(model, j_frame)
@@ -349,16 +380,25 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     scale = operator_norm(g_on_j)
     trace: dict = {"steps": [], "hypothesis": {"coinvariance": coin, "commutation": comm}}
     if scale == 0.0:
-        g_tilde = np.zeros((model.dim, model.dim), dtype=complex)
-        trace["conclusions"] = _conclusions(model, j_frame, g_on_j, g_tilde)
-        return g_tilde, trace
+        return np.zeros((model.dim, model.dim), dtype=complex), trace
 
     state = LiftState(model, j_frame, (g_on_j / scale) @ j_frame.conj().T, [-1])
     while not state.is_full():
         state = lift_step(state, step_validator=step_validator)
     trace["steps"] = state.ledger
-    g_tilde = scale * (state.frame @ state.g_mat)
-    trace["conclusions"] = _conclusions(model, j_frame, g_on_j, g_tilde)
+    return scale * (state.frame @ state.g_mat), trace
+
+
+def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
+                   hypothesis_tol: float = 1e-9, step_validator=None):
+    """Lift a commuting operator on a co-invariant subspace to all of K.
+
+    Returns (g_tilde, trace) with the four conclusions residual-checked in
+    trace["conclusions"]: co-invariance of the adjoint, compression back to
+    the input, commutation with every generator image, and norm equality.
+    """
+    g_tilde, trace = _lift(model, j_frame, g_on_j, hypothesis_tol, step_validator)
+    trace["conclusions"] = _conclusions(model, as_complex(j_frame), as_complex(g_on_j), g_tilde)
     return g_tilde, trace
 
 
@@ -383,7 +423,8 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     the direct-sum space, in their own coordinate order; ``g12`` maps J_1
     coordinates to J_2 coordinates.  The operator [[0, 0], [G, 0]] on
     J_1 ⊕ J_2 is lifted on the sum space and the lower-left corner extracted;
-    the returned trace carries the corollary's conclusion residuals.
+    the returned trace carries the corollary's conclusion residuals in
+    trace["corollary"] (the sum space's own conclusions are not computed).
     """
     d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
     j_frame = np.zeros((model_sum.dim, d1 + d2), dtype=complex)
@@ -391,7 +432,7 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     j_frame[idx2, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
-    g_tilde0, trace = commutant_lift(model_sum, j_frame, g0, hypothesis_tol=hypothesis_tol)
+    g_tilde0, trace = _lift(model_sum, j_frame, g0, hypothesis_tol, None)
     g_tilde = g_tilde0[np.ix_(idx2, idx1)]
     gens1 = [g[np.ix_(idx1, idx1)] for g in model_sum.generators]
     gens2 = [g[np.ix_(idx2, idx2)] for g in model_sum.generators]

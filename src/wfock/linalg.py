@@ -20,11 +20,15 @@ def as_complex(a) -> np.ndarray:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0.0 for empty matrices."""
+    """Largest singular value; 0.0 for empty and all-zero matrices, which take no SVD.
+
+    gesdd returns the singular values sorted, so the first one is bit for bit
+    what ``np.linalg.norm(a, 2)`` takes the maximum of.
+    """
     a = as_complex(a)
-    if a.size == 0:
+    if a.size == 0 or not a.any():
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:

@@ -146,6 +146,16 @@ def _old_module_map_rule(ind, y, k_out, k_in) -> bool:
                for p in range(rows.size) for q in range(cols.size) if abs(y[p, q]) != 0.0)
 
 
+def test_cross_source_masks_are_cached_per_level_pair():
+    ind = InducedSpace(CYCLE2, Representation((2, 1)), 3)
+    for k_out in range(4):
+        for k_in in range(4):
+            mask = ind._cross_sources(k_out, k_in)
+            assert mask is ind._cross_sources(k_out, k_in)
+            assert np.array_equal(mask, np.not_equal.outer(path_basis(CYCLE2, k_out).sources,
+                                                           path_basis(CYCLE2, k_in).sources))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([GraphCorrespondence.cycle(2), GraphCorrespondence.cycle(3)]),
        st.integers(1, 4), st.data())

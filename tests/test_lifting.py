@@ -100,6 +100,69 @@ def test_parrott_shapes_checked():
         ParrottProblem(np.eye(2), np.eye(3), np.eye(2))
 
 
+def test_parrott_norms_are_the_known_row_and_column():
+    rng = np.random.default_rng(3)
+    r, s, t = rng_complex(rng, 3, 4), rng_complex(rng, 2, 4), rng_complex(rng, 3, 1)
+    p = ParrottProblem(r, s, t)
+    assert p.row_norm == float(np.linalg.norm(np.hstack([r, t]), 2))
+    assert p.col_norm == float(np.linalg.norm(np.vstack([r, s]), 2))
+    assert p.mu == max(p.col_norm, p.row_norm)
+
+
+# -- the f_clamp bisection ----------------------------------------------------
+
+
+def _reference_clamp(r, s, target):
+    """The bisection as lift_step ran it before memoization: one SVD per step."""
+    lo, hi, mids = 0.0, 1.0, []
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if float(np.linalg.norm(np.vstack([r, mid * s]), 2)) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, mids
+
+
+def _clamped_blocks(rng, clamp):
+    """Random R, S, T whose column norm ||[R; S]|| exceeds the row norm, with
+    the crossing ||[R; cS]|| = row norm (1 + 1e-11) near c = ``clamp``."""
+    a, b, c, d = rng.integers(1, 6, size=4)
+    r, s, t = rng_complex(rng, a, b), rng_complex(rng, c, b), rng_complex(rng, a, d)
+    target = float(np.linalg.norm(np.hstack([r, t]), 2)) * (1.0 + 1e-11)
+    lo, hi = 0.0, 1.0  # scale of s at the crossing; ||[R; hi s]|| > target
+    while float(np.linalg.norm(np.vstack([r, hi * s]), 2)) <= target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if float(np.linalg.norm(np.vstack([r, mid * s]), 2)) <= target \
+            else (lo, mid)
+    return r, (lo / clamp) * s, t, target
+
+
+@pytest.mark.parametrize("clamp", [1.0 - 1e-9, 1.0 - 1e-7, 1.0 - 1e-6, 0.9, 1e-4, 3e-4])
+def test_clamp_column_matches_the_unmemoized_bisection(monkeypatch, clamp):
+    rng = np.random.default_rng(int(clamp * 1e9) % 2 ** 32)
+    for _ in range(10):
+        r, s, t, target = _clamped_blocks(rng, clamp)
+        expected, mids = _reference_clamp(r, s, target)
+        p = ParrottProblem(r, s, t)
+        assert p.col_norm > target
+        svds = []
+        monkeypatch.setattr(wfock.lifting, "operator_norm",
+                            lambda a: svds.append(a) or operator_norm(a))
+        f_clamp = p.clamp_column(target)
+        monkeypatch.undo()
+        assert f_clamp == expected
+        assert len(svds) == len(set(mids))
+        assert np.array_equal(p.S, expected * s)
+        assert p.col_norm == float(np.linalg.norm(np.vstack([r, expected * s]), 2))
+        assert p.mu == ParrottProblem(r, expected * s, t).mu
+        # in [0.5, 1) adjacent floats are 2^-53 apart, above the final width 2^-60
+        assert (len(set(mids)) < 60) == (clamp >= 0.5)
+
+
 # -- lifting on the graph side --------------------------------------------------
 
 
@@ -271,6 +334,39 @@ def test_krylov_closure_stabilizes():
     frame = krylov_closure(model, rng_complex(rng, model.dim, 1), [])
     sub = CoinvariantSubspace(model, frame)
     assert sub.coinvariance_residual() < 1e-12
+
+
+def test_one_rank_test_per_lift_step(monkeypatch):
+    # the escape scan starts above n_m, so on the one-loop space, where each
+    # step adjoins the next level, it tests exactly one level per step
+    from wfock.interpolation import CauchyKernel, DiscPoint
+
+    free1 = GraphCorrespondence.free(1)
+    x = AdmissibleSequence.from_scalar(free1, [1.0], levels=12)
+    ws = weight_system_from(x)
+    ind = InducedSpace(free1, Representation((1,)), 12)
+    model = primal_lift_model(ind, ws)
+    col = CauchyKernel(DiscPoint.scalar(ind, x, 0.1), ws).column
+    tested = []
+    project_out = wfock.lifting._project_out
+    monkeypatch.setattr(wfock.lifting, "_project_out",
+                        lambda q, a: tested.append(a.shape[1]) or project_out(q, a))
+    _, trace = commutant_lift(model, col / np.linalg.norm(col), np.array([[0.5]]))
+    assert len(trace["steps"]) == model.dim - 1
+    assert len(tested) == len(trace["steps"])
+    assert tested == [step["n_m"] + 1 for step in trace["steps"]]
+
+
+def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
+    # keep one of the two new directions of K_1 out of J_2 (the ledger's m = 2): K_1 is not in J
+    ind, ws = make_setup(FREE2, (1,), 3)
+    model = primal_lift_model(ind, ws)
+    orth = wfock.lifting.orth_columns
+    monkeypatch.setattr(wfock.lifting, "orth_columns",
+                        lambda a, tol: orth(a, tol)[:, :-1] if tol == 0.5 else orth(a, tol))
+    j = model.prefix_columns(0)
+    with pytest.raises(RuntimeError, match="lift step 2: K_1 is not contained in J"):
+        commutant_lift(model, j, np.eye(j.shape[1]))
 
 
 def test_lift_step_rejects_full_space():

@@ -15,9 +15,13 @@ byte-identical reports.
 The set: ``selftest --seed 0``; the README's validate, solve (N=40) and lift
 (N=4) inputs, and that lift at N=8; and ``fock``, ``weights`` and ``lift`` at
 N=4 on the 2-cycle with sigma (2, 1), free(2) with sigma (1) and the 3-cycle
-with sigma (1, 1, 1); and two solves that lift on the amplified dual side of a
-space other than the one-loop one: free(2) with sigma (1) at N=5, and the
-2-cycle with sigma (2, 1) and matrix points at N=8.
+with sigma (1, 1, 1); and three solves that lift on the amplified dual side of
+a space other than the one-loop one: free(2) with sigma (1) at N=5, the
+2-cycle with sigma (2, 1) and matrix points at N=8, and a Szego solve on
+free(2) at N=5 whose lift clamps F (the ``f_clamp`` bisection of
+``lifting.lift_step``) on three of its six steps, at about 0.93, 2.2e-4 and
+8.2e-5.  The clamps of the other solves all lie in [0.5, 1), where the
+bisection ends on adjacent floats; these two deep ones run all 60 steps.
 """
 
 import os
@@ -63,6 +67,11 @@ INPUTS = {
                                             [[0.02, 0.1], [-0.07, 0], [0, 0]]]}],
                      "F": [[[[0.2, 0], [0, 0], [0, 0]], [[0, 0], [0.2, 0], [0, 0]],
                             [[0, 0], [0, 0], [0.2, 0]]]] * 2},
+    "solve-free2-clamped": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+                           "X": {"scalar": [1.0]},
+                           "points": [{"matrix": [[[-0.023, -0.149], [-0.086, -0.06]]]},
+                                      {"matrix": [[[0.121, -0.007], [-0.006, 0.0]]]}],
+                           "F": [[[[0.12, 0.004]]], [[[0.108, 0.001]]]]},
     "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
                "X": X_DIRICHLET, "instances": 2},
 }
@@ -75,7 +84,8 @@ RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
 RUNS += [(f"{command}-{graph}-N4", graph, [command, "--N", "4"])
          for graph in ("cycle2", "free2", "cycle3") for command in ("fock", "weights", "lift")]
 RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
-         ("solve-cycle2-N8", "solve-cycle2", ["solve", "--N", "8"])]
+         ("solve-cycle2-N8", "solve-cycle2", ["solve", "--N", "8"]),
+         ("solve-free2-clamped-N5", "solve-free2-clamped", ["solve", "--N", "5"])]
 
 
 def digests(workdir: Path) -> tuple[list[str], list[str]]:
