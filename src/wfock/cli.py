@@ -204,7 +204,7 @@ def _cmd_solve(config: RunConfig, obj: dict) -> dict:
         "eps_estimate": result.eps_estimate,
         "hypothesis_budget": result.hyp_budget,
         "kernel_tails": result.cp.kernel_tails,
-        "trace": {"steps": steps, "conclusions": result.trace["corollary"]},
+        "trace": {"steps": steps, "conclusions": result.trace["conclusions"]},
     }
 
 

@@ -29,7 +29,7 @@ from .duality import DualStructure, dual_lift_model
 from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement
 from .induced import CommutantAlgebra, InducedSpace
-from .lifting import _frame_coinvariance, two_space_lift
+from .lifting import two_space_lift
 from .linalg import as_complex, operator_norm, orth_columns, pinv, residual, rng_complex
 from .weights import AdmissibleSequence, WeightSystem
 
@@ -46,8 +46,9 @@ class DiscPoint:
     """An intertwiner inside the weighted disc, with cached tensorial powers.
 
     ``weighted_powers[k]`` is z^{(k)} (X_k (x) I) for each nonempty level
-    k >= 1, built once per point; ``tail_bound`` holds ``kernel_tail_bound``
-    once it has been computed.
+    k >= 1 and ``kernel_powers[k]`` is z^{(k)} (R_k^2 (x) I) for each nonempty
+    level k >= 0, both built once per point; ``tail_bound`` holds
+    ``kernel_tail_bound`` once it has been computed.
     """
 
     ind: InducedSpace
@@ -55,6 +56,7 @@ class DiscPoint:
     mat: np.ndarray
     powers: list[np.ndarray] = field(init=False)
     weighted_powers: dict[int, np.ndarray] = field(init=False)
+    kernel_powers: dict[int, np.ndarray] = field(init=False)
     phi_norm: float = field(init=False)
     tail_bound: float | None = field(init=False, default=None)
 
@@ -77,6 +79,10 @@ class DiscPoint:
         self.weighted_powers = {
             k: self.powers[k] @ ind.level_tensor_identity(as_complex(self.x_seq.X[k]), k)
             for k in range(1, ind.levels + 1) if ind.level_dim(k)}
+        r = self.x_seq.R
+        self.kernel_powers = {
+            k: self.powers[k] @ ind.level_tensor_identity(r[k] @ r[k], k)
+            for k in range(ind.levels + 1) if ind.level_dim(k)}
         self.phi_norm = operator_norm(self.phi_value(np.eye(ind.rep.h_dim)))
         if self.phi_norm > 1.0 - BOUNDARY_MARGIN:
             raise ValueError(
@@ -183,16 +189,11 @@ class CauchyKernel:
     def levelwise_residual(self, other: "CauchyKernel", a: np.ndarray) -> float:
         """Both routes to <c_w(k), A . c_z(k)> = w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
         ind = self.point.ind
-        r = self.point.x_seq.R
         worst = 0.0
         a = as_complex(a)
-        for k in range(ind.levels + 1):
-            if ind.level_dim(k) == 0:
-                continue
+        for k, wr in self.point.kernel_powers.items():
             lhs = self.levels[k].conj().T @ ind.dual_left_level(a, k) @ other.levels[k]
-            r2 = ind.level_tensor_identity(r[k] @ r[k], k)
-            rhs = self.point.powers[k] @ r2 @ ind.dual_left_level(a, k) \
-                @ other.point.powers[k].conj().T
+            rhs = wr @ ind.dual_left_level(a, k) @ other.point.powers[k].conj().T
             worst = max(worst, residual(lhs, rhs))
         return worst
 
@@ -200,13 +201,9 @@ class CauchyKernel:
 def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     """The truncated Szego-type kernel K(w, z)(A) = sum w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
     ind = w.ind
-    r = w.x_seq.R
     out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-    for k in range(ind.levels + 1):
-        if ind.level_dim(k) == 0:
-            continue
-        r2 = ind.level_tensor_identity(r[k] @ r[k], k)
-        out += w.powers[k] @ r2 @ ind.dual_left_level(a, k) @ z.powers[k].conj().T
+    for k, wr in w.kernel_powers.items():
+        out += wr @ ind.dual_left_level(a, k) @ z.powers[k].conj().T
     return out
 
 
@@ -390,7 +387,7 @@ def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
     Negative values witness failure of the kernel-domination condition; the
     sign agrees with the Choi verdict up to roundoff.
     """
-    cols_b, cols_f = _span_generators(problem, ws)
+    cols_b, cols_f, _ = _span_generators(problem, ws)
     worst = np.inf
     n_b = cols_b.shape[1]
     for _ in range(families):
@@ -404,7 +401,7 @@ def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
 
 
 def _span_generators(problem: PickProblem, ws: WeightSystem):
-    """Columns spanning J_B and J_F, aligned index by index.
+    """Columns spanning J_B and J_F, aligned index by index, and each point's Cauchy column.
 
     Enumerates the commutant matrix units A and the coordinate vectors of
     H^{(s)}; the column for (i, A, h) is the transported A . c_{z_i} (x) (.)^* h
@@ -412,16 +409,14 @@ def _span_generators(problem: PickProblem, ws: WeightSystem):
     """
     ind = problem.ind
     units = CommutantAlgebra(ind.rep).units()
-    cols_b, cols_f = [], []
+    cols_b, cols_f, cauchy = [], [], []
     for i, z in enumerate(problem.points):
-        c = CauchyKernel(z, ws)
+        cauchy.append(CauchyKernel(z, ws).column)
         for unit in units:
-            base = ind.dual_left(unit) @ c.column  # K x h
-            stack_b = np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T
-            stack_f = np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T
-            cols_b.append(stack_b)
-            cols_f.append(stack_f)
-    return np.hstack(cols_b), np.hstack(cols_f)
+            base = ind.dual_left(unit) @ cauchy[-1]  # K x h
+            cols_b.append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)
+            cols_f.append(np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T)
+    return np.hstack(cols_b), np.hstack(cols_f), cauchy
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,10 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     Builds the kernel spans J_B and J_F, the exchange map R on them, lifts
     R^* through the transported dual algebra, and evaluates the lift at the
     points.  Raises PickInfeasibleError when the positivity test fails, and
-    reports the kernel tail budget so callers can judge the truncation.
+    reports the kernel tail budget so callers can judge the truncation.  The
+    kernel spans meet the lifting hypotheses only up to tail effects, so a
+    defect above 1e-3 is refused and ``hyp_budget`` is max(1e-9, 2 x defect);
+    ``trace["conclusions"]`` holds the corollary's four conclusion residuals.
     """
     ind = problem.ind
     cp = pick_map_cp_test(problem)
@@ -462,54 +460,35 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
             f"kernel tail budget {tail_budget:.3e} exceeds the requested eps {eps:.1e}; "
             "raise the truncation level or move the points inward")
 
-    cols_b, cols_f = _span_generators(problem, ws)
-    q_b = orth_columns(cols_b)
-    q_f = orth_columns(cols_f)
-    coords_b = q_b.conj().T @ cols_b
-    coords_f = q_f.conj().T @ cols_f
+    cols_b, cols_f, cauchy = _span_generators(problem, ws)
+    q_b, q_f = orth_columns(cols_b), orth_columns(cols_f)
+    coords_b, coords_f = q_b.conj().T @ cols_b, q_f.conj().T @ cols_f
     r_op = coords_f @ pinv(coords_b)
     r_consistency = residual(r_op @ coords_b, coords_f)
     r_margin = operator_norm(r_op) - 1.0
 
-    structure = DualStructure(ind, ws)
-    base_model = dual_lift_model(structure)
+    base_model = dual_lift_model(DualStructure(ind, ws))
     model_sum = base_model.amplify(problem.t + problem.s)
     split = problem.t * base_model.dim  # the t copies come first, then the s copies
-    idx1, idx2 = np.arange(split), np.arange(split, model_sum.dim)
-
-    # The truncated kernel spans satisfy the lifting hypotheses only up to
-    # tail effects amplified by the span conditioning, which is intrinsic to
-    # the finite model.  Measure the actual defects, disclose them, and gate
-    # at the measured scale, refusing only when the truncation is plainly
-    # inadequate for the requested accuracy.
+    idx = np.arange(model_sum.dim)
     g12 = r_op.conj().T  # J_F coords -> J_B coords
-    amp_s = base_model.amplify(problem.s)
-    amp_t = base_model.amplify(problem.t)
-    defect = 0.0
-    for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
-        defect = max(defect, _frame_coinvariance(frame, amp.generators))
-    for g_s, g_t in zip(amp_s.generators, amp_t.generators):
-        defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
-                                      (q_b.conj().T @ g_s @ q_b) @ g12))
-    hyp_budget = max(1e-9, 2.0 * defect)
-    if defect > 1e-3:
-        raise ValueError(
-            f"kernel spans violate the lifting hypotheses by {defect:.2e}; the "
-            "truncation cannot support this instance, raise N or move the points inward")
+    try:
+        g_tilde, trace = two_space_lift(model_sum, idx[:split], idx[split:], q_f, q_b, g12,
+                                        hypothesis_tol=1e-3)
+    except ValueError as exc:
+        raise ValueError(f"kernel spans: {exc}; the truncation cannot support this instance, "
+                         "raise N or move the points inward") from exc
+    hyp_budget = max(1e-9, 2.0 * max(trace["hypothesis"].values()))
 
-    g_tilde, trace = two_space_lift(model_sum, idx1, idx2, q_f, q_b, g12,
-                                    hypothesis_tol=hyp_budget)
-
-    evaluations = []
-    residuals_out = []
-    for i, z in enumerate(problem.points):
-        c = CauchyKernel(z, ws)
-        left = np.kron(np.eye(problem.s), c.column)
-        y_hat = amp_t.vacuum(left.conj().T @ g_tilde)
+    vacuum = model_sum.prefix_idx(0)[:problem.t * ind.rep.h_dim]  # K_0 of the t copies
+    evaluations, residuals_out = [], []
+    for i, column in enumerate(cauchy):
+        left = np.kron(np.eye(problem.s), column)
+        y_hat = (left.conj().T @ g_tilde)[:, vacuum] + 0.0  # as LiftModel.vacuum: no -0.0
         evaluations.append(y_hat)
         residuals_out.append(operator_norm(problem.B[i] @ y_hat - problem.F[i]))
-    lift_err = max(trace["corollary"]["adjoint_invariance"],
-                   trace["corollary"]["compression"])
+    lift_err = max(trace["conclusions"]["adjoint_invariance"],
+                   trace["conclusions"]["compression"])
     return SolveResult(
         g_tilde=g_tilde,
         evaluations=evaluations,

@@ -18,7 +18,7 @@ from .graphs import GraphCorrespondence, path_basis
 from .induced import InducedSpace, Representation
 from .interpolation import DiscPoint, PickProblem
 from .linalg import as_complex
-from .weights import AdmissibleSequence, WeightSystem, weight_system_from
+from .weights import AdmissibleSequence, WeightSystem, _left_commutator, weight_system_from
 
 
 def encode_complex(z) -> list[float]:
@@ -161,6 +161,9 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
             d = path_basis(x.graph, k).size
             if z.shape != (d, d) and (d or z.size):  # an empty list stands for a 0x0 level
                 raise ValueError(f"Z.matrices.{k}: has shape {z.shape}, expected {(d, d)}")
+            if d and (comm := _left_commutator(x.graph, z, k)) > 1e-8:  # weight_system_from's bound
+                raise ValueError(f"Z.matrices.{k}: not a module map, its commutator with the "
+                                 f"left action is {comm:.2e}")
             zs.append(z)
         return weight_system_from(x, Z=zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")

@@ -361,57 +361,66 @@ def gm_star_expansion_residual(state: LiftState) -> float:
     return residual(acc, state.g_mat.conj().T)
 
 
-def _lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
-          hypothesis_tol: float, step_validator) -> tuple[np.ndarray, dict]:
-    """The hypothesis checks and the induction loop of ``commutant_lift``,
-    without its conclusions."""
-    j_frame = as_complex(j_frame)
-    g_on_j = as_complex(g_on_j)
-    sub = CoinvariantSubspace(model, j_frame)
-    coin = sub.coinvariance_residual()
-    if coin > hypothesis_tol:
-        raise ValueError(f"subspace is not co-invariant (residual {coin:.2e})")
-    comm = max(
-        residual(j_frame.conj().T @ g @ j_frame @ g_on_j, g_on_j @ j_frame.conj().T @ g @ j_frame)
-        for g in model.generators)
-    if comm > hypothesis_tol:
-        raise ValueError(f"operator does not commute with compressions (residual {comm:.2e})")
+def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: float,
+                names: tuple[str, str]) -> dict[str, float]:
+    """The lifting hypotheses for g: J_in -> J_out over the generator pairs (a, b):
+    orthonormal frames, J_in co-invariant under the a's and J_out under the b's
+    (one space when ``names`` are equal), and g intertwining the compressions.
+    A defect, or a residual above tol, raises a ValueError naming it."""
+    for name, frame in dict(zip(names, (j_in, j_out))).items():  # each space once
+        if residual(frame.conj().T @ frame, np.eye(frame.shape[1])) > 1e-12:
+            raise ValueError(f"{name} frame columns are not orthonormal")
+    out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, [a for a, _ in pairs])}
+    if names[1] != names[0]:
+        out[f"{names[1]} co-invariance"] = _frame_coinvariance(j_out, [b for _, b in pairs])
+    out["intertwining"] = max(residual(g @ (j_in.conj().T @ a @ j_in),
+                                       (j_out.conj().T @ b @ j_out) @ g) for a, b in pairs)
+    for key, value in out.items():
+        if value > tol:
+            raise ValueError(f"lifting hypothesis fails: {key} residual {value:.2e}")
+    return out
 
-    scale = operator_norm(g_on_j)
-    trace: dict = {"steps": [], "hypothesis": {"coinvariance": coin, "commutation": comm}}
+
+def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator) -> tuple[np.ndarray, list]:
+    """The induction loop lifting g on the span of ``frame``; returns the lift and the ledger."""
+    scale = operator_norm(g)
     if scale == 0.0:
-        return np.zeros((model.dim, model.dim), dtype=complex), trace
-
-    state = LiftState(model, j_frame, (g_on_j / scale) @ j_frame.conj().T, [-1])
+        return np.zeros((model.dim, model.dim), dtype=complex), []
+    state = LiftState(model, frame, (g / scale) @ frame.conj().T, [-1])
     while not state.is_full():
-        state = lift_step(state, step_validator=step_validator)
-    trace["steps"] = state.ledger
-    return scale * (state.frame @ state.g_mat), trace
+        state = lift_step(state, step_validator=validator)
+    return scale * (state.frame @ state.g_mat), state.ledger
+
+
+def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray,
+                 pairs, key: str = "intertwining") -> dict[str, float]:
+    """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
+    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal."""
+    p = j_in @ j_in.conj().T
+    comp = np.eye(p.shape[0]) - p
+    return {
+        "adjoint_invariance": operator_norm(comp @ g_tilde.conj().T @ j_out),
+        "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
+        key: max(residual(g_tilde @ a, b @ g_tilde) for a, b in pairs),
+        "norm": abs(operator_norm(g_tilde) - operator_norm(g)),
+    }
 
 
 def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
                    hypothesis_tol: float = 1e-9, step_validator=None):
     """Lift a commuting operator on a co-invariant subspace to all of K.
 
-    Returns (g_tilde, trace) with the four conclusions residual-checked in
-    trace["conclusions"]: co-invariance of the adjoint, compression back to
-    the input, commutation with every generator image, and norm equality.
+    Returns (g_tilde, trace) with the hypothesis residuals in trace["hypothesis"]
+    and the four conclusions residual-checked in trace["conclusions"]:
+    co-invariance of the adjoint, compression back to the input, commutation
+    with every generator image, and norm equality.
     """
-    g_tilde, trace = _lift(model, j_frame, g_on_j, hypothesis_tol, step_validator)
-    trace["conclusions"] = _conclusions(model, as_complex(j_frame), as_complex(g_on_j), g_tilde)
-    return g_tilde, trace
-
-
-def _conclusions(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
-                 g_tilde: np.ndarray) -> dict[str, float]:
-    p = j_frame @ j_frame.conj().T
-    comp = np.eye(model.dim) - p
-    return {
-        "adjoint_invariance": operator_norm(comp @ g_tilde.conj().T @ j_frame),
-        "compression": residual(j_frame.conj().T @ g_tilde @ j_frame, g_on_j),
-        "commutation": max(residual(g_tilde @ g, g @ g_tilde) for g in model.generators),
-        "norm": abs(operator_norm(g_tilde) - operator_norm(g_on_j)),
-    }
+    j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
+    pairs = [(x, x) for x in model.generators]
+    hypotheses = _hypotheses(g_on_j, j_frame, j_frame, pairs, hypothesis_tol, ("J", "J"))
+    g_tilde, steps = _loop(model, j_frame, g_on_j, step_validator)
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
+        g_tilde, g_on_j, j_frame, j_frame, pairs, "commutation")}
 
 
 def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
@@ -421,27 +430,30 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
 
     ``idx1``/``idx2`` are the coordinates of the two induced spaces inside
     the direct-sum space, in their own coordinate order; ``g12`` maps J_1
-    coordinates to J_2 coordinates.  The operator [[0, 0], [G, 0]] on
-    J_1 ⊕ J_2 is lifted on the sum space and the lower-left corner extracted;
-    the returned trace carries the corollary's conclusion residuals in
-    trace["corollary"] (the sum space's own conclusions are not computed).
+    coordinates to J_2 coordinates.  The hypotheses are checked on the
+    summands (orthonormal frames, generators exactly zero between them, J_i
+    co-invariant under the idx_i slices, g12 intertwining the compressions),
+    and one above ``hypothesis_tol`` raises a ValueError naming it.  Then
+    [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
+    lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
+    carry the corollary's hypothesis and four conclusion residuals.
     """
+    j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
+    if any(g[np.ix_(idx1, idx2)].any() or g[np.ix_(idx2, idx1)].any()
+           for g in model_sum.generators):
+        raise ValueError("the generators mix the two summands")
+
+    def pairs():  # rebuilt after the loop rather than held through it
+        return [(g[np.ix_(idx1, idx1)], g[np.ix_(idx2, idx2)]) for g in model_sum.generators]
+
+    hypotheses = _hypotheses(g12, j1_frame, j2_frame, pairs(), hypothesis_tol, ("J_1", "J_2"))
     d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
     j_frame = np.zeros((model_sum.dim, d1 + d2), dtype=complex)
     j_frame[idx1, :d1] = j1_frame
     j_frame[idx2, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
-    g_tilde0, trace = _lift(model_sum, j_frame, g0, hypothesis_tol, None)
+    g_tilde0, steps = _loop(model_sum, j_frame, g0, None)
     g_tilde = g_tilde0[np.ix_(idx2, idx1)]
-    gens1 = [g[np.ix_(idx1, idx1)] for g in model_sum.generators]
-    gens2 = [g[np.ix_(idx2, idx2)] for g in model_sum.generators]
-    p1 = j1_frame @ j1_frame.conj().T
-    trace["corollary"] = {
-        "adjoint_invariance": operator_norm(
-            (np.eye(p1.shape[0]) - p1) @ g_tilde.conj().T @ j2_frame),
-        "compression": residual(j2_frame.conj().T @ g_tilde @ j1_frame, g12),
-        "intertwining": max(residual(g_tilde @ a, b @ g_tilde) for a, b in zip(gens1, gens2)),
-        "norm": abs(operator_norm(g_tilde) - operator_norm(g12)),
-    }
-    return g_tilde, trace
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses,
+                     "conclusions": _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs())}

@@ -151,7 +151,7 @@ TWO_POINT = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]}
              "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]}
 
 
-FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 @pytest.mark.parametrize("command, obj, field", [
@@ -160,7 +160,7 @@ FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("solve", dict(TWO_POINT, points=3), "points"),
     ("weights", {"graph": GRAPH2, "X": {"matrices": 5}}, "X.matrices"),
     ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": 5}}, "Z.matrices"),
-    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": FREE2_Z1}}},
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": EYE2}}},
      "Z.matrices.2"),
     ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "Z": {"matrices": {"1": [[[1.0, 0.0]]]}}},
      "Z.matrices.1: has shape (1, 1), expected (2, 2)"),
@@ -172,6 +172,11 @@ FREE2_Z1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("validate", {"kernel_coeffs": [1.0, None]}, "kernel_coeffs[1]"),
     ("validate", {"kernel_coeffs": ["1.0", "0.5"]}, "kernel_coeffs[0]"),
     ("validate", {"kernel_coeffs": [True, 0.5]}, "kernel_coeffs[0]"),
+    ("weights", {"graph": CYCLE, "X": {"scalar": [1.0]},
+                 "Z": {"matrices": {"1": EYE2, "2": [[[1.0, 0.0], [1.0, 0.0]],
+                                                     [[0.0, 0.0], [1.0, 0.0]]],
+                                    "3": EYE2, "4": EYE2}}},
+     "Z.matrices.2: not a module map, its commutator with the left action is 1.00e+00"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))

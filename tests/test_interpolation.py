@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wfock.duality import DualStructure
+from wfock.duality import DualStructure, dual_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import (
@@ -13,6 +13,7 @@ from wfock.interpolation import (
     iota_w_star_check,
     kernel_tail_bound,
     kernel_value,
+    _span_generators,
     np_solve,
     phi_map,
     pick_map_cp_test,
@@ -21,7 +22,7 @@ from wfock.interpolation import (
     szego_kernel,
     word_matrix,
 )
-from wfock.linalg import operator_norm, residual, rng_complex
+from wfock.linalg import operator_norm, orth_columns, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
 FREE1 = GraphCorrespondence.free(1)
@@ -144,6 +145,29 @@ def test_phi_value_matches_the_inline_formula_bit_for_bit():
             xk = ind.level_tensor_identity(x.X[k], k)
             old += z.powers[k] @ xk @ ind.dual_left_level(arg, k) @ z.powers[k].conj().T
         assert np.array_equal(z.phi_value(arg), old)
+
+
+def test_kernel_value_matches_the_inline_formula_bit_for_bit(monkeypatch):
+    # the R-weighted powers are cached per point and the product stays left-associated
+    ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
+    w, z = graph_point(ind, x, 0.5, seed=2), graph_point(ind, x, 0.4, seed=3)
+    a = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    rng = np.random.default_rng(8)
+    for v in range(ind.graph.n_vertices):
+        blk = ind.rep.block(v)
+        a[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    r = x.R
+    old = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    for k in range(ind.levels + 1):
+        r2 = ind.level_tensor_identity(r[k] @ r[k], k)
+        old += w.powers[k] @ r2 @ ind.dual_left_level(a, k) @ z.powers[k].conj().T
+    gathers = []
+    tensor = ind.level_tensor_identity
+    monkeypatch.setattr(ind, "level_tensor_identity",
+                        lambda m, *ij: gathers.append(ij) or tensor(m, *ij))
+    assert np.array_equal(kernel_value(w, z, a), old)
+    assert CauchyKernel(w, ws).levelwise_residual(CauchyKernel(z, ws), a) < 1e-9
+    assert len(gathers) == 2 * (ind.levels + 1)  # the two Cauchy columns; none for R_k^2 (x) I
 
 
 def test_kernel_tail_bound_is_computed_once_per_point(monkeypatch):
@@ -497,3 +521,89 @@ def test_solve_rectangular_targets():
     assert out.evaluations[0].shape == (1, 2)
     assert max(out.residuals) < 1e-7
     assert out.norm <= 1 + 1e-8
+
+
+# -- the hypothesis budget and the corollary's conclusions ---------------------
+
+
+def _reference_defect(problem, ws):
+    """The lifting-hypothesis defect as np_solve measured it on amplified models
+    before two_space_lift checked the summands; also the spans and the map."""
+    cols_b, cols_f, _ = _span_generators(problem, ws)
+    q_b, q_f = orth_columns(cols_b), orth_columns(cols_f)
+    coords_b, coords_f = q_b.conj().T @ cols_b, q_f.conj().T @ cols_f
+    g12 = (coords_f @ pinv(coords_b)).conj().T
+    base = dual_lift_model(DualStructure(problem.ind, ws))
+    amp_s, amp_t = base.amplify(problem.s), base.amplify(problem.t)
+    defect = 0.0
+    for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
+        p = frame @ frame.conj().T
+        comp = np.eye(p.shape[0]) - p
+        defect = max(defect, max(operator_norm(comp @ g.conj().T @ p) for g in amp.generators))
+    for g_s, g_t in zip(amp_s.generators, amp_t.generators):
+        defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
+                                      (q_b.conj().T @ g_s @ q_b) @ g12))
+    return defect, q_f, q_b, g12, amp_t.generators, amp_s.generators
+
+
+def _reference_corollary(g_tilde, j1, j2, g12, gens1, gens2):
+    """The corollary's conclusions as two_space_lift computed them before the shared helper."""
+    p1 = j1 @ j1.conj().T
+    return {
+        "adjoint_invariance": operator_norm((np.eye(p1.shape[0]) - p1) @ g_tilde.conj().T @ j2),
+        "compression": residual(j2.conj().T @ g_tilde @ j1, g12),
+        "intertwining": max(residual(g_tilde @ a, b @ g_tilde) for a, b in zip(gens1, gens2)),
+        "norm": abs(operator_norm(g_tilde) - operator_norm(g12)),
+    }
+
+
+def _cycle2_matrix_point_problem():
+    ind, x, ws = graph_setup(CYCLE2, (2, 1), 5, "szego")
+    rng = np.random.default_rng(41)
+    from wfock.duality import primal_generators
+
+    gens = [m for _, m in primal_generators(ind, ws)]
+    y_mat = sum(c * g for c, g in zip(rng_complex(rng, len(gens)), gens)) \
+        + 0.25 * np.eye(ind.dim)
+    y_mat /= operator_norm(y_mat) * 1.4
+    points = [graph_point(ind, x, 0.01, seed=51), graph_point(ind, x, 0.012, seed=53)]
+    return PickProblem(points, [np.eye(ind.rep.h_dim, dtype=complex)] * 2,
+                       [hat_eval(z, ws, y_mat) for z in points]), ws
+
+
+def _rectangular_problem():
+    ind, x, ws = scalar_setup("szego", 30)
+    rows = [0.55 * np.array([[0.3, -0.2]], dtype=complex),
+            0.55 * np.array([[0.1, 0.45]], dtype=complex)]
+    return PickProblem([DiscPoint.scalar(ind, x, zv) for zv in (0.25, -0.4)],
+                       [np.eye(1, dtype=complex)] * 2, rows, s=1, t=2), ws
+
+
+@pytest.mark.parametrize("make", [_cycle2_matrix_point_problem, _rectangular_problem],
+                         ids=["cycle2-matrix-points", "rectangular"])
+def test_hypothesis_budget_and_conclusions_match_the_reference(monkeypatch, make):
+    problem, ws = make()
+    builds = []
+    init = CauchyKernel.__post_init__
+    monkeypatch.setattr(CauchyKernel, "__post_init__", lambda c: builds.append(1) or init(c))
+    out = np_solve(problem, ws)
+    assert len(builds) == len(problem.points)  # one Cauchy column per point, reused
+    monkeypatch.undo()
+    defect, q_f, q_b, g12, gens_t, gens_s = _reference_defect(problem, ws)
+    assert max(out.trace["hypothesis"].values()) == defect
+    assert out.hyp_budget == max(1e-9, 2.0 * defect)
+    assert out.trace["conclusions"] == _reference_corollary(out.g_tilde, q_f, q_b, g12,
+                                                            gens_t, gens_s)
+
+
+def test_solve_refuses_spans_that_violate_the_hypotheses(monkeypatch):
+    # a defect above 1e-3 is refused, named, with the truncation advice
+    problem, ws = _rectangular_problem()
+    import wfock.lifting
+
+    monkeypatch.setattr(wfock.lifting, "_frame_coinvariance", lambda frame, gens: 2e-3)
+    with pytest.raises(ValueError, match=r"kernel spans: lifting hypothesis fails: "
+                                         r"J_1 co-invariance residual 2\.00e-03; "):
+        np_solve(problem, ws)
+    monkeypatch.setattr(wfock.lifting, "_frame_coinvariance", lambda frame, gens: 1e-3)
+    assert np_solve(problem, ws).hyp_budget == 2e-3

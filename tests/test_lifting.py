@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -291,7 +292,7 @@ def test_two_space_lift_self_case_matches():
     ws_sum = ws
     model_sum = primal_lift_model(ind_sum, ws_sum)
     g_tilde2, trace2 = two_space_lift(model_sum, idx1, idx2, frame, frame, g_on_j)
-    assert max(trace2["corollary"].values()) < 1e-8
+    assert max(trace2["conclusions"].values()) < 1e-8
     g_tilde1, _ = commutant_lift(model, frame, g_on_j)
     assert abs(operator_norm(g_tilde2) - operator_norm(g_tilde1)) < 1e-8
 
@@ -393,3 +394,84 @@ def test_amplified_dual_model_stays_small():
         tracemalloc.stop()
     assert model.dim == 254
     assert peak < 16e6, peak
+
+
+# -- the shared hypotheses and conclusions ------------------------------------
+
+
+def _reference_conclusions(model, j_frame, g_on_j, g_tilde):
+    """The conclusions as commutant_lift computed them before the shared helper."""
+    p = j_frame @ j_frame.conj().T
+    comp = np.eye(model.dim) - p
+    return {
+        "adjoint_invariance": operator_norm(comp @ g_tilde.conj().T @ j_frame),
+        "compression": residual(j_frame.conj().T @ g_tilde @ j_frame, g_on_j),
+        "commutation": max(residual(g_tilde @ g, g @ g_tilde) for g in model.generators),
+        "norm": abs(operator_norm(g_tilde) - operator_norm(g_on_j)),
+    }
+
+
+def test_commutant_lift_conclusions_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for graph, mults, n in ((CYCLE2, (2, 1), 3), (FREE2, (1,), 3)):
+        ind, ws = make_setup(graph, mults, n)
+        model = primal_lift_model(ind, ws)
+        dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
+        frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
+        assert frame.shape[1] < model.dim
+        g_tilde, trace = commutant_lift(model, frame, g_on_j)
+        assert trace["conclusions"] == _reference_conclusions(model, frame, g_on_j, g_tilde)
+
+
+def _two_space_setup():
+    ind, ws = make_setup(FREE2, (1,), 2)
+    base = primal_lift_model(ind, ws)
+    idx1, idx2 = np.arange(base.dim), np.arange(base.dim, 2 * base.dim)
+    return base, base.amplify(2), idx1, idx2
+
+
+def test_two_space_lift_names_a_frame_that_is_not_coinvariant():
+    base, model_sum, idx1, idx2 = _two_space_setup()
+    top = base.prefix_columns(base.levels)[:, -1:]  # a top-level coordinate: W^* moves it down
+    vac = base.prefix_columns(0)
+    with pytest.raises(ValueError, match=r"hypothesis fails: J_1 co-invariance residual \d"):
+        two_space_lift(model_sum, idx1, idx2, top, vac, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="lifting hypothesis fails: J_2 co-invariance"):
+        two_space_lift(model_sum, idx1, idx2, vac, top, np.zeros((1, 1)))
+
+
+def test_two_space_lift_names_a_map_that_does_not_intertwine():
+    base, model_sum, idx1, idx2 = _two_space_setup()
+    k1 = base.prefix_columns(1)  # K_1 is co-invariant; the creations compress to nonzero maps
+    rng = np.random.default_rng(31)
+    g12 = 0.5 * rng_complex(rng, k1.shape[1], k1.shape[1])
+    with pytest.raises(ValueError, match="lifting hypothesis fails: intertwining"):
+        two_space_lift(model_sum, idx1, idx2, k1, k1, g12)
+
+
+def test_two_space_lift_names_generators_that_mix_the_summands():
+    base, model_sum, idx1, idx2 = _two_space_setup()
+    mixed = [g.copy() for g in model_sum.generators]
+    mixed[-1][idx2[0], idx1[-1]] = 1e-300  # any nonzero entry between the summands
+    vac = base.prefix_columns(0)
+    with pytest.raises(ValueError, match="the generators mix the two summands"):
+        two_space_lift(dataclasses.replace(model_sum, generators=mixed), idx1, idx2,
+                       vac, vac, np.zeros((1, 1)))
+
+
+def test_two_space_lift_names_a_frame_that_is_not_orthonormal():
+    base, model_sum, idx1, idx2 = _two_space_setup()
+    vac = base.prefix_columns(0)
+    with pytest.raises(ValueError, match="J_2 frame columns are not orthonormal"):
+        two_space_lift(model_sum, idx1, idx2, vac, 2.0 * vac, np.zeros((1, 1)))
+
+
+def test_two_space_lift_reports_the_summand_hypotheses():
+    base, model_sum, idx1, idx2 = _two_space_setup()
+    vac = base.prefix_columns(0)
+    _, trace = two_space_lift(model_sum, idx1, idx2, vac, vac, np.array([[0.5]]))
+    assert set(trace["hypothesis"]) == {"J_1 co-invariance", "J_2 co-invariance", "intertwining"}
+    assert max(trace["hypothesis"].values()) < 1e-12
+    assert set(trace["conclusions"]) == {"adjoint_invariance", "compression", "intertwining",
+                                         "norm"}
+    assert max(trace["conclusions"].values()) < 1e-8

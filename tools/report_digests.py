@@ -22,6 +22,9 @@ free(2) at N=5 whose lift clamps F (the ``f_clamp`` bisection of
 ``lifting.lift_step``) on three of its six steps, at about 0.93, 2.2e-4 and
 8.2e-5.  The clamps of the other solves all lie in [0.5, 1), where the
 bisection ends on adjacent floats; these two deep ones run all 60 steps.
+Two Szego solves on the one-loop space at N=30 lift on more than two copies
+of the dual side: a row-valued one (s = 1, t = 2, two scalar points) and a
+2x2 matrix-valued one (s = t = 2, one scalar point).
 """
 
 import os
@@ -72,6 +75,13 @@ INPUTS = {
                            "points": [{"matrix": [[[-0.023, -0.149], [-0.086, -0.06]]]},
                                       {"matrix": [[[0.121, -0.007], [-0.006, 0.0]]]}],
                            "F": [[[[0.12, 0.004]]], [[[0.108, 0.001]]]]},
+    "solve-rect": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                   "s": 1, "t": 2,
+                   "points": [{"scalar": [0.25, 0.0]}, {"scalar": [-0.4, 0.0]}],
+                   "F": [[[[0.165, 0.0], [-0.11, 0.0]]], [[[0.055, 0.0], [0.2475, 0.0]]]]},
+    "solve-matrix": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                     "s": 2, "t": 2, "points": [{"scalar": [0.3, 0.0]}],
+                     "F": [[[[0.4, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]]},
     "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
                "X": X_DIRICHLET, "instances": 2},
 }
@@ -85,7 +95,9 @@ RUNS += [(f"{command}-{graph}-N4", graph, [command, "--N", "4"])
          for graph in ("cycle2", "free2", "cycle3") for command in ("fock", "weights", "lift")]
 RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-cycle2-N8", "solve-cycle2", ["solve", "--N", "8"]),
-         ("solve-free2-clamped-N5", "solve-free2-clamped", ["solve", "--N", "5"])]
+         ("solve-free2-clamped-N5", "solve-free2-clamped", ["solve", "--N", "5"]),
+         ("solve-rect-N30", "solve-rect", ["solve", "--N", "30"]),
+         ("solve-matrix-N30", "solve-matrix", ["solve", "--N", "30"])]
 
 
 def digests(workdir: Path) -> tuple[list[str], list[str]]:
