@@ -26,6 +26,7 @@ from .fock import TruncatedFock, handysums_check, phi_inf, sums_to_projection_ch
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import InducedSpace, Representation
 from .interpolation import (
+    CauchyKernel,
     DiscPoint,
     PickProblem,
     hat_eval,
@@ -302,7 +303,7 @@ def criterion_7_kernels(seed: int) -> dict:
         zv = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)) / np.sqrt(2)
         w = DiscPoint.scalar(ind, x, wv)
         z = DiscPoint.scalar(ind, x, zv)
-        value, tail, cres = szego_kernel(w, z, np.eye(1), ws)
+        value, tail, cres = szego_kernel(CauchyKernel(w, ws), CauchyKernel(z, ws), np.eye(1))
         gap = abs(value[0, 0] - 1.0 / (1.0 - wv * np.conj(zv))) - tail
         worst_kernel = max(worst_kernel, gap, cres - 1e-9)
     n_g = 6

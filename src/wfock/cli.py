@@ -24,6 +24,7 @@ from .fock import TruncatedFock, handysums_check, sums_to_projection_check, \
 from .graphs import CorrElement, path_basis
 from .induced import InducedSpace
 from .interpolation import (
+    CauchyKernel,
     PickInfeasibleError,
     np_solve,
     phi_map,
@@ -152,10 +153,11 @@ def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
     ind = InducedSpace(graph, rep, config.N)
     points = jsonio.decode_points(jsonio.required(obj, "points"), ind, x)
     eye = np.eye(rep.h_dim, dtype=complex)
+    cauchy = [CauchyKernel(z, ws) for z in points]
     table = {}
-    for i, w in enumerate(points):
-        for j, z in enumerate(points):
-            value, tail, cres = szego_kernel(w, z, eye, ws)
+    for i, cw in enumerate(cauchy):
+        for j, cz in enumerate(cauchy):
+            value, tail, cres = szego_kernel(cw, cz, eye)
             table[f"{i},{j}"] = {"value": jsonio.encode_matrix(value), "tail": tail,
                                  "cauchy_residual": {"value": cres, "tol": 1e-9}}
     neumann = {}

@@ -164,7 +164,10 @@ class DualBasisElement:
 
 
 class DualStructure:
-    """Structured dual bases, Theta frames, and transported dual operators."""
+    """Structured dual bases, Theta frames, transported dual operators, and the
+    dual module operators in the Theta frame: matrices of <t, A' u> over basis
+    tuples (inner products are rank one, so entries are scalars), whose identity
+    legs restrict to equal prefixes or equal suffixes of the tuples."""
 
     def __init__(self, ind: InducedSpace, ws: WeightSystem):
         if not ind.graph.full:
@@ -177,10 +180,6 @@ class DualStructure:
         self._splits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- bases ----------------------------------------------------------------
-
-    def alpha_matrix(self, e: int, i: int) -> np.ndarray:
-        """alpha_{e,i}: the matrix unit E_{i,0} placed at edge e."""
-        return self.intertwiner((e,), i)
 
     def _level(self, k: int) -> tuple[list[DualBasisElement], np.ndarray]:
         """The level-k tuples and the induced coordinate of each.
@@ -230,15 +229,24 @@ class DualStructure:
         """The identification image of a basis tuple: a map H -> level k.
 
         It sends the first H coordinate of the vertex r(f_k) to local index
-        ``row`` of the path (f_k, ..., f_1) and everything else to zero.
+        ``row`` of the path (f_k, ..., f_1), the tuple's Theta coordinate, and
+        everything else to zero.
         """
         k = len(edges)
-        if k == 0:
-            return np.eye(self.rep.h_dim, dtype=complex)
-        p = path_basis(self.graph, k).index_map()[tuple(edges[::-1])]
+        return self._intertwiner(k, self.tuple_index(k)[tuple(edges), row])
+
+    def _intertwiner(self, k: int, n: int) -> np.ndarray:
+        """The intertwiner of the n-th level-k tuple, written from its insertion."""
         out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
-        out[self.ind.block_offsets[k][p] + row, self.rep.offsets[self.graph.range_(edges[-1])]] = 1.0
+        out[self._insertion(k, n)] = 1.0
         return out
+
+    def _insertion(self, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n-th level-k tuple's intertwiner as (rows, cols), level-k coordinate
+        rows[i] receiving H index cols[i]: above level 0 one entry, at theta(k)[n]."""
+        if k == 0:
+            return self.theta(0), np.arange(self.rep.h_dim)
+        return self.theta(k)[n:n + 1], np.array([self.rep.offsets[self.tuples(k)[n].vertex]])
 
     def theta(self, k: int) -> np.ndarray:
         """Theta_k as the level-k induced coordinate of each dual basis tuple.
@@ -256,30 +264,76 @@ class DualStructure:
 
     # -- transported dual operators on the primal induced space ---------------
 
-    def rho_creation(self, t_mat: np.ndarray, k: int) -> dict[tuple[int, int], np.ndarray]:
-        """Level blocks of rho of the weighted creation by the dual element with intertwiner t."""
+    def rho_creation(self, t_mats: list[np.ndarray], k: int) -> list[np.ndarray]:
+        """rho of the weighted creations by the dual elements with intertwiners
+        ``t_mats`` (H -> level k) as band blocks K_{<=N-k} -> K_{>=k}: level block
+        (j+k, j) is (C^{(j+k,k)} (x) I) (I_j (x) t), one C gather for all t."""
         ind = self.ind
-        out = {}
+        top = ind.level_offsets[k]
+        out = [ind.assemble({}, k) for _ in t_mats]
         for j in range(ind.levels + 1 - k):
             if ind.level_dim(j + k) and ind.level_dim(j):
                 cw = ind.level_tensor_identity(self.ws.c_between(j + k, k), j + k)
-                out[j + k, j] = cw @ ind.suffix_insert(t_mat, k, j)
+                rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
+                for band, t_mat in zip(out, t_mats):
+                    band[rows, ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
         return out
 
     def dual_generators(self) -> list[tuple[str, np.ndarray]]:
         """Transported dual algebra generators: left actions plus creations."""
-        out = []
-        for v, i, j in self.rep.commutant_basis():
-            out.append((f"phi'({v},{i},{j})",
-                        self.ind.dual_left(self.rep.commutant_unit(v, i, j))))
-        for t in self.tuples(1):
-            creation = self.rho_creation(self.alpha_matrix(t.edges[0], t.row), 1)
-            out.append((f"W'({t.edges[0]},{t.row})", self.ind.assemble(creation, 0)))
+        ind = self.ind
+        out = [(f"phi'({v},{i},{j})", ind.dual_left(self.rep.commutant_unit(v, i, j)))
+               for v, i, j in self.rep.commutant_basis()]
+        bands = self.rho_creation([self._intertwiner(1, n) for n in range(len(self.tuples(1)))], 1)
+        for t, band in zip(self.tuples(1), bands):  # each band padded to the whole space
+            out.append((f"W'({t.edges[0]},{t.row})",
+                        np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))))
         return out
 
     def pi_sigma(self, y: FockOperator) -> np.ndarray:
         """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
         return _in_frame(self.ind.fock_tensor_identity(y), self.theta_full())
+
+    # -- dual module operators in the Theta frame -----------------------------
+
+    def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
+        """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
+        pre, suf = self._split(k, a)
+        return _masked_gather(m, suf, suf, pre, pre)
+
+    def embed_prefix(self, m: np.ndarray, b: int, k: int) -> np.ndarray:
+        """B' (x) I'_b for B' on the first k - b dual legs (b >= 1)."""
+        if b == k:
+            # a level-0 factor is an element of sigma(M)'; it acts as phi'
+            return self.phi_prime(as_complex(m), k)
+        pre, suf = self._split(k, k - b)
+        return _masked_gather(m, pre, pre, suf, suf)
+
+    def tensor(self, m_a: np.ndarray, a: int, m_b: np.ndarray, b: int) -> np.ndarray:
+        """A' (x) B' on level a + b of the dual powers."""
+        return self.embed_prefix(m_a, b, a + b) @ self.embed_suffix(m_b, a, a + b)
+
+    def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
+        """The dual left action phi'_k(A) in the Theta frame: I_k (x) A gathered
+        at the Theta-permuted coordinates (0.0 added as in ``_in_frame``)."""
+        pre, h = (idx[self.theta(k)] for idx in self.ind._cut(k, k))
+        return _masked_gather(a_mat, h, h, pre, pre) + 0.0
+
+    def z_matrices(self) -> list[np.ndarray]:
+        """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
+        return [np.eye(self.rep.h_dim, dtype=complex)] + [
+            _in_frame(self.ind.level_tensor_identity(self.ws.c_quotient(k), k), self.theta(k))
+            for k in range(1, self.ind.levels + 1)]
+
+    def z_products(self, zp: list[np.ndarray]) -> list[np.ndarray]:
+        """Telescoping products Z'^{(k)} = Z'_k (I'_1 (x) Z'_{k-1}) ... ."""
+        out = [np.eye(self.rep.h_dim, dtype=complex)]
+        for k in range(1, len(zp)):
+            acc = zp[k].copy()
+            for a in range(1, k):
+                acc = acc @ self.embed_suffix(zp[k - a], a, k)
+            out.append(acc)
+        return out
 
 
 def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -298,17 +352,15 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftModel:
     """The lift model whose level-k basis elements are ``basis(k)``: pairs of the
-    insertion H -> level k (zeros and ones) and the level blocks of the weighted
-    creation (at level 0 diagonal blocks in level order, kept as one diagonal)."""
+    insertion H -> level k as (rows, cols) within the level, and the band block
+    of the weighted creation, at level 0 kept as its diagonal."""
     insertions, creations = [], []
     for k in range(ind.levels + 1):
         insertions.append([])
         creations.append([])
-        for ins, blocks in basis(k):
-            rows, cols = np.nonzero(ins)
+        for (rows, cols), band in basis(k):  # one element at a time: level 0 bands are whole-space
             insertions[k].append((ind.level_offsets[k] + rows, cols))
-            creations[k].append(ind.assemble(blocks, k) if k else
-                                np.concatenate([np.diagonal(b) for b in blocks.values()]))
+            creations[k].append(band if k else np.diagonal(band).copy())
     level = np.repeat(np.arange(ind.levels + 1), np.diff(ind.level_offsets))
     return LiftModel(dim=ind.dim, levels=ind.levels, level=level, copies=1,
                      generators=generators, insertions=insertions, creations=creations)
@@ -317,17 +369,20 @@ def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftM
 def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     """Lifting data for the graph side: K = F(E) (x)_sigma H.
 
-    Per level k and basis path p the bundle pairs the insertion of p with the
-    weighted creation at (Z^{(k)})^{-1} applied to p.
+    Per level k and basis path p the bundle pairs the insertion of p (its
+    block of level k, each coordinate receiving its H index) with the weighted
+    creation at (Z^{(k)})^{-1} applied to p.
     """
     space = TruncatedFock(ind.graph, ind.levels)
 
     def basis(k):
-        zinv = ws.z_prod_inv(k)
+        zinv, h = ws.z_prod_inv(k), ind._cut(k, k)[1]
         for p in range(path_basis(ind.graph, k).size):
+            rows = np.arange(*ind.block_offsets[k][p:p + 2])
             w = weighted_creation(space, ws, CorrElement(k, zinv[:, p]))
-            yield (ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p)),
-                   {ij: ind.level_tensor_identity(blk, *ij) for ij, blk in w.blocks.items()})
+            yield ((rows, h[rows]),
+                   ind.assemble({ij: ind.level_tensor_identity(blk, *ij)
+                                 for ij, blk in w.blocks.items()}, k))
 
     return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis)
 
@@ -343,9 +398,11 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
 
     def basis(k):
         zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
-        for t in structure.tuples(k):
-            t_mat = structure.intertwiner(t.edges, t.row)
-            yield t_mat, structure.rho_creation(zinv_ind @ t_mat, k)
+        tuples = range(len(structure.tuples(k)))
+        # a product: a column gather of zinv_ind would keep signs of zeros that
+        # the product's sums set, and rho_creation carries them into the bands
+        bands = structure.rho_creation([zinv_ind @ structure._intertwiner(k, n) for n in tuples], k)
+        return zip((structure._insertion(k, n) for n in tuples), bands)
 
     return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
 
@@ -367,63 +424,6 @@ def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
                             zip(ind1.rep.multiplicities, ind2.rep.multiplicities)])
     first = first[ind_sum.coordinates[1]]
     return ind_sum, np.flatnonzero(first), np.flatnonzero(~first)
-
-
-# ---------------------------------------------------------------------------
-# dual module operator calculus in the Theta frame
-# ---------------------------------------------------------------------------
-
-
-class DualCalculus:
-    """Dual module operators as plain matrices over the structured bases.
-
-    A module operator on (E^sigma)^{(x)k} is stored as the matrix of
-    <t, A' u> over basis tuples (inner products are rank one, so entries are
-    scalars).  Identity legs are index bookkeeping: identity on a dual prefix
-    restricts to equal prefixes, identity on a suffix to equal suffixes.
-    """
-
-    def __init__(self, structure: DualStructure):
-        self.s = structure
-
-    def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
-        """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
-        pre, suf = self.s._split(k, a)
-        return _masked_gather(m, suf, suf, pre, pre)
-
-    def embed_prefix(self, m: np.ndarray, b: int, k: int) -> np.ndarray:
-        """B' (x) I'_b for B' on the first k - b dual legs (b >= 1)."""
-        if b == k:
-            # a level-0 factor is an element of sigma(M)'; it acts as phi'
-            return self.phi_prime(as_complex(m), k)
-        pre, suf = self.s._split(k, k - b)
-        return _masked_gather(m, pre, pre, suf, suf)
-
-    def tensor(self, m_a: np.ndarray, a: int, m_b: np.ndarray, b: int) -> np.ndarray:
-        """A' (x) B' on level a + b of the dual powers."""
-        return self.embed_prefix(m_a, b, a + b) @ self.embed_suffix(m_b, a, a + b)
-
-    def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
-        """The dual left action phi'_k(A) in the Theta frame."""
-        return _in_frame(self.s.ind.dual_left_level(a_mat, k), self.s.theta(k))
-
-    def z_matrices(self) -> list[np.ndarray]:
-        """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
-        s = self.s
-        out = [np.eye(s.rep.h_dim, dtype=complex)]
-        for k in range(1, s.ind.levels + 1):
-            out.append(_in_frame(s.ind.level_tensor_identity(s.ws.c_quotient(k), k), s.theta(k)))
-        return out
-
-    def z_products(self, zp: list[np.ndarray]) -> list[np.ndarray]:
-        """Telescoping products Z'^{(k)} = Z'_k (I'_1 (x) Z'_{k-1}) ... ."""
-        out = [np.eye(self.s.rep.h_dim, dtype=complex)]
-        for k in range(1, len(zp)):
-            acc = zp[k].copy()
-            for a in range(1, k):
-                acc = acc @ self.embed_suffix(zp[k - a], a, k)
-            out.append(acc)
-        return out
 
 
 @dataclass
@@ -449,32 +449,31 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
     """
     s = structure
     ind, ws = s.ind, s.ws
-    calc = DualCalculus(s)
     levels = ind.levels
     for k in range(1, levels + 1):
         if not np.array_equal(np.sort(s.theta(k)), np.arange(ind.level_dim(k))):
             raise ValueError(f"dual basis frame at level {k} is not unitary (its coordinates "
                              "are not a permutation of the level); representation or basis invalid")
     C = [ws.c_quotient(k) for k in range(levels + 1)]
-    Zp = calc.z_matrices()
+    Zp = s.z_matrices()
     Xp: list[np.ndarray] = [np.zeros((s.rep.h_dim, s.rep.h_dim), dtype=complex)]
     res = {"commutant": 0.0, "weight_law": 0.0, "quotient_law": 0.0}
     for k in range(1, levels + 1):
         Xp.append(_in_frame(ind.level_tensor_identity(as_complex(x_seq.X[k]), k), s.theta(k)))
         for v, i, j in s.rep.commutant_basis():
-            phi = calc.phi_prime(s.rep.commutant_unit(v, i, j), k)
+            phi = s.phi_prime(s.rep.commutant_unit(v, i, j), k)
             res["commutant"] = max(res["commutant"],
                                    residual(Xp[k] @ phi, phi @ Xp[k]),
                                    residual(Zp[k] @ phi, phi @ Zp[k]))
-    r2p = _first_part_sums(Xp, calc.tensor)
-    zprod = calc.z_products(Zp)
+    r2p = _first_part_sums(Xp, s.tensor)
+    zprod = s.z_products(Zp)
     for k in range(1, levels + 1):
         if len(s.tuples(k)) == 0:
             continue
         res["weight_law"] = max(res["weight_law"],
                                 residual(zprod[k].conj().T @ zprod[k], np.linalg.inv(r2p[k])))
         lhs = _in_frame(ind.level_tensor_identity(ws.Z[k], k), s.theta(k))
-        cpk = zprod[k] @ np.linalg.inv(calc.embed_prefix(zprod[k - 1], 1, k))
+        cpk = zprod[k] @ np.linalg.inv(s.embed_prefix(zprod[k - 1], 1, k))
         res["quotient_law"] = max(res["quotient_law"], residual(lhs, cpk))
     return DualWeightData(C, Xp, Zp, res)
 
@@ -665,9 +664,9 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
         raise ValueError("double-dual transport is implemented for multiplicities one")
     s1 = DualStructure(ind, ws)
     rev = ind.graph.reversed()
-    ws_rev = WeightSystem(rev, ind.levels, DualCalculus(s1).z_matrices())
+    ws_rev = WeightSystem(rev, ind.levels, s1.z_matrices())
     s2 = DualStructure(InducedSpace(rev, ind.rep, ind.levels), ws_rev)
-    z_second = DualCalculus(s2).z_matrices()
+    z_second = s2.z_matrices()
     return s1.theta_full()[s2.theta_full()], s1, s2, ws_rev, z_second
 
 

@@ -207,14 +207,15 @@ def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def szego_kernel(w: DiscPoint, z: DiscPoint, a: np.ndarray, ws: WeightSystem):
-    """Kernel value plus tail bound, cross-checked against the Cauchy pairing.
+def szego_kernel(cw: CauchyKernel, cz: CauchyKernel, a: np.ndarray):
+    """Kernel value at the points of two built Cauchy columns, plus tail bound,
+    cross-checked against their pairing.
 
     Returns (value, tail, cauchy_residual).
     """
+    w, z = cw.point, cz.point
     value = kernel_value(w, z, a)
     tail = 0.5 * (kernel_tail_bound(w) + kernel_tail_bound(z)) * operator_norm(a)
-    cw, cz = CauchyKernel(w, ws), CauchyKernel(z, ws)
     return value, tail, residual(value, cw.pairing(cz, a))
 
 
@@ -267,17 +268,16 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
                       d_mat: np.ndarray) -> float:
     """Residual of (W'_xi)^* (D . c_z) = <D^* . xi, z^*> . c_z, levelwise.
 
-    The top level is excluded: it is consumed by the truncation.
+    The top level is excluded: it is consumed by the truncation, and it is
+    exactly the part of K outside the range of the band block's adjoint.
     """
     ind = z.ind
-    s = DualStructure(ind, ws)
+    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0]  # K_{<=N-1} -> K_{>=1}
     c = CauchyKernel(z, ws)
-    lhs = ind.assemble(s.rho_creation(xi_mat, 1), 0).conj().T @ ind.dual_left(as_complex(d_mat)) \
-        @ c.column
+    lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)) @ c.column)[ind.level_offsets[1]:]
     coeff = xi_mat.conj().T @ ind.dual_left_level(as_complex(d_mat), 1) @ z.mat.conj().T
     rhs = ind.dual_left(coeff) @ c.column
-    top = ind.level_slice(ind.levels).start
-    return residual(lhs[:top, :], rhs[:top, :])
+    return residual(lhs, rhs[:band.shape[1], :])
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +348,11 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
             return cauchy[i].pairing(cauchy[j], unit)
         return kernel_value(problem.points[i], problem.points[j], unit)
 
-    blocks = []
+    total = npts * w_dim * sum(ind.rep.multiplicities)
+    choi = np.zeros((total, total), dtype=complex)
+    pos = 0  # the vertex blocks sit on the diagonal, in vertex order
     for v in range(ind.graph.n_vertices):
         m_v = ind.rep.multiplicities[v]
-        d = npts * m_v
-        choi_v = np.zeros((d * w_dim, d * w_dim), dtype=complex)
         for i in range(npts):
             for mu in range(m_v):
                 for j in range(npts):
@@ -361,16 +361,10 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
                         kij = kernel(i, j, unit)
                         img = problem.B[i] @ np.kron(np.eye(problem.s), kij) @ problem.B[j].conj().T \
                             - problem.F[i] @ np.kron(np.eye(problem.t), kij) @ problem.F[j].conj().T
-                        row = (i * m_v + mu) * w_dim + i * s_dim
-                        col = (j * m_v + nu) * w_dim + j * s_dim
-                        choi_v[row:row + s_dim, col:col + s_dim] = img
-        blocks.append(choi_v)
-    total = sum(b.shape[0] for b in blocks)
-    choi = np.zeros((total, total), dtype=complex)
-    pos = 0
-    for b in blocks:
-        choi[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
-        pos += b.shape[0]
+                        row = pos + (i * m_v + mu) * w_dim + i * s_dim
+                        col = pos + (j * m_v + nu) * w_dim + j * s_dim
+                        choi[row:row + s_dim, col:col + s_dim] = img
+        pos += npts * m_v * w_dim
     choi = 0.5 * (choi + choi.conj().T)
     eigs = np.linalg.eigvalsh(choi)
     norm = float(abs(eigs).max())
@@ -408,15 +402,17 @@ def _span_generators(problem: PickProblem, ws: WeightSystem):
     on the relevant copy stack.
     """
     ind = problem.ind
-    units = CommutantAlgebra(ind.rep).units()
-    cols_b, cols_f, cauchy = [], [], []
-    for i, z in enumerate(problem.points):
-        cauchy.append(CauchyKernel(z, ws).column)
-        for unit in units:
-            base = ind.dual_left(unit) @ cauchy[-1]  # K x h
-            cols_b.append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)
-            cols_f.append(np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T)
-    return np.hstack(cols_b), np.hstack(cols_f), cauchy
+    cauchy = [CauchyKernel(z, ws).column for z in problem.points]
+    cols_b, cols_f = [[] for _ in cauchy], [[] for _ in cauchy]
+    for unit in CommutantAlgebra(ind.rep).units():
+        left = ind.dual_left(unit)  # one K x K left action alive at a time
+        for i, column in enumerate(cauchy):
+            base = left @ column  # K x h
+            cols_b[i].append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)
+            cols_f[i].append(np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T)
+    # the columns in (point, unit) order
+    return (np.hstack([c for cols in cols_b for c in cols]),
+            np.hstack([c for cols in cols_f for c in cols]), cauchy)
 
 
 # ---------------------------------------------------------------------------

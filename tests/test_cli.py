@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wfock.cli import RunConfig, run
+from wfock.cli import RunConfig, main, run
 
 
 def write(tmp_path, name, obj):
@@ -81,6 +87,21 @@ def test_kernel_report(tmp_path):
     val = complex(*entry["value"][0][0])
     expected = 1.0 / (1.0 - 0.4 * np.conj(-0.2 + 0.1j))
     assert abs(val - expected) <= entry["tail"] + 1e-10
+
+
+def test_kernel_builds_one_cauchy_column_per_point(tmp_path, monkeypatch):
+    from wfock.interpolation import CauchyKernel
+
+    builds = []
+    init = CauchyKernel.__post_init__
+    monkeypatch.setattr(CauchyKernel, "__post_init__", lambda c: builds.append(1) or init(c))
+    path = write(tmp_path, "in.json", {
+        "graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+        "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.2, 0.1]}, {"scalar": [0.0, 0.3]}],
+    })
+    code, report = run(RunConfig("kernel", input_path=path, N=20))
+    assert code == 0 and len(report["kernel"]) == 9
+    assert len(builds) == 3
 
 
 def test_pick_feasible_and_infeasible(tmp_path):
@@ -241,3 +262,65 @@ def test_count_below_one_is_named(tmp_path, bad, command, base, key):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "c.json", obj), N=3))
     assert code == 1
     assert f"{key}: must be at least 1, got {bad}" in report["error"]
+
+
+KERNEL_INPUT = {"graph": CYCLE, "sigma": [2, 1], "X": {"scalar": [0.5, 1 / 12]},
+                "points": [{"matrix": [[[0, 0], [0, 0], [0.1, 0.02]],
+                                       [[0, 0], [0, 0], [-0.05, 0]],
+                                       [[0.08, 0], [0.03, -0.04], [0, 0]]]},
+                           {"matrix": [[[0, 0], [0, 0], [-0.06, 0]],
+                                       [[0, 0], [0, 0], [0.04, 0.05]],
+                                       [[0.02, 0.1], [-0.07, 0], [0, 0]]]}]}
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _fields(node, prefix=()):
+    """The path of every field of a JSON tree: object keys and list indices."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fields(value, prefix + (key,))
+
+
+def _mutations(value):
+    """(kind, replacement) for one field: wrong type, wrong shape, non-finite, missing."""
+    out = [("type", bad) for bad in ("x", None, True, {})] + [("shape", [value])]
+    if isinstance(value, list) and value:
+        out += [("shape", value[:-1]), ("shape", value + value[-1:])]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out += [("non-finite", bad) for bad in (float("nan"), float("inf"), float("-inf"))]
+    return out + [("missing", None)]
+
+
+KERNEL_MUTATIONS = [(path, kind, bad) for path in _fields(KERNEL_INPUT)
+                    for kind, bad in _mutations(_at(KERNEL_INPUT, path))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_MUTATIONS))
+def test_mutated_kernel_input_gets_a_json_report(mutation):
+    """One field of a valid kernel input broken: a JSON report and exit code
+    0, 1 or 2 from the entry point, never a traceback."""
+    path, kind, bad = mutation
+    obj = copy.deepcopy(KERNEL_INPUT)
+    parent = _at(obj, path[:-1])
+    if kind == "missing":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        inp.write_text(json.dumps(obj))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--command", "kernel", "--N", "3", "--input", str(inp),
+                         "--output", str(out)])
+        report = json.loads(out.read_text())
+    assert code in (0, 1, 2)
+    assert report["schema"] == 1 and report["command"] == "kernel"
+    assert (code == 1) == ("error" in report)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wfock.duality import (
-    DualCalculus,
     DualStructure,
     commutation_check_section5,
+    dual_lift_model,
     dual_weights,
     intertwiner_basis,
     interior_tensor,
@@ -15,8 +15,13 @@ from wfock.duality import (
 )
 from wfock.graphs import GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
-from wfock.linalg import operator_norm, residual
-from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
+from wfock.linalg import operator_norm, residual, rng_complex
+from wfock.weights import (
+    AdmissibleSequence,
+    WeightSystem,
+    admissible_from_kernel_coeffs,
+    weight_system_from,
+)
 
 FREE2 = GraphCorrespondence.free(2)
 CYCLE2 = GraphCorrespondence.cycle(2)
@@ -206,18 +211,52 @@ def test_dual_weights_scalar_case_matches_c():
         assert np.isclose(data.Z_prime[k][0, 0], data.C[k][0, 0])
 
 
+@pytest.mark.parametrize("graph, rep, n", CASES)
+def test_rho_creation_gathers_each_weight_block_once(monkeypatch, graph, rep, n):
+    """One call, several intertwiners: C^{(j+k,k)} (x) I is built once per j and
+    shared, and each band block equals the per-intertwiner level blocks."""
+    ind = InducedSpace(graph, rep, n)
+    s = DualStructure(ind, weight_system_from(dirichlet_x(graph, n)))
+    calls, gathers = [], []
+    c_between = WeightSystem.c_between
+    monkeypatch.setattr(WeightSystem, "c_between",
+                        lambda ws, i, k: calls.append((i, k)) or c_between(ws, i, k))
+    tensor = ind.level_tensor_identity
+    monkeypatch.setattr(ind, "level_tensor_identity",
+                        lambda m, *ij: gathers.append(ij) or tensor(m, *ij))
+    rng = np.random.default_rng(n)
+    for k in range(n + 1):
+        t_mats = [rng_complex(rng, ind.level_dim(k), ind.h_dim) for _ in range(3)]
+        calls.clear()
+        gathers.clear()
+        bands = s.rho_creation(t_mats, k)
+        assert calls == [(j + k, k) for j in range(n + 1 - k)]
+        assert gathers == [(j + k,) for j in range(n + 1 - k)]
+        top = ind.level_offsets[k]
+        for band, t_mat in zip(bands, t_mats):
+            assert band.shape == (ind.dim - top, ind.level_offsets[n + 1 - k])
+            for j in range(n + 1 - k):
+                cw = ind.level_tensor_identity(c_between(s.ws, j + k, k), j + k)
+                rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
+                assert np.array_equal(band[rows, ind.level_slice(j)],
+                                      cw @ ind.suffix_insert(t_mat, k, j))
+    calls.clear()
+    dual_lift_model(s)  # one pass per level, and one for the level-1 generators
+    expected = [(j + k, k) for k in range(n + 1) for j in range(n + 1 - k)]
+    assert sorted(calls) == sorted(expected + [(j + 1, 1) for j in range(n)])
+
+
 def test_dual_calculus_embeddings_consistent():
     graph, rep, n = CYCLE2, Representation((1, 1)), 3
     ws = weight_system_from(dirichlet_x(graph, n))
     s = DualStructure(InducedSpace(graph, rep, n), ws)
-    calc = DualCalculus(s)
-    zp = calc.z_matrices()
+    zp = s.z_matrices()
     # I'_1 (x) (I'_1 (x) Z'_1) = I'_2 (x) Z'_1
-    inner = calc.embed_suffix(zp[1], 1, 2)
-    assert residual(calc.embed_suffix(inner, 1, 3), calc.embed_suffix(zp[1], 2, 3)) < 1e-13
+    inner = s.embed_suffix(zp[1], 1, 2)
+    assert residual(s.embed_suffix(inner, 1, 3), s.embed_suffix(zp[1], 2, 3)) < 1e-13
     # prefix and suffix embeddings commute on disjoint legs
-    a = calc.embed_prefix(zp[1], 2, 3)
-    b = calc.embed_suffix(zp[2], 1, 3)
+    a = s.embed_prefix(zp[1], 2, 3)
+    b = s.embed_suffix(zp[2], 1, 3)
     assert residual(a @ b, b @ a) < 1e-13
 
 

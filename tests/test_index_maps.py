@@ -17,7 +17,6 @@ from graph_strategies import multiplicities, small_graphs
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
     DualBasisElement,
-    DualCalculus,
     DualStructure,
     _lift_model,
     direct_sum_embedding,
@@ -558,14 +557,13 @@ def test_dual_assemblies_match_the_loops(graph, n, data):
     ind = InducedSpace(graph, rep, n)
     ws = weight_system_from(AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n))
     s = DualStructure(ind, ws)
-    calc = DualCalculus(s)
     rng = _rng(data)
     for k in range(2, n + 1):
         for a in range(1, k):
             m = rng_complex(rng, len(s.tuples(k - a)), len(s.tuples(k - a)))
-            assert np.array_equal(calc.embed_suffix(m, a, k), ref_dual_embed_suffix(s, m, a, k))
+            assert np.array_equal(s.embed_suffix(m, a, k), ref_dual_embed_suffix(s, m, a, k))
             m = rng_complex(rng, len(s.tuples(a)), len(s.tuples(a)))
-            assert np.array_equal(calc.embed_prefix(m, k - a, k),
+            assert np.array_equal(s.embed_prefix(m, k - a, k),
                                   ref_dual_embed_prefix(s, m, k - a, k))
     ind2 = InducedSpace(graph, rep2, n)
     ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind2)
@@ -595,7 +593,6 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
     rng = _rng(data)
     x = _random_graph_x(graph, n, rng)
     s = DualStructure(ind, weight_system_from(x))
-    calc = DualCalculus(s)
     a = _commutant_element(rng, rep)
     for k in range(n + 1):
         assert s.tuples(k) == ref_tuples(s, k)
@@ -603,7 +600,7 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
             assert np.array_equal(s.intertwiner(t.edges, t.row), ref_intertwiner(s, t.edges, t.row))
         th = ref_theta(s, k)
         assert np.array_equal(np.eye(ind.level_dim(k))[s.theta(k)], th)
-        assert np.array_equal(calc.phi_prime(a, k), ref_conjugate(th, ind.dual_left_level(a, k)))
+        assert np.array_equal(s.phi_prime(a, k), ref_conjugate(th, ind.dual_left_level(a, k)))
     dw = dual_weights(s, x)
     for k in range(1, n + 1):
         th = ref_theta(s, k)
@@ -639,19 +636,45 @@ def test_amplified_prefix_sets_match_the_concatenation(graph, n, data):
             assert np.array_equal(amp.prefix_idx(m), ref)
 
 
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
-@given(small_graphs(full=True), st.integers(1, 3), st.sampled_from([1, 2, 3]), st.data())
+@given(st.booleans().flatmap(lambda full: small_graphs(full=full)), st.integers(1, 3),
+       st.sampled_from([1, 2, 3]), st.data())
 def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
     """Coordinate insertions and band blocks, densified, against the whole-space
-    basis operators and the kron amplification they replaced; the compressions
-    q^* W q and the vacuum gather against the dense products."""
+    basis operators and the kron amplification they replaced; the model's own
+    arrays against the reference bytes, signed zeros included (the insertions
+    read off the dense ones by np.nonzero, the dual creations and generators off
+    one rho_creation per tuple; the primal creations are built as they were, and
+    this reference writes its zeros unsigned); the compressions q^* W q and the
+    vacuum gather against the dense products.  The dual side is built on full
+    graphs only."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
     ws = weight_system_from(_random_graph_x(graph, n, rng))
-    s = DualStructure(ind, ws)
-    for model, ref in ((primal_lift_model(ind, ws), ref_primal_basis_ops(ind, ws)),
-                       (dual_lift_model(s), ref_dual_basis_ops(s))):
+    sides = [(primal_lift_model(ind, ws), ref_primal_basis_ops(ind, ws), False)]
+    if graph.full:
+        s = DualStructure(ind, ws)
+        model = dual_lift_model(s)
+        sides.append((model, ref_dual_basis_ops(s), True))
+        ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j))
+                    for v, i, j in s.rep.commutant_basis()]
+        ref_gens += [ref_rho_creation(s, s.intertwiner(t.edges, t.row), 1) for t in s.tuples(1)]
+        assert len(model.generators) == len(ref_gens)
+        assert all(_same_bytes(m, ref) for m, ref in zip(model.generators, ref_gens))
+    for model, ref, exact_creations in sides:
+        for k in range(n + 1):
+            for (rows, cols), blk, (ref_ins, ref_wc) in zip(model.insertions[k],
+                                                            model.creations[k], ref[k]):
+                ref_rows, ref_cols = np.nonzero(ref_ins)
+                assert _same_bytes(rows, ref_rows) and _same_bytes(cols, ref_cols)
+                if exact_creations:
+                    band = ref_wc[ind.level_offsets[k]:, :ind.level_offsets[n + 1 - k]]
+                    assert _same_bytes(blk, band if k else np.diagonal(ref_wc).copy())
         amp, ref = model.amplify(copies), ref_amplify(ref, copies)
         assert amp.copies == copies and amp.creations is model.creations
         assert [len(level) for level in amp.insertions] == [len(level) for level in ref]

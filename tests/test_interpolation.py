@@ -201,15 +201,34 @@ def test_szego_kernel_classical():
         zv = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6)) / np.sqrt(2)
         w = DiscPoint.scalar(ind, x, wv)
         z = DiscPoint.scalar(ind, x, zv)
-        value, tail, cres = szego_kernel(w, z, np.eye(1), ws)
+        value, tail, cres = szego_kernel(CauchyKernel(w, ws), CauchyKernel(z, ws), np.eye(1))
         assert cres < 1e-9
         assert abs(value[0, 0] - 1.0 / (1.0 - wv * np.conj(zv))) <= tail + 1e-10
 
 
+def test_szego_kernel_on_built_columns_matches_the_per_pair_build():
+    from wfock.induced import CommutantAlgebra
+
+    ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
+    cauchy = [CauchyKernel(graph_point(ind, x, r, seed=seed), ws)
+              for r, seed in ((0.5, 2), (0.4, 5), (0.45, 7))]
+    a = CommutantAlgebra(ind.rep).project(rng_complex(np.random.default_rng(3), 3, 3))
+    for cw in cauchy:
+        for cz in cauchy:
+            w, z = cw.point, cz.point
+            # the old build: two fresh Cauchy columns per ordered pair of points
+            value = kernel_value(w, z, a)
+            tail = 0.5 * (kernel_tail_bound(w) + kernel_tail_bound(z)) * operator_norm(a)
+            cres = residual(value, CauchyKernel(w, ws).pairing(CauchyKernel(z, ws), a))
+            new_value, new_tail, new_cres = szego_kernel(cw, cz, a)
+            assert new_value.tobytes() == value.tobytes()
+            assert (new_tail, new_cres) == (tail, cres)
+
+
 def test_dirichlet_kernel_log_series():
     ind, x, ws = scalar_setup("dirichlet", 60)
-    w = DiscPoint.scalar(ind, x, 0.5)
-    value, tail, cres = szego_kernel(w, w, np.eye(1), ws)
+    c = CauchyKernel(DiscPoint.scalar(ind, x, 0.5), ws)
+    value, tail, cres = szego_kernel(c, c, np.eye(1))
     u = 0.25
     assert abs(value[0, 0] - (-np.log(1 - u) / u)) < 1e-8
     assert cres < 1e-9
@@ -217,8 +236,8 @@ def test_dirichlet_kernel_log_series():
 
 def test_kernel_at_zero_is_identity_action():
     ind, x, ws = scalar_setup("szego", 10)
-    z = DiscPoint.scalar(ind, x, 0.0)
-    value, _, _ = szego_kernel(z, z, np.array([[2.5]]), ws)
+    c = CauchyKernel(DiscPoint.scalar(ind, x, 0.0), ws)
+    value, _, _ = szego_kernel(c, c, np.array([[2.5]]))
     assert np.isclose(value[0, 0], 2.5)
 
 
@@ -252,7 +271,7 @@ def test_iota_w_star():
         s = DualStructure(ind, ws)
         rng = np.random.default_rng(6)
         # random dual element and commutant element
-        xi = sum(coef * s.alpha_matrix(t.edges[0], t.row)
+        xi = sum(coef * s.intertwiner(t.edges, t.row)
                  for coef, t in zip(rng_complex(rng, len(s.tuples(1))), s.tuples(1)))
         from wfock.induced import CommutantAlgebra
 
@@ -265,7 +284,7 @@ def test_iota_w_star_scalar_backward_shift():
     ind, x, ws = scalar_setup("szego", 30)
     z = DiscPoint.scalar(ind, x, 0.5)
     s = DualStructure(ind, ws)
-    xi = s.alpha_matrix(0, 0)
+    xi = s.intertwiner((0,), 0)
     assert iota_w_star_check(z, ws, xi, np.eye(1, dtype=complex)) < 1e-10
 
 

@@ -24,7 +24,11 @@ free(2) at N=5 whose lift clamps F (the ``f_clamp`` bisection of
 bisection ends on adjacent floats; these two deep ones run all 60 steps.
 Two Szego solves on the one-loop space at N=30 lift on more than two copies
 of the dual side: a row-valued one (s = 1, t = 2, two scalar points) and a
-2x2 matrix-valued one (s = t = 2, one scalar point).
+2x2 matrix-valued one (s = t = 2, one scalar point).  A ``kernel`` table on
+the 2-cycle with sigma (2, 1) and three matrix points at N=8 covers the
+Cauchy columns and their pairings, and a feasible ``pick`` on the 3-cycle
+with sigma (2, 1, 1) and four matrix points at N=6 assembles a Choi matrix
+of three vertex blocks.
 """
 
 import os
@@ -84,6 +88,38 @@ INPUTS = {
                      "F": [[[[0.4, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]]},
     "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
                "X": X_DIRICHLET, "instances": 2},
+    "kernel-cycle2": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [2, 1],
+                      "X": X_DIRICHLET,
+                      "points": [{"matrix": [[[0, 0], [0, 0], [0.1, 0.02]],
+                                             [[0, 0], [0, 0], [-0.05, 0]],
+                                             [[0.08, 0], [0.03, -0.04], [0, 0]]]},
+                                 {"matrix": [[[0, 0], [0, 0], [-0.06, 0]],
+                                             [[0, 0], [0, 0], [0.04, 0.05]],
+                                             [[0.02, 0.1], [-0.07, 0], [0, 0]]]},
+                                 {"matrix": [[[0, 0], [0, 0], [0.05, -0.03]],
+                                             [[0, 0], [0, 0], [0.02, 0.06]],
+                                             [[-0.04, 0.05], [0.06, 0], [0, 0]]]}]},
+    "pick-cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+                    "sigma": [2, 1, 1], "X": X_DIRICHLET,
+                    "points": [{"matrix": [[[0, 0], [0, 0], [0, 0], [0.1, 0.03]],
+                                           [[0, 0], [0, 0], [0, 0], [-0.04, 0.02]],
+                                           [[0.06, 0], [0.02, -0.05], [0, 0], [0, 0]],
+                                           [[0, 0], [0, 0], [0.09, 0.01], [0, 0]]]},
+                               {"matrix": [[[0, 0], [0, 0], [0, 0], [-0.05, 0]],
+                                           [[0, 0], [0, 0], [0, 0], [0.03, 0.07]],
+                                           [[-0.02, 0.04], [0.08, 0], [0, 0], [0, 0]],
+                                           [[0, 0], [0, 0], [-0.06, 0.05], [0, 0]]]},
+                               {"matrix": [[[0, 0], [0, 0], [0, 0], [0.02, -0.09]],
+                                           [[0, 0], [0, 0], [0, 0], [0.05, 0]],
+                                           [[0.03, 0.03], [-0.04, 0], [0, 0], [0, 0]],
+                                           [[0, 0], [0, 0], [0.01, -0.08], [0, 0]]]},
+                               {"matrix": [[[0, 0], [0, 0], [0, 0], [0.07, 0.05]],
+                                           [[0, 0], [0, 0], [0, 0], [0, -0.03]],
+                                           [[0.05, -0.06], [0.01, 0.02], [0, 0], [0, 0]],
+                                           [[0, 0], [0, 0], [0.04, 0.04], [0, 0]]]}],
+                    "F": [[[[0.5, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0], [0, 0]],
+                           [[0, 0], [0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.5, 0]]]]
+                    * 4},
 }
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
@@ -97,7 +133,9 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-cycle2-N8", "solve-cycle2", ["solve", "--N", "8"]),
          ("solve-free2-clamped-N5", "solve-free2-clamped", ["solve", "--N", "5"]),
          ("solve-rect-N30", "solve-rect", ["solve", "--N", "30"]),
-         ("solve-matrix-N30", "solve-matrix", ["solve", "--N", "30"])]
+         ("solve-matrix-N30", "solve-matrix", ["solve", "--N", "30"]),
+         ("kernel-cycle2-N8", "kernel-cycle2", ["kernel", "--N", "8"]),
+         ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"])]
 
 
 def digests(workdir: Path) -> tuple[list[str], list[str]]:
