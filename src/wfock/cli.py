@@ -1,7 +1,7 @@
 """Batch front end: JSON in, JSON out, deterministic for a fixed seed.
 
-Exit codes: 0 on success, 1 on input errors (malformed JSON or violated
-invariants, with the violation named), 2 on mathematical rejection (a
+Exit codes: 0 on success, 1 on input errors (malformed JSON, violated
+invariants or a failed allocation, each named), 2 on mathematical rejection (a
 non-admissible sequence or a Pick map that is not completely positive).
 Timing goes to stderr only, so reports are byte-identical across runs.
 """
@@ -277,6 +277,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
     except (ValueError, KeyError, RuntimeError) as exc:
         return 1, {"schema": 1, "command": config.command,
                    "error": f"{type(exc).__name__}: {exc}"}
+    except MemoryError as exc:  # numpy's message names the shape and size it asked for
+        return 1, {"schema": 1, "command": config.command,
+                   "error": f"MemoryError: {str(exc) or 'an allocation failed'}"}
     print(f"{config.command}: {time.time() - started:.2f}s", file=sys.stderr)
     report = {"schema": 1, "command": config.command, "seed": config.seed, "N": config.N}
     report.update(body)

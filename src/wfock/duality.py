@@ -315,9 +315,9 @@ class DualStructure:
 
     def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
         """The dual left action phi'_k(A) in the Theta frame: I_k (x) A gathered
-        at the Theta-permuted coordinates (0.0 added as in ``_in_frame``)."""
+        at the Theta-permuted coordinates."""
         pre, h = (idx[self.theta(k)] for idx in self.ind._cut(k, k))
-        return _masked_gather(a_mat, h, h, pre, pre) + 0.0
+        return _masked_gather(a_mat, h, h, pre, pre)
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
@@ -337,12 +337,8 @@ class DualStructure:
 
 
 def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Theta M Theta^* for the permutation frame Theta with the given coordinates.
-
-    The gather alone can leave a zero entry of M as -0.0 where the product of
-    0/1 matrices gave +0.0; adding 0.0 turns it back, so reports keep their bytes.
-    """
-    return m[np.ix_(coords, coords)] + 0.0
+    """Theta M Theta^* for the permutation frame Theta with the given coordinates."""
+    return m[np.ix_(coords, coords)]
 
 
 # ---------------------------------------------------------------------------

@@ -122,15 +122,11 @@ def weight_diagonal(space: TruncatedFock, Z: WeightSystem, k: int) -> FockOperat
 
 
 def weighted_creation(space: TruncatedFock, Z: WeightSystem, xi: CorrElement) -> FockOperator:
-    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}.
-
-    Adding 0.0 turns a -0.0 of the block product into +0.0, which is what the
-    product of the whole matrices D_k and T_xi holds there; reports keep their bytes.
-    """
+    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}."""
     t = creation(space, xi)
     if xi.level == 0:
         return t
-    return FockOperator(space, {(i, j): Z.z_between(i, j) @ blk + 0.0
+    return FockOperator(space, {(i, j): Z.z_between(i, j) @ blk
                                 for (i, j), blk in t.blocks.items()})
 
 
@@ -165,11 +161,7 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
     paths = np.arange(d)
     acc = np.zeros((d, d), dtype=complex)
     for i in range(d):
-        # theta_{S xi}[p, q] = S[p, i] conj(S[q, i]), from real products: a vectorized
-        # complex product may fuse multiply-adds and round differently
-        re, im = s[:, i].real, s[:, i].imag
-        theta = np.multiply.outer(re, re) + np.multiply.outer(im, im) \
-            + 1j * (np.multiply.outer(im, re) - np.multiply.outer(re, im))
+        theta = np.outer(s[:, i], s[:, i].conj())  # theta_{S xi}[p, q] = S[p, i] conj(S[q, i])
         acc += _masked_gather(theta, paths, paths, basis.sources, basis.sources)
     report["theta_sum"] = residual(acc, s @ s.conj().T)
 

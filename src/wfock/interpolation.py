@@ -249,7 +249,7 @@ def representation_eval(z: DiscPoint, word) -> np.ndarray:
 def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarray:
     """Evaluation through the kernel column: L_z^* (Y (x) I) L_I."""
     c = CauchyKernel(z, ws)
-    return (c.column.conj().T @ op_matrix)[:, z.ind.level_slice(0)] + 0.0
+    return (c.column.conj().T @ op_matrix)[:, z.ind.level_slice(0)]
 
 
 def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
@@ -480,7 +480,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     evaluations, residuals_out = [], []
     for i, column in enumerate(cauchy):
         left = np.kron(np.eye(problem.s), column)
-        y_hat = (left.conj().T @ g_tilde)[:, vacuum] + 0.0  # as LiftModel.vacuum: no -0.0
+        y_hat = (left.conj().T @ g_tilde)[:, vacuum]
         evaluations.append(y_hat)
         residuals_out.append(operator_norm(problem.B[i] @ y_hat - problem.F[i]))
     lift_err = max(trace["conclusions"]["adjoint_invariance"],

@@ -20,7 +20,7 @@ from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement, _random_module_map, path_basis
 from .induced import InducedSpace
 from .lifting import LiftModel, LiftState
-from .linalg import _project_out, operator_norm, orth_columns, residual, rng_complex
+from .linalg import _complement, _project_out, operator_norm, orth_columns, residual, rng_complex
 from .weights import WeightSystem
 
 
@@ -46,8 +46,7 @@ def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarr
         if not escaped:
             return frame
         add = orth_columns(np.hstack(escaped), 1e-9)
-        add = add - frame @ (frame.conj().T @ add)
-        add = orth_columns(add, 0.5)
+        add = orth_columns(_complement(frame, add), 0.5)
         if add.shape[1] == 0:
             return frame
         frame = np.hstack([frame, add])
@@ -133,7 +132,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             model.generators[int(rng.integers(0, len(model.generators)))]
 
         # (1) alpha is unital and multiplicative under co-invariance
-        out["alpha_unital"] = residual(alpha(np.eye(model.dim)), np.eye(q_m.shape[1]))
+        out["alpha_unital"] = residual(q_m.conj().T @ q_m, np.eye(q_m.shape[1]))
         out["alpha_multiplicative"] = residual(alpha(w_xi @ y_word), alpha(w_xi) @ alpha(y_word))
         # (2) alpha(Y) G_m = G_m (Y (x) I)
         out["alpha_intertwines"] = residual(alpha(y_word) @ g_mat, g_mat @ y_word)

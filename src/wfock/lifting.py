@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, _project_out, as_complex, operator_norm, orth_columns, pinv, \
-    residual
+from .linalg import RANK_TOL, _complement, _project_out, as_complex, operator_norm, \
+    orth_columns, pinv, residual
 
 
 @dataclass
@@ -159,9 +159,8 @@ class LiftModel:
         )
 
     def vacuum(self, m: np.ndarray) -> np.ndarray:
-        """M L_{1^}, the K_0 columns of M; adding 0.0 turns a gathered -0.0 into
-        the +0.0 of the product with the vacuum insertion, so reports keep their bytes."""
-        return m[:, self.prefix_idx(0)] + 0.0
+        """M L_{1^}, the K_0 columns of M."""
+        return m[:, self.prefix_idx(0)]
 
     def inserted(self, m: np.ndarray, ins: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """M L_{xi^} for the insertion (rows, cols) of a basis element."""
@@ -171,19 +170,17 @@ class LiftModel:
 
     def compressions(self, k: int, q_out: np.ndarray, q_in: np.ndarray):
         """Per level-k basis element: q_out^* W q_in for its weighted creation W,
-        and its insertion (rows, cols).  Only the band block enters q_out^* W, but
-        that is kept at full width, so the product with q_in runs over the same
-        coordinates as the dense product did and gives the same bits."""
+        and its insertion (rows, cols).  W maps the first band_cols coordinates of
+        each copy into its last band_rows, so only those rows of q_out and q_in enter."""
         if not self.creations[k]:
             return
         base = self.dim // self.copies
         band_rows, band_cols = self.creations[k][0].shape[0], self.creations[k][0].shape[-1]
-        rows = [q_out[s + base - band_rows:s + base].conj().T for s in range(0, self.dim, base)]
-        left = np.zeros((q_out.shape[1], self.dim), dtype=complex)
+        out_band = q_out.reshape(self.copies, base, -1)[:, base - band_rows:]
+        out_band = out_band.conj().transpose(0, 2, 1)  # copies x d_out x band_rows
+        in_band = q_in.reshape(self.copies, base, -1)[:, :band_cols].reshape(-1, q_in.shape[1])
         for blk, ins in zip(self.creations[k], self.insertions[k]):
-            for s, rows_s in zip(range(0, self.dim, base), rows):
-                left[:, s:s + band_cols] = rows_s @ blk if k else rows_s * blk
-            yield left @ q_in, ins
+            yield np.hstack(out_band @ blk if k else out_band * blk) @ in_band, ins
 
     def prefix_columns(self, n: int) -> np.ndarray:
         idx = self.prefix_idx(n)
@@ -209,14 +206,9 @@ class CoinvariantSubspace:
 
 
 def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> float:
-    """The co-invariance residual of the span of an orthonormal frame."""
-    p = frame @ frame.conj().T
-    return _coinvariance_residual(p, np.eye(p.shape[0]) - p, generators)
-
-
-def _coinvariance_residual(p: np.ndarray, comp: np.ndarray, generators: list[np.ndarray]) -> float:
-    """max_g ||comp g^* P|| for the orthogonal projection P onto J and comp = I - P."""
-    return max(operator_norm(comp @ g.conj().T @ p) for g in generators)
+    """The co-invariance residual max_g ||(I - P) g^* P|| of the span J of an
+    orthonormal frame Q, measured as max_g ||(I - P) g^* Q|| (Q^* is a co-isometry)."""
+    return max(operator_norm(_complement(frame, g.conj().T @ frame)) for g in generators)
 
 
 @dataclass
@@ -265,10 +257,9 @@ def _condition_residuals(state: LiftState) -> dict:
     """Residuals of the seven running conditions at the current state."""
     model = state.model
     q = state.frame
-    p = q @ q.conj().T
-    comp = np.eye(model.dim) - p
-    out = {"contains_prefix": operator_norm(comp[:, model.prefix_idx(state.n_list[-1])])}
-    out["coinvariant"] = _coinvariance_residual(p, comp, model.generators)
+    prefix = model.prefix_columns(state.n_list[-1])
+    out = {"contains_prefix": operator_norm(_complement(q, prefix)),
+           "coinvariant": _frame_coinvariance(q, model.generators)}
     out["intertwining"] = max(
         residual(q.conj().T @ g @ q @ state.g_mat, state.g_mat @ g)
         for g in model.generators)
@@ -290,8 +281,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     q_m = state.frame
     d_m = q_m.shape[1]
     n_new, q_new = _escape_level(state)
-    q_new = q_new - q_m @ (q_m.conj().T @ q_new)
-    q_new = orth_columns(q_new, 0.5)
+    q_new = orth_columns(_complement(q_m, q_new), 0.5)
     if q_new.shape[1] == 0:
         raise RuntimeError("escaping level added no new directions")
     q_m1 = np.hstack([q_m, q_new])
@@ -396,10 +386,8 @@ def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np
                  pairs, key: str = "intertwining") -> dict[str, float]:
     """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
     in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal."""
-    p = j_in @ j_in.conj().T
-    comp = np.eye(p.shape[0]) - p
     return {
-        "adjoint_invariance": operator_norm(comp @ g_tilde.conj().T @ j_out),
+        "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
         key: max(residual(g_tilde @ a, b @ g_tilde) for a, b in pairs),
         "norm": abs(operator_norm(g_tilde) - operator_norm(g)),

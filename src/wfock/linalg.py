@@ -78,15 +78,18 @@ def nullspace(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _complement(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(I - Q Q^*) a = a - Q (Q^* a) for the orthonormal columns Q of ``q``, in one pass."""
+    return a - q @ (q.conj().T @ a)
+
+
 def _project_out(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``a`` minus its projection onto the orthonormal columns of ``q``.
 
     The projection is subtracted twice: a single pass leaves roundoff drift
     along ``q`` that the rank tests downstream would read as new directions.
     """
-    for _ in range(2):
-        a = a - q @ (q.conj().T @ a)
-    return a
+    return _complement(q, _complement(q, a))
 
 
 def residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -160,6 +160,28 @@ def test_cli_end_to_end_determinism(tmp_path):
     assert report["schema"] == 1
 
 
+NUMPY_OOM = ("Unable to allocate 16.0 GiB for an array with shape (32768, 32768) "
+             "and data type float64")
+
+
+@pytest.mark.parametrize("exc, error", [
+    (MemoryError(NUMPY_OOM), f"MemoryError: {NUMPY_OOM}"),
+    (MemoryError(), "MemoryError: an allocation failed")])
+def test_failed_allocation_is_a_json_report(tmp_path, monkeypatch, exc, error):
+    # the command raises as numpy does when an allocation fails; nothing is allocated
+    import wfock.cli
+
+    def out_of_memory(config, obj):
+        raise exc
+
+    monkeypatch.setitem(wfock.cli._DISPATCH, "pick", out_of_memory)
+    out = tmp_path / "report.json"
+    assert main(["--command", "pick", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["command"] == "pick"
+    assert report["error"] == error
+
+
 def test_bad_command_rejected():
     with pytest.raises(ValueError):
         RunConfig("plot")

@@ -556,9 +556,9 @@ def _reference_defect(problem, ws):
     amp_s, amp_t = base.amplify(problem.s), base.amplify(problem.t)
     defect = 0.0
     for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
-        p = frame @ frame.conj().T
-        comp = np.eye(p.shape[0]) - p
-        defect = max(defect, max(operator_norm(comp @ g.conj().T @ p) for g in amp.generators))
+        for g in amp.generators:  # (I - P) g^* Q on the thin frame Q
+            image = g.conj().T @ frame
+            defect = max(defect, operator_norm(image - frame @ (frame.conj().T @ image)))
     for g_s, g_t in zip(amp_s.generators, amp_t.generators):
         defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
                                       (q_b.conj().T @ g_s @ q_b) @ g12))
@@ -566,10 +566,10 @@ def _reference_defect(problem, ws):
 
 
 def _reference_corollary(g_tilde, j1, j2, g12, gens1, gens2):
-    """The corollary's conclusions as two_space_lift computed them before the shared helper."""
-    p1 = j1 @ j1.conj().T
+    """The corollary's four conclusions written out, (I - P_1) g_tilde^* J_2 on the thin frames."""
+    adjoint = g_tilde.conj().T @ j2
     return {
-        "adjoint_invariance": operator_norm((np.eye(p1.shape[0]) - p1) @ g_tilde.conj().T @ j2),
+        "adjoint_invariance": operator_norm(adjoint - j1 @ (j1.conj().T @ adjoint)),
         "compression": residual(j2.conj().T @ g_tilde @ j1, g12),
         "intertwining": max(residual(g_tilde @ a, b @ g_tilde) for a, b in zip(gens1, gens2)),
         "norm": abs(operator_norm(g_tilde) - operator_norm(g12)),

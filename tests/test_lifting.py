@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wfock.lifting
+from graph_strategies import multiplicities, small_graphs
+from wfock.acceptance import _random_graph_x
 from wfock.duality import DualStructure, direct_sum_embedding, dual_lift_model, primal_lift_model
 from wfock.graphs import GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
@@ -12,6 +15,8 @@ from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_cl
 from wfock.lifting import (
     CoinvariantSubspace,
     ParrottProblem,
+    _conclusions,
+    _frame_coinvariance,
     commutant_lift,
     gm_star_expansion_residual,
     LiftState,
@@ -94,6 +99,50 @@ def test_parrott_damping_branch_at_the_boundary(monkeypatch):
     assert np.array_equal(grams[0], mu_eff * mu_eff * np.eye(2) - p.R.conj().T @ p.R)
     assert np.linalg.eigvalsh(grams[0]).min() > 0.0
     assert operator_norm(p.assemble(u)) <= p.mu * (1 + 1e-8)
+
+
+def _boundary_blocks(rng):
+    """Random R, S, T with ||[R; S]|| = ||[R, T]|| = ||R|| = mu, so that
+    mu^2 I - R^* R is singular: R = U diag(s) V^* with s_1 = mu, and S, T built
+    as contractions times the square roots of mu^2 I - R^* R and mu^2 I - R R^*,
+    formed on the singular vectors so that the null direction stays exact."""
+    a, b, c, d = rng.integers(1, 6, size=4)
+    mu = float(rng.uniform(0.5, 2.0))
+    u, v = (np.linalg.qr(rng_complex(rng, n, n))[0] for n in (a, b))
+    s = np.zeros(max(a, b))
+    s[:min(a, b)] = np.sort(rng.uniform(0.0, 0.9 * mu, size=min(a, b)))[::-1]
+    s[0] = mu
+    r = (u[:, :min(a, b)] * s[:min(a, b)]) @ v[:, :min(a, b)].conj().T
+
+    def contraction(rows, cols):
+        m = rng_complex(rng, rows, cols)
+        return m * (rng.uniform(0.2, 1.0) / operator_norm(m))
+
+    s_blk = contraction(c, b) @ (v * np.sqrt(mu * mu - s[:b] ** 2)) @ v.conj().T
+    t_blk = (u * np.sqrt(mu * mu - s[:a] ** 2)) @ u.conj().T @ contraction(a, d)
+    return r, s_blk, t_blk, mu
+
+
+def test_parrott_damping_branch_on_random_boundary_blocks(monkeypatch):
+    rng = np.random.default_rng(37)
+    grams = []
+
+    def recording_pinv(a):
+        grams.append(a)
+        return pinv(a)
+
+    monkeypatch.setattr(wfock.lifting, "pinv", recording_pinv)
+    for _ in range(12):
+        r, s_blk, t_blk, mu = _boundary_blocks(rng)
+        p = ParrottProblem(r, s_blk, t_blk)
+        assert np.isclose(p.mu, mu, rtol=1e-14, atol=0)
+        assert np.isclose(operator_norm(r), mu, rtol=1e-14, atol=0)
+        grams.clear()
+        u = parrott_complete(p)
+        mu_eff = p.mu * (1.0 + 1e-12)
+        assert len(grams) == 1
+        assert np.array_equal(grams[0], mu_eff * mu_eff * np.eye(r.shape[1]) - p.R.conj().T @ p.R)
+        assert operator_norm(p.assemble(u)) <= p.mu * (1 + 1e-8)
 
 
 def test_parrott_shapes_checked():
@@ -400,11 +449,10 @@ def test_amplified_dual_model_stays_small():
 
 
 def _reference_conclusions(model, j_frame, g_on_j, g_tilde):
-    """The conclusions as commutant_lift computed them before the shared helper."""
-    p = j_frame @ j_frame.conj().T
-    comp = np.eye(model.dim) - p
+    """The four conclusions written out, (I - P) g_tilde^* J on the thin frame J."""
+    adjoint = g_tilde.conj().T @ j_frame
     return {
-        "adjoint_invariance": operator_norm(comp @ g_tilde.conj().T @ j_frame),
+        "adjoint_invariance": operator_norm(adjoint - j_frame @ (j_frame.conj().T @ adjoint)),
         "compression": residual(j_frame.conj().T @ g_tilde @ j_frame, g_on_j),
         "commutation": max(residual(g_tilde @ g, g @ g_tilde) for g in model.generators),
         "norm": abs(operator_norm(g_tilde) - operator_norm(g_on_j)),
@@ -421,6 +469,35 @@ def test_commutant_lift_conclusions_match_the_reference_bit_for_bit():
         assert frame.shape[1] < model.dim
         g_tilde, trace = commutant_lift(model, frame, g_on_j)
         assert trace["conclusions"] == _reference_conclusions(model, frame, g_on_j, g_tilde)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_thin_frame_residuals_match_the_whole_space_projector(graph, n, data):
+    """||(I - P) g^* Q|| and ||(I - P_in) g_tilde^* J_out|| on thin frames against the
+    whole-space projector formulas ||(I - P) g^* P|| and ||(I - P_in) g_tilde^* J_out||,
+    on random orthonormal frames that are not co-invariant in general."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    model = primal_lift_model(ind, weight_system_from(_random_graph_x(graph, n, rng)))
+
+    def frame():
+        width = data.draw(st.integers(1, model.dim), label="width")
+        return np.linalg.qr(rng_complex(rng, model.dim, width))[0]
+
+    j_in, j_out = frame(), frame()
+    p_in = j_in @ j_in.conj().T
+    comp = np.eye(model.dim) - p_in
+    whole_space = max(operator_norm(comp @ g.conj().T @ p_in) for g in model.generators)
+    scale = max(1.0, max(operator_norm(g) for g in model.generators))
+    assert abs(_frame_coinvariance(j_in, model.generators) - whole_space) <= 1e-14 * scale
+    g_tilde = rng_complex(rng, model.dim, model.dim)
+    pairs = [(g, g) for g in model.generators]
+    thin = _conclusions(g_tilde, j_out.conj().T @ g_tilde @ j_in, j_in, j_out, pairs)
+    whole_space = operator_norm(comp @ g_tilde.conj().T @ j_out)
+    assert abs(thin["adjoint_invariance"] - whole_space) <= \
+        1e-14 * max(1.0, operator_norm(g_tilde))
 
 
 def _two_space_setup():

@@ -2,15 +2,20 @@
 
 Usage (from any directory):
 
-    python3 tools/report_digests.py [OUTPUT]
+    python3 tools/report_digests.py [OUTPUT [REPORT_DIR]]
 
 Each report is made in-process through ``wfock.cli.main`` with ``--output``
-to a file in a temporary directory, with ``OPENBLAS_NUM_THREADS=1``; wfock is
+to ``<name>.report.json`` in REPORT_DIR (created if missing, and kept), or in
+a temporary directory without it, with ``OPENBLAS_NUM_THREADS=1``; wfock is
 imported from ``src/`` of the checkout this script sits in.  One
 ``sha256  name`` line is printed per report (and written to OUTPUT if given).
-Every command is expected to exit 0; the exit code is 1 if any does not.  Run
-the script in two checkouts and diff the output: equal lines mean
-byte-identical reports.
+Every command is expected to exit 0; the exit code is 1 if any does not.
+
+``tools/report_digests.txt`` holds the digests of the current code.  Run the
+script and diff its output against that file: equal lines mean byte-identical
+reports.  Where a change moves report bytes on purpose, keep both report sets
+(REPORT_DIR in each checkout) and compare them value by value with
+``tools/report_diff.py``.
 
 The set: ``selftest --seed 0``; the README's validate, solve (N=40) and lift
 (N=4) inputs, and that lift at N=8; and ``fock``, ``weights`` and ``lift`` at
@@ -156,9 +161,13 @@ def digests(workdir: Path) -> tuple[list[str], list[str]]:
     return lines, errors
 
 
-def run(output: str | None) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        lines, errors = digests(Path(tmp))
+def run(output: str | None = None, report_dir: str | None = None) -> int:
+    if report_dir:
+        Path(report_dir).mkdir(parents=True, exist_ok=True)
+        lines, errors = digests(Path(report_dir))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines, errors = digests(Path(tmp))
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
     if output:
@@ -169,6 +178,6 @@ def run(output: str | None) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 2:
-        sys.exit("usage: report_digests.py [OUTPUT]")
-    sys.exit(run(sys.argv[1] if len(sys.argv) == 2 else None))
+    if len(sys.argv) > 3:
+        sys.exit("usage: report_digests.py [OUTPUT [REPORT_DIR]]")
+    sys.exit(run(*sys.argv[1:]))
