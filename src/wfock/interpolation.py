@@ -29,7 +29,7 @@ from .duality import DualStructure, dual_lift_model
 from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement
 from .induced import CommutantAlgebra, InducedSpace
-from .lifting import two_space_lift
+from .lifting import _HypothesisError, two_space_lift
 from .linalg import as_complex, operator_norm, orth_columns, pinv, residual, rng_complex
 from .weights import AdmissibleSequence, WeightSystem
 
@@ -471,7 +471,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     try:
         g_tilde, trace = two_space_lift(model_sum, idx[:split], idx[split:], q_f, q_b, g12,
                                         hypothesis_tol=1e-3)
-    except ValueError as exc:
+    except _HypothesisError as exc:
         raise ValueError(f"kernel spans: {exc}; the truncation cannot support this instance, "
                          "raise N or move the points inward") from exc
     hyp_budget = max(1e-9, 2.0 * max(trace["hypothesis"].values()))

@@ -28,8 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, _complement, _project_out, as_complex, operator_norm, \
+from .linalg import RANK_TOL, _complement, _complement_coords, as_complex, operator_norm, \
     orth_columns, pinv, residual
+
+
+class _HypothesisError(ValueError):
+    """A lifting hypothesis fails on the input; any other error keeps its own type."""
 
 
 @dataclass
@@ -238,28 +242,46 @@ class LiftState:
 
 
 def _escape_level(state: LiftState) -> tuple[int, np.ndarray]:
-    """Least n with K_n not contained in the current J (rank test), and an
-    orthonormal frame of the part of K_n orthogonal to J.
+    """Least n with K_n not contained in the current J, and an orthonormal frame
+    of the part of K_n orthogonal to J.
 
-    The scan starts above n_m: K_{n_m} lies in J by construction, which each
-    step's ``contains_prefix`` residual certifies.
+    One thin SVD per tested level: the rank rule of ``orth_columns`` keeps a
+    column iff the largest singular value exceeds RANK_TOL, so K_n escapes iff
+    the frame has a column.  The scan starts above n_m: K_{n_m} lies in J by
+    construction, which ``_check_contains_prefix`` guards at each step.
     """
     model = state.model
     q = state.frame
     for n in range(state.n_list[-1] + 1, model.levels + 1):
-        res = _project_out(q, model.prefix_columns(n))
-        if res.size and operator_norm(res) > RANK_TOL:
-            return n, orth_columns(res, RANK_TOL)
+        # the projection is subtracted twice, as in ``_project_out``: one pass leaves
+        # roundoff drift along q that the rank test would read as new directions
+        frame = orth_columns(_complement(q, _complement_coords(q, model.prefix_idx(n))), RANK_TOL)
+        if frame.shape[1]:
+            return n, frame
     raise RuntimeError("no level escapes J although J is proper")
 
 
+def _check_contains_prefix(state: LiftState) -> None:
+    """Raise unless K_{n_m} lies in J_m: ||(I - P) E_{n_m}|| <= RANK_TOL.
+
+    The Frobenius norm bounds the operator norm, so a residual whose Frobenius
+    norm is at most RANK_TOL / 2 passes without an SVD.
+    """
+    n = state.n_list[-1]
+    c = _complement_coords(state.frame, state.model.prefix_idx(n))
+    if np.linalg.norm(c) <= RANK_TOL / 2:
+        return
+    worst = operator_norm(c)
+    if worst > RANK_TOL:
+        raise RuntimeError(f"lift step {state.m}: K_{n} is not contained in J "
+                           f"(residual {worst:.2e}); numerical failure")
+
+
 def _condition_residuals(state: LiftState) -> dict:
-    """Residuals of the seven running conditions at the current state."""
+    """Residuals of the running conditions the reports read at the current state."""
     model = state.model
     q = state.frame
-    prefix = model.prefix_columns(state.n_list[-1])
-    out = {"contains_prefix": operator_norm(_complement(q, prefix)),
-           "coinvariant": _frame_coinvariance(q, model.generators)}
+    out = {"coinvariant": _frame_coinvariance(q, model.generators)}
     out["intertwining"] = max(
         residual(q.conj().T @ g @ q @ state.g_mat, state.g_mat @ g)
         for g in model.generators)
@@ -273,7 +295,11 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     Computes n_{m+1} and the enlarged subspace, assembles the contraction F
     from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
-    state.  Raises if J is already everything.
+    state.  Its ledger entry holds what the reports and the loop read: m,
+    n_m, dim_j, the Parrott mu, the f_clamp, and the coinvariant,
+    intertwining, norm_one and nesting residuals.  Raises if J is already
+    everything, if K_{n_m} is not contained in the new J (a guard, not a
+    recorded number), or if the completion is not finite.
     """
     model = state.model
     if state.is_full():
@@ -287,21 +313,17 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     q_m1 = np.hstack([q_m, q_new])
 
     g_vec = model.vacuum(state.g_mat)  # g = G_m L_{1^}: H -> J_m
-    f_mat = np.zeros((model.dim, q_m1.shape[1]), dtype=complex)
-    gram = np.zeros((q_m1.shape[1], q_m1.shape[1]), dtype=complex)
+    f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
     for k in range(1, model.levels + 1):
         for beta, (rows, cols) in model.compressions(k, q_m1, q_m):  # beta(W_{Z^{(k)-1} xi})
             row = g_vec.conj().T @ beta.conj().T  # h x d_{m+1}
-            f_mat[rows] += row[cols]
-            col = beta @ g_vec
-            gram += col @ col.conj().T
+            f_new[rows] += row[cols, d_m:]
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)
 
     r_blk = state.g_mat[:, rest_idx]
     t_blk = state.g_mat[:, k0_idx]
-    f_star = f_mat.conj().T  # J_{m+1} coords x K
-    s_blk = f_star[np.ix_(np.arange(d_m, q_m1.shape[1]), rest_idx)]
+    s_blk = f_new.conj().T[:, rest_idx]
     # On the truncation the contraction bound on F can be violated by the
     # chopped kernel tails; scaling the new rows back restores the exact
     # situation of the untruncated construction without touching the G_m rows.
@@ -311,27 +333,23 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     if problem.row_norm > 0.0 and problem.col_norm > target:
         f_clamp = problem.clamp_column(target)
     u_blk = parrott_complete(problem)
+    if not np.isfinite(u_blk).all():
+        raise RuntimeError(f"lift step {state.m + 1}: the Parrott completion is not finite")
     new_rows = np.zeros((q_new.shape[1], model.dim), dtype=complex)
     new_rows[:, k0_idx] = u_blk
     new_rows[:, rest_idx] = problem.S
     g_m1 = np.vstack([state.g_mat, new_rows])
 
     new_state = LiftState(model, q_m1, g_m1, state.n_list + [n_new], list(state.ledger))
+    _check_contains_prefix(new_state)
     entry = _condition_residuals(new_state)
-    if entry["contains_prefix"] > RANK_TOL:
-        raise RuntimeError(f"lift step {new_state.m}: K_{n_new} is not contained in J "
-                           f"(residual {entry['contains_prefix']:.2e}); numerical failure")
     entry.update({
         "m": new_state.m,
         "n_m": n_new,
         "dim_j": new_state.dim_j,
         "mu": problem.mu,
-        "f_norm": operator_norm(f_mat),
         "f_clamp": f_clamp,
-        "f_gram_bound": float(np.linalg.eigvalsh(gram).max()) if gram.size else 0.0,
-        "f_restriction": residual(f_star[np.ix_(np.arange(d_m), rest_idx)], r_blk),
         "nesting": residual(g_m1[:d_m, :], state.g_mat),
-        "completed_norm": operator_norm(problem.assemble(u_blk)),
     })
     if step_validator is not None:
         entry["extra"] = step_validator(state, new_state)
@@ -356,10 +374,10 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: 
     """The lifting hypotheses for g: J_in -> J_out over the generator pairs (a, b):
     orthonormal frames, J_in co-invariant under the a's and J_out under the b's
     (one space when ``names`` are equal), and g intertwining the compressions.
-    A defect, or a residual above tol, raises a ValueError naming it."""
+    A defect, or a residual above tol, raises a _HypothesisError naming it."""
     for name, frame in dict(zip(names, (j_in, j_out))).items():  # each space once
         if residual(frame.conj().T @ frame, np.eye(frame.shape[1])) > 1e-12:
-            raise ValueError(f"{name} frame columns are not orthonormal")
+            raise _HypothesisError(f"{name} frame columns are not orthonormal")
     out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, [a for a, _ in pairs])}
     if names[1] != names[0]:
         out[f"{names[1]} co-invariance"] = _frame_coinvariance(j_out, [b for _, b in pairs])
@@ -367,7 +385,7 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: 
                                        (j_out.conj().T @ b @ j_out) @ g) for a, b in pairs)
     for key, value in out.items():
         if value > tol:
-            raise ValueError(f"lifting hypothesis fails: {key} residual {value:.2e}")
+            raise _HypothesisError(f"lifting hypothesis fails: {key} residual {value:.2e}")
     return out
 
 
@@ -421,7 +439,7 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     coordinates to J_2 coordinates.  The hypotheses are checked on the
     summands (orthonormal frames, generators exactly zero between them, J_i
     co-invariant under the idx_i slices, g12 intertwining the compressions),
-    and one above ``hypothesis_tol`` raises a ValueError naming it.  Then
+    and one above ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
     [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
     lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
     carry the corollary's hypothesis and four conclusion residuals.
@@ -429,7 +447,7 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     if any(g[np.ix_(idx1, idx2)].any() or g[np.ix_(idx2, idx1)].any()
            for g in model_sum.generators):
-        raise ValueError("the generators mix the two summands")
+        raise _HypothesisError("the generators mix the two summands")
 
     def pairs():  # rebuilt after the loop rather than held through it
         return [(g[np.ix_(idx1, idx1)], g[np.ix_(idx2, idx2)]) for g in model_sum.generators]

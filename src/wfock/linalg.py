@@ -48,12 +48,47 @@ def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _unit_columns(x: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=0)
+    return x / np.where(norms > 0.0, norms, 1.0)
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``u, s, vh`` of a non-empty matrix, as ``np.linalg.svd`` gives it.
+
+    gesdd can return non-finite factors for a finite input without raising (OpenBLAS
+    0.3.31's SkylakeX kernels do on a Hermitian gram with a 36-fold eigenvalue).  Then
+    the factors are read off ``eigh`` of the Hermitian dilation [[0, A], [A^*, 0]],
+    whose eigenpairs are (+-s_i, (u_i, +-v_i) / sqrt 2).  Each half is normalized on
+    its own: an eigenvector of a small s_i can mix with that of -s_i, which scales
+    u_i and v_i but does not turn them.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if all(np.isfinite(f).all() for f in (u, s, vh)) or not np.isfinite(a).all():
+        return u, s, vh
+    m, n = a.shape
+    dilation = np.zeros((m + n, m + n), dtype=a.dtype)
+    dilation[:m, m:] = a
+    dilation[m:, :m] = a.conj().T
+    w, x = np.linalg.eigh(dilation)
+    top = slice(m + n - 1, m + n - 1 - min(m, n), -1)  # the min(m, n) largest, descending
+    x = x[:, top]
+    return _unit_columns(x[:m]), np.clip(w[top], 0.0, None), _unit_columns(x[m:]).conj().T
+
+
 def pinv(a: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular value threshold."""
+    """Moore-Penrose pseudoinverse with relative singular value threshold.
+
+    The formula is ``np.linalg.pinv``'s with ``rcond=tol``, on the factors of ``_svd``.
+    """
     a = as_complex(a)
     if a.size == 0:
         return a.conj().T.copy()
-    return np.linalg.pinv(a, rcond=tol)
+    u, s, vt = _svd(a.conjugate())
+    large = s > tol * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
 
 
 def orth_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -61,7 +96,7 @@ def orth_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     a = as_complex(a)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u, s, _ = _svd(a)
     rank = int(np.sum(s > tol * max(1.0, s[0])))
     return u[:, :rank]
 
@@ -81,6 +116,14 @@ def nullspace(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
 def _complement(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(I - Q Q^*) a = a - Q (Q^* a) for the orthonormal columns Q of ``q``, in one pass."""
     return a - q @ (q.conj().T @ a)
+
+
+def _complement_coords(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(I - Q Q^*) E for the coordinate columns E of ``idx``: Q^* E is the row gather
+    ``q[idx]^*``, which has the sums of the dense product (one nonzero term each)."""
+    e = np.zeros((q.shape[0], idx.size), dtype=complex)
+    e[idx, np.arange(idx.size)] = 1.0
+    return e - q @ q[idx].conj().T
 
 
 def _project_out(q: np.ndarray, a: np.ndarray) -> np.ndarray:

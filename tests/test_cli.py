@@ -127,6 +127,26 @@ def test_solve_report(tmp_path):
     assert max(r["value"] for r in report["residuals"]) < 1e-8
 
 
+# perfbench's solve-mix problem 16 at seed 9: at lift step 13, gesdd (OpenBLAS 0.3.31,
+# SkylakeX kernels) returned NaN factors for the Parrott gram without raising
+SILENT_NAN = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "sigma": [1], "X": {"scalar": [1.0]},
+              "points": [{"scalar": [0.14369652303439573, -0.40590848559711096]},
+                         {"scalar": [0.25307745613612775, -0.056522965591450244]},
+                         {"scalar": [0.1070345828586255, -0.014635579889297394]}],
+              "F": [[[[-0.3032504445850981, 0.3224241705901199]]],
+                    [[[-0.11685992776046633, 0.12218007864149823]]],
+                    [[[-0.043658652475404826, 0.21593536082271483]]]]}
+
+
+def test_solve_where_lapack_returned_nan_factors(tmp_path):
+    code, report = run(RunConfig("solve", input_path=write(tmp_path, "s.json", SILENT_NAN), N=32))
+    assert code == 0, report.get("error")
+    assert report["verdict"] == "solved"
+    assert len(report["residuals"]) == 3
+    for pair in [report["norm"], *report["residuals"]]:  # every {value, tol} of a solve report
+        assert pair["value"] <= pair["tol"]
+
+
 def test_lift_report(tmp_path):
     obj = {"graph": CYCLE, "X": {"scalar": [0.5, 1 / 12]}, "sigma": [1, 1], "instances": 2}
     code, report = run(RunConfig("lift", input_path=write(tmp_path, "l.json", obj),

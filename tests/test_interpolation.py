@@ -22,6 +22,7 @@ from wfock.interpolation import (
     szego_kernel,
     word_matrix,
 )
+from wfock.jsonio import decode_pick_problem
 from wfock.linalg import operator_norm, orth_columns, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
@@ -626,3 +627,36 @@ def test_solve_refuses_spans_that_violate_the_hypotheses(monkeypatch):
         np_solve(problem, ws)
     monkeypatch.setattr(wfock.lifting, "_frame_coinvariance", lambda frame, gens: 1e-3)
     assert np_solve(problem, ws).hyp_budget == 2e-3
+
+
+def test_a_linalg_error_in_the_loop_is_not_a_hypothesis_failure(monkeypatch):
+    # only the lifting hypotheses are re-worded as a kernel-span refusal
+    problem, ws = _rectangular_problem()
+    import wfock.lifting
+
+    def no_convergence(p):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(wfock.lifting, "parrott_complete", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        np_solve(problem, ws)
+    assert "kernel spans" not in str(info.value)
+
+
+CLAMPED = {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+           "X": {"scalar": [1.0]},
+           "points": [{"matrix": [[[-0.023, -0.149], [-0.086, -0.06]]]},
+                      {"matrix": [[[0.121, -0.007], [-0.006, 0.0]]]}],
+           "F": [[[[0.12, 0.004]]], [[[0.108, 0.001]]]]}
+
+
+def test_the_ledger_keeps_what_its_readers_read():
+    # the reports read m, n_m, dim_j, mu and the residuals; perfbench counts the
+    # steps whose f_clamp < 1 with a default of 1, so a dropped key would read as no clamp
+    ws, problem = decode_pick_problem(CLAMPED, 5)
+    steps = np_solve(problem, ws).trace["steps"]
+    for step in steps:
+        assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
+                             "intertwining", "norm_one", "nesting"}
+    clamps = [step["f_clamp"] for step in steps if step["f_clamp"] < 1.0]
+    assert clamps == pytest.approx([0.929, 2.25e-4, 8.16e-5], rel=1e-2)

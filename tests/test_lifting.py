@@ -15,7 +15,9 @@ from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_cl
 from wfock.lifting import (
     CoinvariantSubspace,
     ParrottProblem,
+    _check_contains_prefix,
     _conclusions,
+    _escape_level,
     _frame_coinvariance,
     commutant_lift,
     gm_star_expansion_residual,
@@ -23,7 +25,8 @@ from wfock.lifting import (
     parrott_complete,
     two_space_lift,
 )
-from wfock.linalg import operator_norm, pinv, residual, rng_complex
+from wfock.linalg import RANK_TOL, _complement, _project_out, operator_norm, orth_columns, pinv, \
+    residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
 FREE2 = GraphCorrespondence.free(2)
@@ -258,6 +261,27 @@ def test_prefix_subspaces_coinvariant():
     assert prefix_coinvariant(primal_lift_model(ind, ws)) < 1e-12
 
 
+def _with_f_checks(validator, record):
+    """``validator`` as a step validator that also appends to ``record`` the F checks
+    the ledger does not carry: ||F|| with F rebuilt from the compressions,
+    ||F^* restricted to J_m - R||, and ||G_{m+1}|| (the assembled Parrott
+    completion, up to a permutation of its columns)."""
+    def step(state, new_state):
+        model, q_m, q_m1 = state.model, state.frame, new_state.frame
+        g_vec = model.vacuum(state.g_mat)
+        f_mat = np.zeros((model.dim, q_m1.shape[1]), dtype=complex)
+        for k in range(1, model.levels + 1):
+            for beta, (rows, cols) in model.compressions(k, q_m1, q_m):
+                f_mat[rows] += (g_vec.conj().T @ beta.conj().T)[cols]
+        rest = np.flatnonzero(model.level > 0)
+        record.append({
+            "f_norm": operator_norm(f_mat),
+            "f_restriction": residual(f_mat.conj().T[:state.dim_j, rest], state.g_mat[:, rest]),
+            "completed_norm": operator_norm(new_state.g_mat)})
+        return validator(state, new_state)
+    return step
+
+
 def test_random_instances_all_conclusions():
     rng = np.random.default_rng(7)
     configs = [
@@ -275,14 +299,16 @@ def test_random_instances_all_conclusions():
             frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
             if frame.shape[1] == model.dim:
                 continue  # closure swallowed everything; nothing to lift
+            f_checks = []
             g_tilde, trace = commutant_lift(model, frame, g_on_j,
-                                            step_validator=validator)
+                                            step_validator=_with_f_checks(validator, f_checks))
             concl = trace["conclusions"]
             assert max(concl.values()) < 1e-8, (graph, mults, kind, concl)
-            for step in trace["steps"]:
-                assert step["completed_norm"] <= step["mu"] * (1 + 1e-8)
-                assert step["f_norm"] <= 1 + 1e-8
-                assert step["f_restriction"] < 1e-9
+            assert len(f_checks) == len(trace["steps"])
+            for step, f_check in zip(trace["steps"], f_checks):
+                assert f_check["completed_norm"] <= step["mu"] * (1 + 1e-8)
+                assert f_check["f_norm"] <= 1 + 1e-8
+                assert f_check["f_restriction"] < 1e-9
                 assert step["coinvariant"] < 1e-8
                 assert step["intertwining"] < 1e-8
                 assert step["nesting"] < 1e-10
@@ -398,9 +424,14 @@ def test_one_rank_test_per_lift_step(monkeypatch):
     model = primal_lift_model(ind, ws)
     col = CauchyKernel(DiscPoint.scalar(ind, x, 0.1), ws).column
     tested = []
-    project_out = wfock.lifting._project_out
-    monkeypatch.setattr(wfock.lifting, "_project_out",
-                        lambda q, a: tested.append(a.shape[1]) or project_out(q, a))
+    orth = wfock.lifting.orth_columns
+
+    def orth_columns(a, tol):
+        if tol == RANK_TOL:  # the escape scan's rank test; new directions are taken at 0.5
+            tested.append(a.shape[1])
+        return orth(a, tol)
+
+    monkeypatch.setattr(wfock.lifting, "orth_columns", orth_columns)
     _, trace = commutant_lift(model, col / np.linalg.norm(col), np.array([[0.5]]))
     assert len(trace["steps"]) == model.dim - 1
     assert len(tested) == len(trace["steps"])
@@ -417,6 +448,67 @@ def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
     j = model.prefix_columns(0)
     with pytest.raises(RuntimeError, match="lift step 2: K_1 is not contained in J"):
         commutant_lift(model, j, np.eye(j.shape[1]))
+
+
+def test_lift_step_names_a_completion_that_is_not_finite(monkeypatch):
+    # a pseudoinverse gone NaN is named at its step (the first is m = 2), not one SVD later
+    ind, ws = make_setup(FREE2, (1,), 3)
+    model = primal_lift_model(ind, ws)
+    monkeypatch.setattr(wfock.lifting, "pinv", lambda a: np.full(a.shape[::-1], np.nan))
+    j = model.prefix_columns(0)
+    with pytest.raises(RuntimeError, match="lift step 2: the Parrott completion is not finite"):
+        commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))
+
+
+def _reference_escape(state):
+    """The escape scan as a values-only SVD followed by a thin one, on dense prefix columns."""
+    q = state.frame
+    for n in range(state.n_list[-1] + 1, state.model.levels + 1):
+        res = _project_out(q, state.model.prefix_columns(n))
+        if res.size and operator_norm(res) > RANK_TOL:
+            return n, orth_columns(res, RANK_TOL)
+    raise AssertionError("a proper frame has an escaping level")
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
+    """On frames that hold K_{n1} up to a perturbation of random size, at n_m = n0 <= n1:
+    the escape level and frame equal those of the values-only rank test, and the
+    guard raises exactly when ||(I - P) E_{n0}|| > RANK_TOL, without an SVD when the
+    Frobenius norm is at most RANK_TOL / 2."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    model = primal_lift_model(ind, weight_system_from(_random_graph_x(graph, n, rng)))
+    proper = [k for k in range(n + 1) if model.prefix_idx(k).size < model.dim]
+    n1 = data.draw(st.sampled_from(proper), label="n1")
+    n0 = data.draw(st.integers(-1, n1), label="n0")
+    held = model.prefix_columns(n1)
+    delta = 10.0 ** data.draw(st.floats(-12, -8), label="log10 perturbation")
+    extra = data.draw(st.integers(0, model.dim - held.shape[1] - 1), label="extra columns")
+    seeds = np.hstack([held + delta * rng_complex(rng, *held.shape),
+                       rng_complex(rng, model.dim, extra)])
+    frame = np.linalg.qr(seeds)[0]
+    state = LiftState(model, frame, np.zeros((frame.shape[1], model.dim), dtype=complex), [n0])
+    prefix = model.prefix_columns(n0)
+
+    (got_n, got_frame), (want_n, want_frame) = _escape_level(state), _reference_escape(state)
+    assert got_n == want_n
+    assert np.array_equal(got_frame, want_frame)
+
+    c = _complement(frame, prefix)
+    svds = []
+    norm = wfock.lifting.operator_norm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wfock.lifting, "operator_norm", lambda a: svds.append(1) or norm(a))
+        if operator_norm(c) > RANK_TOL:
+            with pytest.raises(RuntimeError, match=f"K_{n0} is not contained in J"):
+                _check_contains_prefix(state)
+        else:
+            _check_contains_prefix(state)
+    if np.linalg.norm(c) <= RANK_TOL / 2:
+        assert svds == []
 
 
 def test_lift_step_rejects_full_space():

@@ -15,7 +15,10 @@ Every command is expected to exit 0; the exit code is 1 if any does not.
 script and diff its output against that file: equal lines mean byte-identical
 reports.  Where a change moves report bytes on purpose, keep both report sets
 (REPORT_DIR in each checkout) and compare them value by value with
-``tools/report_diff.py``.
+``tools/report_diff.py``.  For byte identity over many more inputs, run
+``tools/problem_sweep.py WORKLOAD SEEDS COUNT OUTPUT`` in both checkouts and
+diff the two outputs: it prints the report digest and the verdict of each
+generated benchmark problem.
 
 The set: ``selftest --seed 0``; the README's validate, solve (N=40) and lift
 (N=4) inputs, and that lift at N=8; and ``fock``, ``weights`` and ``lift`` at
