@@ -122,12 +122,13 @@ def weight_diagonal(space: TruncatedFock, Z: WeightSystem, k: int) -> FockOperat
 
 
 def weighted_creation(space: TruncatedFock, Z: WeightSystem, xi: CorrElement) -> FockOperator:
-    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}."""
-    t = creation(space, xi)
-    if xi.level == 0:
-        return t
-    return FockOperator(space, {(i, j): Z.z_between(i, j) @ blk
-                                for (i, j), blk in t.blocks.items()})
+    """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}, formed and checked once."""
+    k = xi.level
+    if k == 0 or k > space.levels:
+        return creation(space, xi)
+    g = space.graph
+    return FockOperator(space, {(j + k, j): Z.z_between(j + k, j) @ insertion_matrix(g, xi, j)
+                                for j in range(space.levels + 1 - k)})
 
 
 def tensor_element(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement) -> CorrElement:

@@ -184,7 +184,8 @@ class LiftModel:
         out_band = out_band.conj().transpose(0, 2, 1)  # copies x d_out x band_rows
         in_band = q_in.reshape(self.copies, base, -1)[:, :band_cols].reshape(-1, q_in.shape[1])
         for blk, ins in zip(self.creations[k], self.insertions[k]):
-            yield np.hstack(out_band @ blk if k else out_band * blk) @ in_band, ins
+            per_copy = out_band @ blk if k else out_band * blk  # copies x d_out x band_cols
+            yield per_copy.transpose(1, 0, 2).reshape(-1, in_band.shape[0]) @ in_band, ins
 
     def prefix_columns(self, n: int) -> np.ndarray:
         idx = self.prefix_idx(n)
@@ -245,17 +246,22 @@ def _escape_level(state: LiftState) -> tuple[int, np.ndarray]:
     """Least n with K_n not contained in the current J, and an orthonormal frame
     of the part of K_n orthogonal to J.
 
-    One thin SVD per tested level: the rank rule of ``orth_columns`` keeps a
-    column iff the largest singular value exceeds RANK_TOL, so K_n escapes iff
-    the frame has a column.  The scan starts above n_m: K_{n_m} lies in J by
-    construction, which ``_check_contains_prefix`` guards at each step.
+    At most one thin SVD per tested level: the rank rule of ``orth_columns``
+    keeps a column iff the largest singular value exceeds RANK_TOL, so K_n
+    escapes iff the frame has a column.  A residual whose Frobenius norm is at
+    most RANK_TOL / 2 has no such column, and takes no SVD.  The scan starts
+    above n_m: K_{n_m} lies in J by construction, which
+    ``_check_contains_prefix`` guards at each step.
     """
     model = state.model
     q = state.frame
     for n in range(state.n_list[-1] + 1, model.levels + 1):
         # the projection is subtracted twice, as in ``_project_out``: one pass leaves
         # roundoff drift along q that the rank test would read as new directions
-        frame = orth_columns(_complement(q, _complement_coords(q, model.prefix_idx(n))), RANK_TOL)
+        res = _complement(q, _complement_coords(q, model.prefix_idx(n)))
+        if np.linalg.norm(res) <= RANK_TOL / 2:
+            continue
+        frame = orth_columns(res, RANK_TOL)
         if frame.shape[1]:
             return n, frame
     raise RuntimeError("no level escapes J although J is proper")
@@ -281,9 +287,10 @@ def _condition_residuals(state: LiftState) -> dict:
     """Residuals of the running conditions the reports read at the current state."""
     model = state.model
     q = state.frame
+    q_star = q.conj().T
     out = {"coinvariant": _frame_coinvariance(q, model.generators)}
     out["intertwining"] = max(
-        residual(q.conj().T @ g @ q @ state.g_mat, state.g_mat @ g)
+        residual(q_star @ g @ q @ state.g_mat, state.g_mat @ g)
         for g in model.generators)
     out["norm_one"] = abs(operator_norm(state.g_mat) - 1.0)
     return out
@@ -312,11 +319,11 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         raise RuntimeError("escaping level added no new directions")
     q_m1 = np.hstack([q_m, q_new])
 
-    g_vec = model.vacuum(state.g_mat)  # g = G_m L_{1^}: H -> J_m
+    g_star = model.vacuum(state.g_mat).conj().T  # g^* for g = G_m L_{1^}: H -> J_m
     f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
     for k in range(1, model.levels + 1):
         for beta, (rows, cols) in model.compressions(k, q_m1, q_m):  # beta(W_{Z^{(k)-1} xi})
-            row = g_vec.conj().T @ beta.conj().T  # h x d_{m+1}
+            row = g_star @ beta.conj().T  # h x d_{m+1}
             f_new[rows] += row[cols, d_m:]
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)

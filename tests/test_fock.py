@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graph_strategies import small_graphs
+from wfock.acceptance import _random_graph_x
 from wfock.fock import (
     FockOperator,
     TruncatedFock,
@@ -210,3 +213,30 @@ def test_fock_operator_degree_and_matrix():
     assert np.array_equal(m[2:4, 0:2], 2 * np.eye(2))
     assert np.array_equal(m[4:6, 2:4], np.ones((2, 2)))
     assert np.count_nonzero(m) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_weighted_creation_blocks_are_weighted_creation_blocks(graph, n, data):
+    """Each block of W_xi has the bytes of Z^{(i,j)} times that block of T_xi (at
+    k = 0, where Z^{(j,j)} = I, of T_xi itself), and a non-finite coefficient is
+    named at block (k, 0), the first block T_xi checks."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    space = TruncatedFock(graph, n)
+    k = data.draw(st.integers(0, n), label="k")
+    d = path_basis(graph, k).size
+    xi = CorrElement(k, rng_complex(rng, d))
+    w, t = weighted_creation(space, ws, xi), creation(space, xi)
+    assert list(w.blocks) == list(t.blocks) == [(j + k, j) for j in range(n + 1 - k)]
+    for (i, j), blk in w.blocks.items():
+        want = t.blocks[i, j] if k == 0 else ws.z_between(i, j) @ t.blocks[i, j]
+        assert blk.tobytes() == want.tobytes()
+    if d:
+        bad = xi.coeffs.copy()
+        bad[data.draw(st.integers(0, d - 1), label="bad index")] = \
+            data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="bad value")
+        with pytest.raises(ValueError, match=rf"^block \({k},0\) has non-finite entries$"):
+            weighted_creation(space, ws, CorrElement(k, bad))
+    with pytest.raises(ValueError, match="creation level exceeds truncation"):
+        weighted_creation(space, ws, CorrElement(n + 1, np.zeros(path_basis(graph, n + 1).size)))

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
 from wfock.acceptance import _random_graph_x
 from wfock.duality import DualStructure, direct_sum_embedding, dual_lift_model, primal_lift_model
-from wfock.graphs import GraphCorrespondence
+from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
-from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_closure
+from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_closure, \
+    random_commutant_element
 from wfock.lifting import (
     CoinvariantSubspace,
     ParrottProblem,
@@ -25,8 +27,8 @@ from wfock.lifting import (
     parrott_complete,
     two_space_lift,
 )
-from wfock.linalg import RANK_TOL, _complement, _project_out, operator_norm, orth_columns, pinv, \
-    residual, rng_complex
+from wfock.linalg import RANK_TOL, _complement, _complement_coords, _project_out, operator_norm, \
+    orth_columns, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
 FREE2 = GraphCorrespondence.free(2)
@@ -316,6 +318,31 @@ def test_random_instances_all_conclusions():
                     assert max(step["extra"].values()) < 1e-9, step["extra"]
 
 
+def test_validator_builds_each_weighted_creation_once(monkeypatch):
+    # per step: W_xi, W_{a^* . xi}, W_{xi . a}, W_{T eta} and one W per level-k basis piece
+    ind, ws = make_setup(FREE2, (1,), 3)
+    model = primal_lift_model(ind, ws)
+    built = []
+    build = wfock.liftcheck.weighted_creation
+    monkeypatch.setattr(wfock.liftcheck, "weighted_creation",
+                        lambda space, z, xi: built.append(xi.level) or build(space, z, xi))
+    validator = alphabeta_validator(ind, ws, seed=3)
+    counts = []
+
+    def step(state, new_state):
+        built.clear()
+        out = validator(state, new_state)
+        assert len(set(built)) == 1
+        counts.append((len(built), path_basis(FREE2, built[0]).size + 4))
+        return out
+
+    j = model.prefix_columns(0)
+    _, trace = commutant_lift(model, j, 0.5 * np.eye(j.shape[1]), step_validator=step)
+    assert len(counts) == len(trace["steps"]) > 1
+    assert all(got == want for got, want in counts), counts
+    assert max(max(entry["extra"].values()) for entry in trace["steps"]) < 1e-9
+
+
 def test_gm_star_expansion():
     rng = np.random.default_rng(11)
     ind, ws = make_setup(CYCLE2, (1, 1), 4)
@@ -412,6 +439,60 @@ def test_krylov_closure_stabilizes():
     assert sub.coinvariance_residual() < 1e-12
 
 
+def _reference_closure(model, seeds, extra_ops, res_norms):
+    """``krylov_closure`` with an SVD of every residual; appends each residual's
+    Frobenius norm to ``res_norms``."""
+    ops = [g.conj().T / max(operator_norm(g), 1e-30)
+           for g in list(model.generators) + list(extra_ops)]
+    frame = orth_columns(seeds, 1e-12)
+    for _ in range(4 * (model.dim + 1)):
+        escaped = []
+        for op in ops:
+            res = _project_out(frame, op @ frame)
+            res_norms.append(np.linalg.norm(res))
+            norm = operator_norm(res)
+            if norm > 1e-13:
+                escaped.append(res / norm)
+        if not escaped:
+            return frame
+        add = orth_columns(np.hstack(escaped), 1e-9)
+        add = orth_columns(_complement(frame, add), 0.5)
+        if add.shape[1] == 0:
+            return frame
+        frame = np.hstack([frame, add])
+        if frame.shape[1] >= model.dim:
+            return orth_columns(np.eye(model.dim, dtype=complex), 0.5)
+    raise RuntimeError("closure did not stabilize")
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_krylov_closure_matches_the_svd_of_every_residual(graph, n, data):
+    """The closure's frame equals, bit for bit, that of a closure taking an SVD of
+    every residual, and no SVD is taken of a residual with Frobenius norm <= 0.5e-13."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    model = primal_lift_model(ind, weight_system_from(_random_graph_x(graph, n, rng)))
+    support = model.prefix_idx(data.draw(st.integers(0, n), label="seed level"))
+    seeds = np.zeros((model.dim, 1), dtype=complex)
+    seeds[support] = rng_complex(rng, support.size, 1)
+    extra = [random_commutant_element(model.generators, rng)] \
+        if data.draw(st.booleans(), label="extra operator") else []
+    res_norms = []
+    want = _reference_closure(model, seeds, extra, res_norms)
+    svd_norms = []
+    norm = wfock.liftcheck.operator_norm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wfock.liftcheck, "operator_norm",
+                      lambda a: svd_norms.append(np.linalg.norm(a)) or norm(a))
+        got = krylov_closure(model, seeds, extra)
+    assert np.array_equal(got, want)
+    n_ops = len(model.generators) + len(extra)  # the normalizations come first
+    assert len(svd_norms) == n_ops + sum(f > 0.5e-13 for f in res_norms)
+    assert all(f > 0.5e-13 for f in svd_norms[n_ops:])
+
+
 def test_one_rank_test_per_lift_step(monkeypatch):
     # the escape scan starts above n_m, so on the one-loop space, where each
     # step adjoins the next level, it tests exactly one level per step
@@ -474,9 +555,10 @@ def _reference_escape(state):
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     """On frames that hold K_{n1} up to a perturbation of random size, at n_m = n0 <= n1:
-    the escape level and frame equal those of the values-only rank test, and the
-    guard raises exactly when ||(I - P) E_{n0}|| > RANK_TOL, without an SVD when the
-    Frobenius norm is at most RANK_TOL / 2."""
+    the escape level and frame equal those of the values-only rank test, the scan
+    takes no SVD of a tested level whose residual has Frobenius norm at most
+    RANK_TOL / 2, and the guard raises exactly when ||(I - P) E_{n0}|| > RANK_TOL,
+    without an SVD when the Frobenius norm is at most RANK_TOL / 2."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -493,9 +575,19 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     state = LiftState(model, frame, np.zeros((frame.shape[1], model.dim), dtype=complex), [n0])
     prefix = model.prefix_columns(n0)
 
-    (got_n, got_frame), (want_n, want_frame) = _escape_level(state), _reference_escape(state)
+    rank_tests = []
+    orth = wfock.lifting.orth_columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wfock.lifting, "orth_columns",
+                      lambda a, tol: rank_tests.append(np.linalg.norm(a)) or orth(a, tol))
+        got_n, got_frame = _escape_level(state)
+    want_n, want_frame = _reference_escape(state)
     assert got_n == want_n
     assert np.array_equal(got_frame, want_frame)
+    tested = [np.linalg.norm(_complement(frame, _complement_coords(frame, model.prefix_idx(k))))
+              for k in range(n0 + 1, got_n + 1)]
+    assert len(rank_tests) == sum(f > RANK_TOL / 2 for f in tested)
+    assert all(f > RANK_TOL / 2 for f in rank_tests)
 
     c = _complement(frame, prefix)
     svds = []

@@ -36,7 +36,9 @@ of the dual side: a row-valued one (s = 1, t = 2, two scalar points) and a
 the 2-cycle with sigma (2, 1) and three matrix points at N=8 covers the
 Cauchy columns and their pairings, and a feasible ``pick`` on the 3-cycle
 with sigma (2, 1, 1) and four matrix points at N=6 assembles a Choi matrix
-of three vertex blocks.
+of three vertex blocks.  Two lifts with multiplicity 2, the benchmark's lift-graphs
+templates of that kind, close the set: free(2) with sigma (2) at N=3 and the
+2-cycle with sigma (2, 2) and the Szego weights at N=4.
 """
 
 import os
@@ -96,6 +98,10 @@ INPUTS = {
                      "F": [[[[0.4, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]]},
     "cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, "sigma": [1, 1, 1],
                "X": X_DIRICHLET, "instances": 2},
+    "free2-s2": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [2],
+                 "X": X_DIRICHLET, "instances": 2},
+    "cycle2-s22": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [2, 2],
+                   "X": {"scalar": [1.0]}, "instances": 2},
     "kernel-cycle2": {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0]]}, "sigma": [2, 1],
                       "X": X_DIRICHLET,
                       "points": [{"matrix": [[[0, 0], [0, 0], [0.1, 0.02]],
@@ -143,7 +149,9 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-rect-N30", "solve-rect", ["solve", "--N", "30"]),
          ("solve-matrix-N30", "solve-matrix", ["solve", "--N", "30"]),
          ("kernel-cycle2-N8", "kernel-cycle2", ["kernel", "--N", "8"]),
-         ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"])]
+         ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"]),
+         ("lift-free2-s2-N3", "free2-s2", ["lift", "--N", "3"]),
+         ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"])]
 
 
 def digests(workdir: Path) -> tuple[list[str], list[str]]:
