@@ -235,6 +235,23 @@ class InducedSpace:
         """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
         return self._left_identity(a, k, 0, 0)
 
+    @cached_property
+    def _dual_left_index(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """Every ``dual_left_level`` gather at once: per level, flat, the index into A.ravel()
+        of each block entry and the mask of the cross-path ones; each block's (offset, d_k)."""
+        cuts = [self._cut(k, k) for k in range(self.levels + 1)]
+        sizes = [h.size for _, h in cuts]
+        return (np.concatenate([(h[:, None] * self.h_dim + h).ravel() for _, h in cuts]),
+                np.concatenate([np.not_equal.outer(path, path).ravel() for path, _ in cuts]),
+                list(zip(np.cumsum([0] + [d * d for d in sizes]).tolist(), sizes)))
+
+    def dual_left_levels(self, a: np.ndarray) -> list[np.ndarray]:
+        """``[dual_left_level(a, k) for k in 0..N]``, the same bytes, from one gather."""
+        idx, zero, spans = self._dual_left_index
+        flat = as_complex(a).ravel()[idx]
+        flat[zero] = 0.0
+        return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
+
     def dual_left(self, a: np.ndarray) -> np.ndarray:
         """⊕_k I_k (x) A on the whole truncated induced space."""
         f, h = self.coordinates

@@ -107,8 +107,9 @@ class DiscPoint:
         """Phi_z(A) = sum_{k>=1} z^{(k)} (X_k (x) A) z^{(k)*}, exact for the data."""
         ind = self.ind
         out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+        blocks = ind.dual_left_levels(a)
         for k, zx in self.weighted_powers.items():
-            out += zx @ ind.dual_left_level(a, k) @ self.powers[k].conj().T
+            out += zx @ blocks[k] @ self.powers[k].conj().T
         return out
 
 
@@ -190,10 +191,10 @@ class CauchyKernel:
         """Both routes to <c_w(k), A . c_z(k)> = w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
         ind = self.point.ind
         worst = 0.0
-        a = as_complex(a)
+        blocks = ind.dual_left_levels(a)
         for k, wr in self.point.kernel_powers.items():
-            lhs = self.levels[k].conj().T @ ind.dual_left_level(a, k) @ other.levels[k]
-            rhs = wr @ ind.dual_left_level(a, k) @ other.point.powers[k].conj().T
+            lhs = self.levels[k].conj().T @ blocks[k] @ other.levels[k]
+            rhs = wr @ blocks[k] @ other.point.powers[k].conj().T
             worst = max(worst, residual(lhs, rhs))
         return worst
 
@@ -202,8 +203,9 @@ def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     """The truncated Szego-type kernel K(w, z)(A) = sum w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
     ind = w.ind
     out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    blocks = ind.dual_left_levels(a)
     for k, wr in w.kernel_powers.items():
-        out += wr @ ind.dual_left_level(a, k) @ z.powers[k].conj().T
+        out += wr @ blocks[k] @ z.powers[k].conj().T
     return out
 
 
@@ -489,7 +491,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
         g_tilde=g_tilde,
         evaluations=evaluations,
         residuals=residuals_out,
-        norm=operator_norm(g_tilde),
+        norm=trace["norm"],
         cp=cp,
         r_margin=r_margin,
         r_consistency=r_consistency,

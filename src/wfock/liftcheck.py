@@ -20,7 +20,8 @@ from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement, _random_module_map, path_basis
 from .induced import InducedSpace
 from .lifting import LiftModel, LiftState
-from .linalg import _complement, _project_out, operator_norm, orth_columns, residual, rng_complex
+from .linalg import _complement, _project_out, max_operator_norm, operator_norm, orth_columns, \
+    residual, rng_complex
 from .weights import WeightSystem
 
 
@@ -153,10 +154,8 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             beta_xi.conj().T @ (qh_m1 @ phi_a @ q_m1),
             beta(w_tensor(a_conj_xi)).conj().T)
         # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
-        worst = 0.0
-        for alpha_w, ins in model.compressions(k, q_m, q_m):
-            worst = max(worst, residual(alpha_w @ g_vec, model.inserted(g_mat, ins)))
-        out["alpha_vacuum"] = worst
+        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins)
+                                                 for alpha_w, ins in model.compressions(k, q_m, q_m)])
         # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
         w_xi_a = w_tensor(CorrElement(k, xi.coeffs * a[list(basis_k.sources)]))
         out["alpha_right_module"] = residual(alpha(w_xi_a) @ g_vec,

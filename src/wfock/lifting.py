@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, _complement, _complement_coords, as_complex, operator_norm, \
-    orth_columns, pinv, residual
+from .linalg import RANK_TOL, _complement, _complement_coords, _pinv_from_svd, _svd, as_complex, \
+    max_operator_norm, operator_norm, orth_columns, pinv, residual
 
 
 class _HypothesisError(ValueError):
@@ -100,20 +100,26 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
     """The closed-form Parrott corner U = -S (mu^2 I - R^* R)^+ R^* T.
 
     The pseudoinverse threshold handles the boundary case ||[R; S]|| = mu; if
-    the completion block is badly conditioned the bound is damped by a
-    relative 1e-12 before inverting.  Degenerate (zero-size) blocks pass
-    through as correctly shaped zeros.
+    the gram's least eigenvalue is below 1e-12 mu^2 the bound is damped by a
+    relative 1e-12 first.  The gram is factored once: ||R|| <= mu makes it PSD
+    up to rounding, so its least singular value is that eigenvalue up to
+    n eps mu^2, and only one within a factor 2 of the floor takes ``eigvalsh``.
+    Degenerate (zero-size) blocks pass through as correctly shaped zeros.
     """
     mu = float(p.mu)
-    rows, cols = p.S.shape[0], p.T.shape[1]
-    if mu == 0.0 or rows == 0 or cols == 0:
+    rows, cols, n = p.S.shape[0], p.T.shape[1], p.R.shape[1]
+    if mu == 0.0 or rows == 0 or cols == 0 or n == 0:
         return np.zeros((rows, cols), dtype=complex)
-    gram = mu * mu * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
-    if gram.size:
-        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        if eigs.min() < 1e-12 * mu * mu:
-            mu_eff = mu * (1.0 + 1e-12)
-            gram = mu_eff * mu_eff * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
+    gram = mu * mu * np.eye(n) - p.R.conj().T @ p.R
+    u, s, vh = _svd(gram.conjugate())
+    floor = 1e-12 * mu * mu
+    least = (np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min()
+             if floor / 2 <= s[-1] <= 2 * floor else s[-1])
+    if not least < floor:
+        return -p.S @ _pinv_from_svd(u, s, vh) @ p.R.conj().T @ p.T
+    del u, s, vh
+    mu_eff = mu * (1.0 + 1e-12)
+    gram = mu_eff * mu_eff * np.eye(n) - p.R.conj().T @ p.R
     return -p.S @ pinv(gram) @ p.R.conj().T @ p.T
 
 
@@ -213,7 +219,7 @@ class CoinvariantSubspace:
 def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> float:
     """The co-invariance residual max_g ||(I - P) g^* P|| of the span J of an
     orthonormal frame Q, measured as max_g ||(I - P) g^* Q|| (Q^* is a co-isometry)."""
-    return max(operator_norm(_complement(frame, g.conj().T @ frame)) for g in generators)
+    return max_operator_norm([_complement(frame, g.conj().T @ frame) for g in generators])
 
 
 @dataclass
@@ -288,12 +294,9 @@ def _condition_residuals(state: LiftState) -> dict:
     model = state.model
     q = state.frame
     q_star = q.conj().T
-    out = {"coinvariant": _frame_coinvariance(q, model.generators)}
-    out["intertwining"] = max(
-        residual(q_star @ g @ q @ state.g_mat, state.g_mat @ g)
-        for g in model.generators)
-    out["norm_one"] = abs(operator_norm(state.g_mat) - 1.0)
-    return out
+    return {"coinvariant": _frame_coinvariance(q, model.generators),
+            "intertwining": max_operator_norm([q_star @ g @ q @ state.g_mat - state.g_mat @ g
+                                               for g in model.generators])}
 
 
 def lift_step(state: LiftState, step_validator=None) -> LiftState:
@@ -304,7 +307,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
     state.  Its ledger entry holds what the reports and the loop read: m,
     n_m, dim_j, the Parrott mu, the f_clamp, and the coinvariant,
-    intertwining, norm_one and nesting residuals.  Raises if J is already
+    intertwining and nesting residuals.  Raises if J is already
     everything, if K_{n_m} is not contained in the new J (a guard, not a
     recorded number), or if the completion is not finite.
     """
@@ -388,34 +391,37 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: 
     out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, [a for a, _ in pairs])}
     if names[1] != names[0]:
         out[f"{names[1]} co-invariance"] = _frame_coinvariance(j_out, [b for _, b in pairs])
-    out["intertwining"] = max(residual(g @ (j_in.conj().T @ a @ j_in),
-                                       (j_out.conj().T @ b @ j_out) @ g) for a, b in pairs)
+    out["intertwining"] = max_operator_norm([g @ (j_in.conj().T @ a @ j_in)
+                                             - (j_out.conj().T @ b @ j_out) @ g for a, b in pairs])
     for key, value in out.items():
         if value > tol:
             raise _HypothesisError(f"lifting hypothesis fails: {key} residual {value:.2e}")
     return out
 
 
-def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator) -> tuple[np.ndarray, list]:
-    """The induction loop lifting g on the span of ``frame``; returns the lift and the ledger."""
+def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator):
+    """The induction loop lifting g on the span of ``frame``; returns the lift, the
+    ledger and the final G in frame coordinates (None when g = 0 takes no step)."""
     scale = operator_norm(g)
     if scale == 0.0:
-        return np.zeros((model.dim, model.dim), dtype=complex), []
+        return np.zeros((model.dim, model.dim), dtype=complex), [], None
     state = LiftState(model, frame, (g / scale) @ frame.conj().T, [-1])
     while not state.is_full():
         state = lift_step(state, step_validator=validator)
-    return scale * (state.frame @ state.g_mat), state.ledger
+    return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat
 
 
 def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray,
-                 pairs, key: str = "intertwining") -> dict[str, float]:
+                 pairs, key: str = "intertwining", tilde_norm=None) -> dict[str, float]:
     """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
-    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal."""
+    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal
+    (``tilde_norm`` is ||g_tilde|| where the caller has already taken it)."""
     return {
         "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
-        key: max(residual(g_tilde @ a, b @ g_tilde) for a, b in pairs),
-        "norm": abs(operator_norm(g_tilde) - operator_norm(g)),
+        key: max_operator_norm([g_tilde @ a - b @ g_tilde for a, b in pairs]),
+        "norm": abs((operator_norm(g_tilde) if tilde_norm is None else tilde_norm)
+                    - operator_norm(g)),
     }
 
 
@@ -426,12 +432,15 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     Returns (g_tilde, trace) with the hypothesis residuals in trace["hypothesis"]
     and the four conclusions residual-checked in trace["conclusions"]:
     co-invariance of the adjoint, compression back to the input, commutation
-    with every generator image, and norm equality.
+    with every generator image, and norm equality.  Each step in trace["steps"]
+    also carries norm_one = | ||G_m|| - 1 |, which only the lift report reads.
     """
     j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
     pairs = [(x, x) for x in model.generators]
     hypotheses = _hypotheses(g_on_j, j_frame, j_frame, pairs, hypothesis_tol, ("J", "J"))
-    g_tilde, steps = _loop(model, j_frame, g_on_j, step_validator)
+    g_tilde, steps, g_final = _loop(model, j_frame, g_on_j, step_validator)
+    for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
+        step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
         g_tilde, g_on_j, j_frame, j_frame, pairs, "commutation")}
 
@@ -449,7 +458,8 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     and one above ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
     [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
     lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
-    carry the corollary's hypothesis and four conclusion residuals.
+    carry the corollary's hypothesis and four conclusion residuals, and
+    trace["norm"] the norm of the lift.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     if any(g[np.ix_(idx1, idx2)].any() or g[np.ix_(idx2, idx1)].any()
@@ -466,7 +476,8 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     j_frame[idx2, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
-    g_tilde0, steps = _loop(model_sum, j_frame, g0, None)
+    g_tilde0, steps, _ = _loop(model_sum, j_frame, g0, None)
     g_tilde = g_tilde0[np.ix_(idx2, idx1)]
-    return g_tilde, {"steps": steps, "hypothesis": hypotheses,
-                     "conclusions": _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs())}
+    norm = operator_norm(g_tilde)
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "norm": norm, "conclusions":
+                     _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs(), tilde_norm=norm)}

@@ -31,6 +31,23 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def max_operator_norm(mats) -> float:
+    """``max(operator_norm(m) for m in mats)`` bit for bit, with an SVD only of a matrix that
+    can still set it: a computed sigma_max is at most ||m||_F (1 + O(n eps)), so by decreasing
+    ||m||_F one below best (1 - 1e-12) is ruled out.  Under 1e-150, where ||m||_F may have
+    underflowed, only a zero matrix is; a non-finite ||m||_F (a NaN or inf entry, or
+    overflow), or no matrix at all, takes the plain maximum, which raises where it raises."""
+    mats = [as_complex(m) for m in mats]
+    fro = [float(np.linalg.norm(m)) for m in mats]
+    if not mats or not np.isfinite(fro).all():
+        return max(operator_norm(m) for m in mats)
+    best = 0.0
+    for i in sorted(range(len(mats)), key=lambda i: -fro[i]):
+        if not fro[i] < best * (1.0 - 1e-12) or (fro[i] < 1e-150 and mats[i].any()):
+            best = max(best, operator_norm(mats[i]))
+    return best
+
+
 def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """Hermitian square root, clipping eigenvalues in [-floor, 0] to 0.
 
@@ -84,7 +101,11 @@ def pinv(a: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
     a = as_complex(a)
     if a.size == 0:
         return a.conj().T.copy()
-    u, s, vt = _svd(a.conjugate())
+    return _pinv_from_svd(*_svd(a.conjugate()), tol)
+
+
+def _pinv_from_svd(u, s, vt, tol: float = PINV_TOL) -> np.ndarray:
+    """``pinv(a)`` from the factors ``_svd(a.conjugate())``; overwrites ``s``."""
     large = s > tol * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0

@@ -29,6 +29,7 @@ from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, tensor_el
     weight_diagonal, weighted_creation
 from wfock.graphs import (
     CorrElement,
+    _masked_gather,
     _random_module_map,
     embed_prefix,
     embed_suffix,
@@ -40,6 +41,7 @@ from wfock.graphs import (
     tensor_pair,
 )
 from wfock.induced import InducedSpace, Representation
+from wfock.interpolation import DiscPoint, kernel_value
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, weight_system_from
 
@@ -540,6 +542,41 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
     vacuum = ind.insertion_map(CorrElement(0, np.ones(graph.n_vertices)))
     assert np.array_equal(model.vacuum(np.eye(ind.dim)), ref_level_embed(ind, 0) @ vacuum)
     assert np.array_equal(model.vacuum(np.eye(ind.dim)), np.eye(ind.dim, h))
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 4), st.data())
+def test_dual_left_levels_is_the_per_level_gather_and_keeps_the_kernel_sums(graph, n, data):
+    """Every block of the one gather is the bytes of that level's masked gather, and
+    phi_value and kernel_value are the bytes of the per-level loops."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    a_mat = _commutant_element(rng, rep)
+    blocks = ind.dual_left_levels(a_mat)
+    assert len(blocks) == n + 1
+    for k, blk in enumerate(blocks):
+        path, h = ind._cut(k, k)
+        want = _masked_gather(a_mat, h, h, path, path)
+        assert blk.flags.c_contiguous and blk.shape == want.shape
+        assert blk.tobytes() == want.tobytes()
+    x = AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n)
+    points = []
+    for _ in range(2):  # intertwiners of norm 0.3: block (r(e), e) free, the rest zero
+        z = np.zeros((rep.h_dim, ind.level_dim(1)), dtype=complex)
+        for e in range(graph.n_edges):
+            rows, cols = rep.block(graph.range_(e)), _block(ind, 1, e)
+            z[rows, cols] = rng_complex(rng, rows.stop - rows.start, cols.stop - cols.start)
+        points.append(DiscPoint(ind, x, z * (0.3 / operator_norm(z))))
+    w, z = points
+    phi = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
+    for k, zx in z.weighted_powers.items():
+        phi += zx @ ind.dual_left_level(a_mat, k) @ z.powers[k].conj().T
+    assert z.phi_value(a_mat).tobytes() == phi.tobytes()
+    kernel = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
+    for k, wr in w.kernel_powers.items():
+        kernel += wr @ ind.dual_left_level(a_mat, k) @ z.powers[k].conj().T
+    assert kernel_value(w, z, a_mat).tobytes() == kernel.tobytes()
 
 
 def _module_map_between(rng, graph, i, j):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wfock.duality import DualStructure, dual_lift_model
+from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import (
@@ -23,6 +23,7 @@ from wfock.interpolation import (
     word_matrix,
 )
 from wfock.jsonio import decode_pick_problem
+from wfock.lifting import commutant_lift
 from wfock.linalg import operator_norm, orth_columns, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
@@ -657,6 +658,13 @@ def test_the_ledger_keeps_what_its_readers_read():
     steps = np_solve(problem, ws).trace["steps"]
     for step in steps:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
-                             "intertwining", "norm_one", "nesting"}
+                             "intertwining", "nesting"}
     clamps = [step["f_clamp"] for step in steps if step["f_clamp"] < 1.0]
     assert clamps == pytest.approx([0.929, 2.25e-4, 8.16e-5], rel=1e-2)
+    # only the lift report reads norm_one, which commutant_lift adds to each step
+    ind, _, ws = graph_setup(n=3)
+    model = primal_lift_model(ind, ws)
+    j = model.prefix_columns(0)
+    for step in commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))[1]["steps"]:
+        assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
+                             "intertwining", "nesting", "norm_one"}

@@ -150,6 +150,48 @@ def test_parrott_damping_branch_on_random_boundary_blocks(monkeypatch):
         assert operator_norm(p.assemble(u)) <= p.mu * (1 + 1e-8)
 
 
+def _old_parrott_complete(p):
+    """parrott_complete as it was: the damping test by eigvalsh, then pinv of the gram."""
+    mu = float(p.mu)
+    gram = mu * mu * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
+    if np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() < 1e-12 * mu * mu:
+        mu_eff = mu * (1.0 + 1e-12)
+        gram = mu_eff * mu_eff * np.eye(p.R.shape[1]) - p.R.conj().T @ p.R
+    return -p.S @ pinv(gram) @ p.R.conj().T @ p.T
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.6, 0.99, 1.01, 1.5, 3.0])
+def test_parrott_damping_decision_around_the_floor(monkeypatch, ratio):
+    """Blocks with lambda_min(mu^2 I - R^* R) = ratio x 1e-12 mu^2: T = tau u_1 along R's
+    top left singular vector makes mu^2 = s_1^2 + tau^2, and S of norm 0.3 sees only the
+    other right singular vectors.  The completion has the bytes of the eigvalsh + pinv code, and
+    eigvalsh runs only when the least singular value lies in [floor / 2, 2 floor]."""
+    for seed in range(4):
+        rng = np.random.default_rng([seed, int(100 * ratio)])
+        a, b, c = (int(n) for n in rng.integers(2, 7, size=3))
+        u, v = (np.linalg.qr(rng_complex(rng, n, n))[0] for n in (a, b))
+        s = np.sort(rng.uniform(0.1, 0.9, size=min(a, b)))[::-1]
+        s[0] = 1.0
+        r = (u[:, :s.size] * s) @ v[:, :s.size].conj().T
+        t = (np.sqrt(ratio * 1e-12) * u[:, 0])[:, None]
+        s_blk = rng_complex(rng, c, b) @ (np.eye(b) - np.outer(v[:, 0], v[:, 0].conj()))
+        s_blk *= 0.3 / operator_norm(s_blk)  # ||[R; S]|| = s_1 = 1 < mu
+        p = ParrottProblem(r, s_blk, t)
+        assert p.mu == p.row_norm
+        gap = np.linalg.eigvalsh(p.mu ** 2 * np.eye(b) - r.conj().T @ r).min()
+        assert gap == pytest.approx(ratio * 1e-12 * p.mu ** 2, rel=1e-3)
+        want = _old_parrott_complete(p)
+        eigvalsh, damped = [], []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh.append(h) or real_eigvalsh(h))
+        monkeypatch.setattr(wfock.lifting, "pinv", lambda g: damped.append(g) or pinv(g))
+        got = parrott_complete(p)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+        assert len(damped) == (ratio < 1.0)
+        assert len(eigvalsh) == (0.5 <= ratio <= 2.0)
+
+
 def test_parrott_shapes_checked():
     with pytest.raises(ValueError):
         ParrottProblem(np.eye(2), np.eye(3), np.eye(2))
@@ -532,10 +574,12 @@ def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
 
 
 def test_lift_step_names_a_completion_that_is_not_finite(monkeypatch):
-    # a pseudoinverse gone NaN is named at its step (the first is m = 2), not one SVD later
+    # a factorization of the Parrott gram gone NaN is named at its step (the first
+    # is m = 2), not one SVD later
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
-    monkeypatch.setattr(wfock.lifting, "pinv", lambda a: np.full(a.shape[::-1], np.nan))
+    monkeypatch.setattr(wfock.lifting, "_svd", lambda a: tuple(
+        np.full_like(f, np.nan) for f in np.linalg.svd(a, full_matrices=False)))
     j = model.prefix_columns(0)
     with pytest.raises(RuntimeError, match="lift step 2: the Parrott completion is not finite"):
         commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))

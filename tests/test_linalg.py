@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wfock.linalg import operator_norm, orth_columns, pinv
+import wfock.linalg
+from wfock.linalg import max_operator_norm, operator_norm, orth_columns, pinv, rng_complex
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -86,3 +87,69 @@ def test_nan_factors_from_lapack_fall_back_to_the_hermitian_dilation(monkeypatch
     got_p, want_p = got_frame @ got_frame.conj().T, want_frame @ want_frame.conj().T
     assert np.linalg.norm(got_p - want_p, 2) <= 1e-12
     assert np.linalg.norm(got_frame.conj().T @ got_frame - np.eye(got_frame.shape[1]), 2) <= 1e-12
+
+
+@st.composite
+def matrix_lists(draw):
+    """1-5 matrices whose norms spread over decades, repeat exactly (copies with rows
+    permuted or negated), or vanish."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["spread", "equal", "zero"]), min_size=1,
+                              max_size=5), label="kinds"):
+        shape = (draw(st.integers(1, 6), label="rows"), draw(st.integers(1, 6), label="cols"))
+        if kind == "spread":
+            mats.append(rng_complex(rng, *shape) * 10.0 ** draw(st.integers(-8, 8), label="e"))
+        elif kind == "equal" and mats:
+            mats.append(-rng.permutation(mats[draw(st.integers(0, len(mats) - 1))]))
+        else:
+            mats.append(np.zeros(shape, dtype=complex))
+    return mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_lists())
+def test_max_operator_norm_is_the_plain_max_and_prunes_by_the_frobenius_norm(mats):
+    plain = max(operator_norm(m) for m in mats)
+    seen = []
+
+    def recording(m):
+        value = operator_norm(m)
+        seen.append((float(np.linalg.norm(m)), value))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wfock.linalg, "operator_norm", recording)
+        assert max_operator_norm(mats).hex() == plain.hex()
+    best = 0.0
+    for fro, value in seen:  # no candidate the running maximum already rules out
+        assert fro >= best * (1.0 - 1e-12)
+        best = max(best, value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_max_operator_norm_of_a_non_finite_matrix_is_the_plain_max(bad):
+    rng = np.random.default_rng(5)
+    mats = [rng_complex(rng, 3, 3), rng_complex(rng, 3, 3), rng_complex(rng, 3, 3)]
+    mats[1][0, 2] = bad
+    try:
+        plain = max(operator_norm(m) for m in mats)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            max_operator_norm(mats)
+    else:  # gesdd returns NaN singular values for an inf entry
+        assert max_operator_norm(mats).hex() == plain.hex()
+
+
+def test_max_operator_norm_of_nothing_raises_as_max_does():
+    with pytest.raises(ValueError, match="empty"):
+        max(operator_norm(m) for m in [])
+    with pytest.raises(ValueError, match="empty"):
+        max_operator_norm([])
+
+
+def test_max_operator_norm_does_not_trust_an_underflowed_frobenius_norm():
+    # the squares of 1e-162 round to 0, so ||a||_F reads 0 while ||a|| = 6e-162
+    a, b = np.full((6, 6), 1e-162, dtype=complex), np.array([[3e-162]], dtype=complex)
+    assert np.linalg.norm(a) < operator_norm(b) < operator_norm(a)
+    assert max_operator_norm([a, b]).hex() == operator_norm(a).hex()

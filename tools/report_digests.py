@@ -34,7 +34,9 @@ Two Szego solves on the one-loop space at N=30 lift on more than two copies
 of the dual side: a row-valued one (s = 1, t = 2, two scalar points) and a
 2x2 matrix-valued one (s = t = 2, one scalar point).  A ``kernel`` table on
 the 2-cycle with sigma (2, 1) and three matrix points at N=8 covers the
-Cauchy columns and their pairings, and a feasible ``pick`` on the 3-cycle
+Cauchy columns and their pairings, a ``kernel`` table on the one-loop space with
+the Dirichlet weights and three scalar points at N=48 is the benchmark's kernel-table
+template where the Neumann sums through ``phi_value`` dominate, and a feasible ``pick`` on the 3-cycle
 with sigma (2, 1, 1) and four matrix points at N=6 assembles a Choi matrix
 of three vertex blocks.  Two lifts with multiplicity 2, the benchmark's lift-graphs
 templates of that kind, close the set: free(2) with sigma (2) at N=3 and the
@@ -113,6 +115,9 @@ INPUTS = {
                                  {"matrix": [[[0, 0], [0, 0], [0.05, -0.03]],
                                              [[0, 0], [0, 0], [0.02, 0.06]],
                                              [[-0.04, 0.05], [0.06, 0], [0, 0]]]}]},
+    "kernel-free1-dirichlet": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": X_DIRICHLET,
+                               "points": [{"scalar": [0.45, 0.1]}, {"scalar": [-0.3, 0.35]},
+                                          {"scalar": [0.05, -0.55]}]},
     "pick-cycle3": {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
                     "sigma": [2, 1, 1], "X": X_DIRICHLET,
                     "points": [{"matrix": [[[0, 0], [0, 0], [0, 0], [0.1, 0.03]],
@@ -149,6 +154,7 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-rect-N30", "solve-rect", ["solve", "--N", "30"]),
          ("solve-matrix-N30", "solve-matrix", ["solve", "--N", "30"]),
          ("kernel-cycle2-N8", "kernel-cycle2", ["kernel", "--N", "8"]),
+         ("kernel-free1-dirichlet-N48", "kernel-free1-dirichlet", ["kernel", "--N", "48"]),
          ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"]),
          ("lift-free2-s2-N3", "free2-s2", ["lift", "--N", "3"]),
          ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"])]
