@@ -231,25 +231,26 @@ class InducedSpace:
                 self.level_slice(j)] = blk
         return out
 
-    def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
-        """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
-        return self._left_identity(a, k, 0, 0)
-
     @cached_property
-    def _dual_left_index(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-        """Every ``dual_left_level`` gather at once: per level, flat, the index into A.ravel()
-        of each block entry and the mask of the cross-path ones; each block's (offset, d_k)."""
+    def _dual_left_index(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Every I_k (x) A as one gather: per level, flat, the index into [*A.ravel(), 0]
+        of each block entry (the 0 for a cross-path one); each block's (offset, d_k)."""
         cuts = [self._cut(k, k) for k in range(self.levels + 1)]
         sizes = [h.size for _, h in cuts]
-        return (np.concatenate([(h[:, None] * self.h_dim + h).ravel() for _, h in cuts]),
-                np.concatenate([np.not_equal.outer(path, path).ravel() for path, _ in cuts]),
+        return (np.concatenate([np.where(np.not_equal.outer(path, path), self.h_dim ** 2,
+                                         h[:, None] * self.h_dim + h).ravel() for path, h in cuts]),
                 list(zip(np.cumsum([0] + [d * d for d in sizes]).tolist(), sizes)))
+
+    def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
+        """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
+        idx, spans = self._dual_left_index
+        off, d = spans[k]
+        return np.append(as_complex(a).ravel(), 0)[idx[off:off + d * d]].reshape(d, d)
 
     def dual_left_levels(self, a: np.ndarray) -> list[np.ndarray]:
         """``[dual_left_level(a, k) for k in 0..N]``, the same bytes, from one gather."""
-        idx, zero, spans = self._dual_left_index
-        flat = as_complex(a).ravel()[idx]
-        flat[zero] = 0.0
+        idx, spans = self._dual_left_index
+        flat = np.append(as_complex(a).ravel(), 0)[idx]
         return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
 
     def dual_left(self, a: np.ndarray) -> np.ndarray:

@@ -491,7 +491,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
         g_tilde=g_tilde,
         evaluations=evaluations,
         residuals=residuals_out,
-        norm=trace["norm"],
+        norm=operator_norm(g_tilde),
         cp=cp,
         r_margin=r_margin,
         r_consistency=r_consistency,

@@ -154,8 +154,8 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             beta_xi.conj().T @ (qh_m1 @ phi_a @ q_m1),
             beta(w_tensor(a_conj_xi)).conj().T)
         # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
-        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins)
-                                                 for alpha_w, ins in model.compressions(k, q_m, q_m)])
+        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins) for
+                                                 alpha_w, ins in model.compressions(k, q_m, q_m)])
         # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
         w_xi_a = w_tensor(CorrElement(k, xi.coeffs * a[list(basis_k.sources)]))
         out["alpha_right_module"] = residual(alpha(w_xi_a) @ g_vec,

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, _complement, _complement_coords, _pinv_from_svd, _svd, as_complex, \
-    max_operator_norm, operator_norm, orth_columns, pinv, residual
+from .linalg import EPS, RANK_TOL, _complement, _complement_coords, _pinv_from_svd, _svd, \
+    as_complex, max_operator_norm, operator_norm, orth_columns, pinv, residual
 
 
 class _HypothesisError(ValueError):
@@ -101,9 +101,10 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
 
     The pseudoinverse threshold handles the boundary case ||[R; S]|| = mu; if
     the gram's least eigenvalue is below 1e-12 mu^2 the bound is damped by a
-    relative 1e-12 first.  The gram is factored once: ||R|| <= mu makes it PSD
-    up to rounding, so its least singular value is that eigenvalue up to
-    n eps mu^2, and only one within a factor 2 of the floor takes ``eigvalsh``.
+    relative 1e-12 first.  The gram is factored once: ||R|| <= mu makes it PSD up to
+    rounding, so its least singular value is that eigenvalue up to about k eps mu^2,
+    k = max(R.shape); one within a factor 2 of the floor takes ``eigvalsh``, and every
+    one does once 4 k eps mu^2 tops the band's floor / 2 margin (k above about 560).
     Degenerate (zero-size) blocks pass through as correctly shaped zeros.
     """
     mu = float(p.mu)
@@ -113,8 +114,8 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
     gram = mu * mu * np.eye(n) - p.R.conj().T @ p.R
     u, s, vh = _svd(gram.conjugate())
     floor = 1e-12 * mu * mu
-    least = (np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min()
-             if floor / 2 <= s[-1] <= 2 * floor else s[-1])
+    near = floor / 2 <= s[-1] <= 2 * floor or 8 * max(p.R.shape) * EPS > 1e-12
+    least = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() if near else s[-1]
     if not least < floor:
         return -p.S @ _pinv_from_svd(u, s, vh) @ p.R.conj().T @ p.T
     del u, s, vh
@@ -412,16 +413,14 @@ def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator):
 
 
 def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray,
-                 pairs, key: str = "intertwining", tilde_norm=None) -> dict[str, float]:
+                 pairs, key: str = "intertwining") -> dict[str, float]:
     """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
-    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal
-    (``tilde_norm`` is ||g_tilde|| where the caller has already taken it)."""
+    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal."""
     return {
         "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
         key: max_operator_norm([g_tilde @ a - b @ g_tilde for a, b in pairs]),
-        "norm": abs((operator_norm(g_tilde) if tilde_norm is None else tilde_norm)
-                    - operator_norm(g)),
+        "norm": abs(operator_norm(g_tilde) - operator_norm(g)),
     }
 
 
@@ -458,8 +457,7 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     and one above ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
     [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
     lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
-    carry the corollary's hypothesis and four conclusion residuals, and
-    trace["norm"] the norm of the lift.
+    carry the corollary's hypothesis and four conclusion residuals.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     if any(g[np.ix_(idx1, idx2)].any() or g[np.ix_(idx2, idx1)].any()
@@ -478,6 +476,5 @@ def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
     g0[d1:, :d1] = g12
     g_tilde0, steps, _ = _loop(model_sum, j_frame, g0, None)
     g_tilde = g_tilde0[np.ix_(idx2, idx1)]
-    norm = operator_norm(g_tilde)
-    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "norm": norm, "conclusions":
-                     _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs(), tilde_norm=norm)}
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses,
+                     "conclusions": _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs())}

@@ -13,6 +13,7 @@ import numpy as np
 ATOL = 1e-10
 RANK_TOL = 1e-10
 PINV_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 
 
 def as_complex(a) -> np.ndarray:
@@ -33,17 +34,18 @@ def operator_norm(a: np.ndarray) -> float:
 
 def max_operator_norm(mats) -> float:
     """``max(operator_norm(m) for m in mats)`` bit for bit, with an SVD only of a matrix that
-    can still set it: a computed sigma_max is at most ||m||_F (1 + O(n eps)), so by decreasing
-    ||m||_F one below best (1 - 1e-12) is ruled out.  Under 1e-150, where ||m||_F may have
-    underflowed, only a zero matrix is; a non-finite ||m||_F (a NaN or inf entry, or
-    overflow), or no matrix at all, takes the plain maximum, which raises where it raises."""
+    can still set it: a computed sigma_max is at most ||m||_F (1 + O(m.size eps)), so by
+    decreasing ||m||_F one below best (1 - max(1e-12, 4 m.size eps)) is ruled out.  Under
+    1e-150, where ||m||_F may have underflowed, only a zero matrix is; a non-finite ||m||_F
+    (NaN, inf, overflow) or no matrix at all takes the plain max, raising where it raises."""
     mats = [as_complex(m) for m in mats]
     fro = [float(np.linalg.norm(m)) for m in mats]
     if not mats or not np.isfinite(fro).all():
         return max(operator_norm(m) for m in mats)
     best = 0.0
     for i in sorted(range(len(mats)), key=lambda i: -fro[i]):
-        if not fro[i] < best * (1.0 - 1e-12) or (fro[i] < 1e-150 and mats[i].any()):
+        margin = max(1e-12, 4 * mats[i].size * EPS)
+        if not fro[i] < best * (1.0 - margin) or (fro[i] < 1e-150 and mats[i].any()):
             best = max(best, operator_norm(mats[i]))
     return best
 

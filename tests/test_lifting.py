@@ -192,6 +192,25 @@ def test_parrott_damping_decision_around_the_floor(monkeypatch, ratio):
         assert len(eigvalsh) == (0.5 <= ratio <= 2.0)
 
 
+@pytest.mark.parametrize("rows", [20, 600])
+def test_parrott_takes_eigvalsh_for_every_gram_once_the_band_cannot_cover_the_rounding(
+        monkeypatch, rows):
+    """Past max(R.shape) = 560 the least singular value is no longer within the band's margin
+    of the least eigenvalue, so even a gram far from the floor takes eigvalsh."""
+    rng = np.random.default_rng(rows)
+    r = rng_complex(rng, rows, 2)
+    r *= 0.5 / operator_norm(r)
+    p = ParrottProblem(r, 0.1 * rng_complex(rng, 3, 2), 0.1 * rng_complex(rng, rows, 1))
+    want = _old_parrott_complete(p)
+    eigvalsh = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh.append(h) or real_eigvalsh(h))
+    got = parrott_complete(p)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    assert len(eigvalsh) == (rows > 560)
+
+
 def test_parrott_shapes_checked():
     with pytest.raises(ValueError):
         ParrottProblem(np.eye(2), np.eye(3), np.eye(2))

@@ -153,3 +153,17 @@ def test_max_operator_norm_does_not_trust_an_underflowed_frobenius_norm():
     a, b = np.full((6, 6), 1e-162, dtype=complex), np.array([[3e-162]], dtype=complex)
     assert np.linalg.norm(a) < operator_norm(b) < operator_norm(a)
     assert max_operator_norm([a, b]).hex() == operator_norm(a).hex()
+
+
+def test_max_operator_norm_widens_its_margin_with_the_matrix_size(monkeypatch):
+    # 5e-12 below the running max in Frobenius norm, a 2 x 2 matrix is ruled out, but a
+    # 100 x 100 one is not: its margin is 4 m.size eps = 8.9e-12
+    rng = np.random.default_rng(3)
+    big, small = rng_complex(rng, 100, 100), rng_complex(rng, 2, 2)
+    big *= (1 - 5e-12) / np.linalg.norm(big)
+    small *= (1 - 5e-12) / np.linalg.norm(small)
+    seen = []
+    monkeypatch.setattr(wfock.linalg, "operator_norm", lambda m: seen.append(m.shape) or
+                        operator_norm(m))
+    assert max_operator_norm([small, np.eye(1), big]) == 1.0
+    assert seen == [(1, 1), (100, 100)]
