@@ -234,7 +234,6 @@ def _cmd_lift(config: RunConfig, obj: dict) -> dict:
                        "condition_residuals": {
                            "coinvariant": s["coinvariant"],
                            "intertwining": s["intertwining"],
-                           "nesting": s["nesting"],
                            "norm_one": s["norm_one"]},
                        "alpha_beta_worst": max(s["extra"].values()) if "extra" in s else None}
                       for s in trace["steps"]],

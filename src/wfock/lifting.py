@@ -10,9 +10,9 @@ and the new operator is completed from the blocks
 
     F^* = [R; S]   and   G_m = [R, T]
 
-by Parrott's lemma.  The completion is evaluated in closed form with a
-thresholded pseudoinverse rather than as a weak limit, which keeps the run
-deterministic; optimality is verified per instance.
+by Parrott's lemma.  The completion is evaluated in closed form on one thin
+SVD of R rather than as a weak limit, which keeps the run deterministic;
+optimality is verified per instance.
 
 Everything operates on a ``LiftModel``: a bundle of the induced space
 dimensions, the generator images Y (x) I, and, per level, the basis
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, RANK_TOL, _complement, _complement_coords, _pinv_from_svd, _svd, \
-    as_complex, max_operator_norm, operator_norm, orth_columns, pinv, residual
+from .linalg import PINV_TOL, RANK_TOL, _complement, _complement_coords, _svd, as_complex, \
+    max_operator_norm, operator_norm, orth_columns, residual
 
 
 class _HypothesisError(ValueError):
@@ -42,7 +42,9 @@ class ParrottProblem:
 
     ``row_norm`` = ||[R, T]|| and ``col_norm`` = ||[R; S]|| are the norms of
     the known row and column; ``mu``, the larger of the two, is the least norm
-    any completion can have.
+    any completion can have.  R is factored once, as the thin SVD
+    R = U diag(sigma) V^* (empty factors for an empty R), and the clamp and
+    the completion both read these factors.
     """
 
     R: np.ndarray
@@ -59,36 +61,28 @@ class ParrottProblem:
             raise ValueError("Parrott blocks are not conformal")
         self.col_norm = operator_norm(np.vstack([self.R, self.S]))
         self.row_norm = operator_norm(np.hstack([self.R, self.T]))
+        self._u, self._sigma, self._vh = _svd(self.R)
 
     @property
     def mu(self) -> float:
         return max(self.col_norm, self.row_norm)
 
     def clamp_column(self, target: float) -> float:
-        """Scale S by the c found by a 60-step bisection of [0, 1] for
-        ||[R; cS]|| <= target, and return c.
+        """Scale S by the largest c in [0, 1] with ||[R; cS]|| <= t = target, and return c.
 
-        The norm is memoized by c: once the interval has shrunk to adjacent
-        floats the midpoints repeat an end point.  The end point kept is one
-        of the midpoints, or 0, so ``col_norm`` becomes its memoized norm.
+        A = t^2 I - R^* R is positive definite for t > ||R||, and ||[R; cS]|| <= t iff
+        c^2 S^* S <= A, so c = min(1, 1 / ||S A^{-1/2}||), where
+        A^{-1/2} = V diag(((t - sigma)(t + sigma))^{-1/2}) V^* + (I - V V^*) / t.
+        A column already within the target keeps c = 1 and S as it is.
         """
-        norms: dict[float, float] = {}
-
-        def col_norm_at(c: float) -> float:
-            if c not in norms:
-                norms[c] = operator_norm(np.vstack([self.R, c * self.S]))
-            return norms[c]
-
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if col_norm_at(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        self.col_norm = col_norm_at(lo)
-        self.S = lo * self.S
-        return lo
+        if self.col_norm <= target:
+            return 1.0
+        t, sv = target, self.S @ self._vh.conj().T
+        inv_sqrt = 1.0 / np.sqrt((t - self._sigma) * (t + self._sigma))
+        c = min(1.0, 1.0 / operator_norm((sv * (inv_sqrt - 1.0 / t)) @ self._vh + self.S / t))
+        self.S = c * self.S
+        self.col_norm = operator_norm(np.vstack([self.R, self.S]))
+        return c
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
         top = np.hstack([self.R, self.T])
@@ -97,31 +91,23 @@ class ParrottProblem:
 
 
 def parrott_complete(p: ParrottProblem) -> np.ndarray:
-    """The closed-form Parrott corner U = -S (mu^2 I - R^* R)^+ R^* T.
+    """The closed-form Parrott corner U = -S (mu^2 I - R^* R)^+ R^* T, evaluated on the
+    factors of R as -(S V) diag(sigma_i / ((m - sigma_i)(m + sigma_i))) (U^* T).
 
-    The pseudoinverse threshold handles the boundary case ||[R; S]|| = mu; if
-    the gram's least eigenvalue is below 1e-12 mu^2 the bound is damped by a
-    relative 1e-12 first.  The gram is factored once: ||R|| <= mu makes it PSD up to
-    rounding, so its least singular value is that eigenvalue up to about k eps mu^2,
-    k = max(R.shape); one within a factor 2 of the floor takes ``eigvalsh``, and every
-    one does once 4 k eps mu^2 tops the band's floor / 2 margin (k above about 560).
-    Degenerate (zero-size) blocks pass through as correctly shaped zeros.
+    m = mu, or mu (1 + 1e-12) when the least (mu - sigma_i)(mu + sigma_i) is below
+    1e-12 mu^2; directions outside V see mu^2 and never set that least value.  A
+    denominator below PINV_TOL mu^2 is dropped, as a pseudoinverse of the gram drops it,
+    with the cut relative to mu^2 rather than to the gram's largest eigenvalue.
+    Zero-size and all-zero blocks give correctly shaped zeros.
     """
-    mu = float(p.mu)
-    rows, cols, n = p.S.shape[0], p.T.shape[1], p.R.shape[1]
-    if mu == 0.0 or rows == 0 or cols == 0 or n == 0:
-        return np.zeros((rows, cols), dtype=complex)
-    gram = mu * mu * np.eye(n) - p.R.conj().T @ p.R
-    u, s, vh = _svd(gram.conjugate())
-    floor = 1e-12 * mu * mu
-    near = floor / 2 <= s[-1] <= 2 * floor or 8 * max(p.R.shape) * EPS > 1e-12
-    least = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() if near else s[-1]
-    if not least < floor:
-        return -p.S @ _pinv_from_svd(u, s, vh) @ p.R.conj().T @ p.T
-    del u, s, vh
-    mu_eff = mu * (1.0 + 1e-12)
-    gram = mu_eff * mu_eff * np.eye(n) - p.R.conj().T @ p.R
-    return -p.S @ pinv(gram) @ p.R.conj().T @ p.T
+    mu, sigma = float(p.mu), p._sigma
+    gaps = (mu - sigma) * (mu + sigma)
+    if (gaps < 1e-12 * mu * mu).any():
+        m = mu * (1.0 + 1e-12)
+        gaps = (m - sigma) * (m + sigma)
+    large = gaps > PINV_TOL * mu * mu
+    weights = np.divide(sigma, gaps, where=large, out=np.zeros_like(sigma))
+    return -((p.S @ p._vh.conj().T) * weights) @ (p._u.conj().T @ p.T)
 
 
 @dataclass
@@ -307,8 +293,8 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
     state.  Its ledger entry holds what the reports and the loop read: m,
-    n_m, dim_j, the Parrott mu, the f_clamp, and the coinvariant,
-    intertwining and nesting residuals.  Raises if J is already
+    n_m, dim_j, the Parrott mu, the f_clamp, and the coinvariant and
+    intertwining residuals.  Raises if J is already
     everything, if K_{n_m} is not contained in the new J (a guard, not a
     recorded number), or if the completion is not finite.
     """
@@ -335,14 +321,14 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     r_blk = state.g_mat[:, rest_idx]
     t_blk = state.g_mat[:, k0_idx]
     s_blk = f_new.conj().T[:, rest_idx]
-    # On the truncation the contraction bound on F can be violated by the
-    # chopped kernel tails; scaling the new rows back restores the exact
-    # situation of the untruncated construction without touching the G_m rows.
+    # On the truncation the chopped kernel tails can push ||[R; S]|| past
+    # ||[R, T]|| = ||G_m||.  The clamp scales the new rows, and not the G_m rows, by
+    # the largest c <= 1 with ||[R; cS]|| <= row_norm (1 + 1e-11); it does not
+    # undo the truncation.
     problem = ParrottProblem(r_blk, s_blk, t_blk)
     f_clamp = 1.0
-    target = problem.row_norm * (1.0 + 1e-11)
-    if problem.row_norm > 0.0 and problem.col_norm > target:
-        f_clamp = problem.clamp_column(target)
+    if problem.row_norm > 0.0:
+        f_clamp = problem.clamp_column(problem.row_norm * (1.0 + 1e-11))
     u_blk = parrott_complete(problem)
     if not np.isfinite(u_blk).all():
         raise RuntimeError(f"lift step {state.m + 1}: the Parrott completion is not finite")
@@ -360,7 +346,6 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         "dim_j": new_state.dim_j,
         "mu": problem.mu,
         "f_clamp": f_clamp,
-        "nesting": residual(g_m1[:d_m, :], state.g_mat),
     })
     if step_validator is not None:
         entry["extra"] = step_validator(state, new_state)

@@ -73,7 +73,7 @@ def _unit_columns(x: np.ndarray) -> np.ndarray:
 
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``u, s, vh`` of a non-empty matrix, as ``np.linalg.svd`` gives it.
+    """Thin SVD ``u, s, vh``, as ``np.linalg.svd`` gives it (empty factors for an empty matrix).
 
     gesdd can return non-finite factors for a finite input without raising (OpenBLAS
     0.3.31's SkylakeX kernels do on a Hermitian gram with a 36-fold eigenvalue).  Then
@@ -103,11 +103,7 @@ def pinv(a: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
     a = as_complex(a)
     if a.size == 0:
         return a.conj().T.copy()
-    return _pinv_from_svd(*_svd(a.conjugate()), tol)
-
-
-def _pinv_from_svd(u, s, vt, tol: float = PINV_TOL) -> np.ndarray:
-    """``pinv(a)`` from the factors ``_svd(a.conjugate())``; overwrites ``s``."""
+    u, s, vt = _svd(a.conjugate())
     large = s > tol * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0

@@ -658,7 +658,7 @@ def test_the_ledger_keeps_what_its_readers_read():
     steps = np_solve(problem, ws).trace["steps"]
     for step in steps:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
-                             "intertwining", "nesting"}
+                             "intertwining"}
     clamps = [step["f_clamp"] for step in steps if step["f_clamp"] < 1.0]
     assert clamps == pytest.approx([0.929, 2.25e-4, 8.16e-5], rel=1e-2)
     # only the lift report reads norm_one, which commutant_lift adds to each step
@@ -667,4 +667,4 @@ def test_the_ledger_keeps_what_its_readers_read():
     j = model.prefix_columns(0)
     for step in commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))[1]["steps"]:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
-                             "intertwining", "nesting", "norm_one"}
+                             "intertwining", "norm_one"}

@@ -5,6 +5,7 @@ scratch directory, and every ``wfock --command ...`` line runs there through
 ``wfock.cli.main`` and must exit 0.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_readme_command_exits_zero(tmp_path, monkeypatch, capsys, argv):
     for name, body in INPUTS:
         (tmp_path / name).write_text(body)
     assert main(argv) == 0
+
+
+def test_readme_solve_lift_commutes_and_keeps_the_norm(tmp_path, monkeypatch, capsys):
+    # the lift of the README solve meets the corollary's conclusions to roundoff, not
+    # only to the truncation tails: its last steps take Parrott corners with mu = 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.json").write_text(dict(INPUTS)["problem.json"])
+    argv = next(argv for argv in COMMANDS if argv[1] == "solve")
+    assert argv[argv.index("--N") + 1] == "40"
+    assert main(argv) == 0
+    conclusions = json.loads(capsys.readouterr().out)["trace"]["conclusions"]
+    assert conclusions["intertwining"] <= 1e-10
+    assert conclusions["norm"] <= 1e-10

@@ -26,10 +26,9 @@ N=4 on the 2-cycle with sigma (2, 1), free(2) with sigma (1) and the 3-cycle
 with sigma (1, 1, 1); and three solves that lift on the amplified dual side of
 a space other than the one-loop one: free(2) with sigma (1) at N=5, the
 2-cycle with sigma (2, 1) and matrix points at N=8, and a Szego solve on
-free(2) at N=5 whose lift clamps F (the ``f_clamp`` bisection of
-``lifting.lift_step``) on three of its six steps, at about 0.93, 2.2e-4 and
-8.2e-5.  The clamps of the other solves all lie in [0.5, 1), where the
-bisection ends on adjacent floats; these two deep ones run all 60 steps.
+free(2) at N=5 whose lift clamps F (``ParrottProblem.clamp_column``, called
+from ``lifting.lift_step``) on three of its six steps, at about 0.93, 2.2e-4
+and 8.2e-5, so that both the clamped and the unclamped Parrott corner run.
 Two Szego solves on the one-loop space at N=30 lift on more than two copies
 of the dual side: a row-valued one (s = 1, t = 2, two scalar points) and a
 2x2 matrix-valued one (s = t = 2, one scalar point).  A ``kernel`` table on
