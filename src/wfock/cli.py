@@ -41,7 +41,8 @@ COMMANDS = ("validate", "weights", "fock", "kernel", "pick", "solve", "lift", "s
 
 def _check_eps(value) -> float:
     """The one rule for a solve tolerance, from ``--eps`` or the input: finite and > 0."""
-    eps = float(value) if isinstance(value, (int, float)) else math.nan
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    eps = float(value) if number else math.nan
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be a finite positive number, got {value!r}")
     return eps
@@ -51,7 +52,6 @@ def _check_eps(value) -> float:
 class RunConfig:
     command: str
     input_path: str | None = None
-    output_path: str | None = None
     N: int = 8
     eps: float = 1e-7
     seed: int = 0
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(command=args.command, input_path=args.input,
-                           output_path=args.output, N=args.N, eps=args.eps, seed=args.seed)
+                           N=args.N, eps=args.eps, seed=args.seed)
     except ValueError as exc:
         print(json.dumps({"schema": 1, "error": str(exc)}), file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
+from .fock import TruncatedFock, phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import CommutantAlgebra, InducedSpace, Representation
 from .lifting import LiftModel
@@ -290,10 +290,6 @@ class DualStructure:
                         np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))))
         return out
 
-    def pi_sigma(self, y: FockOperator) -> np.ndarray:
-        """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
-        return _in_frame(self.ind.fock_tensor_identity(y), self.theta_full())
-
     # -- dual module operators in the Theta frame -----------------------------
 
     def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
@@ -401,25 +397,6 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
         return zip((structure._insertion(k, n) for n in tuples), bands)
 
     return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
-
-
-def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
-    """Identify K_1 ⊕ K_2 with the induced space of sigma_1 ⊕ sigma_2.
-
-    Returns (ind_sum, idx1, idx2): the summed-representation space and, for
-    each summand, the sum-space coordinate of each of its coordinates; a
-    (level, path) block of K_1 lands at the head of the widened block, one of
-    K_2 at its tail.
-    """
-    if ind1.graph != ind2.graph or ind1.levels != ind2.levels:
-        raise ValueError("spaces must share the graph and truncation")
-    rep_sum = ind1.rep.direct_sum(ind2.rep)
-    ind_sum = InducedSpace(ind1.graph, rep_sum, ind1.levels)
-    # H_sum = ⊕_v C^{m1_v} ⊕ C^{m2_v}: a coordinate lies in K_1 when its H index is in the first part
-    first = np.concatenate([np.arange(a + b) < a for a, b in
-                            zip(ind1.rep.multiplicities, ind2.rep.multiplicities)])
-    first = first[ind_sum.coordinates[1]]
-    return ind_sum, np.flatnonzero(first), np.flatnonzero(~first)
 
 
 @dataclass
@@ -557,13 +534,11 @@ def primal_generators(ind: InducedSpace, ws: WeightSystem) -> list[tuple[str, np
     return out
 
 
-def commutation_check_section5(ind: InducedSpace, ws: WeightSystem,
-                               commutant_dims: bool = False) -> dict:
+def commutation_check_section5(ind: InducedSpace, ws: WeightSystem) -> dict:
     """Max commutator norm between primal images and transported dual images.
 
     Commutation holds exactly in the graded model; equality of commutants is
-    not asserted at finite truncation, but nullspace dimensions of the two
-    commutation systems are reported on small configurations when asked.
+    not asserted at finite truncation.
     """
     s = DualStructure(ind, ws)
     prim = primal_generators(ind, ws)
@@ -574,68 +549,7 @@ def commutation_check_section5(ind: InducedSpace, ws: WeightSystem,
             r = operator_norm(y @ t - t @ y)
             if r > worst:
                 worst, worst_pair = r, f"[{name_y}, {name_s}]"
-    report = {"max_commutator": worst, "worst_pair": worst_pair}
-    if commutant_dims and ind.dim <= 40:
-        report["primal_commutant_dim"] = _commutant_dim([m for _, m in prim])
-        report["dual_commutant_dim"] = _commutant_dim([m for _, m in dual_gens])
-    return report
-
-
-def _commutant_dim(gens: list[np.ndarray]) -> int:
-    d = gens[0].shape[0]
-    eye = np.eye(d)
-    rows = [np.kron(eye, g) - np.kron(g.T, eye) for g in gens]
-    return nullspace(np.vstack(rows), 1e-9).shape[1]
-
-
-def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> dict[str, float]:
-    """Checks of pi = Ad(U_inf^*) o (- (x) I_H) on generators and short words.
-
-    Verified: pi(I) = I; pi(phi_inf(a)) acts as sigma(a) through every
-    dual-basis block; pi is isometric and multiplicative on random words; the
-    image of a creation operator is one-subdiagonal in the dual frame.
-    """
-    rng = np.random.default_rng(seed)
-    s = DualStructure(ind, ws)
-    space = TruncatedFock(ind.graph, ind.levels)
-    out = {"identity": residual(s.pi_sigma(phi_inf(space, np.ones(ind.graph.n_vertices))),
-                                np.eye(ind.dim))}
-
-    a = rng.standard_normal(ind.graph.n_vertices)
-    img = s.pi_sigma(phi_inf(space, a))
-    # diagonal in the dual frame: sigma(a) on level 0, a at the vertex of each tuple above
-    vertices = [t.vertex for k in range(1, ind.levels + 1) for t in s.tuples(k)]
-    expected = np.diag(np.concatenate([np.diag(ind.rep.sigma(a)), a[vertices]]))
-    out["left_action_formula"] = residual(img, expected)
-
-    def w_image(e) -> np.ndarray:
-        xi = CorrElement.basis_vector(ind.graph, 1, int(e))
-        return ind.fock_tensor_identity(weighted_creation(space, ws, xi))
-
-    # the words mix degrees, so they are products of induced images, and pi of
-    # an image is the theta_full gather
-    theta = s.theta_full()
-    phi_a = ind.fock_tensor_identity(phi_inf(space, a))
-    words = []
-    for _ in range(3):
-        e1, e2 = rng.integers(0, ind.graph.n_edges, size=2)
-        words.append(w_image(e1) @ w_image(e2) + 0.3 * phi_a)
-    out["isometry"] = max(abs(operator_norm(_in_frame(w, theta)) - operator_norm(w))
-                          for w in words)
-    out["multiplicativity"] = max(
-        residual(_in_frame(w1 @ w2, theta), _in_frame(w1, theta) @ _in_frame(w2, theta))
-        for w1, w2 in zip(words, words[1:]))
-
-    band = 0.0  # the dual frame permutes each level, so its level blocks are the induced ones
-    for e in range(ind.graph.n_edges):
-        img = s.pi_sigma(weighted_creation(space, ws, CorrElement.basis_vector(ind.graph, 1, e)))
-        for i in range(ind.levels + 1):
-            for j in range(ind.levels + 1):
-                if i - j == 1:
-                    continue
-                band = max(band, operator_norm(img[ind.level_slice(i), ind.level_slice(j)]))
-    out["creation_band"] = band
-    return out
+    return {"max_commutator": worst, "worst_pair": worst_pair}
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,6 @@ def creation(space: TruncatedFock, xi: CorrElement) -> FockOperator:
                                 for j in range(space.levels + 1 - k)})
 
 
-def weight_diagonal(space: TruncatedFock, Z: WeightSystem, k: int) -> FockOperator:
-    """D_k = diag[0, ..., 0, Z^{(k)}, Z^{(k+1,1)}, Z^{(k+2,2)}, ...]."""
-    if k > space.levels:
-        raise ValueError("weight level exceeds truncation")
-    return FockOperator(space, {(i, i): Z.z_between(i, i - k)
-                                for i in range(k, space.levels + 1)})
-
-
 def weighted_creation(space: TruncatedFock, Z: WeightSystem, xi: CorrElement) -> FockOperator:
     """W_xi = D_k T_xi; block (j+k, j) is Z^{(j+k,j)} T_xi^{(j)}, formed and checked once."""
     k = xi.level

@@ -181,16 +181,6 @@ def _masked_gather(m, rows, cols, row_keys, col_keys) -> np.ndarray:
     return out
 
 
-def levels_nonzero(graph: GraphCorrespondence, up_to: int) -> list[int]:
-    """The initial segment of levels k <= up_to with E^{(x)k} != 0."""
-    out = []
-    for k in range(up_to + 1):
-        if path_basis(graph, k).size == 0:
-            break
-        out.append(k)
-    return out
-
-
 @dataclass
 class CorrElement:
     """Element of E^{(x)k}: a complex coefficient vector over PathBasis(k)."""
@@ -210,19 +200,6 @@ class CorrElement:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-
-def inner_product(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement) -> np.ndarray:
-    """M-valued inner product <xi, eta>: an n-vector, conjugate-linear in xi.
-
-    Component at vertex v sums conj(xi_p) * eta_p over paths with source v.
-    """
-    if xi.level != eta.level:
-        raise ValueError("inner product requires elements of the same level")
-    out = np.zeros(graph.n_vertices, dtype=complex)
-    np.add.at(out, np.array(path_basis(graph, xi.level).sources, dtype=np.intp),
-              np.conj(xi.coeffs) * eta.coeffs)
-    return out
 
 
 def left_action(graph: GraphCorrespondence, a, k: int) -> np.ndarray:
@@ -285,19 +262,3 @@ def tensor_pair(graph: GraphCorrespondence, a_mat: np.ndarray, a: int, b_mat: np
     if a == 0 or b == 0:
         raise ValueError("tensor factors must have positive level")
     return embed_prefix(graph, a_mat, a, k) @ embed_suffix(graph, b_mat, b, k)
-
-
-def factor_prefix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> list[tuple[int, CorrElement]]:
-    """Split a basis-path expansion xi = sum_p xi_p (p_prefix (x) p_suffix).
-
-    Returns, for each prefix path index at level j, the suffix element it
-    multiplies; used by tests of the factorization lemmas.
-    """
-    k = xi.level
-    if not (1 <= j <= k):
-        raise ValueError("prefix length out of range")
-    pre, suf = path_basis(graph, k).split(j)
-    nz = xi.coeffs != 0
-    table = np.zeros((path_basis(graph, j).size, path_basis(graph, k - j).size), dtype=complex)
-    table[pre[nz], suf[nz]] = xi.coeffs[nz]
-    return [(int(p), CorrElement(k - j, table[p])) for p in np.unique(pre[nz])]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fock import FockOperator, TruncatedFock
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
-from .linalg import as_complex, operator_norm, residual
+from .linalg import as_complex, operator_norm
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,6 @@ class Representation:
         out[off + i, off + j] = 1.0
         return out
 
-    def direct_sum(self, other: "Representation") -> "Representation":
-        if self.n_vertices != other.n_vertices:
-            raise ValueError("representations over different vertex algebras")
-        return Representation(tuple(a + b for a, b in zip(self.multiplicities, other.multiplicities)))
-
 
 @dataclass(frozen=True)
 class CommutantAlgebra:
@@ -98,23 +93,6 @@ class CommutantAlgebra:
 
     def units(self) -> list[np.ndarray]:
         return [self.rep.commutant_unit(v, i, j) for v, i, j in self.rep.commutant_basis()]
-
-    def contains(self, a: np.ndarray, tol: float = 1e-12) -> bool:
-        a = as_complex(a)
-        mask = np.zeros_like(a, dtype=bool)
-        for v in range(self.rep.n_vertices):
-            sl = self.rep.block(v)
-            mask[sl, sl] = True
-        off = a[~mask]
-        return bool(off.size == 0 or np.abs(off).max() <= tol * max(1.0, operator_norm(a)))
-
-    def project(self, a: np.ndarray) -> np.ndarray:
-        a = as_complex(a)
-        out = np.zeros_like(a)
-        for v in range(self.rep.n_vertices):
-            sl = self.rep.block(v)
-            out[sl, sl] = a[sl, sl]
-        return out
 
 
 def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
@@ -286,36 +264,3 @@ class InducedSpace:
         result peels the last edge of each path through z.
         """
         return self._left_identity(z, j - 1, 0, 1)
-
-
-def gamma_decomposition(graph: GraphCorrespondence, rep: Representation, k: int):
-    """The unitary gamma_k: E^{(x)k} (x) H -> ⊕_{xi} H_xi and its index map.
-
-    In the package coordinates gamma_k is the identity matrix; the returned
-    index map lists (path index, source vertex, offset, block size).
-    """
-    ind = InducedSpace(graph, rep, k)
-    blocks = list(zip(range(ind.fock.level_dims[k]), path_basis(graph, k).sources,
-                      ind.block_offsets[k], ind.block_sizes[k]))
-    return np.eye(ind.level_dim(k), dtype=complex), blocks
-
-
-def gamma_conjugation_residual(graph: GraphCorrespondence, rep: Representation,
-                               y: np.ndarray, k: int) -> float:
-    """Residual of gamma_k (Y (x) I) gamma_k^* = [sigma<xi, Y eta>] at level k.
-
-    The left side is assembled by acting on simple tensors Y eta (x) h, the
-    right side from the matrix entries of Y; both land in the same block
-    coordinates.
-    """
-    ind = InducedSpace(graph, rep, k)
-    basis = path_basis(graph, k)
-    d = ind.level_dim(k)
-    lhs = np.zeros((d, d), dtype=complex)
-    for q in range(basis.size):
-        eta = CorrElement.basis_vector(graph, k, q)
-        y_eta = CorrElement(k, as_complex(y) @ eta.coeffs)
-        cols = slice(ind.block_offsets[k][q], ind.block_offsets[k][q + 1])
-        lhs[:, cols] = ind.insertion_map(y_eta)[:, rep.block(basis.sources[q])]
-    rhs = ind.level_tensor_identity(as_complex(y), k)
-    return residual(lhs, rhs)

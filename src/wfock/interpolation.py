@@ -27,10 +27,9 @@ import numpy as np
 
 from .duality import DualStructure, dual_lift_model
 from .fock import TruncatedFock, phi_inf, weighted_creation
-from .graphs import CorrElement
 from .induced import CommutantAlgebra, InducedSpace
 from .lifting import _HypothesisError, two_space_lift
-from .linalg import as_complex, operator_norm, orth_columns, pinv, residual, rng_complex
+from .linalg import as_complex, operator_norm, orth_columns, pinv, residual
 from .weights import AdmissibleSequence, WeightSystem
 
 
@@ -94,14 +93,6 @@ class DiscPoint:
         if ind.graph.n_vertices != 1 or ind.graph.n_edges != 1 or ind.rep.h_dim != 1:
             raise ValueError("scalar points need the one-loop graph with multiplicity one")
         return cls(ind, x_seq, np.array([[z]], dtype=complex))
-
-    def power_residual(self) -> float:
-        """Check z^{(k+l)} = z^{(k)} (I_k (x) z^{(l)}) on the cached powers."""
-        worst = 0.0
-        for k in range(1, self.ind.levels):
-            step = self.ind.lower_by_point(self.mat, k + 1)
-            worst = max(worst, residual(self.powers[k + 1], self.powers[k] @ step))
-        return worst
 
     def phi_value(self, a: np.ndarray) -> np.ndarray:
         """Phi_z(A) = sum_{k>=1} z^{(k)} (X_k (x) A) z^{(k)*}, exact for the data."""
@@ -187,17 +178,6 @@ class CauchyKernel:
         ind = self.point.ind
         return self.column.conj().T @ ind.dual_left(as_complex(a)) @ other.column
 
-    def levelwise_residual(self, other: "CauchyKernel", a: np.ndarray) -> float:
-        """Both routes to <c_w(k), A . c_z(k)> = w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
-        ind = self.point.ind
-        worst = 0.0
-        blocks = ind.dual_left_levels(a)
-        for k, wr in self.point.kernel_powers.items():
-            lhs = self.levels[k].conj().T @ blocks[k] @ other.levels[k]
-            rhs = wr @ blocks[k] @ other.point.powers[k].conj().T
-            worst = max(worst, residual(lhs, rhs))
-        return worst
-
 
 def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     """The truncated Szego-type kernel K(w, z)(A) = sum w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
@@ -226,28 +206,6 @@ def szego_kernel(cw: CauchyKernel, cz: CauchyKernel, a: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def representation_eval(z: DiscPoint, word) -> np.ndarray:
-    """Evaluate the point representation on a product of generators.
-
-    ``word`` is a list of ("a", vector) left-action factors and
-    ("xi", CorrElement) weighted-creation factors; the value is the product of
-    sigma(a) and z^{(k)} L_xi factors, which is multiplicative by construction
-    and agrees with the compression route on words of total degree within the
-    truncation.
-    """
-    ind = z.ind
-    out = np.eye(ind.rep.h_dim, dtype=complex)
-    for kind, payload in word:
-        if kind == "a":
-            out = out @ ind.rep.sigma(payload)
-        elif kind == "xi":
-            xi: CorrElement = payload
-            out = out @ (z.powers[xi.level] @ ind.insertion_map(xi))
-        else:
-            raise ValueError(f"unknown word factor {kind!r}")
-    return out
-
-
 def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarray:
     """Evaluation through the kernel column: L_z^* (Y (x) I) L_I."""
     c = CauchyKernel(z, ws)
@@ -264,22 +222,6 @@ def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
         else:
             out = out @ ind.fock_tensor_identity(weighted_creation(space, ws, payload))
     return out
-
-
-def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
-                      d_mat: np.ndarray) -> float:
-    """Residual of (W'_xi)^* (D . c_z) = <D^* . xi, z^*> . c_z, levelwise.
-
-    The top level is excluded: it is consumed by the truncation, and it is
-    exactly the part of K outside the range of the band block's adjoint.
-    """
-    ind = z.ind
-    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0]  # K_{<=N-1} -> K_{>=1}
-    c = CauchyKernel(z, ws)
-    lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)) @ c.column)[ind.level_offsets[1]:]
-    coeff = xi_mat.conj().T @ ind.dual_left_level(as_complex(d_mat), 1) @ z.mat.conj().T
-    rhs = ind.dual_left(coeff) @ c.column
-    return residual(lhs, rhs[:band.shape[1], :])
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +272,9 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
     """Assemble the Choi matrix of the Pick map and test positivity.
 
     The domain splits over vertices into full matrix algebras, so the Choi
-    matrix is the direct sum over vertices of the unit-by-unit images; the
+    matrix is the direct sum over vertices of the unit-by-unit images.  The
+    rows and columns of vertex v's block run over (point, unit row) pairs,
+    s h of them each, so the matrix has side npts s h sum_v m_v.  The
     map is completely positive iff every block is PSD, up to a relative 1e-9
     of the Choi norm.  When a weight system is supplied the kernels are
     evaluated through the Cauchy columns; the default is the weight-free
@@ -341,7 +285,6 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
     npts = len(problem.points)
     h = ind.rep.h_dim
     s_dim = problem.s * h
-    w_dim = npts * s_dim
 
     cauchy = [CauchyKernel(z, ws) for z in problem.points] if ws is not None else None
 
@@ -350,7 +293,7 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
             return cauchy[i].pairing(cauchy[j], unit)
         return kernel_value(problem.points[i], problem.points[j], unit)
 
-    total = npts * w_dim * sum(ind.rep.multiplicities)
+    total = npts * s_dim * sum(ind.rep.multiplicities)
     choi = np.zeros((total, total), dtype=complex)
     pos = 0  # the vertex blocks sit on the diagonal, in vertex order
     for v in range(ind.graph.n_vertices):
@@ -363,10 +306,10 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
                         kij = kernel(i, j, unit)
                         img = problem.B[i] @ np.kron(np.eye(problem.s), kij) @ problem.B[j].conj().T \
                             - problem.F[i] @ np.kron(np.eye(problem.t), kij) @ problem.F[j].conj().T
-                        row = pos + (i * m_v + mu) * w_dim + i * s_dim
-                        col = pos + (j * m_v + nu) * w_dim + j * s_dim
+                        row = pos + (i * m_v + mu) * s_dim
+                        col = pos + (j * m_v + nu) * s_dim
                         choi[row:row + s_dim, col:col + s_dim] = img
-        pos += npts * m_v * w_dim
+        pos += npts * m_v * s_dim
     choi = 0.5 * (choi + choi.conj().T)
     eigs = np.linalg.eigvalsh(choi)
     norm = float(abs(eigs).max())
@@ -374,26 +317,6 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
     tails = [kernel_tail_bound(z) for z in problem.points]
     return CPReport(is_cp=bool(min_eig >= -1e-9 * max(1.0, norm)),
                     min_eigenvalue=min_eig, choi_norm=norm, choi=choi, kernel_tails=tails)
-
-
-def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
-                       rng: np.random.Generator, families: int = 20) -> float:
-    """Minimum of the defining quadratic form over random (A, h) families.
-
-    Negative values witness failure of the kernel-domination condition; the
-    sign agrees with the Choi verdict up to roundoff.
-    """
-    cols_b, cols_f, _ = _span_generators(problem, ws)
-    worst = np.inf
-    n_b = cols_b.shape[1]
-    for _ in range(families):
-        c = rng_complex(rng, n_b)
-        vb = cols_b @ c
-        vf = cols_f @ c
-        gap = float(np.vdot(vb, vb).real - np.vdot(vf, vf).real)
-        scale = max(1.0, float(np.vdot(vb, vb).real))
-        worst = min(worst, gap / scale)
-    return worst
 
 
 def _span_generators(problem: PickProblem, ws: WeightSystem):

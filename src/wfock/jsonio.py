@@ -144,10 +144,6 @@ def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence
     raise ValueError("X: expected 'scalar' or 'matrices'")
 
 
-def encode_x(x: AdmissibleSequence) -> dict:
-    return {"matrices": {str(k): encode_matrix(x.X[k]) for k in range(1, x.levels + 1)}}
-
-
 def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
     if obj is None or obj == "canonical":
         return weight_system_from(x)

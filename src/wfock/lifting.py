@@ -180,28 +180,6 @@ class LiftModel:
             per_copy = out_band @ blk if k else out_band * blk  # copies x d_out x band_cols
             yield per_copy.transpose(1, 0, 2).reshape(-1, in_band.shape[0]) @ in_band, ins
 
-    def prefix_columns(self, n: int) -> np.ndarray:
-        idx = self.prefix_idx(n)
-        out = np.zeros((self.dim, idx.size), dtype=complex)
-        out[idx, np.arange(idx.size)] = 1.0
-        return out
-
-
-@dataclass
-class CoinvariantSubspace:
-    """An orthonormal frame for J with its co-invariance certificate."""
-
-    model: LiftModel
-    frame: np.ndarray
-
-    def __post_init__(self):
-        self.frame = as_complex(self.frame)
-        if residual(self.frame.conj().T @ self.frame, np.eye(self.frame.shape[1])) > 1e-12:
-            raise ValueError("frame columns are not orthonormal")
-
-    def coinvariance_residual(self) -> float:
-        return _frame_coinvariance(self.frame, self.model.generators)
-
 
 def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> float:
     """The co-invariance residual max_g ||(I - P) g^* P|| of the span J of an
@@ -351,18 +329,6 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         entry["extra"] = step_validator(state, new_state)
     new_state.ledger.append(entry)
     return new_state
-
-
-def gm_star_expansion_residual(state: LiftState) -> float:
-    """Residual of the adjoint expansion of G_m over the basis insertions."""
-    model = state.model
-    g_vec = model.vacuum(state.g_mat)
-    acc = np.zeros((model.dim, state.dim_j), dtype=complex)
-    q = state.frame
-    for k in range(model.levels + 1):
-        for alpha, (rows, cols) in model.compressions(k, q, q):
-            acc[rows] += (g_vec.conj().T @ alpha.conj().T)[cols]
-    return residual(acc, state.g_mat.conj().T)
 
 
 def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: float,

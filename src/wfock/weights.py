@@ -23,7 +23,6 @@ of ``AdmissibleSequence.R``, and everything downstream reads it from there.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -38,31 +37,6 @@ from .graphs import (
     tensor_pair,
 )
 from .linalg import ATOL, as_complex, operator_norm, psd_sqrt, residual
-
-
-@dataclass(frozen=True)
-class CompositionSet:
-    """All functions alpha: {1..j} -> N with sum alpha = k, in colex order."""
-
-    k: int
-    j: int
-    parts: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
-
-
-def compositions(k: int, j: int) -> CompositionSet:
-    """Compositions of k into j positive parts; |result| = C(k-1, j-1)."""
-    if not (1 <= j <= k):
-        raise ValueError("need 1 <= j <= k")
-    out = []
-    for cuts in itertools.combinations(range(1, k), j - 1):
-        bounds = (0,) + cuts + (k,)
-        out.append(tuple(bounds[i + 1] - bounds[i] for i in range(j)))
-    out.sort(key=lambda t: t[::-1])
-    return CompositionSet(k, j, tuple(out))
 
 
 @dataclass
@@ -133,33 +107,19 @@ def _left_commutator(graph: GraphCorrespondence, m: np.ndarray, k: int) -> float
     return worst
 
 
-def composition_r2(x: AdmissibleSequence, k: int) -> np.ndarray:
-    """R_k^2 by literal enumeration of compositions; test oracle, O(2^k)."""
-    g = x.graph
-    d = path_basis(g, k).size
-    total = np.zeros((d, d), dtype=complex)
-    for j in range(1, k + 1):
-        for alpha in compositions(k, j).parts:
-            term = x.X[alpha[0]]
-            lvl = alpha[0]
-            for part in alpha[1:]:
-                term = tensor_pair(g, term, lvl, x.X[part], part)
-                lvl += part
-            total += term
-    return total
-
-
 def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
     """The positive invertible square roots R_0 .. R_N (R_0 = I on M).
 
     Evaluated through R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2; the square root is
     Hermitian-eigendecomposition based with a small negative-eigenvalue clip.
-    A sum that fails PSD beyond tolerance marks X invalid.  Read R through
-    ``AdmissibleSequence.R``, which calls this once per sequence.
+    A sum that overflows, or fails PSD beyond tolerance, marks X invalid.  Read
+    R through ``AdmissibleSequence.R``, which calls this once per sequence.
     """
     r2 = _first_part_sums(x.X, partial(tensor_pair, x.graph))
     rs = [r2[0]]
     for i in range(1, x.levels + 1):
+        if not np.isfinite(r2[i]).all():
+            raise ValueError(f"R_{i}^2 is not finite: X is too large to sum to level {i}")
         try:
             rs.append(psd_sqrt(r2[i]))
         except ValueError as exc:

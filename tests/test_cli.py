@@ -247,7 +247,7 @@ def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     assert field in report["error"]
 
 
-@pytest.mark.parametrize("eps", [float("nan"), -1.0])
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, True])
 def test_solve_input_eps_checked(tmp_path, eps):
     obj = dict(TWO_POINT, eps=eps)
     code, report = run(RunConfig("solve", input_path=write(tmp_path, "e.json", obj), N=20))
@@ -263,6 +263,8 @@ def test_solve_input_eps_checked(tmp_path, eps):
     ("solve", dict(TWO_POINT, F=[[[[float("nan"), 0.0]]], [[[0.1, 0.0]]]]), "F[0]"),
     ("solve", dict(TWO_POINT, points=[{"scalar": [0.4, float("-inf")]}]), "points[0]"),
     ("validate", {"kernel_coeffs": [1.0, float("nan"), 0.3]}, "kernel_coeffs[1]"),
+    ("validate", {"graph": TWO_POINT["graph"], "X": {"scalar": [1e200]}}, "R_2^2"),
+    ("solve", dict(TWO_POINT, X={"scalar": [1e200]}), "R_2^2"),
 ])
 def test_non_finite_number_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "n.json", obj), N=4))

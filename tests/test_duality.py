@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import _commutant_dim, pi_sigma_residuals, project
 from wfock.duality import (
     DualStructure,
     commutation_check_section5,
@@ -9,7 +10,7 @@ from wfock.duality import (
     intertwiner_basis,
     interior_tensor,
     omega_checks,
-    pi_sigma_residuals,
+    primal_generators,
     u_k_unitarity_residual,
     u_k_unitary,
 )
@@ -147,7 +148,7 @@ def test_rho_phi_isometric_on_commutant():
     from wfock.induced import CommutantAlgebra
     from wfock.linalg import operator_norm, rng_complex
 
-    a = CommutantAlgebra(rep).project(rng_complex(rng, rep.h_dim, rep.h_dim))
+    a = project(CommutantAlgebra(rep), rng_complex(rng, rep.h_dim, rep.h_dim))
     assert abs(operator_norm(s.ind.dual_left(a)) - operator_norm(a)) < 1e-12
     assert residual(s.ind.dual_left(a.conj().T), s.ind.dual_left(a).conj().T) < 1e-14
 
@@ -164,9 +165,11 @@ def test_commutation_section5():
 def test_commutant_dims_report():
     graph, rep, n = CYCLE2, Representation((1, 1)), 2
     ws = weight_system_from(szego_x(graph, n))
-    report = commutation_check_section5(InducedSpace(graph, rep, n), ws, commutant_dims=True)
-    assert report["primal_commutant_dim"] >= len(rep.commutant_basis())
-    assert report["dual_commutant_dim"] >= graph.n_vertices
+    ind = InducedSpace(graph, rep, n)
+    primal_dim = _commutant_dim([m for _, m in primal_generators(ind, ws)])
+    dual_dim = _commutant_dim([m for _, m in DualStructure(ind, ws).dual_generators()])
+    assert primal_dim >= len(rep.commutant_basis())
+    assert dual_dim >= graph.n_vertices
 
 
 def test_pi_sigma_properties():

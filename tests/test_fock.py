@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_strategies import small_graphs
+from oracles import inner_product, weight_diagonal
 from wfock.acceptance import _random_graph_x
 from wfock.fock import (
     FockOperator,
@@ -12,10 +13,9 @@ from wfock.fock import (
     phi_inf,
     sums_to_projection_check,
     tensor_element,
-    weight_diagonal,
     weighted_creation,
 )
-from wfock.graphs import CorrElement, GraphCorrespondence, inner_product, path_basis
+from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
 from wfock.induced import Representation
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from

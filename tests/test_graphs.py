@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import factor_prefix, inner_product, levels_nonzero
 from wfock.graphs import (
     CorrElement,
     GraphCorrespondence,
     embed_prefix,
     embed_suffix,
-    inner_product,
     insertion_matrix,
     left_action,
-    levels_nonzero,
     path_basis,
     tensor_pair,
 )
@@ -181,8 +180,6 @@ def test_embed_suffix_level_zero_is_source_diagonal():
 def test_prefix_factorization_partition():
     # every level-(l+j) basis path factors through its level-j prefix, and the
     # prefix fibers partition the basis
-    from wfock.graphs import factor_prefix
-
     g = GraphCorrespondence(2, ((0, 1), (1, 0), (0, 0)))
     for l, j in [(1, 1), (2, 1), (1, 2)]:
         total = path_basis(g, l + j)

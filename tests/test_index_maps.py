@@ -14,27 +14,25 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
+from oracles import direct_sum_embedding, factor_prefix, inner_product, pi_sigma, weight_diagonal
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
     DualBasisElement,
     DualStructure,
     _lift_model,
-    direct_sum_embedding,
     dual_lift_model,
     dual_weights,
     omega_transport,
     primal_lift_model,
 )
 from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, tensor_element, \
-    weight_diagonal, weighted_creation
+    weighted_creation
 from wfock.graphs import (
     CorrElement,
     _masked_gather,
     _random_module_map,
     embed_prefix,
     embed_suffix,
-    factor_prefix,
-    inner_product,
     insertion_matrix,
     left_action,
     path_basis,
@@ -646,7 +644,7 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
         assert np.array_equal(dw.X_prime[k],
                               ref_conjugate(th, ind.level_tensor_identity(x.X[k], k)))
     y = _fock_module_map(rng, ind.fock)
-    assert np.array_equal(s.pi_sigma(y),
+    assert np.array_equal(pi_sigma(s, y),
                           ref_conjugate(ref_theta_full(s), ind.fock_tensor_identity(y)))
 
 

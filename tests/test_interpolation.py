@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import iota_w_star_check, levelwise_residual, power_residual, prefix_columns, project, \
+    quadratic_form_gap, representation_eval
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
@@ -10,15 +12,12 @@ from wfock.interpolation import (
     PickInfeasibleError,
     PickProblem,
     hat_eval,
-    iota_w_star_check,
     kernel_tail_bound,
     kernel_value,
     _span_generators,
     np_solve,
     phi_map,
     pick_map_cp_test,
-    quadratic_form_gap,
-    representation_eval,
     szego_kernel,
     word_matrix,
 )
@@ -89,7 +88,7 @@ def test_point_intertwining_required():
 def test_power_semigroup():
     ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
     z = graph_point(ind, x, 0.55, seed=3)
-    assert z.power_residual() < 1e-10
+    assert power_residual(z) < 1e-10
     # z^{(k+l)} = z^{(k)} (I_k (x) z^{(l)}): peel l edges one at a time
     k, l = 2, 3
     acc = z.powers[k].copy()
@@ -168,7 +167,7 @@ def test_kernel_value_matches_the_inline_formula_bit_for_bit(monkeypatch):
     monkeypatch.setattr(ind, "level_tensor_identity",
                         lambda m, *ij: gathers.append(ij) or tensor(m, *ij))
     assert np.array_equal(kernel_value(w, z, a), old)
-    assert CauchyKernel(w, ws).levelwise_residual(CauchyKernel(z, ws), a) < 1e-9
+    assert levelwise_residual(CauchyKernel(w, ws), CauchyKernel(z, ws), a) < 1e-9
     assert len(gathers) == 2 * (ind.levels + 1)  # the two Cauchy columns; none for R_k^2 (x) I
 
 
@@ -214,7 +213,7 @@ def test_szego_kernel_on_built_columns_matches_the_per_pair_build():
     ind, x, ws = graph_setup(CYCLE2, (2, 1), 5)
     cauchy = [CauchyKernel(graph_point(ind, x, r, seed=seed), ws)
               for r, seed in ((0.5, 2), (0.4, 5), (0.45, 7))]
-    a = CommutantAlgebra(ind.rep).project(rng_complex(np.random.default_rng(3), 3, 3))
+    a = project(CommutantAlgebra(ind.rep), rng_complex(np.random.default_rng(3), 3, 3))
     for cw in cauchy:
         for cz in cauchy:
             w, z = cw.point, cz.point
@@ -251,7 +250,7 @@ def test_kernel_hermiticity():
     a = rng_complex(rng, ind.rep.h_dim, ind.rep.h_dim)
     from wfock.induced import CommutantAlgebra
 
-    a = CommutantAlgebra(ind.rep).project(a)
+    a = project(CommutantAlgebra(ind.rep), a)
     lhs = kernel_value(w, z, a).conj().T
     rhs = kernel_value(z, w, a.conj().T)
     assert residual(lhs, rhs) < 1e-10
@@ -263,7 +262,7 @@ def test_cauchy_levelwise_identity():
     z = graph_point(ind, x, 0.45, seed=8)
     cw, cz = CauchyKernel(w, ws), CauchyKernel(z, ws)
     a = np.diag([1.5, -0.5]).astype(complex)
-    assert cw.levelwise_residual(cz, a) < 1e-9
+    assert levelwise_residual(cw, cz, a) < 1e-9
 
 
 def test_iota_w_star():
@@ -277,7 +276,7 @@ def test_iota_w_star():
                  for coef, t in zip(rng_complex(rng, len(s.tuples(1))), s.tuples(1)))
         from wfock.induced import CommutantAlgebra
 
-        d = CommutantAlgebra(ind.rep).project(rng_complex(rng, 2, 2))
+        d = project(CommutantAlgebra(ind.rep), rng_complex(rng, 2, 2))
         assert iota_w_star_check(z, ws, xi, d) < 1e-9
         assert iota_w_star_check(z, ws, xi, np.eye(2, dtype=complex)) < 1e-9
 
@@ -372,6 +371,11 @@ def test_cp_matches_classical_two_point():
             assert report.is_cp
         elif det < -1e-8:
             assert not report.is_cp
+        # one vertex with one unit and scalar targets: the Choi matrix is the 2 x 2 Pick matrix
+        zs, lams = np.array([z1, z2]), np.array([l1, l2])
+        pick = (1 - np.outer(lams, lams.conj())) / (1 - np.outer(zs, zs.conj()))
+        assert report.choi.shape == (2, 2)
+        assert abs(report.min_eigenvalue - np.linalg.eigvalsh(pick).min()) < 1e-9
 
 
 def test_cp_quadratic_form_agrees():
@@ -664,7 +668,7 @@ def test_the_ledger_keeps_what_its_readers_read():
     # only the lift report reads norm_one, which commutant_lift adds to each step
     ind, _, ws = graph_setup(n=3)
     model = primal_lift_model(ind, ws)
-    j = model.prefix_columns(0)
+    j = prefix_columns(model, 0)
     for step in commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))[1]["steps"]:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
                              "intertwining", "norm_one"}

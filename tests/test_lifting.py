@@ -8,21 +8,20 @@ from hypothesis import given, settings, strategies as st
 import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
+from oracles import CoinvariantSubspace, direct_sum_embedding, gm_star_expansion_residual, prefix_columns
 from wfock.acceptance import _random_graph_x
-from wfock.duality import DualStructure, direct_sum_embedding, dual_lift_model, primal_lift_model
+from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
 from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_closure, \
     random_commutant_element
 from wfock.lifting import (
-    CoinvariantSubspace,
     ParrottProblem,
     _check_contains_prefix,
     _conclusions,
     _escape_level,
     _frame_coinvariance,
     commutant_lift,
-    gm_star_expansion_residual,
     LiftState,
     parrott_complete,
     two_space_lift,
@@ -227,7 +226,7 @@ def test_clamp_column_keeps_a_column_within_the_target():
 def test_commutant_lift_zero_operator():
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
-    j = model.prefix_columns(0)
+    j = prefix_columns(model, 0)
     g0 = np.zeros((j.shape[1], j.shape[1]))
     g_tilde, trace = commutant_lift(model, j, g0)
     assert operator_norm(g_tilde) == 0.0
@@ -237,7 +236,7 @@ def test_commutant_lift_zero_operator():
 def test_commutant_lift_identity_on_vacuum_slice():
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
-    j = model.prefix_columns(0)  # the vacuum slice K_0
+    j = prefix_columns(model, 0)  # the vacuum slice K_0
     g = np.eye(j.shape[1])
     g_tilde, trace = commutant_lift(model, j, g)
     concl = trace["conclusions"]
@@ -249,7 +248,7 @@ def test_commutant_lift_identity_on_vacuum_slice():
 def test_commutant_lift_scalar_multiple():
     ind, ws = make_setup(CYCLE2, (1, 1), 4)
     model = primal_lift_model(ind, ws)
-    j = model.prefix_columns(1)
+    j = prefix_columns(model, 1)
     g = 0.6 * np.eye(j.shape[1])
     g_tilde, trace = commutant_lift(model, j, g)
     assert max(trace["conclusions"].values()) < 1e-9
@@ -257,7 +256,7 @@ def test_commutant_lift_scalar_multiple():
 
 
 def prefix_coinvariant(model):
-    sub = CoinvariantSubspace(model, model.prefix_columns(1))
+    sub = CoinvariantSubspace(model, prefix_columns(model, 1))
     return sub.coinvariance_residual()
 
 
@@ -338,7 +337,7 @@ def test_validator_builds_each_weighted_creation_once(monkeypatch):
         counts.append((len(built), path_basis(FREE2, built[0]).size + 4))
         return out
 
-    j = model.prefix_columns(0)
+    j = prefix_columns(model, 0)
     _, trace = commutant_lift(model, j, 0.5 * np.eye(j.shape[1]), step_validator=step)
     assert len(counts) == len(trace["steps"]) > 1
     assert all(got == want for got, want in counts), counts
@@ -405,7 +404,7 @@ def test_two_space_lift_zero():
     ind, ws = make_setup(FREE2, (1,), 2)
     ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind)
     model_sum = primal_lift_model(ind_sum, ws)
-    j = primal_lift_model(ind, ws).prefix_columns(0)
+    j = prefix_columns(primal_lift_model(ind, ws), 0)
     g = np.zeros((j.shape[1], j.shape[1]))
     g_tilde, trace = two_space_lift(model_sum, idx1, idx2, j, j, g)
     assert operator_norm(g_tilde) == 0.0
@@ -528,7 +527,7 @@ def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
     orth = wfock.lifting.orth_columns
     monkeypatch.setattr(wfock.lifting, "orth_columns",
                         lambda a, tol: orth(a, tol)[:, :-1] if tol == 0.5 else orth(a, tol))
-    j = model.prefix_columns(0)
+    j = prefix_columns(model, 0)
     with pytest.raises(RuntimeError, match="lift step 2: K_1 is not contained in J"):
         commutant_lift(model, j, np.eye(j.shape[1]))
 
@@ -540,7 +539,7 @@ def test_lift_step_names_a_completion_that_is_not_finite(monkeypatch):
     model = primal_lift_model(ind, ws)
     monkeypatch.setattr(wfock.lifting, "_svd", lambda a: tuple(
         np.full_like(f, np.nan) for f in np.linalg.svd(a, full_matrices=False)))
-    j = model.prefix_columns(0)
+    j = prefix_columns(model, 0)
     with pytest.raises(RuntimeError, match="lift step 2: the Parrott completion is not finite"):
         commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))
 
@@ -549,7 +548,7 @@ def _reference_escape(state):
     """The escape scan as a values-only SVD followed by a thin one, on dense prefix columns."""
     q = state.frame
     for n in range(state.n_list[-1] + 1, state.model.levels + 1):
-        res = _project_out(q, state.model.prefix_columns(n))
+        res = _project_out(q, prefix_columns(state.model, n))
         if res.size and operator_norm(res) > RANK_TOL:
             return n, orth_columns(res, RANK_TOL)
     raise AssertionError("a proper frame has an escaping level")
@@ -570,14 +569,14 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     proper = [k for k in range(n + 1) if model.prefix_idx(k).size < model.dim]
     n1 = data.draw(st.sampled_from(proper), label="n1")
     n0 = data.draw(st.integers(-1, n1), label="n0")
-    held = model.prefix_columns(n1)
+    held = prefix_columns(model, n1)
     delta = 10.0 ** data.draw(st.floats(-12, -8), label="log10 perturbation")
     extra = data.draw(st.integers(0, model.dim - held.shape[1] - 1), label="extra columns")
     seeds = np.hstack([held + delta * rng_complex(rng, *held.shape),
                        rng_complex(rng, model.dim, extra)])
     frame = np.linalg.qr(seeds)[0]
     state = LiftState(model, frame, np.zeros((frame.shape[1], model.dim), dtype=complex), [n0])
-    prefix = model.prefix_columns(n0)
+    prefix = prefix_columns(model, n0)
 
     rank_tests = []
     orth = wfock.lifting.orth_columns
@@ -697,8 +696,8 @@ def _two_space_setup():
 
 def test_two_space_lift_names_a_frame_that_is_not_coinvariant():
     base, model_sum, idx1, idx2 = _two_space_setup()
-    top = base.prefix_columns(base.levels)[:, -1:]  # a top-level coordinate: W^* moves it down
-    vac = base.prefix_columns(0)
+    top = prefix_columns(base, base.levels)[:, -1:]  # a top-level coordinate: W^* moves it down
+    vac = prefix_columns(base, 0)
     with pytest.raises(ValueError, match=r"hypothesis fails: J_1 co-invariance residual \d"):
         two_space_lift(model_sum, idx1, idx2, top, vac, np.zeros((1, 1)))
     with pytest.raises(ValueError, match="lifting hypothesis fails: J_2 co-invariance"):
@@ -707,7 +706,7 @@ def test_two_space_lift_names_a_frame_that_is_not_coinvariant():
 
 def test_two_space_lift_names_a_map_that_does_not_intertwine():
     base, model_sum, idx1, idx2 = _two_space_setup()
-    k1 = base.prefix_columns(1)  # K_1 is co-invariant; the creations compress to nonzero maps
+    k1 = prefix_columns(base, 1)  # K_1 is co-invariant; the creations compress to nonzero maps
     rng = np.random.default_rng(31)
     g12 = 0.5 * rng_complex(rng, k1.shape[1], k1.shape[1])
     with pytest.raises(ValueError, match="lifting hypothesis fails: intertwining"):
@@ -718,7 +717,7 @@ def test_two_space_lift_names_generators_that_mix_the_summands():
     base, model_sum, idx1, idx2 = _two_space_setup()
     mixed = [g.copy() for g in model_sum.generators]
     mixed[-1][idx2[0], idx1[-1]] = 1e-300  # any nonzero entry between the summands
-    vac = base.prefix_columns(0)
+    vac = prefix_columns(base, 0)
     with pytest.raises(ValueError, match="the generators mix the two summands"):
         two_space_lift(dataclasses.replace(model_sum, generators=mixed), idx1, idx2,
                        vac, vac, np.zeros((1, 1)))
@@ -726,14 +725,14 @@ def test_two_space_lift_names_generators_that_mix_the_summands():
 
 def test_two_space_lift_names_a_frame_that_is_not_orthonormal():
     base, model_sum, idx1, idx2 = _two_space_setup()
-    vac = base.prefix_columns(0)
+    vac = prefix_columns(base, 0)
     with pytest.raises(ValueError, match="J_2 frame columns are not orthonormal"):
         two_space_lift(model_sum, idx1, idx2, vac, 2.0 * vac, np.zeros((1, 1)))
 
 
 def test_two_space_lift_reports_the_summand_hypotheses():
     base, model_sum, idx1, idx2 = _two_space_setup()
-    vac = base.prefix_columns(0)
+    vac = prefix_columns(base, 0)
     _, trace = two_space_lift(model_sum, idx1, idx2, vac, vac, np.array([[0.5]]))
     assert set(trace["hypothesis"]) == {"J_1 co-invariance", "J_2 co-invariance", "intertwining"}
     assert max(trace["hypothesis"].values()) < 1e-12

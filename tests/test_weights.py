@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import composition_r2, compositions
 from wfock.duality import primal_lift_model
 from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
@@ -13,8 +14,6 @@ from wfock.weights import (
     WeightSystem,
     admissible_from_kernel_coeffs,
     canonical_weights,
-    compositions,
-    composition_r2,
     compute_R,
     scalar_r2,
     weight_system_from,
