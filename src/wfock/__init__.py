@@ -17,9 +17,8 @@ from .weights import (
     weight_system_from,
 )
 from .fock import FockOperator, TruncatedFock, creation, phi_inf, weighted_creation
-from .induced import CommutantAlgebra, InducedSpace, Representation
+from .induced import InducedSpace, Representation
 from .duality import (
-    DualCorrespondence,
     DualStructure,
     commutation_check_section5,
     dual_weights,
@@ -44,11 +43,11 @@ __all__ = [
     "CorrElement", "GraphCorrespondence", "PathBasis", "insertion_matrix", "left_action",
     "path_basis", "AdmissibleSequence", "WeightSystem", "admissible_from_kernel_coeffs",
     "canonical_weights", "compute_R", "weight_system_from", "FockOperator", "TruncatedFock",
-    "creation", "phi_inf", "weighted_creation", "CommutantAlgebra", "InducedSpace",
-    "Representation", "DualCorrespondence", "DualStructure", "commutation_check_section5",
-    "dual_weights", "intertwiner_basis", "interior_tensor", "u_k_unitary", "LiftModel",
-    "LiftState", "ParrottProblem", "commutant_lift", "lift_step", "parrott_complete",
-    "two_space_lift", "CauchyKernel", "DiscPoint", "PickInfeasibleError", "PickProblem",
-    "np_solve", "phi_map", "pick_map_cp_test", "szego_kernel",
+    "creation", "phi_inf", "weighted_creation", "InducedSpace", "Representation",
+    "DualStructure", "commutation_check_section5", "dual_weights", "intertwiner_basis",
+    "interior_tensor", "u_k_unitary", "LiftModel", "LiftState", "ParrottProblem",
+    "commutant_lift", "lift_step", "parrott_complete", "two_space_lift", "CauchyKernel",
+    "DiscPoint", "PickInfeasibleError", "PickProblem", "np_solve", "phi_map",
+    "pick_map_cp_test", "szego_kernel",
 ]
 __version__ = "0.1.0"

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedFock, phi_inf, weighted_creation
+from .fock import phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
-from .induced import CommutantAlgebra, InducedSpace, Representation
+from .induced import InducedSpace, Representation
 from .lifting import LiftModel
 from .linalg import as_complex, nullspace, operator_norm, pinv, residual
 from .weights import WeightSystem, _first_part_sums
@@ -46,28 +46,13 @@ from .weights import WeightSystem, _first_part_sums
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DualCorrespondence:
-    """A basis of the intertwiner space I(sigma, sigma^E phi), with Grams.
+def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> list[np.ndarray]:
+    """A basis of the intertwiner space I(sigma, sigma^E phi), solved by nullspace SVD.
 
-    ``basis`` holds matrices H -> E (x) H, orthonormal for the trace inner
-    product; the module inner product <T, S> = T^* S is sigma(M)'-valued.
-    """
-
-    graph: GraphCorrespondence
-    rep: Representation
-    basis: list[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> DualCorrespondence:
-    """Solve the intertwining equations by nullspace SVD.
-
-    The dimension always equals sum over edges of m_{r(e)} * m_{s(e)}; a
-    mismatch raises, since everything downstream depends on it.
+    The basis matrices H -> E (x) H are orthonormal for the trace inner
+    product; the module inner product <T, S> = T^* S is sigma(M)'-valued.  The
+    dimension always equals sum over edges of m_{r(e)} * m_{s(e)}; a mismatch
+    raises, since everything downstream depends on it.
     """
     ind = InducedSpace(graph, rep, 1)
     rows_dim = ind.level_dim(1)
@@ -86,7 +71,7 @@ def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> DualCo
                    for e in range(graph.n_edges))
     if len(basis) != expected:
         raise RuntimeError(f"intertwiner dimension {len(basis)} != expected {expected}")
-    return DualCorrespondence(graph, rep, basis)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +79,14 @@ def intertwiner_basis(graph: GraphCorrespondence, rep: Representation) -> DualCo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InteriorTensor:
-    """F (x) H realized as the column space of the PSD root of the big Gram."""
+def interior_tensor(gram_blocks, h_dim: int) -> np.ndarray:
+    """F (x) H for a family with B(H)-valued Gram blocks, realized as the column
+    space of the PSD root of the big Gram.
 
-    h_dim: int
-    rank: int
-    coord_map: np.ndarray  # rank x (family size * h_dim)
-
-    def coords(self, weights: np.ndarray) -> np.ndarray:
-        """Coordinates of sum_l f_l (x) h_l from stacked (l, h) weights."""
-        return self.coord_map @ as_complex(weights).reshape(-1)
-
-
-def interior_tensor(gram_blocks, h_dim: int) -> InteriorTensor:
-    """Build F (x) H from a family with B(H)-valued Gram blocks.
-
-    Null directions of the Gram are quotiented away, so the embedding
-    dimension is the numerical rank; an indefinite Gram is rejected.
+    Returns the coordinate map, rank x (family size * h_dim): column (l, h)
+    holds the coordinates of f_l (x) h.  Null directions of the Gram are
+    quotiented away, so the rank is the numerical rank; an indefinite Gram is
+    rejected.
     """
     n = len(gram_blocks)
     big = np.zeros((n * h_dim, n * h_dim), dtype=complex)
@@ -120,14 +95,13 @@ def interior_tensor(gram_blocks, h_dim: int) -> InteriorTensor:
             big[i * h_dim:(i + 1) * h_dim, j * h_dim:(j + 1) * h_dim] = as_complex(gram_blocks[i][j])
     big = 0.5 * (big + big.conj().T)
     if big.size == 0:
-        return InteriorTensor(h_dim, 0, np.zeros((0, n * h_dim), dtype=complex))
+        return np.zeros((0, n * h_dim), dtype=complex)
     w, v = np.linalg.eigh(big)
     scale = max(1.0, float(abs(w).max()))
     if w.min() < -1e-10 * scale:
         raise ValueError(f"Gram is indefinite: min eigenvalue {w.min():.3e}")
     keep = w > 1e-10 * scale
-    coord = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
-    return InteriorTensor(h_dim, int(keep.sum()), coord)
+    return np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
 
 
 def _right_nested(ind: InducedSpace, factors: list[np.ndarray], tail: np.ndarray,
@@ -225,27 +199,21 @@ class DualStructure:
                                   np.array([suf[t.edges[a:], 0] for t in ts], dtype=np.intp))
         return self._splits[k, a]
 
-    def intertwiner(self, edges: tuple[int, ...], row: int) -> np.ndarray:
-        """The identification image of a basis tuple: a map H -> level k.
-
-        It sends the first H coordinate of the vertex r(f_k) to local index
-        ``row`` of the path (f_k, ..., f_1), the tuple's Theta coordinate, and
-        everything else to zero.
-        """
-        k = len(edges)
-        return self._intertwiner(k, self.tuple_index(k)[tuple(edges), row])
-
     def _intertwiner(self, k: int, n: int) -> np.ndarray:
-        """The intertwiner of the n-th level-k tuple, written from its insertion."""
+        """The identification image of the n-th level-k tuple (k >= 1), a map H -> level k
+        written from its insertion.
+
+        For the tuple (f_1, ..., f_k; i) it sends the first H coordinate of the
+        vertex r(f_k) to local index i of the path (f_k, ..., f_1), the tuple's
+        Theta coordinate, and everything else to zero.
+        """
         out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
         out[self._insertion(k, n)] = 1.0
         return out
 
     def _insertion(self, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n-th level-k tuple's intertwiner as (rows, cols), level-k coordinate
-        rows[i] receiving H index cols[i]: above level 0 one entry, at theta(k)[n]."""
-        if k == 0:
-            return self.theta(0), np.arange(self.rep.h_dim)
+        """The n-th level-k tuple's intertwiner (k >= 1) as (rows, cols), level-k
+        coordinate rows[i] receiving H index cols[i]: one entry, at theta(k)[n]."""
         return self.theta(k)[n:n + 1], np.array([self.rep.offsets[self.tuples(k)[n].vertex]])
 
     def theta(self, k: int) -> np.ndarray:
@@ -343,16 +311,16 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftModel:
-    """The lift model whose level-k basis elements are ``basis(k)``: pairs of the
-    insertion H -> level k as (rows, cols) within the level, and the band block
-    of the weighted creation, at level 0 kept as its diagonal."""
-    insertions, creations = [], []
-    for k in range(ind.levels + 1):
+    """The lift model whose level-k basis elements, k = 1..N, are ``basis(k)``: pairs
+    of the insertion H -> level k as (rows, cols) within the level, and the band
+    block of the weighted creation.  Level 0 stays empty."""
+    insertions, creations = [[]], [[]]
+    for k in range(1, ind.levels + 1):
         insertions.append([])
         creations.append([])
-        for (rows, cols), band in basis(k):  # one element at a time: level 0 bands are whole-space
+        for (rows, cols), band in basis(k):
             insertions[k].append((ind.level_offsets[k] + rows, cols))
-            creations[k].append(band if k else np.diagonal(band).copy())
+            creations[k].append(band)
     level = np.repeat(np.arange(ind.levels + 1), np.diff(ind.level_offsets))
     return LiftModel(dim=ind.dim, levels=ind.levels, level=level, copies=1,
                      generators=generators, insertions=insertions, creations=creations)
@@ -365,13 +333,11 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     block of level k, each coordinate receiving its H index) with the weighted
     creation at (Z^{(k)})^{-1} applied to p.
     """
-    space = TruncatedFock(ind.graph, ind.levels)
-
     def basis(k):
         zinv, h = ws.z_prod_inv(k), ind._cut(k, k)[1]
         for p in range(path_basis(ind.graph, k).size):
             rows = np.arange(*ind.block_offsets[k][p:p + 2])
-            w = weighted_creation(space, ws, CorrElement(k, zinv[:, p]))
+            w = weighted_creation(ind.fock, ws, CorrElement(k, zinv[:, p]))
             yield ((rows, h[rows]),
                    ind.assemble({ij: ind.level_tensor_identity(blk, *ij)
                                  for ij, blk in w.blocks.items()}, k))
@@ -456,53 +422,52 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
 # ---------------------------------------------------------------------------
 
 
-def _abstract_gram(dual: DualCorrespondence, ind: InducedSpace,
+def _abstract_gram(dual: list[np.ndarray], ind: InducedSpace,
                    s_tuple: tuple[int, ...], t_mats: list[np.ndarray]) -> np.ndarray:
     """<s_1 (x) ..., t_1 (x) ...> by the recursive module formula."""
-    c = dual.basis[s_tuple[0]].conj().T @ t_mats[0]
+    c = dual[s_tuple[0]].conj().T @ t_mats[0]
     if len(s_tuple) == 1:
         return c
-    modified = [ind.dual_left_level(c, 1) @ t_mats[1]] + list(t_mats[2:])
+    modified = [ind.dual_left_levels(c)[1] @ t_mats[1]] + list(t_mats[2:])
     return _abstract_gram(dual, ind, s_tuple[1:], modified)
 
 
-def u_k_unitary(graph: GraphCorrespondence, rep: Representation, k: int,
-                dual: DualCorrespondence | None = None):
+def u_k_unitary(graph: GraphCorrespondence, rep: Representation, k: int):
     """U_k: (E^sigma)^{(x)k} (x)_iota H -> E^{(x)k} (x)_sigma H as a matrix.
 
     The domain is built by interior_tensor from the recursive operator-valued
-    Gram of dual basis tuples; the map sends a tuple tensor h to the product
-    of insertions applied to h.  Returns (U_k, interior).  U_k is square and
-    unitary exactly when the identification is complete; a dimension mismatch
-    between the two constructions signals an intertwiner-basis bug.
+    Gram of the ``intertwiner_basis`` tuples; the map sends a tuple tensor h to
+    the product of insertions applied to h.  Returns (U_k, coord_map), the
+    second the interior tensor's coordinate map.  U_k is square and unitary
+    exactly when the identification is complete; a dimension mismatch between
+    the two constructions signals an intertwiner-basis bug.
     """
-    dual = dual or intertwiner_basis(graph, rep)
+    dual = intertwiner_basis(graph, rep)
     ind = InducedSpace(graph, rep, max(k, 1))
     h = rep.h_dim
     if k == 0:
-        units = CommutantAlgebra(rep).units()
-        gram = [[a.conj().T @ b for b in units] for a in units]
-        interior = interior_tensor(gram, h)
+        units = rep.commutant_units()
+        coord_map = interior_tensor([[a.conj().T @ b for b in units] for a in units], h)
         cols = np.zeros((ind.level_dim(0), len(units) * h), dtype=complex)
         for l, a in enumerate(units):
             cols[:, l * h:(l + 1) * h] = a  # level-0 coordinates are H itself
-        return cols @ pinv(interior.coord_map), interior
-    tuples = list(itertools.product(range(dual.dim), repeat=k))
+        return cols @ pinv(coord_map), coord_map
+    tuples = list(itertools.product(range(len(dual)), repeat=k))
     gram_blocks = [[None] * len(tuples) for _ in tuples]
     for a, s_t in enumerate(tuples):
         for b, t_t in enumerate(tuples):
-            gram_blocks[a][b] = _abstract_gram(dual, ind, s_t, [dual.basis[i] for i in t_t])
-    interior = interior_tensor(gram_blocks, h)
+            gram_blocks[a][b] = _abstract_gram(dual, ind, s_t, [dual[i] for i in t_t])
+    coord_map = interior_tensor(gram_blocks, h)
     d_target = ind.level_dim(k)
-    if interior.rank != d_target:
+    if coord_map.shape[0] != d_target:
         raise RuntimeError(
-            f"interior tensor dimension {interior.rank} != induced dimension {d_target}; "
+            f"interior tensor dimension {coord_map.shape[0]} != induced dimension {d_target}; "
             "the intertwiner basis is inconsistent (is the correspondence full?)")
     cols = np.zeros((d_target, len(tuples) * h), dtype=complex)
     for l, t_t in enumerate(tuples):
-        cols[:, l * h:(l + 1) * h] = _right_nested(
-            ind, [dual.basis[i] for i in t_t[:-1]], dual.basis[t_t[-1]], 1)
-    return cols @ pinv(interior.coord_map), interior
+        cols[:, l * h:(l + 1) * h] = _right_nested(ind, [dual[i] for i in t_t[:-1]],
+                                                   dual[t_t[-1]], 1)
+    return cols @ pinv(coord_map), coord_map
 
 
 def u_k_unitarity_residual(graph: GraphCorrespondence, rep: Representation, k: int) -> float:
@@ -523,13 +488,12 @@ def u_k_unitarity_residual(graph: GraphCorrespondence, rep: Representation, k: i
 def primal_generators(ind: InducedSpace, ws: WeightSystem) -> list[tuple[str, np.ndarray]]:
     """Images Y (x) I_H of the algebra generators: vertex units and edges."""
     out = []
-    space = TruncatedFock(ind.graph, ind.levels)
     for v in range(ind.graph.n_vertices):
         a = np.zeros(ind.graph.n_vertices)
         a[v] = 1.0
-        out.append((f"phi({v})", ind.fock_tensor_identity(phi_inf(space, a))))
+        out.append((f"phi({v})", ind.fock_tensor_identity(phi_inf(ind.fock, a))))
     for e in range(ind.graph.n_edges):
-        w = weighted_creation(space, ws, CorrElement.basis_vector(ind.graph, 1, e))
+        w = weighted_creation(ind.fock, ws, CorrElement.basis_vector(ind.graph, 1, e))
         out.append((f"W({e})", ind.fock_tensor_identity(w)))
     return out
 
@@ -563,12 +527,12 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
     The first dual of a multiplicity-one graph correspondence is the edge
     space of the reversed graph, and dual basis tuples coincide index-by-index
     with reversed-graph paths, so the second dualization reuses the whole
-    structured machinery on the reversed graph.  Returns
-    (omega, s1, s2, ws_rev, z_second): omega as a permutation of the induced
-    coordinates (its matrix is ``np.eye(ind.dim)[omega]``), the two dual
-    structures, the first-dual weights as a reversed-graph weight
-    system, and the extracted double-dual weight matrices (indexed by primal
-    path bases, which the double-dual tuple bases reproduce).
+    structured machinery on the reversed graph, with the first-dual weights
+    as a reversed-graph weight system.  Returns (omega, s1, s2, z_second):
+    omega as a permutation of the induced coordinates (its matrix is
+    ``np.eye(ind.dim)[omega]``), the two dual structures, and the extracted
+    double-dual weight matrices (indexed by primal path bases, which the
+    double-dual tuple bases reproduce).
     """
     if any(m != 1 for m in ind.rep.multiplicities):
         raise ValueError("double-dual transport is implemented for multiplicities one")
@@ -577,7 +541,7 @@ def omega_transport(ind: InducedSpace, ws: WeightSystem):
     ws_rev = WeightSystem(rev, ind.levels, s1.z_matrices())
     s2 = DualStructure(InducedSpace(rev, ind.rep, ind.levels), ws_rev)
     z_second = s2.z_matrices()
-    return s1.theta_full()[s2.theta_full()], s1, s2, ws_rev, z_second
+    return s1.theta_full()[s2.theta_full()], s1, s2, z_second
 
 
 def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]:
@@ -593,9 +557,8 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
       * the identification composed with the second-level product formula
         reproduces the plain insertion of each basis path.
     """
-    omega, s1, s2, ws_rev, z_second = omega_transport(ind, ws)
+    omega, s1, s2, z_second = omega_transport(ind, ws)
     g = ind.graph
-    space = TruncatedFock(g, ind.levels)
     ws2 = WeightSystem(g, ind.levels, z_second)
     out = {"weights": 0.0, "creation": 0.0, "left_action": 0.0, "insertion": 0.0}
     for k in range(1, ind.levels + 1):
@@ -607,15 +570,15 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
                              residual(_in_frame(x_k, omega_k), x2))
     for e in range(g.n_edges):
         xi = CorrElement.basis_vector(g, 1, e)
-        w_mat = ind.fock_tensor_identity(weighted_creation(space, ws, xi))
+        w_mat = ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi))
         lhs = _in_frame(w_mat, omega)
         coeffs = _tuple_coefficients(s2, ind.insertion_map(xi)[s1.theta(1)])
-        rhs = ind.fock_tensor_identity(weighted_creation(space, ws2, CorrElement(1, coeffs)))
+        rhs = ind.fock_tensor_identity(weighted_creation(ind.fock, ws2, CorrElement(1, coeffs)))
         out["creation"] = max(out["creation"], residual(lhs, rhs))
     for v in range(g.n_vertices):
         a = np.zeros(g.n_vertices)
         a[v] = 1.0
-        mat = ind.fock_tensor_identity(phi_inf(space, a))
+        mat = ind.fock_tensor_identity(phi_inf(ind.fock, a))
         out["left_action"] = max(out["left_action"],
                                  residual(_in_frame(mat, omega), mat))
     # insertion identity: U_k Lambda^iota(omega_k xi) = L_xi for basis paths

@@ -80,19 +80,9 @@ class Representation:
         out[off + i, off + j] = 1.0
         return out
 
-
-@dataclass(frozen=True)
-class CommutantAlgebra:
-    """Block structure of sigma(M)': one full m_v x m_v block per vertex."""
-
-    rep: Representation
-
-    @property
-    def dim(self) -> int:
-        return sum(m * m for m in self.rep.multiplicities)
-
-    def units(self) -> list[np.ndarray]:
-        return [self.rep.commutant_unit(v, i, j) for v, i, j in self.rep.commutant_basis()]
+    def commutant_units(self) -> list[np.ndarray]:
+        """The matrix units of ``commutant_basis`` as H x H matrices."""
+        return [self.commutant_unit(v, i, j) for v, i, j in self.commutant_basis()]
 
 
 def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
@@ -165,13 +155,6 @@ class InducedSpace:
                                                           path_basis(self.graph, k_in).sources)
         return self._cross[k_out, k_in]
 
-    @cached_property
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per coordinate of the whole space: its Fock coordinate and its H index."""
-        cuts = [self._cut(k, k) for k in range(self.levels + 1)]
-        return (np.concatenate([off + pre for off, (pre, _) in zip(self.fock.offsets, cuts)]),
-                np.concatenate([h for _, h in cuts]))
-
     def _left_identity(self, t: np.ndarray, j: int, k_out: int, k_in: int) -> np.ndarray:
         """I_j (x) T: level j + k_in -> level j + k_out, for T: level k_in -> level k_out."""
         pre_out, rows = self._cut(j + k_out, j)
@@ -219,22 +202,16 @@ class InducedSpace:
                                          h[:, None] * self.h_dim + h).ravel() for path, h in cuts]),
                 list(zip(np.cumsum([0] + [d * d for d in sizes]).tolist(), sizes)))
 
-    def dual_left_level(self, a: np.ndarray, k: int) -> np.ndarray:
-        """(I_k (x) A) on level k for an array A in sigma(M)': at path p the s(p) block of A."""
-        idx, spans = self._dual_left_index
-        off, d = spans[k]
-        return np.append(as_complex(a).ravel(), 0)[idx[off:off + d * d]].reshape(d, d)
-
     def dual_left_levels(self, a: np.ndarray) -> list[np.ndarray]:
-        """``[dual_left_level(a, k) for k in 0..N]``, the same bytes, from one gather."""
+        """The level blocks I_k (x) A, k = 0..N, of an array A in sigma(M)' (at path p
+        the s(p) block of A), from one gather."""
         idx, spans = self._dual_left_index
         flat = np.append(as_complex(a).ravel(), 0)[idx]
         return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
 
     def dual_left(self, a: np.ndarray) -> np.ndarray:
         """⊕_k I_k (x) A on the whole truncated induced space."""
-        f, h = self.coordinates
-        return _masked_gather(a, h, h, f, f)
+        return self.assemble({(k, k): blk for k, blk in enumerate(self.dual_left_levels(a))}, 0)
 
     def sigma_level(self, a, k: int) -> np.ndarray:
         """The induced action of a in M on level k: a(r(p)) per block."""

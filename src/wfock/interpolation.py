@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import DualStructure, dual_lift_model
-from .fock import TruncatedFock, phi_inf, weighted_creation
-from .induced import CommutantAlgebra, InducedSpace
+from .fock import phi_inf, weighted_creation
+from .induced import InducedSpace
 from .lifting import _HypothesisError, two_space_lift
 from .linalg import as_complex, operator_norm, orth_columns, pinv, residual
 from .weights import AdmissibleSequence, WeightSystem
@@ -214,13 +214,12 @@ def hat_eval(z: DiscPoint, ws: WeightSystem, op_matrix: np.ndarray) -> np.ndarra
 
 def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
     """The induced image (Y (x) I) of a generator word."""
-    space = TruncatedFock(ind.graph, ind.levels)
     out = np.eye(ind.dim, dtype=complex)
     for kind, payload in word:
         if kind == "a":
-            out = out @ ind.fock_tensor_identity(phi_inf(space, payload))
+            out = out @ ind.fock_tensor_identity(phi_inf(ind.fock, payload))
         else:
-            out = out @ ind.fock_tensor_identity(weighted_creation(space, ws, payload))
+            out = out @ ind.fock_tensor_identity(weighted_creation(ind.fock, ws, payload))
     return out
 
 
@@ -329,7 +328,7 @@ def _span_generators(problem: PickProblem, ws: WeightSystem):
     ind = problem.ind
     cauchy = [CauchyKernel(z, ws).column for z in problem.points]
     cols_b, cols_f = [[] for _ in cauchy], [[] for _ in cauchy]
-    for unit in CommutantAlgebra(ind.rep).units():
+    for unit in ind.rep.commutant_units():
         left = ind.dual_left(unit)  # one K x K left action alive at a time
         for i, column in enumerate(cauchy):
             base = left @ column  # K x h
@@ -388,20 +387,17 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     r_consistency = residual(r_op @ coords_b, coords_f)
     r_margin = operator_norm(r_op) - 1.0
 
-    base_model = dual_lift_model(DualStructure(ind, ws))
-    model_sum = base_model.amplify(problem.t + problem.s)
-    split = problem.t * base_model.dim  # the t copies come first, then the s copies
-    idx = np.arange(model_sum.dim)
+    base = dual_lift_model(DualStructure(ind, ws))
     g12 = r_op.conj().T  # J_F coords -> J_B coords
     try:
-        g_tilde, trace = two_space_lift(model_sum, idx[:split], idx[split:], q_f, q_b, g12,
-                                        hypothesis_tol=1e-3)
+        g_tilde, trace = two_space_lift(base, problem.t, problem.s, q_f, q_b, g12, 1e-3)
     except _HypothesisError as exc:
         raise ValueError(f"kernel spans: {exc}; the truncation cannot support this instance, "
                          "raise N or move the points inward") from exc
     hyp_budget = max(1e-9, 2.0 * max(trace["hypothesis"].values()))
 
-    vacuum = model_sum.prefix_idx(0)[:problem.t * ind.rep.h_dim]  # K_0 of the t copies
+    # K_0 of each copy of K^(t), the domain of g_tilde
+    vacuum = (base.dim * np.arange(problem.t)[:, None] + base.prefix_idx(0)).ravel()
     evaluations, residuals_out = [], []
     for i, column in enumerate(cauchy):
         left = np.kron(np.eye(problem.s), column)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import TruncatedFock, phi_inf, weighted_creation
+from .fock import phi_inf, weighted_creation
 from .graphs import CorrElement, _random_module_map, path_basis
 from .induced import InducedSpace
 from .lifting import LiftModel, LiftState
@@ -109,10 +109,9 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     graph = ind.graph
-    space = TruncatedFock(graph, ind.levels)
 
     def w_tensor(xi: CorrElement) -> np.ndarray:
-        return ind.fock_tensor_identity(weighted_creation(space, ws, xi))
+        return ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi))
 
     def validator(state: LiftState, new_state: LiftState) -> dict[str, float]:
         model = state.model
@@ -147,7 +146,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
         out["beta_absorbs"] = residual(beta_xi @ alpha_y, beta(w_xi @ y_word))
         # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
         a = rng_complex(rng, graph.n_vertices)
-        phi_a = ind.fock_tensor_identity(phi_inf(space, a))
+        phi_a = ind.fock_tensor_identity(phi_inf(ind.fock, a))
         basis_k = path_basis(graph, k)
         a_conj_xi = CorrElement(k, np.conj(a)[list(basis_k.ranges)] * xi.coeffs)
         out["beta_left_module"] = residual(

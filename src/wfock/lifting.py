@@ -119,8 +119,9 @@ class LiftModel:
     xi of the level-k power, ``insertions[k]`` holds L_{xi^}: H -> K as (rows,
     cols), K coordinate rows[i] receiving H index cols[i], and ``creations[k]``
     the weighted creation W at the inverse weight product applied to xi: its
-    one band block K_{<=N-k} -> K_{>=k}, at k = 0 its diagonal.  The ``copies``
-    direct summands (copy-major layout) share the creations."""
+    one band block K_{<=N-k} -> K_{>=k}.  Both lists start at level 1; level 0,
+    which no lift step reads, is empty.  The ``copies`` direct summands
+    (copy-major layout) share the creations."""
 
     dim: int
     levels: int
@@ -141,8 +142,6 @@ class LiftModel:
         level subspaces, so the prefix coordinate sets interleave rather than
         stay contiguous.
         """
-        if copies == 1:
-            return self
         eye, shift, h = np.eye(copies), np.arange(copies)[:, None], self.prefix_idx(0).size
         return LiftModel(
             dim=self.dim * copies,
@@ -177,7 +176,7 @@ class LiftModel:
         out_band = out_band.conj().transpose(0, 2, 1)  # copies x d_out x band_rows
         in_band = q_in.reshape(self.copies, base, -1)[:, :band_cols].reshape(-1, q_in.shape[1])
         for blk, ins in zip(self.creations[k], self.insertions[k]):
-            per_copy = out_band @ blk if k else out_band * blk  # copies x d_out x band_cols
+            per_copy = out_band @ blk  # copies x d_out x band_cols
             yield per_copy.transpose(1, 0, 2).reshape(-1, in_band.shape[0]) @ in_band, ins
 
 
@@ -376,9 +375,10 @@ def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np
 
 
 def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
-                   hypothesis_tol: float = 1e-9, step_validator=None):
+                   step_validator=None):
     """Lift a commuting operator on a co-invariant subspace to all of K.
 
+    A hypothesis residual above 1e-9 raises a _HypothesisError naming it.
     Returns (g_tilde, trace) with the hypothesis residuals in trace["hypothesis"]
     and the four conclusions residual-checked in trace["conclusions"]:
     co-invariance of the adjoint, compression back to the input, commutation
@@ -387,7 +387,7 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     """
     j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
     pairs = [(x, x) for x in model.generators]
-    hypotheses = _hypotheses(g_on_j, j_frame, j_frame, pairs, hypothesis_tol, ("J", "J"))
+    hypotheses = _hypotheses(g_on_j, j_frame, j_frame, pairs, 1e-9, ("J", "J"))
     g_tilde, steps, g_final = _loop(model, j_frame, g_on_j, step_validator)
     for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
         step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
@@ -395,37 +395,38 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
         g_tilde, g_on_j, j_frame, j_frame, pairs, "commutation")}
 
 
-def two_space_lift(model_sum: LiftModel, idx1: np.ndarray, idx2: np.ndarray,
-                   j1_frame: np.ndarray, j2_frame: np.ndarray, g12: np.ndarray,
-                   hypothesis_tol: float = 1e-9):
-    """Two-representation lifting by the Putnam trick.
+def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
+                   j2_frame: np.ndarray, g12: np.ndarray, hypothesis_tol: float):
+    """Two-representation lifting by the Putnam trick, between the amplifications
+    K^(t) and K^(s) of one model.
 
-    ``idx1``/``idx2`` are the coordinates of the two induced spaces inside
-    the direct-sum space, in their own coordinate order; ``g12`` maps J_1
+    ``j1_frame`` lives in K^(t), ``j2_frame`` in K^(s), and ``g12`` maps J_1
     coordinates to J_2 coordinates.  The hypotheses are checked on the
-    summands (orthonormal frames, generators exactly zero between them, J_i
-    co-invariant under the idx_i slices, g12 intertwining the compressions),
-    and one above ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
-    [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on the sum space and the
+    summands (orthonormal frames, J_i co-invariant under the amplified
+    generators, g12 intertwining the compressions), and one above
+    ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
+    [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on K^(t+s) = ``base.amplify(t + s)``,
+    whose copy-major layout puts K^(t) in the first t dim coordinates, and the
     lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
     carry the corollary's hypothesis and four conclusion residuals.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
-    if any(g[np.ix_(idx1, idx2)].any() or g[np.ix_(idx2, idx1)].any()
-           for g in model_sum.generators):
-        raise _HypothesisError("the generators mix the two summands")
 
     def pairs():  # rebuilt after the loop rather than held through it
-        return [(g[np.ix_(idx1, idx1)], g[np.ix_(idx2, idx2)]) for g in model_sum.generators]
+        eye_t, eye_s = np.eye(t), np.eye(s)
+        return [(np.kron(eye_t, g), np.kron(eye_s, g)) for g in base.generators]
 
     hypotheses = _hypotheses(g12, j1_frame, j2_frame, pairs(), hypothesis_tol, ("J_1", "J_2"))
+    model_sum = base.amplify(t + s)
+    split = t * base.dim
     d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
     j_frame = np.zeros((model_sum.dim, d1 + d2), dtype=complex)
-    j_frame[idx1, :d1] = j1_frame
-    j_frame[idx2, d1:] = j2_frame
+    j_frame[:split, :d1] = j1_frame
+    j_frame[split:, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
     g_tilde0, steps, _ = _loop(model_sum, j_frame, g0, None)
-    g_tilde = g_tilde0[np.ix_(idx2, idx1)]
+    g_tilde = g_tilde0[split:, :split].copy()
+    del model_sum, g_tilde0  # the sum space is not held through the conclusions
     return g_tilde, {"steps": steps, "hypothesis": hypotheses,
                      "conclusions": _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs())}

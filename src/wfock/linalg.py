@@ -50,10 +50,10 @@ def max_operator_norm(mats) -> float:
     return best
 
 
-def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Hermitian square root, clipping eigenvalues in [-floor, 0] to 0.
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Hermitian square root, clipping eigenvalues in [-1e-12, 0] to 0.
 
-    Raises ValueError if an eigenvalue falls below -floor * max(1, ||a||).
+    Raises ValueError if an eigenvalue falls below -1e-12 * max(1, ||a||).
     """
     a = as_complex(a)
     if a.size == 0:
@@ -61,7 +61,7 @@ def psd_sqrt(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     h = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(abs(w).max()))
-    if w.min() < -floor * scale:
+    if w.min() < -1e-12 * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -95,16 +95,16 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _unit_columns(x[:m]), np.clip(w[top], 0.0, None), _unit_columns(x[m:]).conj().T
 
 
-def pinv(a: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular value threshold.
+def pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the relative singular value threshold PINV_TOL.
 
-    The formula is ``np.linalg.pinv``'s with ``rcond=tol``, on the factors of ``_svd``.
+    The formula is ``np.linalg.pinv``'s with ``rcond=PINV_TOL``, on the factors of ``_svd``.
     """
     a = as_complex(a)
     if a.size == 0:
         return a.conj().T.copy()
     u, s, vt = _svd(a.conjugate())
-    large = s > tol * s.max()
+    large = s > PINV_TOL * s.max()
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return vt.T @ (s[:, None] * u.T)

@@ -63,17 +63,16 @@ class AdmissibleSequence:
         return compute_R(self)
 
     @classmethod
-    def from_scalar(cls, graph: GraphCorrespondence, xs,
-                    levels: int | None = None) -> "AdmissibleSequence":
-        """Lift a scalar sequence (x_1, x_2, ...) to X_k = x_k * I per level."""
+    def from_scalar(cls, graph: GraphCorrespondence, xs, levels: int) -> "AdmissibleSequence":
+        """Lift a scalar sequence (x_1, x_2, ...) to X_k = x_k * I for k = 1..levels;
+        x_k beyond the sequence is 0."""
         xs = [float(x) for x in xs]
-        n = levels if levels is not None else len(xs)
         mats = [np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)]
-        for k in range(1, n + 1):
+        for k in range(1, levels + 1):
             d = path_basis(graph, k).size
             xk = xs[k - 1] if k - 1 < len(xs) else 0.0
             mats.append(xk * np.eye(d, dtype=complex))
-        return cls(graph, n, mats)
+        return cls(graph, levels, mats)
 
     def validate(self):
         g = self.graph
@@ -115,7 +114,8 @@ def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
     A sum that overflows, or fails PSD beyond tolerance, marks X invalid.  Read
     R through ``AdmissibleSequence.R``, which calls this once per sequence.
     """
-    r2 = _first_part_sums(x.X, partial(tensor_pair, x.graph))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is named below
+        r2 = _first_part_sums(x.X, partial(tensor_pair, x.graph))
     rs = [r2[0]]
     for i in range(1, x.levels + 1):
         if not np.isfinite(r2[i]).all():

@@ -21,7 +21,7 @@ import numpy as np
 from wfock.duality import DualStructure, _in_frame
 from wfock.fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis, tensor_pair
-from wfock.induced import CommutantAlgebra, InducedSpace, Representation
+from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
 from wfock.jsonio import encode_matrix
 from wfock.lifting import LiftModel, LiftState, _frame_coinvariance
@@ -137,21 +137,22 @@ def weight_diagonal(space: TruncatedFock, Z: WeightSystem, k: int) -> FockOperat
 # ---------------------------------------------------------------------------
 
 
-def contains(alg: CommutantAlgebra, a: np.ndarray, tol: float = 1e-12) -> bool:
+def contains(rep: Representation, a: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether a lies in sigma(M)': one full m_v x m_v block per vertex."""
     a = as_complex(a)
     mask = np.zeros_like(a, dtype=bool)
-    for v in range(alg.rep.n_vertices):
-        sl = alg.rep.block(v)
+    for v in range(rep.n_vertices):
+        sl = rep.block(v)
         mask[sl, sl] = True
     off = a[~mask]
     return bool(off.size == 0 or np.abs(off).max() <= tol * max(1.0, operator_norm(a)))
 
 
-def project(alg: CommutantAlgebra, a: np.ndarray) -> np.ndarray:
+def project(rep: Representation, a: np.ndarray) -> np.ndarray:
     a = as_complex(a)
     out = np.zeros_like(a)
-    for v in range(alg.rep.n_vertices):
-        sl = alg.rep.block(v)
+    for v in range(rep.n_vertices):
+        sl = rep.block(v)
         out[sl, sl] = a[sl, sl]
     return out
 
@@ -215,7 +216,7 @@ def direct_sum_embedding(ind1: InducedSpace, ind2: InducedSpace):
     # H_sum = ⊕_v C^{m1_v} ⊕ C^{m2_v}: a coordinate lies in K_1 when its H index is in the first part
     first = np.concatenate([np.arange(a + b) < a for a, b in
                             zip(ind1.rep.multiplicities, ind2.rep.multiplicities)])
-    first = first[ind_sum.coordinates[1]]
+    first = first[np.concatenate([ind_sum._cut(k, k)[1] for k in range(ind_sum.levels + 1)])]
     return ind_sum, np.flatnonzero(first), np.flatnonzero(~first)
 
 
@@ -272,6 +273,19 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
 def pi_sigma(s: DualStructure, y: FockOperator) -> np.ndarray:
     """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
     return _in_frame(s.ind.fock_tensor_identity(y), s.theta_full())
+
+
+def intertwiner(s: DualStructure, edges: tuple[int, ...], row: int) -> np.ndarray:
+    """The identification image of a basis tuple: a map H -> level k.
+
+    It sends the first H coordinate of the vertex r(f_k) to local index
+    ``row`` of the path (f_k, ..., f_1), the tuple's Theta coordinate, and
+    everything else to zero.  At level 0 it is the identity of H.
+    """
+    k = len(edges)
+    if k == 0:
+        return np.eye(s.rep.h_dim, dtype=complex)
+    return s._intertwiner(k, s.tuple_index(k)[tuple(edges), row])
 
 
 def _commutant_dim(gens: list[np.ndarray]) -> int:
@@ -340,7 +354,7 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0]  # K_{<=N-1} -> K_{>=1}
     c = CauchyKernel(z, ws)
     lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)) @ c.column)[ind.level_offsets[1]:]
-    coeff = xi_mat.conj().T @ ind.dual_left_level(as_complex(d_mat), 1) @ z.mat.conj().T
+    coeff = xi_mat.conj().T @ ind.dual_left_levels(as_complex(d_mat))[1] @ z.mat.conj().T
     rhs = ind.dual_left(coeff) @ c.column
     return residual(lhs, rhs[:band.shape[1], :])
 
@@ -393,13 +407,20 @@ class CoinvariantSubspace:
         return _frame_coinvariance(self.frame, self.model.generators)
 
 
-def gm_star_expansion_residual(state: LiftState) -> float:
-    """Residual of the adjoint expansion of G_m over the basis insertions."""
+def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:
+    """Residual of the adjoint expansion of G_m over the basis insertions, for a
+    primal lift model on ``ind``.  Lift models start at level 1, so the level-0
+    term, whose basis elements are the vertices, is built here from the vertex
+    projections phi(e_v) (x) I, each inserted at the H block of v."""
     model = state.model
     g_vec = model.vacuum(state.g_mat)
     acc = np.zeros((model.dim, state.dim_j), dtype=complex)
     q = state.frame
-    for k in range(model.levels + 1):
+    for v, a in enumerate(np.eye(ind.graph.n_vertices)):
+        alpha = q.conj().T @ ind.fock_tensor_identity(phi_inf(ind.fock, a)) @ q
+        block = ind.rep.block(v)
+        acc[block] += (g_vec.conj().T @ alpha.conj().T)[block]
+    for k in range(1, model.levels + 1):
         for alpha, (rows, cols) in model.compressions(k, q, q):
             acc[rows] += (g_vec.conj().T @ alpha.conj().T)[cols]
     return residual(acc, state.g_mat.conj().T)

@@ -263,8 +263,11 @@ def test_solve_input_eps_checked(tmp_path, eps):
     ("solve", dict(TWO_POINT, F=[[[[float("nan"), 0.0]]], [[[0.1, 0.0]]]]), "F[0]"),
     ("solve", dict(TWO_POINT, points=[{"scalar": [0.4, float("-inf")]}]), "points[0]"),
     ("validate", {"kernel_coeffs": [1.0, float("nan"), 0.3]}, "kernel_coeffs[1]"),
-    ("validate", {"graph": TWO_POINT["graph"], "X": {"scalar": [1e200]}}, "R_2^2"),
-    ("solve", dict(TWO_POINT, X={"scalar": [1e200]}), "R_2^2"),
+    # an overflowing sum is named without a RuntimeWarning on the way
+    pytest.param("validate", {"graph": TWO_POINT["graph"], "X": {"scalar": [1e200]}}, "R_2^2",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("solve", dict(TWO_POINT, X={"scalar": [1e200]}), "R_2^2",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_non_finite_number_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "n.json", obj), N=4))

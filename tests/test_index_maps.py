@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
-from oracles import direct_sum_embedding, factor_prefix, inner_product, pi_sigma, weight_diagonal
+from oracles import direct_sum_embedding, factor_prefix, inner_product, intertwiner, pi_sigma, \
+    weight_diagonal
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
     DualBasisElement,
@@ -417,10 +418,11 @@ def ref_rho_creation(s, t_mat, k):
 
 
 def ref_primal_basis_ops(ind, ws):
-    """Per level, (insertion L_{p^}, weighted creation at Z^{(k)-1} p) as whole-space matrices."""
+    """Per level k >= 1, (insertion L_{p^}, weighted creation at Z^{(k)-1} p) as whole-space
+    matrices; level 0 is empty, as in the lift models."""
     space = TruncatedFock(ind.graph, ind.levels)
-    out = []
-    for k in range(ind.levels + 1):
+    out = [[]]
+    for k in range(1, ind.levels + 1):
         zinv, emb = ws.z_prod_inv(k), ref_level_embed(ind, k)
         out.append([(emb @ ind.insertion_map(CorrElement.basis_vector(ind.graph, k, p)),
                      ref_fock_tensor_identity(
@@ -431,12 +433,12 @@ def ref_primal_basis_ops(ind, ws):
 
 def ref_dual_basis_ops(s):
     ind, ws = s.ind, s.ws
-    out = [[(ref_level_embed(ind, 0), np.eye(ind.dim, dtype=complex))]]
+    out = [[]]
     for k in range(1, ind.levels + 1):
         zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
         level = []
         for t in s.tuples(k):
-            t_mat = s.intertwiner(t.edges, t.row)
+            t_mat = intertwiner(s, t.edges, t.row)
             level.append((ref_level_embed(ind, k) @ t_mat,
                           ref_rho_creation(s, zinv_ind @ t_mat, k)))
         out.append(level)
@@ -455,16 +457,12 @@ def _dense_insertion(model, ins):
     return out
 
 
-def _dense_creation(model, k, blk):
-    """A stored creation as a whole-space matrix: the band block (the diagonal
-    at level 0) on every copy."""
+def _dense_creation(model, blk):
+    """A stored creation as a whole-space matrix: the band block on every copy."""
     base = model.dim // model.copies
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for s in range(0, model.dim, base):
-        if k == 0:
-            out[s:s + base, s:s + base] = np.diag(blk)
-        else:
-            out[s + base - blk.shape[0]:s + base, s:s + blk.shape[1]] = blk
+        out[s + base - blk.shape[0]:s + base, s:s + blk.shape[1]] = blk
     return out
 
 
@@ -522,15 +520,15 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
         z[rows, cols] = rng_complex(rng, rows.stop - rows.start, cols.stop - cols.start)
     for k in range(n + 1):
         d = path_basis(graph, k).size
-        assert np.array_equal(ind.dual_left_level(a_mat, k), ref_dual_left_level(ind, a_mat, k))
+        assert np.array_equal(ind.dual_left_levels(a_mat)[k], ref_dual_left_level(ind, a_mat, k))
         assert np.array_equal(ind.sigma_level(a, k), ref_sigma_level(ind, a, k))
         xi = CorrElement(k, rng_complex(rng, d))
         xi.coeffs[rng.random(d) < 0.3] = 0.0
         assert np.array_equal(ind.insertion_map(xi), ref_insertion_map(ind, xi))
-        for p in range(d):
-            assert np.array_equal(_dense_insertion(model, model.insertions[k][p]),
-                                  ref_basis_inserter(ind, k, p))
-        if k >= 1:
+        if k >= 1:  # the lift models start at level 1
+            for p in range(d):
+                assert np.array_equal(_dense_insertion(model, model.insertions[k][p]),
+                                      ref_basis_inserter(ind, k, p))
             assert np.array_equal(ind.lower_by_point(z, k), ref_lower_by_point(ind, z, k))
         # an intertwiner H -> level k: block v of H lands on paths with range v
         ranges = np.repeat(np.array(path_basis(graph, k).ranges, dtype=int), ind.block_sizes[k])
@@ -569,11 +567,11 @@ def test_dual_left_levels_is_the_per_level_gather_and_keeps_the_kernel_sums(grap
     w, z = points
     phi = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
     for k, zx in z.weighted_powers.items():
-        phi += zx @ ind.dual_left_level(a_mat, k) @ z.powers[k].conj().T
+        phi += zx @ ind.dual_left_levels(a_mat)[k] @ z.powers[k].conj().T
     assert z.phi_value(a_mat).tobytes() == phi.tobytes()
     kernel = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
     for k, wr in w.kernel_powers.items():
-        kernel += wr @ ind.dual_left_level(a_mat, k) @ z.powers[k].conj().T
+        kernel += wr @ ind.dual_left_levels(a_mat)[k] @ z.powers[k].conj().T
     assert kernel_value(w, z, a_mat).tobytes() == kernel.tobytes()
 
 
@@ -632,10 +630,10 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
     for k in range(n + 1):
         assert s.tuples(k) == ref_tuples(s, k)
         for t in s.tuples(k):
-            assert np.array_equal(s.intertwiner(t.edges, t.row), ref_intertwiner(s, t.edges, t.row))
+            assert np.array_equal(intertwiner(s, t.edges, t.row), ref_intertwiner(s, t.edges, t.row))
         th = ref_theta(s, k)
         assert np.array_equal(np.eye(ind.level_dim(k))[s.theta(k)], th)
-        assert np.array_equal(s.phi_prime(a, k), ref_conjugate(th, ind.dual_left_level(a, k)))
+        assert np.array_equal(s.phi_prime(a, k), ref_conjugate(th, ind.dual_left_levels(a)[k]))
     dw = dual_weights(s, x)
     for k in range(1, n + 1):
         th = ref_theta(s, k)
@@ -654,7 +652,7 @@ def test_omega_matches_the_dense_frame_product(graph, n):
     assume(graph.faithful_left_action)  # the second dual needs the reversed graph full
     ind = InducedSpace(graph, Representation((1,) * graph.n_vertices), n)
     ws = weight_system_from(AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n))
-    omega, s1, s2, _, _ = omega_transport(ind, ws)
+    omega, s1, s2, _ = omega_transport(ind, ws)
     assert np.array_equal(np.eye(ind.dim)[omega], ref_theta_full(s2) @ ref_theta_full(s1))
 
 
@@ -698,29 +696,31 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
         sides.append((model, ref_dual_basis_ops(s), True))
         ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j))
                     for v, i, j in s.rep.commutant_basis()]
-        ref_gens += [ref_rho_creation(s, s.intertwiner(t.edges, t.row), 1) for t in s.tuples(1)]
+        ref_gens += [ref_rho_creation(s, intertwiner(s, t.edges, t.row), 1) for t in s.tuples(1)]
         assert len(model.generators) == len(ref_gens)
         assert all(_same_bytes(m, ref) for m, ref in zip(model.generators, ref_gens))
     for model, ref, exact_creations in sides:
-        for k in range(n + 1):
+        assert model.insertions[0] == [] and model.creations[0] == []
+        for k in range(1, n + 1):
+            assert len(model.insertions[k]) == len(model.creations[k]) == len(ref[k])
             for (rows, cols), blk, (ref_ins, ref_wc) in zip(model.insertions[k],
                                                             model.creations[k], ref[k]):
                 ref_rows, ref_cols = np.nonzero(ref_ins)
                 assert _same_bytes(rows, ref_rows) and _same_bytes(cols, ref_cols)
                 if exact_creations:
                     band = ref_wc[ind.level_offsets[k]:, :ind.level_offsets[n + 1 - k]]
-                    assert _same_bytes(blk, band if k else np.diagonal(ref_wc).copy())
+                    assert _same_bytes(blk, band)
         amp, ref = model.amplify(copies), ref_amplify(ref, copies)
         assert amp.copies == copies and amp.creations is model.creations
         assert [len(level) for level in amp.insertions] == [len(level) for level in ref]
         q_out = np.linalg.qr(rng_complex(rng, amp.dim, 3))[0]
         q_in = np.linalg.qr(rng_complex(rng, amp.dim, 2))[0]
         g = rng_complex(rng, 2, amp.dim)
-        for k in range(n + 1):
+        for k in range(1, n + 1):
             terms = list(amp.compressions(k, q_out, q_in))
             for blk, (beta, ins), (ref_ins, ref_wc) in zip(amp.creations[k], terms, ref[k]):
                 assert np.array_equal(_dense_insertion(amp, ins), ref_ins)
-                assert np.array_equal(_dense_creation(amp, k, blk), ref_wc)
+                assert np.array_equal(_dense_creation(amp, blk), ref_wc)
                 want = q_out.conj().T @ ref_wc @ q_in
                 assert np.abs(beta - want).max() <= 1e-13 * max(1.0, np.abs(ref_wc).max())
                 assert np.array_equal(amp.inserted(g, ins), g @ ref_ins)

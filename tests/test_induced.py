@@ -7,7 +7,7 @@ import wfock.induced
 from oracles import contains, gamma_conjugation_residual, gamma_decomposition, project
 from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, weighted_creation
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
-from wfock.induced import CommutantAlgebra, InducedSpace, Representation
+from wfock.induced import InducedSpace, Representation
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, weight_system_from
 
@@ -27,14 +27,12 @@ def test_representation_basics():
 
 def test_commutant_algebra():
     rep = Representation((2, 1))
-    alg = CommutantAlgebra(rep)
-    assert alg.dim == 5
-    units = alg.units()
+    units = rep.commutant_units()
     assert len(units) == 5
     for u in units:
-        assert contains(alg, u)
+        assert contains(rep, u)
         assert np.allclose(u @ rep.sigma([1.0, 2.0]), rep.sigma([1.0, 2.0]) @ u)
-    assert not contains(alg, np.ones((3, 3)))
+    assert not contains(rep, np.ones((3, 3)))
 
 
 def test_induced_dims():
@@ -65,7 +63,7 @@ def test_dual_left_commutes_with_primal():
     ind = InducedSpace(CYCLE2, rep, 3)
     space = TruncatedFock(CYCLE2, 3)
     rng = np.random.default_rng(1)
-    a_mat = project(CommutantAlgebra(rep), rng_complex(rng, 4, 4))
+    a_mat = project(rep, rng_complex(rng, 4, 4))
     da = ind.dual_left(a_mat)
     for e in range(CYCLE2.n_edges):
         t = ind.fock_tensor_identity(creation(space, CorrElement.basis_vector(CYCLE2, 1, e)))

@@ -2,12 +2,15 @@
 
 ``wfock.__all__`` must be an explicit list of names, and every public
 top-level function or class in ``src/wfock``, and every public method of
-such a class, must be referenced by name outside its own definition from
-code that runs without the tests: a module of ``src/wfock`` other than
-``__init__.py``, ``tools/`` or ``perfbench/``.  Re-exporting a name from
-``__init__.py`` or calling it from ``tests/`` does not count; a reference
-computation only the tests need belongs in ``tests/oracles.py``.  No module
-in ``src/wfock`` or ``tests/`` imports a name it never reads.
+such a class, must be referenced outside its own definition from code that
+runs without the tests: a module of ``src/wfock`` other than
+``__init__.py``, ``tools/`` or ``perfbench/``.  A function or class counts
+as referenced by its name as a word, a method only by an attribute access
+``.name``, so a method name that also names a variable, a keyword or a
+function does not count.  Re-exporting a name from ``__init__.py`` or
+calling it from ``tests/`` does not count; a reference computation only the
+tests need belongs in ``tests/oracles.py``.  No module in ``src/wfock`` or
+``tests/`` imports a name it never reads.
 """
 
 import ast
@@ -54,7 +57,8 @@ def test_every_public_definition_is_referenced():
     unreferenced = []
     for path, label, node in _public_definitions():
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        pattern = re.compile(rf"\b{re.escape(node.name)}\b")
+        prefix = r"\." if "." in label else r"\b"  # a method is reached as an attribute
+        pattern = re.compile(rf"{prefix}{re.escape(node.name)}\b")
         for other, lines in sources.items():
             if other == path:
                 lines = lines[:first - 1] + lines[node.end_lineno:]
