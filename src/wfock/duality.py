@@ -14,16 +14,16 @@ with C^{(i,k)} = Z^{(i)} ((Z^{(i-k)})^{-1} (x) I_k) the prefix-sided weight
 product.  These images generate the commutant of {Y (x) I_H}, which is what
 the double-commutant checks and the interpolation solver consume.
 
-Concretely we fix a product-structured orthonormal basis of each dual tensor
-power: the level-1 elements alpha_{e,i} place the matrix unit E_{i,0} at edge
-e, and longer elements chain edges by s(e_{j+1}) = r(e_j) with the row index
-carried by the first factor only.  The chains are exactly the paths of the
-reversed graph.  Every basis element is a matrix unit: tuple (f_1, ..., f_k; i)
-sends one H coordinate to local index i of the primal path (f_k, ..., f_1).
-So the decomposition unitary Theta_k of the dual induced space is a
-permutation of the level-k induced coordinates, stored as the coordinate of
-each tuple, and conjugating by it is a gather.  Dual module operators are
-plain matrices indexed by basis tuples.
+The dual has the graded module calculus of E, and shares its code.  The
+dual basis at level k is Theta_k, a permutation of the level-k induced
+coordinates: the tuple (f_1, ..., f_k; i) is the matrix unit that sends the
+first H coordinate of the vertex r(f_k) to local index i of the primal path
+(f_k, ..., f_1).  Its legs are the primal edges read backwards, and only the
+first leg carries a row.  ``DualStructure.cut`` reads their cuts off the
+primal cuts through Theta, so the structure is the legs of
+``graphs.embed_prefix``, ``embed_suffix`` and ``tensor_pair`` and of a
+``WeightSystem`` of the dual weights Z'.  Dual module operators are matrices
+over the tuples in Theta order, and conjugating by Theta is a gather.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import phi_inf, weighted_creation
-from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
+from .graphs import CorrElement, GraphCorrespondence, embed_prefix, path_basis
 from .induced import InducedSpace, Representation
 from .lifting import LiftModel
 from .linalg import as_complex, nullspace, operator_norm, pinv, residual
@@ -119,29 +119,19 @@ def _right_nested(ind: InducedSpace, factors: list[np.ndarray], tail: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# structured orthonormal bases of dual tensor powers, and Theta frames
+# the dual basis Theta, its legs, and transported dual operators
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualBasisElement:
-    """A basis element of (E^sigma)^{(x)k}: an edge chain plus one row index.
-
-    The chain satisfies s(e_{j+1}) = r(e_j); only the first factor carries a
-    free row index i < m_{s(e_1)}.  The inner product of the element is the
-    rank-one matrix unit at (vertex r(e_k), coordinate 0).
-    """
-
-    edges: tuple[int, ...]
-    row: int
-    vertex: int
-
-
 class DualStructure:
-    """Structured dual bases, Theta frames, transported dual operators, and the
-    dual module operators in the Theta frame: matrices of <t, A' u> over basis
-    tuples (inner products are rank one, so entries are scalars), whose identity
-    legs restrict to equal prefixes or equal suffixes of the tuples."""
+    """The dual basis Theta_k, the cuts of its legs, and the transported dual
+    operators.
+
+    A dual module operator is a matrix over the level-k tuples in Theta order
+    (inner products are rank one, so entries are scalars).  ``cut`` makes this
+    object the legs of ``graphs.embed_prefix``, ``embed_suffix`` and
+    ``tensor_pair``, and of a ``WeightSystem`` of dual weights.
+    """
 
     def __init__(self, ind: InducedSpace, ws: WeightSystem):
         if not ind.graph.full:
@@ -150,80 +140,63 @@ class DualStructure:
         self.ws = ws
         self.graph = ind.graph
         self.rep = ind.rep
-        self._levels: dict[int, tuple[list[DualBasisElement], np.ndarray]] = {}
-        self._splits: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._frames: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cuts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- bases ----------------------------------------------------------------
+    # -- the basis and its legs -----------------------------------------------
 
-    def _level(self, k: int) -> tuple[list[DualBasisElement], np.ndarray]:
-        """The level-k tuples and the induced coordinate of each.
-
-        The chains are the reversed graph's paths in lex order, grouped by
-        first edge and then by row; tuple (f_1, ..., f_k; i) sits at local
-        index i of the primal path (f_k, ..., f_1).
-        """
-        if k not in self._levels:
+    def _frame(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Theta_k as a coordinate array, and its inverse permutation."""
+        if k not in self._frames:
+            ind = self.ind
             if k == 0:
-                self._levels[0] = ([DualBasisElement((), 0, -1)], np.arange(self.rep.h_dim))
+                theta = np.arange(self.rep.h_dim)
             else:
-                chains = path_basis(self.graph.reversed(), k)
-                index = path_basis(self.graph, k).index_map()
-                offs = self.ind.block_offsets[k]
-                tuples, coords = [], []
-                for e, group in itertools.groupby(zip(chains.paths, chains.sources),
-                                                  key=lambda pv: pv[0][0]):
-                    group = list(group)
-                    for i in range(self.rep.multiplicities[self.graph.source(e)]):
-                        for edges, vtx in group:
-                            tuples.append(DualBasisElement(edges, i, vtx))
-                            coords.append(offs[index[edges[::-1]]] + i)
-                self._levels[k] = (tuples, np.array(coords, dtype=np.intp))
-            self._levels[k][1].flags.writeable = False
-        return self._levels[k]
-
-    def tuples(self, k: int) -> list[DualBasisElement]:
-        """The level-k basis, lex ordered in the first edge, then the row, then the rest."""
-        return self._level(k)[0]
-
-    def tuple_index(self, k: int) -> dict[tuple[tuple[int, ...], int], int]:
-        return {(t.edges, t.row): n for n, t in enumerate(self.tuples(k))}
-
-    def _split(self, k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per level-k tuple: the index of its first a legs with its row in
-        ``tuples(a)``, and of its remaining legs with row 0 in ``tuples(k - a)``
-        (a >= 1)."""
-        if (k, a) not in self._splits:
-            pre, suf = self.tuple_index(a), self.tuple_index(k - a)
-            ts = self.tuples(k)
-            self._splits[k, a] = (np.array([pre[t.edges[:a], t.row] for t in ts], dtype=np.intp),
-                                  np.array([suf[t.edges[a:], 0] for t in ts], dtype=np.intp))
-        return self._splits[k, a]
-
-    def _intertwiner(self, k: int, n: int) -> np.ndarray:
-        """The identification image of the n-th level-k tuple (k >= 1), a map H -> level k
-        written from its insertion.
-
-        For the tuple (f_1, ..., f_k; i) it sends the first H coordinate of the
-        vertex r(f_k) to local index i of the path (f_k, ..., f_1), the tuple's
-        Theta coordinate, and everything else to zero.
-        """
-        out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
-        out[self._insertion(k, n)] = 1.0
-        return out
-
-    def _insertion(self, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n-th level-k tuple's intertwiner (k >= 1) as (rows, cols), level-k
-        coordinate rows[i] receiving H index cols[i]: one entry, at theta(k)[n]."""
-        return self.theta(k)[n:n + 1], np.array([self.rep.offsets[self.tuples(k)[n].vertex]])
+                path = ind._cut(k, k)[0]
+                paths = np.array(path_basis(self.graph, k).paths, dtype=np.intp).reshape(-1, k)
+                offsets = np.array(ind.block_offsets[k], dtype=np.intp)
+                edges, row = paths[path].T, np.arange(ind.level_dim(k)) - offsets[path]
+                theta = np.lexsort((*edges[:-1], row, edges[-1]))  # the last key sorts first
+            theta.flags.writeable = False
+            inverse = np.empty_like(theta)
+            inverse[theta] = np.arange(theta.size)
+            self._frames[k] = (theta, inverse)
+        return self._frames[k]
 
     def theta(self, k: int) -> np.ndarray:
         """Theta_k as the level-k induced coordinate of each dual basis tuple.
 
-        Theta_k is the permutation matrix ``np.eye(level_dim(k))[theta(k)]``:
-        row t is the adjoint of the single nonvanishing column of the t-th
-        intertwiner.  At level 0 it is the identity of H.
+        The tuple (f_1, ..., f_k; i) sits at local index i of the primal path
+        (f_k, ..., f_1), and the tuples are ordered by f_1, then i, then
+        f_2, ..., f_k.  Theta_k is the permutation matrix
+        ``np.eye(level_dim(k))[theta(k)]``: row t is the adjoint of the single
+        nonvanishing column of the t-th intertwiner.  At level 0 it is the
+        identity of H.
         """
-        return self._level(k)[1]
+        return self._frame(k)[0]
+
+    def cut(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per level-k tuple (f_1, ..., f_k; i): the index in Theta_j of its first
+        j legs with row i, and the index in Theta_{k-j} of its last k - j legs
+        with row 0.
+
+        The dual legs run along the primal path backwards, so this is the
+        primal cut after k - j edges read through Theta and its inverse.  At
+        j = 0 the first array holds the H index; at j = k the second holds the
+        H coordinate the tuple's intertwiner reads, the first one of r(f_k).
+        """
+        if (k, j) not in self._cuts:
+            suf_path, pre_coord = (idx[self.theta(k)] for idx in self.ind._cut(k, k - j))
+            suf_coord = np.array(self.ind.block_offsets[k - j], dtype=np.intp)[suf_path]
+            self._cuts[k, j] = (self._frame(j)[1][pre_coord], self._frame(k - j)[1][suf_coord])
+        return self._cuts[k, j]
+
+    def _intertwiner(self, k: int, n: int) -> np.ndarray:
+        """The identification image of the n-th level-k tuple (k >= 1), a map H -> level k
+        whose one 1 sends the H coordinate ``cut(k, k)[1][n]`` to ``theta(k)[n]``."""
+        out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
+        out[self.theta(k)[n], self.cut(k, k)[1][n]] = 1.0
+        return out
 
     def theta_full(self) -> np.ndarray:
         """The whole-space coordinate of each dual basis element, level by level."""
@@ -252,52 +225,19 @@ class DualStructure:
         ind = self.ind
         out = [(f"phi'({v},{i},{j})", ind.dual_left(self.rep.commutant_unit(v, i, j)))
                for v, i, j in self.rep.commutant_basis()]
-        bands = self.rho_creation([self._intertwiner(1, n) for n in range(len(self.tuples(1)))], 1)
-        for t, band in zip(self.tuples(1), bands):  # each band padded to the whole space
-            out.append((f"W'({t.edges[0]},{t.row})",
+        theta = self.theta(1)
+        bands = self.rho_creation([self._intertwiner(1, n) for n in range(theta.size)], 1)
+        edge = ind._cut(1, 1)[0]  # per level-1 coordinate: its edge; its row is the local index
+        for c, band in zip(theta, bands):  # each band padded to the whole space
+            out.append((f"W'({edge[c]},{c - ind.block_offsets[1][edge[c]]})",
                         np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))))
         return out
-
-    # -- dual module operators in the Theta frame -----------------------------
-
-    def embed_suffix(self, m: np.ndarray, a: int, k: int) -> np.ndarray:
-        """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
-        pre, suf = self._split(k, a)
-        return _masked_gather(m, suf, suf, pre, pre)
-
-    def embed_prefix(self, m: np.ndarray, b: int, k: int) -> np.ndarray:
-        """B' (x) I'_b for B' on the first k - b dual legs (b >= 1)."""
-        if b == k:
-            # a level-0 factor is an element of sigma(M)'; it acts as phi'
-            return self.phi_prime(as_complex(m), k)
-        pre, suf = self._split(k, k - b)
-        return _masked_gather(m, pre, pre, suf, suf)
-
-    def tensor(self, m_a: np.ndarray, a: int, m_b: np.ndarray, b: int) -> np.ndarray:
-        """A' (x) B' on level a + b of the dual powers."""
-        return self.embed_prefix(m_a, b, a + b) @ self.embed_suffix(m_b, a, a + b)
-
-    def phi_prime(self, a_mat: np.ndarray, k: int) -> np.ndarray:
-        """The dual left action phi'_k(A) in the Theta frame: I_k (x) A gathered
-        at the Theta-permuted coordinates."""
-        pre, h = (idx[self.theta(k)] for idx in self.ind._cut(k, k))
-        return _masked_gather(a_mat, h, h, pre, pre)
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
         return [np.eye(self.rep.h_dim, dtype=complex)] + [
             _in_frame(self.ind.level_tensor_identity(self.ws.c_quotient(k), k), self.theta(k))
             for k in range(1, self.ind.levels + 1)]
-
-    def z_products(self, zp: list[np.ndarray]) -> list[np.ndarray]:
-        """Telescoping products Z'^{(k)} = Z'_k (I'_1 (x) Z'_{k-1}) ... ."""
-        out = [np.eye(self.rep.h_dim, dtype=complex)]
-        for k in range(1, len(zp)):
-            acc = zp[k].copy()
-            for a in range(1, k):
-                acc = acc @ self.embed_suffix(zp[k - a], a, k)
-            out.append(acc)
-        return out
 
 
 def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -356,34 +296,35 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
 
     def basis(k):
         zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
-        tuples = range(len(structure.tuples(k)))
+        rows, cols = structure.theta(k), structure.cut(k, k)[1]
+        tuples = range(rows.size)
         # a product: a column gather of zinv_ind would keep signs of zeros that
         # the product's sums set, and rho_creation carries them into the bands
         bands = structure.rho_creation([zinv_ind @ structure._intertwiner(k, n) for n in tuples], k)
-        return zip((structure._insertion(k, n) for n in tuples), bands)
+        return zip(((rows[n:n + 1], cols[n:n + 1]) for n in tuples), bands)
 
     return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
 
 
 @dataclass
 class DualWeightData:
-    """Transported weights: C_k on the primal side, X'_k and Z'_k dual-side."""
+    """Transported weights: X'_k and Z'_k dual-side, and the laws' residuals."""
 
-    C: list[np.ndarray]
     X_prime: list[np.ndarray]
     Z_prime: list[np.ndarray]
     residuals: dict[str, float]
 
 
 def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
-    """Extract C_k, X'_k, Z'_k and verify the dual weight laws.
+    """Extract X'_k and Z'_k and verify the dual weight laws.
 
     X'_k and Z'_k are the unique dual module operators with
     U_k^* (X_k (x) I) U_k = X'_k (x) I and U_k^* (C_k (x) I) U_k = Z'_k (x) I;
     in the Theta frame the extraction is a gather.  The verification is
     genuinely dual-sided: R'^2_k is rebuilt from X' by the composition
-    recursion, Z'^{(k)} from the Z'_j by dual products, and then the weight
-    law Z'^{(k)*} Z'^{(k)} = R'^{-2}_k and the quotient law
+    recursion and Z'^{(k)} from the Z'_j by the telescoping products of a
+    ``WeightSystem`` over the dual legs, and then the weight law
+    Z'^{(k)*} Z'^{(k)} = R'^{-2}_k and the quotient law
     U_k^* (Z_k (x) I) U_k = Z'^{(k)} (Z'^{(k-1)} (x) I'_1)^{-1} are checked.
     """
     s = structure
@@ -393,28 +334,27 @@ def dual_weights(structure: DualStructure, x_seq) -> DualWeightData:
         if not np.array_equal(np.sort(s.theta(k)), np.arange(ind.level_dim(k))):
             raise ValueError(f"dual basis frame at level {k} is not unitary (its coordinates "
                              "are not a permutation of the level); representation or basis invalid")
-    C = [ws.c_quotient(k) for k in range(levels + 1)]
     Zp = s.z_matrices()
     Xp: list[np.ndarray] = [np.zeros((s.rep.h_dim, s.rep.h_dim), dtype=complex)]
     res = {"commutant": 0.0, "weight_law": 0.0, "quotient_law": 0.0}
     for k in range(1, levels + 1):
         Xp.append(_in_frame(ind.level_tensor_identity(as_complex(x_seq.X[k]), k), s.theta(k)))
         for v, i, j in s.rep.commutant_basis():
-            phi = s.phi_prime(s.rep.commutant_unit(v, i, j), k)
+            phi = embed_prefix(s, s.rep.commutant_unit(v, i, j), 0, k)
             res["commutant"] = max(res["commutant"],
                                    residual(Xp[k] @ phi, phi @ Xp[k]),
                                    residual(Zp[k] @ phi, phi @ Zp[k]))
-    r2p = _first_part_sums(Xp, s.tensor)
-    zprod = s.z_products(Zp)
+    r2p = _first_part_sums(Xp, s)
+    wsp = WeightSystem(s, levels, Zp)
     for k in range(1, levels + 1):
-        if len(s.tuples(k)) == 0:
+        if ind.level_dim(k) == 0:
             continue
+        zpk = wsp.z_prod(k)
         res["weight_law"] = max(res["weight_law"],
-                                residual(zprod[k].conj().T @ zprod[k], np.linalg.inv(r2p[k])))
+                                residual(zpk.conj().T @ zpk, np.linalg.inv(r2p[k])))
         lhs = _in_frame(ind.level_tensor_identity(ws.Z[k], k), s.theta(k))
-        cpk = zprod[k] @ np.linalg.inv(s.embed_prefix(zprod[k - 1], 1, k))
-        res["quotient_law"] = max(res["quotient_law"], residual(lhs, cpk))
-    return DualWeightData(C, Xp, Zp, res)
+        res["quotient_law"] = max(res["quotient_law"], residual(lhs, wsp.c_quotient(k)))
+    return DualWeightData(Xp, Zp, res)
 
 
 # ---------------------------------------------------------------------------
@@ -601,4 +541,4 @@ def _tuple_coefficients(s2: DualStructure, mat: np.ndarray) -> np.ndarray:
 
     Each tuple's intertwiner is a single 1, so its coefficient is one entry of ``mat``.
     """
-    return mat[s2.theta(1), [s2.rep.offsets[t.vertex] for t in s2.tuples(1)]]
+    return mat[s2.theta(1), s2.cut(1, 1)[1]]

@@ -14,7 +14,7 @@ package is taken relative to these orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +76,31 @@ class GraphCorrespondence:
         """The graph with every edge reversed (same edge ids)."""
         return GraphCorrespondence(self.n_vertices, tuple((r, s) for s, r in self.edges))
 
+    @lru_cache(maxsize=None)
+    def cut(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix and suffix index of each level-k path, cut after its first j edges.
+
+        The prefix indexes ``path_basis(self, j)``, the suffix
+        ``path_basis(self, k - j)``.  An empty prefix is the vertex unit at
+        the range r(p), an empty suffix the one at the source s(p), so every
+        cut 0 <= j <= k is a pair of index arrays.
+        """
+        if not 0 <= j <= k:
+            raise ValueError("split point out of range")
+        basis = path_basis(self, k)
+
+        def indices(level, parts, units):
+            if level == 0:
+                out = np.array(units, dtype=np.intp)
+            else:
+                index = path_basis(self, level).index_map()
+                out = np.array([index[p] for p in parts], dtype=np.intp)
+            out.flags.writeable = False  # shared by every caller through the cache
+            return out
+
+        return (indices(j, [p[:j] for p in basis.paths], basis.ranges),
+                indices(k - j, [p[j:] for p in basis.paths], basis.sources))
+
 
 @dataclass(frozen=True)
 class PathBasis:
@@ -90,7 +115,6 @@ class PathBasis:
     paths: tuple[tuple[int, ...], ...]
     sources: tuple[int, ...]
     ranges: tuple[int, ...]
-    graph: GraphCorrespondence | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -100,16 +124,6 @@ class PathBasis:
         if self.level == 0:
             return {v: i for i, v in enumerate(self.sources)}
         return {p: i for i, p in enumerate(self.paths)}
-
-    def split(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix and suffix index of each path, cut after its first j edges.
-
-        The prefix indexes ``path_basis(graph, j)``, the suffix
-        ``path_basis(graph, level - j)``.  An empty prefix is the vertex unit
-        at the range r(p), an empty suffix the one at the source s(p), so
-        every cut 0 <= j <= level is a pair of index arrays.
-        """
-        return _split(self.graph, self.level, j)
 
 
 @lru_cache(maxsize=None)
@@ -146,27 +160,7 @@ def path_basis(graph: GraphCorrespondence, k: int) -> PathBasis:
                     sources.append(prev.sources[i])
                     ranges.append(re)
         basis = PathBasis(k, tuple(paths), tuple(sources), tuple(ranges))
-    object.__setattr__(basis, "graph", graph)
     return basis
-
-
-@lru_cache(maxsize=None)
-def _split(graph: GraphCorrespondence, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= j <= k:
-        raise ValueError("split point out of range")
-    basis = path_basis(graph, k)
-
-    def indices(level, parts, units):
-        if level == 0:
-            out = np.array(units, dtype=np.intp)
-        else:
-            index = path_basis(graph, level).index_map()
-            out = np.array([index[p] for p in parts], dtype=np.intp)
-        out.flags.writeable = False  # shared by every caller through the cache
-        return out
-
-    return (indices(j, [p[:j] for p in basis.paths], basis.ranges),
-            indices(k - j, [p[j:] for p in basis.paths], basis.sources))
 
 
 def _masked_gather(m, rows, cols, row_keys, col_keys) -> np.ndarray:
@@ -227,38 +221,42 @@ def insertion_matrix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> np.
     the source vertex.  Incomposable levels give correctly shaped zero
     matrices rather than errors.
     """
-    pre, suf = path_basis(graph, j + xi.level).split(xi.level)
+    pre, suf = graph.cut(j + xi.level, xi.level)
     n_in = path_basis(graph, j).size
     return _masked_gather(xi.coeffs[:, None], pre, np.zeros(n_in, dtype=np.intp),
                           suf, np.arange(n_in))
 
 
-def embed_prefix(graph: GraphCorrespondence, a_mat: np.ndarray, a: int, k: int) -> np.ndarray:
-    """(A (x) I_{k-a}) on E^{(x)k} for A acting on the first a edges.
+def embed_prefix(legs, a_mat: np.ndarray, a: int, k: int) -> np.ndarray:
+    """(A (x) I_{k-a}) at level k for A acting on the first a legs.
 
-    For a = 0 the module map A on M acts through the path range.
+    ``legs`` is anything with a ``cut(k, j)``: a graph, whose legs are edges,
+    or a ``duality.DualStructure``, whose legs are dual tensor factors.  For
+    a = 0 the operator A acts on the cut's empty prefix: a module map on M
+    through the path range, an element of sigma(M)' through the H index.
     """
     if a == k:
         return as_complex(a_mat)
-    pre, suf = path_basis(graph, k).split(a)
+    pre, suf = legs.cut(k, a)
     return _masked_gather(a_mat, pre, pre, suf, suf)
 
 
-def embed_suffix(graph: GraphCorrespondence, b_mat: np.ndarray, b: int, k: int) -> np.ndarray:
-    """(I_{k-b} (x) B) on E^{(x)k} for B acting on the last b edges.
+def embed_suffix(legs, b_mat: np.ndarray, b: int, k: int) -> np.ndarray:
+    """(I_{k-b} (x) B) at level k for B acting on the last b legs.
 
-    For b = 0 the operator B lives on M; it acts through the path source and
-    must commute with nothing extra, so only diagonal B is meaningful there.
+    For b = 0 on a graph the operator B lives on M; it acts through the path
+    source and must commute with nothing extra, so only diagonal B is
+    meaningful there.
     """
     if b == k:
         return as_complex(b_mat)
-    pre, suf = path_basis(graph, k).split(k - b)
+    pre, suf = legs.cut(k, k - b)
     return _masked_gather(b_mat, suf, suf, pre, pre)
 
 
-def tensor_pair(graph: GraphCorrespondence, a_mat: np.ndarray, a: int, b_mat: np.ndarray, b: int) -> np.ndarray:
-    """A (x) B on E^{(x)(a+b)} from A on E^{(x)a} and B on E^{(x)b}."""
+def tensor_pair(legs, a_mat: np.ndarray, a: int, b_mat: np.ndarray, b: int) -> np.ndarray:
+    """A (x) B at level a + b from A at level a and B at level b."""
     k = a + b
     if a == 0 or b == 0:
         raise ValueError("tensor factors must have positive level")
-    return embed_prefix(graph, a_mat, a, k) @ embed_suffix(graph, b_mat, b, k)
+    return embed_prefix(legs, a_mat, a, k) @ embed_suffix(legs, b_mat, b, k)

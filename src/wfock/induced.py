@@ -143,7 +143,7 @@ class InducedSpace:
             offs = self.block_offsets[k]
             path = np.repeat(np.arange(len(offs) - 1), self.block_sizes[k])
             local = np.arange(offs[-1]) - np.array(offs, dtype=np.intp)[path]
-            pre, suf = path_basis(self.graph, k).split(j)
+            pre, suf = self.graph.cut(k, j)
             self._cuts[k, j] = (pre[path],
                                 np.array(self.block_offsets[k - j], dtype=np.intp)[suf[path]] + local)
         return self._cuts[k, j]

@@ -96,12 +96,17 @@ class DiscPoint:
 
     def phi_value(self, a: np.ndarray) -> np.ndarray:
         """Phi_z(A) = sum_{k>=1} z^{(k)} (X_k (x) A) z^{(k)*}, exact for the data."""
-        ind = self.ind
-        out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-        blocks = ind.dual_left_levels(a)
-        for k, zx in self.weighted_powers.items():
-            out += zx @ blocks[k] @ self.powers[k].conj().T
-        return out
+        return _power_sum(self.weighted_powers, self, a)
+
+
+def _power_sum(left: dict[int, np.ndarray], z: DiscPoint, a: np.ndarray) -> np.ndarray:
+    """sum_k L_k (I_k (x) A) z^{(k)*} over the levels k of the left powers L_k."""
+    ind = z.ind
+    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    blocks = ind.dual_left_levels(a)
+    for k, lk in left.items():
+        out += lk @ blocks[k] @ z.powers[k].conj().T
+    return out
 
 
 @dataclass
@@ -181,12 +186,7 @@ class CauchyKernel:
 
 def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
     """The truncated Szego-type kernel K(w, z)(A) = sum w^{(k)} (R_k^2 (x) A) z^{(k)*}."""
-    ind = w.ind
-    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-    blocks = ind.dual_left_levels(a)
-    for k, wr in w.kernel_powers.items():
-        out += wr @ blocks[k] @ z.powers[k].conj().T
-    return out
+    return _power_sum(w.kernel_powers, z, a)
 
 
 def szego_kernel(cw: CauchyKernel, cz: CauchyKernel, a: np.ndarray):

@@ -160,6 +160,11 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
             if d and (comm := _left_commutator(x.graph, z, k)) > 1e-8:  # weight_system_from's bound
                 raise ValueError(f"Z.matrices.{k}: not a module map, its commutator with the "
                                  f"left action is {comm:.2e}")
+            if d:
+                try:  # validation inverts the products Z^{(k)}
+                    np.linalg.inv(z)
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"Z.matrices.{k}: not invertible") from None
             zs.append(z)
         return weight_system_from(x, Z=zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")

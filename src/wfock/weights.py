@@ -24,7 +24,7 @@ of ``AdmissibleSequence.R``, and everything downstream reads it from there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
     R through ``AdmissibleSequence.R``, which calls this once per sequence.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is named below
-        r2 = _first_part_sums(x.X, partial(tensor_pair, x.graph))
+        r2 = _first_part_sums(x.X, x.graph)
     rs = [r2[0]]
     for i in range(1, x.levels + 1):
         if not np.isfinite(r2[i]).all():
@@ -127,27 +127,33 @@ def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
     return rs
 
 
-def _first_part_sums(xs: list[np.ndarray], tensor) -> list[np.ndarray]:
+def _first_part_sums(xs: list[np.ndarray], legs) -> list[np.ndarray]:
     """R_0^2 = I and R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2 for k >= 1.
 
-    ``tensor(A, a, B, b)`` is A (x) B for A at level a and B at level b; empty
-    levels are skipped.  The graph side (X_k) and the dual side (X'_k) share it.
+    The tensor products are taken over ``legs`` (see ``graphs.embed_prefix``),
+    so the graph side (X_k) and the dual side (X'_k) share it; empty levels
+    are skipped.
     """
     r2 = [np.eye(xs[0].shape[0], dtype=complex)]
     for k in range(1, len(xs)):
         acc = np.zeros(xs[k].shape, dtype=complex)
         for j in range(1, k + 1):
             if xs[j].size:
-                acc += xs[j] if j == k else tensor(xs[j], j, r2[k - j], k - j)
+                acc += xs[j] if j == k else tensor_pair(legs, xs[j], j, r2[k - j], k - j)
         r2.append(acc)
     return r2
 
 
 @dataclass
 class WeightSystem:
-    """Weights Z with cached products Z^{(k)}, Z^{(k,j)} and inverses."""
+    """Weights Z with cached products Z^{(k)}, Z^{(k,j)} and inverses.
 
-    graph: GraphCorrespondence
+    The products are taken over ``legs`` (see ``graphs.embed_prefix``): a graph
+    for the weights of E, a ``duality.DualStructure`` for the dual weights Z'.
+    ``validate`` checks the laws against R and needs a graph.
+    """
+
+    legs: object
     levels: int
     Z: list[np.ndarray]
     R: list[np.ndarray] | None = None
@@ -156,22 +162,25 @@ class WeightSystem:
         self.Z = [as_complex(z) for z in self.Z]
         if len(self.Z) != self.levels + 1:
             raise ValueError("need Z_0 .. Z_N")
-        if residual(self.Z[0], np.eye(self.graph.n_vertices)) > ATOL:
+        if residual(self.Z[0], self._eye(0)) > ATOL:
             raise ValueError("Z_0 must be the identity on M")
         self._zprod: dict[int, np.ndarray] = {}
         self._zprod_inv: dict[int, np.ndarray] = {}
         self._zbetween: dict[tuple[int, int], np.ndarray] = {}
 
+    def _eye(self, k: int) -> np.ndarray:
+        """The identity of level k, sized by the level's cut."""
+        return np.eye(self.legs.cut(k, 0)[0].size, dtype=complex)
+
     def z_prod(self, k: int) -> np.ndarray:
         """Z^{(k)} = Z_k (I_1 (x) Z_{k-1}) ... (I_{k-1} (x) Z_1)."""
         if k not in self._zprod:
-            g = self.graph
             if k == 0:
-                acc = np.eye(g.n_vertices, dtype=complex)
+                acc = self._eye(0)
             else:
                 acc = self.Z[k].copy()
                 for a in range(1, k):
-                    acc = acc @ embed_suffix(g, self.Z[k - a], k - a, k)
+                    acc = acc @ embed_suffix(self.legs, self.Z[k - a], k - a, k)
             self._zprod[k] = acc
         return self._zprod[k]
 
@@ -186,20 +195,19 @@ class WeightSystem:
         if not (0 <= j <= k):
             raise ValueError("need 0 <= j <= k")
         if j == k:
-            d = path_basis(self.graph, k).size
-            return np.eye(d, dtype=complex)
+            return self._eye(k)
         if j == 0:
             return self.z_prod(k)
         if (k, j) not in self._zbetween:
-            inner = np.linalg.inv(embed_suffix(self.graph, self.z_prod(j), j, k))
+            inner = np.linalg.inv(embed_suffix(self.legs, self.z_prod(j), j, k))
             self._zbetween[k, j] = self.z_prod(k) @ inner
         return self._zbetween[k, j]
 
     def c_quotient(self, k: int) -> np.ndarray:
         """C_k = Z^{(k)} (Z^{(k-1)} (x) I_1)^{-1}; the prefix-sided quotient."""
         if k == 0:
-            return np.eye(self.graph.n_vertices, dtype=complex)
-        inner = embed_prefix(self.graph, self.z_prod(k - 1), k - 1, k)
+            return self._eye(0)
+        inner = embed_prefix(self.legs, self.z_prod(k - 1), k - 1, k)
         return self.z_prod(k) @ np.linalg.inv(inner)
 
     def c_between(self, i: int, k: int) -> np.ndarray:
@@ -207,18 +215,17 @@ class WeightSystem:
         if not (0 <= k <= i):
             raise ValueError("need 0 <= k <= i")
         if k == 0:
-            d = path_basis(self.graph, i).size
-            return np.eye(d, dtype=complex)
+            return self._eye(i)
         if k == i:
             return self.z_prod(i)
-        inner = embed_prefix(self.graph, self.z_prod_inv(i - k), i - k, i)
+        inner = embed_prefix(self.legs, self.z_prod_inv(i - k), i - k, i)
         return self.z_prod(i) @ inner
 
     def validate(self) -> dict[str, float]:
         """Residuals of the defining laws against the attached R sequence."""
         if self.R is None:
             raise ValueError("no R sequence attached")
-        g = self.graph
+        g = self.legs
         out = {"weight_law": 0.0, "projection_law": 0.0, "telescope": 0.0, "commutant": 0.0}
         for k in range(self.levels + 1):
             d = path_basis(g, k).size

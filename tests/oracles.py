@@ -2,13 +2,14 @@
 
 Each function here restates an identity of the theory by a second route, or
 builds a small object only a test needs: the literal composition sum for
-R_k^2, the M-valued inner product, the unitary gamma_k, pi_sigma on the dual
-frame, direct sums of representations, point evaluation on generator words,
-the levelwise kernel identities and the adjoint expansion of G_m.  None of
-them is on a path the CLI, the acceptance suite, ``tools/`` or ``perfbench/``
-runs, so they live beside the tests, which import them as ``from oracles
-import ...``.  A method of a library class becomes a function of that object
-here, e.g. ``prefix_columns(model, n)`` for ``model.prefix_columns(n)``.
+R_k^2, the M-valued inner product, the unitary gamma_k, the dual basis as
+labelled tuples and pi_sigma on its frame, direct sums of representations,
+point evaluation on generator words, the levelwise kernel identities and the
+adjoint expansion of G_m.  None of them is on a path the CLI, the acceptance
+suite, ``tools/`` or ``perfbench/`` runs, so they live beside the tests,
+which import them as ``from oracles import ...``.  A method of a library
+class becomes a function of that object here, e.g.
+``prefix_columns(model, n)`` for ``model.prefix_columns(n)``.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def factor_prefix(graph: GraphCorrespondence, xi: CorrElement, j: int) -> list[t
     k = xi.level
     if not (1 <= j <= k):
         raise ValueError("prefix length out of range")
-    pre, suf = path_basis(graph, k).split(j)
+    pre, suf = graph.cut(k, j)
     nz = xi.coeffs != 0
     table = np.zeros((path_basis(graph, j).size, path_basis(graph, k - j).size), dtype=complex)
     table[pre[nz], suf[nz]] = xi.coeffs[nz]
@@ -236,7 +237,8 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
     a = rng.standard_normal(ind.graph.n_vertices)
     img = pi_sigma(s, phi_inf(space, a))
     # diagonal in the dual frame: sigma(a) on level 0, a at the vertex of each tuple above
-    vertices = [t.vertex for k in range(1, ind.levels + 1) for t in s.tuples(k)]
+    vertices = [ind.graph.range_(edges[-1])
+                for k in range(1, ind.levels + 1) for edges, _ in dual_tuples(s, k)]
     expected = np.diag(np.concatenate([np.diag(ind.rep.sigma(a)), a[vertices]]))
     out["left_action_formula"] = residual(img, expected)
 
@@ -285,7 +287,20 @@ def intertwiner(s: DualStructure, edges: tuple[int, ...], row: int) -> np.ndarra
     k = len(edges)
     if k == 0:
         return np.eye(s.rep.h_dim, dtype=complex)
-    return s._intertwiner(k, s.tuple_index(k)[tuple(edges), row])
+    return s._intertwiner(k, dual_tuples(s, k).index((tuple(edges), row)))
+
+
+def dual_tuples(s: DualStructure, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The level-k dual basis as (edges, row) pairs, in Theta order.
+
+    The tuple at Theta coordinate c is (f_1, ..., f_k; i) when c is local
+    index i of the primal path (f_k, ..., f_1).  Level 0 is the one tuple
+    ((), 0), whose intertwiner is the identity of H.
+    """
+    if k == 0:
+        return [((), 0)]
+    paths, path = path_basis(s.graph, k).paths, s.ind._cut(k, k)[0]
+    return [(paths[path[c]][::-1], int(c) - s.ind.block_offsets[k][path[c]]) for c in s.theta(k)]
 
 
 def _commutant_dim(gens: list[np.ndarray]) -> int:

@@ -240,6 +240,9 @@ EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
                                                      [[0.0, 0.0], [1.0, 0.0]]],
                                     "3": EYE2, "4": EYE2}}},
      "Z.matrices.2: not a module map, its commutator with the left action is 1.00e+00"),
+    ("weights", {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                 "Z": {"matrices": {"1": [[0]], "2": [[1]], "3": [[1]], "4": [[1]]}}},
+     "Z.matrices.1: not invertible"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))

@@ -14,11 +14,10 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
-from oracles import direct_sum_embedding, factor_prefix, inner_product, intertwiner, pi_sigma, \
-    weight_diagonal
+from oracles import direct_sum_embedding, dual_tuples, factor_prefix, inner_product, intertwiner, \
+    pi_sigma, weight_diagonal
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
-    DualBasisElement,
     DualStructure,
     _lift_model,
     dual_lift_model,
@@ -42,7 +41,7 @@ from wfock.graphs import (
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import DiscPoint, kernel_value
 from wfock.linalg import operator_norm, residual, rng_complex
-from wfock.weights import AdmissibleSequence, weight_system_from
+from wfock.weights import AdmissibleSequence, WeightSystem, weight_system_from
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -311,24 +310,30 @@ def ref_lower_by_point(ind, z, j):
     return out
 
 
+def _tuple_index(s, k):
+    return {t: n for n, t in enumerate(dual_tuples(s, k))}
+
+
 def ref_dual_embed_suffix(s, m, a, k):
-    tuples, idx_suf = s.tuples(k), s.tuple_index(k - a)
+    """I'_a (x) B' for B' on the last k - a dual legs (a >= 1)."""
+    tuples, idx_suf = dual_tuples(s, k), _tuple_index(s, k - a)
     out = np.zeros((len(tuples), len(tuples)), dtype=complex)
-    for r, t in enumerate(tuples):
-        for c, u in enumerate(tuples):
-            if u.edges[:a] == t.edges[:a] and u.row == t.row:
-                out[r, c] = m[idx_suf[(t.edges[a:], 0)], idx_suf[(u.edges[a:], 0)]]
+    for r, (t_edges, t_row) in enumerate(tuples):
+        for c, (u_edges, u_row) in enumerate(tuples):
+            if u_edges[:a] == t_edges[:a] and u_row == t_row:
+                out[r, c] = m[idx_suf[(t_edges[a:], 0)], idx_suf[(u_edges[a:], 0)]]
     return out
 
 
 def ref_dual_embed_prefix(s, m, b, k):
+    """B' (x) I'_b for B' on the first k - b dual legs (b < k)."""
     a = k - b
-    tuples, idx_pre = s.tuples(k), s.tuple_index(a)
+    tuples, idx_pre = dual_tuples(s, k), _tuple_index(s, a)
     out = np.zeros((len(tuples), len(tuples)), dtype=complex)
-    for r, t in enumerate(tuples):
-        for c, u in enumerate(tuples):
-            if u.edges[a:] == t.edges[a:]:
-                out[r, c] = m[idx_pre[(t.edges[:a], t.row)], idx_pre[(u.edges[:a], u.row)]]
+    for r, (t_edges, t_row) in enumerate(tuples):
+        for c, (u_edges, u_row) in enumerate(tuples):
+            if u_edges[a:] == t_edges[a:]:
+                out[r, c] = m[idx_pre[(t_edges[:a], t_row)], idx_pre[(u_edges[:a], u_row)]]
     return out
 
 
@@ -355,10 +360,12 @@ def ref_chains(graph, start, length):
 
 
 def ref_tuples(s, k):
+    """The level-k dual basis as (edges, row, vertex): chains lex ordered in the
+    first edge, then the row, then the rest; the vertex is where the chain ends."""
     if k == 0:
-        return [DualBasisElement((), 0, -1)]
+        return [((), 0, -1)]
     g = s.graph
-    return [DualBasisElement((e,) + chain, i, vtx) for e in range(g.n_edges)
+    return [((e,) + chain, i, vtx) for e in range(g.n_edges)
             for i in range(s.rep.multiplicities[g.source(e)])
             for chain, vtx in ref_chains(g, g.range_(e), k - 1)]
 
@@ -381,8 +388,8 @@ def ref_theta(s, k):
         return np.eye(s.rep.h_dim, dtype=complex)
     tuples = ref_tuples(s, k)
     out = np.zeros((len(tuples), s.ind.level_dim(k)), dtype=complex)
-    for n, t in enumerate(tuples):
-        out[n, :] = ref_intertwiner(s, t.edges, t.row)[:, s.rep.offsets[t.vertex]].conj()
+    for n, (edges, row, vtx) in enumerate(tuples):
+        out[n, :] = ref_intertwiner(s, edges, row)[:, s.rep.offsets[vtx]].conj()
     return out
 
 
@@ -437,8 +444,8 @@ def ref_dual_basis_ops(s):
     for k in range(1, ind.levels + 1):
         zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
         level = []
-        for t in s.tuples(k):
-            t_mat = intertwiner(s, t.edges, t.row)
+        for edges, row in dual_tuples(s, k):
+            t_mat = intertwiner(s, edges, row)
             level.append((ref_level_embed(ind, k) @ t_mat,
                           ref_rho_creation(s, zinv_ind @ t_mat, k)))
         out.append(level)
@@ -593,11 +600,10 @@ def test_dual_assemblies_match_the_loops(graph, n, data):
     rng = _rng(data)
     for k in range(2, n + 1):
         for a in range(1, k):
-            m = rng_complex(rng, len(s.tuples(k - a)), len(s.tuples(k - a)))
-            assert np.array_equal(s.embed_suffix(m, a, k), ref_dual_embed_suffix(s, m, a, k))
-            m = rng_complex(rng, len(s.tuples(a)), len(s.tuples(a)))
-            assert np.array_equal(s.embed_prefix(m, k - a, k),
-                                  ref_dual_embed_prefix(s, m, k - a, k))
+            m = rng_complex(rng, ind.level_dim(k - a), ind.level_dim(k - a))
+            assert np.array_equal(embed_suffix(s, m, k - a, k), ref_dual_embed_suffix(s, m, a, k))
+            m = rng_complex(rng, ind.level_dim(a), ind.level_dim(a))
+            assert np.array_equal(embed_prefix(s, m, a, k), ref_dual_embed_prefix(s, m, k - a, k))
     ind2 = InducedSpace(graph, rep2, n)
     ind_sum, idx1, idx2 = direct_sum_embedding(ind, ind2)
     emb1, emb2 = np.eye(ind_sum.dim)[:, idx1], np.eye(ind_sum.dim)[:, idx2]
@@ -628,12 +634,12 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
     s = DualStructure(ind, weight_system_from(x))
     a = _commutant_element(rng, rep)
     for k in range(n + 1):
-        assert s.tuples(k) == ref_tuples(s, k)
-        for t in s.tuples(k):
-            assert np.array_equal(intertwiner(s, t.edges, t.row), ref_intertwiner(s, t.edges, t.row))
+        assert dual_tuples(s, k) == [(edges, row) for edges, row, _ in ref_tuples(s, k)]
+        for edges, row in dual_tuples(s, k):
+            assert np.array_equal(intertwiner(s, edges, row), ref_intertwiner(s, edges, row))
         th = ref_theta(s, k)
         assert np.array_equal(np.eye(ind.level_dim(k))[s.theta(k)], th)
-        assert np.array_equal(s.phi_prime(a, k), ref_conjugate(th, ind.dual_left_levels(a)[k]))
+        assert np.array_equal(embed_prefix(s, a, 0, k), ref_conjugate(th, ind.dual_left_levels(a)[k]))
     dw = dual_weights(s, x)
     for k in range(1, n + 1):
         th = ref_theta(s, k)
@@ -644,6 +650,35 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
     y = _fock_module_map(rng, ind.fock)
     assert np.array_equal(pi_sigma(s, y),
                           ref_conjugate(ref_theta_full(s), ind.fock_tensor_identity(y)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.integers(1, 3), st.data())
+def test_dual_weight_system_matches_the_loops(graph, n, data):
+    """A WeightSystem over the dual legs gives, bit for bit, the telescoping products
+    and quotients of the per-tuple loop embeddings, and the cut(k, 0) gather is
+    Theta_k (I_k (x) A) Theta_k^*."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    s = DualStructure(ind, weight_system_from(_random_graph_x(graph, n, rng)))
+    zp = s.z_matrices()
+    ws = WeightSystem(s, n, zp)
+    a_mat = _commutant_element(rng, rep)
+    zprod = [np.eye(rep.h_dim, dtype=complex)]
+    for k in range(1, n + 1):
+        path, h = (idx[s.theta(k)] for idx in ind._cut(k, k))
+        phi = _masked_gather(a_mat, h, h, path, path)
+        assert _same_bytes(embed_prefix(s, a_mat, 0, k), phi)
+        assert np.array_equal(phi, ref_conjugate(ref_theta(s, k), ind.dual_left_levels(a_mat)[k]))
+        acc = zp[k].copy()
+        for a in range(1, k):
+            acc = acc @ ref_dual_embed_suffix(s, zp[k - a], a, k)
+        zprod.append(acc)
+        assert _same_bytes(ws.z_prod(k), acc)
+        prev = (_masked_gather(zprod[0], h, h, path, path) if k == 1
+                else ref_dual_embed_prefix(s, zprod[k - 1], 1, k))
+        assert _same_bytes(ws.c_quotient(k), acc @ np.linalg.inv(prev))
 
 
 @settings(max_examples=20, deadline=None)
@@ -696,7 +731,8 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
         sides.append((model, ref_dual_basis_ops(s), True))
         ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j))
                     for v, i, j in s.rep.commutant_basis()]
-        ref_gens += [ref_rho_creation(s, intertwiner(s, t.edges, t.row), 1) for t in s.tuples(1)]
+        ref_gens += [ref_rho_creation(s, intertwiner(s, edges, row), 1)
+                     for edges, row in dual_tuples(s, 1)]
         assert len(model.generators) == len(ref_gens)
         assert all(_same_bytes(m, ref) for m, ref in zip(model.generators, ref_gens))
     for model, ref, exact_creations in sides:

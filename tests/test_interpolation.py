@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import intertwiner, iota_w_star_check, levelwise_residual, power_residual, \
-    prefix_columns, project, quadratic_form_gap, representation_eval
+from oracles import dual_tuples, intertwiner, iota_w_star_check, levelwise_residual, \
+    power_residual, prefix_columns, project, quadratic_form_gap, representation_eval
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence
 from wfock.induced import InducedSpace, Representation
@@ -268,8 +268,9 @@ def test_iota_w_star():
         s = DualStructure(ind, ws)
         rng = np.random.default_rng(6)
         # random dual element and commutant element
-        xi = sum(coef * intertwiner(s, t.edges, t.row)
-                 for coef, t in zip(rng_complex(rng, len(s.tuples(1))), s.tuples(1)))
+        tuples = dual_tuples(s, 1)
+        xi = sum(coef * intertwiner(s, edges, row)
+                 for coef, (edges, row) in zip(rng_complex(rng, len(tuples)), tuples))
         d = project(ind.rep, rng_complex(rng, 2, 2))
         assert iota_w_star_check(z, ws, xi, d) < 1e-9
         assert iota_w_star_check(z, ws, xi, np.eye(2, dtype=complex)) < 1e-9

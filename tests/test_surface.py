@@ -9,8 +9,8 @@ as referenced by its name as a word, a method only by an attribute access
 ``.name``, so a method name that also names a variable, a keyword or a
 function does not count.  Re-exporting a name from ``__init__.py`` or
 calling it from ``tests/`` does not count; a reference computation only the
-tests need belongs in ``tests/oracles.py``.  No module in ``src/wfock`` or
-``tests/`` imports a name it never reads.
+tests need belongs in ``tests/oracles.py``.  No module in ``src/wfock``, ``tests/`` or ``tools/``
+imports a name it never reads.
 """
 
 import ast
@@ -88,6 +88,7 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}:{name}"
-              for folder in (PACKAGE, ROOT / "tests") for path in sorted(folder.glob("*.py"))
+              for folder in (PACKAGE, ROOT / "tests", ROOT / "tools")
+              for path in sorted(folder.glob("*.py"))
               for name in _unused_imports(path)]
     assert not unused, unused
