@@ -4,6 +4,13 @@ Exit codes: 0 on success, 1 on input errors (malformed JSON, violated
 invariants or a failed allocation, each named), 2 on mathematical rejection (a
 non-admissible sequence or a Pick map that is not completely positive).
 Timing goes to stderr only, so reports are byte-identical across runs.
+
+Every problem sits over a setting: the graph, sigma, X and Z of its input at
+truncation N.  What is built from the setting alone (the decoded weights, the
+induced space and, for ``lift``, the primal lift model and the dual
+generators) is kept per process, so a loop of calls over a few settings
+builds each of them once.  Kept arrays are read-only, and the store holds at
+most ``SETTING_BYTES`` bytes, dropping the least recently used setting first.
 """
 
 from __future__ import annotations
@@ -13,13 +20,15 @@ import json
 import math
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import acceptance, jsonio
 from .duality import DualStructure, dual_weights, primal_lift_model
-from .fock import TruncatedFock, handysums_check, sums_to_projection_check, \
+from .fock import handysums_check, sums_to_projection_check, \
     tensor_element, weighted_creation
 from .graphs import CorrElement, path_basis
 from .induced import InducedSpace
@@ -37,6 +46,7 @@ from .linalg import residual, rng_complex
 from .weights import admissible_from_kernel_coeffs, scalar_r2
 
 COMMANDS = ("validate", "weights", "fock", "kernel", "pick", "solve", "lift", "selftest")
+SETTING_BYTES = 16 * 2**20  # the most array bytes kept settings may hold
 
 
 def _check_eps(value) -> float:
@@ -61,6 +71,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.N < 1:
             raise ValueError("N must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
         _check_eps(self.eps)
 
 
@@ -76,6 +88,83 @@ def _load(config: RunConfig) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"top-level JSON value must be an object, got {type(obj).__name__}")
     return obj
+
+
+class _Setting:
+    """The decoded setting of an input, and what is built from it alone.
+
+    The induced space and the lift data are built on first use.
+    """
+
+    def __init__(self, obj: dict, levels: int):
+        self.graph, self.rep, self.x, self.ws = jsonio.decode_setting(obj, levels)
+        self.levels = levels
+
+    @cached_property
+    def ind(self) -> InducedSpace:
+        return InducedSpace(self.graph, self.rep, self.levels)
+
+    @cached_property
+    def lift_model(self):
+        return primal_lift_model(self.ind, self.ws)
+
+    @cached_property
+    def dual_generators(self) -> list[np.ndarray]:
+        return [m for _, m in DualStructure(self.ind, self.ws).dual_generators()]
+
+
+# key -> (setting, its array bytes), the least recently used first
+_settings: OrderedDict[str, tuple[_Setting, int]] = OrderedDict()
+
+
+def _setting(obj: dict, levels: int) -> _Setting:
+    """The setting of ``obj`` at truncation ``levels``: the kept one, or a new one.
+
+    A new one is decoded and validated in full, and kept only if that succeeds.
+    """
+    key = json.dumps([obj.get(k) for k in ("graph", "sigma", "X", "Z")] + [levels],
+                     sort_keys=True)
+    setting, _ = _settings.pop(key, (None, 0))
+    if setting is None:
+        setting = _Setting(obj, levels)
+    _settings[key] = setting, 0
+    return setting
+
+
+def _freeze(root) -> int:
+    """Make every array reachable from ``root`` through wfock objects, dicts,
+    lists and tuples read-only; returns their summed bytes."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, np.ndarray):
+            node.flags.writeable = False
+            total += node.nbytes
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+        elif type(node).__module__.startswith(__package__ + "."):
+            stack.extend(vars(node).values())
+    return total
+
+
+def _keep_settings() -> None:
+    """After a call: freeze and count the last used setting, which the call may
+    have grown, then drop settings, least recently used first, until the kept
+    bytes fit ``SETTING_BYTES``.  A setting larger than that is not kept."""
+    if not _settings:
+        return
+    key, (setting, _) = _settings.popitem()
+    size = _freeze(setting)
+    if size <= SETTING_BYTES:
+        _settings[key] = setting, size
+    total = sum(n for _, n in _settings.values())
+    while total > SETTING_BYTES:
+        total -= _settings.popitem(last=False)[1][1]
 
 
 def _cmd_validate(config: RunConfig, obj: dict) -> dict:
@@ -99,7 +188,8 @@ def _cmd_validate(config: RunConfig, obj: dict) -> dict:
 
 
 def _cmd_weights(config: RunConfig, obj: dict) -> dict:
-    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
+    setting = _setting(obj, config.N)
+    ws = setting.ws
     res = ws.validate()
     out = {
         "residuals": {k: {"value": v, "tol": 1e-10} for k, v in res.items()},
@@ -108,8 +198,7 @@ def _cmd_weights(config: RunConfig, obj: dict) -> dict:
         "Z": jsonio.encode_weights(ws),
     }
     if "sigma" in obj:
-        structure = DualStructure(InducedSpace(graph, rep, config.N), ws)
-        data = dual_weights(structure, x)
+        data = dual_weights(DualStructure(setting.ind, ws), setting.x)
         out["dual"] = {
             "residuals": {k: {"value": v, "tol": 1e-9} for k, v in data.residuals.items()},
             "Z_prime": {"matrices": {str(k): jsonio.encode_matrix(data.Z_prime[k])
@@ -122,8 +211,9 @@ def _cmd_weights(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_fock(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
-    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
-    space = TruncatedFock(graph, config.N)
+    setting = _setting(obj, config.N)
+    graph, rep, x, ws = setting.graph, setting.rep, setting.x, setting.ws
+    space = setting.ind.fock
     handy = {}
     for k in range(0, config.N + 1):
         report = handysums_check(space, k, rng=rng, rep=rep)
@@ -149,11 +239,10 @@ def _cmd_fock(config: RunConfig, obj: dict) -> dict:
 
 
 def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
-    graph, rep, x, ws = jsonio.decode_setting(obj, config.N)
-    ind = InducedSpace(graph, rep, config.N)
-    points = jsonio.decode_points(jsonio.required(obj, "points"), ind, x)
-    eye = np.eye(rep.h_dim, dtype=complex)
-    cauchy = [CauchyKernel(z, ws) for z in points]
+    setting = _setting(obj, config.N)
+    points = jsonio.decode_points(jsonio.required(obj, "points"), setting.ind, setting.x)
+    eye = np.eye(setting.rep.h_dim, dtype=complex)
+    cauchy = [CauchyKernel(z, setting.ws) for z in points]
     table = {}
     for i, cw in enumerate(cauchy):
         for j, cz in enumerate(cauchy):
@@ -168,8 +257,16 @@ def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
     return {"kernel": table, "neumann": neumann}
 
 
+def _pick_problem(config: RunConfig, obj: dict):
+    """(ws, problem) of a pick or solve input, over the input's kept setting."""
+    def setting():
+        s = _setting(obj, config.N)
+        return s.ind, s.x, s.ws
+    return jsonio.decode_pick_problem(obj, setting)
+
+
 def _cmd_pick(config: RunConfig, obj: dict) -> dict:
-    _, problem = jsonio.decode_pick_problem(obj, config.N)
+    _, problem = _pick_problem(config, obj)
     report = pick_map_cp_test(problem)
     out = {
         "verdict": "completely-positive" if report.is_cp else "not-completely-positive",
@@ -185,7 +282,7 @@ def _cmd_pick(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_solve(config: RunConfig, obj: dict) -> dict:
     eps = _check_eps(obj.get("eps", config.eps))
-    ws, problem = jsonio.decode_pick_problem(obj, config.N)
+    ws, problem = _pick_problem(config, obj)
     try:
         result = np_solve(problem, ws, eps=eps)
     except PickInfeasibleError as exc:
@@ -212,12 +309,10 @@ def _cmd_solve(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
-    graph, rep, _, ws = jsonio.decode_setting(obj, config.N)
+    setting = _setting(obj, config.N)
     instances = jsonio.decode_count(obj, "instances", 3)
-    ind = InducedSpace(graph, rep, config.N)
-    model = primal_lift_model(ind, ws)
-    dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
-    validator = alphabeta_validator(ind, ws, seed=config.seed)
+    model, dual_gens = setting.lift_model, setting.dual_generators
+    validator = alphabeta_validator(setting.ind, setting.ws, seed=config.seed)
     runs = []
     for trial in range(instances):
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
@@ -279,6 +374,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
     except MemoryError as exc:  # numpy's message names the shape and size it asked for
         return 1, {"schema": 1, "command": config.command,
                    "error": f"MemoryError: {str(exc) or 'an allocation failed'}"}
+    finally:
+        _keep_settings()
     print(f"{config.command}: {time.time() - started:.2f}s", file=sys.stderr)
     report = {"schema": 1, "command": config.command, "seed": config.seed, "N": config.N}
     report.update(body)

@@ -166,7 +166,7 @@ def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
                 except np.linalg.LinAlgError:
                     raise ValueError(f"Z.matrices.{k}: not invertible") from None
             zs.append(z)
-        return weight_system_from(x, Z=zs)
+        return _named("Z.matrices", weight_system_from, x, zs)
     raise ValueError("Z: expected 'canonical' or {'matrices': ...}")
 
 
@@ -194,21 +194,22 @@ def decode_setting(obj, levels: int):
     return graph, rep, x, decode_weights(obj.get("Z"), x)
 
 
-def decode_pick_problem(obj, levels: int):
-    """Parse a full interpolation problem; returns (ws, problem).
+def decode_pick_problem(obj, setting):
+    """Parse a full interpolation problem over ``setting()``, the (ind, x, ws) of
+    the input (see ``decode_setting``); returns (ws, problem).
 
-    The targets F and B are parsed first, so a malformed entry is named
-    before any factorization runs on the rest of the input.
+    The targets F and B are parsed before ``setting`` is called, so a
+    malformed entry is named before any factorization runs on the rest of the
+    input.
     """
     f_list = _items("F", decode_matrix, required(obj, "F"))
     b_list = _items("B", decode_matrix, obj["B"]) if "B" in obj else None
     s = decode_count(obj, "s", 1)
     t = decode_count(obj, "t", 1)
-    graph, rep, x, ws = decode_setting(obj, levels)
-    ind = InducedSpace(graph, rep, levels)
+    ind, x, ws = setting()
     points = decode_points(required(obj, "points"), ind, x)
     if b_list is None:
-        b_list = [np.eye(s * rep.h_dim, dtype=complex) for _ in points]
+        b_list = [np.eye(s * ind.h_dim, dtype=complex) for _ in points]
     return ws, PickProblem(points, b_list, f_list, s=s, t=t)
 
 

@@ -187,7 +187,10 @@ class WeightSystem:
     def z_prod_inv(self, k: int) -> np.ndarray:
         if k not in self._zprod_inv:
             zp = self.z_prod(k)
-            self._zprod_inv[k] = np.linalg.inv(zp) if zp.size else zp.copy()
+            try:  # invertible factors can still multiply to an exactly singular product
+                self._zprod_inv[k] = np.linalg.inv(zp) if zp.size else zp.copy()
+            except np.linalg.LinAlgError:
+                raise ValueError(f"the product Z^{{({k})}} is not invertible") from None
         return self._zprod_inv[k]
 
     def z_between(self, k: int, j: int) -> np.ndarray:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfock import cli
 from wfock.cli import RunConfig, main, run
+from wfock.jsonio import decode_graph
 
 
 def write(tmp_path, name, obj):
@@ -374,3 +376,103 @@ def test_mutated_kernel_input_gets_a_json_report(mutation):
     assert code in (0, 1, 2)
     assert report["schema"] == 1 and report["command"] == "kernel"
     assert (code == 1) == ("error" in report)
+
+
+def test_negative_seed_is_named(capsys):
+    with pytest.raises(ValueError, match="--seed must be non-negative"):
+        RunConfig("lift", seed=-1)
+    assert main(["--command", "lift", "--seed", "-1"]) == 1
+    assert "--seed must be non-negative, got -1" in json.loads(capsys.readouterr().err)["error"]
+
+
+# Z_1 = Z_2 = 1e-200 are invertible, but Z^{(2)} = 1e-400 rounds to an exact 0
+SINGULAR_PRODUCT = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                    "Z": {"matrices": {"1": [[1e-200]], "2": [[1e-200]]}}}
+
+
+def test_underflowing_weight_product_is_named(tmp_path):
+    path = write(tmp_path, "z.json", SINGULAR_PRODUCT)
+    code, report = run(RunConfig("weights", input_path=path, N=2))
+    assert code == 1
+    assert report["error"] == "ValueError: Z.matrices: the product Z^{(2)} is not invertible"
+
+
+# -- settings kept across calls ------------------------------------------------
+
+CYCLE_S21 = {"graph": CYCLE, "sigma": [2, 1], "X": {"scalar": [0.5, 1 / 12]}, "instances": 2}
+FREE2_S2 = {"graph": GRAPH2, "sigma": [2], "X": {"scalar": [0.5, 1 / 12]}, "instances": 2}
+ONE_LOOP = dict(TWO_POINT, points=[{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.1]}])
+# interleaved: each setting comes back after a call on the other one
+SEQUENCE = [("lift", CYCLE_S21, 4), ("solve", ONE_LOOP, 20), ("weights", CYCLE_S21, 4),
+            ("pick", ONE_LOOP, 20), ("fock", CYCLE_S21, 4), ("kernel", ONE_LOOP, 20)]
+
+
+@pytest.fixture
+def kept():
+    """The CLI's kept settings, empty before and after the test."""
+    cli._settings.clear()
+    yield cli._settings
+    cli._settings.clear()
+
+
+def report_bytes(tmp_path, command, obj, n, seed=3):
+    """(exit code, report bytes) of one call of the entry point."""
+    inp, out = write(tmp_path, "in.json", obj), tmp_path / "out.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--command", command, "--input", inp, "--output", str(out),
+                     "--N", str(n), "--seed", str(seed)])
+    return code, out.read_bytes()
+
+
+def test_kept_settings_give_the_reports_of_new_ones(tmp_path, kept):
+    cold = []
+    for command, obj, n in SEQUENCE:
+        kept.clear()
+        cold.append(report_bytes(tmp_path, command, obj, n))
+    assert [code for code, _ in cold] == [0] * len(SEQUENCE)
+    kept.clear()
+    assert [report_bytes(tmp_path, *call) for call in SEQUENCE] == cold
+    keys = list(kept)
+    assert len(keys) == 2
+    # a setting whose validation fails is named on every call and never kept
+    code, blob = report_bytes(tmp_path, "weights", SINGULAR_PRODUCT, 2)
+    assert code == 1
+    assert "Z.matrices: the product Z^{(2)} is not invertible" in json.loads(blob)["error"]
+    assert list(kept) == keys
+    assert [report_bytes(tmp_path, *call) for call in SEQUENCE] == cold
+    assert list(kept) == keys
+
+
+def test_kept_arrays_are_read_only(tmp_path, kept):
+    assert report_bytes(tmp_path, "lift", CYCLE_S21, 4)[0] == 0
+    (setting, size), = kept.values()
+    model = setting.lift_model
+    for array in (setting.ws.Z[2], setting.ws.z_prod_inv(3), setting.x.R[1],
+                  model.generators[0], model.creations[1][0], model.insertions[2][0][0],
+                  setting.dual_generators[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert size == cli._freeze(setting) > 0
+
+
+def test_kept_settings_fit_the_byte_budget(tmp_path, kept, monkeypatch):
+    sizes = []
+    for obj in (CYCLE_S21, FREE2_S2):
+        kept.clear()
+        report_bytes(tmp_path, "lift", obj, 3)
+        sizes.append(next(iter(kept.values()))[1])
+    monkeypatch.setattr(cli, "SETTING_BYTES", sum(sizes) - 1)  # one fits, not both
+    kept.clear()
+    for obj in (CYCLE_S21, FREE2_S2, CYCLE_S21):
+        report_bytes(tmp_path, "lift", obj, 3)
+        assert sum(cli._freeze(s) for s, _ in kept.values()) <= cli.SETTING_BYTES
+        (setting, _), = kept.values()  # the least recently used one was dropped
+        assert setting.graph == decode_graph(obj["graph"])
+
+
+def test_a_setting_over_the_budget_is_used_but_not_kept(tmp_path, kept, monkeypatch):
+    cold = report_bytes(tmp_path, "lift", CYCLE_S21, 4)
+    kept.clear()
+    monkeypatch.setattr(cli, "SETTING_BYTES", 1)
+    assert report_bytes(tmp_path, "lift", CYCLE_S21, 4) == cold
+    assert not kept

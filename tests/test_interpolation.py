@@ -21,7 +21,7 @@ from wfock.interpolation import (
     szego_kernel,
     word_matrix,
 )
-from wfock.jsonio import decode_pick_problem
+from wfock.jsonio import decode_pick_problem, decode_setting
 from wfock.lifting import commutant_lift
 from wfock.linalg import operator_norm, orth_columns, pinv, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
@@ -650,10 +650,16 @@ CLAMPED = {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
            "F": [[[[0.12, 0.004]]], [[[0.108, 0.001]]]]}
 
 
+def setting_of(obj, n):
+    """(ind, x, ws) of an input at truncation n."""
+    graph, rep, x, ws = decode_setting(obj, n)
+    return InducedSpace(graph, rep, n), x, ws
+
+
 def test_the_ledger_keeps_what_its_readers_read():
     # the reports read m, n_m, dim_j, mu and the residuals; perfbench counts the
     # steps whose f_clamp < 1 with a default of 1, so a dropped key would read as no clamp
-    ws, problem = decode_pick_problem(CLAMPED, 5)
+    ws, problem = decode_pick_problem(CLAMPED, lambda: setting_of(CLAMPED, 5))
     steps = np_solve(problem, ws).trace["steps"]
     for step in steps:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",

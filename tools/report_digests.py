@@ -9,7 +9,11 @@ to ``<name>.report.json`` in REPORT_DIR (created if missing, and kept), or in
 a temporary directory without it, with ``OPENBLAS_NUM_THREADS=1``; wfock is
 imported from ``src/`` of the checkout this script sits in.  One
 ``sha256  name`` line is printed per report (and written to OUTPUT if given).
-Every command is expected to exit 0; the exit code is 1 if any does not.
+The set is then made a second time in the same process, in reverse order, so
+that every report is also made over the settings the CLI kept from the other
+calls (see ``wfock.cli``); the printed lines are those of the first pass.
+Every command is expected to exit 0 and to give the same report on both
+passes; the exit code is 1 if any does not, with the report named.
 
 ``tools/report_digests.txt`` holds the digests of the current code.  Run the
 script and diff its output against that file: equal lines mean byte-identical
@@ -159,10 +163,10 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"])]
 
 
-def digests(workdir: Path) -> tuple[list[str], list[str]]:
-    """The ``sha256  name`` lines, and one message per nonzero exit code."""
-    lines, errors = [], []
-    for name, key, args in RUNS:
+def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
+    """The sha256 of each report of ``runs``, by name, and one message per nonzero exit code."""
+    out, errors = {}, []
+    for name, key, args in runs:
         argv = ["--command", *args, "--output", str(workdir / f"{name}.report.json")]
         if key is not None:
             path = workdir / f"{key}.json"
@@ -172,18 +176,27 @@ def digests(workdir: Path) -> tuple[list[str], list[str]]:
             code = main(argv)
         if code != 0:
             errors.append(f"{name}: exit code {code}, expected 0")
-        digest = hashlib.sha256((workdir / f"{name}.report.json").read_bytes()).hexdigest()
-        lines.append(f"{digest}  {name}")
-    return lines, errors
+        out[name] = hashlib.sha256((workdir / f"{name}.report.json").read_bytes()).hexdigest()
+    return out, errors
+
+
+def both_passes(workdir: Path) -> tuple[list[str], list[str]]:
+    """The ``sha256  name`` lines of the first pass, and the errors of both passes."""
+    first, errors = digests(workdir, RUNS)
+    second, again = digests(workdir, RUNS[::-1])
+    errors += [err for err in again if err not in errors]
+    errors += [f"{name}: the second pass, in reverse order, gave another report"
+               for name in first if first[name] != second[name]]
+    return [f"{first[name]}  {name}" for name, _, _ in RUNS], errors
 
 
 def run(output: str | None = None, report_dir: str | None = None) -> int:
     if report_dir:
         Path(report_dir).mkdir(parents=True, exist_ok=True)
-        lines, errors = digests(Path(report_dir))
+        lines, errors = both_passes(Path(report_dir))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            lines, errors = digests(Path(tmp))
+            lines, errors = both_passes(Path(tmp))
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
     if output:
