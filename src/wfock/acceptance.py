@@ -188,9 +188,9 @@ def criterion_3_fock_exactness(seed: int) -> dict:
         rhs = phi_inf(space, a).matrix @ weighted_creation(space, ws, eta).matrix \
             @ phi_inf(space, b).matrix
         case_worst = max(case_worst, residual(lhs, rhs))
-        rep = Representation(mults)
+        ind = InducedSpace(graph, Representation(mults), n)
         for k in range(0, n):
-            report = handysums_check(space, k, rng=rng, rep=rep)
+            report = handysums_check(space, k, rng=rng, ind=ind)
             case_worst = max(case_worst, max(report.values()))
         case_worst = max(case_worst, sums_to_projection_check(space, x, ws))
         details.append({"graph": f"{graph.n_vertices}v{graph.n_edges}e", "kind": kind,

@@ -7,10 +7,12 @@ Timing goes to stderr only, so reports are byte-identical across runs.
 
 Every problem sits over a setting: the graph, sigma, X and Z of its input at
 truncation N.  What is built from the setting alone (the decoded weights, the
-induced space and, for ``lift``, the primal lift model and the dual
-generators) is kept per process, so a loop of calls over a few settings
-builds each of them once.  Kept arrays are read-only, and the store holds at
-most ``SETTING_BYTES`` bytes, dropping the least recently used setting first.
+induced space, for ``lift`` the primal lift model and the dual generators, and
+for ``solve`` the dual lift model) is kept per process, so a loop of calls over
+a few settings builds each of them once.  The dual lift model is built only
+for a problem that passes the Pick test and the tail budget.  Kept arrays are
+read-only, and the store holds at most ``SETTING_BYTES`` bytes, dropping the
+least recently used setting first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import acceptance, jsonio
-from .duality import DualStructure, dual_weights, primal_lift_model
+from .duality import DualStructure, dual_lift_model, dual_weights, primal_lift_model
 from .fock import handysums_check, sums_to_projection_check, \
     tensor_element, weighted_creation
 from .graphs import CorrElement, path_basis
@@ -93,7 +95,9 @@ def _load(config: RunConfig) -> dict:
 class _Setting:
     """The decoded setting of an input, and what is built from it alone.
 
-    The induced space and the lift data are built on first use.
+    The induced space and the lift data (the primal lift model and the dual
+    generators of ``lift``, the dual lift model of ``solve``) are built on
+    first use.
     """
 
     def __init__(self, obj: dict, levels: int):
@@ -111,6 +115,10 @@ class _Setting:
     @cached_property
     def dual_generators(self) -> list[np.ndarray]:
         return [m for _, m in DualStructure(self.ind, self.ws).dual_generators()]
+
+    @cached_property
+    def dual_lift_model(self):
+        return dual_lift_model(DualStructure(self.ind, self.ws))
 
 
 # key -> (setting, its array bytes), the least recently used first
@@ -212,11 +220,11 @@ def _cmd_weights(config: RunConfig, obj: dict) -> dict:
 def _cmd_fock(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
     setting = _setting(obj, config.N)
-    graph, rep, x, ws = setting.graph, setting.rep, setting.x, setting.ws
+    graph, x, ws = setting.graph, setting.x, setting.ws
     space = setting.ind.fock
     handy = {}
     for k in range(0, config.N + 1):
-        report = handysums_check(space, k, rng=rng, rep=rep)
+        report = handysums_check(space, k, rng=rng, ind=setting.ind)
         handy[str(k)] = {k2: {"value": v, "tol": 1e-12} for k2, v in report.items()}
     mult = 0.0
     if path_basis(graph, 1).size and path_basis(graph, 2).size and config.N >= 3:
@@ -258,11 +266,15 @@ def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
 
 
 def _pick_problem(config: RunConfig, obj: dict):
-    """(ws, problem) of a pick or solve input, over the input's kept setting."""
-    def setting():
-        s = _setting(obj, config.N)
-        return s.ind, s.x, s.ws
-    return jsonio.decode_pick_problem(obj, setting)
+    """(setting, problem) of a pick or solve input, over the input's kept setting."""
+    setting = None
+
+    def decoded():
+        nonlocal setting
+        setting = _setting(obj, config.N)
+        return setting.ind, setting.x, setting.ws
+    _, problem = jsonio.decode_pick_problem(obj, decoded)
+    return setting, problem
 
 
 def _cmd_pick(config: RunConfig, obj: dict) -> dict:
@@ -282,9 +294,10 @@ def _cmd_pick(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_solve(config: RunConfig, obj: dict) -> dict:
     eps = _check_eps(obj.get("eps", config.eps))
-    ws, problem = _pick_problem(config, obj)
+    setting, problem = _pick_problem(config, obj)
     try:
-        result = np_solve(problem, ws, eps=eps)
+        result = np_solve(problem, setting.ws, eps=eps,
+                          dual_model=lambda: setting.dual_lift_model)
     except PickInfeasibleError as exc:
         raise MathRejection(json.dumps({"verdict": "not-completely-positive",
                                         "reason": str(exc)}, sort_keys=True)) from exc

@@ -130,11 +130,12 @@ def tensor_element(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement
 
 
 def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | None = None,
-                    rep=None) -> dict[str, float]:
+                    ind=None) -> dict[str, float]:
     """Residuals of the three summation identities over the level-k basis.
 
     (1) sum_xi theta_{S xi} = S S^* for a random module map S;
-    (2) Q_k (x) I_H = sum_xi L_{xi^} L_{xi^}^* on an induced space (if rep given);
+    (2) Q_k (x) I_H = sum_xi L_{xi^} L_{xi^}^* on the induced space ``ind`` over
+        ``space`` (if given);
     (3) sum_xi T_xi T_xi^* = sum_{i>=k} Q_i on the truncation.
     All three are exact finite sums; an empty basis gives zero operators.
     """
@@ -166,10 +167,7 @@ def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | Non
     tail = np.diag((np.arange(space.dim) >= space.offsets[k]).astype(complex))
     report["projection_sum"] = residual(acc2, tail)
 
-    if rep is not None:
-        from .induced import InducedSpace  # local import to avoid a cycle
-
-        ind = InducedSpace(g, rep, space.levels)
+    if ind is not None:
         acc3 = np.zeros((ind.level_dim(k), ind.level_dim(k)), dtype=complex)
         for idx in range(d):
             ins = ind.insertion_map(CorrElement.basis_vector(g, k, idx))

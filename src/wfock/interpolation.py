@@ -358,7 +358,8 @@ class SolveResult:
     trace: dict
 
 
-def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> SolveResult:
+def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
+             dual_model=None) -> SolveResult:
     """Construct an interpolant by two-space lifting on the dual side.
 
     Builds the kernel spans J_B and J_F, the exchange map R on them, lifts
@@ -368,6 +369,9 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     kernel spans meet the lifting hypotheses only up to tail effects, so a
     defect above 1e-3 is refused and ``hyp_budget`` is max(1e-9, 2 x defect);
     ``trace["conclusions"]`` holds the corollary's four conclusion residuals.
+    ``dual_model``, a function of no arguments, gives the dual lift model of the
+    problem's setting (a new one by default); it is called only for a problem
+    that passes both checks.
     """
     ind = problem.ind
     cp = pick_map_cp_test(problem)
@@ -387,7 +391,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7) -> Solve
     r_consistency = residual(r_op @ coords_b, coords_f)
     r_margin = operator_norm(r_op) - 1.0
 
-    base = dual_lift_model(DualStructure(ind, ws))
+    base = dual_model() if dual_model is not None else dual_lift_model(DualStructure(ind, ws))
     g12 = r_op.conj().T  # J_F coords -> J_B coords
     try:
         g_tilde, trace = two_space_lift(base, problem.t, problem.s, q_f, q_b, g12, 1e-3)

@@ -19,7 +19,10 @@ dimensions, the generator images Y (x) I, and, per level, the basis
 insertions as coordinate maps with the band blocks of the weighted creations
 at the inverse weight product.  Both the graph side and the transported dual side
 produce such bundles, so one loop serves the lifting theorem and, through the
-Putnam trick, its two-space corollary.
+Putnam trick, its two-space corollary.  An amplified model, the direct sum of
+copies of one space, shares the generators and the creations of its base:
+a product with an amplified generator acts on each copy of its operand
+(``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never formed.
 """
 
 from __future__ import annotations
@@ -121,7 +124,9 @@ class LiftModel:
     the weighted creation W at the inverse weight product applied to xi: its
     one band block K_{<=N-k} -> K_{>=k}.  Both lists start at level 1; level 0,
     which no lift step reads, is empty.  The ``copies`` direct summands
-    (copy-major layout) share the creations."""
+    (copy-major layout) share the generators and the creations: each generator
+    is the image on one summand, and acts on all of them through
+    ``per_copy_left`` and ``per_copy_right``."""
 
     dim: int
     levels: int
@@ -140,15 +145,16 @@ class LiftModel:
 
         The level subspaces of the sum are the direct sums of the per-copy
         level subspaces, so the prefix coordinate sets interleave rather than
-        stay contiguous.
+        stay contiguous.  The copies share the generators and the creations;
+        only the level and insertion indices are built for the sum.
         """
-        eye, shift, h = np.eye(copies), np.arange(copies)[:, None], self.prefix_idx(0).size
+        shift, h = np.arange(copies)[:, None], self.prefix_idx(0).size
         return LiftModel(
             dim=self.dim * copies,
             levels=self.levels,
             level=np.tile(self.level, copies),
             copies=self.copies * copies,
-            generators=[np.kron(eye, g) for g in self.generators],
+            generators=self.generators,
             insertions=[[((rows + self.dim * shift).ravel(), (cols + h * shift).ravel())
                          for rows, cols in level] for level in self.insertions],
             creations=self.creations,
@@ -180,10 +186,22 @@ class LiftModel:
             yield per_copy.transpose(1, 0, 2).reshape(-1, in_band.shape[0]) @ in_band, ins
 
 
+def per_copy_left(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(I_c (x) g) x for the square g, with c = rows(x) / dim(g) copy-major copies."""
+    return (g @ x.reshape(-1, g.shape[1], x.shape[1])).reshape(x.shape)
+
+
+def per_copy_right(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x (I_c (x) g) for the square g, with c = cols(x) / dim(g) copy-major copies."""
+    return (x.reshape(-1, g.shape[0]) @ g).reshape(x.shape)
+
+
 def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> float:
     """The co-invariance residual max_g ||(I - P) g^* P|| of the span J of an
-    orthonormal frame Q, measured as max_g ||(I - P) g^* Q|| (Q^* is a co-isometry)."""
-    return max_operator_norm([_complement(frame, g.conj().T @ frame) for g in generators])
+    orthonormal frame Q, measured as max_g ||(I - P) g^* Q|| (Q^* is a co-isometry),
+    with each generator acting on every copy of the frame's space."""
+    return max_operator_norm([_complement(frame, per_copy_left(g.conj().T, frame))
+                              for g in generators])
 
 
 @dataclass
@@ -259,7 +277,8 @@ def _condition_residuals(state: LiftState) -> dict:
     q = state.frame
     q_star = q.conj().T
     return {"coinvariant": _frame_coinvariance(q, model.generators),
-            "intertwining": max_operator_norm([q_star @ g @ q @ state.g_mat - state.g_mat @ g
+            "intertwining": max_operator_norm([per_copy_right(q_star, g) @ q @ state.g_mat
+                                               - per_copy_right(state.g_mat, g)
                                                for g in model.generators])}
 
 
@@ -279,7 +298,6 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     if state.is_full():
         raise ValueError("subspace is already the whole induced space")
     q_m = state.frame
-    d_m = q_m.shape[1]
     n_new, q_new = _escape_level(state)
     q_new = orth_columns(_complement(q_m, q_new), 0.5)
     if q_new.shape[1] == 0:
@@ -289,9 +307,9 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     g_star = model.vacuum(state.g_mat).conj().T  # g^* for g = G_m L_{1^}: H -> J_m
     f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
     for k in range(1, model.levels + 1):
-        for beta, (rows, cols) in model.compressions(k, q_m1, q_m):  # beta(W_{Z^{(k)-1} xi})
-            row = g_star @ beta.conj().T  # h x d_{m+1}
-            f_new[rows] += row[cols, d_m:]
+        # beta(W_{Z^{(k)-1} xi}) on the new directions only: q_new^* W q_m
+        for beta, (rows, cols) in model.compressions(k, q_new, q_m):
+            f_new[rows] += (g_star @ beta.conj().T)[cols]  # h x (d_{m+1} - d_m)
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)
 
@@ -330,20 +348,22 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     return new_state
 
 
-def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, pairs, tol: float,
-                names: tuple[str, str]) -> dict[str, float]:
-    """The lifting hypotheses for g: J_in -> J_out over the generator pairs (a, b):
-    orthonormal frames, J_in co-invariant under the a's and J_out under the b's
-    (one space when ``names`` are equal), and g intertwining the compressions.
-    A defect, or a residual above tol, raises a _HypothesisError naming it."""
+def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, generators,
+                tol: float, names: tuple[str, str]) -> dict[str, float]:
+    """The lifting hypotheses for g: J_in -> J_out over the generators, each acting
+    on every copy of the space of J_in and of J_out: orthonormal frames, J_in and
+    J_out co-invariant (one space when ``names`` are equal), and g intertwining the
+    compressions.  A defect, or a residual above tol, raises a _HypothesisError
+    naming it."""
     for name, frame in dict(zip(names, (j_in, j_out))).items():  # each space once
         if residual(frame.conj().T @ frame, np.eye(frame.shape[1])) > 1e-12:
             raise _HypothesisError(f"{name} frame columns are not orthonormal")
-    out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, [a for a, _ in pairs])}
+    out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, generators)}
     if names[1] != names[0]:
-        out[f"{names[1]} co-invariance"] = _frame_coinvariance(j_out, [b for _, b in pairs])
-    out["intertwining"] = max_operator_norm([g @ (j_in.conj().T @ a @ j_in)
-                                             - (j_out.conj().T @ b @ j_out) @ g for a, b in pairs])
+        out[f"{names[1]} co-invariance"] = _frame_coinvariance(j_out, generators)
+    out["intertwining"] = max_operator_norm([
+        g @ (per_copy_right(j_in.conj().T, a) @ j_in)
+        - (per_copy_right(j_out.conj().T, a) @ j_out) @ g for a in generators])
     for key, value in out.items():
         if value > tol:
             raise _HypothesisError(f"lifting hypothesis fails: {key} residual {value:.2e}")
@@ -363,13 +383,15 @@ def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator):
 
 
 def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray,
-                 pairs, key: str = "intertwining") -> dict[str, float]:
+                 generators, key: str = "intertwining") -> dict[str, float]:
     """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
-    in J_in, compression back to g, g_tilde a = b g_tilde (as ``key``), norms equal."""
+    in J_in, compression back to g, g_tilde a = a g_tilde (as ``key``) for each
+    generator a on every copy of either side, norms equal."""
     return {
         "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
-        key: max_operator_norm([g_tilde @ a - b @ g_tilde for a, b in pairs]),
+        key: max_operator_norm([per_copy_right(g_tilde, a) - per_copy_left(a, g_tilde)
+                                for a in generators]),
         "norm": abs(operator_norm(g_tilde) - operator_norm(g)),
     }
 
@@ -386,13 +408,12 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     also carries norm_one = | ||G_m|| - 1 |, which only the lift report reads.
     """
     j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
-    pairs = [(x, x) for x in model.generators]
-    hypotheses = _hypotheses(g_on_j, j_frame, j_frame, pairs, 1e-9, ("J", "J"))
+    hypotheses = _hypotheses(g_on_j, j_frame, j_frame, model.generators, 1e-9, ("J", "J"))
     g_tilde, steps, g_final = _loop(model, j_frame, g_on_j, step_validator)
     for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
         step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
-        g_tilde, g_on_j, j_frame, j_frame, pairs, "commutation")}
+        g_tilde, g_on_j, j_frame, j_frame, model.generators, "commutation")}
 
 
 def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
@@ -401,7 +422,8 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     K^(t) and K^(s) of one model.
 
     ``j1_frame`` lives in K^(t), ``j2_frame`` in K^(s), and ``g12`` maps J_1
-    coordinates to J_2 coordinates.  The hypotheses are checked on the
+    coordinates to J_2 coordinates.  All copies share the base generators and
+    creations.  The hypotheses are checked on the
     summands (orthonormal frames, J_i co-invariant under the amplified
     generators, g12 intertwining the compressions), and one above
     ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
@@ -411,12 +433,8 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     carry the corollary's hypothesis and four conclusion residuals.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
-
-    def pairs():  # rebuilt after the loop rather than held through it
-        eye_t, eye_s = np.eye(t), np.eye(s)
-        return [(np.kron(eye_t, g), np.kron(eye_s, g)) for g in base.generators]
-
-    hypotheses = _hypotheses(g12, j1_frame, j2_frame, pairs(), hypothesis_tol, ("J_1", "J_2"))
+    hypotheses = _hypotheses(g12, j1_frame, j2_frame, base.generators, hypothesis_tol,
+                             ("J_1", "J_2"))
     model_sum = base.amplify(t + s)
     split = t * base.dim
     d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
@@ -427,6 +445,5 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     g0[d1:, :d1] = g12
     g_tilde0, steps, _ = _loop(model_sum, j_frame, g0, None)
     g_tilde = g_tilde0[split:, :split].copy()
-    del model_sum, g_tilde0  # the sum space is not held through the conclusions
-    return g_tilde, {"steps": steps, "hypothesis": hypotheses,
-                     "conclusions": _conclusions(g_tilde, g12, j1_frame, j2_frame, pairs())}
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
+        g_tilde, g12, j1_frame, j2_frame, base.generators)}

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfock import cli
 from wfock.cli import RunConfig, main, run
+from wfock.induced import InducedSpace
 from wfock.jsonio import decode_graph
 
 
@@ -453,6 +454,41 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert size == cli._freeze(setting) > 0
+    assert report_bytes(tmp_path, "solve", ONE_LOOP, 20)[0] == 0
+    setting, size = list(kept.values())[-1]
+    dual = setting.dual_lift_model
+    for array in (dual.generators[0], dual.creations[1][0], dual.insertions[2][0][0],
+                  dual.level):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert size == cli._freeze(setting) > 0
+
+
+def test_solve_keeps_its_dual_lift_model(tmp_path, kept, monkeypatch):
+    builds = []
+    build = cli.dual_lift_model
+    monkeypatch.setattr(cli, "dual_lift_model", lambda s: builds.append(1) or build(s))
+    cold = report_bytes(tmp_path, "solve", ONE_LOOP, 20)
+    assert cold[0] == 0 and len(builds) == 1
+    assert report_bytes(tmp_path, "solve", ONE_LOOP, 20) == cold
+    assert len(builds) == 1  # the second solve on the setting reads the kept model
+    kept.clear()
+    infeasible = dict(ONE_LOOP, F=[[[[0.95, 0.0]]], [[[-0.9, 0.0]]]])
+    assert report_bytes(tmp_path, "solve", infeasible, 20)[0] == 2
+    assert len(builds) == 1  # a problem the Pick test rejects builds none
+    (setting, _), = kept.values()
+    assert "dual_lift_model" not in vars(setting)
+
+
+def test_warm_fock_builds_no_induced_space(tmp_path, kept, monkeypatch):
+    builds = []
+    init = InducedSpace.__init__
+    monkeypatch.setattr(InducedSpace, "__init__",
+                        lambda self, *a, **kw: builds.append(1) or init(self, *a, **kw))
+    cold = report_bytes(tmp_path, "fock", CYCLE_S21, 4)
+    assert cold[0] == 0 and len(builds) == 1  # the setting's own, shared by the handy sums
+    assert report_bytes(tmp_path, "fock", CYCLE_S21, 4) == cold
+    assert len(builds) == 1
 
 
 def test_kept_settings_fit_the_byte_budget(tmp_path, kept, monkeypatch):

@@ -16,7 +16,7 @@ from wfock.fock import (
     weighted_creation,
 )
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
-from wfock.induced import Representation
+from wfock.induced import InducedSpace, Representation
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, admissible_from_kernel_coeffs, weight_system_from
 
@@ -129,7 +129,8 @@ def test_handysums():
     for graph, k in [(FREE2, 1), (FREE2, 2), (CYCLE2, 2)]:
         space = TruncatedFock(graph, 4)
         rep_k = Representation(tuple([1] * graph.n_vertices)) if graph is FREE2 else rep
-        report = handysums_check(space, k, rng=np.random.default_rng(5), rep=rep_k)
+        ind = InducedSpace(graph, rep_k, 4)
+        report = handysums_check(space, k, rng=np.random.default_rng(5), ind=ind)
         assert max(report.values()) < 1e-12, report
 
 

@@ -40,6 +40,7 @@ from wfock.graphs import (
 )
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import DiscPoint, kernel_value
+from wfock.lifting import per_copy_left, per_copy_right
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem, weight_system_from
 
@@ -717,8 +718,8 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
     arrays against the reference bytes, signed zeros included (the insertions
     read off the dense ones by np.nonzero, the dual creations and generators off
     one rho_creation per tuple; the primal creations are built as they were, and
-    this reference writes its zeros unsigned); the compressions q^* W q and the
-    vacuum gather against the dense products.  The dual side is built on full
+    this reference writes its zeros unsigned); the compressions q^* W q, the
+    vacuum gather and the per-copy generator products against the dense products.  The dual side is built on full
     graphs only."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
@@ -748,6 +749,11 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
                     assert _same_bytes(blk, band)
         amp, ref = model.amplify(copies), ref_amplify(ref, copies)
         assert amp.copies == copies and amp.creations is model.creations
+        x, y = rng_complex(rng, amp.dim, 3), rng_complex(rng, 2, amp.dim)
+        for gen in amp.generators:  # per copy against I_c (x) g
+            dense, tol = np.kron(np.eye(copies), gen), 1e-13 * max(1.0, np.abs(gen).max())
+            assert np.abs(per_copy_left(gen, x) - dense @ x).max() <= tol
+            assert np.abs(per_copy_right(y, gen) - y @ dense).max() <= tol
         assert [len(level) for level in amp.insertions] == [len(level) for level in ref]
         q_out = np.linalg.qr(rng_complex(rng, amp.dim, 3))[0]
         q_in = np.linalg.qr(rng_complex(rng, amp.dim, 2))[0]

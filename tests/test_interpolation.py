@@ -548,22 +548,24 @@ def test_solve_rectangular_targets():
 
 def _reference_defect(problem, ws):
     """The lifting-hypothesis defect as np_solve measured it on amplified models
-    before two_space_lift checked the summands; also the spans and the map."""
+    before two_space_lift checked the summands, with the dense amplified generators
+    I_c (x) g; also the spans, the map and those generators."""
     cols_b, cols_f, _ = _span_generators(problem, ws)
     q_b, q_f = orth_columns(cols_b), orth_columns(cols_f)
     coords_b, coords_f = q_b.conj().T @ cols_b, q_f.conj().T @ cols_f
     g12 = (coords_f @ pinv(coords_b)).conj().T
     base = dual_lift_model(DualStructure(problem.ind, ws))
-    amp_s, amp_t = base.amplify(problem.s), base.amplify(problem.t)
+    gens_s, gens_t = ([np.kron(np.eye(copies), g) for g in base.generators]
+                      for copies in (problem.s, problem.t))
     defect = 0.0
-    for amp, frame in ((amp_s, q_b), (amp_t, q_f)):
-        for g in amp.generators:  # (I - P) g^* Q on the thin frame Q
+    for gens, frame in ((gens_s, q_b), (gens_t, q_f)):
+        for g in gens:  # (I - P) g^* Q on the thin frame Q
             image = g.conj().T @ frame
             defect = max(defect, operator_norm(image - frame @ (frame.conj().T @ image)))
-    for g_s, g_t in zip(amp_s.generators, amp_t.generators):
+    for g_s, g_t in zip(gens_s, gens_t):
         defect = max(defect, residual(g12 @ (q_f.conj().T @ g_t @ q_f),
                                       (q_b.conj().T @ g_s @ q_b) @ g12))
-    return defect, q_f, q_b, g12, amp_t.generators, amp_s.generators
+    return defect, q_f, q_b, g12, gens_t, gens_s
 
 
 def _reference_corollary(g_tilde, j1, j2, g12, gens1, gens2):

@@ -619,18 +619,19 @@ def test_lift_step_rejects_full_space():
 
 
 def test_amplified_dual_model_stays_small():
-    # band blocks shared by the copies, not a dense whole-space operator per
-    # basis element kron'ed per copy (that held about 160 MB here)
+    # the copies share the generators and the band blocks: amplify builds index
+    # arrays only, no whole-space matrix (kron'ed generators held about 3.1 MB here)
     ind, ws = make_setup(FREE2, (1,), 6)
-    structure = DualStructure(ind, ws)
+    model = dual_lift_model(DualStructure(ind, ws))
     tracemalloc.start()
     try:
-        model = dual_lift_model(structure).amplify(2)
+        amp = model.amplify(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.dim == 254
-    assert peak < 16e6, peak
+    assert amp.dim == 254
+    assert amp.generators is model.generators and amp.creations is model.creations
+    assert peak < 0.5e6, peak
 
 
 # -- the shared hypotheses and conclusions ------------------------------------
@@ -681,8 +682,7 @@ def test_thin_frame_residuals_match_the_whole_space_projector(graph, n, data):
     scale = max(1.0, max(operator_norm(g) for g in model.generators))
     assert abs(_frame_coinvariance(j_in, model.generators) - whole_space) <= 1e-14 * scale
     g_tilde = rng_complex(rng, model.dim, model.dim)
-    pairs = [(g, g) for g in model.generators]
-    thin = _conclusions(g_tilde, j_out.conj().T @ g_tilde @ j_in, j_in, j_out, pairs)
+    thin = _conclusions(g_tilde, j_out.conj().T @ g_tilde @ j_in, j_in, j_out, model.generators)
     whole_space = operator_norm(comp @ g_tilde.conj().T @ j_out)
     assert abs(thin["adjoint_invariance"] - whole_space) <= \
         1e-14 * max(1.0, operator_norm(g_tilde))
