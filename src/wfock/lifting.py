@@ -18,11 +18,12 @@ Everything operates on a ``LiftModel``: a bundle of the induced space
 dimensions, the generator images Y (x) I, and, per level, the basis
 insertions as coordinate maps with the band blocks of the weighted creations
 at the inverse weight product.  Both the graph side and the transported dual side
-produce such bundles, so one loop serves the lifting theorem and, through the
-Putnam trick, its two-space corollary.  An amplified model, the direct sum of
-copies of one space, shares the generators and the creations of its base:
-a product with an amplified generator acts on each copy of its operand
-(``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never formed.
+produce such bundles, so one loop serves the lifting theorem and its two-space
+corollary, which it runs on the one nonzero block of the Putnam lift (see
+``two_space_lift``).  An amplified model, the direct sum of copies of one
+space, shares the generators and the creations of its base: a product with an
+amplified generator acts on each copy of its operand (``per_copy_left`` and
+``per_copy_right``), and I_c (x) g is never formed.
 """
 
 from __future__ import annotations
@@ -208,8 +209,13 @@ def _frame_coinvariance(frame: np.ndarray, generators: list[np.ndarray]) -> floa
 class LiftState:
     """The inductive state: levels n_i, nested frames, compatible operators.
 
-    ``frame`` spans J_m; ``g_mat`` is G_m as a map K -> J_m in frame
-    coordinates; ``ledger`` collects per-step condition residuals.
+    G_m maps the domain ``model`` into J_m.  ``frame`` spans J_m in the row space
+    ``row_model`` (``model`` itself unless given), and ``g_mat`` is G_m in frame
+    row coordinates.  For the two-space corollary G_m is X_m: K^(t) -> J_2
+    (``model`` is K^(t), ``row_model`` K^(s), ``frame`` spans J_2), and ``j1``
+    spans J_1 in K^(t).  J_1 holds no row of G_m, but it is a summand of J: it
+    takes part in the step schedule, in ``dim_j`` = d_1 + d_2 and in the
+    co-invariance residual.  ``ledger`` collects per-step condition residuals.
     """
 
     model: LiftModel
@@ -217,6 +223,19 @@ class LiftState:
     g_mat: np.ndarray
     n_list: list[int]
     ledger: list[dict] = field(default_factory=list)
+    row_model: LiftModel | None = None
+    j1: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.row_model is None:
+            self.row_model = self.model
+
+    @property
+    def spaces(self) -> tuple[tuple[LiftModel, np.ndarray], ...]:
+        """(model, frame) per summand of J: the row side, then J_1 if there is one."""
+        if self.j1 is None:
+            return ((self.row_model, self.frame),)
+        return (self.row_model, self.frame), (self.model, self.j1)
 
     @property
     def m(self) -> int:
@@ -224,91 +243,104 @@ class LiftState:
 
     @property
     def dim_j(self) -> int:
-        return self.frame.shape[1]
+        return sum(q.shape[1] for _, q in self.spaces)
 
     def is_full(self) -> bool:
-        return self.dim_j >= self.model.dim
+        return all(q.shape[1] >= model.dim for model, q in self.spaces)
 
 
-def _escape_level(state: LiftState) -> tuple[int, np.ndarray]:
-    """Least n with K_n not contained in the current J, and an orthonormal frame
-    of the part of K_n orthogonal to J.
+def _escaping(model: LiftModel, q: np.ndarray, n: int) -> np.ndarray:
+    """An orthonormal frame of the part of K_n orthogonal to the span of q (no column
+    when K_n lies in it).  A residual whose Frobenius norm is at most RANK_TOL / 2 has
+    no singular value above RANK_TOL, and takes no SVD."""
+    # the projection is subtracted twice, as in ``_project_out``: one pass leaves
+    # roundoff drift along q that the rank test would read as new directions
+    res = _complement(q, _complement_coords(q, model.prefix_idx(n)))
+    if np.linalg.norm(res) <= RANK_TOL / 2:
+        return res[:, :0]
+    return orth_columns(res, RANK_TOL)
 
-    At most one thin SVD per tested level: the rank rule of ``orth_columns``
-    keeps a column iff the largest singular value exceeds RANK_TOL, so K_n
-    escapes iff the frame has a column.  A residual whose Frobenius norm is at
-    most RANK_TOL / 2 has no such column, and takes no SVD.  The scan starts
-    above n_m: K_{n_m} lies in J by construction, which
-    ``_check_contains_prefix`` guards at each step.
+
+def _escape_level(state: LiftState) -> tuple[int, list[np.ndarray]]:
+    """Least n with K_n not contained in the current J, and per summand of J (in the
+    order of ``state.spaces``) an orthonormal frame of the part of K_n orthogonal to it.
+
+    At most one thin SVD per summand and tested level: the rank rule of
+    ``orth_columns`` keeps a column iff the largest singular value exceeds
+    RANK_TOL, so K_n escapes iff a frame has a column.  The scan starts above
+    n_m: K_{n_m} lies in J by construction, which ``_check_contains_prefix``
+    guards at each step.
     """
-    model = state.model
-    q = state.frame
-    for n in range(state.n_list[-1] + 1, model.levels + 1):
-        # the projection is subtracted twice, as in ``_project_out``: one pass leaves
-        # roundoff drift along q that the rank test would read as new directions
-        res = _complement(q, _complement_coords(q, model.prefix_idx(n)))
-        if np.linalg.norm(res) <= RANK_TOL / 2:
-            continue
-        frame = orth_columns(res, RANK_TOL)
-        if frame.shape[1]:
-            return n, frame
+    spaces = state.spaces
+    for n in range(state.n_list[-1] + 1, state.model.levels + 1):
+        frames = [_escaping(model, q, n) for model, q in spaces]
+        if any(frame.shape[1] for frame in frames):
+            return n, frames
     raise RuntimeError("no level escapes J although J is proper")
 
 
 def _check_contains_prefix(state: LiftState) -> None:
-    """Raise unless K_{n_m} lies in J_m: ||(I - P) E_{n_m}|| <= RANK_TOL.
+    """Raise unless K_{n_m} lies in each summand of J_m: ||(I - P) E_{n_m}|| <= RANK_TOL.
 
     The Frobenius norm bounds the operator norm, so a residual whose Frobenius
     norm is at most RANK_TOL / 2 passes without an SVD.
     """
     n = state.n_list[-1]
-    c = _complement_coords(state.frame, state.model.prefix_idx(n))
-    if np.linalg.norm(c) <= RANK_TOL / 2:
-        return
-    worst = operator_norm(c)
-    if worst > RANK_TOL:
-        raise RuntimeError(f"lift step {state.m}: K_{n} is not contained in J "
-                           f"(residual {worst:.2e}); numerical failure")
+    for model, q in state.spaces:
+        c = _complement_coords(q, model.prefix_idx(n))
+        if np.linalg.norm(c) <= RANK_TOL / 2:
+            continue
+        worst = operator_norm(c)
+        if worst > RANK_TOL:
+            raise RuntimeError(f"lift step {state.m}: K_{n} is not contained in J "
+                               f"(residual {worst:.2e}); numerical failure")
 
 
 def _condition_residuals(state: LiftState) -> dict:
-    """Residuals of the running conditions the reports read at the current state."""
-    model = state.model
+    """Residuals of the running conditions the reports read at the current state: the
+    co-invariance of J (the largest over its summands) and max_g ||q^* g q G - G g||."""
     q = state.frame
     q_star = q.conj().T
-    return {"coinvariant": _frame_coinvariance(q, model.generators),
+    generators = state.model.generators
+    return {"coinvariant": max(_frame_coinvariance(frame, generators)
+                               for _, frame in state.spaces),
             "intertwining": max_operator_norm([per_copy_right(q_star, g) @ q @ state.g_mat
                                                - per_copy_right(state.g_mat, g)
-                                               for g in model.generators])}
+                                               for g in generators])}
 
 
 def lift_step(state: LiftState, step_validator=None) -> LiftState:
     """One induction step: adjoin the least escaping level and complete.
 
-    Computes n_{m+1} and the enlarged subspace, assembles the contraction F
-    from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
+    Computes n_{m+1} and the enlarged subspace, assembles the new columns of the
+    contraction F from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
-    state.  Its ledger entry holds what the reports and the loop read: m,
-    n_m, dim_j, the Parrott mu, the f_clamp, and the coinvariant and
-    intertwining residuals.  Raises if J is already
+    state.  F's new columns are read off q_new^* W q_m on the row side and placed
+    by the insertions of the domain, so for the corollary a step that adds no
+    direction to J_2 adds no row to G.  The ledger entry holds what the reports
+    and the loop read: m, n_m, dim_j (the width of J, d_1 + d_2 for the
+    corollary), the Parrott mu, the f_clamp, and the coinvariant (the largest
+    over the summands of J) and intertwining residuals.  Raises if J is already
     everything, if K_{n_m} is not contained in the new J (a guard, not a
     recorded number), or if the completion is not finite.
     """
     model = state.model
     if state.is_full():
         raise ValueError("subspace is already the whole induced space")
-    q_m = state.frame
-    n_new, q_new = _escape_level(state)
-    q_new = orth_columns(_complement(q_m, q_new), 0.5)
-    if q_new.shape[1] == 0:
+    # rebinding drops the escape frames before the F loop
+    n_new, added = _escape_level(state)
+    added = [orth_columns(_complement(q, new), 0.5)
+             for (_, q), new in zip(state.spaces, added)]
+    if not any(new.shape[1] for new in added):
         raise RuntimeError("escaping level added no new directions")
-    q_m1 = np.hstack([q_m, q_new])
+    q_m, q_new = state.frame, added[0]
 
     g_star = model.vacuum(state.g_mat).conj().T  # g^* for g = G_m L_{1^}: H -> J_m
     f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
     for k in range(1, model.levels + 1):
         # beta(W_{Z^{(k)-1} xi}) on the new directions only: q_new^* W q_m
-        for beta, (rows, cols) in model.compressions(k, q_new, q_m):
+        for (beta, _), (rows, cols) in zip(state.row_model.compressions(k, q_new, q_m),
+                                          model.insertions[k]):
             f_new[rows] += (g_star @ beta.conj().T)[cols]  # h x (d_{m+1} - d_m)
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)
@@ -332,7 +364,9 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     new_rows[:, rest_idx] = problem.S
     g_m1 = np.vstack([state.g_mat, new_rows])
 
-    new_state = LiftState(model, q_m1, g_m1, state.n_list + [n_new], list(state.ledger))
+    j1 = None if state.j1 is None else np.hstack([state.j1, added[1]])
+    new_state = LiftState(model, np.hstack([q_m, q_new]), g_m1, state.n_list + [n_new],
+                          list(state.ledger), state.row_model, j1)
     _check_contains_prefix(new_state)
     entry = _condition_residuals(new_state)
     entry.update({
@@ -370,13 +404,19 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, generators,
     return out
 
 
-def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator):
-    """The induction loop lifting g on the span of ``frame``; returns the lift, the
-    ledger and the final G in frame coordinates (None when g = 0 takes no step)."""
+def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator,
+          row_model: LiftModel | None = None, j1: np.ndarray | None = None):
+    """The induction loop lifting g: J_1 -> J, with J the span of ``frame`` in
+    ``row_model`` (``model`` unless given) and J_1 the span of ``j1`` in ``model`` (J
+    unless given); returns the lift ``model`` -> ``row_model``, the ledger and the
+    final G in frame coordinates (None when g = 0 takes no step)."""
+    row_model = model if row_model is None else row_model
     scale = operator_norm(g)
     if scale == 0.0:
-        return np.zeros((model.dim, model.dim), dtype=complex), [], None
-    state = LiftState(model, frame, (g / scale) @ frame.conj().T, [-1])
+        return np.zeros((row_model.dim, model.dim), dtype=complex), [], None
+    domain = frame if j1 is None else j1
+    state = LiftState(model, frame, (g / scale) @ domain.conj().T, [-1], row_model=row_model,
+                      j1=j1)
     while not state.is_full():
         state = lift_step(state, step_validator=validator)
     return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat
@@ -426,24 +466,20 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     creations.  The hypotheses are checked on the
     summands (orthonormal frames, J_i co-invariant under the amplified
     generators, g12 intertwining the compressions), and one above
-    ``hypothesis_tol`` raises a _HypothesisError naming it.  Then
-    [[0, 0], [G, 0]] on J_1 ⊕ J_2 is lifted on K^(t+s) = ``base.amplify(t + s)``,
-    whose copy-major layout puts K^(t) in the first t dim coordinates, and the
-    lower-left corner extracted; trace["hypothesis"] and trace["conclusions"]
-    carry the corollary's hypothesis and four conclusion residuals.
+    ``hypothesis_tol`` raises a _HypothesisError naming it.  The Putnam trick
+    lifts [[0, 0], [G, 0]] on J_1 (+) J_2 in K^(t) (+) K^(s); that lift keeps the
+    form [[0, 0], [X, 0]], since G has no J_1 row and no K^(s) column, the
+    generators act per copy, and the Parrott corner -S (mu^2 - R^* R)^+ R^* T keeps
+    both zero blocks.  So the loop runs on X: K^(t) -> J_2 alone, and J_1 enters
+    only through the step schedule, dim_j and the co-invariance residual (see
+    ``LiftState``); the sum is never formed.  trace["hypothesis"] and
+    trace["conclusions"] carry the corollary's hypothesis and four conclusion
+    residuals.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     hypotheses = _hypotheses(g12, j1_frame, j2_frame, base.generators, hypothesis_tol,
                              ("J_1", "J_2"))
-    model_sum = base.amplify(t + s)
-    split = t * base.dim
-    d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
-    j_frame = np.zeros((model_sum.dim, d1 + d2), dtype=complex)
-    j_frame[:split, :d1] = j1_frame
-    j_frame[split:, d1:] = j2_frame
-    g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-    g0[d1:, :d1] = g12
-    g_tilde0, steps, _ = _loop(model_sum, j_frame, g0, None)
-    g_tilde = g_tilde0[split:, :split].copy()
+    g_tilde, steps, _ = _loop(base.amplify(t), j2_frame, g12, None,
+                              row_model=base.amplify(s), j1=j1_frame)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
         g_tilde, g12, j1_frame, j2_frame, base.generators)}

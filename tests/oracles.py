@@ -4,10 +4,11 @@ Each function here restates an identity of the theory by a second route, or
 builds a small object only a test needs: the literal composition sum for
 R_k^2, the M-valued inner product, the unitary gamma_k, the dual basis as
 labelled tuples and pi_sigma on its frame, direct sums of representations,
-point evaluation on generator words, the levelwise kernel identities and the
-adjoint expansion of G_m.  None of them is on a path the CLI, the acceptance
-suite, ``tools/`` or ``perfbench/`` runs, so they live beside the tests,
-which import them as ``from oracles import ...``.  A method of a library
+point evaluation on generator words, the levelwise kernel identities, the
+adjoint expansion of G_m and the two-space lift on the whole Putnam sum.
+None of them is on a path the CLI, the acceptance suite, ``tools/`` or
+``perfbench/`` runs, so they live beside the tests, which import them as
+``from oracles import ...``.  A method of a library
 class becomes a function of that object here, e.g.
 ``prefix_columns(model, n)`` for ``model.prefix_columns(n)``.
 """
@@ -25,7 +26,7 @@ from wfock.graphs import CorrElement, GraphCorrespondence, path_basis, tensor_pa
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
 from wfock.jsonio import encode_matrix
-from wfock.lifting import LiftModel, LiftState, _frame_coinvariance
+from wfock.lifting import LiftModel, LiftState, _frame_coinvariance, _loop
 from wfock.linalg import as_complex, nullspace, operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem
 
@@ -395,7 +396,7 @@ def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
 
 
 # ---------------------------------------------------------------------------
-# lifting: prefix frames, co-invariance and the G_m adjoint expansion
+# lifting: prefix frames, co-invariance, the G_m adjoint expansion, the Putnam sum
 # ---------------------------------------------------------------------------
 
 
@@ -439,6 +440,25 @@ def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:
         for alpha, (rows, cols) in model.compressions(k, q, q):
             acc[rows] += (g_vec.conj().T @ alpha.conj().T)[cols]
     return residual(acc, state.g_mat.conj().T)
+
+
+def sum_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
+                   j2_frame: np.ndarray, g12: np.ndarray):
+    """The two-space corollary by the Putnam trick on the whole sum: the one-frame
+    loop lifting [[0, 0], [G, 0]] on J_1 (+) J_2, with the block-diagonal frame, in
+    K^(t+s) = ``base.amplify(t + s)``, whose copy-major layout puts K^(t) in the
+    first t dim coordinates.  Returns the lift on all of K^(t+s), whose lower-left
+    block K^(t) -> K^(s) is the corollary's lift, and the ledger."""
+    model = base.amplify(t + s)
+    split = t * base.dim
+    d1, d2 = j1_frame.shape[1], j2_frame.shape[1]
+    j_frame = np.zeros((model.dim, d1 + d2), dtype=complex)
+    j_frame[:split, :d1] = j1_frame
+    j_frame[split:, d1:] = j2_frame
+    g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+    g0[d1:, :d1] = g12
+    g_tilde, steps, _ = _loop(model, j_frame, g0, None)
+    return g_tilde, steps
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import wfock.interpolation
 import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
-from oracles import CoinvariantSubspace, gm_star_expansion_residual, prefix_columns
+from oracles import CoinvariantSubspace, gm_star_expansion_residual, prefix_columns, \
+    sum_space_lift
 from wfock.acceptance import _random_graph_x
+from wfock.cli import main
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
@@ -584,7 +590,7 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wfock.lifting, "orth_columns",
                       lambda a, tol: rank_tests.append(np.linalg.norm(a)) or orth(a, tol))
-        got_n, got_frame = _escape_level(state)
+        got_n, (got_frame,) = _escape_level(state)
     want_n, want_frame = _reference_escape(state)
     assert got_n == want_n
     assert np.array_equal(got_frame, want_frame)
@@ -728,3 +734,135 @@ def test_two_space_lift_reports_the_summand_hypotheses():
     assert set(trace["conclusions"]) == {"adjoint_invariance", "compression", "intertwining",
                                          "norm"}
     assert max(trace["conclusions"].values()) < 1e-8
+
+
+# -- the two-space lift on its corner ------------------------------------------
+
+
+def _block_diagonal(frames: list[np.ndarray], dim: int) -> np.ndarray:
+    """The direct sum of per-copy frames of one base space, copy-major."""
+    out = np.zeros((dim * len(frames), sum(f.shape[1] for f in frames)), dtype=complex)
+    col = 0
+    for i, f in enumerate(frames):
+        out[i * dim:(i + 1) * dim, col:col + f.shape[1]] = f
+        col += f.shape[1]
+    return out
+
+
+def _two_space_instance(base, dual_gens, t, s, rng):
+    """J_1 in K^(t), J_2 in K^(s) and g12 = P_{J_2} Theta|J_1 for an s x t block matrix
+    Theta of random commutant elements theta_ij.  Copy i of J_2 is the closure of a
+    random vector below the top level under the generator adjoints; copy j of J_1 is
+    the closure of sum_i theta_ij^* J_2^(i) and another such vector.  Both are
+    co-invariant, and Theta^* J_2 lies in J_1, so P_{J_2} Theta (I - P_{J_1}) = 0 and
+    g12 intertwines the compressions."""
+    below = base.prefix_idx(max(base.levels - 1, 0))
+
+    def seed():
+        v = np.zeros((base.dim, 1), dtype=complex)
+        v[below] = rng_complex(rng, below.size, 1)
+        return v
+
+    j2 = [krylov_closure(base, seed(), []) for _ in range(s)]
+    theta = [[random_commutant_element(dual_gens, rng) for _ in range(t)] for _ in range(s)]
+    j1 = [krylov_closure(base, np.hstack([theta[i][j].conj().T @ j2[i] for i in range(s)]
+                                         + [seed()]), []) for j in range(t)]
+    j1_frame, j2_frame = _block_diagonal(j1, base.dim), _block_diagonal(j2, base.dim)
+    g12 = j2_frame.conj().T @ np.block(theta) @ j1_frame
+    return j1_frame, j2_frame, g12 / max(operator_norm(g12), 1e-30) * rng.uniform(0.2, 1.5)
+
+
+def _schedule(steps):
+    return [(step["m"], step["n_m"], step["dim_j"]) for step in steps]
+
+
+def _check_against_the_sum(split, g12, lift, sum_lift):
+    """The corner lift (g_tilde, trace) equals the lower-left block of the lift on the
+    whole Putnam sum (``sum_space_lift``), whose other blocks vanish, and the two
+    ledgers share their schedule; K^(t) is the first ``split`` coordinates of the sum."""
+    (g_tilde, trace), (oracle, oracle_steps) = lift, sum_lift
+    assert residual(g_tilde, oracle[split:, :split]) <= 1e-9 * max(1.0, operator_norm(g12))
+    assert operator_norm(oracle[:split]) <= 1e-9
+    assert operator_norm(oracle[split:, split:]) <= 1e-9
+    assert _schedule(trace["steps"]) == _schedule(oracle_steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs(full=True), st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+def test_two_space_lift_equals_the_corner_of_the_sum_lift(graph, ts, data):
+    """The lift of X: K^(t) -> J_2 is the lower-left block of the lift of
+    [[0, 0], [G, 0]] on the sum, up to roundoff, on instances whose sum lift takes
+    no clamp (a deep clamp amplifies last bits)."""
+    t, s = ts
+    n = data.draw(st.integers(1, 3), label="N")
+    ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph),
+                                                             label="sigma"))), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    base = primal_lift_model(ind, ws)
+    dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
+    j1, j2, g12 = _two_space_instance(base, dual_gens, t, s, rng)
+    sum_lift = sum_space_lift(base, t, s, j1, j2, g12)
+    assume(all(step["f_clamp"] == 1.0 for step in sum_lift[1]))
+    lift = two_space_lift(base, t, s, j1, j2, g12, hypothesis_tol=1e-9)
+    assert lift[0].shape == (s * base.dim, t * base.dim)
+    _check_against_the_sum(t * base.dim, g12, lift, sum_lift)
+
+
+@pytest.mark.parametrize("j1_level, j2_level", [(1, 0), (0, 1)])
+def test_two_space_lift_where_one_summand_escapes_first(monkeypatch, j1_level, j2_level):
+    """On free(2) with sigma (1) at N=3, J_1 = K_1 with J_2 = K_0 makes a first step
+    that adjoins K_1 to J_2 alone, and J_1 = K_0 with J_2 = K_1 one that adjoins K_1 to
+    J_1 alone and adds no row to X.  g12 is the K_0 coordinates of K_1 in the first
+    case and 0.6 x (vacuum -> each level-1 coordinate) in the second; both intertwine
+    the compressions, since the generators raise the level."""
+    base = primal_lift_model(*make_setup(FREE2, (1,), 3))
+    j1, j2 = prefix_columns(base, j1_level), prefix_columns(base, j2_level)
+    g12 = j2.conj().T @ j1 if j1_level else 0.6 * (base.level[base.prefix_idx(1)] == 1)[:, None]
+    rows = []
+    step = wfock.lifting.lift_step
+
+    def counted(state, step_validator=None):
+        new_state = step(state, step_validator)
+        rows.append((state.g_mat.shape[0], new_state.g_mat.shape[0]))
+        return new_state
+
+    monkeypatch.setattr(wfock.lifting, "lift_step", counted)
+    g_tilde, trace = two_space_lift(base, 1, 1, j1, j2, g12, hypothesis_tol=1e-9)
+    assert max(trace["hypothesis"].values()) < 1e-12
+    assert max(trace["conclusions"].values()) < 1e-12
+    assert _schedule(trace["steps"]) == [(2, 1, 6), (3, 2, 14), (4, 3, 30)]
+    # X gains the new directions of J_2: none when K_1 joins J_1 alone
+    assert rows == ([(1, 3), (3, 7), (7, 15)] if j1_level else [(3, 3), (3, 7), (7, 15)])
+    monkeypatch.setattr(wfock.lifting, "lift_step", step)
+    _check_against_the_sum(base.dim, g12, (g_tilde, trace),
+                           sum_space_lift(base, 1, 1, j1, j2, g12))
+
+
+def test_two_space_lift_stays_small(monkeypatch, tmp_path):
+    # the lift runs on X: K -> J_2 and never forms the sum K (+) K; on this solve
+    # (free(2), sigma (1), N=6, three matrix points) the sum lift peaked at 13.0 MB
+    problem = {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+               "X": {"scalar": [0.5, 0.08333333333333333]},
+               "points": [{"matrix": [[[0.0257, -0.0699], [-0.1673, 0.0753]]]},
+                          {"matrix": [[[-0.0141, -0.0014], [0.1186, 0.0935]]]},
+                          {"matrix": [[[-0.0576, -0.0361], [0.0865, 0.0333]]]}],
+               "F": [[[[0.0317, -0.0410]]], [[[0.0509, 0.0287]]], [[[0.0624, 0.0194]]]]}
+    inp = tmp_path / "solve.json"
+    inp.write_text(json.dumps(problem))
+    lift, peaks = wfock.interpolation.two_space_lift, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return lift(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(wfock.interpolation, "two_space_lift", traced)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--command", "solve", "--N", "6", "--input", str(inp),
+                     "--output", str(tmp_path / "out.json")])
+    assert code == 0
+    assert len(peaks) == 1 and peaks[0] < 6e6, peaks
