@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import phi_inf, weighted_creation
+from .fock import FockOperator, phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, embed_prefix, path_basis
 from .induced import InducedSpace, Representation
 from .lifting import LiftModel
@@ -205,33 +205,30 @@ class DualStructure:
 
     # -- transported dual operators on the primal induced space ---------------
 
-    def rho_creation(self, t_mats: list[np.ndarray], k: int) -> list[np.ndarray]:
+    def rho_creation(self, t_mats: list[np.ndarray], k: int) -> list[FockOperator]:
         """rho of the weighted creations by the dual elements with intertwiners
-        ``t_mats`` (H -> level k) as band blocks K_{<=N-k} -> K_{>=k}: level block
-        (j+k, j) is (C^{(j+k,k)} (x) I) (I_j (x) t), one C gather for all t."""
+        ``t_mats`` (H -> level k), degree-k operators on the induced space: level
+        block (j+k, j) is (C^{(j+k,k)} (x) I) (I_j (x) t), one C gather for all t."""
         ind = self.ind
-        top = ind.level_offsets[k]
-        out = [ind.assemble({}, k) for _ in t_mats]
+        out = [{} for _ in t_mats]
         for j in range(ind.levels + 1 - k):
             if ind.level_dim(j + k) and ind.level_dim(j):
                 cw = ind.level_tensor_identity(self.ws.c_between(j + k, k), j + k)
-                rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
-                for band, t_mat in zip(out, t_mats):
-                    band[rows, ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
-        return out
+                for blocks, t_mat in zip(out, t_mats):
+                    blocks[j + k, j] = cw @ ind.suffix_insert(t_mat, k, j)
+        return [FockOperator(ind, blocks) for blocks in out]
 
     def dual_generators(self) -> list[tuple[str, np.ndarray]]:
-        """Transported dual algebra generators: left actions plus creations."""
+        """Transported dual algebra generators as whole-space matrices: left actions
+        plus creations."""
         ind = self.ind
-        out = [(f"phi'({v},{i},{j})", ind.dual_left(self.rep.commutant_unit(v, i, j)))
+        out = [(f"phi'({v},{i},{j})", ind.dual_left(self.rep.commutant_unit(v, i, j)).matrix)
                for v, i, j in self.rep.commutant_basis()]
         theta = self.theta(1)
-        bands = self.rho_creation([self._intertwiner(1, n) for n in range(theta.size)], 1)
+        ops = self.rho_creation([self._intertwiner(1, n) for n in range(theta.size)], 1)
         edge = ind._cut(1, 1)[0]  # per level-1 coordinate: its edge; its row is the local index
-        for c, band in zip(theta, bands):  # each band padded to the whole space
-            out.append((f"W'({edge[c]},{c - ind.block_offsets[1][edge[c]]})",
-                        np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))))
-        return out
+        return out + [(f"W'({edge[c]},{c - ind.block_offsets[1][edge[c]]})", op.matrix)
+                      for c, op in zip(theta, ops)]
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
@@ -256,12 +253,10 @@ def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftM
     block of the weighted creation.  Level 0 stays empty."""
     insertions, creations = [[]], [[]]
     for k in range(1, ind.levels + 1):
-        insertions.append([])
-        creations.append([])
-        for (rows, cols), band in basis(k):
-            insertions[k].append((ind.level_offsets[k] + rows, cols))
-            creations[k].append(band)
-    level = np.repeat(np.arange(ind.levels + 1), np.diff(ind.level_offsets))
+        pairs = list(basis(k))
+        insertions.append([(ind.level_offsets[k] + rows, cols) for (rows, cols), _ in pairs])
+        creations.append([band for _, band in pairs])
+    level = np.repeat(np.arange(ind.levels + 1), ind.level_dims)
     return LiftModel(dim=ind.dim, levels=ind.levels, level=level, copies=1,
                      generators=generators, insertions=insertions, creations=creations)
 
@@ -278,9 +273,7 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
         for p in range(path_basis(ind.graph, k).size):
             rows = np.arange(*ind.block_offsets[k][p:p + 2])
             w = weighted_creation(ind.fock, ws, CorrElement(k, zinv[:, p]))
-            yield ((rows, h[rows]),
-                   ind.assemble({ij: ind.level_tensor_identity(blk, *ij)
-                                 for ij, blk in w.blocks.items()}, k))
+            yield (rows, h[rows]), ind.fock_tensor_identity(w).band(k)
 
     return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis)
 
@@ -300,8 +293,8 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
         tuples = range(rows.size)
         # a product: a column gather of zinv_ind would keep signs of zeros that
         # the product's sums set, and rho_creation carries them into the bands
-        bands = structure.rho_creation([zinv_ind @ structure._intertwiner(k, n) for n in tuples], k)
-        return zip(((rows[n:n + 1], cols[n:n + 1]) for n in tuples), bands)
+        ops = structure.rho_creation([zinv_ind @ structure._intertwiner(k, n) for n in tuples], k)
+        return zip(((rows[n:n + 1], cols[n:n + 1]) for n in tuples), (op.band(k) for op in ops))
 
     return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
 
@@ -428,13 +421,11 @@ def u_k_unitarity_residual(graph: GraphCorrespondence, rep: Representation, k: i
 def primal_generators(ind: InducedSpace, ws: WeightSystem) -> list[tuple[str, np.ndarray]]:
     """Images Y (x) I_H of the algebra generators: vertex units and edges."""
     out = []
-    for v in range(ind.graph.n_vertices):
-        a = np.zeros(ind.graph.n_vertices)
-        a[v] = 1.0
-        out.append((f"phi({v})", ind.fock_tensor_identity(phi_inf(ind.fock, a))))
+    for v, a in enumerate(np.eye(ind.graph.n_vertices)):
+        out.append((f"phi({v})", ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix))
     for e in range(ind.graph.n_edges):
         w = weighted_creation(ind.fock, ws, CorrElement.basis_vector(ind.graph, 1, e))
-        out.append((f"W({e})", ind.fock_tensor_identity(w)))
+        out.append((f"W({e})", ind.fock_tensor_identity(w).matrix))
     return out
 
 
@@ -510,15 +501,13 @@ def omega_checks(ind: InducedSpace, ws: WeightSystem, x_seq) -> dict[str, float]
                              residual(_in_frame(x_k, omega_k), x2))
     for e in range(g.n_edges):
         xi = CorrElement.basis_vector(g, 1, e)
-        w_mat = ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi))
+        w_mat = ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi)).matrix
         lhs = _in_frame(w_mat, omega)
         coeffs = _tuple_coefficients(s2, ind.insertion_map(xi)[s1.theta(1)])
-        rhs = ind.fock_tensor_identity(weighted_creation(ind.fock, ws2, CorrElement(1, coeffs)))
-        out["creation"] = max(out["creation"], residual(lhs, rhs))
-    for v in range(g.n_vertices):
-        a = np.zeros(g.n_vertices)
-        a[v] = 1.0
-        mat = ind.fock_tensor_identity(phi_inf(ind.fock, a))
+        w2 = weighted_creation(ind.fock, ws2, CorrElement(1, coeffs))
+        out["creation"] = max(out["creation"], residual(lhs, ind.fock_tensor_identity(w2).matrix))
+    for a in np.eye(g.n_vertices):
+        mat = ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix
         out["left_action"] = max(out["left_action"],
                                  residual(_in_frame(mat, omega), mat))
     # insertion identity: U_k Lambda^iota(omega_k xi) = L_xi for basis paths

@@ -2,18 +2,20 @@
 
 The Fock space of E is the direct sum of the tensor powers; we keep levels
 0..N and store an operator as its blocks between levels, so an operator of
-degree k holds only the blocks from level j to level j + k.  The dense square
-matrix over the stacked path bases is built only on request.  Compressing to
-levels <= N is exactly multiplicative for operators of nonnegative degree (a
-product of raising operators cannot pass through levels above N and return),
-so every algebraic identity among weighted creation operators and left
-actions holds exactly on the truncation, not just approximately.
+degree k holds only the blocks from level j to level j + k; the induced
+spaces F(E) (x)_sigma H use the same type, which alone places blocks into a
+matrix, on request.  Compressing to levels <= N is exactly multiplicative for
+operators of nonnegative degree (a product of raising operators cannot pass
+through levels above N and return), so every algebraic identity among weighted
+creation operators and left actions holds exactly on the truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,6 +23,9 @@ from .graphs import CorrElement, GraphCorrespondence, _masked_gather, _random_mo
     insertion_matrix, left_action, path_basis
 from .linalg import as_complex, psd_sqrt, residual
 from .weights import AdmissibleSequence, WeightSystem
+
+if TYPE_CHECKING:
+    from .induced import InducedSpace
 
 
 @dataclass(frozen=True)
@@ -36,11 +41,7 @@ class TruncatedFock:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        dims = self.level_dims
-        out = [0]
-        for d in dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return tuple(accumulate(self.level_dims, initial=0))
 
     @property
     def dim(self) -> int:
@@ -53,15 +54,15 @@ class TruncatedFock:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """An operator on the truncated Fock space, stored as its level blocks.
+    """A graded operator on a truncated Fock or induced space, stored as its level blocks.
 
     ``blocks[(i, j)]`` maps level j into level i; absent blocks are zero, so
     the operator holds no mass outside the blocks it was built with.  On
-    construction every block must have the shape of its levels and finite
-    entries.  The blocks are kept in (i, j) order.
+    construction every block must have the shape of its levels (``level_dims``
+    of ``space``) and finite entries.  The blocks are kept in (i, j) order.
     """
 
-    space: TruncatedFock
+    space: TruncatedFock | InducedSpace
     blocks: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
@@ -73,10 +74,19 @@ class FockOperator:
             if blk.shape != (dims[i], dims[j]):
                 raise ValueError(f"block ({i},{j}) has shape {blk.shape}, "
                                  f"expected {(dims[i], dims[j])}")
-            if not np.isfinite(blk).all():
-                raise ValueError(f"block ({i},{j}) has non-finite entries")
             blocks[i, j] = blk
+        # one finiteness pass over all entries; the block scan only names the pair
+        if blocks and not np.isfinite(np.concatenate([b.ravel() for b in blocks.values()])).all():
+            i, j = next(ij for ij, b in blocks.items() if not np.isfinite(b).all())
+            raise ValueError(f"block ({i},{j}) has non-finite entries")
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _gathered(cls, space: TruncatedFock | InducedSpace, blocks: dict) -> FockOperator:
+        """The operator without the constructor's checks, for blocks gathered from checked ones."""
+        op = object.__new__(cls)
+        op.__dict__.update(space=space, blocks=blocks)
+        return op
 
     @cached_property
     def degree(self) -> int | None:
@@ -84,15 +94,25 @@ class FockOperator:
         degrees = {i - j for i, j in self.blocks}
         return degrees.pop() if len(degrees) == 1 else None
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense square matrix over the stacked path bases (read-only)."""
-        sp = self.space
-        out = np.zeros((sp.dim, sp.dim), dtype=complex)
+    def band(self, k: int) -> np.ndarray:
+        """The blocks placed in a new matrix from levels 0..N-k into levels k..N; every
+        block must lie there.  For an operator of degree k this is its one band block."""
+        n, off = self.space.levels, list(accumulate(self.space.level_dims, initial=0))
+        top = off[k]
+        out = np.zeros((off[-1] - top, off[n + 1 - k]), dtype=complex)
         for (i, j), blk in self.blocks.items():
-            out[sp.level_slice(i), sp.level_slice(j)] = blk
-        out.flags.writeable = False
+            if i < k or j > n - k:
+                raise ValueError(f"block ({i},{j}) lies outside band {k}")
+            out[off[i] - top:off[i + 1] - top, off[j]:off[j + 1]] = blk
         return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """``band(0)``, kept once built (read-only); cached_property's lock would cost hot loops."""
+        if "_matrix" not in self.__dict__:
+            self.__dict__["_matrix"] = self.band(0)
+            self.__dict__["_matrix"].flags.writeable = False
+        return self.__dict__["_matrix"]
 
 
 def phi_inf(space: TruncatedFock, a) -> FockOperator:

@@ -11,14 +11,15 @@ with an identity leg are gathers over these index arrays: Y (x) I_H for a
 module map Y takes Y[p, q] where the H indices agree (well-typed because
 module maps preserve path sources), and I_j (x) T takes T between the path
 suffixes where the length-j prefixes agree.  ``InducedSpace`` is the one home
-of that assembly, of the insertions L_xi: H -> level k, and of the dual left
-action I_k (x) A.
+of these gathers, of the insertions L_xi: H -> level k and of the dual left
+action I_k (x) A; whole-space operators are ``fock.FockOperator``s on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,10 +49,7 @@ class Representation:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for m in self.multiplicities:
-            out.append(out[-1] + m)
-        return tuple(out)
+        return tuple(accumulate(self.multiplicities, initial=0))
 
     def block(self, v: int) -> slice:
         off = self.offsets
@@ -86,15 +84,13 @@ class Representation:
 
 
 def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
-    """Entries of Y between paths of different sources (the True entries of
-    ``cross_sources``) must be <= 1e-12 max(1, ||Y||).
+    """Entries of the finite Y between paths of different sources (the True entries
+    of ``cross_sources``) must be <= 1e-12 max(1, ||Y||).
 
     The norm is taken only when such an entry is nonzero.  Moduli come from
     np.hypot, which rounds as the scalar abs does; the vectorised complex
     np.abs can land one ulp higher and flip an entry sitting on the bound.
     """
-    if not np.isfinite(y).all():
-        raise ValueError("module map has non-finite entries")
     cross = y[cross_sources]
     cross = np.hypot(cross.real, cross.imag)
     if cross.any() and (cross > 1e-12 * max(1.0, operator_norm(y))).any():
@@ -102,7 +98,7 @@ def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
 
 
 class InducedSpace:
-    """Coordinates and operator assembly on ⊕_{k<=N} E^{(x)k} (x)_sigma H."""
+    """Coordinates and identity-leg gathers on ⊕_{k<=N} E^{(x)k} (x)_sigma H."""
 
     def __init__(self, graph: GraphCorrespondence, rep: Representation, levels: int):
         if rep.n_vertices != graph.n_vertices:
@@ -111,16 +107,11 @@ class InducedSpace:
         self.rep = rep
         self.levels = levels
         self.fock = TruncatedFock(graph, levels)
-        m = np.array(rep.multiplicities)
-        self.block_sizes: list[list[int]] = []
-        self.block_offsets: list[list[int]] = []
-        self.level_offsets: list[int] = [0]
-        for k in range(levels + 1):
-            sizes = m[np.array(path_basis(graph, k).sources, dtype=np.intp)]
-            offs = np.concatenate([[0], np.cumsum(sizes)])
-            self.block_sizes.append(sizes.tolist())
-            self.block_offsets.append(offs.tolist())
-            self.level_offsets.append(self.level_offsets[-1] + int(offs[-1]))
+        m = rep.multiplicities
+        self.block_sizes = [[m[v] for v in path_basis(graph, k).sources] for k in range(levels + 1)]
+        self.block_offsets = [list(accumulate(sizes, initial=0)) for sizes in self.block_sizes]
+        self.level_dims = tuple(map(sum, self.block_sizes))
+        self.level_offsets: list[int] = list(accumulate(self.level_dims, initial=0))
         self.dim = self.level_offsets[-1]
         self.h_dim = rep.h_dim
         self._cuts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -132,7 +123,7 @@ class InducedSpace:
         return slice(self.level_offsets[k], self.level_offsets[k + 1])
 
     def level_dim(self, k: int) -> int:
-        return self.level_offsets[k + 1] - self.level_offsets[k]
+        return self.level_dims[k]
 
     def _cut(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Per coordinate of level k: the prefix index of its path cut after j
@@ -168,29 +159,24 @@ class InducedSpace:
         if k_in is None:
             k_in = k_out
         y = as_complex(y)
+        if not np.isfinite(y).all():
+            raise ValueError("module map has non-finite entries")
+        return self._tensor_identity(y, k_out, k_in)
+
+    def _tensor_identity(self, y: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
+        """``level_tensor_identity`` of a complex Y already known to be finite."""
         _check_module_map(y, self._cross_sources(k_out, k_in))
         (p_out, h_out), (p_in, h_in) = self._cut(k_out, k_out), self._cut(k_in, k_in)
         return _masked_gather(y, p_out, p_in, h_out, h_in)
 
-    def fock_tensor_identity(self, op: FockOperator) -> np.ndarray:
+    def fock_tensor_identity(self, op: FockOperator) -> FockOperator:
         """(Y (x) I_H) on the whole truncated induced space, gathered block by block.
 
         Each level block of Y is judged by the module-map rule of
         ``level_tensor_identity``, in (i, j) order.
         """
-        return self.assemble({(i, j): self.level_tensor_identity(blk, i, j)
-                              for (i, j), blk in op.blocks.items()}, 0)
-
-    def assemble(self, blocks: dict[tuple[int, int], np.ndarray], k: int) -> np.ndarray:
-        """The operator with level blocks ``blocks[(i, j)]`` (level j to level i)
-        as a matrix K_{<=N-k} -> K_{>=k}: for k = 0 the whole space, for an
-        operator of degree k its one band block."""
-        top = self.level_offsets[k]
-        out = np.zeros((self.dim - top, self.level_offsets[self.levels + 1 - k]), dtype=complex)
-        for (i, j), blk in blocks.items():
-            out[self.level_offsets[i] - top:self.level_offsets[i + 1] - top,
-                self.level_slice(j)] = blk
-        return out
+        return FockOperator._gathered(self, {(i, j): self._tensor_identity(blk, i, j)
+                                             for (i, j), blk in op.blocks.items()})
 
     @cached_property
     def _dual_left_index(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -209,9 +195,9 @@ class InducedSpace:
         flat = np.append(as_complex(a).ravel(), 0)[idx]
         return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
 
-    def dual_left(self, a: np.ndarray) -> np.ndarray:
+    def dual_left(self, a: np.ndarray) -> FockOperator:
         """⊕_k I_k (x) A on the whole truncated induced space."""
-        return self.assemble({(k, k): blk for k, blk in enumerate(self.dual_left_levels(a))}, 0)
+        return FockOperator(self, {(k, k): blk for k, blk in enumerate(self.dual_left_levels(a))})
 
     def sigma_level(self, a, k: int) -> np.ndarray:
         """The induced action of a in M on level k: a(r(p)) per block."""

@@ -165,23 +165,21 @@ def kernel_tail_bound(z: DiscPoint) -> float:
 
 @dataclass
 class CauchyKernel:
-    """The transported Cauchy column L_z: H -> K, with its level blocks."""
+    """The transported Cauchy column L_z: H -> K, stacked level by level."""
 
     point: DiscPoint
     ws: WeightSystem
-    levels: list[np.ndarray] = field(init=False)
     column: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ind = self.point.ind
-        self.levels = [ind.level_tensor_identity(self.ws.z_prod_inv(k).conj().T, k)
-                       @ self.point.powers[k].conj().T for k in range(ind.levels + 1)]
-        self.column = np.vstack(self.levels)
+        self.column = np.vstack([ind.level_tensor_identity(self.ws.z_prod_inv(k).conj().T, k)
+                                 @ self.point.powers[k].conj().T for k in range(ind.levels + 1)])
 
     def pairing(self, other: "CauchyKernel", a: np.ndarray) -> np.ndarray:
         """<c_w, A . c_z> computed from the stored columns."""
         ind = self.point.ind
-        return self.column.conj().T @ ind.dual_left(as_complex(a)) @ other.column
+        return self.column.conj().T @ ind.dual_left(as_complex(a)).matrix @ other.column
 
 
 def kernel_value(w: DiscPoint, z: DiscPoint, a: np.ndarray) -> np.ndarray:
@@ -217,9 +215,9 @@ def word_matrix(ind: InducedSpace, ws: WeightSystem, word) -> np.ndarray:
     out = np.eye(ind.dim, dtype=complex)
     for kind, payload in word:
         if kind == "a":
-            out = out @ ind.fock_tensor_identity(phi_inf(ind.fock, payload))
+            out = out @ ind.fock_tensor_identity(phi_inf(ind.fock, payload)).matrix
         else:
-            out = out @ ind.fock_tensor_identity(weighted_creation(ind.fock, ws, payload))
+            out = out @ ind.fock_tensor_identity(weighted_creation(ind.fock, ws, payload)).matrix
     return out
 
 
@@ -329,7 +327,7 @@ def _span_generators(problem: PickProblem, ws: WeightSystem):
     cauchy = [CauchyKernel(z, ws).column for z in problem.points]
     cols_b, cols_f = [[] for _ in cauchy], [[] for _ in cauchy]
     for unit in ind.rep.commutant_units():
-        left = ind.dual_left(unit)  # one K x K left action alive at a time
+        left = ind.dual_left(unit).matrix  # one K x K left action alive at a time
         for i, column in enumerate(cauchy):
             base = left @ column  # K x h
             cols_b[i].append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)

@@ -39,6 +39,13 @@ def _count(v) -> int:
     return v
 
 
+def _positive(v) -> int:
+    """A JSON integer of at least 1."""
+    if (n := _count(v)) < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 def _named(field: str, decode, *args):
     """``decode(*args)`` with a malformed-input error reported against ``field``."""
     try:
@@ -90,10 +97,7 @@ def encode_graph(g: GraphCorrespondence) -> dict:
 
 def decode_count(obj: dict, key: str, default: int) -> int:
     """The integer field ``key`` of ``obj``, at least 1; a bad value is named, never truncated."""
-    n = _named(key, _count, obj.get(key, default))
-    if n < 1:
-        raise ValueError(f"{key}: must be at least 1, got {n}")
-    return n
+    return _named(key, _positive, obj.get(key, default))
 
 
 def _edge(e) -> tuple[int, int]:
@@ -111,16 +115,18 @@ def decode_graph(obj) -> GraphCorrespondence:
 
 def decode_rep(obj, graph: GraphCorrespondence) -> Representation:
     mults = obj.get("multiplicities", obj) if isinstance(obj, dict) else obj
-    rep = Representation(tuple(_items("sigma", _count, mults)))
+    rep = Representation(tuple(_items("sigma", _positive, mults)))
     if rep.n_vertices != graph.n_vertices:
         raise ValueError("sigma: multiplicity count differs from the vertex count")
     return rep
 
 
 def _by_level(field: str, obj) -> dict:
-    """The object ``field`` that maps level numbers "1", "2", ... to matrices."""
+    """The object ``field`` mapping the levels "1", "2", ... to matrices; other keys are named."""
     if not isinstance(obj, dict):
         raise ValueError(f"{field}: expected an object keyed by level, got {type(obj).__name__}")
+    if bad := [key for key in obj if not (key.isascii() and key.isdigit() and key[0] != "0")]:
+        raise ValueError(f"{field}.{bad[0]}: not a level; the keys are \"1\", \"2\", ...")
     return obj
 
 

@@ -111,7 +111,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
     graph = ind.graph
 
     def w_tensor(xi: CorrElement) -> np.ndarray:
-        return ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi))
+        return ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi)).matrix
 
     def validator(state: LiftState, new_state: LiftState) -> dict[str, float]:
         model = state.model
@@ -146,7 +146,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
         out["beta_absorbs"] = residual(beta_xi @ alpha_y, beta(w_xi @ y_word))
         # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
         a = rng_complex(rng, graph.n_vertices)
-        phi_a = ind.fock_tensor_identity(phi_inf(ind.fock, a))
+        phi_a = ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix
         basis_k = path_basis(graph, k)
         a_conj_xi = CorrElement(k, np.conj(a)[list(basis_k.ranges)] * xi.coeffs)
         out["beta_left_module"] = residual(

@@ -188,8 +188,9 @@ class LiftModel:
 
 
 def per_copy_left(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(I_c (x) g) x for the square g, with c = rows(x) / dim(g) copy-major copies."""
-    return (g @ x.reshape(-1, g.shape[1], x.shape[1])).reshape(x.shape)
+    """(I_c (x) g) x for the square g, with c = rows(x) / dim(g) copy-major copies;
+    x may have no columns."""
+    return (g @ x.reshape(x.shape[0] // g.shape[1], g.shape[1], x.shape[1])).reshape(x.shape)
 
 
 def per_copy_right(x: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -245,12 +245,12 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
 
     def w_image(e) -> np.ndarray:
         xi = CorrElement.basis_vector(ind.graph, 1, int(e))
-        return ind.fock_tensor_identity(weighted_creation(space, ws, xi))
+        return ind.fock_tensor_identity(weighted_creation(space, ws, xi)).matrix
 
     # the words mix degrees, so they are products of induced images, and pi of
     # an image is the theta_full gather
     theta = s.theta_full()
-    phi_a = ind.fock_tensor_identity(phi_inf(space, a))
+    phi_a = ind.fock_tensor_identity(phi_inf(space, a)).matrix
     words = []
     for _ in range(3):
         e1, e2 = rng.integers(0, ind.graph.n_edges, size=2)
@@ -275,7 +275,7 @@ def pi_sigma_residuals(ind: InducedSpace, ws: WeightSystem, seed: int = 0) -> di
 
 def pi_sigma(s: DualStructure, y: FockOperator) -> np.ndarray:
     """pi(Y) = U_inf^* (Y (x) I_H) U_inf, written in the dual-basis frame."""
-    return _in_frame(s.ind.fock_tensor_identity(y), s.theta_full())
+    return _in_frame(s.ind.fock_tensor_identity(y).matrix, s.theta_full())
 
 
 def intertwiner(s: DualStructure, edges: tuple[int, ...], row: int) -> np.ndarray:
@@ -331,7 +331,8 @@ def levelwise_residual(cw: CauchyKernel, other: CauchyKernel, a: np.ndarray) -> 
     worst = 0.0
     blocks = ind.dual_left_levels(a)
     for k, wr in cw.point.kernel_powers.items():
-        lhs = cw.levels[k].conj().T @ blocks[k] @ other.levels[k]
+        rows = ind.level_slice(k)
+        lhs = cw.column[rows].conj().T @ blocks[k] @ other.column[rows]
         rhs = wr @ blocks[k] @ other.point.powers[k].conj().T
         worst = max(worst, residual(lhs, rhs))
     return worst
@@ -367,11 +368,11 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     exactly the part of K outside the range of the band block's adjoint.
     """
     ind = z.ind
-    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0]  # K_{<=N-1} -> K_{>=1}
+    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0].band(1)  # K_{<=N-1} -> K_{>=1}
     c = CauchyKernel(z, ws)
-    lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)) @ c.column)[ind.level_offsets[1]:]
+    lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)).matrix @ c.column)[ind.level_offsets[1]:]
     coeff = xi_mat.conj().T @ ind.dual_left_levels(as_complex(d_mat))[1] @ z.mat.conj().T
-    rhs = ind.dual_left(coeff) @ c.column
+    rhs = ind.dual_left(coeff).matrix @ c.column
     return residual(lhs, rhs[:band.shape[1], :])
 
 
@@ -433,7 +434,7 @@ def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:
     acc = np.zeros((model.dim, state.dim_j), dtype=complex)
     q = state.frame
     for v, a in enumerate(np.eye(ind.graph.n_vertices)):
-        alpha = q.conj().T @ ind.fock_tensor_identity(phi_inf(ind.fock, a)) @ q
+        alpha = q.conj().T @ ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix @ q
         block = ind.rep.block(v)
         acc[block] += (g_vec.conj().T @ alpha.conj().T)[block]
     for k in range(1, model.levels + 1):

@@ -246,11 +246,52 @@ EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ("weights", {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
                  "Z": {"matrices": {"1": [[0]], "2": [[1]], "3": [[1]], "4": [[1]]}}},
      "Z.matrices.1: not invertible"),
+    # a key that is no level >= 1 is named, not dropped (X_0 must vanish)
+    ("validate", {"graph": {"vertices": 1, "edges": [[0, 0]]},
+                  "X": {"matrices": {"1": [[1]], "foo": [[1]], "0": [[5]]}}},
+     "X.matrices.foo: not a level"),
+    ("validate", {"graph": {"vertices": 1, "edges": [[0, 0]]},
+                  "X": {"matrices": {"1": [[1]], "0": [[5]]}}}, "X.matrices.0: not a level"),
+    ("weights", {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                 "Z": {"matrices": {"1": [[1]], "2": [[1]], "3": [[1]], "4": [[1]], "01": [[1]]}}},
+     "Z.matrices.01: not a level"),
+    ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "sigma": [0]},
+     "sigma[0]: must be at least 1, got 0"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))
     assert code == 1
     assert field in report["error"]
+
+
+def test_level_keys_above_the_truncation_are_not_read(tmp_path):
+    loop = {"vertices": 1, "edges": [[0, 0]]}
+    for command, obj in [
+            ("validate", {"graph": loop, "X": {"matrices": {"1": [[0.5]], "9": [[5]]}}}),
+            ("weights", {"graph": loop, "X": {"scalar": [1.0]},
+                         "Z": {"matrices": {str(k): [[1]] for k in range(1, 10)}}})]:
+        code, report = run(RunConfig(command, input_path=write(tmp_path, "k.json", obj), N=4))
+        assert code == 0, report
+
+
+ZERO_F = [[[[0.0, 0.0]]]]
+
+
+@pytest.mark.parametrize("obj, n", [
+    (dict(TWO_POINT, points=TWO_POINT["points"][:1], F=ZERO_F), 10),
+    (dict(TWO_POINT, F=ZERO_F * 2), 10),
+    ({"graph": GRAPH2, "sigma": [1], "X": {"scalar": [1.0]},
+      "points": [{"matrix": [[[0.1, 0.05], [-0.08, 0.0]]]}], "F": ZERO_F}, 5),
+], ids=["one-loop-one-point", "one-loop-two-points", "free2-matrix-point"])
+def test_zero_targets_are_solved_by_zero(tmp_path, obj, n):
+    """Targets F all zero leave J_F without columns; f = 0 solves the problem."""
+    code, report = run(RunConfig("solve", input_path=write(tmp_path, "z.json", obj), N=n))
+    assert code == 0 and report["verdict"] == "solved"
+    assert len(report["evaluations"]) == len(obj["points"])
+    assert all(v == [0.0, 0.0] for ev in report["evaluations"] for row in ev for v in row)
+    assert report["norm"]["value"] == 0.0
+    assert report["trace"]["conclusions"] == dict.fromkeys(
+        ("adjoint_invariance", "compression", "intertwining", "norm"), 0.0)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0, True])

@@ -6,11 +6,14 @@ on random small graphs.  The dual frames Theta_k, now coordinate
 permutations, are compared the same way with the recursive intertwiner
 products and the dense conjugations they replaced, and the lift models'
 coordinate insertions and band blocks with the dense whole-space basis
-operators and the kron amplification they replaced.  The last tests check
-tensor and creation identities on the same graphs.
+operators and the kron amplification they replaced.  Graded operators on the
+induced space are compared with test-local copies of the block writers that
+``FockOperator.band`` and ``matrix`` replaced.  The last tests check tensor and
+creation identities on the same graphs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
@@ -425,6 +428,41 @@ def ref_rho_creation(s, t_mat, k):
     return out
 
 
+def ref_assemble(ind, blocks, k):
+    """Level blocks (level j to level i) placed by hand into a matrix
+    K_{<=N-k} -> K_{>=k}: the reference for ``FockOperator.band``."""
+    top = ind.level_offsets[k]
+    out = np.zeros((ind.dim - top, ind.level_offsets[ind.levels + 1 - k]), dtype=complex)
+    for (i, j), blk in blocks.items():
+        out[ind.level_offsets[i] - top:ind.level_offsets[i + 1] - top, ind.level_slice(j)] = blk
+    return out
+
+
+def ref_rho_bands(s, t_mats, k):
+    """The band blocks of ``rho_creation``, written at hand-placed row offsets."""
+    ind = s.ind
+    top = ind.level_offsets[k]
+    out = [ref_assemble(ind, {}, k) for _ in t_mats]
+    for j in range(ind.levels + 1 - k):
+        if ind.level_dim(j + k) and ind.level_dim(j):
+            cw = ind.level_tensor_identity(s.ws.c_between(j + k, k), j + k)
+            rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
+            for band, t_mat in zip(out, t_mats):
+                band[rows, ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
+    return out
+
+
+def ref_padded_dual_generators(s):
+    """The dual generators as hand-assembled left actions, then the level-1 creation
+    bands padded to the whole space."""
+    ind = s.ind
+    out = [ref_assemble(ind, {(k, k): blk for k, blk in enumerate(
+        ind.dual_left_levels(s.rep.commutant_unit(*u)))}, 0) for u in s.rep.commutant_basis()]
+    bands = ref_rho_bands(s, [s._intertwiner(1, n) for n in range(s.theta(1).size)], 1)
+    return out + [np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))
+                  for band in bands]
+
+
 def ref_primal_basis_ops(ind, ws):
     """Per level k >= 1, (insertion L_{p^}, weighted creation at Z^{(k)-1} p) as whole-space
     matrices; level 0 is empty, as in the lift models."""
@@ -511,7 +549,7 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
     model = primal_lift_model(ind, weight_system_from(
         AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n)))
     a_mat = _commutant_element(rng, rep)
-    assert np.array_equal(ind.dual_left(a_mat), ref_dual_left(ind, a_mat))
+    assert np.array_equal(ind.dual_left(a_mat).matrix, ref_dual_left(ind, a_mat))
     blocks = {}
     for i in range(n + 1):
         for j in range(n + 1):
@@ -519,7 +557,8 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
             assert np.array_equal(ind.level_tensor_identity(y, i, j),
                                   ref_level_tensor_identity(ind, y, i, j))
     big = FockOperator(TruncatedFock(graph, n), blocks)
-    assert np.array_equal(ind.fock_tensor_identity(big), ref_fock_tensor_identity(ind, big.matrix))
+    assert np.array_equal(ind.fock_tensor_identity(big).matrix,
+                          ref_fock_tensor_identity(ind, big.matrix))
     a = rng_complex(rng, graph.n_vertices)
     vertex_of_h = np.repeat(np.arange(graph.n_vertices), rep.multiplicities)
     z = np.zeros((h, ind.level_dim(1)), dtype=complex)
@@ -650,7 +689,7 @@ def test_dual_frames_match_the_dense_products(graph, n, data):
                               ref_conjugate(th, ind.level_tensor_identity(x.X[k], k)))
     y = _fock_module_map(rng, ind.fock)
     assert np.array_equal(pi_sigma(s, y),
-                          ref_conjugate(ref_theta_full(s), ind.fock_tensor_identity(y)))
+                          ref_conjugate(ref_theta_full(s), ind.fock_tensor_identity(y).matrix))
 
 
 @settings(max_examples=20, deadline=None)
@@ -730,7 +769,7 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
         s = DualStructure(ind, ws)
         model = dual_lift_model(s)
         sides.append((model, ref_dual_basis_ops(s), True))
-        ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j))
+        ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j)).matrix
                     for v, i, j in s.rep.commutant_basis()]
         ref_gens += [ref_rho_creation(s, intertwiner(s, edges, row), 1)
                      for edges, row in dual_tuples(s, 1)]
@@ -769,6 +808,59 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
         assert np.array_equal(amp.vacuum(g), g @ np.kron(np.eye(copies), ref_level_embed(ind, 0)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.booleans().flatmap(lambda full: small_graphs(full=full)), st.integers(1, 3), st.data())
+def test_induced_graded_operators_place_blocks_as_before(graph, n, data):
+    """FockOperator on an InducedSpace against the block writers it replaced,
+    byte for byte: the induced image of a weighted creation and of a module map
+    (band and whole space) and the dual left action against the hand-placed
+    assembly, and on full graphs the rho_creation bands and the dual generators
+    against the hand-placed offsets and the padding.  A wrong-shaped or
+    non-finite block is named by its level pair, and a block outside a band by
+    its pair too."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    k = data.draw(st.integers(0, n), label="degree")
+    w = weighted_creation(ind.fock, ws, CorrElement(k, rng_complex(rng, path_basis(graph, k).size)))
+    y = _fock_module_map(rng, ind.fock)
+    for op, band in ((w, k), (y, 0)):
+        image = ind.fock_tensor_identity(op)
+        gathered = {ij: ind.level_tensor_identity(blk, *ij) for ij, blk in op.blocks.items()}
+        assert list(image.blocks) == list(gathered)
+        assert _same_bytes(image.band(band), ref_assemble(ind, gathered, band))
+        assert _same_bytes(image.matrix, ref_assemble(ind, gathered, 0))
+    a = _commutant_element(rng, rep)
+    assert _same_bytes(ind.dual_left(a).matrix, ref_assemble(
+        ind, {(j, j): blk for j, blk in enumerate(ind.dual_left_levels(a))}, 0))
+    if graph.full:
+        s = DualStructure(ind, ws)
+        t_mats = [rng_complex(rng, ind.level_dim(k), ind.h_dim) for _ in range(2)]
+        ops = s.rho_creation(t_mats, k)
+        assert all(op.degree in (k, None) for op in ops)
+        for op, ref in zip(ops, ref_rho_bands(s, t_mats, k), strict=True):
+            assert _same_bytes(op.band(k), ref)
+        gens, refs = s.dual_generators(), ref_padded_dual_generators(s)
+        assert len(gens) == len(refs)
+        assert all(_same_bytes(m, ref) for (_, m), ref in zip(gens, refs))
+    image = ind.fock_tensor_identity(w)
+    if image.blocks and k < n:
+        (i, j) = next(iter(image.blocks))
+        with pytest.raises(ValueError, match=rf"block \({i},{j}\) lies outside band {k + 1}"):
+            image.band(k + 1)
+    levels = [lvl for lvl in range(n + 1) if ind.level_dims[lvl]]
+    i, j = data.draw(st.sampled_from(levels), label="i"), data.draw(st.sampled_from(levels), label="j")
+    blocks = dict(image.blocks)
+    blocks[i, j] = np.zeros((ind.level_dims[i] + 1, ind.level_dims[j]))
+    with pytest.raises(ValueError, match=rf"block \({i},{j}\) has shape"):
+        FockOperator(ind, blocks)
+    blocks[i, j] = np.zeros((ind.level_dims[i], ind.level_dims[j]), dtype=complex)
+    blocks[i, j][rng.integers(ind.level_dims[i]), rng.integers(ind.level_dims[j])] = np.nan
+    with pytest.raises(ValueError, match=rf"block \({i},{j}\) has non-finite entries"):
+        FockOperator(ind, blocks)
+
+
 def _outcome(build):
     """The built array, or the message of the ValueError raised instead."""
     try:
@@ -804,7 +896,7 @@ def test_graded_checks_judge_like_the_block_loops(graph, n, data):
             r, c = cross[data.draw(st.integers(0, len(cross) - 1), label="cross entry")]
             blk = mod[fock.level_slice(lvl[r]), fock.level_slice(lvl[c])]
             mod[r, c] = factor * 1e-12 * max(1.0, operator_norm(blk))
-    got = _outcome(lambda: ind.fock_tensor_identity(_split_levels(fock, mod)))
+    got = _outcome(lambda: ind.fock_tensor_identity(_split_levels(fock, mod)).matrix)
     assert _same(got, _outcome(lambda: ref_fock_tensor_identity(ind, mod)))
     if data.draw(st.booleans(), label="non-finite"):
         r, c = rng.integers(fock.dim, size=2)
@@ -852,7 +944,7 @@ def test_graded_operators_match_the_dense_construction(graph, n, data):
            phi_inf(space, rng_complex(rng, graph.n_vertices))]
     for op in ops:
         ref_check_band(space, op.matrix, op.degree)
-        assert np.array_equal(ind.fock_tensor_identity(op),
+        assert np.array_equal(ind.fock_tensor_identity(op).matrix,
                               ref_fock_tensor_identity(ind, op.matrix))
 
 

@@ -29,6 +29,8 @@ from wfock.lifting import (
     commutant_lift,
     LiftState,
     parrott_complete,
+    per_copy_left,
+    per_copy_right,
     two_space_lift,
 )
 from wfock.linalg import RANK_TOL, _complement, _complement_coords, _project_out, operator_norm, \
@@ -866,3 +868,13 @@ def test_two_space_lift_stays_small(monkeypatch, tmp_path):
                      "--output", str(tmp_path / "out.json")])
     assert code == 0
     assert len(peaks) == 1 and peaks[0] < 6e6, peaks
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_per_copy_products_take_empty_frames(copies):
+    """A frame without columns (left) or rows (right), as the J_F frame of a solve whose
+    targets are all zero, gives an empty product of the same shape."""
+    g = rng_complex(np.random.default_rng(copies), 4, 4)
+    empty_cols, empty_rows = np.zeros((4 * copies, 0), dtype=complex), np.zeros((0, 4 * copies))
+    assert per_copy_left(g, empty_cols).shape == (4 * copies, 0)
+    assert per_copy_right(empty_rows, g).shape == (0, 4 * copies)

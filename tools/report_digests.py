@@ -42,8 +42,10 @@ the Dirichlet weights and three scalar points at N=48 is the benchmark's kernel-
 template where the Neumann sums through ``phi_value`` dominate, and a feasible ``pick`` on the 3-cycle
 with sigma (2, 1, 1) and four matrix points at N=6 assembles a Choi matrix
 of three vertex blocks.  Two lifts with multiplicity 2, the benchmark's lift-graphs
-templates of that kind, close the set: free(2) with sigma (2) at N=3 and the
-2-cycle with sigma (2, 2) and the Szego weights at N=4.
+templates of that kind, follow: free(2) with sigma (2) at N=3 and the
+2-cycle with sigma (2, 2) and the Szego weights at N=4.  A solve whose targets
+are all zero closes the set: the one-loop space with two scalar points at N=10,
+where J_F has no column and f = 0 solves the problem.
 """
 
 import os
@@ -142,6 +144,9 @@ INPUTS = {
                     "F": [[[[0.5, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0], [0, 0]],
                            [[0, 0], [0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.5, 0]]]]
                     * 4},
+    "solve-zero": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                   "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
+                   "F": [[[[0.0, 0.0]]], [[[0.0, 0.0]]]]},
 }
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
@@ -160,7 +165,8 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("kernel-free1-dirichlet-N48", "kernel-free1-dirichlet", ["kernel", "--N", "48"]),
          ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"]),
          ("lift-free2-s2-N3", "free2-s2", ["lift", "--N", "3"]),
-         ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"])]
+         ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"]),
+         ("solve-zero-N10", "solve-zero", ["solve", "--N", "10"])]
 
 
 def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
