@@ -187,8 +187,12 @@ def _cmd_validate(config: RunConfig, obj: dict) -> dict:
             raise MathRejection(json.dumps(report, sort_keys=True))
         return report
     graph = jsonio.decode_graph(jsonio.required(obj, "graph"))
+    if "sigma" in obj:
+        jsonio.decode_rep(obj["sigma"], graph)
     x = jsonio.decode_x(jsonio.required(obj, "X"), graph, config.N)  # validation happens on build
     x.R  # a non-PSD R_k^2 rejects X
+    if "Z" in obj:
+        jsonio.decode_weights(obj["Z"], x)
     return {"admissible": True, "reason": "admissible",
             "levels": config.N,
             "flags": {"faithful_left_action": graph.faithful_left_action,

@@ -143,7 +143,10 @@ def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence
             key = str(k)
             d = path_basis(graph, k).size
             if key in given:
-                mats.append(_named(f"X.matrices.{key}", decode_matrix, given[key]))
+                m = _named(f"X.matrices.{key}", decode_matrix, given[key])
+                if m.shape != (d, d):
+                    raise ValueError(f"X.matrices.{key}: has shape {m.shape}, expected {(d, d)}")
+                mats.append(m)
             else:
                 mats.append(np.zeros((d, d), dtype=complex))
         return AdmissibleSequence(graph, levels, mats)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import phi_inf, weighted_creation
-from .graphs import CorrElement, _random_module_map, path_basis
+from .graphs import _random_module_map, path_basis
 from .induced import InducedSpace
 from .lifting import LiftModel, LiftState
 from .linalg import _complement, _project_out, max_operator_norm, operator_norm, orth_columns, \
-    residual, rng_complex
+    rng_complex
 from .weights import WeightSystem
 
 
@@ -30,13 +29,15 @@ def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarr
 
     Closes under (Y (x) I)^* for every model generator and under each extra
     operator's adjoint; returns an orthonormal frame.  Operators are
-    normalized first (the closure is scale invariant) and the loop runs until
+    normalized first (the closure is scale invariant; the generators by the
+    model's ``generator_norms``) and the loop runs until
     every adjoint maps the frame into itself to roughly machine precision, so
     the co-invariance certificate of the result is tight.  A residual whose
     Frobenius norm is at most 0.5e-13 maps nothing out, and takes no SVD.
     """
-    ops = [g.conj().T / max(operator_norm(g), 1e-30)
-           for g in list(model.generators) + list(extra_ops)]
+    norms = list(model.generator_norms) + [operator_norm(g) for g in extra_ops]
+    ops = [g.conj().T / max(norm, 1e-30)
+           for g, norm in zip(list(model.generators) + list(extra_ops), norms)]
     frame = orth_columns(seeds, 1e-12)
     for _ in range(4 * (model.dim + 1)):
         escaped = []
@@ -99,84 +100,111 @@ def compression_instance(model: LiftModel, dual_generators: list[np.ndarray],
     return frame, g_on_j, theta
 
 
+def _compressor(ind: InducedSpace, ws: WeightSystem, k: int, q_top: np.ndarray):
+    """(coeffs, b) |-> q_top^* (W_c (x) I_H) b for each row c of ``coeffs`` (coefficients
+    over the level-k paths), stacked on axis 0, with no whole-space operator formed.
+
+    A degree-k creation joins level j to level j + k.  On each such pair with both
+    levels nonempty, (T_p (x) I_H) for a level-k path p sends the level-j suffix row of
+    each level-(j+k) coordinate with prefix p to that coordinate
+    (``InducedSpace._cut(j + k, k)``), and W_p = Z^{(j+k,j)} T_p.  So
+    q_top^* (Z^{(j+k,j)} (x) I_H) is formed once per pair, and each call multiplies it
+    by the suffix rows of b, each weighted by c at its coordinate's prefix.
+    """
+    pairs = []
+    for j in range(ind.levels + 1 - k):
+        if ind.level_dim(j) and ind.level_dim(j + k):
+            pre, suf = ind._cut(j + k, k)
+            zi = ind.level_tensor_identity(ws.z_between(j + k, j), j + k)
+            pairs.append((q_top[ind.level_slice(j + k)].conj().T @ zi, pre,
+                          ind.level_offsets[j] + suf))
+
+    def compress(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
+        acc = np.zeros((q_top.shape[1], coeffs.shape[0] * b.shape[1]), dtype=complex)
+        for top, pre, suf in pairs:
+            weighted = coeffs[:, pre].T[:, :, None] * b[suf][:, None, :]
+            acc += top @ weighted.reshape(pre.size, -1)
+        return acc.reshape(q_top.shape[1], coeffs.shape[0], b.shape[1]).transpose(1, 0, 2)
+
+    return compress
+
+
 def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
     """Step validator evaluating the eight alpha/beta identities.
 
     alpha(Y) = V_m^* (Y (x) I) V_m and beta(Y) = V_{m+1}^* (Y (x) I) V_m; the
     identities tie them to the vacuum vector g = G_m L_{1^} and to the module
-    structure.  Each whole-space operator and compression a step reads is built
-    once.  Returns a callable suitable for the lifting loop.
+    structure.  Returns a callable suitable for the lifting loop, which returns
+    ``{"alpha_beta_worst": r}``: r is the largest operator norm of the residual
+    matrices of all eight identities, from one ``max_operator_norm``.
+
+    No whole-space operator is formed.  xi |-> W_xi is linear and a degree-k
+    creation maps levels 0..N-k into levels k..N, so every compression
+    V_{m+1}^* (W_c (x) I) B the identities read is a contraction of the basis
+    compressions A_p = V_{m+1}^* (W_p (x) I) B over the level-k paths p: per level
+    pair, the product of V_{m+1}^* (Z^{(j+k,j)} (x) I) with the suffix rows of B,
+    each weighted by c at its coordinate's prefix (``_compressor``).  A itself is
+    not kept; it would hold d_k x d_{m+1} x cols(B) entries.  The left action
+    phi(a) (x) I is the diagonal a(r(p)) per coordinate.  Identity (5) reads the
+    model's own compressions, which the validator does not use otherwise.
     """
     rng = np.random.default_rng(seed)
     graph = ind.graph
-
-    def w_tensor(xi: CorrElement) -> np.ndarray:
-        return ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi)).matrix
+    ranges = np.concatenate([ind._cut(k, 0)[0] for k in range(ind.levels + 1)])  # r(p) per row
 
     def validator(state: LiftState, new_state: LiftState) -> dict[str, float]:
         model = state.model
-        q_m, q_m1 = state.frame, new_state.frame
+        q_m, q_m1 = state.frame, new_state.frame  # q_m is the first d_m columns of q_m1
+        d_m = q_m.shape[1]
         g_mat = state.g_mat
         g_vec = model.vacuum(g_mat)
         qh_m, qh_m1 = q_m.conj().T, q_m1.conj().T
 
-        def alpha(mat):
-            return qh_m @ mat @ q_m
-
-        def beta(mat):
-            return qh_m1 @ mat @ q_m
-
-        out: dict[str, float] = {}
         k = int(rng.integers(1, ind.levels + 1))
         while path_basis(graph, k).size == 0:
             k = int(rng.integers(1, ind.levels + 1))
-        d_k = path_basis(graph, k).size
-        xi = CorrElement(k, rng_complex(rng, d_k))
-        w_xi = w_tensor(xi)
-        y_word = model.generators[int(rng.integers(0, len(model.generators)))] @ \
-            model.generators[int(rng.integers(0, len(model.generators)))]
-        alpha_y, alpha_xi, beta_xi = alpha(y_word), alpha(w_xi), beta(w_xi)
-
-        # (1) alpha is unital and multiplicative under co-invariance
-        out["alpha_unital"] = residual(qh_m @ q_m, np.eye(q_m.shape[1]))
-        out["alpha_multiplicative"] = residual(alpha(w_xi @ y_word), alpha_xi @ alpha_y)
-        # (2) alpha(Y) G_m = G_m (Y (x) I)
-        out["alpha_intertwines"] = residual(alpha_y @ g_mat, g_mat @ y_word)
-        # (3) beta(W_xi) alpha(Y) = beta(W_xi Y)
-        out["beta_absorbs"] = residual(beta_xi @ alpha_y, beta(w_xi @ y_word))
-        # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
-        a = rng_complex(rng, graph.n_vertices)
-        phi_a = ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix
         basis_k = path_basis(graph, k)
-        a_conj_xi = CorrElement(k, np.conj(a)[list(basis_k.ranges)] * xi.coeffs)
-        out["beta_left_module"] = residual(
-            beta_xi.conj().T @ (qh_m1 @ phi_a @ q_m1),
-            beta(w_tensor(a_conj_xi)).conj().T)
-        # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
-        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins) for
-                                                 alpha_w, ins in model.compressions(k, q_m, q_m)])
-        # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
-        w_xi_a = w_tensor(CorrElement(k, xi.coeffs * a[list(basis_k.sources)]))
-        out["alpha_right_module"] = residual(alpha(w_xi_a) @ g_vec,
-                                             alpha_xi @ g_vec @ ind.rep.sigma(a))
-        # (6) g^* beta(W_{xi . a})^* = sigma(a^*) g^* beta(W_xi)^*
-        out["beta_right_module"] = residual(
-            g_vec.conj().T @ beta(w_xi_a).conj().T,
-            ind.rep.sigma(np.conj(a)) @ g_vec.conj().T @ beta_xi.conj().T)
-        # (7)/(8) basis expansions of W_{T eta} through alpha and beta
+        d_k = basis_k.size
+        xi = rng_complex(rng, d_k)
+        y_left = model.generators[int(rng.integers(0, len(model.generators)))]
+        y_right = model.generators[int(rng.integers(0, len(model.generators)))]
+        a = rng_complex(rng, graph.n_vertices)
         t_map = _random_module_map(graph, k, rng)
-        eta = CorrElement(k, rng_complex(rng, d_k))
-        w_t_eta = w_tensor(CorrElement(k, t_map @ eta.coeffs))
-        acc_a = np.zeros((q_m.shape[1], ind.rep.h_dim), dtype=complex)
-        acc_b = np.zeros((ind.rep.h_dim, q_m1.shape[1]), dtype=complex)
-        for p in range(d_k):
-            piece = CorrElement(k, t_map[:, p] * eta.coeffs[p])
-            w_piece = w_tensor(piece)
-            acc_a += alpha(w_piece) @ g_vec
-            acc_b += g_vec.conj().T @ beta(w_piece).conj().T
-        out["alpha_expansion"] = residual(acc_a, alpha(w_t_eta) @ g_vec)
-        out["beta_expansion"] = residual(acc_b, g_vec.conj().T @ beta(w_t_eta).conj().T)
-        return out
+        eta = rng_complex(rng, d_k)
+
+        beta = _compressor(ind, ws, k, q_m1)
+        sources, path_ranges = np.asarray(basis_k.sources), np.asarray(basis_k.ranges)
+        beta_xi, beta_conj_a_xi = beta(np.array([xi, np.conj(a)[path_ranges] * xi]), q_m)
+        y_q = y_left @ (y_right @ q_m)
+        (beta_xi_y,) = beta(xi[None], y_q)
+        # W_{xi . a} and W_{T eta} are read only on g: beta(W) g, and for (7)/(8) per basis
+        # piece p beta(W_{T (eta_p e_p)}) g, summed over the pieces
+        on_g = beta(np.vstack([xi * a[sources], t_map @ eta, (t_map * eta).T]), q_m @ g_vec)
+        beta_xi_a_g, beta_t_eta_g, pieces = on_g[0], on_g[1], on_g[2:].sum(axis=0)
+        alpha_xi, alpha_y = beta_xi[:d_m], qh_m @ y_q
+        alpha_xi_g, g_star = alpha_xi @ g_vec, g_vec.conj().T
+
+        res = [
+            # (1) alpha is unital and multiplicative under co-invariance
+            qh_m @ q_m - np.eye(d_m),
+            beta_xi_y[:d_m] - alpha_xi @ alpha_y,
+            # (2) alpha(Y) G_m = G_m (Y (x) I)
+            alpha_y @ g_mat - (g_mat @ y_left) @ y_right,
+            # (3) beta(W_xi) alpha(Y) = beta(W_xi Y)
+            beta_xi @ alpha_y - beta_xi_y,
+            # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
+            ((beta_xi.conj().T @ qh_m1) * a[ranges]) @ q_m1 - beta_conj_a_xi.conj().T,
+            # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
+            *(alpha_w @ g_vec - model.inserted(g_mat, ins)
+              for alpha_w, ins in model.compressions(k, q_m, q_m)),
+            # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
+            beta_xi_a_g[:d_m] - alpha_xi_g @ ind.rep.sigma(a),
+            # (6) g^* beta(W_{xi . a})^* = sigma(a^*) g^* beta(W_xi)^*
+            beta_xi_a_g.conj().T - ind.rep.sigma(np.conj(a)) @ g_star @ beta_xi.conj().T,
+            # (7)/(8) basis expansions of W_{T eta} through alpha and beta
+            pieces[:d_m] - beta_t_eta_g[:d_m],
+            pieces.conj().T - beta_t_eta_g.conj().T,
+        ]
+        return {"alpha_beta_worst": max_operator_norm(res)}
 
     return validator
-

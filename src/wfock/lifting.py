@@ -29,6 +29,7 @@ amplified generator acts on each copy of its operand (``per_copy_left`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,11 @@ class LiftModel:
     generators: list[np.ndarray]
     insertions: list[list[tuple[np.ndarray, np.ndarray]]]
     creations: list[list[np.ndarray]]
+
+    @cached_property
+    def generator_norms(self) -> tuple[float, ...]:
+        """The operator norm of each generator, taken once."""
+        return tuple(operator_norm(g) for g in self.generators)
 
     def prefix_idx(self, n: int) -> np.ndarray:
         """Coordinate indices of K_n."""
@@ -391,7 +397,9 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, generators,
     compressions.  A defect, or a residual above tol, raises a _HypothesisError
     naming it."""
     for name, frame in dict(zip(names, (j_in, j_out))).items():  # each space once
-        if residual(frame.conj().T @ frame, np.eye(frame.shape[1])) > 1e-12:
+        gap = frame.conj().T @ frame - np.eye(frame.shape[1])
+        # the Frobenius norm bounds the operator norm: at most 1e-12 passes without an SVD
+        if np.linalg.norm(gap) > 1e-12 and operator_norm(gap) > 1e-12:
             raise _HypothesisError(f"{name} frame columns are not orthonormal")
     out = {f"{names[0]} co-invariance": _frame_coinvariance(j_in, generators)}
     if names[1] != names[0]:
@@ -409,31 +417,31 @@ def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator,
           row_model: LiftModel | None = None, j1: np.ndarray | None = None):
     """The induction loop lifting g: J_1 -> J, with J the span of ``frame`` in
     ``row_model`` (``model`` unless given) and J_1 the span of ``j1`` in ``model`` (J
-    unless given); returns the lift ``model`` -> ``row_model``, the ledger and the
-    final G in frame coordinates (None when g = 0 takes no step)."""
+    unless given); returns the lift ``model`` -> ``row_model``, the ledger, the
+    final G in frame coordinates (None when g = 0 takes no step) and ||g||."""
     row_model = model if row_model is None else row_model
     scale = operator_norm(g)
     if scale == 0.0:
-        return np.zeros((row_model.dim, model.dim), dtype=complex), [], None
+        return np.zeros((row_model.dim, model.dim), dtype=complex), [], None, scale
     domain = frame if j1 is None else j1
     state = LiftState(model, frame, (g / scale) @ domain.conj().T, [-1], row_model=row_model,
                       j1=j1)
     while not state.is_full():
         state = lift_step(state, step_validator=validator)
-    return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat
+    return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat, scale
 
 
-def _conclusions(g_tilde: np.ndarray, g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray,
-                 generators, key: str = "intertwining") -> dict[str, float]:
-    """The four conclusions for a lift g_tilde of g: J_in -> J_out: g_tilde^* J_out
-    in J_in, compression back to g, g_tilde a = a g_tilde (as ``key``) for each
-    generator a on every copy of either side, norms equal."""
+def _conclusions(g_tilde: np.ndarray, g: np.ndarray, g_norm: float, j_in: np.ndarray,
+                 j_out: np.ndarray, generators, key: str = "intertwining") -> dict[str, float]:
+    """The four conclusions for a lift g_tilde of g: J_in -> J_out, with g_norm = ||g||:
+    g_tilde^* J_out in J_in, compression back to g, g_tilde a = a g_tilde (as ``key``)
+    for each generator a on every copy of either side, norms equal."""
     return {
         "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
         key: max_operator_norm([per_copy_right(g_tilde, a) - per_copy_left(a, g_tilde)
                                 for a in generators]),
-        "norm": abs(operator_norm(g_tilde) - operator_norm(g)),
+        "norm": abs(operator_norm(g_tilde) - g_norm),
     }
 
 
@@ -450,11 +458,11 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     """
     j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
     hypotheses = _hypotheses(g_on_j, j_frame, j_frame, model.generators, 1e-9, ("J", "J"))
-    g_tilde, steps, g_final = _loop(model, j_frame, g_on_j, step_validator)
+    g_tilde, steps, g_final, g_norm = _loop(model, j_frame, g_on_j, step_validator)
     for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
         step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
-        g_tilde, g_on_j, j_frame, j_frame, model.generators, "commutation")}
+        g_tilde, g_on_j, g_norm, j_frame, j_frame, model.generators, "commutation")}
 
 
 def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
@@ -480,7 +488,7 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     hypotheses = _hypotheses(g12, j1_frame, j2_frame, base.generators, hypothesis_tol,
                              ("J_1", "J_2"))
-    g_tilde, steps, _ = _loop(base.amplify(t), j2_frame, g12, None,
-                              row_model=base.amplify(s), j1=j1_frame)
+    g_tilde, steps, _, g_norm = _loop(base.amplify(t), j2_frame, g12, None,
+                                      row_model=base.amplify(s), j1=j1_frame)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
-        g_tilde, g12, j1_frame, j2_frame, base.generators)}
+        g_tilde, g12, g_norm, j1_frame, j2_frame, base.generators)}

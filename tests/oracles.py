@@ -5,7 +5,8 @@ builds a small object only a test needs: the literal composition sum for
 R_k^2, the M-valued inner product, the unitary gamma_k, the dual basis as
 labelled tuples and pi_sigma on its frame, direct sums of representations,
 point evaluation on generator words, the levelwise kernel identities, the
-adjoint expansion of G_m and the two-space lift on the whole Putnam sum.
+adjoint expansion of G_m, the two-space lift on the whole Putnam sum and the
+alpha/beta step validator on whole-space operators.
 None of them is on a path the CLI, the acceptance suite, ``tools/`` or
 ``perfbench/`` runs, so they live beside the tests, which import them as
 ``from oracles import ...``.  A method of a library
@@ -22,12 +23,14 @@ import numpy as np
 
 from wfock.duality import DualStructure, _in_frame
 from wfock.fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
-from wfock.graphs import CorrElement, GraphCorrespondence, path_basis, tensor_pair
+from wfock.graphs import CorrElement, GraphCorrespondence, _random_module_map, path_basis, \
+    tensor_pair
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
 from wfock.jsonio import encode_matrix
 from wfock.lifting import LiftModel, LiftState, _frame_coinvariance, _loop
-from wfock.linalg import as_complex, nullspace, operator_norm, residual, rng_complex
+from wfock.linalg import as_complex, max_operator_norm, nullspace, operator_norm, residual, \
+    rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem
 
 
@@ -458,8 +461,103 @@ def sum_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     j_frame[split:, d1:] = j2_frame
     g0 = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     g0[d1:, :d1] = g12
-    g_tilde, steps, _ = _loop(model, j_frame, g0, None)
+    g_tilde, steps, *_ = _loop(model, j_frame, g0, None)
     return g_tilde, steps
+
+
+# ---------------------------------------------------------------------------
+# the alpha/beta step validator on whole-space operators
+# ---------------------------------------------------------------------------
+
+
+def whole_space_creation(ind: InducedSpace, ws: WeightSystem, xi: CorrElement) -> np.ndarray:
+    """W_xi (x) I_H on the whole truncated induced space, as a dense matrix."""
+    return ind.fock_tensor_identity(weighted_creation(ind.fock, ws, xi)).matrix
+
+
+def dense_alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
+    """``liftcheck.alphabeta_validator`` on whole-space operators, one residual per identity.
+
+    alpha(Y) = V_m^* (Y (x) I) V_m and beta(Y) = V_{m+1}^* (Y (x) I) V_m; the
+    identities tie them to the vacuum vector g = G_m L_{1^} and to the module
+    structure.  Every W_xi (x) I and phi(a) (x) I is built as a whole-space matrix
+    and compressed by the full frames, with the rng draws of the library's
+    validator, so the two evaluate the same identities on the same draws.  The
+    step callable returns each identity's residual under its name.
+    """
+    rng = np.random.default_rng(seed)
+    graph = ind.graph
+
+    def w_tensor(xi: CorrElement) -> np.ndarray:
+        return whole_space_creation(ind, ws, xi)
+
+    def validator(state: LiftState, new_state: LiftState) -> dict[str, float]:
+        model = state.model
+        q_m, q_m1 = state.frame, new_state.frame
+        g_mat = state.g_mat
+        g_vec = model.vacuum(g_mat)
+        qh_m, qh_m1 = q_m.conj().T, q_m1.conj().T
+
+        def alpha(mat):
+            return qh_m @ mat @ q_m
+
+        def beta(mat):
+            return qh_m1 @ mat @ q_m
+
+        out: dict[str, float] = {}
+        k = int(rng.integers(1, ind.levels + 1))
+        while path_basis(graph, k).size == 0:
+            k = int(rng.integers(1, ind.levels + 1))
+        d_k = path_basis(graph, k).size
+        xi = CorrElement(k, rng_complex(rng, d_k))
+        w_xi = w_tensor(xi)
+        y_word = model.generators[int(rng.integers(0, len(model.generators)))] @ \
+            model.generators[int(rng.integers(0, len(model.generators)))]
+        alpha_y, alpha_xi, beta_xi = alpha(y_word), alpha(w_xi), beta(w_xi)
+
+        # (1) alpha is unital and multiplicative under co-invariance
+        out["alpha_unital"] = residual(qh_m @ q_m, np.eye(q_m.shape[1]))
+        out["alpha_multiplicative"] = residual(alpha(w_xi @ y_word), alpha_xi @ alpha_y)
+        # (2) alpha(Y) G_m = G_m (Y (x) I)
+        out["alpha_intertwines"] = residual(alpha_y @ g_mat, g_mat @ y_word)
+        # (3) beta(W_xi) alpha(Y) = beta(W_xi Y)
+        out["beta_absorbs"] = residual(beta_xi @ alpha_y, beta(w_xi @ y_word))
+        # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
+        a = rng_complex(rng, graph.n_vertices)
+        phi_a = ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix
+        basis_k = path_basis(graph, k)
+        a_conj_xi = CorrElement(k, np.conj(a)[list(basis_k.ranges)] * xi.coeffs)
+        out["beta_left_module"] = residual(
+            beta_xi.conj().T @ (qh_m1 @ phi_a @ q_m1),
+            beta(w_tensor(a_conj_xi)).conj().T)
+        # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
+        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins) for
+                                                 alpha_w, ins in model.compressions(k, q_m, q_m)])
+        # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
+        w_xi_a = w_tensor(CorrElement(k, xi.coeffs * a[list(basis_k.sources)]))
+        out["alpha_right_module"] = residual(alpha(w_xi_a) @ g_vec,
+                                             alpha_xi @ g_vec @ ind.rep.sigma(a))
+        # (6) g^* beta(W_{xi . a})^* = sigma(a^*) g^* beta(W_xi)^*
+        out["beta_right_module"] = residual(
+            g_vec.conj().T @ beta(w_xi_a).conj().T,
+            ind.rep.sigma(np.conj(a)) @ g_vec.conj().T @ beta_xi.conj().T)
+        # (7)/(8) basis expansions of W_{T eta} through alpha and beta
+        t_map = _random_module_map(graph, k, rng)
+        eta = CorrElement(k, rng_complex(rng, d_k))
+        w_t_eta = w_tensor(CorrElement(k, t_map @ eta.coeffs))
+        acc_a = np.zeros((q_m.shape[1], ind.rep.h_dim), dtype=complex)
+        acc_b = np.zeros((ind.rep.h_dim, q_m1.shape[1]), dtype=complex)
+        for p in range(d_k):
+            piece = CorrElement(k, t_map[:, p] * eta.coeffs[p])
+            w_piece = w_tensor(piece)
+            acc_a += alpha(w_piece) @ g_vec
+            acc_b += g_vec.conj().T @ beta(w_piece).conj().T
+        out["alpha_expansion"] = residual(acc_a, alpha(w_t_eta) @ g_vec)
+        out["beta_expansion"] = residual(acc_b, g_vec.conj().T @ beta(w_t_eta).conj().T)
+        return out
+
+    return validator
+
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,28 @@ EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
      "Z.matrices.01: not a level"),
     ("weights", {"graph": GRAPH2, "X": {"scalar": [1.0]}, "sigma": [0]},
      "sigma[0]: must be at least 1, got 0"),
+    # validate decodes sigma and Z when they are given, as the other commands do
+    ("validate", {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                  "sigma": [0], "Z": "bogus"}, "sigma[0]: must be at least 1, got 0"),
+    ("validate", {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
+                  "Z": "bogus"}, "Z: expected 'canonical' or {'matrices': ...}"),
+    ("validate", {"graph": GRAPH2, "X": {"scalar": [1.0]},
+                  "Z": {"matrices": {"1": [[[1.0, 0.0]]]}}},
+     "Z.matrices.1: has shape (1, 1), expected (2, 2)"),
+    ("validate", {"graph": GRAPH2, "X": {"matrices": {"1": [[1]]}}},
+     "X.matrices.1: has shape (1, 1), expected (2, 2)"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))
     assert code == 1
     assert field in report["error"]
+
+
+def test_validate_accepts_given_sigma_and_weights(tmp_path):
+    obj = {"graph": CYCLE, "sigma": [2, 1], "X": {"scalar": [1.0]},
+           "Z": {"matrices": {str(k): EYE2 for k in range(1, 5)}}}
+    code, report = run(RunConfig("validate", input_path=write(tmp_path, "v.json", obj), N=4))
+    assert code == 0 and report["admissible"] is True, report
 
 
 def test_level_keys_above_the_truncation_are_not_read(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -7,19 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wfock.fock
 import wfock.interpolation
 import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
-from oracles import CoinvariantSubspace, gm_star_expansion_residual, prefix_columns, \
-    sum_space_lift
+from oracles import CoinvariantSubspace, dense_alphabeta_validator, gm_star_expansion_residual, \
+    prefix_columns, sum_space_lift, whole_space_creation
 from wfock.acceptance import _random_graph_x
 from wfock.cli import main
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
-from wfock.graphs import GraphCorrespondence, path_basis
+from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
-from wfock.liftcheck import alphabeta_validator, compression_instance, krylov_closure, \
-    random_commutant_element
+from wfock.liftcheck import _compressor, alphabeta_validator, compression_instance, \
+    krylov_closure, random_commutant_element
 from wfock.lifting import (
     ParrottProblem,
     _check_contains_prefix,
@@ -326,29 +328,105 @@ def test_random_instances_all_conclusions():
                     assert max(step["extra"].values()) < 1e-9, step["extra"]
 
 
-def test_validator_builds_each_weighted_creation_once(monkeypatch):
-    # per step: W_xi, W_{a^* . xi}, W_{xi . a}, W_{T eta} and one W per level-k basis piece
+def test_validator_step_builds_no_whole_space_creation(monkeypatch):
+    """A validator step builds and places no graded operator (so no whole-space W_xi (x) I
+    or phi(a) (x) I) and takes one max_operator_norm, over all eight identities."""
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
-    built = []
-    build = wfock.liftcheck.weighted_creation
-    monkeypatch.setattr(wfock.liftcheck, "weighted_creation",
-                        lambda space, z, xi: built.append(xi.level) or build(space, z, xi))
+    built, norms = [], []
+    for name in ("__post_init__", "band"):
+        method = getattr(wfock.fock.FockOperator, name)
+        monkeypatch.setattr(wfock.fock.FockOperator, name, lambda self, *args, _m=method, _n=name:
+                            built.append(_n) or _m(self, *args))
+    gathered = wfock.fock.FockOperator._gathered.__func__
+    monkeypatch.setattr(wfock.fock.FockOperator, "_gathered", classmethod(
+        lambda cls, *args: built.append("_gathered") or gathered(cls, *args)))
+    max_norm = wfock.liftcheck.max_operator_norm
+    monkeypatch.setattr(wfock.liftcheck, "max_operator_norm",
+                        lambda mats: norms.append("max") or max_norm(mats))
+    monkeypatch.setattr(wfock.liftcheck, "operator_norm", lambda a: norms.append("one"))
     validator = alphabeta_validator(ind, ws, seed=3)
-    counts = []
+    steps = []
 
     def step(state, new_state):
         built.clear()
+        norms.clear()
         out = validator(state, new_state)
-        assert len(set(built)) == 1
-        counts.append((len(built), path_basis(FREE2, built[0]).size + 4))
+        steps.append((list(built), list(norms)))
         return out
 
     j = prefix_columns(model, 0)
     _, trace = commutant_lift(model, j, 0.5 * np.eye(j.shape[1]), step_validator=step)
-    assert len(counts) == len(trace["steps"]) > 1
-    assert all(got == want for got, want in counts), counts
-    assert max(max(entry["extra"].values()) for entry in trace["steps"]) < 1e-9
+    assert len(steps) == len(trace["steps"]) > 1
+    assert all(step == ([], ["max"]) for step in steps), steps
+    assert all(entry["extra"].keys() == {"alpha_beta_worst"} for entry in trace["steps"])
+    assert max(entry["extra"]["alpha_beta_worst"] for entry in trace["steps"]) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.integers(1, 3), st.data())
+def test_creation_gather_matches_the_whole_space_compressions(graph, n, data):
+    """q_top^* (W_c (x) I) b from the validator's gather equals the compression by the
+    whole-space matrix, for random frames, coefficient rows and every level k."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    q_top = rng_complex(rng, ind.dim, data.draw(st.integers(1, ind.dim), label="top"))
+    b = rng_complex(rng, ind.dim, data.draw(st.integers(1, 3), label="columns"))
+    for k in range(1, n + 1):
+        d_k = path_basis(graph, k).size
+        coeffs = rng_complex(rng, 3, d_k)
+        got = _compressor(ind, ws, k, q_top)(coeffs, b)
+        want = [q_top.conj().T @ whole_space_creation(ind, ws, CorrElement(k, c)) @ b
+                for c in coeffs]
+        scale = max(1.0, *(operator_norm(w) for w in want))
+        assert got.shape == (3, q_top.shape[1], b.shape[1])
+        assert max(residual(g, w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+
+def _corrupting(validator, corrupt_step):
+    """``validator`` as a step validator that, at step ``corrupt_step`` (counted from 1),
+    is shown a state whose G_m is moved by a fixed random matrix of entries about 1e-6."""
+    def step(state, new_state):
+        if new_state.m == corrupt_step:
+            noise = rng_complex(np.random.default_rng(0), *state.g_mat.shape)
+            state = dataclasses.replace(state, g_mat=state.g_mat + 1e-6 * noise)
+        return validator(state, new_state)
+    return step
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_graphs(full=True), st.data())
+def test_validator_agrees_with_the_dense_oracle_and_trips_on_a_corrupted_g(graph, data):
+    """On the same draws the validator's worst residual is the dense oracle's largest one
+    within 1e-12 at every step, and a G_m moved by about 1e-6 at one step exceeds 1e-9
+    there and only there."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    n = data.draw(st.integers(2, 3), label="levels")
+    ind = InducedSpace(graph, rep, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    model = primal_lift_model(ind, ws)
+    dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
+    frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
+    assume(frame.shape[1] < model.dim)
+    corrupt = data.draw(st.integers(1, 2), label="corrupted step")
+    seed = data.draw(st.integers(0, 100), label="validator seed")
+    new = _corrupting(alphabeta_validator(ind, ws, seed=seed), corrupt)
+    dense = _corrupting(dense_alphabeta_validator(ind, ws, seed=seed), corrupt)
+    values = []
+
+    def step(state, new_state):
+        worst = new(state, new_state)["alpha_beta_worst"]
+        values.append((new_state.m, worst, max(dense(state, new_state).values())))
+        return {"alpha_beta_worst": worst}
+
+    commutant_lift(model, frame, g_on_j, step_validator=step)
+    assume(any(m == corrupt for m, _, _ in values))
+    for m, worst, want in values:
+        assert abs(worst - want) <= 1e-12, (m, worst, want)
+        assert (worst > 1e-9) if m == corrupt else (worst <= 1e-9), (m, worst)
 
 
 def test_gm_star_expansion():
@@ -498,7 +576,7 @@ def test_krylov_closure_matches_the_svd_of_every_residual(graph, n, data):
                       lambda a: svd_norms.append(np.linalg.norm(a)) or norm(a))
         got = krylov_closure(model, seeds, extra)
     assert np.array_equal(got, want)
-    n_ops = len(model.generators) + len(extra)  # the normalizations come first
+    n_ops = len(extra)  # the extra operators' normalizations come first; the model has its norms
     assert len(svd_norms) == n_ops + sum(f > 0.5e-13 for f in res_norms)
     assert all(f > 0.5e-13 for f in svd_norms[n_ops:])
 
@@ -690,7 +768,8 @@ def test_thin_frame_residuals_match_the_whole_space_projector(graph, n, data):
     scale = max(1.0, max(operator_norm(g) for g in model.generators))
     assert abs(_frame_coinvariance(j_in, model.generators) - whole_space) <= 1e-14 * scale
     g_tilde = rng_complex(rng, model.dim, model.dim)
-    thin = _conclusions(g_tilde, j_out.conj().T @ g_tilde @ j_in, j_in, j_out, model.generators)
+    g = j_out.conj().T @ g_tilde @ j_in
+    thin = _conclusions(g_tilde, g, operator_norm(g), j_in, j_out, model.generators)
     whole_space = operator_norm(comp @ g_tilde.conj().T @ j_out)
     assert abs(thin["adjoint_invariance"] - whole_space) <= \
         1e-14 * max(1.0, operator_norm(g_tilde))
