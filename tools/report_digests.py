@@ -44,8 +44,11 @@ with sigma (2, 1, 1) and four matrix points at N=6 assembles a Choi matrix
 of three vertex blocks.  Two lifts with multiplicity 2, the benchmark's lift-graphs
 templates of that kind, follow: free(2) with sigma (2) at N=3 and the
 2-cycle with sigma (2, 2) and the Szego weights at N=4.  A solve whose targets
-are all zero closes the set: the one-loop space with two scalar points at N=10,
-where J_F has no column and f = 0 solves the problem.
+are all zero follows: the one-loop space with two scalar points at N=10,
+where J_F has no column and f = 0 solves the problem.  A ``solve`` at N=5 and a
+``lift`` at N=4 on free(2) with sigma (1) and the dense, non-scalar
+``X_1 = [[1.0, 0.3], [0.3, 0.8]]`` close the set: they are the only lines whose
+weights Z^{(k)} are not multiples of the identity.
 """
 
 import os
@@ -65,6 +68,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from wfock.cli import main  # noqa: E402
 
 X_DIRICHLET = {"scalar": [0.5, 0.08333333333333333]}
+X_DENSE = {"matrices": {"1": [[1.0, 0.3], [0.3, 0.8]]}}
 INPUTS = {
     "coeffs": {"kernel_coeffs": [1.0, 0.5, 0.3333333333333333, 0.25, 0.2]},
     "problem": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
@@ -147,6 +151,13 @@ INPUTS = {
     "solve-zero": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
                    "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
                    "F": [[[[0.0, 0.0]]], [[[0.0, 0.0]]]]},
+    "solve-free2-dense": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+                          "X": X_DENSE,
+                          "points": [{"matrix": [[[0.1, 0.05], [-0.08, 0.0]]]},
+                                     {"matrix": [[[-0.05, 0.0], [0.02, 0.1]]]}],
+                          "F": [[[[0.3, 0.1]]], [[[0.3, 0.1]]]]},
+    "free2-dense": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
+                    "X": X_DENSE, "instances": 2},
 }
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
@@ -166,7 +177,9 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("pick-cycle3-N6", "pick-cycle3", ["pick", "--N", "6"]),
          ("lift-free2-s2-N3", "free2-s2", ["lift", "--N", "3"]),
          ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"]),
-         ("solve-zero-N10", "solve-zero", ["solve", "--N", "10"])]
+         ("solve-zero-N10", "solve-zero", ["solve", "--N", "10"]),
+         ("solve-free2-dense-N5", "solve-free2-dense", ["solve", "--N", "5"]),
+         ("lift-free2-dense-N4", "free2-dense", ["lift", "--N", "4"])]
 
 
 def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
