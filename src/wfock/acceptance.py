@@ -235,7 +235,7 @@ def criterion_5_commutant_lifting(seed: int) -> dict:
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
         if frame.shape[1] >= model.dim:
             continue
-        validator = alphabeta_validator(ind, ws, seed=seed + attempts)
+        validator = alphabeta_validator(ind, seed=seed + attempts)
         _, trace = commutant_lift(model, frame, g_on_j, step_validator=validator)
         concl = max(trace["conclusions"].values())
         ab = max((max(step["extra"].values()) for step in trace["steps"] if "extra" in step),

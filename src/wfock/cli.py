@@ -329,7 +329,7 @@ def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     setting = _setting(obj, config.N)
     instances = jsonio.decode_count(obj, "instances", 3)
     model, dual_gens = setting.lift_model, setting.dual_generators
-    validator = alphabeta_validator(setting.ind, setting.ws, seed=config.seed)
+    validator = alphabeta_validator(setting.ind, seed=config.seed)
     runs = []
     for trial in range(instances):
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)

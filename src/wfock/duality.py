@@ -36,7 +36,7 @@ import numpy as np
 from .fock import FockOperator, phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, embed_prefix, path_basis
 from .induced import InducedSpace, Representation
-from .lifting import LiftModel
+from .lifting import LiftModel, creation_mix
 from .linalg import as_complex, nullspace, operator_norm, pinv, residual
 from .weights import WeightSystem, _first_part_sums
 
@@ -247,56 +247,63 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lift_model(ind: InducedSpace, generators: list[np.ndarray], basis) -> LiftModel:
-    """The lift model whose level-k basis elements, k = 1..N, are ``basis(k)``: pairs
-    of the insertion H -> level k as (rows, cols) within the level, and the band
-    block of the weighted creation.  Level 0 stays empty."""
-    insertions, creations = [[]], [[]]
-    for k in range(1, ind.levels + 1):
-        pairs = list(basis(k))
-        insertions.append([(ind.level_offsets[k] + rows, cols) for (rows, cols), _ in pairs])
-        creations.append([band for _, band in pairs])
-    level = np.repeat(np.arange(ind.levels + 1), ind.level_dims)
-    return LiftModel(dim=ind.dim, levels=ind.levels, level=level, copies=1,
-                     generators=generators, insertions=insertions, creations=creations)
+def _lift_model(ind: InducedSpace, ws: WeightSystem, generators: list[np.ndarray],
+                level) -> LiftModel:
+    """The lift model with creations Dz T Dz^{-1}: ``level(k)``, k = 1..N, gives per level-k
+    coordinate the H index inserted there and its element, per level j + k the (key, col
+    in level j) gather of the unweighted creations, and the elements' coefficient rows."""
+    empty = (np.zeros(0, dtype=np.intp),) * 2  # level 0
+    levels = [(empty, [empty], np.zeros((0, 0)))] + [level(k) for k in range(1, ind.levels + 1)]
+    gathers = [(np.concatenate([key for key, _ in parts]),
+                np.concatenate([ind.level_offsets[j] + col for j, (_, col) in enumerate(parts)]))
+               for _, parts, _ in levels]
+
+    def runs(prod):  # the level blocks of ⊕_i prod(i) (x) I_H, stacked by runs of one size
+        blocks = [ind.level_tensor_identity(prod(i), i) for i in range(ind.levels + 1)]
+        return [np.stack(list(run)) for _, run in itertools.groupby(blocks, key=np.shape)]
+
+    return LiftModel(
+        dim=ind.dim, levels=ind.levels, level=np.repeat(np.arange(ind.levels + 1), ind.level_dims),
+        copies=1, generators=generators, z_star=runs(lambda i: ws.z_prod(i).conj().T),
+        z_inv=runs(ws.z_prod_inv), gathers=gathers,
+        insertions=[(ind.level_offsets[k] + np.arange(cols.size), cols, elem)
+                    for k, ((cols, elem), _, _) in enumerate(levels)],
+        mixes=[creation_mix(gather, ind.dim, c) for gather, (_, _, c) in zip(gathers, levels)])
 
 
 def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     """Lifting data for the graph side: K = F(E) (x)_sigma H.
 
-    Per level k and basis path p the bundle pairs the insertion of p (its
-    block of level k, each coordinate receiving its H index) with the weighted
-    creation at (Z^{(k)})^{-1} applied to p.
+    Per level k and basis path p the bundle pairs the insertion of p (its block of level
+    k, each coordinate receiving its H index) with the weighted creation at zinv[:, p],
+    the mix of the T_q (x) I, which send each coordinate's suffix to it if q is its prefix.
     """
-    def basis(k):
-        zinv, h = ws.z_prod_inv(k), ind._cut(k, k)[1]
-        for p in range(path_basis(ind.graph, k).size):
-            rows = np.arange(*ind.block_offsets[k][p:p + 2])
-            w = weighted_creation(ind.fock, ws, CorrElement(k, zinv[:, p]))
-            yield (rows, h[rows]), ind.fock_tensor_identity(w).band(k)
+    def level(k):
+        path, h = ind._cut(k, k)
+        return (h, path), [ind._cut(j + k, k) for j in range(ind.levels + 1 - k)], \
+            ws.z_prod_inv(k).T
 
-    return _lift_model(ind, [m for _, m in primal_generators(ind, ws)], basis)
+    return _lift_model(ind, ws, [m for _, m in primal_generators(ind, ws)], level)
 
 
 def dual_lift_model(structure: DualStructure) -> LiftModel:
     """Lifting data for the transported dual side, on the same space K.
 
-    The algebra here is the transported dual algebra; inserters come from the
-    structured tuple intertwiners, and the weighted creations carry the
-    inverse dual weight product, which transports to (Z^{(k)})^{-1} (x) I.
+    The level-k elements are the Theta_k tuples t_c by coordinate c: t_c inserts at c the
+    H coordinate it reads, the first of the range of c's path.  Its weighted creation is
+    the mix of the I_j (x) t_{c'} by the row zinv_ind[:, c] (zinv_ind keeps ranges), which
+    send the first coordinate of each coordinate's prefix to it if c' is its suffix.
     """
     ind, ws = structure.ind, structure.ws
+    first = [np.asarray(offs, dtype=np.intp) for offs in ind.block_offsets]  # per path
 
-    def basis(k):
-        zinv_ind = ind.level_tensor_identity(ws.z_prod_inv(k), k)
-        rows, cols = structure.theta(k), structure.cut(k, k)[1]
-        tuples = range(rows.size)
-        # a product: a column gather of zinv_ind would keep signs of zeros that
-        # the product's sums set, and rho_creation carries them into the bands
-        ops = structure.rho_creation([zinv_ind @ structure._intertwiner(k, n) for n in tuples], k)
-        return zip(((rows[n:n + 1], cols[n:n + 1]) for n in tuples), (op.band(k) for op in ops))
+    def level(k):
+        cuts = (ind._cut(j + k, j) for j in range(ind.levels + 1 - k))
+        return ((first[0][ind._cut(k, 0)[0]], np.arange(ind.level_dim(k))),
+                [(suffix, first[j][prefix]) for j, (prefix, suffix) in enumerate(cuts)],
+                ind.level_tensor_identity(ws.z_prod_inv(k), k).T)
 
-    return _lift_model(ind, [m for _, m in structure.dual_generators()], basis)
+    return _lift_model(ind, ws, [m for _, m in structure.dual_generators()], level)
 
 
 @dataclass

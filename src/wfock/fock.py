@@ -94,24 +94,17 @@ class FockOperator:
         degrees = {i - j for i, j in self.blocks}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def band(self, k: int) -> np.ndarray:
-        """The blocks placed in a new matrix from levels 0..N-k into levels k..N; every
-        block must lie there.  For an operator of degree k this is its one band block."""
-        n, off = self.space.levels, list(accumulate(self.space.level_dims, initial=0))
-        top = off[k]
-        out = np.zeros((off[-1] - top, off[n + 1 - k]), dtype=complex)
-        for (i, j), blk in self.blocks.items():
-            if i < k or j > n - k:
-                raise ValueError(f"block ({i},{j}) lies outside band {k}")
-            out[off[i] - top:off[i + 1] - top, off[j]:off[j + 1]] = blk
-        return out
-
     @property
     def matrix(self) -> np.ndarray:
-        """``band(0)``, kept once built (read-only); cached_property's lock would cost hot loops."""
+        """The blocks placed in a whole-space matrix, kept (read-only); not a cached_property,
+        whose lock would cost hot loops."""
         if "_matrix" not in self.__dict__:
-            self.__dict__["_matrix"] = self.band(0)
-            self.__dict__["_matrix"].flags.writeable = False
+            off = list(accumulate(self.space.level_dims, initial=0))
+            out = np.zeros((off[-1], off[-1]), dtype=complex)
+            for (i, j), blk in self.blocks.items():
+                out[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
+            out.flags.writeable = False
+            self.__dict__["_matrix"] = out
         return self.__dict__["_matrix"]
 
 

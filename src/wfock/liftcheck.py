@@ -9,7 +9,8 @@ element, and the subspace is co-invariant by construction.
 
 The step validator evaluates the eight identities relating the compression
 maps alpha and beta to the basis insertions, which the induction leans on;
-they are finite matrix identities on the truncation.
+they are finite matrix identities on the truncation, read through the lift
+step's own ``LiftModel.compressions``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 
 from .graphs import _random_module_map, path_basis
 from .induced import InducedSpace
-from .lifting import LiftModel, LiftState
+from .lifting import LiftModel, LiftState, creation_mix
 from .linalg import _complement, _project_out, max_operator_norm, operator_norm, orth_columns, \
     rng_complex
-from .weights import WeightSystem
 
 
 def krylov_closure(model: LiftModel, seeds: np.ndarray, extra_ops: list[np.ndarray]) -> np.ndarray:
@@ -100,37 +100,9 @@ def compression_instance(model: LiftModel, dual_generators: list[np.ndarray],
     return frame, g_on_j, theta
 
 
-def _compressor(ind: InducedSpace, ws: WeightSystem, k: int, q_top: np.ndarray):
-    """(coeffs, b) |-> q_top^* (W_c (x) I_H) b for each row c of ``coeffs`` (coefficients
-    over the level-k paths), stacked on axis 0, with no whole-space operator formed.
-
-    A degree-k creation joins level j to level j + k.  On each such pair with both
-    levels nonempty, (T_p (x) I_H) for a level-k path p sends the level-j suffix row of
-    each level-(j+k) coordinate with prefix p to that coordinate
-    (``InducedSpace._cut(j + k, k)``), and W_p = Z^{(j+k,j)} T_p.  So
-    q_top^* (Z^{(j+k,j)} (x) I_H) is formed once per pair, and each call multiplies it
-    by the suffix rows of b, each weighted by c at its coordinate's prefix.
-    """
-    pairs = []
-    for j in range(ind.levels + 1 - k):
-        if ind.level_dim(j) and ind.level_dim(j + k):
-            pre, suf = ind._cut(j + k, k)
-            zi = ind.level_tensor_identity(ws.z_between(j + k, j), j + k)
-            pairs.append((q_top[ind.level_slice(j + k)].conj().T @ zi, pre,
-                          ind.level_offsets[j] + suf))
-
-    def compress(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
-        acc = np.zeros((q_top.shape[1], coeffs.shape[0] * b.shape[1]), dtype=complex)
-        for top, pre, suf in pairs:
-            weighted = coeffs[:, pre].T[:, :, None] * b[suf][:, None, :]
-            acc += top @ weighted.reshape(pre.size, -1)
-        return acc.reshape(q_top.shape[1], coeffs.shape[0], b.shape[1]).transpose(1, 0, 2)
-
-    return compress
-
-
-def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
-    """Step validator evaluating the eight alpha/beta identities.
+def alphabeta_validator(ind: InducedSpace, seed: int = 0):
+    """Step validator evaluating the eight alpha/beta identities, for a graph-side model
+    on ``ind``.
 
     alpha(Y) = V_m^* (Y (x) I) V_m and beta(Y) = V_{m+1}^* (Y (x) I) V_m; the
     identities tie them to the vacuum vector g = G_m L_{1^} and to the module
@@ -138,15 +110,11 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
     ``{"alpha_beta_worst": r}``: r is the largest operator norm of the residual
     matrices of all eight identities, from one ``max_operator_norm``.
 
-    No whole-space operator is formed.  xi |-> W_xi is linear and a degree-k
-    creation maps levels 0..N-k into levels k..N, so every compression
-    V_{m+1}^* (W_c (x) I) B the identities read is a contraction of the basis
-    compressions A_p = V_{m+1}^* (W_p (x) I) B over the level-k paths p: per level
-    pair, the product of V_{m+1}^* (Z^{(j+k,j)} (x) I) with the suffix rows of B,
-    each weighted by c at its coordinate's prefix (``_compressor``).  A itself is
-    not kept; it would hold d_k x d_{m+1} x cols(B) entries.  The left action
-    phi(a) (x) I is the diagonal a(r(p)) per coordinate.  Identity (5) reads the
-    model's own compressions, which the validator does not use otherwise.
+    No whole-space operator is formed.  Every compression V_{m+1}^* (W_c (x) I) B the
+    identities read, for coefficient rows c over the level-k paths, comes from the
+    model's ``compressions``; alpha is its first d_m rows, since V_m is the first d_m
+    columns of V_{m+1}.  Stacks over the basis are compressed onto g only, which has
+    H's width.  The left action phi(a) (x) I is the diagonal a(r(p)) per coordinate.
     """
     rng = np.random.default_rng(seed)
     graph = ind.graph
@@ -172,14 +140,20 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
         t_map = _random_module_map(graph, k, rng)
         eta = rng_complex(rng, d_k)
 
-        beta = _compressor(ind, ws, k, q_m1)
+        # beta(W_xi) on V_m and Y V_m, and beta(W_{a^* . xi}) on V_m, from one call
         sources, path_ranges = np.asarray(basis_k.sources), np.asarray(basis_k.ranges)
-        beta_xi, beta_conj_a_xi = beta(np.array([xi, np.conj(a)[path_ranges] * xi]), q_m)
         y_q = y_left @ (y_right @ q_m)
-        (beta_xi_y,) = beta(xi[None], y_q)
-        # W_{xi . a} and W_{T eta} are read only on g: beta(W) g, and for (7)/(8) per basis
-        # piece p beta(W_{T (eta_p e_p)}) g, summed over the pieces
-        on_g = beta(np.vstack([xi * a[sources], t_map @ eta, (t_map * eta).T]), q_m @ g_vec)
+        z_out = model.levelwise(model.z_star, q_m1)
+        z_in = model.levelwise(model.z_inv, np.hstack([q_m, y_q]))
+        z_g = z_in[:, :d_m] @ g_vec
+        gather, dim = model.gathers[k], model.dim // model.copies
+        both = model.compressions(z_out, z_in, creation_mix(gather, dim, np.array(
+            [xi, np.conj(a)[path_ranges] * xi])))
+        beta_xi, beta_xi_y, beta_conj_a_xi = both[0, :, :d_m], both[0, :, d_m:], both[1, :, :d_m]
+        # W_{xi . a} and W_{T eta} are read only on g, and for (7)/(8) per basis piece p
+        # beta(W_{T (eta_p e_p)}) g, summed over the pieces
+        on_g = model.compressions(z_out, z_g, creation_mix(gather, dim, np.vstack(
+            [xi * a[sources], t_map @ eta, (t_map * eta).T])))
         beta_xi_a_g, beta_t_eta_g, pieces = on_g[0], on_g[1], on_g[2:].sum(axis=0)
         alpha_xi, alpha_y = beta_xi[:d_m], qh_m @ y_q
         alpha_xi_g, g_star = alpha_xi @ g_vec, g_vec.conj().T
@@ -195,8 +169,7 @@ def alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0):
             # (4) beta(W_xi)^* V_+^*(phi(a) (x) I)V_+ = beta(W_{a^* . xi})^*
             ((beta_xi.conj().T @ qh_m1) * a[ranges]) @ q_m1 - beta_conj_a_xi.conj().T,
             # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
-            *(alpha_w @ g_vec - model.inserted(g_mat, ins)
-              for alpha_w, ins in model.compressions(k, q_m, q_m)),
+            *(model.compressions(z_out, z_g, model.mixes[k])[:, :d_m] - model.inserted(g_mat, k)),
             # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
             beta_xi_a_g[:d_m] - alpha_xi_g @ ind.rep.sigma(a),
             # (6) g^* beta(W_{xi . a})^* = sigma(a^*) g^* beta(W_xi)^*

@@ -15,20 +15,21 @@ SVD of R rather than as a weak limit, which keeps the run deterministic;
 optimality is verified per instance.
 
 Everything operates on a ``LiftModel``: a bundle of the induced space
-dimensions, the generator images Y (x) I, and, per level, the basis
-insertions as coordinate maps with the band blocks of the weighted creations
-at the inverse weight product.  Both the graph side and the transported dual side
-produce such bundles, so one loop serves the lifting theorem and its two-space
-corollary, which it runs on the one nonzero block of the Putnam lift (see
-``two_space_lift``).  An amplified model, the direct sum of copies of one
-space, shares the generators and the creations of its base: a product with an
-amplified generator acts on each copy of its operand (``per_copy_left`` and
-``per_copy_right``), and I_c (x) g is never formed.
+dimensions, the generator images Y (x) I, and, per level, the basis insertions
+as coordinate maps with the weighted creations at the inverse weight product as
+level data, from which one routine forms every compression q_out^* W q_in that
+the lift step and the step validator read.  Both the graph side and the
+transported dual side produce such bundles, so one loop serves the lifting
+theorem and its two-space corollary, which it runs on the one nonzero block of
+the Putnam lift (see ``two_space_lift``).  An amplified model, the direct sum of
+copies of one space, shares the generators and the creation data of its base: a
+product with an amplified generator acts on each copy of its operand
+(``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -115,28 +116,41 @@ def parrott_complete(p: ParrottProblem) -> np.ndarray:
     return -((p.S @ p._vh.conj().T) * weights) @ (p._u.conj().T @ p.T)
 
 
+def creation_mix(gather: tuple[np.ndarray, np.ndarray], dim: int, coeffs: np.ndarray):
+    """T_c = sum_m c_m T_m per row c of ``coeffs``, T_m sending coordinate col[r] to the r-th
+    of the last key.size of ``dim`` where key[r] = m, (key, col) = ``gather``: per row, its
+    T_c[rows, cols] = weights, nonzero ones first, up to the longest row's count."""
+    key, col = gather
+    weights = coeffs[:, key]
+    band = np.argsort(weights == 0, axis=1, kind="stable")
+    band = band[:, :int(np.count_nonzero(weights, axis=1).max(initial=0))]
+    return dim - key.size + band, col[band], np.take_along_axis(weights, band, axis=1)
+
+
 @dataclass
 class LiftModel:
     """Everything the lifting loop needs about one induced Fock space.
 
-    ``level[c]`` is the truncation level of coordinate c, so K_n (levels
-    0..n) is the coordinate set ``level <= n``.  Per orthonormal basis element
-    xi of the level-k power, ``insertions[k]`` holds L_{xi^}: H -> K as (rows,
-    cols), K coordinate rows[i] receiving H index cols[i], and ``creations[k]``
-    the weighted creation W at the inverse weight product applied to xi: its
-    one band block K_{<=N-k} -> K_{>=k}.  Both lists start at level 1; level 0,
-    which no lift step reads, is empty.  The ``copies`` direct summands
-    (copy-major layout) share the generators and the creations: each generator
-    is the image on one summand, and acts on all of them through
-    ``per_copy_left`` and ``per_copy_right``."""
+    ``level[c]`` is the truncation level of coordinate c, so K_n is ``level <= n``.
+    ``insertions[k]`` = (rows, cols, elem) holds the insertions L_{xi^}: H -> K of the
+    level-k basis elements: coordinate rows[i] receives H index cols[i] of element elem[i].
+    Their weighted creations at the inverse weight product are W = Dz T Dz^{-1} with the
+    level blocks of Dz^* and Dz^{-1}, Dz = ⊕_i Z^{(i)} (x) I_H, in ``z_star`` and ``z_inv``
+    (stacked by runs of one size) and T in ``mixes[k]``, mixes of the 0/1 ``gathers[k]``.
+    Level 0 is empty.  The ``copies`` direct summands (copy-major layout) share the
+    generators and the creation data, which act on each summand (``per_copy_left``,
+    ``per_copy_right``, ``compressions``)."""
 
     dim: int
     levels: int
     level: np.ndarray
     copies: int
     generators: list[np.ndarray]
-    insertions: list[list[tuple[np.ndarray, np.ndarray]]]
-    creations: list[list[np.ndarray]]
+    insertions: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    z_star: list[np.ndarray]
+    z_inv: list[np.ndarray]
+    gathers: list[tuple[np.ndarray, np.ndarray]]
+    mixes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @cached_property
     def generator_norms(self) -> tuple[float, ...]:
@@ -152,45 +166,54 @@ class LiftModel:
 
         The level subspaces of the sum are the direct sums of the per-copy
         level subspaces, so the prefix coordinate sets interleave rather than
-        stay contiguous.  The copies share the generators and the creations;
+        stay contiguous.  The copies share the generators and the creation data;
         only the level and insertion indices are built for the sum.
         """
         shift, h = np.arange(copies)[:, None], self.prefix_idx(0).size
-        return LiftModel(
-            dim=self.dim * copies,
-            levels=self.levels,
-            level=np.tile(self.level, copies),
+        return replace(
+            self, dim=self.dim * copies, level=np.tile(self.level, copies),
             copies=self.copies * copies,
-            generators=self.generators,
-            insertions=[[((rows + self.dim * shift).ravel(), (cols + h * shift).ravel())
-                         for rows, cols in level] for level in self.insertions],
-            creations=self.creations,
-        )
+            insertions=[((rows + self.dim * shift).ravel(), (cols + h * shift).ravel(),
+                         np.tile(elem, copies)) for rows, cols, elem in self.insertions])
 
     def vacuum(self, m: np.ndarray) -> np.ndarray:
         """M L_{1^}, the K_0 columns of M."""
         return m[:, self.prefix_idx(0)]
 
-    def inserted(self, m: np.ndarray, ins: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """M L_{xi^} for the insertion (rows, cols) of a basis element."""
-        out = np.zeros((m.shape[0], self.prefix_idx(0).size), dtype=complex)
-        out[:, ins[1]] = m[:, ins[0]]
+    def inserted(self, m: np.ndarray, k: int) -> np.ndarray:
+        """M L_{xi^} for each level-k basis element xi, stacked on axis 0."""
+        rows, cols, elem = self.insertions[k]
+        out = np.zeros((self.mixes[k][0].shape[0], m.shape[0], self.prefix_idx(0).size), complex)
+        out[elem, :, cols] = m[:, rows].T
         return out
 
-    def compressions(self, k: int, q_out: np.ndarray, q_in: np.ndarray):
-        """Per level-k basis element: q_out^* W q_in for its weighted creation W,
-        and its insertion (rows, cols).  W maps the first band_cols coordinates of
-        each copy into its last band_rows, so only those rows of q_out and q_in enter."""
-        if not self.creations[k]:
-            return
-        base = self.dim // self.copies
-        band_rows, band_cols = self.creations[k][0].shape[0], self.creations[k][0].shape[-1]
-        out_band = q_out.reshape(self.copies, base, -1)[:, base - band_rows:]
-        out_band = out_band.conj().transpose(0, 2, 1)  # copies x d_out x band_rows
-        in_band = q_in.reshape(self.copies, base, -1)[:, :band_cols].reshape(-1, q_in.shape[1])
-        for blk, ins in zip(self.creations[k], self.insertions[k]):
-            per_copy = out_band @ blk  # copies x d_out x band_cols
-            yield per_copy.transpose(1, 0, 2).reshape(-1, in_band.shape[0]) @ in_band, ins
+    def levelwise(self, runs: list[np.ndarray], q: np.ndarray) -> np.ndarray:
+        """(⊕_i B_i) q on every copy, for level blocks B_i stacked in runs: Dz^* q for
+        ``z_star`` and Dz^{-1} q for ``z_inv``."""
+        c, cols, off = self.copies, q.shape[1], 0
+        per_copy = q.reshape(c, self.dim // c, cols)
+        out = np.empty(per_copy.shape, dtype=complex)
+        for run in runs:
+            size = run.shape[0] * run.shape[1]
+            out[:, off:off + size] = (run @ per_copy[:, off:off + size].reshape(
+                c, *run.shape[:2], cols)).reshape(c, size, cols)
+            off += size
+        return out.reshape(q.shape)
+
+    def compressions(self, zq_out: np.ndarray, zq_in: np.ndarray, mix) -> np.ndarray:
+        """q_out^* W_c q_in, W_c = Dz T_c Dz^{-1}, per row T_c of a ``creation_mix`` (axis 0), as
+        zq_out^* T_c zq_in from Dz^* q_out and Dz^{-1} q_in (``levelwise``, once for all
+        levels); the rows go in batches that gather at most one copy of zq_out."""
+        (rows, cols, weights), c, base = mix, self.copies, self.dim // self.copies
+        (n, width), d_out, d_in = rows.shape, zq_out.shape[1], zq_in.shape[1]
+        top, low = zq_out.reshape(c, base, d_out), zq_in.reshape(c, base, d_in)
+        out, step = np.empty((n, d_out, d_in), dtype=complex), max(1, base // max(width, 1))
+        for lo in range(0, n, step):
+            part, size = slice(lo, min(lo + step, n)), min(step, n - lo)
+            t = top.take(rows[part], axis=1).conj().transpose(1, 3, 0, 2)
+            b = (weights[part, :, None] * low.take(cols[part], axis=1)).transpose(1, 0, 2, 3)
+            out[part] = t.reshape(size, d_out, c * width) @ b.reshape(size, c * width, d_in)
+        return out
 
 
 def per_copy_left(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -322,7 +345,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     Computes n_{m+1} and the enlarged subspace, assembles the new columns of the
     contraction F from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
-    state.  F's new columns are read off q_new^* W q_m on the row side and placed
+    state.  F's new columns are read off q_new^* W q_m g on the row side and placed
     by the insertions of the domain, so for the corollary a step that adds no
     direction to J_2 adds no row to G.  The ledger entry holds what the reports
     and the loop read: m, n_m, dim_j (the width of J, d_1 + d_2 for the
@@ -342,13 +365,14 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
         raise RuntimeError("escaping level added no new directions")
     q_m, q_new = state.frame, added[0]
 
-    g_star = model.vacuum(state.g_mat).conj().T  # g^* for g = G_m L_{1^}: H -> J_m
+    # beta(W_{Z^{(k)-1} xi}) g = q_new^* W q_m g on the new directions, g = G_m L_{1^}
+    rows_side = state.row_model
+    z_new = rows_side.levelwise(rows_side.z_star, q_new)
+    z_g = rows_side.levelwise(rows_side.z_inv, q_m @ model.vacuum(state.g_mat))
     f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
     for k in range(1, model.levels + 1):
-        # beta(W_{Z^{(k)-1} xi}) on the new directions only: q_new^* W q_m
-        for (beta, _), (rows, cols) in zip(state.row_model.compressions(k, q_new, q_m),
-                                          model.insertions[k]):
-            f_new[rows] += (g_star @ beta.conj().T)[cols]  # h x (d_{m+1} - d_m)
+        rows, cols, elem = model.insertions[k]
+        f_new[rows] = rows_side.compressions(z_new, z_g, rows_side.mixes[k])[elem, :, cols].conj()
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)
 
@@ -472,7 +496,7 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
 
     ``j1_frame`` lives in K^(t), ``j2_frame`` in K^(s), and ``g12`` maps J_1
     coordinates to J_2 coordinates.  All copies share the base generators and
-    creations.  The hypotheses are checked on the
+    creation data.  The hypotheses are checked on the
     summands (orthonormal frames, J_i co-invariant under the amplified
     generators, g12 intertwining the compressions), and one above
     ``hypothesis_tol`` raises a _HypothesisError naming it.  The Putnam trick

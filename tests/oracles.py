@@ -371,7 +371,8 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     exactly the part of K outside the range of the band block's adjoint.
     """
     ind = z.ind
-    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0].band(1)  # K_{<=N-1} -> K_{>=1}
+    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0].matrix[  # K_{<=N-1} -> K_{>=1}
+        ind.level_offsets[1]:, :ind.level_offsets[ind.levels]]
     c = CauchyKernel(z, ws)
     lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)).matrix @ c.column)[ind.level_offsets[1]:]
     coeff = xi_mat.conj().T @ ind.dual_left_levels(as_complex(d_mat))[1] @ z.mat.conj().T
@@ -440,9 +441,10 @@ def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:
         alpha = q.conj().T @ ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix @ q
         block = ind.rep.block(v)
         acc[block] += (g_vec.conj().T @ alpha.conj().T)[block]
+    z_q, z_g = model.levelwise(model.z_star, q), model.levelwise(model.z_inv, q @ g_vec)
     for k in range(1, model.levels + 1):
-        for alpha, (rows, cols) in model.compressions(k, q, q):
-            acc[rows] += (g_vec.conj().T @ alpha.conj().T)[cols]
+        rows, cols, elem = model.insertions[k]
+        acc[rows] += model.compressions(z_q, z_g, model.mixes[k])[elem, :, cols].conj()
     return residual(acc, state.g_mat.conj().T)
 
 
@@ -531,8 +533,10 @@ def dense_alphabeta_validator(ind: InducedSpace, ws: WeightSystem, seed: int = 0
             beta_xi.conj().T @ (qh_m1 @ phi_a @ q_m1),
             beta(w_tensor(a_conj_xi)).conj().T)
         # (5) alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis
-        out["alpha_vacuum"] = max_operator_norm([alpha_w @ g_vec - model.inserted(g_mat, ins) for
-                                                 alpha_w, ins in model.compressions(k, q_m, q_m)])
+        zinv = ws.z_prod_inv(k)
+        out["alpha_vacuum"] = max_operator_norm([
+            alpha(w_tensor(CorrElement(k, zinv[:, p]))) @ g_vec - ins
+            for p, ins in enumerate(model.inserted(g_mat, k))])
         # (5d) alpha(W_{xi . a}) g = alpha(W_xi) g sigma(a)
         w_xi_a = w_tensor(CorrElement(k, xi.coeffs * a[list(basis_k.sources)]))
         out["alpha_right_module"] = residual(alpha(w_xi_a) @ g_vec,

@@ -507,7 +507,8 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
     (setting, size), = kept.values()
     model = setting.lift_model
     for array in (setting.ws.Z[2], setting.ws.z_prod_inv(3), setting.x.R[1],
-                  model.generators[0], model.creations[1][0], model.insertions[2][0][0],
+                  model.generators[0], model.insertions[2][0], model.z_star[0],
+                  model.z_inv[-1], model.gathers[1][0], model.mixes[2][2],
                   setting.dual_generators[-1]):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -515,8 +516,8 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
     assert report_bytes(tmp_path, "solve", ONE_LOOP, 20)[0] == 0
     setting, size = list(kept.values())[-1]
     dual = setting.dual_lift_model
-    for array in (dual.generators[0], dual.creations[1][0], dual.insertions[2][0][0],
-                  dual.level):
+    for array in (dual.generators[0], dual.insertions[2][2], dual.level, dual.z_inv[0],
+                  dual.gathers[2][1], dual.mixes[1][0]):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert size == cli._freeze(setting) > 0

@@ -216,7 +216,8 @@ def test_dual_weights_scalar_case_matches_c():
 @pytest.mark.parametrize("graph, rep, n", CASES)
 def test_rho_creation_gathers_each_weight_block_once(monkeypatch, graph, rep, n):
     """One call, several intertwiners: C^{(j+k,k)} (x) I is built once per j and
-    shared, and each band block equals the per-intertwiner level blocks."""
+    shared, and each operator's blocks equal the per-intertwiner level blocks.  The
+    dual lift model builds only its level-1 generators this way."""
     ind = InducedSpace(graph, rep, n)
     s = DualStructure(ind, weight_system_from(dirichlet_x(graph, n)))
     calls, gathers = [], []
@@ -234,18 +235,16 @@ def test_rho_creation_gathers_each_weight_block_once(monkeypatch, graph, rep, n)
         ops = s.rho_creation(t_mats, k)
         assert calls == [(j + k, k) for j in range(n + 1 - k)]
         assert gathers == [(j + k,) for j in range(n + 1 - k)]
-        top = ind.level_offsets[k]
-        for band, t_mat in zip((op.band(k) for op in ops), t_mats):
-            assert band.shape == (ind.dim - top, ind.level_offsets[n + 1 - k])
+        for mat, t_mat in zip((op.matrix for op in ops), t_mats):
+            assert mat.shape == (ind.dim, ind.dim)
             for j in range(n + 1 - k):
                 cw = ind.level_tensor_identity(c_between(s.ws, j + k, k), j + k)
-                rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
-                assert np.array_equal(band[rows, ind.level_slice(j)],
+                assert np.array_equal(mat[ind.level_slice(j + k), ind.level_slice(j)],
                                       cw @ ind.suffix_insert(t_mat, k, j))
     calls.clear()
-    dual_lift_model(s)  # one pass per level from 1, and one for the level-1 generators
-    expected = [(j + k, k) for k in range(1, n + 1) for j in range(n + 1 - k)]
-    assert sorted(calls) == sorted(expected + [(j + 1, 1) for j in range(n)])
+    model = dual_lift_model(s)  # one pass for the level-1 generators; the creations are gathers
+    assert sorted(calls) == [(j + 1, 1) for j in range(n)]
+    assert len(model.gathers) == len(model.mixes) == n + 1
 
 
 def test_dual_calculus_embeddings_consistent():

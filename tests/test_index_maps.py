@@ -18,11 +18,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
 from oracles import direct_sum_embedding, dual_tuples, factor_prefix, inner_product, intertwiner, \
-    pi_sigma, weight_diagonal
+    pi_sigma, weight_diagonal, whole_space_creation
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
     DualStructure,
-    _lift_model,
     dual_lift_model,
     dual_weights,
     omega_transport,
@@ -43,7 +42,7 @@ from wfock.graphs import (
 )
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import DiscPoint, kernel_value
-from wfock.lifting import per_copy_left, per_copy_right
+from wfock.lifting import LiftModel, per_copy_left, per_copy_right
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem, weight_system_from
 
@@ -428,39 +427,22 @@ def ref_rho_creation(s, t_mat, k):
     return out
 
 
-def ref_assemble(ind, blocks, k):
-    """Level blocks (level j to level i) placed by hand into a matrix
-    K_{<=N-k} -> K_{>=k}: the reference for ``FockOperator.band``."""
-    top = ind.level_offsets[k]
-    out = np.zeros((ind.dim - top, ind.level_offsets[ind.levels + 1 - k]), dtype=complex)
+def ref_assemble(ind, blocks):
+    """Level blocks (level j to level i) placed by hand into a whole-space matrix: the
+    reference for ``FockOperator.matrix``."""
+    out = np.zeros((ind.dim, ind.dim), dtype=complex)
     for (i, j), blk in blocks.items():
-        out[ind.level_offsets[i] - top:ind.level_offsets[i + 1] - top, ind.level_slice(j)] = blk
+        out[ind.level_slice(i), ind.level_slice(j)] = blk
     return out
 
 
-def ref_rho_bands(s, t_mats, k):
-    """The band blocks of ``rho_creation``, written at hand-placed row offsets."""
-    ind = s.ind
-    top = ind.level_offsets[k]
-    out = [ref_assemble(ind, {}, k) for _ in t_mats]
-    for j in range(ind.levels + 1 - k):
-        if ind.level_dim(j + k) and ind.level_dim(j):
-            cw = ind.level_tensor_identity(s.ws.c_between(j + k, k), j + k)
-            rows = slice(ind.level_offsets[j + k] - top, ind.level_offsets[j + k + 1] - top)
-            for band, t_mat in zip(out, t_mats):
-                band[rows, ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
-    return out
-
-
-def ref_padded_dual_generators(s):
-    """The dual generators as hand-assembled left actions, then the level-1 creation
-    bands padded to the whole space."""
+def ref_placed_dual_generators(s):
+    """The dual generators as hand-assembled left actions, then the level-1 creations
+    placed block by block."""
     ind = s.ind
     out = [ref_assemble(ind, {(k, k): blk for k, blk in enumerate(
-        ind.dual_left_levels(s.rep.commutant_unit(*u)))}, 0) for u in s.rep.commutant_basis()]
-    bands = ref_rho_bands(s, [s._intertwiner(1, n) for n in range(s.theta(1).size)], 1)
-    return out + [np.pad(band, ((ind.level_offsets[1], 0), (0, ind.dim - band.shape[1])))
-                  for band in bands]
+        ind.dual_left_levels(s.rep.commutant_unit(*u)))}) for u in s.rep.commutant_basis()]
+    return out + [ref_rho_creation(s, s._intertwiner(1, n), 1) for n in range(s.theta(1).size)]
 
 
 def ref_primal_basis_ops(ind, ws):
@@ -496,20 +478,39 @@ def ref_amplify(basis_ops, copies):
     return [[(np.kron(eye, ins), np.kron(eye, wc)) for ins, wc in level] for level in basis_ops]
 
 
-def _dense_insertion(model, ins):
-    rows, cols = ins
+def _dense_insertion(model, k, e):
+    """The insertion of the e-th level-k basis element, as a matrix H -> K."""
+    rows, cols, elem = model.insertions[k]
     out = np.zeros((model.dim, model.prefix_idx(0).size), dtype=complex)
-    out[rows, cols] = 1.0
+    out[rows[elem == e], cols[elem == e]] = 1.0
     return out
 
 
-def _dense_creation(model, blk):
-    """A stored creation as a whole-space matrix: the band block on every copy."""
-    base = model.dim // model.copies
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for s in range(0, model.dim, base):
-        out[s + base - blk.shape[0]:s + base, s:s + blk.shape[1]] = blk
+def ref_dz(ind, prod):
+    """⊕_i prod(i) (x) I_H as a whole-space matrix, for the weight products ``prod``."""
+    return ref_assemble(ind, {(i, i): ind.level_tensor_identity(prod(i), i)
+                              for i in range(ind.levels + 1)})
+
+
+def _dense_gather(dim, gather, key):
+    """The 0/1 creation of ``gather`` = (keys, cols) at one key, as a whole-space matrix."""
+    keys, cols = gather
+    band = np.flatnonzero(keys == key)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[dim - keys.size + band, cols[band]] = 1.0
     return out
+
+
+def _dense_mix(dim, mix, e):
+    """Row e of a creation mix, as a whole-space matrix of one copy."""
+    rows, cols, weights = mix
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out, (rows[e], cols[e]), weights[e])
+    return out
+
+
+def _close(got, want, scale=1.0):
+    return np.abs(got - want).max(initial=0.0) <= 1e-13 * max(scale, np.abs(want).max(initial=1.0))
 
 
 # -- the gathers against the loops ----------------------------------------------
@@ -574,8 +575,7 @@ def test_induced_assemblies_match_the_loops(graph, n, data):
         assert np.array_equal(ind.insertion_map(xi), ref_insertion_map(ind, xi))
         if k >= 1:  # the lift models start at level 1
             for p in range(d):
-                assert np.array_equal(_dense_insertion(model, model.insertions[k][p]),
-                                      ref_basis_inserter(ind, k, p))
+                assert np.array_equal(_dense_insertion(model, k, p), ref_basis_inserter(ind, k, p))
             assert np.array_equal(ind.lower_by_point(z, k), ref_lower_by_point(ind, z, k))
         # an intertwiner H -> level k: block v of H lands on paths with range v
         ranges = np.repeat(np.array(path_basis(graph, k).ranges, dtype=int), ind.block_sizes[k])
@@ -735,7 +735,9 @@ def test_omega_matches_the_dense_frame_product(graph, n):
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_amplified_prefix_sets_match_the_concatenation(graph, n, data):
     ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph)))), n)
-    model = _lift_model(ind, [], lambda k: [])
+    model = LiftModel(dim=ind.dim, levels=n, level=np.repeat(np.arange(n + 1), ind.level_dims),
+                      copies=1, generators=[], insertions=[], z_star=[], z_inv=[], gathers=[],
+                      mixes=[])
     for copies in (1, 2, 3):
         amp = model.amplify(copies)
         for m in range(n + 1):
@@ -752,59 +754,77 @@ def _same_bytes(a, b):
 @given(st.booleans().flatmap(lambda full: small_graphs(full=full)), st.integers(1, 3),
        st.sampled_from([1, 2, 3]), st.data())
 def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
-    """Coordinate insertions and band blocks, densified, against the whole-space
-    basis operators and the kron amplification they replaced; the model's own
-    arrays against the reference bytes, signed zeros included (the insertions
-    read off the dense ones by np.nonzero, the dual creations and generators off
-    one rho_creation per tuple; the primal creations are built as they were, and
-    this reference writes its zeros unsigned); the compressions q^* W q, the
-    vacuum gather and the per-copy generator products against the dense products.  The dual side is built on full
-    graphs only."""
+    """Each lift model against the whole-space basis operators and the kron amplification
+    they replaced, on non-scalar weights: the insertions, densified, byte for byte; the
+    level blocks of Dz^* and Dz^{-1} as the gathers of the weight products; each 0/1
+    gather, made dense and conjugated by Dz, against the weighted creation of its key (a
+    path on the graph side, a Theta tuple by its coordinate on the dual side); each
+    element's mix, so conjugated, against its weighted creation; and on the amplified
+    model the compressions q_out^* W q_in, the vacuum gather and the per-copy generator
+    products against the dense products.  The dual side is built on full graphs only."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
     ws = weight_system_from(_random_graph_x(graph, n, rng))
-    sides = [(primal_lift_model(ind, ws), ref_primal_basis_ops(ind, ws), False)]
+    dz, dz_inv = ref_dz(ind, ws.z_prod), ref_dz(ind, ws.z_prod_inv)
+    primal_keys = [[whole_space_creation(ind, ws, CorrElement.basis_vector(graph, k, q))
+                    for q in range(path_basis(graph, k).size)] for k in range(n + 1)]
+    sides = [(primal_lift_model(ind, ws), ref_primal_basis_ops(ind, ws), primal_keys)]
     if graph.full:
         s = DualStructure(ind, ws)
         model = dual_lift_model(s)
-        sides.append((model, ref_dual_basis_ops(s), True))
+        ref, keys = ref_dual_basis_ops(s), [[] for _ in range(n + 1)]
+        for k in range(1, n + 1):  # the tuple at coordinate theta(k)[t] is the t-th
+            by_coord = np.argsort(s.theta(k))
+            ref[k] = [ref[k][t] for t in by_coord]
+            tuples = dual_tuples(s, k)
+            keys[k] = [ref_rho_creation(s, intertwiner(s, *tuples[t]), k) for t in by_coord]
+        sides.append((model, ref, keys))
         ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j)).matrix
                     for v, i, j in s.rep.commutant_basis()]
         ref_gens += [ref_rho_creation(s, intertwiner(s, edges, row), 1)
                      for edges, row in dual_tuples(s, 1)]
         assert len(model.generators) == len(ref_gens)
         assert all(_same_bytes(m, ref) for m, ref in zip(model.generators, ref_gens))
-    for model, ref, exact_creations in sides:
-        assert model.insertions[0] == [] and model.creations[0] == []
+    for model, ref, keys in sides:
+        for runs, want in ((model.z_star, lambda i: ws.z_prod(i).conj().T),
+                           (model.z_inv, ws.z_prod_inv)):
+            blocks = [blk for run in runs for blk in run]
+            assert len(blocks) == n + 1 and all(np.array_equal(
+                blk, ind.level_tensor_identity(want(i), i)) for i, blk in enumerate(blocks))
+        assert model.insertions[0][0].size == model.mixes[0][0].shape[0] == 0
         for k in range(1, n + 1):
-            assert len(model.insertions[k]) == len(model.creations[k]) == len(ref[k])
-            for (rows, cols), blk, (ref_ins, ref_wc) in zip(model.insertions[k],
-                                                            model.creations[k], ref[k]):
+            rows, cols, elem = model.insertions[k]
+            assert np.array_equal(rows, np.arange(ind.level_offsets[k], ind.level_offsets[k + 1]))
+            assert model.mixes[k][0].shape[0] == len(ref[k])
+            for e, (ref_ins, ref_wc) in enumerate(ref[k]):
                 ref_rows, ref_cols = np.nonzero(ref_ins)
-                assert _same_bytes(rows, ref_rows) and _same_bytes(cols, ref_cols)
-                if exact_creations:
-                    band = ref_wc[ind.level_offsets[k]:, :ind.level_offsets[n + 1 - k]]
-                    assert _same_bytes(blk, band)
+                assert np.array_equal(rows[elem == e], ref_rows)
+                assert np.array_equal(cols[elem == e], ref_cols)
+                assert _close(dz @ _dense_mix(ind.dim, model.mixes[k], e) @ dz_inv, ref_wc)
+            for key, want in enumerate(keys[k]):
+                assert _close(dz @ _dense_gather(ind.dim, model.gathers[k], key) @ dz_inv, want)
         amp, ref = model.amplify(copies), ref_amplify(ref, copies)
-        assert amp.copies == copies and amp.creations is model.creations
+        assert amp.copies == copies and amp.mixes is model.mixes and amp.z_inv is model.z_inv
         x, y = rng_complex(rng, amp.dim, 3), rng_complex(rng, 2, amp.dim)
         for gen in amp.generators:  # per copy against I_c (x) g
             dense, tol = np.kron(np.eye(copies), gen), 1e-13 * max(1.0, np.abs(gen).max())
             assert np.abs(per_copy_left(gen, x) - dense @ x).max() <= tol
             assert np.abs(per_copy_right(y, gen) - y @ dense).max() <= tol
-        assert [len(level) for level in amp.insertions] == [len(level) for level in ref]
-        q_out = np.linalg.qr(rng_complex(rng, amp.dim, 3))[0]
-        q_in = np.linalg.qr(rng_complex(rng, amp.dim, 2))[0]
+        q_out, q_in = rng_complex(rng, amp.dim, 3), rng_complex(rng, amp.dim, 2)
+        z_out, z_in = amp.levelwise(amp.z_star, q_out), amp.levelwise(amp.z_inv, q_in)
+        assert _close(z_out, np.kron(np.eye(copies), dz).conj().T @ q_out)
+        assert _close(z_in, np.kron(np.eye(copies), dz_inv) @ q_in)
         g = rng_complex(rng, 2, amp.dim)
         for k in range(1, n + 1):
-            terms = list(amp.compressions(k, q_out, q_in))
-            for blk, (beta, ins), (ref_ins, ref_wc) in zip(amp.creations[k], terms, ref[k]):
-                assert np.array_equal(_dense_insertion(amp, ins), ref_ins)
-                assert np.array_equal(_dense_creation(amp, blk), ref_wc)
-                want = q_out.conj().T @ ref_wc @ q_in
-                assert np.abs(beta - want).max() <= 1e-13 * max(1.0, np.abs(ref_wc).max())
-                assert np.array_equal(amp.inserted(g, ins), g @ ref_ins)
+            got = amp.compressions(z_out, z_in, amp.mixes[k])
+            assert got.shape == (len(ref[k]), 3, 2)
+            inserted = amp.inserted(g, k)
+            for e, (beta, (ref_ins, ref_wc)) in enumerate(zip(got, ref[k], strict=True)):
+                assert np.array_equal(_dense_insertion(amp, k, e), ref_ins)
+                scale = np.abs(z_out).max() * np.abs(z_in).max() * amp.dim
+                assert _close(beta, q_out.conj().T @ ref_wc @ q_in, scale)
+                assert np.array_equal(inserted[e], g @ ref_ins)
         assert np.array_equal(amp.vacuum(g), g @ np.kron(np.eye(copies), ref_level_embed(ind, 0)))
 
 
@@ -813,11 +833,9 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
 def test_induced_graded_operators_place_blocks_as_before(graph, n, data):
     """FockOperator on an InducedSpace against the block writers it replaced,
     byte for byte: the induced image of a weighted creation and of a module map
-    (band and whole space) and the dual left action against the hand-placed
-    assembly, and on full graphs the rho_creation bands and the dual generators
-    against the hand-placed offsets and the padding.  A wrong-shaped or
-    non-finite block is named by its level pair, and a block outside a band by
-    its pair too."""
+    and the dual left action against the hand-placed assembly, and on full graphs
+    the rho_creation operators and the dual generators against the hand-placed
+    blocks.  A wrong-shaped or non-finite block is named by its level pair."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
@@ -825,30 +843,25 @@ def test_induced_graded_operators_place_blocks_as_before(graph, n, data):
     k = data.draw(st.integers(0, n), label="degree")
     w = weighted_creation(ind.fock, ws, CorrElement(k, rng_complex(rng, path_basis(graph, k).size)))
     y = _fock_module_map(rng, ind.fock)
-    for op, band in ((w, k), (y, 0)):
+    for op in (w, y):
         image = ind.fock_tensor_identity(op)
         gathered = {ij: ind.level_tensor_identity(blk, *ij) for ij, blk in op.blocks.items()}
         assert list(image.blocks) == list(gathered)
-        assert _same_bytes(image.band(band), ref_assemble(ind, gathered, band))
-        assert _same_bytes(image.matrix, ref_assemble(ind, gathered, 0))
+        assert _same_bytes(image.matrix, ref_assemble(ind, gathered))
     a = _commutant_element(rng, rep)
     assert _same_bytes(ind.dual_left(a).matrix, ref_assemble(
-        ind, {(j, j): blk for j, blk in enumerate(ind.dual_left_levels(a))}, 0))
+        ind, {(j, j): blk for j, blk in enumerate(ind.dual_left_levels(a))}))
     if graph.full:
         s = DualStructure(ind, ws)
         t_mats = [rng_complex(rng, ind.level_dim(k), ind.h_dim) for _ in range(2)]
         ops = s.rho_creation(t_mats, k)
         assert all(op.degree in (k, None) for op in ops)
-        for op, ref in zip(ops, ref_rho_bands(s, t_mats, k), strict=True):
-            assert _same_bytes(op.band(k), ref)
-        gens, refs = s.dual_generators(), ref_padded_dual_generators(s)
+        for op, t_mat in zip(ops, t_mats, strict=True):
+            assert _same_bytes(op.matrix, ref_rho_creation(s, t_mat, k))
+        gens, refs = s.dual_generators(), ref_placed_dual_generators(s)
         assert len(gens) == len(refs)
         assert all(_same_bytes(m, ref) for (_, m), ref in zip(gens, refs))
     image = ind.fock_tensor_identity(w)
-    if image.blocks and k < n:
-        (i, j) = next(iter(image.blocks))
-        with pytest.raises(ValueError, match=rf"block \({i},{j}\) lies outside band {k + 1}"):
-            image.band(k + 1)
     levels = [lvl for lvl in range(n + 1) if ind.level_dims[lvl]]
     i, j = data.draw(st.sampled_from(levels), label="i"), data.draw(st.sampled_from(levels), label="j")
     blocks = dict(image.blocks)

@@ -20,7 +20,7 @@ from wfock.cli import main
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
-from wfock.liftcheck import _compressor, alphabeta_validator, compression_instance, \
+from wfock.liftcheck import alphabeta_validator, compression_instance, \
     krylov_closure, random_commutant_element
 from wfock.lifting import (
     ParrottProblem,
@@ -29,6 +29,7 @@ from wfock.lifting import (
     _escape_level,
     _frame_coinvariance,
     commutant_lift,
+    creation_mix,
     LiftState,
     parrott_complete,
     per_copy_left,
@@ -283,9 +284,10 @@ def _with_f_checks(validator, record):
         model, q_m, q_m1 = state.model, state.frame, new_state.frame
         g_vec = model.vacuum(state.g_mat)
         f_mat = np.zeros((model.dim, q_m1.shape[1]), dtype=complex)
+        z_out, z_g = model.levelwise(model.z_star, q_m1), model.levelwise(model.z_inv, q_m @ g_vec)
         for k in range(1, model.levels + 1):
-            for beta, (rows, cols) in model.compressions(k, q_m1, q_m):
-                f_mat[rows] += (g_vec.conj().T @ beta.conj().T)[cols]
+            rows, cols, elem = model.insertions[k]
+            f_mat[rows] = model.compressions(z_out, z_g, model.mixes[k])[elem, :, cols].conj()
         rest = np.flatnonzero(model.level > 0)
         record.append({
             "f_norm": operator_norm(f_mat),
@@ -307,7 +309,7 @@ def test_random_instances_all_conclusions():
         ind, ws = make_setup(graph, mults, n, kind)
         model = primal_lift_model(ind, ws)
         dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
-        validator = alphabeta_validator(ind, ws, seed=3)
+        validator = alphabeta_validator(ind, seed=3)
         for trial in range(3):
             frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
             if frame.shape[1] == model.dim:
@@ -334,10 +336,9 @@ def test_validator_step_builds_no_whole_space_creation(monkeypatch):
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
     built, norms = [], []
-    for name in ("__post_init__", "band"):
-        method = getattr(wfock.fock.FockOperator, name)
-        monkeypatch.setattr(wfock.fock.FockOperator, name, lambda self, *args, _m=method, _n=name:
-                            built.append(_n) or _m(self, *args))
+    post_init = wfock.fock.FockOperator.__post_init__
+    monkeypatch.setattr(wfock.fock.FockOperator, "__post_init__",
+                        lambda self: built.append("__post_init__") or post_init(self))
     gathered = wfock.fock.FockOperator._gathered.__func__
     monkeypatch.setattr(wfock.fock.FockOperator, "_gathered", classmethod(
         lambda cls, *args: built.append("_gathered") or gathered(cls, *args)))
@@ -345,7 +346,7 @@ def test_validator_step_builds_no_whole_space_creation(monkeypatch):
     monkeypatch.setattr(wfock.liftcheck, "max_operator_norm",
                         lambda mats: norms.append("max") or max_norm(mats))
     monkeypatch.setattr(wfock.liftcheck, "operator_norm", lambda a: norms.append("one"))
-    validator = alphabeta_validator(ind, ws, seed=3)
+    validator = alphabeta_validator(ind, seed=3)
     steps = []
 
     def step(state, new_state):
@@ -364,25 +365,49 @@ def test_validator_step_builds_no_whole_space_creation(monkeypatch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_graphs(), st.integers(1, 3), st.data())
-def test_creation_gather_matches_the_whole_space_compressions(graph, n, data):
-    """q_top^* (W_c (x) I) b from the validator's gather equals the compression by the
-    whole-space matrix, for random frames, coefficient rows and every level k."""
+@given(small_graphs(), st.integers(1, 3), st.sampled_from([1, 2, 3]), st.data())
+def test_creation_gather_matches_the_whole_space_compressions(graph, n, copies, data):
+    """q_out^* (W_c (x) I) q_in from the model's one routine, on a graph-side model with
+    non-scalar weights amplified to 1-3 copies, equals the compression by the
+    whole-space matrix on every copy, for random frames, coefficient rows with some
+    zero entries and every level k; an empty stack keeps its shape."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     ws = weight_system_from(_random_graph_x(graph, n, rng))
-    q_top = rng_complex(rng, ind.dim, data.draw(st.integers(1, ind.dim), label="top"))
-    b = rng_complex(rng, ind.dim, data.draw(st.integers(1, 3), label="columns"))
+    model = primal_lift_model(ind, ws).amplify(copies)
+    q_out = rng_complex(rng, model.dim, data.draw(st.integers(1, model.dim), label="out"))
+    q_in = rng_complex(rng, model.dim, data.draw(st.integers(1, 3), label="in"))
+    z_out, z_in = model.levelwise(model.z_star, q_out), model.levelwise(model.z_inv, q_in)
     for k in range(1, n + 1):
-        d_k = path_basis(graph, k).size
-        coeffs = rng_complex(rng, 3, d_k)
-        got = _compressor(ind, ws, k, q_top)(coeffs, b)
-        want = [q_top.conj().T @ whole_space_creation(ind, ws, CorrElement(k, c)) @ b
-                for c in coeffs]
+        coeffs = rng_complex(rng, 3, path_basis(graph, k).size)
+        coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+        got = model.compressions(z_out, z_in, creation_mix(model.gathers[k], ind.dim, coeffs))
+        want = [q_out.conj().T @ np.kron(np.eye(copies), whole_space_creation(
+            ind, ws, CorrElement(k, c))) @ q_in for c in coeffs]
         scale = max(1.0, *(operator_norm(w) for w in want))
-        assert got.shape == (3, q_top.shape[1], b.shape[1])
+        assert got.shape == (3, q_out.shape[1], q_in.shape[1])
         assert max(residual(g, w) for g, w in zip(got, want)) <= 1e-12 * scale
+        empty = creation_mix(model.gathers[k], ind.dim, coeffs[:0])
+        assert model.compressions(z_out, z_in, empty).shape == \
+            (0, q_out.shape[1], q_in.shape[1])
+
+
+def _creation_bytes(model):
+    """The bytes of the arrays a lift model keeps for its weighted creations."""
+    arrays = [*model.z_star, *model.z_inv, *(a for level in model.gathers for a in level),
+              *(a for level in model.mixes for a in level)]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_creation_data_stays_small():
+    """The level blocks of Dz and Dz^{-1}, the 0/1 gathers and the elements' mixes of a
+    model on free(2) at N=6 and on the one-loop space at N=40 stay within 0.25 and
+    0.05 MB, on both sides."""
+    for graph, n, bound in ((FREE2, 6, 0.25e6), (GraphCorrespondence.free(1), 40, 0.05e6)):
+        ind, ws = make_setup(graph, (1,), n)
+        for model in (primal_lift_model(ind, ws), dual_lift_model(DualStructure(ind, ws))):
+            assert _creation_bytes(model) <= bound, (graph, _creation_bytes(model))
 
 
 def _corrupting(validator, corrupt_step):
@@ -413,7 +438,7 @@ def test_validator_agrees_with_the_dense_oracle_and_trips_on_a_corrupted_g(graph
     assume(frame.shape[1] < model.dim)
     corrupt = data.draw(st.integers(1, 2), label="corrupted step")
     seed = data.draw(st.integers(0, 100), label="validator seed")
-    new = _corrupting(alphabeta_validator(ind, ws, seed=seed), corrupt)
+    new = _corrupting(alphabeta_validator(ind, seed=seed), corrupt)
     dense = _corrupting(dense_alphabeta_validator(ind, ws, seed=seed), corrupt)
     values = []
 
@@ -705,7 +730,7 @@ def test_lift_step_rejects_full_space():
 
 
 def test_amplified_dual_model_stays_small():
-    # the copies share the generators and the band blocks: amplify builds index
+    # the copies share the generators and the creation data: amplify builds index
     # arrays only, no whole-space matrix (kron'ed generators held about 3.1 MB here)
     ind, ws = make_setup(FREE2, (1,), 6)
     model = dual_lift_model(DualStructure(ind, ws))
@@ -716,7 +741,8 @@ def test_amplified_dual_model_stays_small():
     finally:
         tracemalloc.stop()
     assert amp.dim == 254
-    assert amp.generators is model.generators and amp.creations is model.creations
+    assert amp.generators is model.generators and amp.mixes is model.mixes
+    assert amp.z_star is model.z_star and amp.gathers is model.gathers
     assert peak < 0.5e6, peak
 
 
