@@ -47,8 +47,11 @@ templates of that kind, follow: free(2) with sigma (2) at N=3 and the
 are all zero follows: the one-loop space with two scalar points at N=10,
 where J_F has no column and f = 0 solves the problem.  A ``solve`` at N=5 and a
 ``lift`` at N=4 on free(2) with sigma (1) and the dense, non-scalar
-``X_1 = [[1.0, 0.3], [0.3, 0.8]]`` close the set: they are the only lines whose
-weights Z^{(k)} are not multiples of the identity.
+``X_1 = [[1.0, 0.3], [0.3, 0.8]]``, and a ``solve`` at N=5 with that ``X_1`` on
+free(2) with sigma (2), close the set: they are the only lines whose weights
+Z^{(k)} are not multiples of the identity, and the last is the only one of them
+whose dual algebra has units other than the identity (its targets are the
+constant (0.3 + 0.1i) I_2, so the problem is feasible).
 """
 
 import os
@@ -158,6 +161,17 @@ INPUTS = {
                           "F": [[[[0.3, 0.1]]], [[[0.3, 0.1]]]]},
     "free2-dense": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "sigma": [1],
                     "X": X_DENSE, "instances": 2},
+    "solve-free2-s2-dense": {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]},
+                             "sigma": [2], "X": X_DENSE,
+                             "points": [{"matrix": [[[0.05, 0.02], [-0.04, 0.0], [0.015, 0.0],
+                                                     [0.0, 0.01]],
+                                                    [[-0.01, 0.0], [0.025, -0.015], [0.0, 0.03],
+                                                     [0.02, 0.0]]]},
+                                        {"matrix": [[[-0.025, 0.0], [0.01, 0.05], [0.0, -0.02],
+                                                     [0.03, 0.0]],
+                                                    [[0.015, 0.01], [0.0, 0.0], [-0.035, 0.0],
+                                                     [0.005, 0.025]]]}],
+                             "F": [[[[0.3, 0.1], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.1]]]] * 2},
 }
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
@@ -179,7 +193,8 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("lift-cycle2-s22-N4", "cycle2-s22", ["lift", "--N", "4"]),
          ("solve-zero-N10", "solve-zero", ["solve", "--N", "10"]),
          ("solve-free2-dense-N5", "solve-free2-dense", ["solve", "--N", "5"]),
-         ("lift-free2-dense-N4", "free2-dense", ["lift", "--N", "4"])]
+         ("lift-free2-dense-N4", "free2-dense", ["lift", "--N", "4"]),
+         ("solve-free2-s2-dense-N5", "solve-free2-s2-dense", ["solve", "--N", "5"])]
 
 
 def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
