@@ -15,14 +15,15 @@ import numpy as np
 from .duality import (
     DualStructure,
     commutation_check_section5,
+    dual_lift_model,
     dual_weights,
     omega_checks,
     primal_generators,
     primal_lift_model,
     u_k_unitarity_residual,
 )
-from .fock import TruncatedFock, handysums_check, phi_inf, sums_to_projection_check, \
-    tensor_element, weighted_creation
+from .fock import TruncatedFock, handysums_check, multiplicativity_residual, phi_inf, \
+    sums_to_projection_check, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, _masked_gather, path_basis
 from .induced import InducedSpace, Representation
 from .interpolation import (
@@ -177,9 +178,7 @@ def criterion_3_fock_exactness(seed: int) -> dict:
         d1, d2 = path_basis(graph, 1).size, path_basis(graph, 2).size
         xi = CorrElement(1, rng_complex(rng, d1))
         eta = CorrElement(2, rng_complex(rng, d2))
-        lhs = weighted_creation(space, ws, xi).matrix @ weighted_creation(space, ws, eta).matrix
-        rhs = weighted_creation(space, ws, tensor_element(graph, xi, eta)).matrix
-        case_worst = max(case_worst, residual(lhs, rhs))
+        case_worst = max(case_worst, multiplicativity_residual(space, ws, xi, eta))
         a = rng_complex(rng, graph.n_vertices)
         b = rng_complex(rng, graph.n_vertices)
         basis2 = path_basis(graph, 2)
@@ -231,7 +230,7 @@ def criterion_5_commutant_lifting(seed: int) -> dict:
         ws = weight_system_from(x)
         ind = InducedSpace(graph, Representation(mults), n)
         model = primal_lift_model(ind, ws)
-        dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
+        dual_gens = dual_lift_model(DualStructure(ind, ws)).generators
         frame, g_on_j, _ = compression_instance(model, dual_gens, rng)
         if frame.shape[1] >= model.dim:
             continue

@@ -7,12 +7,12 @@ Timing goes to stderr only, so reports are byte-identical across runs.
 
 Every problem sits over a setting: the graph, sigma, X and Z of its input at
 truncation N.  What is built from the setting alone (the decoded weights, the
-induced space, for ``lift`` the primal lift model and the dual generators, and
-for ``solve`` the dual lift model) is kept per process, so a loop of calls over
-a few settings builds each of them once.  The dual lift model is built only
-for a problem that passes the Pick test and the tail budget.  Kept arrays are
-read-only, and the store holds at most ``SETTING_BYTES`` bytes, dropping the
-least recently used setting first.
+induced space, for ``lift`` the primal lift model, and for ``lift`` and
+``solve`` the dual lift model, whose generators ``lift`` draws from) is kept
+per process, so a loop of calls over a few settings builds each of them once.
+``solve`` builds the dual lift model only for a problem that passes the Pick
+test and the tail budget.  Kept arrays are read-only, and the store holds at
+most ``SETTING_BYTES`` bytes, dropping the least recently used setting first.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import acceptance, jsonio
 from .duality import DualStructure, dual_lift_model, dual_weights, primal_lift_model
-from .fock import handysums_check, sums_to_projection_check, \
-    tensor_element, weighted_creation
+from .fock import handysums_check, multiplicativity_residual, sums_to_projection_check, \
+    weighted_creation
 from .graphs import CorrElement, path_basis
 from .induced import InducedSpace
 from .interpolation import (
@@ -44,7 +44,7 @@ from .interpolation import (
 )
 from .liftcheck import alphabeta_validator, compression_instance
 from .lifting import commutant_lift
-from .linalg import residual, rng_complex
+from .linalg import rng_complex
 from .weights import admissible_from_kernel_coeffs, scalar_r2
 
 COMMANDS = ("validate", "weights", "fock", "kernel", "pick", "solve", "lift", "selftest")
@@ -95,9 +95,8 @@ def _load(config: RunConfig) -> dict:
 class _Setting:
     """The decoded setting of an input, and what is built from it alone.
 
-    The induced space and the lift data (the primal lift model and the dual
-    generators of ``lift``, the dual lift model of ``solve``) are built on
-    first use.
+    The induced space and the lift models (the primal one of ``lift``, the dual
+    one of ``lift`` and ``solve``) are built on first use.
     """
 
     def __init__(self, obj: dict, levels: int):
@@ -111,10 +110,6 @@ class _Setting:
     @cached_property
     def lift_model(self):
         return primal_lift_model(self.ind, self.ws)
-
-    @cached_property
-    def dual_generators(self) -> list[np.ndarray]:
-        return [m for _, m in DualStructure(self.ind, self.ws).dual_generators()]
 
     @cached_property
     def dual_lift_model(self):
@@ -234,9 +229,7 @@ def _cmd_fock(config: RunConfig, obj: dict) -> dict:
     if path_basis(graph, 1).size and path_basis(graph, 2).size and config.N >= 3:
         xi = CorrElement(1, rng_complex(rng, path_basis(graph, 1).size))
         eta = CorrElement(2, rng_complex(rng, path_basis(graph, 2).size))
-        lhs = weighted_creation(space, ws, xi).matrix @ weighted_creation(space, ws, eta).matrix
-        rhs = weighted_creation(space, ws, tensor_element(graph, xi, eta)).matrix
-        mult = residual(lhs, rhs)
+        mult = multiplicativity_residual(space, ws, xi, eta)
     sample = weighted_creation(space, ws, CorrElement.basis_vector(graph, 1, 0)) \
         if path_basis(graph, 1).size else None
     return {
@@ -328,7 +321,7 @@ def _cmd_lift(config: RunConfig, obj: dict) -> dict:
     rng = np.random.default_rng(config.seed)
     setting = _setting(obj, config.N)
     instances = jsonio.decode_count(obj, "instances", 3)
-    model, dual_gens = setting.lift_model, setting.dual_generators
+    model, dual_gens = setting.lift_model, setting.dual_lift_model.generators
     validator = alphabeta_validator(setting.ind, seed=config.seed)
     runs = []
     for trial in range(instances):

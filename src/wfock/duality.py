@@ -11,8 +11,12 @@ induced space, where the dual algebra acts by
     rho(creation by t)  blocks (j+k, j) = (C^{(j+k,k)} (x) I) (I_j (x) t),
 
 with C^{(i,k)} = Z^{(i)} ((Z^{(i-k)})^{-1} (x) I_k) the prefix-sided weight
-product.  These images generate the commutant of {Y (x) I_H}, which is what
-the double-commutant checks and the interpolation solver consume.
+product.  (Z^{(j)})^{-1} (x) I_k commutes past I_j (x) t, so that block is
+Z^{(j+k)} (I_j (x) t) (Z^{(j)})^{-1}: the creation is Dz T Dz^{-1} with
+Dz = ⊕_i Z^{(i)} (x) I_H, as on the graph side, and both lift models hold and
+form their creations that way.  These images generate the commutant of
+{Y (x) I_H}, which is what the double-commutant checks and the interpolation
+solver consume.
 
 The dual has the graded module calculus of E, and shares its code.  The
 dual basis at level k is Theta_k, a permutation of the level-k induced
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockOperator, phi_inf, weighted_creation
+from .fock import phi_inf, weighted_creation
 from .graphs import CorrElement, GraphCorrespondence, embed_prefix, path_basis
 from .induced import InducedSpace, Representation
 from .lifting import LiftModel, creation_mix
@@ -191,13 +195,6 @@ class DualStructure:
             self._cuts[k, j] = (self._frame(j)[1][pre_coord], self._frame(k - j)[1][suf_coord])
         return self._cuts[k, j]
 
-    def _intertwiner(self, k: int, n: int) -> np.ndarray:
-        """The identification image of the n-th level-k tuple (k >= 1), a map H -> level k
-        whose one 1 sends the H coordinate ``cut(k, k)[1][n]`` to ``theta(k)[n]``."""
-        out = np.zeros((self.ind.level_dim(k), self.rep.h_dim), dtype=complex)
-        out[self.theta(k)[n], self.cut(k, k)[1][n]] = 1.0
-        return out
-
     def theta_full(self) -> np.ndarray:
         """The whole-space coordinate of each dual basis element, level by level."""
         return np.concatenate([self.ind.level_offsets[k] + self.theta(k)
@@ -205,30 +202,15 @@ class DualStructure:
 
     # -- transported dual operators on the primal induced space ---------------
 
-    def rho_creation(self, t_mats: list[np.ndarray], k: int) -> list[FockOperator]:
-        """rho of the weighted creations by the dual elements with intertwiners
-        ``t_mats`` (H -> level k), degree-k operators on the induced space: level
-        block (j+k, j) is (C^{(j+k,k)} (x) I) (I_j (x) t), one C gather for all t."""
-        ind = self.ind
-        out = [{} for _ in t_mats]
-        for j in range(ind.levels + 1 - k):
-            if ind.level_dim(j + k) and ind.level_dim(j):
-                cw = ind.level_tensor_identity(self.ws.c_between(j + k, k), j + k)
-                for blocks, t_mat in zip(out, t_mats):
-                    blocks[j + k, j] = cw @ ind.suffix_insert(t_mat, k, j)
-        return [FockOperator(ind, blocks) for blocks in out]
-
     def dual_generators(self) -> list[tuple[str, np.ndarray]]:
-        """Transported dual algebra generators as whole-space matrices: left actions
-        plus creations."""
+        """Transported dual algebra generators as whole-space matrices, named: left
+        actions, then the level-1 creations in Theta order, as the dual lift model holds
+        them."""
         ind = self.ind
-        out = [(f"phi'({v},{i},{j})", ind.dual_left(self.rep.commutant_unit(v, i, j)).matrix)
-               for v, i, j in self.rep.commutant_basis()]
-        theta = self.theta(1)
-        ops = self.rho_creation([self._intertwiner(1, n) for n in range(theta.size)], 1)
         edge = ind._cut(1, 1)[0]  # per level-1 coordinate: its edge; its row is the local index
-        return out + [(f"W'({edge[c]},{c - ind.block_offsets[1][edge[c]]})", op.matrix)
-                      for c, op in zip(theta, ops)]
+        names = [f"phi'({v},{i},{j})" for v, i, j in self.rep.commutant_basis()]
+        names += [f"W'({edge[c]},{c - ind.block_offsets[1][edge[c]]})" for c in self.theta(1)]
+        return list(zip(names, dual_lift_model(self).generators, strict=True))
 
     def z_matrices(self) -> list[np.ndarray]:
         """Z'_k = Theta_k (C_k (x) I) Theta_k^* for all truncation levels."""
@@ -247,11 +229,13 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lift_model(ind: InducedSpace, ws: WeightSystem, generators: list[np.ndarray],
-                level) -> LiftModel:
+def _lift_model(ind: InducedSpace, ws: WeightSystem, level, units: list[np.ndarray],
+                order: np.ndarray) -> LiftModel:
     """The lift model with creations Dz T Dz^{-1}: ``level(k)``, k = 1..N, gives per level-k
     coordinate the H index inserted there and its element, per level j + k the (key, col
-    in level j) gather of the unweighted creations, and the elements' coefficient rows."""
+    in level j) gather of the unweighted creations, and the elements' coefficient rows.
+    The generators are the ``units``, then the dense Dz T_q Dz^{-1} of the level-1 keys q
+    in ``order`` (a permutation of the keys), formed by the model's own ``compressions``."""
     empty = (np.zeros(0, dtype=np.intp),) * 2  # level 0
     levels = [(empty, [empty], np.zeros((0, 0)))] + [level(k) for k in range(1, ind.levels + 1)]
     gathers = [(np.concatenate([key for key, _ in parts]),
@@ -262,13 +246,18 @@ def _lift_model(ind: InducedSpace, ws: WeightSystem, generators: list[np.ndarray
         blocks = [ind.level_tensor_identity(prod(i), i) for i in range(ind.levels + 1)]
         return [np.stack(list(run)) for _, run in itertools.groupby(blocks, key=np.shape)]
 
-    return LiftModel(
+    model = LiftModel(
         dim=ind.dim, levels=ind.levels, level=np.repeat(np.arange(ind.levels + 1), ind.level_dims),
-        copies=1, generators=generators, z_star=runs(lambda i: ws.z_prod(i).conj().T),
+        copies=1, generators=[], z_star=runs(lambda i: ws.z_prod(i).conj().T),
         z_inv=runs(ws.z_prod_inv), gathers=gathers,
         insertions=[(ind.level_offsets[k] + np.arange(cols.size), cols, elem)
                     for k, ((cols, elem), _, _) in enumerate(levels)],
         mixes=[creation_mix(gather, ind.dim, c) for gather, (_, _, c) in zip(gathers, levels)])
+    eye = np.eye(ind.dim, dtype=complex)
+    model.generators = [*units, *model.compressions(
+        model.levelwise(model.z_star, eye), model.levelwise(model.z_inv, eye),
+        creation_mix(gathers[1], ind.dim, np.eye(order.size)[order]))]
+    return model
 
 
 def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
@@ -277,13 +266,17 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     Per level k and basis path p the bundle pairs the insertion of p (its block of level
     k, each coordinate receiving its H index) with the weighted creation at zinv[:, p],
     the mix of the T_q (x) I, which send each coordinate's suffix to it if q is its prefix.
+    The generators are the vertex units phi(v), the 0/1 diagonals [r(p) = v] per
+    coordinate, then the creations W(e) by the edges in order.
     """
     def level(k):
         path, h = ind._cut(k, k)
         return (h, path), [ind._cut(j + k, k) for j in range(ind.levels + 1 - k)], \
             ws.z_prod_inv(k).T
 
-    return _lift_model(ind, ws, [m for _, m in primal_generators(ind, ws)], level)
+    ranges = np.concatenate([ind._cut(k, 0)[0] for k in range(ind.levels + 1)])
+    units = [np.diag((ranges == v).astype(complex)) for v in range(ind.graph.n_vertices)]
+    return _lift_model(ind, ws, level, units, np.arange(ind.graph.n_edges))
 
 
 def dual_lift_model(structure: DualStructure) -> LiftModel:
@@ -293,6 +286,8 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
     H coordinate it reads, the first of the range of c's path.  Its weighted creation is
     the mix of the I_j (x) t_{c'} by the row zinv_ind[:, c] (zinv_ind keeps ranges), which
     send the first coordinate of each coordinate's prefix to it if c' is its suffix.
+    The generators are the left actions I_k (x) A of the matrix units A of sigma(M)', then
+    the creations by the Theta_1 tuples in Theta order (``DualStructure.dual_generators``).
     """
     ind, ws = structure.ind, structure.ws
     first = [np.asarray(offs, dtype=np.intp) for offs in ind.block_offsets]  # per path
@@ -303,7 +298,9 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
                 [(suffix, first[j][prefix]) for j, (prefix, suffix) in enumerate(cuts)],
                 ind.level_tensor_identity(ws.z_prod_inv(k), k).T)
 
-    return _lift_model(ind, ws, [m for _, m in structure.dual_generators()], level)
+    units = [ind.dual_left(structure.rep.commutant_unit(v, i, j)).matrix
+             for v, i, j in structure.rep.commutant_basis()]
+    return _lift_model(ind, ws, level, units, structure.theta(1))
 
 
 @dataclass

@@ -142,6 +142,13 @@ def tensor_element(graph: GraphCorrespondence, xi: CorrElement, eta: CorrElement
     return CorrElement(xi.level + eta.level, mat @ eta.coeffs)
 
 
+def multiplicativity_residual(space: TruncatedFock, Z: WeightSystem, xi: CorrElement,
+                              eta: CorrElement) -> float:
+    """The residual of W_xi W_eta = W_{xi (x) eta} on the truncation, where it holds exactly."""
+    lhs = weighted_creation(space, Z, xi).matrix @ weighted_creation(space, Z, eta).matrix
+    return residual(lhs, weighted_creation(space, Z, tensor_element(space.graph, xi, eta)).matrix)
+
+
 def handysums_check(space: TruncatedFock, k: int, rng: np.random.Generator | None = None,
                     ind=None) -> dict[str, float]:
     """Residuals of the three summation identities over the level-k basis.

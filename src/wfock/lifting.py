@@ -15,16 +15,19 @@ SVD of R rather than as a weak limit, which keeps the run deterministic;
 optimality is verified per instance.
 
 Everything operates on a ``LiftModel``: a bundle of the induced space
-dimensions, the generator images Y (x) I, and, per level, the basis insertions
-as coordinate maps with the weighted creations at the inverse weight product as
-level data, from which one routine forms every compression q_out^* W q_in that
-the lift step and the step validator read.  Both the graph side and the
-transported dual side produce such bundles, so one loop serves the lifting
-theorem and its two-space corollary, which it runs on the one nonzero block of
-the Putnam lift (see ``two_space_lift``).  An amplified model, the direct sum of
-copies of one space, shares the generators and the creation data of its base: a
-product with an amplified generator acts on each copy of its operand
-(``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never formed.
+dimensions and, per level, the basis insertions as coordinate maps with the
+weighted creations at the inverse weight product as level data, from which one
+routine forms every compression q_out^* W q_in that the lift step and the step
+validator read.  The generator images Y (x) I are dense matrices that the
+model's builder (``duality._lift_model``) forms from the same level data: the
+units, then the compressions of the identity by the level-1 creations.  Both
+the graph side and the transported dual side produce such bundles, so one loop
+serves the lifting theorem and its two-space corollary, which it runs on the one
+nonzero block of the Putnam lift (see ``two_space_lift``).  An amplified model,
+the direct sum of copies of one space, shares the generators and the creation
+data of its base: a product with an amplified generator acts on each copy of
+its operand (``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never
+formed.
 """
 
 from __future__ import annotations
@@ -137,9 +140,10 @@ class LiftModel:
     Their weighted creations at the inverse weight product are W = Dz T Dz^{-1} with the
     level blocks of Dz^* and Dz^{-1}, Dz = ⊕_i Z^{(i)} (x) I_H, in ``z_star`` and ``z_inv``
     (stacked by runs of one size) and T in ``mixes[k]``, mixes of the 0/1 ``gathers[k]``.
-    Level 0 is empty.  The ``copies`` direct summands (copy-major layout) share the
-    generators and the creation data, which act on each summand (``per_copy_left``,
-    ``per_copy_right``, ``compressions``)."""
+    Level 0 is empty.  ``generators`` are the dense units and level-1 creations that the
+    builder forms from this data.  The ``copies`` direct summands (copy-major layout)
+    share the generators and the creation data, which act on each summand
+    (``per_copy_left``, ``per_copy_right``, ``compressions``)."""
 
     dim: int
     levels: int

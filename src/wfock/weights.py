@@ -213,17 +213,6 @@ class WeightSystem:
         inner = embed_prefix(self.legs, self.z_prod(k - 1), k - 1, k)
         return self.z_prod(k) @ np.linalg.inv(inner)
 
-    def c_between(self, i: int, k: int) -> np.ndarray:
-        """Z^{(i)} ((Z^{(i-k)})^{-1} (x) I_k): prefix-sided partial product."""
-        if not (0 <= k <= i):
-            raise ValueError("need 0 <= k <= i")
-        if k == 0:
-            return self._eye(i)
-        if k == i:
-            return self.z_prod(i)
-        inner = embed_prefix(self.legs, self.z_prod_inv(i - k), i - k, i)
-        return self.z_prod(i) @ inner
-
     def validate(self) -> dict[str, float]:
         """Residuals of the defining laws against the attached R sequence."""
         if self.R is None:

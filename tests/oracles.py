@@ -3,7 +3,9 @@
 Each function here restates an identity of the theory by a second route, or
 builds a small object only a test needs: the literal composition sum for
 R_k^2, the M-valued inner product, the unitary gamma_k, the dual basis as
-labelled tuples and pi_sigma on its frame, direct sums of representations,
+labelled tuples and pi_sigma on its frame, the intertwiners of the tuples by
+the product formula and the transported dual creations placed block by block,
+direct sums of representations,
 point evaluation on generator words, the levelwise kernel identities, the
 adjoint expansion of G_m, the two-space lift on the whole Putnam sum and the
 alpha/beta step validator on whole-space operators.
@@ -23,8 +25,8 @@ import numpy as np
 
 from wfock.duality import DualStructure, _in_frame
 from wfock.fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
-from wfock.graphs import CorrElement, GraphCorrespondence, _random_module_map, path_basis, \
-    tensor_pair
+from wfock.graphs import CorrElement, GraphCorrespondence, _random_module_map, embed_prefix, \
+    path_basis, tensor_pair
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
 from wfock.jsonio import encode_matrix
@@ -282,16 +284,50 @@ def pi_sigma(s: DualStructure, y: FockOperator) -> np.ndarray:
 
 
 def intertwiner(s: DualStructure, edges: tuple[int, ...], row: int) -> np.ndarray:
-    """The identification image of a basis tuple: a map H -> level k.
+    """The identification image of a basis tuple: a map H -> level k, read off Theta.
 
-    It sends the first H coordinate of the vertex r(f_k) to local index
-    ``row`` of the path (f_k, ..., f_1), the tuple's Theta coordinate, and
-    everything else to zero.  At level 0 it is the identity of H.
+    It sends the first H coordinate of the vertex r(f_k), ``s.cut(k, k)[1]``
+    at the tuple, to local index ``row`` of the path (f_k, ..., f_1), the
+    tuple's Theta coordinate, and everything else to zero.  At level 0 it is
+    the identity of H.
     """
     k = len(edges)
     if k == 0:
         return np.eye(s.rep.h_dim, dtype=complex)
-    return s._intertwiner(k, dual_tuples(s, k).index((tuple(edges), row)))
+    n = dual_tuples(s, k).index((tuple(edges), row))
+    out = np.zeros((s.ind.level_dim(k), s.rep.h_dim), dtype=complex)
+    out[s.theta(k)[n], s.cut(k, k)[1][n]] = 1.0
+    return out
+
+
+def ref_intertwiner(s: DualStructure, edges: tuple[int, ...], row: int) -> np.ndarray:
+    """The same image by the product formula: the first factor inserted outermost."""
+    k = len(edges)
+    if k == 0:
+        return np.eye(s.rep.h_dim, dtype=complex)
+    e = edges[0]
+    alpha = np.zeros((s.ind.level_dim(1), s.rep.h_dim), dtype=complex)
+    alpha[s.ind.block_offsets[1][e] + row, s.rep.offsets[s.graph.range_(e)]] = 1.0
+    if k == 1:
+        return alpha
+    return s.ind.suffix_insert(alpha, 1, k - 1) @ ref_intertwiner(s, edges[1:], 0)
+
+
+def ref_rho_creation(s: DualStructure, t_mat: np.ndarray, k: int) -> np.ndarray:
+    """rho of the weighted creation by the dual element with intertwiner ``t_mat``
+    (H -> level k, k >= 1) on the induced space, placed block by block: level block
+    (j+k, j) is (C^{(j+k,k)} (x) I) (I_j (x) t), with the prefix-sided partial product
+    C^{(i,k)} = Z^{(i)} ((Z^{(i-k)})^{-1} (x) I_k)."""
+    ind, ws = s.ind, s.ws
+    out = np.zeros((ind.dim, ind.dim), dtype=complex)
+    for j in range(ind.levels + 1 - k):
+        if ind.level_dim(j + k) == 0 or ind.level_dim(j) == 0:
+            continue
+        c = ws.z_prod(j + k) if j == 0 else \
+            ws.z_prod(j + k) @ embed_prefix(ws.legs, ws.z_prod_inv(j), j, j + k)
+        cw = ind.level_tensor_identity(c, j + k)
+        out[ind.level_slice(j + k), ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
+    return out
 
 
 def dual_tuples(s: DualStructure, k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -371,7 +407,7 @@ def iota_w_star_check(z: DiscPoint, ws: WeightSystem, xi_mat: np.ndarray,
     exactly the part of K outside the range of the band block's adjoint.
     """
     ind = z.ind
-    band = DualStructure(ind, ws).rho_creation([xi_mat], 1)[0].matrix[  # K_{<=N-1} -> K_{>=1}
+    band = ref_rho_creation(DualStructure(ind, ws), xi_mat, 1)[  # K_{<=N-1} -> K_{>=1}
         ind.level_offsets[1]:, :ind.level_offsets[ind.levels]]
     c = CauchyKernel(z, ws)
     lhs = band.conj().T @ (ind.dual_left(as_complex(d_mat)).matrix @ c.column)[ind.level_offsets[1]:]

@@ -505,11 +505,11 @@ def test_kept_settings_give_the_reports_of_new_ones(tmp_path, kept):
 def test_kept_arrays_are_read_only(tmp_path, kept):
     assert report_bytes(tmp_path, "lift", CYCLE_S21, 4)[0] == 0
     (setting, size), = kept.values()
-    model = setting.lift_model
+    model, dual = setting.lift_model, setting.dual_lift_model
     for array in (setting.ws.Z[2], setting.ws.z_prod_inv(3), setting.x.R[1],
                   model.generators[0], model.insertions[2][0], model.z_star[0],
                   model.z_inv[-1], model.gathers[1][0], model.mixes[2][2],
-                  setting.dual_generators[-1]):
+                  dual.generators[-1], dual.gathers[1][1], dual.mixes[2][2]):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     assert size == cli._freeze(setting) > 0
@@ -537,6 +537,60 @@ def test_solve_keeps_its_dual_lift_model(tmp_path, kept, monkeypatch):
     assert len(builds) == 1  # a problem the Pick test rejects builds none
     (setting, _), = kept.values()
     assert "dual_lift_model" not in vars(setting)
+
+
+def test_lift_and_solve_share_one_dual_lift_model(tmp_path, kept, monkeypatch):
+    """A lift draws its commutant elements from the dual lift model's generators, so a
+    solve on the same setting reads the model the lift kept, and reports as if cold."""
+    builds = []
+    build = cli.dual_lift_model
+    monkeypatch.setattr(cli, "dual_lift_model", lambda s: builds.append(1) or build(s))
+    assert report_bytes(tmp_path, "lift", dict(ONE_LOOP, instances=1), 20)[0] == 0
+    assert len(builds) == 1
+    warm = report_bytes(tmp_path, "solve", ONE_LOOP, 20)
+    assert warm[0] == 0 and len(builds) == 1 and len(kept) == 1
+    kept.clear()
+    assert report_bytes(tmp_path, "solve", ONE_LOOP, 20) == warm
+    assert len(builds) == 2
+
+
+# the digest inputs of the same names in tools/report_digests.py
+SOLVE_FREE2_DENSE = {"graph": GRAPH2, "sigma": [1],
+                     "X": {"matrices": {"1": [[1.0, 0.3], [0.3, 0.8]]}},
+                     "points": [{"matrix": [[[0.1, 0.05], [-0.08, 0.0]]]},
+                                {"matrix": [[[-0.05, 0.0], [0.02, 0.1]]]}],
+                     "F": [[[[0.3, 0.1]]], [[[0.3, 0.1]]]]}
+SOLVE_FREE2_CLAMPED = {"graph": GRAPH2, "sigma": [1], "X": {"scalar": [1.0]},
+                       "points": [{"matrix": [[[-0.023, -0.149], [-0.086, -0.06]]]},
+                                  {"matrix": [[[0.121, -0.007], [-0.006, 0.0]]]}],
+                       "F": [[[[0.12, 0.004]]], [[[0.108, 0.001]]]]}
+
+
+def _edges_swapped(obj):
+    """The problem with the two edges of free(2) swapped: the point columns swapped and
+    X_1 conjugated by the swap."""
+    out = copy.deepcopy(obj)
+    for point in out["points"]:
+        point["matrix"] = [row[::-1] for row in point["matrix"]]
+    if "matrices" in out["X"]:
+        out["X"]["matrices"]["1"] = [row[::-1] for row in out["X"]["matrices"]["1"][::-1]]
+    return out
+
+
+@pytest.mark.parametrize("obj", [SOLVE_FREE2_DENSE, SOLVE_FREE2_CLAMPED], ids=["dense", "clamped"])
+def test_solve_is_symmetric_under_the_edge_swap(tmp_path, obj):
+    """Relabelling the edges of free(2) leaves the solve's verdict, exit code and Choi
+    eigenvalue bit for bit, and its norm and evaluations within 1e-12.  The intertwining
+    residuals are not compared: they measure the truncation edge, and move by far more
+    than roundoff."""
+    (code, plain), (code_swapped, swapped) = (
+        (code, json.loads(blob)) for code, blob in
+        (report_bytes(tmp_path, "solve", problem, 5) for problem in (obj, _edges_swapped(obj))))
+    assert code == code_swapped == 0
+    assert plain["verdict"] == swapped["verdict"] == "solved"
+    assert plain["choi_min_eig"] == swapped["choi_min_eig"]
+    assert abs(plain["norm"]["value"] - swapped["norm"]["value"]) <= 1e-12
+    assert np.abs(np.array(plain["evaluations"]) - np.array(swapped["evaluations"])).max() <= 1e-12
 
 
 def test_warm_fock_builds_no_induced_space(tmp_path, kept, monkeypatch):

@@ -5,7 +5,6 @@ from oracles import _commutant_dim, dual_tuples, pi_sigma_residuals, project
 from wfock.duality import (
     DualStructure,
     commutation_check_section5,
-    dual_lift_model,
     dual_weights,
     intertwiner_basis,
     interior_tensor,
@@ -19,7 +18,6 @@ from wfock.induced import InducedSpace, Representation
 from wfock.linalg import operator_norm, residual, rng_complex
 from wfock.weights import (
     AdmissibleSequence,
-    WeightSystem,
     admissible_from_kernel_coeffs,
     weight_system_from,
 )
@@ -211,40 +209,6 @@ def test_dual_weights_scalar_case_matches_c():
     data = dual_weights(s, x)
     for k in range(1, n + 1):
         assert np.isclose(data.Z_prime[k][0, 0], ws.c_quotient(k)[0, 0])
-
-
-@pytest.mark.parametrize("graph, rep, n", CASES)
-def test_rho_creation_gathers_each_weight_block_once(monkeypatch, graph, rep, n):
-    """One call, several intertwiners: C^{(j+k,k)} (x) I is built once per j and
-    shared, and each operator's blocks equal the per-intertwiner level blocks.  The
-    dual lift model builds only its level-1 generators this way."""
-    ind = InducedSpace(graph, rep, n)
-    s = DualStructure(ind, weight_system_from(dirichlet_x(graph, n)))
-    calls, gathers = [], []
-    c_between = WeightSystem.c_between
-    monkeypatch.setattr(WeightSystem, "c_between",
-                        lambda ws, i, k: calls.append((i, k)) or c_between(ws, i, k))
-    tensor = ind.level_tensor_identity
-    monkeypatch.setattr(ind, "level_tensor_identity",
-                        lambda m, *ij: gathers.append(ij) or tensor(m, *ij))
-    rng = np.random.default_rng(n)
-    for k in range(n + 1):
-        t_mats = [rng_complex(rng, ind.level_dim(k), ind.h_dim) for _ in range(3)]
-        calls.clear()
-        gathers.clear()
-        ops = s.rho_creation(t_mats, k)
-        assert calls == [(j + k, k) for j in range(n + 1 - k)]
-        assert gathers == [(j + k,) for j in range(n + 1 - k)]
-        for mat, t_mat in zip((op.matrix for op in ops), t_mats):
-            assert mat.shape == (ind.dim, ind.dim)
-            for j in range(n + 1 - k):
-                cw = ind.level_tensor_identity(c_between(s.ws, j + k, k), j + k)
-                assert np.array_equal(mat[ind.level_slice(j + k), ind.level_slice(j)],
-                                      cw @ ind.suffix_insert(t_mat, k, j))
-    calls.clear()
-    model = dual_lift_model(s)  # one pass for the level-1 generators; the creations are gathers
-    assert sorted(calls) == [(j + 1, 1) for j in range(n)]
-    assert len(model.gathers) == len(model.mixes) == n + 1
 
 
 def test_dual_calculus_embeddings_consistent():

@@ -18,17 +18,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
 from oracles import direct_sum_embedding, dual_tuples, factor_prefix, inner_product, intertwiner, \
-    pi_sigma, weight_diagonal, whole_space_creation
+    pi_sigma, ref_intertwiner, ref_rho_creation, weight_diagonal, whole_space_creation
 from wfock.acceptance import _random_graph_x
 from wfock.duality import (
     DualStructure,
     dual_lift_model,
     dual_weights,
     omega_transport,
+    primal_generators,
     primal_lift_model,
 )
-from wfock.fock import FockOperator, TruncatedFock, creation, phi_inf, tensor_element, \
-    weighted_creation
+from wfock.fock import FockOperator, TruncatedFock, creation, multiplicativity_residual, phi_inf, \
+    tensor_element, weighted_creation
 from wfock.graphs import (
     CorrElement,
     _masked_gather,
@@ -373,19 +374,6 @@ def ref_tuples(s, k):
             for chain, vtx in ref_chains(g, g.range_(e), k - 1)]
 
 
-def ref_intertwiner(s, edges, row):
-    """The product formula: the first factor inserted outermost."""
-    k = len(edges)
-    if k == 0:
-        return np.eye(s.rep.h_dim, dtype=complex)
-    e = edges[0]
-    alpha = np.zeros((s.ind.level_dim(1), s.rep.h_dim), dtype=complex)
-    alpha[s.ind.block_offsets[1][e] + row, s.rep.offsets[s.graph.range_(e)]] = 1.0
-    if k == 1:
-        return alpha
-    return s.ind.suffix_insert(alpha, 1, k - 1) @ ref_intertwiner(s, edges[1:], 0)
-
-
 def ref_theta(s, k):
     if k == 0:
         return np.eye(s.rep.h_dim, dtype=complex)
@@ -416,17 +404,6 @@ def ref_level_embed(ind, k):
     return out
 
 
-def ref_rho_creation(s, t_mat, k):
-    ind = s.ind
-    out = np.zeros((ind.dim, ind.dim), dtype=complex)
-    for j in range(ind.levels + 1 - k):
-        if ind.level_dim(j + k) == 0 or ind.level_dim(j) == 0:
-            continue
-        cw = ind.level_tensor_identity(s.ws.c_between(j + k, k), j + k)
-        out[ind.level_slice(j + k), ind.level_slice(j)] = cw @ ind.suffix_insert(t_mat, k, j)
-    return out
-
-
 def ref_assemble(ind, blocks):
     """Level blocks (level j to level i) placed by hand into a whole-space matrix: the
     reference for ``FockOperator.matrix``."""
@@ -438,11 +415,12 @@ def ref_assemble(ind, blocks):
 
 def ref_placed_dual_generators(s):
     """The dual generators as hand-assembled left actions, then the level-1 creations
-    placed block by block."""
+    placed block by block, in Theta order."""
     ind = s.ind
     out = [ref_assemble(ind, {(k, k): blk for k, blk in enumerate(
         ind.dual_left_levels(s.rep.commutant_unit(*u)))}) for u in s.rep.commutant_basis()]
-    return out + [ref_rho_creation(s, s._intertwiner(1, n), 1) for n in range(s.theta(1).size)]
+    return out + [ref_rho_creation(s, intertwiner(s, edges, row), 1)
+                  for edges, row in dual_tuples(s, 1)]
 
 
 def ref_primal_basis_ops(ind, ws):
@@ -780,12 +758,6 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
             tuples = dual_tuples(s, k)
             keys[k] = [ref_rho_creation(s, intertwiner(s, *tuples[t]), k) for t in by_coord]
         sides.append((model, ref, keys))
-        ref_gens = [ind.dual_left(s.rep.commutant_unit(v, i, j)).matrix
-                    for v, i, j in s.rep.commutant_basis()]
-        ref_gens += [ref_rho_creation(s, intertwiner(s, edges, row), 1)
-                     for edges, row in dual_tuples(s, 1)]
-        assert len(model.generators) == len(ref_gens)
-        assert all(_same_bytes(m, ref) for m, ref in zip(model.generators, ref_gens))
     for model, ref, keys in sides:
         for runs, want in ((model.z_star, lambda i: ws.z_prod(i).conj().T),
                            (model.z_inv, ws.z_prod_inv)):
@@ -830,12 +802,46 @@ def test_lift_models_match_the_dense_basis_operators(graph, n, copies, data):
 
 @settings(max_examples=30, deadline=None)
 @given(st.booleans().flatmap(lambda full: small_graphs(full=full)), st.integers(1, 3), st.data())
+def test_lift_model_generators_match_the_definition_route(graph, n, data):
+    """The generators each lift model forms from its own level data, Dz T Dz^{-1} by its
+    ``compressions``, against the definition route.  Graph side: ``primal_generators``
+    (the vertex units and W_e (x) I from ``weighted_creation``), byte for byte on scalar
+    weights and within 1e-13 max(1, max|g|) on random non-scalar ones.  Dual side, on
+    full graphs: the hand-placed left actions byte for byte, and the creations of the
+    Theta_1 tuples, (C^{(j+1,1)} (x) I) (I_j (x) t) placed block by block, within the
+    same bound; ``dual_generators`` names them in that order."""
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    ind = InducedSpace(graph, rep, n)
+    rng = _rng(data)
+    scalar = weight_system_from(AdmissibleSequence.from_scalar(graph, [0.5, 0.1], levels=n))
+    got, want = primal_lift_model(ind, scalar).generators, primal_generators(ind, scalar)
+    assert len(got) == len(want) == graph.n_vertices + graph.n_edges
+    assert all(_same_bytes(g, ref) for g, (_, ref) in zip(got, want))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    got, want = primal_lift_model(ind, ws).generators, primal_generators(ind, ws)
+    assert all(_close(g, ref) for g, (_, ref) in zip(got, want, strict=True))
+    if not graph.full:
+        return
+    s = DualStructure(ind, ws)
+    got, want, units = dual_lift_model(s).generators, ref_placed_dual_generators(s), \
+        len(rep.commutant_basis())
+    assert len(got) == len(want) == units + ind.level_dim(1)
+    assert all(_same_bytes(g, ref) for g, ref in zip(got[:units], want[:units]))
+    assert all(_close(g, ref) for g, ref in zip(got[units:], want[units:]))
+    named = s.dual_generators()
+    assert [name for name, _ in named] == \
+        [f"phi'({v},{i},{j})" for v, i, j in rep.commutant_basis()] + \
+        [f"W'({edges[0]},{row})" for edges, row in dual_tuples(s, 1)]
+    assert all(_same_bytes(g, m) for g, (_, m) in zip(got, named, strict=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans().flatmap(lambda full: small_graphs(full=full)), st.integers(1, 3), st.data())
 def test_induced_graded_operators_place_blocks_as_before(graph, n, data):
     """FockOperator on an InducedSpace against the block writers it replaced,
     byte for byte: the induced image of a weighted creation and of a module map
-    and the dual left action against the hand-placed assembly, and on full graphs
-    the rho_creation operators and the dual generators against the hand-placed
-    blocks.  A wrong-shaped or non-finite block is named by its level pair."""
+    and the dual left action against the hand-placed assembly.  A wrong-shaped or
+    non-finite block is named by its level pair."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = _rng(data)
@@ -851,16 +857,6 @@ def test_induced_graded_operators_place_blocks_as_before(graph, n, data):
     a = _commutant_element(rng, rep)
     assert _same_bytes(ind.dual_left(a).matrix, ref_assemble(
         ind, {(j, j): blk for j, blk in enumerate(ind.dual_left_levels(a))}))
-    if graph.full:
-        s = DualStructure(ind, ws)
-        t_mats = [rng_complex(rng, ind.level_dim(k), ind.h_dim) for _ in range(2)]
-        ops = s.rho_creation(t_mats, k)
-        assert all(op.degree in (k, None) for op in ops)
-        for op, t_mat in zip(ops, t_mats, strict=True):
-            assert _same_bytes(op.matrix, ref_rho_creation(s, t_mat, k))
-        gens, refs = s.dual_generators(), ref_placed_dual_generators(s)
-        assert len(gens) == len(refs)
-        assert all(_same_bytes(m, ref) for (_, m), ref in zip(gens, refs))
     image = ind.fock_tensor_identity(w)
     levels = [lvl for lvl in range(n + 1) if ind.level_dims[lvl]]
     i, j = data.draw(st.sampled_from(levels), label="i"), data.draw(st.sampled_from(levels), label="j")
@@ -1013,3 +1009,4 @@ def test_weighted_creation_is_multiplicative(graph, a, b, data):
     lhs = weighted_creation(space, ws, xi).matrix @ weighted_creation(space, ws, eta).matrix
     rhs = weighted_creation(space, ws, tensor_element(graph, xi, eta)).matrix
     assert residual(lhs, rhs) < 1e-10 * max(1.0, np.abs(lhs).max())
+    assert multiplicativity_residual(space, ws, xi, eta) == residual(lhs, rhs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import composition_r2, compositions
-from wfock.duality import primal_lift_model
+from wfock.duality import primal_generators
 from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
 from wfock.linalg import residual
@@ -188,7 +188,8 @@ def test_admissibility_validation_rejects():
 
 
 def test_z_between_inverts_each_pair_once(monkeypatch):
-    """Z^{(k,j)} is memoized: a whole primal lift model inverts each (k, j) at most once."""
+    """Z^{(k,j)} is memoized: the weighted creations of all primal generators invert each
+    (k, j) at most once."""
     ws = weight_system_from(scalar_sequence([0.5, 1 / 12], 4, FREE2))
     counts, current = Counter(), []
     inv, z_between = np.linalg.inv, WeightSystem.z_between
@@ -207,5 +208,5 @@ def test_z_between_inverts_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     monkeypatch.setattr(WeightSystem, "z_between", tracked)
-    primal_lift_model(InducedSpace(FREE2, Representation((1,)), 4), ws)
+    primal_generators(InducedSpace(FREE2, Representation((1,)), 4), ws)
     assert counts and max(counts.values()) == 1, counts
