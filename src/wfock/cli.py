@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -134,35 +135,59 @@ def _setting(obj: dict, levels: int) -> _Setting:
     return setting
 
 
+class _Walk:
+    """Make every array reachable from ``root`` through wfock objects, dicts, lists and
+    tuples read-only, and keep their summed bytes and each dict and list reached (for a
+    wfock object, its attribute dict) with its length then.  A kept setting only grows
+    (a call adds attributes, cached entries or list items, and replaces none), so it
+    needs a new walk only when one of those lengths changed (``grew``)."""
+
+    def __init__(self, root):
+        self.sized: list[tuple[dict | list, int]] = []
+        self.nbytes = 0
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, np.ndarray):
+                node.flags.writeable = False
+                self.nbytes += node.nbytes
+                continue
+            if type(node).__module__.startswith(__package__ + "."):
+                node = vars(node)
+            elif not isinstance(node, (dict, list, tuple)):
+                continue
+            if not isinstance(node, tuple):
+                self.sized.append((node, len(node)))
+            stack.extend(node.values() if isinstance(node, dict) else node)
+
+    def grew(self) -> bool:
+        return any(len(node) != size for node, size in self.sized)
+
+
 def _freeze(root) -> int:
     """Make every array reachable from ``root`` through wfock objects, dicts,
     lists and tuples read-only; returns their summed bytes."""
-    seen, stack, total = set(), [root], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, np.ndarray):
-            node.flags.writeable = False
-            total += node.nbytes
-        elif isinstance(node, dict):
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-        elif type(node).__module__.startswith(__package__ + "."):
-            stack.extend(vars(node).values())
-    return total
+    return _Walk(root).nbytes
+
+
+# the walk of each setting that has been kept, dropped with the setting
+_walks: weakref.WeakKeyDictionary[_Setting, _Walk] = weakref.WeakKeyDictionary()
 
 
 def _keep_settings() -> None:
-    """After a call: freeze and count the last used setting, which the call may
-    have grown, then drop settings, least recently used first, until the kept
-    bytes fit ``SETTING_BYTES``.  A setting larger than that is not kept."""
+    """After a call: freeze and count the last used setting if it is new or the call
+    grew it, then drop settings, least recently used first, until the kept bytes fit
+    ``SETTING_BYTES``.  A setting larger than that is not kept."""
     if not _settings:
         return
     key, (setting, _) = _settings.popitem()
-    size = _freeze(setting)
+    walk = _walks.get(setting)
+    if walk is None or walk.grew():
+        walk = _walks[setting] = _Walk(setting)
+    size = walk.nbytes
     if size <= SETTING_BYTES:
         _settings[key] = setting, size
     total = sum(n for _, n in _settings.values())

@@ -231,25 +231,29 @@ def _in_frame(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def _lift_model(ind: InducedSpace, ws: WeightSystem, level, units: list[np.ndarray],
                 order: np.ndarray) -> LiftModel:
-    """The lift model with creations Dz T Dz^{-1}: ``level(k)``, k = 1..N, gives per level-k
-    coordinate the H index inserted there and its element, per level j + k the (key, col
-    in level j) gather of the unweighted creations, and the elements' coefficient rows.
+    """The lift model with creations Dz T Dz^{-1}: ``level(k, zinv)``, k = 1..N, gives per
+    level-k coordinate the H index inserted there and its element, per level j + k the
+    (key, col in level j) gather of the unweighted creations, and the elements'
+    coefficient rows; zinv is the level block Z^{(k)-1} (x) I_H, gathered once here.
     The generators are the ``units``, then the dense Dz T_q Dz^{-1} of the level-1 keys q
     in ``order`` (a permutation of the keys), formed by the model's own ``compressions``."""
+    zinv = [ind.level_tensor_identity(ws.z_prod_inv(i), i) for i in range(ind.levels + 1)]
     empty = (np.zeros(0, dtype=np.intp),) * 2  # level 0
-    levels = [(empty, [empty], np.zeros((0, 0)))] + [level(k) for k in range(1, ind.levels + 1)]
+    levels = [(empty, [empty], np.zeros((0, 0)))] + [level(k, zinv[k])
+                                                     for k in range(1, ind.levels + 1)]
     gathers = [(np.concatenate([key for key, _ in parts]),
                 np.concatenate([ind.level_offsets[j] + col for j, (_, col) in enumerate(parts)]))
                for _, parts, _ in levels]
 
-    def runs(prod):  # the level blocks of ⊕_i prod(i) (x) I_H, stacked by runs of one size
-        blocks = [ind.level_tensor_identity(prod(i), i) for i in range(ind.levels + 1)]
+    def runs(blocks):  # level blocks of ⊕_i B_i (x) I_H, stacked by runs of one size
         return [np.stack(list(run)) for _, run in itertools.groupby(blocks, key=np.shape)]
 
     model = LiftModel(
         dim=ind.dim, levels=ind.levels, level=np.repeat(np.arange(ind.levels + 1), ind.level_dims),
-        copies=1, generators=[], z_star=runs(lambda i: ws.z_prod(i).conj().T),
-        z_inv=runs(ws.z_prod_inv), gathers=gathers,
+        copies=1, generators=[],
+        z_star=runs([ind.level_tensor_identity(ws.z_prod(i).conj().T, i)
+                     for i in range(ind.levels + 1)]),
+        z_inv=runs(zinv), gathers=gathers,
         insertions=[(ind.level_offsets[k] + np.arange(cols.size), cols, elem)
                     for k, ((cols, elem), _, _) in enumerate(levels)],
         mixes=[creation_mix(gather, ind.dim, c) for gather, (_, _, c) in zip(gathers, levels)])
@@ -269,7 +273,7 @@ def primal_lift_model(ind: InducedSpace, ws: WeightSystem) -> LiftModel:
     The generators are the vertex units phi(v), the 0/1 diagonals [r(p) = v] per
     coordinate, then the creations W(e) by the edges in order.
     """
-    def level(k):
+    def level(k, _):
         path, h = ind._cut(k, k)
         return (h, path), [ind._cut(j + k, k) for j in range(ind.levels + 1 - k)], \
             ws.z_prod_inv(k).T
@@ -292,11 +296,11 @@ def dual_lift_model(structure: DualStructure) -> LiftModel:
     ind, ws = structure.ind, structure.ws
     first = [np.asarray(offs, dtype=np.intp) for offs in ind.block_offsets]  # per path
 
-    def level(k):
+    def level(k, zinv):
         cuts = (ind._cut(j + k, j) for j in range(ind.levels + 1 - k))
         return ((first[0][ind._cut(k, 0)[0]], np.arange(ind.level_dim(k))),
                 [(suffix, first[j][prefix]) for j, (prefix, suffix) in enumerate(cuts)],
-                ind.level_tensor_identity(ws.z_prod_inv(k), k).T)
+                zinv.T)
 
     units = [ind.dual_left(structure.rep.commutant_unit(v, i, j)).matrix
              for v, i, j in structure.rep.commutant_basis()]

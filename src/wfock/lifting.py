@@ -14,6 +14,11 @@ by Parrott's lemma.  The completion is evaluated in closed form on one thin
 SVD of R rather than as a weak limit, which keeps the run deterministic;
 optimality is verified per instance.
 
+Every generator's adjoint maps K_n into K_n (units have degree 0, creations
+degree 1), so J = K_{n_m} (+) J' at each step, and the state keeps a frame
+of J' = J ⊖ K_{n_m} beside the frame of J: the co-invariance residual and the
+escape scan read J' alone, and the frame of J stays where the rows of G_m need it.
+
 Everything operates on a ``LiftModel``: a bundle of the induced space
 dimensions and, per level, the basis insertions as coordinate maps with the
 weighted creations at the inverse weight product as level data, from which one
@@ -250,6 +255,13 @@ class LiftState:
     spans J_1 in K^(t).  J_1 holds no row of G_m, but it is a summand of J: it
     takes part in the step schedule, in ``dim_j`` = d_1 + d_2 and in the
     co-invariance residual.  ``ledger`` collects per-step condition residuals.
+
+    Each summand of J is K_{n_m} (+) J' (every step guards K_{n_m} in J), and
+    ``j_prime`` holds per summand, in the order of ``spaces``, an orthonormal frame of
+    J' = J ⊖ K_{n_m} with zero rows on K_{n_m}: the input frames at n_m = -1,
+    where K_{-1} = 0.  Every generator's adjoint maps K_n into K_n, so the
+    co-invariance residual and the escape scan read J' alone; the rows of G_m
+    stay in ``frame`` coordinates.
     """
 
     model: LiftModel
@@ -259,10 +271,16 @@ class LiftState:
     ledger: list[dict] = field(default_factory=list)
     row_model: LiftModel | None = None
     j1: np.ndarray | None = None
+    j_prime: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if self.row_model is None:
             self.row_model = self.model
+        if self.j_prime is None:
+            if self.n_list[-1] >= 0:
+                raise ValueError(f"the J' frames of a state at n_m = {self.n_list[-1]} "
+                                 "must be given")
+            self.j_prime = [q for _, q in self.spaces]
 
     @property
     def spaces(self) -> tuple[tuple[LiftModel, np.ndarray], ...]:
@@ -283,13 +301,28 @@ class LiftState:
         return all(q.shape[1] >= model.dim for model, q in self.spaces)
 
 
-def _escaping(model: LiftModel, q: np.ndarray, n: int) -> np.ndarray:
-    """An orthonormal frame of the part of K_n orthogonal to the span of q (no column
-    when K_n lies in it).  A residual whose Frobenius norm is at most RANK_TOL / 2 has
-    no singular value above RANK_TOL, and takes no SVD."""
+def j_prime_frame(model: LiftModel, cols: np.ndarray, n: int, width: int) -> np.ndarray:
+    """An orthonormal frame of J ⊖ K_n with zero rows on K_n, for J = K_n + span(cols),
+    ``cols`` orthonormal and dim J = |K_n| + ``width``: the first ``width`` left singular
+    vectors of the rows of ``cols`` above level n.  Those rows project span(cols) onto
+    the coordinates above n, which keeps J ⊖ K_n (singular values 1) and sends the part
+    of K_n in span(cols) to 0."""
+    above = np.flatnonzero(model.level > n)
+    out = np.zeros((model.dim, width), dtype=complex)
+    if width:
+        out[above] = _svd(cols[above])[0][:, :width]
+    return out
+
+
+def _escaping(model: LiftModel, q: np.ndarray, low: int, n: int) -> np.ndarray:
+    """An orthonormal frame of the part of K_n orthogonal to K_low (+) span(q), for q with
+    zero rows on K_low: the coordinates of K_n above level low, less their projection
+    on q (no column when K_n lies in the sum).  A residual whose Frobenius norm is at
+    most RANK_TOL / 2 has no singular value above RANK_TOL, and takes no SVD."""
+    idx = np.flatnonzero((model.level > low) & (model.level <= n))
     # the projection is subtracted twice, as in ``_project_out``: one pass leaves
     # roundoff drift along q that the rank test would read as new directions
-    res = _complement(q, _complement_coords(q, model.prefix_idx(n)))
+    res = _complement(q, _complement_coords(q, idx))
     if np.linalg.norm(res) <= RANK_TOL / 2:
         return res[:, :0]
     return orth_columns(res, RANK_TOL)
@@ -299,45 +332,53 @@ def _escape_level(state: LiftState) -> tuple[int, list[np.ndarray]]:
     """Least n with K_n not contained in the current J, and per summand of J (in the
     order of ``state.spaces``) an orthonormal frame of the part of K_n orthogonal to it.
 
-    At most one thin SVD per summand and tested level: the rank rule of
-    ``orth_columns`` keeps a column iff the largest singular value exceeds
-    RANK_TOL, so K_n escapes iff a frame has a column.  The scan starts above
-    n_m: K_{n_m} lies in J by construction, which ``_check_contains_prefix``
-    guards at each step.
+    J = K_{n_m} (+) J' (``_check_contains_prefix`` guards K_{n_m} in J at each step), so
+    the scan starts above n_m and tests only the coordinates of K_n above n_m against
+    J'; a J' with a nonzero row on K_{n_m} raises.  At most one thin SVD per summand
+    and tested level: the rank rule of ``orth_columns`` keeps a column iff the largest
+    singular value exceeds RANK_TOL, so K_n escapes iff a frame has a column.
     """
-    spaces = state.spaces
-    for n in range(state.n_list[-1] + 1, state.model.levels + 1):
-        frames = [_escaping(model, q, n) for model, q in spaces]
+    low = state.n_list[-1]
+    for (model, _), q in zip(state.spaces, state.j_prime):
+        if q[model.prefix_idx(low)].any():
+            raise RuntimeError(f"lift step {state.m + 1}: the J' frame has a row in "
+                               f"K_{low}; numerical failure")
+    for n in range(low + 1, state.model.levels + 1):
+        frames = [_escaping(model, q, low, n)
+                  for (model, _), q in zip(state.spaces, state.j_prime)]
         if any(frame.shape[1] for frame in frames):
             return n, frames
     raise RuntimeError("no level escapes J although J is proper")
 
 
-def _check_contains_prefix(state: LiftState) -> None:
-    """Raise unless K_{n_m} lies in each summand of J_m: ||(I - P) E_{n_m}|| <= RANK_TOL.
+def _check_contains_prefix(spaces, n: int, m: int) -> None:
+    """Raise unless K_n lies in each summand of J_m, given as (model, frame) ``spaces``:
+    ||(I - P) E_n|| <= RANK_TOL.
 
     The Frobenius norm bounds the operator norm, so a residual whose Frobenius
     norm is at most RANK_TOL / 2 passes without an SVD.
     """
-    n = state.n_list[-1]
-    for model, q in state.spaces:
+    for model, q in spaces:
         c = _complement_coords(q, model.prefix_idx(n))
         if np.linalg.norm(c) <= RANK_TOL / 2:
             continue
         worst = operator_norm(c)
         if worst > RANK_TOL:
-            raise RuntimeError(f"lift step {state.m}: K_{n} is not contained in J "
+            raise RuntimeError(f"lift step {m}: K_{n} is not contained in J "
                                f"(residual {worst:.2e}); numerical failure")
 
 
 def _condition_residuals(state: LiftState) -> dict:
     """Residuals of the running conditions the reports read at the current state: the
-    co-invariance of J (the largest over its summands) and max_g ||q^* g q G - G g||."""
+    co-invariance of J, max_g ||(I - P_J) g^* Q'|| on the J' frames Q' (the largest over
+    the summands of J; the adjoints keep K_{n_m}, which J holds), and
+    max_g ||q^* g q G - G g||."""
     q = state.frame
     q_star = q.conj().T
     generators = state.model.generators
-    return {"coinvariant": max(_frame_coinvariance(frame, generators)
-                               for _, frame in state.spaces),
+    return {"coinvariant": max_operator_norm([
+                _complement(frame, per_copy_left(g.conj().T, prime))
+                for (_, frame), prime in zip(state.spaces, state.j_prime) for g in generators]),
             "intertwining": max_operator_norm([per_copy_right(q_star, g) @ q @ state.g_mat
                                                - per_copy_right(state.g_mat, g)
                                                for g in generators])}
@@ -351,12 +392,14 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
     state.  F's new columns are read off q_new^* W q_m g on the row side and placed
     by the insertions of the domain, so for the corollary a step that adds no
-    direction to J_2 adds no row to G.  The ledger entry holds what the reports
-    and the loop read: m, n_m, dim_j (the width of J, d_1 + d_2 for the
-    corollary), the Parrott mu, the f_clamp, and the coinvariant (the largest
-    over the summands of J) and intertwining residuals.  Raises if J is already
-    everything, if K_{n_m} is not contained in the new J (a guard, not a
-    recorded number), or if the completion is not finite.
+    direction to J_2 adds no row to G.  The new J' frames are formed once, after
+    the guard, from the old ones and the new directions (``j_prime_frame``).  The
+    ledger entry holds what the reports and the loop read: m, n_m, dim_j (the
+    width of J, d_1 + d_2 for the corollary), the Parrott mu, the f_clamp, and the
+    coinvariant (the largest over the summands of J) and intertwining residuals.
+    Raises if J is already everything, if a J' frame has a row in K_{n_m} or
+    K_{n_m} is not contained in the new J (guards, not recorded numbers), or if
+    the completion is not finite.
     """
     model = state.model
     if state.is_full():
@@ -399,10 +442,14 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     new_rows[:, rest_idx] = problem.S
     g_m1 = np.vstack([state.g_mat, new_rows])
 
-    j1 = None if state.j1 is None else np.hstack([state.j1, added[1]])
-    new_state = LiftState(model, np.hstack([q_m, q_new]), g_m1, state.n_list + [n_new],
-                          list(state.ledger), state.row_model, j1)
-    _check_contains_prefix(new_state)
+    spaces = [(space, np.hstack([q, new])) for (space, q), new in zip(state.spaces, added)]
+    _check_contains_prefix(spaces, n_new, state.m + 1)
+    j_prime = [j_prime_frame(space, np.hstack([prime, new]), n_new,
+                             q.shape[1] - space.prefix_idx(n_new).size)
+               for (space, q), prime, new in zip(spaces, state.j_prime, added)]
+    j1 = None if state.j1 is None else spaces[1][1]
+    new_state = LiftState(model, spaces[0][1], g_m1, state.n_list + [n_new],
+                          list(state.ledger), state.row_model, j1, j_prime)
     entry = _condition_residuals(new_state)
     entry.update({
         "m": new_state.m,

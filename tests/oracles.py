@@ -7,7 +7,7 @@ labelled tuples and pi_sigma on its frame, the intertwiners of the tuples by
 the product formula and the transported dual creations placed block by block,
 direct sums of representations,
 point evaluation on generator words, the levelwise kernel identities, the
-adjoint expansion of G_m, the two-space lift on the whole Putnam sum and the
+adjoint expansion of G_m, the escape scan on the whole frame of J, the two-space lift on the whole Putnam sum and the
 alpha/beta step validator on whole-space operators.
 None of them is on a path the CLI, the acceptance suite, ``tools/`` or
 ``perfbench/`` runs, so they live beside the tests, which import them as
@@ -31,8 +31,8 @@ from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
 from wfock.jsonio import encode_matrix
 from wfock.lifting import LiftModel, LiftState, _frame_coinvariance, _loop
-from wfock.linalg import as_complex, max_operator_norm, nullspace, operator_norm, residual, \
-    rng_complex
+from wfock.linalg import RANK_TOL, _project_out, as_complex, max_operator_norm, nullspace, \
+    operator_norm, orth_columns, residual, rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem
 
 
@@ -462,6 +462,18 @@ class CoinvariantSubspace:
 
     def coinvariance_residual(self) -> float:
         return _frame_coinvariance(self.frame, self.model.generators)
+
+
+def full_frame_escape(state: LiftState) -> tuple[int, np.ndarray]:
+    """The escape scan on the whole frame of J (row side), as it ran before the state
+    kept J' = J ⊖ K_{n_m}: the least n > n_m with ||(I - P) E_n|| > RANK_TOL on the
+    dense prefix columns E_n, and an orthonormal frame of (I - P) E_n."""
+    q = state.frame
+    for n in range(state.n_list[-1] + 1, state.model.levels + 1):
+        res = _project_out(q, prefix_columns(state.model, n))
+        if res.size and operator_norm(res) > RANK_TOL:
+            return n, orth_columns(res, RANK_TOL)
+    raise AssertionError("a proper frame has an escaping level")
 
 
 def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:

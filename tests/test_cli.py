@@ -523,6 +523,24 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
     assert size == cli._freeze(setting) > 0
 
 
+def test_a_kept_setting_is_walked_again_only_when_a_call_grew_it(tmp_path, kept, monkeypatch):
+    """A setting is walked in full when it is new and after a call that grew it (here the
+    first lift, which adds the lift models); a repeat call walks nothing, and the kept
+    size stays the full walk's."""
+    walks = []
+    walk = cli._Walk
+    monkeypatch.setattr(cli, "_Walk", lambda root: walks.append(root) or walk(root))
+    assert report_bytes(tmp_path, "weights", CYCLE_S21, 4)[0] == 0
+    (setting, _), = kept.values()
+    assert walks == [setting]
+    for grows in (True, False):
+        walks.clear()
+        assert report_bytes(tmp_path, "lift", CYCLE_S21, 4)[0] == 0
+        assert walks == ([setting] if grows else [])
+        assert "lift_model" in vars(setting)
+        assert kept[next(iter(kept))][1] == cli._freeze(setting) > 0
+
+
 def test_solve_keeps_its_dual_lift_model(tmp_path, kept, monkeypatch):
     builds = []
     build = cli.dual_lift_model

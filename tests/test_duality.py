@@ -240,3 +240,28 @@ def test_omega_requires_multiplicity_one():
     ws = weight_system_from(szego_x(graph, n))
     with pytest.raises(ValueError):
         omega_checks(InducedSpace(graph, Representation((2, 1)), n), ws, szego_x(graph, n))
+
+
+def test_dual_lift_model_gathers_each_level_weight_once(monkeypatch):
+    """The dual lift model gathers Z^{(k)*} (x) I and Z^{(k)-1} (x) I once per level k,
+    and its coefficient rows read the Z^{(k)-1} (x) I block it gathered: two
+    ``level_tensor_identity`` calls per level, as the primal model makes."""
+    from collections import Counter
+
+    from wfock.duality import dual_lift_model, primal_lift_model
+
+    ind = InducedSpace(FREE2, Representation((1,)), 6)
+    ws = weight_system_from(AdmissibleSequence.from_scalar(FREE2, [0.5, 1 / 12], levels=6))
+    structure = DualStructure(ind, ws)
+    gather = InducedSpace.level_tensor_identity
+    for build in (lambda: dual_lift_model(structure), lambda: primal_lift_model(ind, ws)):
+        counts = Counter()
+
+        def counted(self, y, k_out, k_in=None):
+            counts[k_out] += 1
+            return gather(self, y, k_out, k_in)
+
+        monkeypatch.setattr(InducedSpace, "level_tensor_identity", counted)
+        build()
+        monkeypatch.undo()
+        assert counts == {k: 2 for k in range(7)}, counts

@@ -13,8 +13,8 @@ import wfock.interpolation
 import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
-from oracles import CoinvariantSubspace, dense_alphabeta_validator, gm_star_expansion_residual, \
-    prefix_columns, sum_space_lift, whole_space_creation
+from oracles import CoinvariantSubspace, dense_alphabeta_validator, full_frame_escape, \
+    gm_star_expansion_residual, prefix_columns, sum_space_lift, whole_space_creation
 from wfock.acceptance import _random_graph_x
 from wfock.cli import main
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
@@ -30,6 +30,8 @@ from wfock.lifting import (
     _frame_coinvariance,
     commutant_lift,
     creation_mix,
+    j_prime_frame,
+    lift_step,
     LiftState,
     parrott_complete,
     per_copy_left,
@@ -607,8 +609,9 @@ def test_krylov_closure_matches_the_svd_of_every_residual(graph, n, data):
 
 
 def test_one_rank_test_per_lift_step(monkeypatch):
-    # the escape scan starts above n_m, so on the one-loop space, where each
-    # step adjoins the next level, it tests exactly one level per step
+    # the escape scan starts above n_m and tests only the coordinates of K_n above n_m,
+    # so on the one-loop space, where each step adjoins the next level, it takes one
+    # rank test per step, of width 1
     from wfock.interpolation import CauchyKernel, DiscPoint
 
     free1 = GraphCorrespondence.free(1)
@@ -627,9 +630,12 @@ def test_one_rank_test_per_lift_step(monkeypatch):
 
     monkeypatch.setattr(wfock.lifting, "orth_columns", orth_columns)
     _, trace = commutant_lift(model, col / np.linalg.norm(col), np.array([[0.5]]))
-    assert len(trace["steps"]) == model.dim - 1
-    assert len(tested) == len(trace["steps"])
-    assert tested == [step["n_m"] + 1 for step in trace["steps"]]
+    steps = trace["steps"]
+    assert len(steps) == model.dim - 1
+    lows = [-1] + [step["n_m"] for step in steps[:-1]]
+    assert tested == [np.count_nonzero((model.level > low) & (model.level <= step["n_m"]))
+                      for low, step in zip(lows, steps)]
+    assert tested == [1] * len(steps)
 
 
 def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
@@ -657,23 +663,32 @@ def test_lift_step_names_a_completion_that_is_not_finite(monkeypatch):
 
 
 def _reference_escape(state):
-    """The escape scan as a values-only SVD followed by a thin one, on dense prefix columns."""
-    q = state.frame
-    for n in range(state.n_list[-1] + 1, state.model.levels + 1):
-        res = _project_out(q, prefix_columns(state.model, n))
+    """The escape scan as a values-only SVD followed by a thin one, on the dense columns
+    of K_n above n_m and the J' frame."""
+    model, q, low = state.model, state.j_prime[0], state.n_list[-1]
+    for n in range(low + 1, model.levels + 1):
+        above = prefix_columns(model, n)[:, model.level[model.prefix_idx(n)] > low]
+        res = _project_out(q, above)
         if res.size and operator_norm(res) > RANK_TOL:
             return n, orth_columns(res, RANK_TOL)
     raise AssertionError("a proper frame has an escaping level")
 
 
+def _projector(frame):
+    return frame @ frame.conj().T
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(), st.integers(1, 3), st.data())
 def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
-    """On frames that hold K_{n1} up to a perturbation of random size, at n_m = n0 <= n1:
-    the escape level and frame equal those of the values-only rank test, the scan
-    takes no SVD of a tested level whose residual has Frobenius norm at most
-    RANK_TOL / 2, and the guard raises exactly when ||(I - P) E_{n0}|| > RANK_TOL,
-    without an SVD when the Frobenius norm is at most RANK_TOL / 2."""
+    """On frames that hold K_{n1} up to a perturbation of random size, at n_m = n0 <= n1,
+    with J' formed from the frame by ``j_prime_frame``: the escape level and frame equal
+    those of the values-only rank test on the same J', the scan takes no SVD of a tested
+    level whose residual has Frobenius norm at most RANK_TOL / 2, and the guard raises
+    exactly when ||(I - P) E_{n0}|| > RANK_TOL, without an SVD when the Frobenius norm is
+    at most RANK_TOL / 2.  On states that hold K_{n1} within RANK_TOL / 10, which pass the
+    guard, the escape level and the escaping space equal those of the scan on the whole
+    frame (``full_frame_escape``)."""
     rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
     ind = InducedSpace(graph, rep, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -687,8 +702,10 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     seeds = np.hstack([held + delta * rng_complex(rng, *held.shape),
                        rng_complex(rng, model.dim, extra)])
     frame = np.linalg.qr(seeds)[0]
-    state = LiftState(model, frame, np.zeros((frame.shape[1], model.dim), dtype=complex), [n0])
     prefix = prefix_columns(model, n0)
+    prime = j_prime_frame(model, frame, n0, frame.shape[1] - prefix.shape[1])
+    state = LiftState(model, frame, np.zeros((frame.shape[1], model.dim), dtype=complex), [n0],
+                      j_prime=[prime])
 
     rank_tests = []
     orth = wfock.lifting.orth_columns
@@ -699,8 +716,9 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     want_n, want_frame = _reference_escape(state)
     assert got_n == want_n
     assert np.array_equal(got_frame, want_frame)
-    tested = [np.linalg.norm(_complement(frame, _complement_coords(frame, model.prefix_idx(k))))
-              for k in range(n0 + 1, got_n + 1)]
+    above = model.level > n0
+    tested = [np.linalg.norm(_complement(prime, _complement_coords(
+        prime, np.flatnonzero(above & (model.level <= k))))) for k in range(n0 + 1, got_n + 1)]
     assert len(rank_tests) == sum(f > RANK_TOL / 2 for f in tested)
     assert all(f > RANK_TOL / 2 for f in rank_tests)
 
@@ -710,12 +728,82 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wfock.lifting, "operator_norm", lambda a: svds.append(1) or norm(a))
         if operator_norm(c) > RANK_TOL:
-            with pytest.raises(RuntimeError, match=f"K_{n0} is not contained in J"):
-                _check_contains_prefix(state)
+            with pytest.raises(RuntimeError, match=f"lift step 1: K_{n0} is not contained in J"):
+                _check_contains_prefix(state.spaces, n0, state.m)
         else:
-            _check_contains_prefix(state)
+            _check_contains_prefix(state.spaces, n0, state.m)
     if np.linalg.norm(c) <= RANK_TOL / 2:
         assert svds == []
+
+    if operator_norm(_complement(frame, held)) <= RANK_TOL / 10:
+        # K_{n1}, and so K_{n0}, lies in J within a tenth of the guard's tolerance: no
+        # tested singular value sits near the rank cut on either side
+        full_n, full_frame = full_frame_escape(state)
+        assert got_n == full_n
+        assert residual(_projector(got_frame), _projector(full_frame)) <= 1e-8
+
+
+def _check_j_prime_frames(state):
+    """J' = J ⊖ K_{n_m} per summand: orthonormal, zero rows on K_{n_m} and inside J, and
+    the ledger's co-invariance residual, read on J', equal to the one on the whole frame."""
+    low = state.n_list[-1]
+    for (model, frame), prime in zip(state.spaces, state.j_prime):
+        assert operator_norm(prime.conj().T @ prime - np.eye(prime.shape[1])) <= 1e-13
+        assert not prime[model.prefix_idx(low)].any()
+        assert operator_norm(_complement(frame, prime)) <= 1e-13
+    full = max(_frame_coinvariance(frame, state.model.generators) for _, frame in state.spaces)
+    value = state.ledger[-1]["coinvariant"]
+    assert abs(value - full) <= 1e-14 * max(1.0, value), (value, full)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_graphs(full=True), st.sampled_from([(1, 1), (2, 1), (1, 2)]), st.data())
+def test_lift_states_keep_an_orthonormal_frame_of_j_minus_the_held_prefix(graph, ts, data):
+    """On every state of a commutant lift and a two-space lift over random graphs and
+    weights, the J' frames are what ``LiftState`` says (``_check_j_prime_frames``)."""
+    t, s = ts
+    n = data.draw(st.integers(1, 3), label="N")
+    ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph),
+                                                             label="sigma"))), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    base = primal_lift_model(ind, ws)
+    dual_gens = [m for _, m in DualStructure(ind, ws).dual_generators()]
+    states, step = [], wfock.lifting.lift_step
+
+    def recorded(state, step_validator=None):
+        states.append(step(state, step_validator))
+        return states[-1]
+
+    frame, g_on_j, _ = compression_instance(base, dual_gens, rng)
+    j1, j2, g12 = _two_space_instance(base, dual_gens, t, s, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wfock.lifting, "lift_step", recorded)
+        commutant_lift(base, frame, g_on_j)
+        two_space_lift(base, t, s, j1, j2, g12, hypothesis_tol=1e-9)
+    for state in states:
+        _check_j_prime_frames(state)
+
+
+def test_lift_step_names_a_j_prime_row_in_the_held_prefix():
+    # J spanned by one kernel column on the one-loop space: after the first step J holds
+    # K_0, and J' is one column above level 0; a K_0 row set by hand in it is named at
+    # the next step (the ledger's m = 3)
+    from wfock.interpolation import CauchyKernel, DiscPoint
+
+    free1 = GraphCorrespondence.free(1)
+    x = AdmissibleSequence.from_scalar(free1, [1.0], levels=4)
+    ind = InducedSpace(free1, Representation((1,)), 4)
+    model = primal_lift_model(ind, weight_system_from(x))
+    col = CauchyKernel(DiscPoint.scalar(ind, x, 0.3), weight_system_from(x)).column
+    q = col / np.linalg.norm(col)
+    state = lift_step(LiftState(model, q, 0.5 * q.conj().T, [-1]))
+    assert state.n_list == [-1, 0] and state.j_prime[0].shape[1] == 1
+    _check_j_prime_frames(state)
+    lift_step(dataclasses.replace(state, j_prime=[state.j_prime[0].copy()]))  # untouched, it passes
+    state.j_prime[0][model.prefix_idx(0)] = 1e-3
+    with pytest.raises(RuntimeError, match=r"lift step 3: the J' frame has a row in K_0"):
+        lift_step(state)
 
 
 def test_lift_step_rejects_full_space():
@@ -723,8 +811,6 @@ def test_lift_step_rejects_full_space():
     model = primal_lift_model(ind, ws)
     state = LiftState(model, np.eye(model.dim, dtype=complex),
                       np.eye(model.dim, dtype=complex), [-1])
-    from wfock.lifting import lift_step
-
     with pytest.raises(ValueError):
         lift_step(state)
 
