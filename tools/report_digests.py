@@ -51,7 +51,9 @@ where J_F has no column and f = 0 solves the problem.  A ``solve`` at N=5 and a
 free(2) with sigma (2), close the set: they are the only lines whose weights
 Z^{(k)} are not multiples of the identity, and the last is the only one of them
 whose dual algebra has units other than the identity (its targets are the
-constant (0.3 + 0.1i) I_2, so the problem is feasible).
+constant (0.3 + 0.1i) I_2, so the problem is feasible).  Last, a ``solve`` at
+N=30 on the one-loop space with the gapped weights ``X = (1/2, 0, 1/4)`` is the
+only line whose X has a zero level inside its support.
 """
 
 import os
@@ -72,6 +74,7 @@ from wfock.cli import main  # noqa: E402
 
 X_DIRICHLET = {"scalar": [0.5, 0.08333333333333333]}
 X_DENSE = {"matrices": {"1": [[1.0, 0.3], [0.3, 0.8]]}}
+X_GAPPED = {"scalar": [0.5, 0.0, 0.25]}
 INPUTS = {
     "coeffs": {"kernel_coeffs": [1.0, 0.5, 0.3333333333333333, 0.25, 0.2]},
     "problem": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
@@ -172,6 +175,9 @@ INPUTS = {
                                                     [[0.015, 0.01], [0.0, 0.0], [-0.035, 0.0],
                                                      [0.005, 0.025]]]}],
                              "F": [[[[0.3, 0.1], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.1]]]] * 2},
+    "solve-free1-gapped": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": X_GAPPED,
+                           "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
+                           "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]},
 }
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
@@ -194,7 +200,8 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-zero-N10", "solve-zero", ["solve", "--N", "10"]),
          ("solve-free2-dense-N5", "solve-free2-dense", ["solve", "--N", "5"]),
          ("lift-free2-dense-N4", "free2-dense", ["lift", "--N", "4"]),
-         ("solve-free2-s2-dense-N5", "solve-free2-s2-dense", ["solve", "--N", "5"])]
+         ("solve-free2-s2-dense-N5", "solve-free2-s2-dense", ["solve", "--N", "5"]),
+         ("solve-free1-gapped-N30", "solve-free1-gapped", ["solve", "--N", "30"])]
 
 
 def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
