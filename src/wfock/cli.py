@@ -270,6 +270,7 @@ def _cmd_fock(config: RunConfig, obj: dict) -> dict:
 
 def _cmd_kernel(config: RunConfig, obj: dict) -> dict:
     setting = _setting(obj, config.N)
+    jsonio.check_x_within(obj["X"], config.N)
     points = jsonio.decode_points(jsonio.required(obj, "points"), setting.ind, setting.x)
     eye = np.eye(setting.rep.h_dim, dtype=complex)
     cauchy = [CauchyKernel(z, setting.ws) for z in points]
@@ -294,6 +295,7 @@ def _pick_problem(config: RunConfig, obj: dict):
     def decoded():
         nonlocal setting
         setting = _setting(obj, config.N)
+        jsonio.check_x_within(obj["X"], config.N)
         return setting.ind, setting.x, setting.ws
     _, problem = jsonio.decode_pick_problem(obj, decoded)
     return setting, problem

@@ -369,7 +369,7 @@ def _abstract_gram(dual: list[np.ndarray], ind: InducedSpace,
     c = dual[s_tuple[0]].conj().T @ t_mats[0]
     if len(s_tuple) == 1:
         return c
-    modified = [ind.dual_left_levels(c)[1] @ t_mats[1]] + list(t_mats[2:])
+    modified = [ind.dual_left_levels(c, [1])[0] @ t_mats[1]] + list(t_mats[2:])
     return _abstract_gram(dual, ind, s_tuple[1:], modified)
 
 

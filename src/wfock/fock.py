@@ -201,16 +201,13 @@ def sums_to_projection_check(space: TruncatedFock, x: AdmissibleSequence,
     """Max residual of sum_j sum_xi W_{X_j^{1/2} xi} W^*_{X_j^{1/2} xi} = I - Q_0.
 
     The identity is levelwise: level i only needs terms with j <= i, so it
-    holds exactly on the truncation.
+    holds exactly on the truncation.  A zero X_j adds nothing, so j runs over
+    the support of X.
     """
-    g = space.graph
     acc = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, space.levels + 1):
-        basis = path_basis(g, j)
-        if basis.size == 0:
-            continue
+    for j in x.support:
         root = psd_sqrt(x.X[j])
-        for idx in range(basis.size):
+        for idx in range(root.shape[0]):
             w = weighted_creation(space, Z, CorrElement(j, root[:, idx])).matrix
             acc += w @ w.conj().T
     target = np.eye(space.dim, dtype=complex)

@@ -188,12 +188,16 @@ class InducedSpace:
                                          h[:, None] * self.h_dim + h).ravel() for path, h in cuts]),
                 list(zip(np.cumsum([0] + [d * d for d in sizes]).tolist(), sizes)))
 
-    def dual_left_levels(self, a: np.ndarray) -> list[np.ndarray]:
-        """The level blocks I_k (x) A, k = 0..N, of an array A in sigma(M)' (at path p
-        the s(p) block of A), from one gather."""
+    def dual_left_levels(self, a: np.ndarray, levels=None) -> list[np.ndarray]:
+        """The level blocks I_k (x) A of an array A in sigma(M)' (at path p the s(p)
+        block of A), for k in ``levels``, in that order: all of k = 0..N by default,
+        from one gather, and otherwise from one gather per requested block."""
         idx, spans = self._dual_left_index
-        flat = np.append(as_complex(a).ravel(), 0)[idx]
-        return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
+        flat = np.append(as_complex(a).ravel(), 0)
+        if levels is None:
+            flat = flat[idx]
+            return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
+        return [flat[idx[off:off + d * d]].reshape(d, d) for off, d in map(spans.__getitem__, levels)]
 
     def dual_left(self, a: np.ndarray) -> FockOperator:
         """⊕_k I_k (x) A on the whole truncated induced space."""

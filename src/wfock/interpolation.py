@@ -44,10 +44,12 @@ BOUNDARY_MARGIN = 1e-6
 class DiscPoint:
     """An intertwiner inside the weighted disc, with cached tensorial powers.
 
-    ``weighted_powers[k]`` is z^{(k)} (X_k (x) I) for each nonempty level
-    k >= 1 and ``kernel_powers[k]`` is z^{(k)} (R_k^2 (x) I) for each nonempty
-    level k >= 0, both built once per point; ``tail_bound`` holds
-    ``kernel_tail_bound`` once it has been computed.
+    ``weighted_powers[k]`` is z^{(k)} (X_k (x) I) for each level k of the
+    support of X (``AdmissibleSequence.support``), so ``phi_value`` costs one
+    level product per support level, and ``kernel_powers[k]`` is
+    z^{(k)} (R_k^2 (x) I) for each nonempty level k >= 0; both are built once
+    per point.  ``tail_bound`` holds ``kernel_tail_bound`` once it has been
+    computed.
     """
 
     ind: InducedSpace
@@ -77,7 +79,7 @@ class DiscPoint:
             self.powers.append(self.powers[-1] @ ind.lower_by_point(self.mat, k))
         self.weighted_powers = {
             k: self.powers[k] @ ind.level_tensor_identity(as_complex(self.x_seq.X[k]), k)
-            for k in range(1, ind.levels + 1) if ind.level_dim(k)}
+            for k in self.x_seq.support}
         r = self.x_seq.R
         self.kernel_powers = {
             k: self.powers[k] @ ind.level_tensor_identity(r[k] @ r[k], k)
@@ -100,12 +102,12 @@ class DiscPoint:
 
 
 def _power_sum(left: dict[int, np.ndarray], z: DiscPoint, a: np.ndarray) -> np.ndarray:
-    """sum_k L_k (I_k (x) A) z^{(k)*} over the levels k of the left powers L_k."""
+    """sum_k L_k (I_k (x) A) z^{(k)*} over the levels k of the left powers L_k; only
+    their blocks of I_k (x) A are gathered."""
     ind = z.ind
     out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
-    blocks = ind.dual_left_levels(a)
-    for k, lk in left.items():
-        out += lk @ blocks[k] @ z.powers[k].conj().T
+    for (k, lk), blk in zip(left.items(), ind.dual_left_levels(a, left)):
+        out += lk @ blk @ z.powers[k].conj().T
     return out
 
 

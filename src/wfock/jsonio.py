@@ -153,6 +153,25 @@ def decode_x(obj, graph: GraphCorrespondence, levels: int) -> AdmissibleSequence
     raise ValueError("X: expected 'scalar' or 'matrices'")
 
 
+def check_x_within(obj, levels: int) -> None:
+    """Name the first nonzero entry of an input's X beyond level ``levels``,
+    ``X.scalar[i]`` with i >= levels or ``X.matrices.<k>`` with k > levels.
+
+    ``decode_x`` keeps X_1 .. X_N only, so the kernel sums and their tail
+    bounds would silently leave such an entry out.  Call it on an X that
+    ``decode_x`` accepted.
+    """
+    if "scalar" in obj:
+        beyond = ((f"X.scalar[{i}]", v) for i, v in enumerate(obj["scalar"][levels:], levels))
+    else:
+        beyond = ((f"X.matrices.{k}", _named(f"X.matrices.{k}", decode_matrix, obj["matrices"][k]))
+                  for k in sorted(obj["matrices"], key=int) if int(k) > levels)
+    for field, value in beyond:
+        if np.any(value):
+            raise ValueError(f"{field}: nonzero beyond the truncation N = {levels}; the kernel "
+                             "sums and their tail bounds read X_1 .. X_N only, so raise N")
+
+
 def decode_weights(obj, x: AdmissibleSequence) -> WeightSystem:
     if obj is None or obj == "canonical":
         return weight_system_from(x)

@@ -58,8 +58,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     a = as_complex(a)
     if a.size == 0:
         return a.copy()
-    h = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))  # the Hermitian part is freed before the product
     scale = max(1.0, float(abs(w).max()))
     if w.min() < -1e-12 * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")

@@ -19,6 +19,9 @@ Z_k = R_k^{-1} (I_1 (x) R_{k-1}), for which Z^{(k)} collapses to R_k^{-1}.
 
 X determines R, so R is computed once per admissible sequence, on first use
 of ``AdmissibleSequence.R``, and everything downstream reads it from there.
+Sums over the levels of X run on its support, the levels k >= 1 with
+X_k != 0: a zero level adds an exact zero to every sum, so skipping it changes
+no bit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ class AdmissibleSequence:
     The growth condition limsup ||X_k||^{1/k} < inf cannot be checked from
     finitely many terms and is not part of the data.  ``R`` holds R_0 .. R_N,
     computed on first use; computing it rejects X whose R_k^2 is not PSD.
+    ``support`` holds the levels k >= 1 with X_k != 0, in increasing order.
     """
 
     graph: GraphCorrespondence
@@ -57,6 +61,10 @@ class AdmissibleSequence:
         if len(self.X) != self.levels + 1:
             raise ValueError("need X_0 .. X_N")
         self.validate()
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return level_support(self.X)
 
     @cached_property
     def R(self) -> list[np.ndarray]:
@@ -75,6 +83,8 @@ class AdmissibleSequence:
         return cls(graph, levels, mats)
 
     def validate(self):
+        """Shapes on every level; Hermitian, PSD floor and left commutator on the
+        support only, since a zero block passes all three."""
         g = self.graph
         if operator_norm(self.X[0]) > ATOL:
             raise ValueError("X_0 must vanish")
@@ -82,12 +92,12 @@ class AdmissibleSequence:
             d = path_basis(g, k).size
             if xk.shape != (d, d):
                 raise ValueError(f"X_{k} has shape {xk.shape}, expected {(d, d)}")
-            if d == 0:
+            if k not in self.support:
                 continue
             if residual(xk, xk.conj().T) > ATOL:
                 raise ValueError(f"X_{k} is not Hermitian")
             eigs = np.linalg.eigvalsh(0.5 * (xk + xk.conj().T))
-            if eigs.size and eigs.min() < -ATOL:
+            if eigs.min() < -ATOL:
                 raise ValueError(f"X_{k} has eigenvalue {eigs.min():.2e} below the PSD floor")
             if _left_commutator(g, xk, k) > ATOL:
                 raise ValueError(f"X_{k} does not commute with the left action")
@@ -95,6 +105,11 @@ class AdmissibleSequence:
             s = np.linalg.svd(self.X[1], compute_uv=False)
             if s.size == 0 or s.min() <= 1e-10:
                 raise ValueError("X_1 must be invertible")
+
+
+def level_support(xs: list[np.ndarray]) -> tuple[int, ...]:
+    """The levels k >= 1 of ``xs`` whose block has a nonzero entry, in increasing order."""
+    return tuple(k for k in range(1, len(xs)) if xs[k].any())
 
 
 def _left_commutator(graph: GraphCorrespondence, m: np.ndarray, k: int) -> float:
@@ -124,6 +139,7 @@ def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
             rs.append(psd_sqrt(r2[i]))
         except ValueError as exc:
             raise ValueError(f"R_{i}^2 is not PSD; X is not admissible: {exc}") from exc
+        r2[i] = None  # each square is read once, by its root
     return rs
 
 
@@ -131,15 +147,17 @@ def _first_part_sums(xs: list[np.ndarray], legs) -> list[np.ndarray]:
     """R_0^2 = I and R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2 for k >= 1.
 
     The tensor products are taken over ``legs`` (see ``graphs.embed_prefix``),
-    so the graph side (X_k) and the dual side (X'_k) share it; empty levels
-    are skipped.
+    so the graph side (X_k) and the dual side (X'_k) share it; j runs over the
+    support of ``xs`` (``level_support``), so empty and zero levels are skipped.
     """
+    support = level_support(xs)
     r2 = [np.eye(xs[0].shape[0], dtype=complex)]
     for k in range(1, len(xs)):
         acc = np.zeros(xs[k].shape, dtype=complex)
-        for j in range(1, k + 1):
-            if xs[j].size:
-                acc += xs[j] if j == k else tensor_pair(legs, xs[j], j, r2[k - j], k - j)
+        for j in support:
+            if j > k:
+                break
+            acc += xs[j] if j == k else tensor_pair(legs, xs[j], j, r2[k - j], k - j)
         r2.append(acc)
     return r2
 

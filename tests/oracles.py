@@ -2,7 +2,8 @@
 
 Each function here restates an identity of the theory by a second route, or
 builds a small object only a test needs: the literal composition sum for
-R_k^2, the M-valued inner product, the unitary gamma_k, the dual basis as
+R_k^2, the sums over every level of X (zero levels included) behind R, the
+point transform and the kernel tail bound, the M-valued inner product, the unitary gamma_k, the dual basis as
 labelled tuples and pi_sigma on its frame, the intertwiners of the tuples by
 the product formula and the transported dual creations placed block by block,
 direct sums of representations,
@@ -32,7 +33,7 @@ from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_gene
 from wfock.jsonio import encode_matrix
 from wfock.lifting import LiftModel, LiftState, _frame_coinvariance, _loop
 from wfock.linalg import RANK_TOL, _project_out, as_complex, max_operator_norm, nullspace, \
-    operator_norm, orth_columns, residual, rng_complex
+    operator_norm, orth_columns, psd_sqrt, residual, rng_complex
 from wfock.weights import AdmissibleSequence, WeightSystem
 
 
@@ -80,6 +81,63 @@ def composition_r2(x: AdmissibleSequence, k: int) -> np.ndarray:
                 lvl += part
             total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# weights and kernels: the sums over every level of X, zero levels included
+# ---------------------------------------------------------------------------
+
+
+def all_levels_r(x: AdmissibleSequence) -> list[np.ndarray]:
+    """R_0 .. R_N from R_k^2 = sum_{j=1}^k X_j (x) R_{k-j}^2 with a term for every
+    nonempty level j, zero X_j too, and the square roots ``compute_R`` takes."""
+    g = x.graph
+    r2 = [np.eye(x.X[0].shape[0], dtype=complex)]
+    for k in range(1, x.levels + 1):
+        acc = np.zeros(x.X[k].shape, dtype=complex)
+        for j in range(1, k + 1):
+            if x.X[j].size:
+                acc += x.X[j] if j == k else tensor_pair(g, x.X[j], j, r2[k - j], k - j)
+        r2.append(acc)
+    return [r2[0]] + [psd_sqrt(m) for m in r2[1:]]
+
+
+def all_levels_phi(z: DiscPoint, a: np.ndarray) -> np.ndarray:
+    """Phi_z(A) = sum_k z^{(k)} (X_k (x) A) z^{(k)*} with a term for every nonempty
+    level k >= 1, zero X_k too, associated as ``DiscPoint.phi_value`` does."""
+    ind = z.ind
+    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    blocks = ind.dual_left_levels(a)
+    for k in range(1, ind.levels + 1):
+        if ind.level_dim(k):
+            weighted = z.powers[k] @ ind.level_tensor_identity(z.x_seq.X[k], k)
+            out += weighted @ blocks[k] @ z.powers[k].conj().T
+    return out
+
+
+def all_levels_kernel(w: DiscPoint, z: DiscPoint, a: np.ndarray, r: list[np.ndarray]) -> np.ndarray:
+    """K(w, z)(A) = sum_k w^{(k)} (R_k^2 (x) A) z^{(k)*} over every nonempty level, with R given."""
+    ind = z.ind
+    out = np.zeros((ind.rep.h_dim, ind.rep.h_dim), dtype=complex)
+    blocks = ind.dual_left_levels(a)
+    for k in range(ind.levels + 1):
+        if ind.level_dim(k):
+            weighted = w.powers[k] @ ind.level_tensor_identity(r[k] @ r[k], k)
+            out += weighted @ blocks[k] @ z.powers[k].conj().T
+    return out
+
+
+def all_levels_tail_bound(z: DiscPoint, r: list[np.ndarray]) -> tuple[float, float]:
+    """(phi_norm, kernel_tail_bound) of ``z`` from ``all_levels_phi`` and
+    ``all_levels_kernel``, by the formulas of ``interpolation``."""
+    eye = np.eye(z.ind.rep.h_dim)
+    phi = operator_norm(all_levels_phi(z, eye))
+    neumann, acc = eye.copy(), eye.copy()
+    for _ in range(z.ind.levels):
+        acc = all_levels_phi(z, acc)
+        neumann = neumann + acc
+    gap = residual(neumann, all_levels_kernel(z, z, eye, r))
+    return phi, gap + phi ** (z.ind.levels + 1) / (1.0 - phi)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,34 @@ def test_kernel_report(tmp_path):
     assert abs(val - expected) <= entry["tail"] + 1e-10
 
 
+GAPPED_AT_06 = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [0.5, 0.0, 0.25]},
+                "points": [{"scalar": [0.6, 0.0]}], "F": [[[[0.1, 0.0]]]]}
+
+
+@pytest.mark.parametrize("command", ["kernel", "pick", "solve"])
+def test_x_beyond_the_truncation_is_named(tmp_path, command):
+    """X_3 = 1/4 does not fit N = 2: the kernel there is 1 / (1 - t/2 - t^3/4), and the
+    truncated sums and their tail bound would read 1 / (1 - t/2) without a word."""
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "x.json", GAPPED_AT_06), N=2))
+    assert code == 1
+    assert report["error"].startswith("ValueError: X.scalar[2]: nonzero beyond the truncation N = 2")
+    matrices = dict(GAPPED_AT_06, X={"matrices": {"1": [[0.5]], "4": [[0.0]], "3": [[0.25]]}})
+    code, report = run(RunConfig(command, input_path=write(tmp_path, "m.json", matrices), N=2))
+    assert code == 1
+    assert report["error"].startswith("ValueError: X.matrices.3: nonzero beyond the truncation")
+    # zero entries fit any N; a point near 0 keeps the solve's tail budget at N = 2
+    zeros = dict(GAPPED_AT_06, X={"scalar": [0.5, 0.0, 0.0, 0.0]}, points=[{"scalar": [0.05, 0.0]}])
+    assert run(RunConfig(command, input_path=write(tmp_path, "z.json", zeros), N=2))[0] == 0
+
+
+def test_kernel_with_every_level_of_x_is_within_its_tail(tmp_path):
+    code, report = run(RunConfig("kernel", input_path=write(tmp_path, "x.json", GAPPED_AT_06), N=3))
+    assert code == 0
+    t = 0.36
+    entry = report["kernel"]["0,0"]
+    assert abs(entry["value"][0][0][0] - 1.0 / (1.0 - t / 2 - t ** 3 / 4)) <= entry["tail"] + 1e-14
+
+
 def test_kernel_builds_one_cauchy_column_per_point(tmp_path, monkeypatch):
     from wfock.interpolation import CauchyKernel
 
@@ -643,3 +671,46 @@ def test_a_setting_over_the_budget_is_used_but_not_kept(tmp_path, kept, monkeypa
     monkeypatch.setattr(cli, "SETTING_BYTES", 1)
     assert report_bytes(tmp_path, "lift", CYCLE_S21, 4) == cold
     assert not kept
+
+
+def _feasible_solve_mix_inputs(seed):
+    """The inputs of the first problem of each feasible solve-mix template of perfbench."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [(t.name, t.N, workloads.make_problem("solve-mix", seed, i).input)
+            for i, t in enumerate(workloads.SOLVE_MIX) if t.feasible]
+
+
+def _points_permuted(obj, perm):
+    out = copy.deepcopy(obj)
+    for key in ("points", "F", "B"):
+        if key in out:
+            out[key] = [obj[key][p] for p in perm]
+    return out
+
+
+SOLVE_MIX_SEED1 = _feasible_solve_mix_inputs(1)
+
+
+@pytest.mark.parametrize("name, n, obj", SOLVE_MIX_SEED1, ids=[name for name, _, _ in SOLVE_MIX_SEED1])
+def test_pick_and_solve_are_symmetric_under_a_permutation_of_the_points(tmp_path, name, n, obj):
+    """Reordering the points with their targets permutes the Choi matrix by a unitary, so
+    the verdict holds, choi_min_eig moves by roundoff and the per-point kernel tails
+    permute bit for bit; the solve keeps its exit code and its norm within 1e-10."""
+    perm = list(range(1, len(obj["points"]))) + [0]
+    (code, plain), (code_perm, permuted) = (
+        (code, json.loads(blob)) for code, blob in
+        (report_bytes(tmp_path, "pick", problem, n) for problem in (obj, _points_permuted(obj, perm))))
+    assert code == code_perm == 0
+    assert plain["verdict"] == permuted["verdict"]
+    bound = 1e-12 * max(1.0, plain["choi_norm"])
+    assert abs(plain["choi_min_eig"]["value"] - permuted["choi_min_eig"]["value"]) <= bound
+    assert permuted["kernel_tails"] == [plain["kernel_tails"][p] for p in perm]
+    (code, plain), (code_perm, permuted) = (
+        (code, json.loads(blob)) for code, blob in
+        (report_bytes(tmp_path, "solve", problem, n) for problem in (obj, _points_permuted(obj, perm))))
+    assert code == code_perm
+    assert abs(plain["norm"]["value"] - permuted["norm"]["value"]) <= 1e-10

@@ -191,6 +191,30 @@ def test_kernel_tail_bound_is_computed_once_per_point(monkeypatch):
     assert len(calls) == first
 
 
+CLOSED_FORM_X = {"szego": [1.0], "dirichlet": [0.5, 1.0 / 12.0], "gapped": [0.5, 0.0, 0.25]}
+
+
+@pytest.mark.parametrize("graph, kind, top", [
+    (FREE1, "szego", 11), (FREE1, "dirichlet", 11), (FREE1, "gapped", 11),
+    (GraphCorrespondence.free(2), "szego", 7), (GraphCorrespondence.free(2), "dirichlet", 7)],
+    ids=["free1-szego", "free1-dirichlet", "free1-gapped", "free2-szego", "free2-dirichlet"])
+def test_kernel_tail_bound_bounds_the_error_against_the_closed_form(graph, kind, top):
+    """With scalar X and sigma (1), K(z, z)(1) = 1 / (1 - sum_k x_k t^k), t = ||z||^2, on the
+    one-loop space and on free(2) (a row point); the truncated kernel misses it by at most
+    ``kernel_tail_bound``, for N from the last support level up and ||z|| up to 0.95."""
+    xs = CLOSED_FORM_X[kind]
+    direction = np.array([[1.0]]) if graph.n_edges == 1 else np.array([[0.6, 0.8j]])
+    for n in range(len(xs), top + 1):
+        x = AdmissibleSequence.from_scalar(graph, xs, levels=n)
+        ind = InducedSpace(graph, Representation((1,)), n)
+        for radius in (0.3, 0.6, 0.85, 0.95):
+            z = DiscPoint(ind, x, radius * direction)
+            t = radius ** 2
+            true = 1.0 / (1.0 - sum(xk * t ** k for k, xk in enumerate(xs, start=1)))
+            error = abs(true - kernel_value(z, z, np.eye(1))[0, 0])
+            assert error <= kernel_tail_bound(z) + 1e-14 * true, (n, radius)
+
+
 # -- kernels ---------------------------------------------------------------------
 
 
