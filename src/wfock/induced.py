@@ -190,14 +190,16 @@ class InducedSpace:
 
     def dual_left_levels(self, a: np.ndarray, levels=None) -> list[np.ndarray]:
         """The level blocks I_k (x) A of an array A in sigma(M)' (at path p the s(p)
-        block of A), for k in ``levels``, in that order: all of k = 0..N by default,
-        from one gather, and otherwise from one gather per requested block."""
+        block of A), for k in ``levels``, in that order (default k = 0..N).  All levels
+        come from one gather; any other list from one gather per block, so that a
+        sum over a few levels gathers only theirs."""
         idx, spans = self._dual_left_index
         flat = np.append(as_complex(a).ravel(), 0)
-        if levels is None:
-            flat = flat[idx]
-            return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
-        return [flat[idx[off:off + d * d]].reshape(d, d) for off, d in map(spans.__getitem__, levels)]
+        if levels is not None and list(levels) != list(range(len(spans))):
+            return [flat[idx[off:off + d * d]].reshape(d, d)
+                    for off, d in map(spans.__getitem__, levels)]
+        flat = flat[idx]
+        return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
 
     def dual_left(self, a: np.ndarray) -> FockOperator:
         """⊕_k I_k (x) A on the whole truncated induced space."""

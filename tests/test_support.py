@@ -60,6 +60,9 @@ def test_support_sums_are_bit_equal_to_the_sums_over_every_level(graph, data):
     for v in range(rep.n_vertices):
         blk = rep.block(v)
         a[blk, blk] = rng_complex(rng, blk.stop - blk.start, blk.stop - blk.start)
+    full = ind.dual_left_levels(a)
+    some = data.draw(st.lists(st.integers(0, n), unique=True), label="levels")
+    assert [b.tobytes() for b in ind.dual_left_levels(a, some)] == [full[k].tobytes() for k in some]
     for arg in (np.eye(rep.h_dim), a):
         assert z.phi_value(arg).tobytes() == all_levels_phi(z, arg).tobytes()
         assert kernel_value(w, z, arg).tobytes() == all_levels_kernel(w, z, arg, r).tobytes()
