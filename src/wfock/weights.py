@@ -139,7 +139,7 @@ def compute_R(x: AdmissibleSequence) -> list[np.ndarray]:
             rs.append(psd_sqrt(r2[i]))
         except ValueError as exc:
             raise ValueError(f"R_{i}^2 is not PSD; X is not admissible: {exc}") from exc
-        r2[i] = None  # each square is read once, by its root
+        r2[i] = None  # its only reader is its root; held to the end, the squares set the peak memory
     return rs
 
 

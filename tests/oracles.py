@@ -3,18 +3,18 @@
 Each function here restates an identity of the theory by a second route, or
 builds a small object only a test needs: the literal composition sum for
 R_k^2, the sums over every level of X (zero levels included) behind R, the
-point transform and the kernel tail bound, the M-valued inner product, the unitary gamma_k, the dual basis as
-labelled tuples and pi_sigma on its frame, the intertwiners of the tuples by
-the product formula and the transported dual creations placed block by block,
-direct sums of representations,
-point evaluation on generator words, the levelwise kernel identities, the
-adjoint expansion of G_m, the escape scan on the whole frame of J, the two-space lift on the whole Putnam sum and the
-alpha/beta step validator on whole-space operators.
-None of them is on a path the CLI, the acceptance suite, ``tools/`` or
-``perfbench/`` runs, so they live beside the tests, which import them as
-``from oracles import ...``.  A method of a library
-class becomes a function of that object here, e.g.
-``prefix_columns(model, n)`` for ``model.prefix_columns(n)``.
+point transform and the kernel tail bound, the M-valued inner product, the
+unitary gamma_k, the dual basis as labelled tuples and pi_sigma on its frame,
+the intertwiners of the tuples by the product formula and the transported dual
+creations placed block by block, direct sums of representations, point
+evaluation on generator words, the levelwise kernel identities, the adjoint
+expansion of G_m, the escape scan on the whole frame of J, the two-space lift
+on the whole Putnam sum and the alpha/beta step validator on whole-space
+operators.  None of them is on a path the CLI, the acceptance suite,
+``tools/`` or ``perfbench/`` runs, so they live beside the tests, which import
+them as ``from oracles import ...``.  A method of a library class becomes a
+function of that object here, e.g. ``prefix_columns(model, n)`` for
+``model.prefix_columns(n)``.
 """
 
 from __future__ import annotations
