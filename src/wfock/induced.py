@@ -179,27 +179,23 @@ class InducedSpace:
                                              for (i, j), blk in op.blocks.items()})
 
     @cached_property
-    def _dual_left_index(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Every I_k (x) A as one gather: per level, flat, the index into [*A.ravel(), 0]
-        of each block entry (the 0 for a cross-path one); each block's (offset, d_k)."""
-        cuts = [self._cut(k, k) for k in range(self.levels + 1)]
-        sizes = [h.size for _, h in cuts]
-        return (np.concatenate([np.where(np.not_equal.outer(path, path), self.h_dim ** 2,
-                                         h[:, None] * self.h_dim + h).ravel() for path, h in cuts]),
-                list(zip(np.cumsum([0] + [d * d for d in sizes]).tolist(), sizes)))
+    def _dual_left_index(self) -> list[np.ndarray]:
+        """Per level k, the index into [*A.ravel(), 0] of each entry of the block
+        I_k (x) A (the 0 for a cross-path one), as a d_k x d_k array."""
+        out = []
+        for k in range(self.levels + 1):
+            path, h = self._cut(k, k)
+            out.append(np.where(np.not_equal.outer(path, path), self.h_dim ** 2,
+                                h[:, None] * self.h_dim + h))
+        return out
 
     def dual_left_levels(self, a: np.ndarray, levels=None) -> list[np.ndarray]:
         """The level blocks I_k (x) A of an array A in sigma(M)' (at path p the s(p)
-        block of A), for k in ``levels``, in that order (default k = 0..N).  All levels
-        come from one gather; any other list from one gather per block, so that a
-        sum over a few levels gathers only theirs."""
-        idx, spans = self._dual_left_index
+        block of A), for k in ``levels``, in that order (default k = 0..N), one gather
+        per block, so that a sum over a few levels gathers only theirs."""
+        idx = self._dual_left_index
         flat = np.append(as_complex(a).ravel(), 0)
-        if levels is not None and list(levels) != list(range(len(spans))):
-            return [flat[idx[off:off + d * d]].reshape(d, d)
-                    for off, d in map(spans.__getitem__, levels)]
-        flat = flat[idx]
-        return [flat[off:off + d * d].reshape(d, d) for off, d in spans]
+        return [flat[idx[k]] for k in (range(len(idx)) if levels is None else levels)]
 
     def dual_left(self, a: np.ndarray) -> FockOperator:
         """⊕_k I_k (x) A on the whole truncated induced space."""

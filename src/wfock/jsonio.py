@@ -158,8 +158,9 @@ def check_x_within(obj, levels: int) -> None:
     ``X.scalar[i]`` with i >= levels or ``X.matrices.<k>`` with k > levels.
 
     ``decode_x`` keeps X_1 .. X_N only, so the kernel sums and their tail
-    bounds would silently leave such an entry out.  Call it on an X that
-    ``decode_x`` accepted.
+    bounds would silently leave such an entry out.  A matrix beyond ``levels``
+    is decoded to be judged, so a malformed one is named as well.  Call it on
+    an X that ``decode_x`` accepted.
     """
     if "scalar" in obj:
         beyond = ((f"X.scalar[{i}]", v) for i, v in enumerate(obj["scalar"][levels:], levels))

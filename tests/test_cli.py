@@ -107,6 +107,12 @@ def test_x_beyond_the_truncation_is_named(tmp_path, command):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "m.json", matrices), N=2))
     assert code == 1
     assert report["error"].startswith("ValueError: X.matrices.3: nonzero beyond the truncation")
+    # an entry beyond N is decoded to be judged, so a malformed one is named too
+    for name, bad in (("junk", "junk"), ("ragged", [[0.0], [0.0, 0.0]])):
+        malformed = dict(GAPPED_AT_06, X={"matrices": {"1": [[0.5]], "5": bad}})
+        code, report = run(RunConfig(command, input_path=write(tmp_path, f"{name}.json", malformed), N=2))
+        assert code == 1
+        assert report["error"].startswith("ValueError: X.matrices.5: ")
     # zero entries fit any N; a point near 0 keeps the solve's tail budget at N = 2
     zeros = dict(GAPPED_AT_06, X={"scalar": [0.5, 0.0, 0.0, 0.0]}, points=[{"scalar": [0.05, 0.0]}])
     assert run(RunConfig(command, input_path=write(tmp_path, "z.json", zeros), N=2))[0] == 0
