@@ -53,7 +53,11 @@ Z^{(k)} are not multiples of the identity, and the last is the only one of them
 whose dual algebra has units other than the identity (its targets are the
 constant (0.3 + 0.1i) I_2, so the problem is feasible).  Last, a ``solve`` at
 N=30 on the one-loop space with the gapped weights ``X = (1/2, 0, 1/4)`` is the
-only line whose X has a zero level inside its support.
+only line whose X has a zero level inside its support.  The last line is the
+only one that gives ``B``: the points of the 2-cycle solve with s = 2, t = 1,
+each B_i a rounded perturbation of I_6 and F_i = B_i [0.3 I_3; 0.2i I_3], so
+that ``kron(I_s, .)`` runs with s > 1 on a space with h > 1 and the optimal
+norm is ||(0.3, 0.2i)||.
 """
 
 import os
@@ -75,6 +79,26 @@ from wfock.cli import main  # noqa: E402
 X_DIRICHLET = {"scalar": [0.5, 0.08333333333333333]}
 X_DENSE = {"matrices": {"1": [[1.0, 0.3], [0.3, 0.8]]}}
 X_GAPPED = {"scalar": [0.5, 0.0, 0.25]}
+# B_i = I_6 + 0.2 (complex Gaussian), rounded to 3 places, for the two points of solve-cycle2
+B_CYCLE2_S2 = (
+    [[0.657+0.41j, -0.053+0.352j, -0.148+0.002j, -0.002+0.031j, 0.041-0.03j, -0.145-0.139j],
+     [-0.149-0.393j, 0.944+0.085j, -0.16+0.008j, 0.265-0.416j, 0.096-0.025j, 0.26+0.039j],
+     [-0.199-0.159j, -0.003-0.112j, 1.125+0.284j, 0.159+0.215j, 0.621+0.091j, -0.168+0.088j],
+     [-0.003+0.218j, 0.034-0.163j, -0.029+0.021j, 1.084+0.048j, -0.034+0.193j, -0.192+0.074j],
+     [0.158+0.123j, -0.189-0.024j, -0.358+0.179j, -0.031-0.137j, 1.052-0.157j, 0.094+0.261j],
+     [0.445-0.264j, 0.127+0.137j, 0.184+0.223j, 0.044-0.41j, 0.178+0.289j, 0.984-0.625j]],
+    [[0.796+0.297j, 0.038+0.311j, 0.037-0.006j, -0.113-0.149j, 0+0.024j, -0.323+0.093j],
+     [-0.37-0.19j, 1.19+0.207j, -0.254+0.471j, -0.241-0.35j, 0.372-0.26j, 0.285-0.161j],
+     [-0.254-0.276j, 0.226-0.024j, 0.889-0.085j, 0.265-0.099j, 0.181-0.373j, 0.389-0.167j],
+     [0.111+0.023j, 0.013-0.299j, 0.247+0.062j, 0.911-0.058j, 0.22-0.239j, 0.383+0.176j],
+     [0.044+0.04j, -0.156-0.208j, 0.13+0.147j, 0.059-0.01j, 0.73-0.646j, 0.249+0.403j],
+     [0.222-0.422j, 0.076-0.133j, 0.028+0.121j, 0.562-0.142j, -0.123+0.089j, 0.962+0.203j]])
+
+
+def _pairs(rows):
+    return [[[v.real, v.imag] for v in row] for row in rows]
+
+
 INPUTS = {
     "coeffs": {"kernel_coeffs": [1.0, 0.5, 0.3333333333333333, 0.25, 0.2]},
     "problem": {"graph": {"vertices": 1, "edges": [[0, 0]]}, "X": {"scalar": [1.0]},
@@ -179,6 +203,11 @@ INPUTS = {
                            "points": [{"scalar": [0.4, 0.0]}, {"scalar": [-0.3, 0.0]}],
                            "F": [[[[0.3, 0.0]]], [[[0.1, 0.0]]]]},
 }
+# F_i = B_i [0.3 I_3; 0.2i I_3]
+INPUTS["solve-cycle2-s2-B"] = dict(
+    INPUTS["solve-cycle2"], s=2, t=1, B=[_pairs(b) for b in B_CYCLE2_S2],
+    F=[_pairs([[0.3 * row[c] + 0.2j * row[3 + c] for c in range(3)] for row in b])
+       for b in B_CYCLE2_S2])
 # (name, input key or None, arguments)
 RUNS = [("selftest-seed0", None, ["selftest", "--seed", "0"]),
         ("readme-validate", "coeffs", ["validate"]),
@@ -201,7 +230,8 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-free2-dense-N5", "solve-free2-dense", ["solve", "--N", "5"]),
          ("lift-free2-dense-N4", "free2-dense", ["lift", "--N", "4"]),
          ("solve-free2-s2-dense-N5", "solve-free2-s2-dense", ["solve", "--N", "5"]),
-         ("solve-free1-gapped-N30", "solve-free1-gapped", ["solve", "--N", "30"])]
+         ("solve-free1-gapped-N30", "solve-free1-gapped", ["solve", "--N", "30"]),
+         ("solve-cycle2-s2-B-N8", "solve-cycle2-s2-B", ["solve", "--N", "8"])]
 
 
 def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
