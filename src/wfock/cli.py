@@ -167,12 +167,6 @@ class _Walk:
         return any(len(node) != size for node, size in self.sized)
 
 
-def _freeze(root) -> int:
-    """Make every array reachable from ``root`` through wfock objects, dicts,
-    lists and tuples read-only; returns their summed bytes."""
-    return _Walk(root).nbytes
-
-
 # the walk of each setting that has been kept, dropped with the setting
 _walks: weakref.WeakKeyDictionary[_Setting, _Walk] = weakref.WeakKeyDictionary()
 

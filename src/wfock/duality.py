@@ -387,7 +387,7 @@ def u_k_unitary(graph: GraphCorrespondence, rep: Representation, k: int):
     ind = InducedSpace(graph, rep, max(k, 1))
     h = rep.h_dim
     if k == 0:
-        units = rep.commutant_units()
+        units = [rep.commutant_unit(*u) for u in rep.commutant_basis()]
         coord_map = interior_tensor([[a.conj().T @ b for b in units] for a in units], h)
         cols = np.zeros((ind.level_dim(0), len(units) * h), dtype=complex)
         for l, a in enumerate(units):

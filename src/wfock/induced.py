@@ -65,22 +65,14 @@ class Representation:
 
     def commutant_basis(self) -> list[tuple[int, int, int]]:
         """Matrix units (v, i, j) spanning sigma(M)' = ⊕_v M_{m_v}."""
-        out = []
-        for v, m in enumerate(self.multiplicities):
-            for i in range(m):
-                for j in range(m):
-                    out.append((v, i, j))
-        return out
+        return [(v, i, j) for v, m in enumerate(self.multiplicities)
+                for i in range(m) for j in range(m)]
 
     def commutant_unit(self, v: int, i: int, j: int) -> np.ndarray:
         out = np.zeros((self.h_dim, self.h_dim), dtype=complex)
         off = self.offsets[v]
         out[off + i, off + j] = 1.0
         return out
-
-    def commutant_units(self) -> list[np.ndarray]:
-        """The matrix units of ``commutant_basis`` as H x H matrices."""
-        return [self.commutant_unit(v, i, j) for v, i, j in self.commutant_basis()]
 
 
 def _check_module_map(y: np.ndarray, cross_sources: np.ndarray) -> None:
@@ -196,6 +188,14 @@ class InducedSpace:
         idx = self._dual_left_index
         flat = np.append(as_complex(a).ravel(), 0)
         return [flat[idx[k]] for k in (range(len(idx)) if levels is None else levels)]
+
+    @cached_property
+    def h_coordinates(self) -> list[np.ndarray]:
+        """Per H index eta, the whole-space coordinates that carry it, by level and
+        then by path.  Two H indices of one vertex run over the same paths in the
+        same order, so (⊕_k I_k (x) E_mu,nu) x is x[C_nu] placed at the rows C_mu."""
+        h = np.concatenate([self._cut(k, k)[1] for k in range(self.levels + 1)])
+        return [np.flatnonzero(h == eta) for eta in range(self.h_dim)]
 
     def dual_left(self, a: np.ndarray) -> FockOperator:
         """⊕_k I_k (x) A on the whole truncated induced space."""

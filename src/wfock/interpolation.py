@@ -270,45 +270,32 @@ class CPReport:
 def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CPReport:
     """Assemble the Choi matrix of the Pick map and test positivity.
 
-    The domain splits over vertices into full matrix algebras, so the Choi
-    matrix is the direct sum over vertices of the unit-by-unit images.  The
-    rows and columns of vertex v's block run over (point, unit row) pairs,
-    s h of them each, so the matrix has side npts s h sum_v m_v.  The
-    map is completely positive iff every block is PSD, up to a relative 1e-9
-    of the Choi norm.  When a weight system is supplied the kernels are
-    evaluated through the Cauchy columns; the default is the weight-free
-    power series, and the two agree up to roundoff because the kernel does
-    not depend on the weights.
+    The Choi matrix is the direct sum over vertices of the images of the
+    matrix units E_mu,nu of sigma(M)', rows and columns over (point, mu), s h
+    each.  A unit moves the coordinates C_nu of H index nu to C_mu
+    (``InducedSpace.h_coordinates``), so K(z_i, z_j)(E_mu,nu) =
+    L_i[:, C_mu] R_j[:, C_nu]^* and vertex v's block is U_B V_B^* - U_F V_F^*,
+    U_B stacking B_i (I_s (x) L_i[:, C_mu]) over (i, mu), V_B likewise with R,
+    the F terms with I_t.  The h x dim factors L_i and R_i are the kernel
+    powers z_i^{(k)} (R_k^2 (x) I) and the powers z_i^{(k)} side by side, or
+    with a weight system both the adjoint Cauchy column c_i^* (the kernel does
+    not depend on the weights).  The map is completely positive iff every
+    block is PSD, up to a relative 1e-9 of the Choi norm.
     """
     ind = problem.ind
-    npts = len(problem.points)
-    h = ind.rep.h_dim
-    s_dim = problem.s * h
-
-    cauchy = [CauchyKernel(z, ws) for z in problem.points] if ws is not None else None
-
-    def kernel(i: int, j: int, unit: np.ndarray) -> np.ndarray:
-        if cauchy is not None:
-            return cauchy[i].pairing(cauchy[j], unit)
-        return kernel_value(problem.points[i], problem.points[j], unit)
-
-    total = npts * s_dim * sum(ind.rep.multiplicities)
-    choi = np.zeros((total, total), dtype=complex)
-    pos = 0  # the vertex blocks sit on the diagonal, in vertex order
-    for v in range(ind.graph.n_vertices):
-        m_v = ind.rep.multiplicities[v]
-        for i in range(npts):
-            for mu in range(m_v):
-                for j in range(npts):
-                    for nu in range(m_v):
-                        unit = ind.rep.commutant_unit(v, mu, nu)
-                        kij = kernel(i, j, unit)
-                        img = problem.B[i] @ np.kron(np.eye(problem.s), kij) @ problem.B[j].conj().T \
-                            - problem.F[i] @ np.kron(np.eye(problem.t), kij) @ problem.F[j].conj().T
-                        row = pos + (i * m_v + mu) * s_dim
-                        col = pos + (j * m_v + nu) * s_dim
-                        choi[row:row + s_dim, col:col + s_dim] = img
-        pos += npts * m_v * s_dim
+    if ws is None:
+        left = [np.hstack(list(z.kernel_powers.values())) for z in problem.points]
+        right = [np.hstack(z.powers) for z in problem.points]
+    else:
+        left = right = [CauchyKernel(z, ws).column.conj().T for z in problem.points]
+    rows_per_h = len(problem.points) * problem.s * ind.h_dim
+    choi = np.zeros((rows_per_h * ind.h_dim,) * 2, dtype=complex)
+    for h_block in map(ind.rep.block, range(ind.graph.n_vertices)):  # diagonal vertex blocks
+        coords = ind.h_coordinates[h_block]
+        u_b, v_b = (_unit_rows(problem.B, factors, problem.s, coords) for factors in (left, right))
+        u_f, v_f = (_unit_rows(problem.F, factors, problem.t, coords) for factors in (left, right))
+        rows = slice(rows_per_h * h_block.start, rows_per_h * h_block.stop)
+        choi[rows, rows] = u_b @ v_b.conj().T - u_f @ v_f.conj().T
     choi = 0.5 * (choi + choi.conj().T)
     eigs = np.linalg.eigvalsh(choi)
     norm = float(abs(eigs).max())
@@ -318,20 +305,28 @@ def pick_map_cp_test(problem: PickProblem, ws: WeightSystem | None = None) -> CP
                     min_eigenvalue=min_eig, choi_norm=norm, choi=choi, kernel_tails=tails)
 
 
+def _unit_rows(targets, factors, copies: int, coords) -> np.ndarray:
+    """T_i (I_copies (x) G_i[:, C_mu]) over the rows (i, mu), for one vertex's lists C_mu."""
+    return np.vstack([t @ np.kron(np.eye(copies), g[:, c])
+                      for t, g in zip(targets, factors) for c in coords])
+
+
 def _span_generators(problem: PickProblem, ws: WeightSystem):
     """Columns spanning J_B and J_F, aligned index by index, and each point's Cauchy column.
 
-    Enumerates the commutant matrix units A and the coordinate vectors of
-    H^{(s)}; the column for (i, A, h) is the transported A . c_{z_i} (x) (.)^* h
-    on the relevant copy stack.
+    Enumerates the commutant matrix units E and the coordinate vectors of H^{(s)}; the
+    column for (i, E, h) is the transported E . c_{z_i} (x) (.)^* h on the relevant copy
+    stack, where E_mu,nu . c is c's rows C_nu at the rows C_mu (``h_coordinates``).
     """
     ind = problem.ind
     cauchy = [CauchyKernel(z, ws).column for z in problem.points]
+    coords, offsets = ind.h_coordinates, ind.rep.offsets
     cols_b, cols_f = [[] for _ in cauchy], [[] for _ in cauchy]
-    for unit in ind.rep.commutant_units():
-        left = ind.dual_left(unit).matrix  # one K x K left action alive at a time
+    for v, mu, nu in ind.rep.commutant_basis():
+        rows, cols = coords[offsets[v] + mu], coords[offsets[v] + nu]
         for i, column in enumerate(cauchy):
-            base = left @ column  # K x h
+            base = np.zeros_like(column)  # K x h
+            base[rows] = column[cols]
             cols_b[i].append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)
             cols_f[i].append(np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T)
     # the columns in (point, unit) order

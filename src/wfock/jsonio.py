@@ -229,7 +229,7 @@ def decode_pick_problem(obj, setting):
 
     The targets F and B are parsed before ``setting`` is called, so a
     malformed entry is named before any factorization runs on the rest of the
-    input.
+    input.  A wrong count or shape of F_i (s h x t h) or B_i (s h x s h, default I) is named.
     """
     f_list = _items("F", decode_matrix, required(obj, "F"))
     b_list = _items("B", decode_matrix, obj["B"]) if "B" in obj else None
@@ -237,8 +237,18 @@ def decode_pick_problem(obj, setting):
     t = decode_count(obj, "t", 1)
     ind, x, ws = setting()
     points = decode_points(required(obj, "points"), ind, x)
+    if not points:
+        raise ValueError("points: need at least one point")
+    rows, n = s * ind.h_dim, len(points)
     if b_list is None:
-        b_list = [np.eye(s * ind.h_dim, dtype=complex) for _ in points]
+        b_list = [np.eye(rows, dtype=complex) for _ in points]
+    for field, targets, cols in (("F", f_list, t * ind.h_dim), ("B", b_list, rows)):
+        if len(targets) != n:
+            raise ValueError(f"{field}: {len(targets)} target{'s' * (len(targets) != 1)} "
+                             f"for {n} point{'s' * (n != 1)}")
+        for i, m in enumerate(targets):
+            if m.shape != (rows, cols):
+                raise ValueError(f"{field}[{i}]: has shape {m.shape}, expected {(rows, cols)}")
     return ws, PickProblem(points, b_list, f_list, s=s, t=t)
 
 

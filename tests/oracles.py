@@ -7,14 +7,15 @@ point transform and the kernel tail bound, the M-valued inner product, the
 unitary gamma_k, the dual basis as labelled tuples and pi_sigma on its frame,
 the intertwiners of the tuples by the product formula and the transported dual
 creations placed block by block, direct sums of representations, point
-evaluation on generator words, the levelwise kernel identities, the adjoint
-expansion of G_m, the escape scan on the whole frame of J, the two-space lift
-on the whole Putnam sum and the alpha/beta step validator on whole-space
-operators.  None of them is on a path the CLI, the acceptance suite,
-``tools/`` or ``perfbench/`` runs, so they live beside the tests, which import
-them as ``from oracles import ...``.  A method of a library class becomes a
-function of that object here, e.g. ``prefix_columns(model, n)`` for
-``model.prefix_columns(n)``.
+evaluation on generator words, the levelwise kernel identities, random disc
+points, the Pick map's Choi matrix unit by unit and the kernel spans through
+whole-space unit actions, the adjoint expansion of G_m, the escape scan on the
+whole frame of J, the two-space lift on the whole Putnam sum and the
+alpha/beta step validator on whole-space operators.  None of them is on a path
+the CLI, the acceptance suite, ``tools/`` or ``perfbench/`` runs, so they live
+beside the tests, which import them as ``from oracles import ...``.  A method
+of a library class becomes a function of that object here, e.g.
+``prefix_columns(model, n)`` for ``model.prefix_columns(n)``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from wfock.fock import FockOperator, TruncatedFock, phi_inf, weighted_creation
 from wfock.graphs import CorrElement, GraphCorrespondence, _random_module_map, embed_prefix, \
     path_basis, tensor_pair
 from wfock.induced import InducedSpace, Representation
-from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators
+from wfock.interpolation import CauchyKernel, DiscPoint, PickProblem, _span_generators, \
+    kernel_value
 from wfock.jsonio import encode_matrix
 from wfock.lifting import LiftModel, LiftState, _frame_coinvariance, _loop
 from wfock.linalg import RANK_TOL, _project_out, as_complex, max_operator_norm, nullspace, \
@@ -492,6 +494,60 @@ def quadratic_form_gap(problem: PickProblem, ws: WeightSystem,
         scale = max(1.0, float(np.vdot(vb, vb).real))
         worst = min(worst, gap / scale)
     return worst
+
+
+def random_point(ind: InducedSpace, x: AdmissibleSequence, rng: np.random.Generator,
+                 norm: float) -> DiscPoint:
+    """A random intertwiner of the given norm: block (r(e), e) free, the rest zero."""
+    z = np.zeros((ind.rep.h_dim, ind.level_dim(1)), dtype=complex)
+    offs = ind.block_offsets[1]
+    for e in range(ind.graph.n_edges):
+        rows, cols = ind.rep.block(ind.graph.range_(e)), slice(offs[e], offs[e + 1])
+        z[rows, cols] = rng_complex(rng, rows.stop - rows.start, cols.stop - cols.start)
+    return DiscPoint(ind, x, z * (norm / operator_norm(z)))
+
+
+def choi_by_units(problem: PickProblem, ws: WeightSystem | None = None) -> np.ndarray:
+    """The Pick map's Choi matrix assembled unit by unit, Hermitian part taken.
+
+    For each vertex v, pair of points (i, j) and matrix unit E_mu,nu of
+    sigma(M)', the kernel K(z_i, z_j)(E_mu,nu) is a level sum (``kernel_value``)
+    or, with ``ws``, a pairing of Cauchy columns, and the block at rows (i, mu)
+    and columns (j, nu) is B_i (I_s (x) K) B_j^* - F_i (I_t (x) K) F_j^*.
+    """
+    ind = problem.ind
+    npts, s_dim = len(problem.points), problem.s * ind.h_dim
+    cauchy = [CauchyKernel(z, ws) for z in problem.points] if ws is not None else None
+    total = npts * s_dim * ind.h_dim
+    choi = np.zeros((total, total), dtype=complex)
+    pos = 0
+    for v, m_v in enumerate(ind.rep.multiplicities):
+        for i, mu, j, nu in itertools.product(range(npts), range(m_v), range(npts), range(m_v)):
+            unit = ind.rep.commutant_unit(v, mu, nu)
+            kij = (cauchy[i].pairing(cauchy[j], unit) if cauchy is not None
+                   else kernel_value(problem.points[i], problem.points[j], unit))
+            img = problem.B[i] @ np.kron(np.eye(problem.s), kij) @ problem.B[j].conj().T \
+                - problem.F[i] @ np.kron(np.eye(problem.t), kij) @ problem.F[j].conj().T
+            row, col = pos + (i * m_v + mu) * s_dim, pos + (j * m_v + nu) * s_dim
+            choi[row:row + s_dim, col:col + s_dim] = img
+        pos += npts * m_v * s_dim
+    return 0.5 * (choi + choi.conj().T)
+
+
+def dense_span_generators(problem: PickProblem, ws: WeightSystem):
+    """The J_B and J_F columns of ``_span_generators`` with each unit E_mu,nu applied to
+    the Cauchy columns as the whole-space matrix of ⊕_k I_k (x) E_mu,nu."""
+    ind = problem.ind
+    cauchy = [CauchyKernel(z, ws).column for z in problem.points]
+    cols_b, cols_f = [[] for _ in cauchy], [[] for _ in cauchy]
+    for v, mu, nu in ind.rep.commutant_basis():
+        left = ind.dual_left(ind.rep.commutant_unit(v, mu, nu)).matrix
+        for i, column in enumerate(cauchy):
+            base = left @ column
+            cols_b[i].append(np.kron(np.eye(problem.s), base) @ problem.B[i].conj().T)
+            cols_f[i].append(np.kron(np.eye(problem.t), base) @ problem.F[i].conj().T)
+    return (np.hstack([c for cols in cols_b for c in cols]),
+            np.hstack([c for cols in cols_f for c in cols]))
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,16 @@ EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
      "Z.matrices.1: has shape (1, 1), expected (2, 2)"),
     ("validate", {"graph": GRAPH2, "X": {"matrices": {"1": [[1]]}}},
      "X.matrices.1: has shape (1, 1), expected (2, 2)"),
+    # the targets are counted and shaped against the points, s, t and h
+    ("pick", dict(TWO_POINT, F=TWO_POINT["F"][:1]), "F: 1 target for 2 points"),
+    ("solve", dict(TWO_POINT, F=TWO_POINT["F"] * 2), "F: 4 targets for 2 points"),
+    ("pick", dict(TWO_POINT, s=2), "F[0]: has shape (1, 1), expected (2, 1)"),
+    ("solve", dict(TWO_POINT, s=2, t=2), "F[0]: has shape (1, 1), expected (2, 2)"),
+    ("pick", dict(TWO_POINT, B=[[[[1.0, 0.0]]]]), "B: 1 target for 2 points"),
+    ("solve", dict(TWO_POINT, B=[[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]]),
+     "B[1]: has shape (1, 2), expected (1, 1)"),
+    ("pick", dict(TWO_POINT, points=[]), "points: need at least one point"),
+    ("solve", dict(TWO_POINT, points=[], F=[]), "points: need at least one point"),
 ])
 def test_wrong_input_type_is_named(tmp_path, command, obj, field):
     code, report = run(RunConfig(command, input_path=write(tmp_path, "t.json", obj), N=4))
@@ -546,7 +556,7 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
                   dual.generators[-1], dual.gathers[1][1], dual.mixes[2][2]):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert size == cli._freeze(setting) > 0
+    assert size == cli._Walk(setting).nbytes > 0
     assert report_bytes(tmp_path, "solve", ONE_LOOP, 20)[0] == 0
     setting, size = list(kept.values())[-1]
     dual = setting.dual_lift_model
@@ -554,7 +564,7 @@ def test_kept_arrays_are_read_only(tmp_path, kept):
                   dual.gathers[2][1], dual.mixes[1][0]):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
-    assert size == cli._freeze(setting) > 0
+    assert size == cli._Walk(setting).nbytes > 0
 
 
 def test_a_kept_setting_is_walked_again_only_when_a_call_grew_it(tmp_path, kept, monkeypatch):
@@ -572,7 +582,7 @@ def test_a_kept_setting_is_walked_again_only_when_a_call_grew_it(tmp_path, kept,
         assert report_bytes(tmp_path, "lift", CYCLE_S21, 4)[0] == 0
         assert walks == ([setting] if grows else [])
         assert "lift_model" in vars(setting)
-        assert kept[next(iter(kept))][1] == cli._freeze(setting) > 0
+        assert kept[next(iter(kept))][1] == walk(setting).nbytes > 0
 
 
 def test_solve_keeps_its_dual_lift_model(tmp_path, kept, monkeypatch):
@@ -645,6 +655,65 @@ def test_solve_is_symmetric_under_the_edge_swap(tmp_path, obj):
     assert np.abs(np.array(plain["evaluations"]) - np.array(swapped["evaluations"])).max() <= 1e-12
 
 
+# the digest input pick-cycle3 of tools/report_digests.py: sigma (2, 1, 1), h = 4
+PICK_CYCLE3 = {"graph": {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+               "sigma": [2, 1, 1], "X": {"scalar": [0.5, 0.08333333333333333]},
+               "points": [{"matrix": [[[0, 0], [0, 0], [0, 0], [0.1, 0.03]],
+                                      [[0, 0], [0, 0], [0, 0], [-0.04, 0.02]],
+                                      [[0.06, 0], [0.02, -0.05], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [0.09, 0.01], [0, 0]]]},
+                          {"matrix": [[[0, 0], [0, 0], [0, 0], [-0.05, 0]],
+                                      [[0, 0], [0, 0], [0, 0], [0.03, 0.07]],
+                                      [[-0.02, 0.04], [0.08, 0], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [-0.06, 0.05], [0, 0]]]},
+                          {"matrix": [[[0, 0], [0, 0], [0, 0], [0.02, -0.09]],
+                                      [[0, 0], [0, 0], [0, 0], [0.05, 0]],
+                                      [[0.03, 0.03], [-0.04, 0], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [0.01, -0.08], [0, 0]]]},
+                          {"matrix": [[[0, 0], [0, 0], [0, 0], [0.07, 0.05]],
+                                      [[0, 0], [0, 0], [0, 0], [0, -0.03]],
+                                      [[0.05, -0.06], [0.01, 0.02], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [0.04, 0.04], [0, 0]]]}],
+               "F": [[[[0.5, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0], [0, 0]],
+                      [[0, 0], [0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.5, 0]]]] * 4}
+
+
+def _vertices_rotated(obj):
+    """The problem with vertex v of the cycle relabelled v + 1: each edge keeps its id, and
+    sigma and the H blocks of the points and of F (s = t = 1) move with their vertex."""
+    out = copy.deepcopy(obj)
+    n, sigma = obj["graph"]["vertices"], obj["sigma"]
+    out["graph"]["edges"] = [[(a + 1) % n, (b + 1) % n] for a, b in obj["graph"]["edges"]]
+    out["sigma"] = [sigma[(v - 1) % n] for v in range(n)]
+    offsets = np.cumsum([0] + sigma)
+    perm = [i for v in range(n) for i in range(offsets[(v - 1) % n], offsets[(v - 1) % n + 1])]
+    for point, old in zip(out["points"], obj["points"]):
+        point["matrix"] = [old["matrix"][i] for i in perm]  # the level-one coordinates stay
+    out["F"] = [[[f[i][j] for j in perm] for i in perm] for f in obj["F"]]
+    return out
+
+
+def test_pick_and_solve_are_symmetric_under_a_rotation_of_the_cycle_vertices(tmp_path):
+    """Relabelling the vertices of the 3-cycle, with sigma and the H blocks permuted to
+    match, reorders the vertex blocks of the Choi matrix: pick keeps its verdict and
+    choi_min_eig within 1e-12 max(1, choi_norm), and solve its exit code and its norm
+    within 1e-10."""
+    rotated = _vertices_rotated(PICK_CYCLE3)
+    assert rotated["sigma"] == [1, 2, 1] and rotated["graph"]["edges"] == [[1, 2], [2, 0], [0, 1]]
+    (code, plain), (code_rot, rot) = (
+        (code, json.loads(blob)) for code, blob in
+        (report_bytes(tmp_path, "pick", problem, 6) for problem in (PICK_CYCLE3, rotated)))
+    assert code == code_rot == 0
+    assert plain["verdict"] == rot["verdict"] == "completely-positive"
+    bound = 1e-12 * max(1.0, plain["choi_norm"])
+    assert abs(plain["choi_min_eig"]["value"] - rot["choi_min_eig"]["value"]) <= bound
+    (code, plain), (code_rot, rot) = (
+        (code, json.loads(blob)) for code, blob in
+        (report_bytes(tmp_path, "solve", problem, 6) for problem in (PICK_CYCLE3, rotated)))
+    assert code == code_rot == 0
+    assert abs(plain["norm"]["value"] - rot["norm"]["value"]) <= 1e-10
+
+
 def test_warm_fock_builds_no_induced_space(tmp_path, kept, monkeypatch):
     builds = []
     init = InducedSpace.__init__
@@ -666,7 +735,7 @@ def test_kept_settings_fit_the_byte_budget(tmp_path, kept, monkeypatch):
     kept.clear()
     for obj in (CYCLE_S21, FREE2_S2, CYCLE_S21):
         report_bytes(tmp_path, "lift", obj, 3)
-        assert sum(cli._freeze(s) for s, _ in kept.values()) <= cli.SETTING_BYTES
+        assert sum(cli._Walk(s).nbytes for s, _ in kept.values()) <= cli.SETTING_BYTES
         (setting, _), = kept.values()  # the least recently used one was dropped
         assert setting.graph == decode_graph(obj["graph"])
 

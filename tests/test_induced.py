@@ -27,7 +27,7 @@ def test_representation_basics():
 
 def test_commutant_algebra():
     rep = Representation((2, 1))
-    units = rep.commutant_units()
+    units = [rep.commutant_unit(*u) for u in rep.commutant_basis()]
     assert len(units) == 5
     for u in units:
         assert contains(rep, u)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import dual_tuples, intertwiner, iota_w_star_check, levelwise_residual, \
-    power_residual, prefix_columns, project, quadratic_form_gap, representation_eval
+from graph_strategies import multiplicities, small_graphs
+from oracles import choi_by_units, dense_span_generators, dual_tuples, intertwiner, \
+    iota_w_star_check, levelwise_residual, power_residual, prefix_columns, project, \
+    quadratic_form_gap, random_point, representation_eval
+from wfock.acceptance import _random_graph_x
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
-from wfock.graphs import CorrElement, GraphCorrespondence
+from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import (
     CauchyKernel,
@@ -424,6 +428,40 @@ def test_cp_weight_independence():
     report_flipped = pick_map_cp_test(prob, ws=ws2)
     assert residual(report_canonical.choi, report_plain.choi) < 1e-9
     assert residual(report_flipped.choi, report_plain.choi) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.data())
+def test_choi_and_spans_match_the_unit_by_unit_assembly(graph, data):
+    """The Choi matrix from the coordinate gathers is the unit-by-unit one within
+    1e-12 max(1, ||choi||), with the same verdict, on both kernel routes, and the span
+    columns equal those of the whole-space unit actions exactly (a zero may differ in
+    sign: the dense product sums signed zeros where the gather places +0)."""
+    n = data.draw(st.sampled_from([k for k in range(1, 4) if path_basis(graph, k).size <= 16]),
+                  label="N")
+    rep = Representation(tuple(data.draw(multiplicities(graph), label="sigma")))
+    s, t = data.draw(st.integers(1, 2), label="s"), data.draw(st.integers(1, 2), label="t")
+    npts = data.draw(st.integers(1, 3), label="points")
+    feasible = data.draw(st.booleans(), label="feasible")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ind = InducedSpace(graph, rep, n)
+    x = _random_graph_x(graph, n, rng)
+    points = [random_point(ind, x, rng, 0.3) for _ in range(npts)]
+    sh, th = s * rep.h_dim, t * rep.h_dim
+    b_list = [rng_complex(rng, sh, sh) for _ in points]
+    y = rng_complex(rng, s, t)  # F_i = B_i (Y (x) I_h) with ||Y|| < 1 is feasible
+    y = np.kron(y * (0.5 / operator_norm(y)), np.eye(rep.h_dim))
+    f_list = [b @ y if feasible else rng_complex(rng, sh, th) for b in b_list]
+    problem = PickProblem(points, b_list, f_list, s=s, t=t)
+    ws = weight_system_from(x)
+    for route in (None, ws):
+        report, choi = pick_map_cp_test(problem, route), choi_by_units(problem, route)
+        assert np.abs(report.choi - choi).max() <= 1e-12 * max(1.0, report.choi_norm)
+        eigs = np.linalg.eigvalsh(choi)
+        assert report.is_cp == (eigs.min() >= -1e-9 * max(1.0, np.abs(eigs).max()))
+    cols_b, cols_f, _ = _span_generators(problem, ws)
+    dense_b, dense_f = dense_span_generators(problem, ws)
+    assert np.array_equal(cols_b, dense_b) and np.array_equal(cols_f, dense_f)
 
 
 # -- the solver -------------------------------------------------------------------

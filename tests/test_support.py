@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_strategies import multiplicities, small_graphs
-from oracles import all_levels_kernel, all_levels_phi, all_levels_r, all_levels_tail_bound
+from oracles import all_levels_kernel, all_levels_phi, all_levels_r, all_levels_tail_bound, \
+    random_point
 from wfock.acceptance import _random_graph_x
 from wfock.fock import TruncatedFock, sums_to_projection_check
 from wfock.graphs import GraphCorrespondence, path_basis
 from wfock.induced import InducedSpace, Representation
 from wfock.interpolation import DiscPoint, _neumann_partial_sum, kernel_tail_bound, kernel_value
-from wfock.linalg import operator_norm, rng_complex
+from wfock.linalg import rng_complex
 from wfock.weights import AdmissibleSequence, weight_system_from
 
 PATTERNS = ({1}, {1, 3}, {1, 2, 5})
@@ -27,16 +28,6 @@ def _gapped_x(graph, n, pattern, rng):
     dense = _random_graph_x(graph, n, rng)
     mats = [xk if k == 0 or k in pattern else np.zeros_like(xk) for k, xk in enumerate(dense.X)]
     return AdmissibleSequence(graph, n, mats)
-
-
-def _point(ind, x, rng, norm):
-    """A random intertwiner of the given norm: block (r(e), e) free, the rest zero."""
-    z = np.zeros((ind.rep.h_dim, ind.level_dim(1)), dtype=complex)
-    offs = ind.block_offsets[1]
-    for e in range(ind.graph.n_edges):
-        rows, cols = ind.rep.block(ind.graph.range_(e)), slice(offs[e], offs[e + 1])
-        z[rows, cols] = rng_complex(rng, rows.stop - rows.start, cols.stop - cols.start)
-    return DiscPoint(ind, x, z * (norm / operator_norm(z)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -54,7 +45,7 @@ def test_support_sums_are_bit_equal_to_the_sums_over_every_level(graph, data):
     r = all_levels_r(x)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(x.R, r, strict=True))
     ind = InducedSpace(graph, rep, n)
-    w, z = _point(ind, x, rng, 0.3), _point(ind, x, rng, 0.25)
+    w, z = random_point(ind, x, rng, 0.3), random_point(ind, x, rng, 0.25)
     assert list(z.weighted_powers) == list(x.support)
     a = np.zeros((rep.h_dim, rep.h_dim), dtype=complex)
     for v in range(rep.n_vertices):
