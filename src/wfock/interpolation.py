@@ -409,7 +409,7 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
         g_tilde=g_tilde,
         evaluations=evaluations,
         residuals=residuals_out,
-        norm=operator_norm(g_tilde),
+        norm=trace["lift_norm"],
         cp=cp,
         r_margin=r_margin,
         r_consistency=r_consistency,

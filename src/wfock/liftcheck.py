@@ -9,8 +9,9 @@ element, and the subspace is co-invariant by construction.
 
 The step validator evaluates the eight identities relating the compression
 maps alpha and beta to the basis insertions, which the induction leans on;
-they are finite matrix identities on the truncation, read through the lift
-step's own ``LiftModel.compressions``.
+they are finite matrix identities on the truncation, read through
+``LiftModel.compressions``.  The lift step reads F's new columns by another
+route (its ``FPattern``), so identity (5) checks the step's F independently.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ def alphabeta_validator(ind: InducedSpace, seed: int = 0):
     No whole-space operator is formed.  Every compression V_{m+1}^* (W_c (x) I) B the
     identities read, for coefficient rows c over the level-k paths, comes from the
     model's ``compressions``; alpha is its first d_m rows, since V_m is the first d_m
-    columns of V_{m+1}.  Stacks over the basis are compressed onto g only, which has
+    columns of V_{m+1}.  The lift step forms F's new columns from its gather pattern
+    (``lifting.FPattern``), not from ``compressions``, so identity (5),
+    alpha(W_{Z^{(k)-1} xi}) g = G_m L_{xi^} over the whole basis, is an independent
+    check of that route.  Stacks over the basis are compressed onto g only, which has
     H's width.  The left action phi(a) (x) I is the diagonal a(r(p)) per coordinate.
     """
     rng = np.random.default_rng(seed)

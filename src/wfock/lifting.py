@@ -22,21 +22,25 @@ escape scan read J' alone, and the frame of J stays where the rows of G_m need i
 Everything operates on a ``LiftModel``: a bundle of the induced space
 dimensions and, per level, the basis insertions as coordinate maps with the
 weighted creations at the inverse weight product as level data, from which one
-routine forms every compression q_out^* W q_in that the lift step and the step
-validator read.  The generator images Y (x) I are dense matrices that the
-model's builder (``duality._lift_model``) forms from the same level data: the
-units, then the compressions of the identity by the level-1 creations.  Both
-the graph side and the transported dual side produce such bundles, so one loop
-serves the lifting theorem and its two-space corollary, which it runs on the one
-nonzero block of the Putnam lift (see ``two_space_lift``).  An amplified model,
-the direct sum of copies of one space, shares the generators and the creation
-data of its base: a product with an amplified generator acts on each copy of
-its operand (``per_copy_left`` and ``per_copy_right``), and I_c (x) g is never
-formed.
+routine forms every compression q_out^* W q_in that the step validator and the
+model's builder read.  The lift step reads F's new columns off the same data by
+another route: the terms they read are listed once per lift (``FPattern``), so
+a step takes one gather and one segment sum for them, and the validator's
+identity (5) checks that route against ``compressions``.  The generator images
+Y (x) I are dense matrices that the model's builder (``duality._lift_model``)
+forms from the same level data: the units, then the compressions of the
+identity by the level-1 creations.  Both the graph side and the transported
+dual side produce such bundles, so one loop serves the lifting theorem and its
+two-space corollary, which it runs on the one nonzero block of the Putnam lift
+(see ``two_space_lift``).  An amplified model, the direct sum of copies of one
+space, shares the generators and the creation data of its base: a product with
+an amplified generator acts on each copy of its operand (``per_copy_left`` and
+``per_copy_right``), and I_c (x) g is never formed.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -148,7 +152,9 @@ class LiftModel:
     Level 0 is empty.  ``generators`` are the dense units and level-1 creations that the
     builder forms from this data.  The ``copies`` direct summands (copy-major layout)
     share the generators and the creation data, which act on each summand
-    (``per_copy_left``, ``per_copy_right``, ``compressions``)."""
+    (``per_copy_left``, ``per_copy_right``, ``compressions``).  ``compressions`` serves
+    general coefficient rows (the builder and the step validator); the lift step reads
+    F's new columns through an ``FPattern`` of the model and its row model."""
 
     dim: int
     levels: int
@@ -225,6 +231,72 @@ class LiftModel:
         return out
 
 
+@dataclass(frozen=True)
+class FPattern:
+    """The terms F's new columns read, for a domain ``model`` and a ``row_model``: F's
+    row r, where the domain inserts H index x of a level-k element xi, is
+
+        f[r] = sum conj(w) conj(z_g[c b + col, x]) z_new[c b + row]
+
+    over the nonzero (row, col, w) of xi's row of the row model's level-k ``mixes`` and
+    the copies c of the row side (b their base dimension), with z_new = Dz^* q_new and
+    z_g = Dz^{-1} q_m g.  One term per (r, copy, entry), the terms of one r in one run:
+    ``g_at`` is its flat index into z_g, ``new_at`` its row of z_new, ``weight`` its w.
+    ``batches`` = (terms, run starts, rows) cut the terms into whole runs, at most one
+    copy of z_new (``row_model.dim`` terms) per batch.  Rows with no term (K_0 and
+    levels with no insertion) stay zero."""
+
+    dim: int
+    g_at: np.ndarray
+    new_at: np.ndarray
+    weight: np.ndarray
+    batches: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, model: LiftModel, row_model: LiftModel) -> "FPattern":
+        empty = np.zeros(0, dtype=np.intp)
+        insertions, entries, offset = [(empty,) * 4], [(empty, empty, empty)], 0
+        for k in range(1, model.levels + 1):
+            rows, cols, elem = model.insertions[k]
+            m_rows, m_cols, w = row_model.mixes[k]
+            nonzero = w != 0
+            count = nonzero.sum(axis=1)
+            insertions.append((rows, cols, (offset + np.cumsum(count) - count)[elem], count[elem]))
+            entries.append((m_rows[nonzero], m_cols[nonzero], w[nonzero]))
+            offset += count.sum()
+        rows, cols, first, count = (np.concatenate(a) for a in zip(*insertions))
+        m_rows, m_cols, w = (np.concatenate(a) for a in zip(*entries))
+        c, base, h = row_model.copies, row_model.dim // row_model.copies, model.prefix_idx(0).size
+        per = c * count
+        starts = np.cumsum(per) - per
+        ins = np.repeat(np.arange(rows.size), per)
+        copy, slot = np.divmod(np.arange(ins.size) - starts[ins], count[ins])
+        entry, shift = first[ins] + slot, base * copy
+        # one run per row with a term, at most c * base = row_model.dim terms long; each
+        # batch takes whole runs, as many as fit in row_model.dim terms
+        starts, rows = starts[per > 0], rows[per > 0]
+        bounds, batches, a = starts.tolist() + [ins.size], [], 0
+        while a < starts.size:
+            b = max(a + 1, bisect.bisect_right(bounds, bounds[a] + row_model.dim) - 1)
+            batches.append((slice(bounds[a], bounds[b]), starts[a:b] - bounds[a], rows[a:b]))
+            a = b
+        return cls(model.dim, (shift + m_cols[entry]) * h + cols[ins], shift + m_rows[entry],
+                   as_complex(w[entry]), tuple(batches))
+
+    def columns(self, z_new: np.ndarray, z_g: np.ndarray) -> np.ndarray:
+        """F's new columns, ``dim`` x d_new, from z_new and z_g: one gather of z_g for
+        all terms, then one segment sum per batch."""
+        out = np.zeros((self.dim, z_new.shape[1]), dtype=complex)
+        if not z_new.shape[1]:
+            return out
+        vals = (self.weight * z_g.take(self.g_at)).conj()
+        for terms, starts, rows in self.batches:
+            part = z_new[self.new_at[terms]]
+            part *= vals[terms, None]
+            out[rows] = np.add.reduceat(part, starts)
+        return out
+
+
 def per_copy_left(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(I_c (x) g) x for the square g, with c = rows(x) / dim(g) copy-major copies;
     x may have no columns."""
@@ -261,7 +333,8 @@ class LiftState:
     J' = J ⊖ K_{n_m} with zero rows on K_{n_m}: the input frames at n_m = -1,
     where K_{-1} = 0.  Every generator's adjoint maps K_n into K_n, so the
     co-invariance residual and the escape scan read J' alone; the rows of G_m
-    stay in ``frame`` coordinates.
+    stay in ``frame`` coordinates.  ``f_pattern``, the terms F's new columns read
+    (``FPattern``), is formed when not given and carried from step to step.
     """
 
     model: LiftModel
@@ -272,10 +345,13 @@ class LiftState:
     row_model: LiftModel | None = None
     j1: np.ndarray | None = None
     j_prime: list[np.ndarray] | None = None
+    f_pattern: FPattern | None = None
 
     def __post_init__(self):
         if self.row_model is None:
             self.row_model = self.model
+        if self.f_pattern is None:
+            self.f_pattern = FPattern.build(self.model, self.row_model)
         if self.j_prime is None:
             if self.n_list[-1] >= 0:
                 raise ValueError(f"the J' frames of a state at n_m = {self.n_list[-1]} "
@@ -351,6 +427,18 @@ def _escape_level(state: LiftState) -> tuple[int, list[np.ndarray]]:
     raise RuntimeError("no level escapes J although J is proper")
 
 
+def _outside(q: np.ndarray, new: np.ndarray, m: int) -> np.ndarray:
+    """``new`` less its component q c, c = q^* new, in the span J of the frame q.  The
+    escape scan makes ``new`` orthonormal and orthogonal to K_{n_m} (+) J' = J, so c is
+    roundoff; a c above RANK_TOL (Frobenius) raises, naming lift step m."""
+    c = q.conj().T @ new
+    size = np.linalg.norm(c)
+    if size > RANK_TOL:
+        raise RuntimeError(f"lift step {m}: the escape frame has a component {size:.2e} "
+                           "in J; numerical failure")
+    return new - q @ c
+
+
 def _check_contains_prefix(spaces, n: int, m: int) -> None:
     """Raise unless K_n lies in each summand of J_m, given as (model, frame) ``spaces``:
     ||(I - P) E_n|| <= RANK_TOL.
@@ -390,24 +478,26 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     Computes n_{m+1} and the enlarged subspace, assembles the new columns of the
     contraction F from the basis data via g = G_m L_{1^}, splits F^* = [R; S] and
     G_m = [R, T], fills the missing corner by Parrott, and returns the new
-    state.  F's new columns are read off q_new^* W q_m g on the row side and placed
-    by the insertions of the domain, so for the corollary a step that adds no
-    direction to J_2 adds no row to G.  The new J' frames are formed once, after
-    the guard, from the old ones and the new directions (``j_prime_frame``).  The
-    ledger entry holds what the reports and the loop read: m, n_m, dim_j (the
-    width of J, d_1 + d_2 for the corollary), the Parrott mu, the f_clamp, and the
-    coinvariant (the largest over the summands of J) and intertwining residuals.
-    Raises if J is already everything, if a J' frame has a row in K_{n_m} or
-    K_{n_m} is not contained in the new J (guards, not recorded numbers), or if
-    the completion is not finite.
+    state.  The new directions are the escape frames as the scan computed them, less
+    their roundoff component in J (``_outside``, no SVD).  F's new columns are
+    q_new^* W q_m g on the row side, placed by the insertions of the domain, read by
+    the state's ``f_pattern`` in one gather and one segment sum (no per-level loop),
+    so for the corollary a step that adds no direction to J_2 adds no row to G.  The
+    new J' frames are formed once, after the guard, from the old ones and the new
+    directions (``j_prime_frame``).  The ledger entry holds what the reports and the
+    loop read: m, n_m, dim_j (the width of J, d_1 + d_2 for the corollary), the
+    Parrott mu, the f_clamp, and the coinvariant (the largest over the summands of J)
+    and intertwining residuals.
+    Raises if J is already everything, if a J' frame has a row in K_{n_m}, an escape
+    frame a component in J or K_{n_m} is not contained in the new J (guards, not
+    recorded numbers), or if the completion is not finite.
     """
     model = state.model
     if state.is_full():
         raise ValueError("subspace is already the whole induced space")
-    # rebinding drops the escape frames before the F loop
+    # rebinding drops the escape frames before F is formed
     n_new, added = _escape_level(state)
-    added = [orth_columns(_complement(q, new), 0.5)
-             for (_, q), new in zip(state.spaces, added)]
+    added = [_outside(q, new, state.m + 1) for (_, q), new in zip(state.spaces, added)]
     if not any(new.shape[1] for new in added):
         raise RuntimeError("escaping level added no new directions")
     q_m, q_new = state.frame, added[0]
@@ -416,10 +506,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     rows_side = state.row_model
     z_new = rows_side.levelwise(rows_side.z_star, q_new)
     z_g = rows_side.levelwise(rows_side.z_inv, q_m @ model.vacuum(state.g_mat))
-    f_new = np.zeros((model.dim, q_new.shape[1]), dtype=complex)  # the J_{m+1} \ J_m columns of F
-    for k in range(1, model.levels + 1):
-        rows, cols, elem = model.insertions[k]
-        f_new[rows] = rows_side.compressions(z_new, z_g, rows_side.mixes[k])[elem, :, cols].conj()
+    f_new = state.f_pattern.columns(z_new, z_g)  # the J_{m+1} \ J_m columns of F
     k0_idx = model.prefix_idx(0)
     rest_idx = np.flatnonzero(model.level > 0)
 
@@ -449,7 +536,7 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
                for (space, q), prime, new in zip(spaces, state.j_prime, added)]
     j1 = None if state.j1 is None else spaces[1][1]
     new_state = LiftState(model, spaces[0][1], g_m1, state.n_list + [n_new],
-                          list(state.ledger), state.row_model, j1, j_prime)
+                          list(state.ledger), state.row_model, j1, j_prime, state.f_pattern)
     entry = _condition_residuals(new_state)
     entry.update({
         "m": new_state.m,
@@ -506,17 +593,19 @@ def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator,
     return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat, scale
 
 
-def _conclusions(g_tilde: np.ndarray, g: np.ndarray, g_norm: float, j_in: np.ndarray,
-                 j_out: np.ndarray, generators, key: str = "intertwining") -> dict[str, float]:
-    """The four conclusions for a lift g_tilde of g: J_in -> J_out, with g_norm = ||g||:
-    g_tilde^* J_out in J_in, compression back to g, g_tilde a = a g_tilde (as ``key``)
-    for each generator a on every copy of either side, norms equal."""
+def _conclusions(g_tilde: np.ndarray, g: np.ndarray, g_norm: float, tilde_norm: float,
+                 j_in: np.ndarray, j_out: np.ndarray, generators,
+                 key: str = "intertwining") -> dict[str, float]:
+    """The four conclusions for a lift g_tilde of g: J_in -> J_out, with g_norm = ||g||
+    and tilde_norm = ||g_tilde||: g_tilde^* J_out in J_in, compression back to g,
+    g_tilde a = a g_tilde (as ``key``) for each generator a on every copy of either
+    side, norms equal."""
     return {
         "adjoint_invariance": operator_norm(_complement(j_in, g_tilde.conj().T @ j_out)),
         "compression": residual(j_out.conj().T @ g_tilde @ j_in, g),
         key: max_operator_norm([per_copy_right(g_tilde, a) - per_copy_left(a, g_tilde)
                                 for a in generators]),
-        "norm": abs(operator_norm(g_tilde) - g_norm),
+        "norm": abs(tilde_norm - g_norm),
     }
 
 
@@ -537,7 +626,8 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
         step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
-        g_tilde, g_on_j, g_norm, j_frame, j_frame, model.generators, "commutation")}
+        g_tilde, g_on_j, g_norm, operator_norm(g_tilde), j_frame, j_frame, model.generators,
+        "commutation")}
 
 
 def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
@@ -558,12 +648,14 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     only through the step schedule, dim_j and the co-invariance residual (see
     ``LiftState``); the sum is never formed.  trace["hypothesis"] and
     trace["conclusions"] carry the corollary's hypothesis and four conclusion
-    residuals.
+    residuals, and trace["lift_norm"] is ||g_tilde||, which the conclusions take.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     hypotheses = _hypotheses(g12, j1_frame, j2_frame, base.generators, hypothesis_tol,
                              ("J_1", "J_2"))
     g_tilde, steps, _, g_norm = _loop(base.amplify(t), j2_frame, g12, None,
                                       row_model=base.amplify(s), j1=j1_frame)
-    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
-        g_tilde, g12, g_norm, j1_frame, j2_frame, base.generators)}
+    lift_norm = operator_norm(g_tilde)
+    return g_tilde, {"steps": steps, "hypothesis": hypotheses, "lift_norm": lift_norm,
+                     "conclusions": _conclusions(g_tilde, g12, g_norm, lift_norm, j1_frame,
+                                                 j2_frame, base.generators)}

@@ -9,9 +9,10 @@ the intertwiners of the tuples by the product formula and the transported dual
 creations placed block by block, direct sums of representations, point
 evaluation on generator words, the levelwise kernel identities, random disc
 points, the Pick map's Choi matrix unit by unit and the kernel spans through
-whole-space unit actions, the adjoint expansion of G_m, the escape scan on the
-whole frame of J, the two-space lift on the whole Putnam sum and the
-alpha/beta step validator on whole-space operators.  None of them is on a path
+whole-space unit actions, the adjoint expansion of G_m, F's new columns by one
+``compressions`` call per level, the escape scan on the whole frame of J, the
+two-space lift on the whole Putnam sum and the alpha/beta step validator on
+whole-space operators.  None of them is on a path
 the CLI, the acceptance suite, ``tools/`` or ``perfbench/`` runs, so they live
 beside the tests, which import them as ``from oracles import ...``.  A method
 of a library class becomes a function of that object here, e.g.
@@ -603,11 +604,22 @@ def gm_star_expansion_residual(state: LiftState, ind: InducedSpace) -> float:
         alpha = q.conj().T @ ind.fock_tensor_identity(phi_inf(ind.fock, a)).matrix @ q
         block = ind.rep.block(v)
         acc[block] += (g_vec.conj().T @ alpha.conj().T)[block]
-    z_q, z_g = model.levelwise(model.z_star, q), model.levelwise(model.z_inv, q @ g_vec)
+    acc += compression_f_columns(model, model, q, q, state.g_mat)
+    return residual(acc, state.g_mat.conj().T)
+
+
+def compression_f_columns(model: LiftModel, row_model: LiftModel, q_new: np.ndarray,
+                          q_m: np.ndarray, g_mat: np.ndarray) -> np.ndarray:
+    """F's columns on the directions ``q_new`` of the row side, by one ``compressions``
+    call per level: beta(W_{Z^{(k)-1} xi}) g = q_new^* W q_m g with g = G_m L_{1^},
+    placed by the insertions of the domain ``model``."""
+    z_new = row_model.levelwise(row_model.z_star, q_new)
+    z_g = row_model.levelwise(row_model.z_inv, q_m @ model.vacuum(g_mat))
+    out = np.zeros((model.dim, q_new.shape[1]), dtype=complex)
     for k in range(1, model.levels + 1):
         rows, cols, elem = model.insertions[k]
-        acc[rows] += model.compressions(z_q, z_g, model.mixes[k])[elem, :, cols].conj()
-    return residual(acc, state.g_mat.conj().T)
+        out[rows] = row_model.compressions(z_new, z_g, row_model.mixes[k])[elem, :, cols].conj()
+    return out
 
 
 def sum_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from wfock import cli
 from wfock.cli import RunConfig, main, run
 from wfock.induced import InducedSpace
-from wfock.jsonio import decode_graph
+from test_readme import INPUTS
+from wfock.jsonio import decode_graph, decode_matrix, encode_matrix
 
 
 def write(tmp_path, name, obj):
@@ -789,3 +790,35 @@ def test_pick_and_solve_are_symmetric_under_a_permutation_of_the_points(tmp_path
         (report_bytes(tmp_path, "solve", problem, n) for problem in (obj, _points_permuted(obj, perm))))
     assert code == code_perm
     assert abs(plain["norm"]["value"] - permuted["norm"]["value"]) <= 1e-10
+
+
+def _f_scaled(obj, c):
+    return {**obj, "F": [encode_matrix(c * decode_matrix(f)) for f in obj["F"]]}
+
+
+def _complex_matrices(encoded):
+    return np.array([decode_matrix(m) for m in encoded])
+
+
+# the README solve, and solve-mix problem 1 at seed 1 (cycle2-s21-N12-p3, whose lift
+# clamps F deeply)
+SCALED_SOLVES = [("readme", 40, json.loads(dict(INPUTS)["problem.json"])),
+                 next(problem for problem in SOLVE_MIX_SEED1 if problem[0] == "cycle2-s21-N12-p3")]
+
+
+@pytest.mark.parametrize("name, n, obj", SCALED_SOLVES, ids=[name for name, _, _ in SCALED_SOLVES])
+def test_solve_is_equivariant_under_a_scaling_of_the_targets(tmp_path, name, n, obj):
+    """Scaling F by c with |c| <= 1 keeps the problem feasible and scales the interpolant
+    by c: the exit code holds, norm / |c| equals the norm at c = 1 within 1e-10 relative,
+    and the evaluations are c times those at c = 1 within 1e-10.  The intertwining
+    residuals are not compared: they measure the truncation edge."""
+    code, blob = report_bytes(tmp_path, "solve", obj, n)
+    assert code == 0
+    plain = json.loads(blob)
+    norm, values = plain["norm"]["value"], _complex_matrices(plain["evaluations"])
+    for c in (0.5, 0.7j, -0.3 + 0.4j):
+        code_c, blob = report_bytes(tmp_path, "solve", _f_scaled(obj, c), n)
+        scaled = json.loads(blob)
+        assert code_c == code
+        assert abs(scaled["norm"]["value"] / abs(c) - norm) <= 1e-10 * norm
+        assert np.abs(_complex_matrices(scaled["evaluations"]) - c * values).max() <= 1e-10

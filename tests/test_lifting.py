@@ -13,8 +13,9 @@ import wfock.interpolation
 import wfock.liftcheck
 import wfock.lifting
 from graph_strategies import multiplicities, small_graphs
-from oracles import CoinvariantSubspace, dense_alphabeta_validator, full_frame_escape, \
-    gm_star_expansion_residual, prefix_columns, sum_space_lift, whole_space_creation
+from oracles import CoinvariantSubspace, compression_f_columns, dense_alphabeta_validator, \
+    full_frame_escape, gm_star_expansion_residual, prefix_columns, sum_space_lift, \
+    whole_space_creation
 from wfock.acceptance import _random_graph_x
 from wfock.cli import main
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
@@ -23,6 +24,7 @@ from wfock.induced import InducedSpace, Representation
 from wfock.liftcheck import alphabeta_validator, compression_instance, \
     krylov_closure, random_commutant_element
 from wfock.lifting import (
+    FPattern,
     ParrottProblem,
     _check_contains_prefix,
     _conclusions,
@@ -283,13 +285,8 @@ def _with_f_checks(validator, record):
     ||F^* restricted to J_m - R||, and ||G_{m+1}|| (the assembled Parrott
     completion, up to a permutation of its columns)."""
     def step(state, new_state):
-        model, q_m, q_m1 = state.model, state.frame, new_state.frame
-        g_vec = model.vacuum(state.g_mat)
-        f_mat = np.zeros((model.dim, q_m1.shape[1]), dtype=complex)
-        z_out, z_g = model.levelwise(model.z_star, q_m1), model.levelwise(model.z_inv, q_m @ g_vec)
-        for k in range(1, model.levels + 1):
-            rows, cols, elem = model.insertions[k]
-            f_mat[rows] = model.compressions(z_out, z_g, model.mixes[k])[elem, :, cols].conj()
+        model = state.model
+        f_mat = compression_f_columns(model, model, new_state.frame, state.frame, state.g_mat)
         rest = np.flatnonzero(model.level > 0)
         record.append({
             "f_norm": operator_norm(f_mat),
@@ -364,6 +361,38 @@ def test_validator_step_builds_no_whole_space_creation(monkeypatch):
     assert all(step == ([], ["max"]) for step in steps), steps
     assert all(entry["extra"].keys() == {"alpha_beta_worst"} for entry in trace["steps"])
     assert max(entry["extra"]["alpha_beta_worst"] for entry in trace["steps"]) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(full=True), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.data())
+def test_f_pattern_matches_the_per_level_compressions(graph, ts, data):
+    """F's new columns from the gather pattern of a lift (``FPattern``) equal the per-level
+    ``compressions`` route (``compression_f_columns``) within 1e-13 max(1, ||reference||),
+    on the primal and the dual model between K^(t) and K^(s), for random q_m, q_new (no
+    column included) and G; no batch of the pattern gathers more than one copy of z_new."""
+    t, s = ts
+    n = data.draw(st.integers(1, 3), label="N")
+    ind = InducedSpace(graph, Representation(tuple(data.draw(multiplicities(graph),
+                                                             label="sigma"))), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ws = weight_system_from(_random_graph_x(graph, n, rng))
+    if data.draw(st.booleans(), label="dual"):
+        base = dual_lift_model(DualStructure(ind, ws))
+    else:
+        base = primal_lift_model(ind, ws)
+    domain, rows = base.amplify(t), base.amplify(s)
+    d_m, d_new = data.draw(st.integers(1, 4), label="d_m"), data.draw(st.integers(0, 3), label="d_new")
+    q_m, q_new = rng_complex(rng, rows.dim, d_m), rng_complex(rng, rows.dim, d_new)
+    g_mat = rng_complex(rng, d_m, domain.dim)
+    want = compression_f_columns(domain, rows, q_new, q_m, g_mat)
+    pattern = FPattern.build(domain, rows)
+    got = pattern.columns(rows.levelwise(rows.z_star, q_new),
+                          rows.levelwise(rows.z_inv, q_m @ domain.vacuum(g_mat)))
+    assert got.shape == want.shape == (domain.dim, d_new)
+    assert residual(got, want) <= 1e-13 * max(1.0, operator_norm(want))
+    assert pattern.columns(np.zeros((rows.dim, 0)), np.zeros((rows.dim, domain.prefix_idx(0).size))
+                           ).shape == (domain.dim, 0)
+    assert all(terms.stop - terms.start <= rows.dim for terms, _, _ in pattern.batches)
 
 
 @settings(max_examples=30, deadline=None)
@@ -624,8 +653,10 @@ def test_one_rank_test_per_lift_step(monkeypatch):
     orth = wfock.lifting.orth_columns
 
     def orth_columns(a, tol):
-        if tol == RANK_TOL:  # the escape scan's rank test; new directions are taken at 0.5
-            tested.append(a.shape[1])
+        # the escape scan's rank test; the step takes the new directions as the scan
+        # computed them, with no second orth_columns
+        assert tol == RANK_TOL
+        tested.append(a.shape[1])
         return orth(a, tol)
 
     monkeypatch.setattr(wfock.lifting, "orth_columns", orth_columns)
@@ -639,14 +670,36 @@ def test_one_rank_test_per_lift_step(monkeypatch):
 
 
 def test_lift_step_raises_when_the_frame_misses_the_escaping_level(monkeypatch):
-    # keep one of the two new directions of K_1 out of J_2 (the ledger's m = 2): K_1 is not in J
+    # the escape scan drops one of the two new directions of K_1 at the first step (the
+    # ledger's m = 2), which keeps it out of J_2: K_1 is not in J
     ind, ws = make_setup(FREE2, (1,), 3)
     model = primal_lift_model(ind, ws)
-    orth = wfock.lifting.orth_columns
-    monkeypatch.setattr(wfock.lifting, "orth_columns",
-                        lambda a, tol: orth(a, tol)[:, :-1] if tol == 0.5 else orth(a, tol))
+    escaping = wfock.lifting._escaping
+    monkeypatch.setattr(wfock.lifting, "_escaping", lambda *args: escaping(*args)[:, :-1])
     j = prefix_columns(model, 0)
     with pytest.raises(RuntimeError, match="lift step 2: K_1 is not contained in J"):
+        commutant_lift(model, j, np.eye(j.shape[1]))
+
+
+@pytest.mark.parametrize("size", [1e-6, 2 * RANK_TOL])
+def test_lift_step_raises_when_an_escape_frame_has_a_component_in_j(monkeypatch, size):
+    # the lift step takes the escape frames as the scan computed them, orthogonal to J;
+    # a frame that leans into J above RANK_TOL is named at its step: here the second (the
+    # ledger's m = 3), where J = K_1 and the new directions of K_2 gain a K_0 entry
+    ind, ws = make_setup(FREE2, (1,), 3)
+    model = primal_lift_model(ind, ws)
+    escaping = wfock.lifting._escaping
+
+    def leaning(model, q, low, n):
+        out = escaping(model, q, low, n)
+        if low == 1 and out.shape[1]:
+            out[model.prefix_idx(0)[0], 0] += size
+        return out
+
+    monkeypatch.setattr(wfock.lifting, "_escaping", leaning)
+    j = prefix_columns(model, 0)
+    with pytest.raises(RuntimeError, match=r"lift step 3: the escape frame has a component "
+                                           r"\S+ in J; numerical failure"):
         commutant_lift(model, j, np.eye(j.shape[1]))
 
 
@@ -881,7 +934,8 @@ def test_thin_frame_residuals_match_the_whole_space_projector(graph, n, data):
     assert abs(_frame_coinvariance(j_in, model.generators) - whole_space) <= 1e-14 * scale
     g_tilde = rng_complex(rng, model.dim, model.dim)
     g = j_out.conj().T @ g_tilde @ j_in
-    thin = _conclusions(g_tilde, g, operator_norm(g), j_in, j_out, model.generators)
+    thin = _conclusions(g_tilde, g, operator_norm(g), operator_norm(g_tilde), j_in, j_out,
+                        model.generators)
     whole_space = operator_norm(comp @ g_tilde.conj().T @ j_out)
     assert abs(thin["adjoint_invariance"] - whole_space) <= \
         1e-14 * max(1.0, operator_norm(g_tilde))
