@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 on input errors (malformed JSON, violated
 invariants or a failed allocation, each named), 2 on mathematical rejection (a
 non-admissible sequence or a Pick map that is not completely positive).
-Timing goes to stderr only, so reports are byte-identical across runs.
+Timing goes to stderr only, so reports are byte-identical across runs.  With
+``--trace PATH`` a call also writes what its report leaves out as JSON lines, in
+the order made and with no timing, so the trace is deterministic too: for now one
+line per ``solve`` lift step, with its running residuals (``_cmd_solve``).
 
 Every problem sits over a setting: the graph, sigma, X and Z of its input at
 truncation N.  What is built from the setting alone (the decoded weights, the
@@ -68,6 +71,7 @@ class RunConfig:
     N: int = 8
     eps: float = 1e-7
     seed: int = 0
+    trace: str | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -77,6 +81,10 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {self.seed}")
         _check_eps(self.eps)
+
+
+# the trace records of the running call, or None when it writes no trace
+_trace: list[dict] | None = None
 
 
 class MathRejection(Exception):
@@ -315,13 +323,15 @@ def _cmd_solve(config: RunConfig, obj: dict) -> dict:
     setting, problem = _pick_problem(config, obj)
     try:
         result = np_solve(problem, setting.ws, eps=eps,
-                          dual_model=lambda: setting.dual_lift_model)
+                          dual_model=lambda: setting.dual_lift_model,
+                          step_residuals=_trace is not None)
     except PickInfeasibleError as exc:
         raise MathRejection(json.dumps({"verdict": "not-completely-positive",
                                         "reason": str(exc)}, sort_keys=True)) from exc
-    steps = [{"m": s["m"], "n_m": s["n_m"], "dim_j": s["dim_j"], "mu": s["mu"],
-              "coinvariant": s["coinvariant"], "intertwining": s["intertwining"]}
+    steps = [{"m": s["m"], "n_m": s["n_m"], "dim_j": s["dim_j"], "mu": s["mu"]}
              for s in result.trace["steps"]]
+    if _trace is not None:  # m, n_m, dim_j, mu, f_clamp, coinvariant and intertwining
+        _trace.extend({"event": "solve.lift_step", **s} for s in result.trace["steps"])
     return {
         "verdict": "solved",
         "choi_min_eig": result.cp.min_eigenvalue,
@@ -387,7 +397,27 @@ _DISPATCH = {
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch a command; returns (exit_code, report)."""
+    """Dispatch a command; returns (exit_code, report).  With ``config.trace`` the file
+    is opened first (exit 1, naming it, if it cannot be), and gets the call's trace
+    records as JSON lines when the call ends, whatever its exit code."""
+    global _trace
+    if config.trace is None:
+        return _run(config)
+    try:
+        sink = open(config.trace, "w")
+    except OSError as exc:
+        return 1, {"schema": 1, "command": config.command, "error": f"trace: {exc}"}
+    _trace = []
+    try:
+        return _run(config)
+    finally:
+        with sink:
+            sink.writelines(json.dumps(r, sort_keys=True, default=_json_default) + "\n"
+                            for r in _trace)
+        _trace = None
+
+
+def _run(config: RunConfig) -> tuple[int, dict]:
     started = time.time()
     try:
         obj = _load(config)
@@ -435,10 +465,12 @@ def main(argv=None) -> int:
     parser.add_argument("--N", type=int, default=8, help="truncation level")
     parser.add_argument("--eps", type=float, default=1e-7, help="target tolerance for solves")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--trace", default=None,
+                        help="trace JSON-lines path (default: no trace)")
     args = parser.parse_args(argv)
     try:
         config = RunConfig(command=args.command, input_path=args.input,
-                           N=args.N, eps=args.eps, seed=args.seed)
+                           N=args.N, eps=args.eps, seed=args.seed, trace=args.trace)
     except ValueError as exc:
         print(json.dumps({"schema": 1, "error": str(exc)}), file=sys.stderr)
         return 1

@@ -354,7 +354,7 @@ class SolveResult:
 
 
 def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
-             dual_model=None) -> SolveResult:
+             dual_model=None, step_residuals: bool = False) -> SolveResult:
     """Construct an interpolant by two-space lifting on the dual side.
 
     Builds the kernel spans J_B and J_F, the exchange map R on them, lifts
@@ -363,10 +363,11 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
     reports the kernel tail budget so callers can judge the truncation.  The
     kernel spans meet the lifting hypotheses only up to tail effects, so a
     defect above 1e-3 is refused and ``hyp_budget`` is max(1e-9, 2 x defect);
-    ``trace["conclusions"]`` holds the corollary's four conclusion residuals.
-    ``dual_model``, a function of no arguments, gives the dual lift model of the
-    problem's setting (a new one by default); it is called only for a problem
-    that passes both checks.
+    ``trace["conclusions"]`` holds the corollary's four conclusion residuals, and
+    ``trace["steps"]`` the lift's steps, with their running residuals only under
+    ``step_residuals`` (see ``two_space_lift``).  ``dual_model``, a function of no
+    arguments, gives the dual lift model of the problem's setting (a new one by
+    default); it is called only for a problem that passes both checks.
     """
     ind = problem.ind
     cp = pick_map_cp_test(problem)
@@ -389,7 +390,8 @@ def np_solve(problem: PickProblem, ws: WeightSystem, eps: float = 1e-7,
     base = dual_model() if dual_model is not None else dual_lift_model(DualStructure(ind, ws))
     g12 = r_op.conj().T  # J_F coords -> J_B coords
     try:
-        g_tilde, trace = two_space_lift(base, problem.t, problem.s, q_f, q_b, g12, 1e-3)
+        g_tilde, trace = two_space_lift(base, problem.t, problem.s, q_f, q_b, g12, 1e-3,
+                                        step_residuals)
     except _HypothesisError as exc:
         raise ValueError(f"kernel spans: {exc}; the truncation cannot support this instance, "
                          "raise N or move the points inward") from exc

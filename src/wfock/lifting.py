@@ -326,7 +326,9 @@ class LiftState:
     (``model`` is K^(t), ``row_model`` K^(s), ``frame`` spans J_2), and ``j1``
     spans J_1 in K^(t).  J_1 holds no row of G_m, but it is a summand of J: it
     takes part in the step schedule, in ``dim_j`` = d_1 + d_2 and in the
-    co-invariance residual.  ``ledger`` collects per-step condition residuals.
+    co-invariance residual.  ``ledger`` holds one entry per step: m, n_m, dim_j, the
+    Parrott mu and the f_clamp, and the running residuals when the loop is asked for
+    them (``_loop``).
 
     Each summand of J is K_{n_m} (+) J' (every step guards K_{n_m} in J), and
     ``j_prime`` holds per summand, in the order of ``spaces``, an orthonormal frame of
@@ -457,10 +459,10 @@ def _check_contains_prefix(spaces, n: int, m: int) -> None:
 
 
 def _condition_residuals(state: LiftState) -> dict:
-    """Residuals of the running conditions the reports read at the current state: the
-    co-invariance of J, max_g ||(I - P_J) g^* Q'|| on the J' frames Q' (the largest over
-    the summands of J; the adjoints keep K_{n_m}, which J holds), and
-    max_g ||q^* g q G - G g||."""
+    """Residuals of the running conditions at a state, which the lift report and the
+    solve trace read: the co-invariance of J, max_g ||(I - P_J) g^* Q'|| on the J'
+    frames Q' (the largest over the summands of J; the adjoints keep K_{n_m}, which J
+    holds), and max_g ||q^* g q G - G g||."""
     q = state.frame
     q_star = q.conj().T
     generators = state.model.generators
@@ -484,10 +486,10 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     the state's ``f_pattern`` in one gather and one segment sum (no per-level loop),
     so for the corollary a step that adds no direction to J_2 adds no row to G.  The
     new J' frames are formed once, after the guard, from the old ones and the new
-    directions (``j_prime_frame``).  The ledger entry holds what the reports and the
-    loop read: m, n_m, dim_j (the width of J, d_1 + d_2 for the corollary), the
-    Parrott mu, the f_clamp, and the coinvariant (the largest over the summands of J)
-    and intertwining residuals.
+    directions (``j_prime_frame``).  The ledger entry holds what the reports, the loop
+    and perfbench read: m, n_m, dim_j (the width of J, d_1 + d_2 for the corollary),
+    the Parrott mu and the f_clamp; the step measures no running residual (see
+    ``_loop``).
     Raises if J is already everything, if a J' frame has a row in K_{n_m}, an escape
     frame a component in J or K_{n_m} is not contained in the new J (guards, not
     recorded numbers), or if the completion is not finite.
@@ -537,14 +539,8 @@ def lift_step(state: LiftState, step_validator=None) -> LiftState:
     j1 = None if state.j1 is None else spaces[1][1]
     new_state = LiftState(model, spaces[0][1], g_m1, state.n_list + [n_new],
                           list(state.ledger), state.row_model, j1, j_prime, state.f_pattern)
-    entry = _condition_residuals(new_state)
-    entry.update({
-        "m": new_state.m,
-        "n_m": n_new,
-        "dim_j": new_state.dim_j,
-        "mu": problem.mu,
-        "f_clamp": f_clamp,
-    })
+    entry = {"m": new_state.m, "n_m": n_new, "dim_j": new_state.dim_j, "mu": problem.mu,
+             "f_clamp": f_clamp}
     if step_validator is not None:
         entry["extra"] = step_validator(state, new_state)
     new_state.ledger.append(entry)
@@ -576,11 +572,14 @@ def _hypotheses(g: np.ndarray, j_in: np.ndarray, j_out: np.ndarray, generators,
 
 
 def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator,
-          row_model: LiftModel | None = None, j1: np.ndarray | None = None):
+          row_model: LiftModel | None = None, j1: np.ndarray | None = None,
+          step_residuals: bool = False):
     """The induction loop lifting g: J_1 -> J, with J the span of ``frame`` in
     ``row_model`` (``model`` unless given) and J_1 the span of ``j1`` in ``model`` (J
     unless given); returns the lift ``model`` -> ``row_model``, the ledger, the
-    final G in frame coordinates (None when g = 0 takes no step) and ||g||."""
+    final G in frame coordinates (None when g = 0 takes no step) and ||g||.  With
+    ``step_residuals`` each ledger entry also gets the running residuals of the state
+    its step returned (``_condition_residuals``)."""
     row_model = model if row_model is None else row_model
     scale = operator_norm(g)
     if scale == 0.0:
@@ -590,6 +589,8 @@ def _loop(model: LiftModel, frame: np.ndarray, g: np.ndarray, validator,
                       j1=j1)
     while not state.is_full():
         state = lift_step(state, step_validator=validator)
+        if step_residuals:
+            state.ledger[-1].update(_condition_residuals(state))
     return scale * (state.frame @ state.g_mat), state.ledger, state.g_mat, scale
 
 
@@ -618,11 +619,13 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
     and the four conclusions residual-checked in trace["conclusions"]:
     co-invariance of the adjoint, compression back to the input, commutation
     with every generator image, and norm equality.  Each step in trace["steps"]
-    also carries norm_one = | ||G_m|| - 1 |, which only the lift report reads.
+    also carries its running residuals, coinvariant and intertwining, and norm_one =
+    | ||G_m|| - 1 |, which only the lift report reads.
     """
     j_frame, g_on_j = as_complex(j_frame), as_complex(g_on_j)
     hypotheses = _hypotheses(g_on_j, j_frame, j_frame, model.generators, 1e-9, ("J", "J"))
-    g_tilde, steps, g_final, g_norm = _loop(model, j_frame, g_on_j, step_validator)
+    g_tilde, steps, g_final, g_norm = _loop(model, j_frame, g_on_j, step_validator,
+                                            step_residuals=True)
     for step in steps:  # G_m is the first dim_j rows of every later G, bit for bit
         step["norm_one"] = abs(operator_norm(g_final[:step["dim_j"]]) - 1.0)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "conclusions": _conclusions(
@@ -631,7 +634,8 @@ def commutant_lift(model: LiftModel, j_frame: np.ndarray, g_on_j: np.ndarray,
 
 
 def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
-                   j2_frame: np.ndarray, g12: np.ndarray, hypothesis_tol: float):
+                   j2_frame: np.ndarray, g12: np.ndarray, hypothesis_tol: float,
+                   step_residuals: bool = False):
     """Two-representation lifting by the Putnam trick, between the amplifications
     K^(t) and K^(s) of one model.
 
@@ -649,12 +653,15 @@ def two_space_lift(base: LiftModel, t: int, s: int, j1_frame: np.ndarray,
     ``LiftState``); the sum is never formed.  trace["hypothesis"] and
     trace["conclusions"] carry the corollary's hypothesis and four conclusion
     residuals, and trace["lift_norm"] is ||g_tilde||, which the conclusions take.
+    trace["steps"] holds m, n_m, dim_j, mu and f_clamp per step, and with
+    ``step_residuals`` (no tol, no verdict reads them) coinvariant and intertwining.
     """
     j1_frame, j2_frame, g12 = as_complex(j1_frame), as_complex(j2_frame), as_complex(g12)
     hypotheses = _hypotheses(g12, j1_frame, j2_frame, base.generators, hypothesis_tol,
                              ("J_1", "J_2"))
     g_tilde, steps, _, g_norm = _loop(base.amplify(t), j2_frame, g12, None,
-                                      row_model=base.amplify(s), j1=j1_frame)
+                                      row_model=base.amplify(s), j1=j1_frame,
+                                      step_residuals=step_residuals)
     lift_norm = operator_norm(g_tilde)
     return g_tilde, {"steps": steps, "hypothesis": hypotheses, "lift_norm": lift_norm,
                      "conclusions": _conclusions(g_tilde, g12, g_norm, lift_norm, j1_frame,

@@ -822,3 +822,52 @@ def test_solve_is_equivariant_under_a_scaling_of_the_targets(tmp_path, name, n, 
         assert code_c == code
         assert abs(scaled["norm"]["value"] / abs(c) - norm) <= 1e-10 * norm
         assert np.abs(_complex_matrices(scaled["evaluations"]) - c * values).max() <= 1e-10
+
+
+def _solve_readme(tmp_path, *flags):
+    """Exit code and report bytes of the README solve at N=40 through ``main``."""
+    out = tmp_path / "report.json"
+    argv = ["--command", "solve", "--N", "40", "--output", str(out),
+            "--input", write(tmp_path, "problem.json", json.loads(dict(INPUTS)["problem.json"]))]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + list(flags))
+    return code, out.read_bytes()
+
+
+def test_solve_trace_has_one_line_per_lift_step_and_leaves_the_report(tmp_path):
+    # the trace carries the running residuals the report leaves out; the report bytes
+    # are the same with and without it
+    trace = tmp_path / "trace.jsonl"
+    code, traced = _solve_readme(tmp_path, "--trace", str(trace))
+    assert code == 0
+    assert (code, traced) == _solve_readme(tmp_path)
+    steps = json.loads(traced)["trace"]["steps"]
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(lines) == len(steps) == 39
+    for line, step in zip(lines, steps):
+        assert set(step) == {"m", "n_m", "dim_j", "mu"}
+        assert set(line) == {"event", "m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
+                             "intertwining"}
+        assert line["event"] == "solve.lift_step"
+        assert {k: line[k] for k in step} == step
+    first = trace.read_bytes()
+    _solve_readme(tmp_path, "--trace", str(trace))
+    assert trace.read_bytes() == first  # deterministic, and written anew, not appended
+
+
+def test_solve_without_a_trace_writes_no_file(tmp_path):
+    assert _solve_readme(tmp_path)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "report.json"]
+
+
+def test_an_unwritable_trace_path_is_a_json_report(tmp_path):
+    # the trace file is opened before the command runs; a missing directory is named
+    trace = tmp_path / "missing" / "trace.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "wfock.cli", "--command", "solve",
+                           "--input", write(tmp_path, "problem.json", {}), "--N", "4",
+                           "--trace", str(trace)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"].startswith("trace: ") and str(trace) in report["error"]
+    assert not trace.parent.exists()

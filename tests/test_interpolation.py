@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from graph_strategies import multiplicities, small_graphs
 from oracles import choi_by_units, dense_span_generators, dual_tuples, intertwiner, \
     iota_w_star_check, levelwise_residual, power_residual, prefix_columns, project, \
     quadratic_form_gap, random_point, representation_eval
+from test_readme import INPUTS as README_INPUTS
 from wfock.acceptance import _random_graph_x
 from wfock.duality import DualStructure, dual_lift_model, primal_lift_model
 from wfock.graphs import CorrElement, GraphCorrespondence, path_basis
@@ -721,19 +724,49 @@ def setting_of(obj, n):
 
 
 def test_the_ledger_keeps_what_its_readers_read():
-    # the reports read m, n_m, dim_j, mu and the residuals; perfbench counts the
-    # steps whose f_clamp < 1 with a default of 1, so a dropped key would read as no clamp
+    # the solve report reads m, n_m, dim_j and mu; perfbench counts the steps whose
+    # f_clamp < 1 with a default of 1, so a dropped key would read as no clamp; a solve
+    # measures the running residuals only for its trace file (step_residuals)
     ws, problem = decode_pick_problem(CLAMPED, lambda: setting_of(CLAMPED, 5))
     steps = np_solve(problem, ws).trace["steps"]
     for step in steps:
-        assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
-                             "intertwining"}
+        assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp"}
     clamps = [step["f_clamp"] for step in steps if step["f_clamp"] < 1.0]
     assert clamps == pytest.approx([0.929, 2.25e-4, 8.16e-5], rel=1e-2)
-    # only the lift report reads norm_one, which commutant_lift adds to each step
+    # the lift report reads the running residuals, which commutant_lift always measures,
+    # and norm_one, which it adds to each step
     ind, _, ws = graph_setup(n=3)
     model = primal_lift_model(ind, ws)
     j = prefix_columns(model, 0)
     for step in commutant_lift(model, j, 0.5 * np.eye(j.shape[1]))[1]["steps"]:
         assert set(step) == {"m", "n_m", "dim_j", "mu", "f_clamp", "coinvariant",
                              "intertwining", "norm_one"}
+
+
+README_PROBLEM = json.loads(dict(README_INPUTS)["problem.json"])
+
+
+@pytest.mark.parametrize("obj, n", [(CLAMPED, 5), (README_PROBLEM, 40)], ids=["clamped", "readme"])
+def test_step_residuals_are_those_of_the_visited_states(monkeypatch, obj, n):
+    """Under ``step_residuals`` each solve step carries, bit for bit, the running
+    residuals of the state its lift step returned, and asking for them moves no other
+    output of the solve."""
+    import wfock.lifting
+
+    ws, problem = decode_pick_problem(obj, lambda: setting_of(obj, n))
+    plain = np_solve(problem, ws)
+    visited, step = [], wfock.lifting.lift_step
+
+    def recorded(state, step_validator=None):
+        new_state = step(state, step_validator)
+        visited.append(wfock.lifting._condition_residuals(new_state))
+        return new_state
+
+    monkeypatch.setattr(wfock.lifting, "lift_step", recorded)
+    traced = np_solve(problem, ws, step_residuals=True)
+    assert len(visited) == len(traced.trace["steps"]) == len(plain.trace["steps"]) > 0
+    for got, expected, kept in zip(traced.trace["steps"], visited, plain.trace["steps"]):
+        assert got == {**kept, **expected}
+    assert np.array_equal(traced.g_tilde, plain.g_tilde)
+    assert traced.norm == plain.norm
+    assert all(np.array_equal(a, b) for a, b in zip(traced.evaluations, plain.evaluations))

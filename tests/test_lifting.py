@@ -28,6 +28,7 @@ from wfock.lifting import (
     ParrottProblem,
     _check_contains_prefix,
     _conclusions,
+    _condition_residuals,
     _escape_level,
     _frame_coinvariance,
     commutant_lift,
@@ -798,14 +799,14 @@ def test_escape_scan_and_containment_guard_match_the_svd_tests(graph, n, data):
 
 def _check_j_prime_frames(state):
     """J' = J ⊖ K_{n_m} per summand: orthonormal, zero rows on K_{n_m} and inside J, and
-    the ledger's co-invariance residual, read on J', equal to the one on the whole frame."""
+    the running co-invariance residual, read on J', equal to the one on the whole frame."""
     low = state.n_list[-1]
     for (model, frame), prime in zip(state.spaces, state.j_prime):
         assert operator_norm(prime.conj().T @ prime - np.eye(prime.shape[1])) <= 1e-13
         assert not prime[model.prefix_idx(low)].any()
         assert operator_norm(_complement(frame, prime)) <= 1e-13
     full = max(_frame_coinvariance(frame, state.model.generators) for _, frame in state.spaces)
-    value = state.ledger[-1]["coinvariant"]
+    value = _condition_residuals(state)["coinvariant"]
     assert abs(value - full) <= 1e-14 * max(1.0, value), (value, full)
 
 

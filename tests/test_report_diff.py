@@ -58,3 +58,24 @@ def test_the_selftest_blob_length_is_the_one_exempt_integer(tmp_path, capsys):
     new = _tree(tmp_path / "new", **{"selftest-seed0": selftest(1466)})
     assert report_diff.main([old, new]) == 0
     assert "criteria[].details.bytes  1.000e+00  (exempt)" in capsys.readouterr().out
+
+
+def test_trace_files_are_walked_when_both_sides_have_them(tmp_path, capsys):
+    def trace(root: Path, *values):
+        (root / "solve.trace.jsonl").write_text(
+            "".join(json.dumps({"m": 2, "coinvariant": v}) + "\n" for v in values))
+
+    old = _tree(tmp_path / "old", solve=REPORT)
+    new = _tree(tmp_path / "new", solve=REPORT)
+    trace(Path(new), 0.25)
+    assert report_diff.main([old, new]) == 0  # a trace on one side only is no fault
+    assert capsys.readouterr().out.rstrip().endswith("; 0 traces compared")
+    trace(Path(old), 0.25)
+    trace(Path(new), 0.25 + 2 ** -50)
+    assert report_diff.main([old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "solve.trace  [].coinvariant  8.882e-16"
+    assert lines[-1].endswith("; 1 traces compared")
+    trace(Path(new), 0.25, 0.5)
+    assert report_diff.main([old, new]) == 1
+    assert "FAULT solve.trace: : length 1 -> 2" in capsys.readouterr().out

@@ -7,8 +7,11 @@ Usage (from any directory):
     python3 tools/report_diff.py OLD_DIR NEW_DIR
 
 Every ``<name>.report.json`` of the two directories is read and walked in
-step.  A float that moved is collected under its field path, list indices
-written ``[]``, and one line is printed per report and path: the largest
+step, and so is every ``<name>.trace.jsonl`` that both directories hold (a
+``solve`` trace, one JSON line per lift step with its running residuals), as
+the list of its lines under the name ``<name>.trace``; a trace on one side
+only is no fault.  A float that moved is collected under its field path, list
+indices written ``[]``, and one line is printed per report and path: the largest
 absolute move, and beside it the ``tol`` (or ``threshold``) that the report
 carries next to the field, where it carries one.  A summary line follows.
 
@@ -66,11 +69,18 @@ def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], list[str]]:
     faults = [f"{name}: report on one side only" for name in sorted(old_names ^ new_names)]
     moves: dict[tuple[str, str], tuple[float, float | None]] = {}
     same_bytes = 0
+    traces = {p.name[:-len(".jsonl")] for p in old_dir.glob("*.trace.jsonl")} \
+        & {p.name[:-len(".jsonl")] for p in new_dir.glob("*.trace.jsonl")}
     for name in sorted(old_names & new_names):
         old_blob = (old_dir / f"{name}.report.json").read_bytes()
         new_blob = (new_dir / f"{name}.report.json").read_bytes()
         same_bytes += old_blob == new_blob
         _walk(name, json.loads(old_blob), json.loads(new_blob), "", None, moves, faults)
+    for name in sorted(traces):
+        old_lines, new_lines = ([json.loads(line) for line in
+                                 (side / f"{name}.jsonl").read_text().splitlines()]
+                                for side in (old_dir, new_dir))
+        _walk(name, old_lines, new_lines, "", None, moves, faults)
     moved = {key: val for key, val in moves.items() if val[0] > 0}
     lines = [f"{name}  {path}  {move:.3e}" + (f"  (bound {bound:.3e})" if bound is not None else "")
              + ("  (exempt)" if (name, path) in EXEMPT else "")
@@ -79,7 +89,7 @@ def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], list[str]]:
     lines.append(f"{len(old_names & new_names)} reports compared: {same_bytes} byte-identical, "
                  f"{len({name for name, _ in moved})} with moved values over {len(moved)} "
                  f"field paths; largest float move {max(float_moves, default=0.0):.3e}; "
-                 f"{len(faults)} non-float differences")
+                 f"{len(faults)} non-float differences; {len(traces)} traces compared")
     return lines, faults
 
 

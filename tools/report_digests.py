@@ -7,8 +7,11 @@ Usage (from any directory):
 Each report is made in-process through ``wfock.cli.main`` with ``--output``
 to ``<name>.report.json`` in REPORT_DIR (created if missing, and kept), or in
 a temporary directory without it, with ``OPENBLAS_NUM_THREADS=1``; wfock is
-imported from ``src/`` of the checkout this script sits in.  One
-``sha256  name`` line is printed per report (and written to OUTPUT if given).
+imported from ``src/`` of the checkout this script sits in.  In REPORT_DIR each
+``solve`` also runs with ``--trace`` to ``<name>.trace.jsonl`` beside its
+report; the trace takes no part in the digest, and a traced report is the same
+bytes as an untraced one.  One ``sha256  name`` line is printed per report (and
+written to OUTPUT if given).
 The set is then made a second time in the same process, in reverse order, so
 that every report is also made over the settings the CLI kept from the other
 calls (see ``wfock.cli``); the printed lines are those of the first pass.
@@ -234,11 +237,14 @@ RUNS += [("solve-free2-N5", "solve-free2", ["solve", "--N", "5"]),
          ("solve-cycle2-s2-B-N8", "solve-cycle2-s2-B", ["solve", "--N", "8"])]
 
 
-def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
-    """The sha256 of each report of ``runs``, by name, and one message per nonzero exit code."""
+def digests(workdir: Path, runs, trace: bool) -> tuple[dict[str, str], list[str]]:
+    """The sha256 of each report of ``runs``, by name, and one message per nonzero exit
+    code; with ``trace`` each solve also writes its trace file."""
     out, errors = {}, []
     for name, key, args in runs:
         argv = ["--command", *args, "--output", str(workdir / f"{name}.report.json")]
+        if trace and args[0] == "solve":
+            argv += ["--trace", str(workdir / f"{name}.trace.jsonl")]
         if key is not None:
             path = workdir / f"{key}.json"
             path.write_text(json.dumps(INPUTS[key]))
@@ -251,10 +257,10 @@ def digests(workdir: Path, runs) -> tuple[dict[str, str], list[str]]:
     return out, errors
 
 
-def both_passes(workdir: Path) -> tuple[list[str], list[str]]:
+def both_passes(workdir: Path, trace: bool = False) -> tuple[list[str], list[str]]:
     """The ``sha256  name`` lines of the first pass, and the errors of both passes."""
-    first, errors = digests(workdir, RUNS)
-    second, again = digests(workdir, RUNS[::-1])
+    first, errors = digests(workdir, RUNS, trace)
+    second, again = digests(workdir, RUNS[::-1], trace)
     errors += [err for err in again if err not in errors]
     errors += [f"{name}: the second pass, in reverse order, gave another report"
                for name in first if first[name] != second[name]]
@@ -264,7 +270,7 @@ def both_passes(workdir: Path) -> tuple[list[str], list[str]]:
 def run(output: str | None = None, report_dir: str | None = None) -> int:
     if report_dir:
         Path(report_dir).mkdir(parents=True, exist_ok=True)
-        lines, errors = both_passes(Path(report_dir))
+        lines, errors = both_passes(Path(report_dir), trace=True)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             lines, errors = both_passes(Path(tmp))
